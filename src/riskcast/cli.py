@@ -139,14 +139,18 @@ def cmd_risk(args) -> int:
     with open(args.prediction) as f:
         jp = prediction_from_json(json.load(f))
     out = _prepare_out(args, cfg)
-    keep = [a.agent_id for a in scn.agents if a.agent_id in jp.agent_ids]
-    if set(keep) != set(jp.agent_ids):
-        raise CliError("prediction and scenario agent ids do not match")
-    order, reports = rank_trajectories(jp, scn, cfgmod.risk_config(cfg))
+    risk_cfg = cfgmod.risk_config(cfg)
+    try:
+        order, reports = rank_trajectories(jp, scn, risk_cfg)
+    except ValueError as e:
+        raise CliError(f"cannot rank {args.prediction}: {e}") from e
     doc = {
         "scenario_id": scn.scenario_id,
         "order": order,
         "modes": [r.to_json() for r in reports],
+        # scene agents the model had no prediction for (context radius)
+        "unpredicted": [a.agent_id for a in scn.agents
+                        if a.agent_id not in jp.agent_ids],
     }
     with open(os.path.join(out, "risk_report.json"), "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)

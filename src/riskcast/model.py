@@ -164,17 +164,8 @@ class JointPredictor(nn.Module):
                              scn.scenario_id)
         dists = [IntentionDistribution(res.lat_probs[i], res.lon_probs[i])
                  for i in range(n)]
-        self.clear_all_caches()
+        self.clear_cache()
         return jp, dists
-
-    def clear_all_caches(self) -> None:
-        for m in self._modules:
-            for attr in vars(m).values():
-                if isinstance(attr, list):
-                    for item in attr:
-                        if isinstance(item, nn.Module):
-                            item.clear_cache()
-            m.clear_cache()
 
     # -- checkpointing -----------------------------------------------------
 

@@ -63,9 +63,18 @@ class Module:
             p.grad[...] = 0.0
 
     def clear_cache(self) -> None:
+        """Empty every backward cache of this module and its sub-modules.
+        A list attribute holding modules lists sub-modules; any other list
+        attribute is a cache."""
         for attr in vars(self).values():
-            if isinstance(attr, list) and attr and isinstance(attr[0], tuple):
-                attr.clear()
+            if isinstance(attr, Module):
+                attr.clear_cache()
+            elif isinstance(attr, list):
+                if attr and all(isinstance(x, Module) for x in attr):
+                    for sub in attr:
+                        sub.clear_cache()
+                else:
+                    attr.clear()
 
 
 class Linear(Module):

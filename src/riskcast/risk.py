@@ -1,19 +1,45 @@
-"""Collision-probability, harm, and risk-ethics cost computation, plus
-risk-based ranking of candidate joint trajectories.
+"""Collision-probability, harm and risk-ethics costs, and risk-based ranking
+of candidate joint trajectories.
 
-Collision probability between two agents at a future step integrates an
-isotropic Gaussian (position uncertainty of both agents combined) over a
-disc of radius (width_i + width_j)/2 around each of the first agent's three
-body points (front, center, rear), sums the three and clamps to [0, 1].
-The disc integral is exact, expressed through the noncentral chi-square CDF,
-with a closed-form derivative in the center distance for training.
+The production path is one array kernel, `risk_kernel`, over a `MotionBatch`
+of K candidate modes x N agents x T future steps. Every agent other than the
+ego is a potential victim of the ego; the M = N - 1 victims keep their batch
+order.
 
-Harm maps the struck agent's post-collision speed change through a logistic
-in delta-v and the struck region. The region coefficients and the logistic
-intercept/slope are config placeholders (the formulas, not these values, are
-what the tests pin down). A per-trajectory risk is the maximum over future
-steps of harm times collision probability; the safety, care and
-responsiveness costs then aggregate the per-agent risks.
+Pair risk. For each (mode, victim, step) the kernel takes the offsets from
+the victim's three body points (front, center, rear) to the ego's center,
+[K, M, T, 3, 2], and their lengths [K, M, T, 3], and makes one
+`disc_probability` call on all of them: the chance that an isotropic
+Gaussian (the position uncertainty of both agents combined, sqrt(2) sigma_t)
+lands within (width_victim + width_ego)/2 of the body point. The disc
+integral is exact, through the noncentral chi-square CDF, with a closed-form
+derivative in the distance. The three probabilities are summed and clamped
+to [0, 1], giving the collision probability [K, M, T]. Harm [K, M, T] maps
+the victim's post-collision speed change (delta-v from the masses, speeds
+and collision angle) and the struck region (front, side or rear, from the
+bearing of the ego in the victim's frame) through a numerically stable
+logistic, times the victim's harm scale. A victim's risk is the maximum over
+T of harm x probability; the kernel keeps the argmax step.
+
+Boundary risk. The ego's clearance to the nearest road-boundary segment,
+[K, T] from one point-to-all-segments op over [K, T, S], goes through a
+second `disc_probability` call (radius half the ego width, sigma_t); harm
+takes the ego speed as delta-v with a side impact.
+
+The safety, care and responsiveness costs then aggregate each mode's victim
+risks and boundary risk. `rank_trajectories` runs the kernel once for all K
+modes and reads each mode through `mode_risk_report`. `risk_loss_and_grad`
+runs it on the selected mode and differentiates through the collision
+probabilities and the boundary clearance only: harm factors, struck regions
+and argmax steps are constants, so the gradient reuses the forward's argmax
+and evaluates `disc_probability_ddist` only at the argmax step of each
+victim and of the boundary.
+
+The scalar functions (`collision_probability`, `pair_harm`, `delta_v`,
+`harm`) on `AgentTrack`s are the per-step reference the tests compare the
+kernel against. The region coefficients and the logistic intercept/slope
+are config placeholders (the formulas, not these values, are what the tests
+pin down).
 """
 
 from __future__ import annotations
@@ -25,7 +51,8 @@ import numpy as np
 from scipy.special import i1e
 from scipy.stats import ncx2
 
-from .geometry import AgentState, CollisionRegion, collision_region
+from .geometry import (DIST_EPS, SPEED_EPS, AgentState, CollisionRegion,
+                       collision_region)
 from .intention import JointPrediction
 from .scene import AgentHistory, MapPolyline, Scenario
 
@@ -43,7 +70,11 @@ class UncertaintyModel:
         return s
 
     def sigma_array(self, horizon: int) -> np.ndarray:
-        return self.sigma0 + self.growth * np.arange(1, horizon + 1)
+        """sigma(1), ..., sigma(horizon)."""
+        s = self.sigma0 + self.growth * np.arange(1, horizon + 1)
+        if (s <= 0).any():
+            raise ValueError("uncertainty sigma must stay positive")
+        return s
 
 
 @dataclass
@@ -156,19 +187,18 @@ def track_from_truth(agent: AgentHistory, dt: float) -> AgentTrack:
 
 def track_from_prediction(agent: AgentHistory, positions: np.ndarray,
                           dt: float) -> AgentTrack:
+    """The agent's decoded positions [T, 2] with velocities and yaws
+    derived as in `batch_from_prediction`."""
+    b = batch_from_prediction([agent], np.asarray(positions)[None, None], dt)
     cur = agent.current
-    positions = np.asarray(positions, dtype=np.float64)
-    anchored = np.vstack([cur.position[None, :], positions])
-    vel = (anchored[1:] - anchored[:-1]) / dt
-    speeds = np.linalg.norm(vel, axis=1)
-    yaws = np.where(speeds > 1e-6,
-                    np.arctan2(vel[:, 1], vel[:, 0]), cur.yaw)
     return AgentTrack(agent.agent_id, cur.agent_class, cur.length, cur.width,
-                      cur.mass, cur.protected_flag, positions, vel, yaws, dt)
+                      cur.mass, cur.protected_flag, b.positions[0, 0],
+                      b.velocities[0, 0], b.yaws[0, 0], dt)
+
 
 
 # --------------------------------------------------------------------------
-# Core formulas
+# Scalar reference formulas (one pair, one step)
 # --------------------------------------------------------------------------
 
 def collision_probability(track_i: AgentTrack, track_j: AgentTrack, t: int,
@@ -220,25 +250,208 @@ def pair_harm(victim: AgentTrack, other: AgentTrack, t: int,
     return harm(dv, region, coeffs) * harm_scale
 
 
+# --------------------------------------------------------------------------
+# Batched kernel over [K modes, N agents, T steps]
+# --------------------------------------------------------------------------
+
+@dataclass
+class MotionBatch:
+    """K candidate futures of N agents: the input of `risk_kernel`."""
+    agent_ids: list[str]
+    positions: np.ndarray    # [K, N, T, 2]
+    velocities: np.ndarray   # [K, N, T, 2]
+    yaws: np.ndarray         # [K, N, T]
+    lengths: np.ndarray      # [N]
+    widths: np.ndarray       # [N]
+    masses: np.ndarray       # [N]
+    protected: np.ndarray    # [N] bool
+
+
+def batch_from_prediction(agents: list[AgentHistory], positions: np.ndarray,
+                          dt: float) -> MotionBatch:
+    """Decoded positions [K, N, T, 2] of the given agents, in that order.
+    Velocities are finite differences anchored at each agent's current
+    position; yaws follow the velocity (the current yaw while stopped)."""
+    positions = np.asarray(positions, dtype=np.float64)
+    if positions.ndim != 4 or positions.shape[1] != len(agents) \
+            or positions.shape[3] != 2:
+        raise ValueError(f"positions {positions.shape} do not match "
+                         f"[K, {len(agents)}, T, 2]")
+    cur = [a.current for a in agents]
+    start = np.array([c.position for c in cur])[None, :, None, :]
+    anchored = np.concatenate([
+        np.broadcast_to(start, positions.shape[:2] + (1, 2)), positions],
+        axis=2)
+    vel = np.diff(anchored, axis=2) / dt
+    speeds = np.linalg.norm(vel, axis=-1)
+    yaws = np.where(speeds > SPEED_EPS, np.arctan2(vel[..., 1], vel[..., 0]),
+                    np.array([c.yaw for c in cur])[None, :, None])
+    return MotionBatch([a.agent_id for a in agents], positions, vel, yaws,
+                       np.array([c.length for c in cur]),
+                       np.array([c.width for c in cur]),
+                       np.array([c.mass for c in cur]),
+                       np.array([c.protected_flag for c in cur]))
+
+
+def batch_from_tracks(tracks: list[AgentTrack]) -> MotionBatch:
+    """One mode made of the given tracks (equal horizons)."""
+    return MotionBatch(
+        [tr.agent_id for tr in tracks],
+        np.stack([tr.positions for tr in tracks])[None],
+        np.stack([tr.velocities for tr in tracks])[None],
+        np.stack([tr.yaws for tr in tracks])[None],
+        np.array([tr.length for tr in tracks]),
+        np.array([tr.width for tr in tracks]),
+        np.array([tr.mass for tr in tracks]),
+        np.array([tr.protected_flag for tr in tracks]))
+
+
+@dataclass
+class RiskTerms:
+    """What `risk_kernel` computes for K modes. The M victims are the
+    agents other than the ego, in batch order."""
+    victim_ids: list[str]
+    victims: np.ndarray        # [M] batch indices
+    offsets: np.ndarray        # [K, M, T, 3, 2] ego center minus body point
+    dists: np.ndarray          # [K, M, T, 3] their lengths
+    radii: np.ndarray          # [M] disc radius of each pair
+    pair_sigma: np.ndarray     # [T] uncertainty of the pair
+    prob_sums: np.ndarray      # [K, M, T] summed body-point probabilities
+    probs: np.ndarray          # [K, M, T] the sums clamped to [0, 1]
+    harms: np.ndarray          # [K, M, T] scaled harm borne by the victim
+    risks: np.ndarray          # [K, M] max over T of harm * probability
+    steps: np.ndarray          # [K, M] the step of that maximum
+    clearance: np.ndarray      # [K, T] ego distance to the nearest boundary
+    nearest: np.ndarray        # [K, T, 2] nearest boundary point
+    boundary_harm: np.ndarray  # [K, T]
+    boundary: np.ndarray       # [K] boundary risk
+    boundary_step: np.ndarray  # [K] the step of that maximum
+
+
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) without overflow, as in `harm`."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
+def _clearance(points: np.ndarray, polylines: list[MapPolyline]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each point [..., 2] to the nearest segment of the
+    polylines, and the nearest point on that segment."""
+    a = np.concatenate([p.waypoints[:-1] for p in polylines])   # [S, 2]
+    ab = np.concatenate([p.waypoints[1:] for p in polylines]) - a
+    denom = (ab * ab).sum(axis=-1)
+    rel = points[..., None, :] - a                              # [..., S, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(denom > 0.0,
+                     np.clip((rel * ab).sum(axis=-1) / denom, 0.0, 1.0), 0.0)
+    closest = a + s[..., None] * ab
+    dist = np.linalg.norm(points[..., None, :] - closest, axis=-1)
+    j = dist.argmin(axis=-1)[..., None]
+    return (np.take_along_axis(dist, j, axis=-1)[..., 0],
+            np.take_along_axis(closest, j[..., None], axis=-2)[..., 0, :])
+
+
+def risk_kernel(batch: MotionBatch, ego: int, boundaries: list[MapPolyline],
+                cfg: RiskConfig) -> RiskTerms:
+    """Victim and boundary risks of every mode in one pass; see the module
+    docstring for the layout."""
+    k_count, n, t_count = batch.yaws.shape
+    if t_count < 1:
+        raise ValueError("risk needs at least one future step")
+    if (batch.masses <= 0).any():
+        raise ValueError("masses must be positive")
+    sigma = cfg.uncertainty.sigma_array(t_count)
+    coeffs = cfg.harm
+    mu = coeffs.mu_area
+    victims = np.delete(np.arange(n), ego)
+
+    pos = batch.positions
+    speeds = np.linalg.norm(batch.velocities, axis=-1)    # [K, N, T]
+    facing = np.stack([np.cos(batch.yaws), np.sin(batch.yaws)], axis=-1)
+    # unit motion direction, the yaw direction when (nearly) stopped; as in
+    # AgentState.direction, by hypot, which rounds unlike the norm above
+    hyp = np.hypot(batch.velocities[..., 0], batch.velocities[..., 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        moving = batch.velocities / hyp[..., None]
+    heading = np.where((hyp < SPEED_EPS)[..., None], facing, moving)
+
+    # collision probability against the victims' body points
+    center = pos[:, victims]                              # [K, M, T, 2]
+    half = 0.5 * batch.lengths[victims, None, None]
+    axis = facing[:, victims]
+    body = np.stack([center + half * axis, center, center - half * axis],
+                    axis=3)                               # [K, M, T, 3, 2]
+    offsets = pos[:, ego, None, :, None, :] - body
+    dists = np.linalg.norm(offsets, axis=-1)
+    radii = 0.5 * (batch.widths[victims] + batch.widths[ego])
+    pair_sigma = math.sqrt(2.0) * sigma   # both positions uncertain
+    prob_sums = disc_probability(dists, radii[:, None, None],
+                                 pair_sigma[:, None]).sum(axis=-1)
+    probs = np.minimum(prob_sums, 1.0)
+
+    # harm borne by the victims: delta-v and the struck region
+    # matmul rounds the dot product as `@` on two vectors does
+    cos_theta = np.clip((heading[:, victims, :, None, :]
+                         @ heading[:, ego, None, :, :, None])[..., 0, 0],
+                        -1.0, 1.0)
+    v_vic, v_ego = speeds[:, victims], speeds[:, ego, None]
+    m_vic, m_ego = batch.masses[victims, None], batch.masses[ego]
+    rel = np.sqrt(np.maximum(v_vic * v_vic + v_ego * v_ego - 2.0 * v_vic
+                             * v_ego * np.cos(np.arccos(cos_theta)), 0.0))
+    dv = m_ego / (m_vic + m_ego) * rel
+    d = offsets[:, :, :, 1]                # ego center minus victim center
+    bearing = np.arctan2(d[..., 1], d[..., 0]) - batch.yaws[:, victims]
+    bearing = np.abs(np.arctan2(np.sin(bearing), np.cos(bearing)))
+    area = np.where(bearing <= math.pi / 4, mu[CollisionRegion.FRONT],
+                    np.where(bearing >= 3 * math.pi / 4,
+                             mu[CollisionRegion.REAR],
+                             mu[CollisionRegion.SIDE]))
+    area = np.where(np.hypot(d[..., 0], d[..., 1]) < DIST_EPS,
+                    mu[CollisionRegion.FRONT], area)
+    scale = np.array([cfg.harm_scale(batch.protected[i]) for i in victims])
+    harms = _logistic(coeffs.mu0 + coeffs.mu1 * dv + area) * scale[:, None]
+    weighted = harms * probs
+    steps = weighted.argmax(axis=-1)
+
+    # boundary: an immovable partner, delta-v the ego speed, side impact
+    clearance = np.full((k_count, t_count), np.inf)
+    nearest = np.zeros((k_count, t_count, 2))
+    boundary_harm = _logistic(coeffs.mu0 + coeffs.mu1 * speeds[:, ego]
+                              + mu[CollisionRegion.SIDE])
+    b_weighted = np.zeros((k_count, t_count))
+    if boundaries:
+        clearance, nearest = _clearance(pos[:, ego], boundaries)
+        b_weighted = boundary_harm * disc_probability(
+            clearance, 0.5 * batch.widths[ego], sigma)
+
+    return RiskTerms(
+        [batch.agent_ids[i] for i in victims], victims, offsets, dists, radii,
+        pair_sigma, prob_sums, probs, harms, weighted.max(axis=-1), steps,
+        clearance, nearest, boundary_harm, b_weighted.max(axis=-1),
+        b_weighted.argmax(axis=-1))
+
+
 def trajectory_risk(victim: AgentTrack, other: AgentTrack,
                     u: UncertaintyModel, coeffs: HarmCoefficients,
                     harm_scale: float = 1.0) -> float:
-    """max over future steps of harm(t) * collision_probability(t)."""
-    if victim.horizon < 1:
-        raise ValueError("risk needs at least one future step")
-    best = 0.0
-    for t in range(victim.horizon):
-        p = collision_probability(victim, other, t, u)
-        if p == 0.0:
-            continue
-        best = max(best, pair_harm(victim, other, t, coeffs, harm_scale) * p)
-    return best
+    """max over future steps of harm(t) * collision_probability(t): the
+    kernel's risk of the victim against the other."""
+    cfg = RiskConfig(uncertainty=u, harm=coeffs,
+                     protected_harm_scale=harm_scale,
+                     unprotected_harm_scale=harm_scale)
+    terms = risk_kernel(batch_from_tracks([victim, other]), 1, [], cfg)
+    return float(terms.risks[0, 0])
 
 
-def collision_probability_series(victim: AgentTrack, other: AgentTrack,
-                                 u: UncertaintyModel) -> np.ndarray:
-    return np.array([collision_probability(victim, other, t, u)
-                     for t in range(victim.horizon)])
+def boundary_risk(ego: AgentTrack, boundaries: list[MapPolyline],
+                  u: UncertaintyModel, coeffs: HarmCoefficients) -> float:
+    """Risk of the ego leaving the road: clearance to the nearest boundary
+    mapped through the collision-probability and harm machinery with an
+    immovable partner (delta-v equals the ego speed, side impact)."""
+    cfg = RiskConfig(uncertainty=u, harm=coeffs)
+    terms = risk_kernel(batch_from_tracks([ego]), 0, boundaries, cfg)
+    return float(terms.boundary[0])
 
 
 # --------------------------------------------------------------------------
@@ -286,50 +499,6 @@ def total_risk_cost(c_s: float, c_c: float, c_r: float,
 
 
 # --------------------------------------------------------------------------
-# Boundary risk
-# --------------------------------------------------------------------------
-
-def _point_segment_distance(p: np.ndarray, a: np.ndarray,
-                            b: np.ndarray) -> tuple[float, np.ndarray]:
-    ab = b - a
-    denom = float(ab @ ab)
-    s = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    closest = a + s * ab
-    return float(np.linalg.norm(p - closest)), closest
-
-
-def polyline_clearance(p: np.ndarray,
-                       polylines: list[MapPolyline]) -> tuple[float, np.ndarray]:
-    """Distance from p to the nearest segment of the given polylines."""
-    best, best_pt = math.inf, p
-    for poly in polylines:
-        w = poly.waypoints
-        for k in range(len(w) - 1):
-            d, pt = _point_segment_distance(p, w[k], w[k + 1])
-            if d < best:
-                best, best_pt = d, pt
-    return best, best_pt
-
-
-def boundary_risk(ego: AgentTrack, boundaries: list[MapPolyline],
-                  u: UncertaintyModel, coeffs: HarmCoefficients) -> float:
-    """Risk of the ego leaving the road: clearance to the nearest boundary
-    mapped through the collision-probability and harm machinery with an
-    immovable partner (delta-v equals the ego speed, side impact)."""
-    if not boundaries:
-        return 0.0
-    best = 0.0
-    for t in range(ego.horizon):
-        d, _ = polyline_clearance(ego.positions[t], boundaries)
-        p = float(disc_probability(d, 0.5 * ego.width, u.sigma(t + 1)))
-        if p == 0.0:
-            continue
-        h = harm(ego.speeds[t], CollisionRegion.SIDE, coeffs)
-        best = max(best, h * p)
-    return best
-
-
-# --------------------------------------------------------------------------
 # Reports and ranking
 # --------------------------------------------------------------------------
 
@@ -362,48 +531,55 @@ class RiskReport:
         }
 
 
-def mode_risk_report(mode: int, mode_prob: float, tracks: list[AgentTrack],
-                     ego_index: int, boundaries: list[MapPolyline],
+def mode_risk_report(terms: RiskTerms, mode: int, mode_prob: float,
                      cfg: RiskConfig) -> RiskReport:
-    """Risks of the ego's potential collisions with every other agent, the
-    boundary risk, and the three cost terms, for one candidate mode."""
-    ego = tracks[ego_index]
-    others = [tr for i, tr in enumerate(tracks) if i != ego_index]
-    risks = np.array([
-        trajectory_risk(other, ego, cfg.uncertainty, cfg.harm,
-                        cfg.harm_scale(other.protected_flag))
-        for other in others
-    ])
-    probs = {other.agent_id:
-             collision_probability_series(other, ego, cfg.uncertainty)
-             for other in others}
-    r_b = boundary_risk(ego, boundaries, cfg.uncertainty, cfg.harm)
+    """One mode of the kernel's output: the risks of the ego's potential
+    collisions with every victim, the boundary risk, and the three cost
+    terms."""
+    risks = terms.risks[mode]
+    r_b = float(terms.boundary[mode])
     c_s = safety_cost(risks, r_b)
-    c_c = care_cost(risks, [o.protected_flag for o in others])
+    c_c = care_cost(risks)
     c_r = responsiveness_cost(risks, cfg.responsiveness_scale)
     l_risk = total_risk_cost(c_s, c_c, c_r, cfg.weights)
     score = l_risk - cfg.prob_tradeoff * math.log(max(mode_prob, 1e-12))
-    return RiskReport(mode, mode_prob, [o.agent_id for o in others], risks,
-                      r_b, c_s, c_c, c_r, l_risk, score,
-                      collision_probs=probs)
+    return RiskReport(mode, mode_prob, list(terms.victim_ids), risks, r_b,
+                      c_s, c_c, c_r, l_risk, score,
+                      collision_probs=dict(zip(terms.victim_ids,
+                                               terms.probs[mode])))
+
+
+def _road_boundaries(scn: Scenario) -> list[MapPolyline]:
+    return [p for p in scn.map if p.kind == "road_boundary"]
+
+
+def _predicted_agents(jp: JointPrediction, scn: Scenario
+                      ) -> list[AgentHistory]:
+    """The scene agents of the prediction, in prediction order, joined by
+    agent id. Scene agents without a prediction (dropped by the model's
+    context radius) are left out."""
+    by_id = {a.agent_id: a for a in scn.agents}
+    unknown = [aid for aid in jp.agent_ids if aid not in by_id]
+    if unknown:
+        raise ValueError(f"predicted agents not in the scenario: {unknown}")
+    if scn.ego.agent_id not in jp.agent_ids:
+        raise ValueError(f"no prediction for the ego {scn.ego.agent_id!r}")
+    return [by_id[aid] for aid in jp.agent_ids]
 
 
 def rank_trajectories(jp: JointPrediction, scn: Scenario,
                       cfg: RiskConfig | None = None
                       ) -> tuple[list[int], list[RiskReport]]:
     """Score every candidate mode and return (order, reports), where order
-    lists mode indices from best (lowest risk-adjusted score) to worst."""
+    lists mode indices from best (lowest risk-adjusted score) to worst.
+    Only the predicted agents are ranked."""
     cfg = cfg or RiskConfig()
-    boundaries = [p for p in scn.map if p.kind == "road_boundary"]
-    reports = []
-    for k in range(jp.trajectories.shape[0]):
-        tracks = [
-            track_from_prediction(agent, jp.trajectories[k, i], scn.dt)
-            for i, agent in enumerate(scn.agents)
-        ]
-        reports.append(mode_risk_report(
-            k, float(jp.mode_probs[k]), tracks, scn.ego_index, boundaries,
-            cfg))
+    batch = batch_from_prediction(_predicted_agents(jp, scn),
+                                  jp.trajectories, scn.dt)
+    terms = risk_kernel(batch, batch.agent_ids.index(scn.ego.agent_id),
+                        _road_boundaries(scn), cfg)
+    reports = [mode_risk_report(terms, k, float(jp.mode_probs[k]), cfg)
+               for k in range(jp.trajectories.shape[0])]
     order = sorted(range(len(reports)), key=lambda k: reports[k].score)
     for rank, k in enumerate(order):
         reports[k].rank = rank
@@ -417,93 +593,51 @@ def rank_trajectories(jp: JointPrediction, scn: Scenario,
 def risk_loss_and_grad(trajs: np.ndarray, scn: Scenario, ego_index: int,
                        cfg: RiskConfig
                        ) -> tuple[float, np.ndarray]:
-    """Total risk cost of one decoded joint mode [N, T, 2] and its gradient
-    with respect to the decoded positions.
+    """Total risk cost of one decoded joint mode [N, T, 2] of the scene's
+    agents and its gradient with respect to the decoded positions.
 
-    Harm factors, struck regions and the argmax step are treated as
-    constants; the gradient flows through the collision probabilities (and
-    the boundary clearance) only.
+    Harm factors, struck regions and the argmax steps are treated as
+    constants; the gradient flows through the collision probabilities at
+    each victim's argmax step (where the probability sum is unclamped) and
+    through the boundary clearance at its argmax step.
     """
-    n = trajs.shape[0]
+    batch = batch_from_prediction(scn.agents, trajs[None], scn.dt)
+    terms = risk_kernel(batch, ego_index, _road_boundaries(scn), cfg)
+    l_risk = mode_risk_report(terms, 0, 1.0, cfg).l_risk
     grad = np.zeros_like(trajs)
-    tracks = [track_from_prediction(agent, trajs[i], scn.dt)
-              for i, agent in enumerate(scn.agents)]
-    ego = tracks[ego_index]
-    boundaries = [p for p in scn.map if p.kind == "road_boundary"]
-    other_idx = [i for i in range(n) if i != ego_index]
-
-    risks = np.zeros(len(other_idx))
-    # per other agent: (t*, harm, per-body-point dists/derivs) at the argmax
-    details = []
-    for oi, i in enumerate(other_idx):
-        victim = tracks[i]
-        scale = cfg.harm_scale(victim.protected_flag)
-        best, best_detail = 0.0, None
-        radius = 0.5 * (victim.width + ego.width)
-        for t in range(victim.horizon):
-            sigma = math.sqrt(2.0) * cfg.uncertainty.sigma(t + 1)
-            bps = victim.body_points_at(t)
-            diffs = ego.positions[t] - bps
-            dists = np.linalg.norm(diffs, axis=1)
-            probs = disc_probability(dists, radius, sigma)
-            psum = float(probs.sum())
-            p = min(psum, 1.0)
-            if p == 0.0:
-                continue
-            h = pair_harm(victim, ego, t, cfg.harm, scale)
-            if h * p > best:
-                best = h * p
-                best_detail = (t, h, sigma, radius, diffs, dists,
-                               psum < 1.0)
-        risks[oi] = best
-        details.append((i, best_detail))
-
-    r_b = boundary_risk(ego, boundaries, cfg.uncertainty, cfg.harm)
-    c_s = safety_cost(risks, r_b)
-    c_c = care_cost(risks)
-    c_r = responsiveness_cost(risks, cfg.responsiveness_scale)
-    l_risk = total_risk_cost(c_s, c_c, c_r, cfg.weights)
-
     w_s, w_c, w_r = cfg.weights
+    risks = terms.risks[0]
     m = risks.size
+
     if m > 0:
         sign_sum = np.sign(risks[:, None] - risks[None, :]).sum(axis=1)
         dl_drisk = (w_s / (2.0 * m) + w_c * 2.0 * sign_sum / m
                     + w_r * cfg.responsiveness_scale)
-        for (i, detail), dR in zip(details, dl_drisk):
-            if detail is None:
-                continue
-            t, h, sigma, radius, diffs, dists, unclamped = detail
-            if not unclamped:
-                continue
-            dp = disc_probability_ddist(dists, radius, sigma)
-            for bp in range(3):
-                if dists[bp] < 1e-9:
-                    continue
-                direction = diffs[bp] / dists[bp]
-                g = dR * h * dp[bp] * direction
-                grad[ego_index, t] += g
-                grad[i, t] -= g
+        rows, t = np.arange(m), terms.steps[0]
+        live = (risks > 0.0) & (terms.prob_sums[0, rows, t] < 1.0)
+        rows, t = rows[live], t[live]
+        dists = terms.dists[0, rows, t]                           # [L, 3]
+        dp = disc_probability_ddist(dists, terms.radii[rows, None],
+                                    terms.pair_sigma[t, None])
+        coincident = dists < 1e-9   # no direction to move along
+        coef = dl_drisk[rows, None] * terms.harms[0, rows, t, None] * dp \
+            / np.where(coincident, 1.0, dists)
+        g = (np.where(coincident, 0.0, coef)[..., None]
+             * terms.offsets[0, rows, t]).sum(axis=1)             # [L, 2]
+        np.add.at(grad, (ego_index, t), g)
+        np.add.at(grad, (terms.victims[rows], t), -g)
 
-    # boundary term: d c_s / d R_b = w_s / (2 max(m,1) or 1/2 when m == 0)
-    if boundaries:
+    if terms.boundary[0] > 0.0:
+        # d c_s / d R_b = w_s / (2m), or w_s / 2 without victims
         dl_drb = w_s * (0.5 if m == 0 else 1.0 / (2.0 * m))
-        best, best_detail = 0.0, None
-        for t in range(ego.horizon):
-            d, pt = polyline_clearance(ego.positions[t], boundaries)
-            sigma = cfg.uncertainty.sigma(t + 1)
-            p = float(disc_probability(d, 0.5 * ego.width, sigma))
-            if p == 0.0:
-                continue
-            h = harm(ego.speeds[t], CollisionRegion.SIDE, cfg.harm)
-            if h * p > best:
-                best = h * p
-                best_detail = (t, h, d, pt, sigma)
-        if best_detail is not None:
-            t, h, d, pt, sigma = best_detail
-            if d > 1e-9:
-                direction = (ego.positions[t] - pt) / d
-                dp = float(disc_probability_ddist(d, 0.5 * ego.width, sigma))
-                grad[ego_index, t] += dl_drb * h * dp * direction
+        t = terms.boundary_step[0]
+        d = terms.clearance[0, t]
+        if d > 1e-9:
+            direction = (trajs[ego_index, t] - terms.nearest[0, t]) / d
+            dp = float(disc_probability_ddist(
+                d, 0.5 * batch.widths[ego_index],
+                cfg.uncertainty.sigma(t + 1)))
+            grad[ego_index, t] += \
+                dl_drb * terms.boundary_harm[0, t] * dp * direction
 
     return l_risk, grad

@@ -7,6 +7,8 @@ import os
 import pytest
 
 from riskcast.cli import main
+from riskcast.model import JointPredictor, ModelConfig
+from riskcast.scene import dump_scenario, generate_scenario
 
 TINY = [
     "--set", "gen.H=4", "--set", "gen.T=10",
@@ -107,6 +109,43 @@ class TestSeedPrecedence:
              + TINY)
         cfg = json.loads((out / "resolved_config.json").read_text())
         assert cfg["seed"] == 77
+
+
+class TestRisk:
+    def _predict(self, tmp_path, scn):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(dump_scenario(scn))
+        model_path = tmp_path / "model.json"
+        JointPredictor(ModelConfig(
+            embed_dim=8, attention_heads=2, transformer_layers=1,
+            n_modes=2, future_steps=10)).save(str(model_path))
+        pred_dir = tmp_path / "pred"
+        assert main(["predict", "--model", str(model_path), "--scenario",
+                     str(scenario), "--out", str(pred_dir)] + TINY) == 0
+        return scenario, pred_dir / "prediction.json"
+
+    def test_lists_agents_without_prediction(self, tmp_path):
+        # the 50 m context radius drops the pedestrian of this scene
+        scn = generate_scenario("crossing_conflict", 3, seed=0)
+        scenario, pred_path = self._predict(tmp_path, scn)
+        risk_dir = tmp_path / "risk"
+        assert main(["risk", "--scenario", str(scenario), "--prediction",
+                     str(pred_path), "--out", str(risk_dir)] + TINY) == 0
+        doc = json.loads((risk_dir / "risk_report.json").read_text())
+        assert doc["unpredicted"] == ["ped"]
+        assert all(len(m["R"]) == 1 for m in doc["modes"])
+
+    def test_prediction_without_ego_exits_1(self, tmp_path, capsys):
+        scn = generate_scenario("straight", 3, seed=1)
+        scenario, pred_path = self._predict(tmp_path, scn)
+        doc = json.loads(pred_path.read_text())
+        for mode in doc["modes"]:
+            mode["agents"] = [a for a in mode["agents"] if a["id"] != "ego"]
+        pred_path.write_text(json.dumps(doc))
+        assert main(["risk", "--scenario", str(scenario), "--prediction",
+                     str(pred_path), "--out", str(tmp_path / "risk")]
+                    + TINY) == 1
+        assert "ego" in capsys.readouterr().err
 
 
 class TestPipeline:

@@ -50,7 +50,7 @@ class TestForward:
         labels = [label_indices(a.future_truth) for a in local.agents]
 
         def loss_fn():
-            model.clear_all_caches()
+            model.clear_cache()
             res = model.forward(local)
             l_pre, k_star, dtrajs = prediction_loss(res.trajectories, truth)
             l_man, dlat, dlon = intention_loss(res.lat_probs, res.lon_probs,
@@ -91,6 +91,29 @@ class TestForward:
         jp2, d2 = model.predict(scn)
         assert np.array_equal(jp1.trajectories, jp2.trajectories)
         assert np.array_equal(jp1.mode_probs, jp2.mode_probs)
+
+    def test_predict_leaves_no_backward_cache(self, tiny_setup):
+        # every list attribute of a module that holds no sub-modules is a
+        # backward cache; predict must leave all of them empty
+        model, scn, _ = tiny_setup
+        model.predict(scn)
+        model.predict(scn)
+        left, seen = [], set()
+
+        def walk(module, path):
+            seen.add(type(module).__name__)
+            for name, attr in vars(module).items():
+                items = attr if isinstance(attr, list) else [attr]
+                subs = [x for x in items if isinstance(x, nn.Module)]
+                for i, sub in enumerate(subs):
+                    walk(sub, f"{path}.{name}[{i}]")
+                if isinstance(attr, list) and attr and not subs:
+                    left.append(f"{path}.{name}")
+
+        walk(model, "model")
+        assert {"SelfAttentionBlock", "LayerNorm", "MultiHeadAttention",
+                "MLP", "Linear", "LSTM", "LSTMCell"} <= seen
+        assert left == []
 
     def test_prediction_in_global_frame(self, tiny_setup):
         model, scn, _ = tiny_setup
