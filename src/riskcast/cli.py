@@ -50,7 +50,7 @@ def _load_model(path: str) -> JointPredictor:
         raise CliError(f"model checkpoint not found: {path}")
     try:
         return JointPredictor.load(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+    except ValueError as e:
         raise CliError(f"invalid checkpoint {path}: {e}") from e
 
 

@@ -1,16 +1,27 @@
 """End-to-end joint predictor: interaction encoding, intention heads,
 intention-feature fusion, and the multi-modal joint decoder, with manual
-backward wiring and JSON checkpointing.
+backward wiring and binary checkpointing.
 
 The model operates in the ego's local frame (scene recentered on the ego's
 current pose, out-of-radius elements dropped); predictions are mapped back
 to global coordinates.
+
+Checkpoints (format version 2) are uncompressed ``.npz`` archives written to
+exactly the path given: one float64 array per parameter name plus a
+``__meta__`` JSON string holding the format name, the version and the model
+config. The bytes depend only on the parameters and the config, and a round
+trip is bit-exact. ``JointPredictor.load`` tells the formats apart by the
+zip magic and still reads version 1, a JSON document of the same header
+with each tensor stored as a shape and a flat float list. Every malformed
+checkpoint raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+import zipfile
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -26,7 +37,9 @@ from .interaction import (AgentAgentEncoder, AgentMapAttention,
 from .scene import Scenario, local_frame, pose_frame
 
 CHECKPOINT_FORMAT = "riskcast-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_META_KEY = "__meta__"
+_ZIP_MAGIC = b"PK\x03\x04"
 
 
 @dataclass
@@ -170,40 +183,106 @@ class JointPredictor(nn.Module):
     # -- checkpointing -----------------------------------------------------
 
     def save(self, path: str) -> None:
-        doc = {
-            "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
-            "config": asdict(self.cfg),
-            "tensors": {
-                p.name: {"shape": list(p.shape),
-                         "data": p.value.reshape(-1).tolist()}
-                for p in self.params()
-            },
-        }
-        with open(path, "w") as f:
-            json.dump(doc, f, sort_keys=True)
+        """Write a version-2 checkpoint to exactly `path`."""
+        meta = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
+                "config": asdict(self.cfg)}
+        arrays = {p.name: p.value for p in self.params()}
+        arrays[_META_KEY] = np.array(json.dumps(meta, sort_keys=True))
+        # through a handle: given a name, np.savez would append ".npz"
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
 
     @classmethod
     def load(cls, path: str) -> "JointPredictor":
-        with open(path) as f:
-            doc = json.load(f)
-        if doc.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
-        if doc.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version "
-                             f"{doc.get('version')}")
-        model = cls(ModelConfig(**doc["config"]))
-        tensors = doc["tensors"]
+        """Read a version-2 (``.npz``) or version-1 (JSON) checkpoint."""
+        with open(path, "rb") as f:
+            binary = f.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC
+            f.seek(0)
+            config, tensors = _read_npz(f, path) if binary \
+                else _read_json(f, path)
+        model = cls(_config_from_json(config))
         for p in model.params():
-            entry = tensors.get(p.name)
-            if entry is None:
+            value = tensors.get(p.name)
+            if value is None:
                 raise ValueError(f"checkpoint missing tensor {p.name!r}")
-            if tuple(entry["shape"]) != p.shape:
+            if value.shape != p.shape:
                 raise ValueError(
-                    f"tensor {p.name!r}: checkpoint shape {entry['shape']} "
-                    f"does not match model shape {list(p.shape)}")
-            p.value[...] = np.array(entry["data"]).reshape(p.shape)
+                    f"tensor {p.name!r}: checkpoint shape "
+                    f"{list(value.shape)} does not match model shape "
+                    f"{list(p.shape)}")
+            if value.dtype != np.float64:
+                raise ValueError(f"tensor {p.name!r}: dtype {value.dtype}, "
+                                 f"expected float64")
+            p.value[...] = value
         return model
+
+
+def _check_header(meta, version: int, path: str) -> None:
+    """`version` is the one the file's layout (zip or JSON) implies."""
+    if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
+    if meta.get("version") != version:
+        raise ValueError(f"unsupported checkpoint version "
+                         f"{meta.get('version')!r} (the file layout is "
+                         f"version {version}): {path}")
+
+
+def _read_npz(f, path: str) -> tuple[object, dict[str, np.ndarray]]:
+    """Config and tensors of a version-2 checkpoint."""
+    try:
+        with np.load(f, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+    except (zipfile.BadZipFile, EOFError, OSError, ValueError) as e:
+        raise ValueError(f"corrupt checkpoint {path}: {e}") from e
+    meta = arrays.pop(_META_KEY, None)
+    if meta is None or meta.shape != () or meta.dtype.kind != "U":
+        raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
+    meta = json.loads(str(meta))
+    _check_header(meta, CHECKPOINT_VERSION, path)
+    return meta.get("config"), arrays
+
+
+def _read_json(f, path: str) -> tuple[object, dict[str, np.ndarray]]:
+    """Config and tensors of a version-1 (JSON) checkpoint."""
+    doc = json.load(f)
+    _check_header(doc, 1, path)
+    tensors = doc.get("tensors")
+    if not isinstance(tensors, dict):
+        raise ValueError(f"checkpoint tensors are not an object: {path}")
+    arrays = {}
+    for name, entry in tensors.items():
+        try:
+            arrays[name] = np.array(entry["data"], dtype=np.float64
+                                    ).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"tensor {name!r}: malformed entry: {e}") from e
+    return doc.get("config"), arrays
+
+
+def _config_from_json(obj) -> ModelConfig:
+    """A ModelConfig from a checkpoint's config object: every field and no
+    other, integer fields as JSON integers, float fields finite, and every
+    value positive (the seed non-negative)."""
+    if not isinstance(obj, dict):
+        raise ValueError("checkpoint config is not an object")
+    names = {f.name: type(f.default) for f in fields(ModelConfig)}
+    missing = sorted(set(names) - set(obj))
+    unknown = sorted(set(obj) - set(names))
+    if missing or unknown:
+        raise ValueError(f"checkpoint config: missing keys {missing}, "
+                         f"unknown keys {unknown}")
+    values = {}
+    for name, value in obj.items():
+        want = names[name]
+        if not (type(value) is int or (want is float and type(value) is float
+                                       and math.isfinite(value))):
+            raise ValueError(f"checkpoint config {name}: {value!r} is not "
+                             f"a finite {want.__name__}")
+        if value < 0 or (value == 0 and name != "init_seed"):
+            raise ValueError(f"checkpoint config {name}: {value!r} is out "
+                             f"of range")
+        values[name] = want(value)
+    return ModelConfig(**values)
 
 
 # --------------------------------------------------------------------------

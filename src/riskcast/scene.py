@@ -6,6 +6,15 @@ optionally T ground-truth future states, plus map polylines. The generator
 produces kinematically consistent trajectories: velocities are recomputed
 from the jittered positions, so position(t+1) = position(t) + v(t)*dt holds
 exactly; yaw is taken from the noiseless path heading.
+
+``SCENARIO_SCHEMA`` documents the file format as a JSON Schema.
+``load_scenario`` enforces it with one walk of the parsed document that
+checks types, required keys, enums and item counts in the order a JSON
+Schema validator visits them, reports the first violation at the same JSON
+path, and builds the agents' states as it goes. The walk is stricter than
+the schema in two ways: every number must be finite, and integer fields
+(``H``, ``T``, ``ego_index``) must be JSON integers, not floats such as
+``0.0``.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .geometry import AgentState, rotation, transform_state
 
@@ -107,6 +115,8 @@ _STATE_SCHEMA = {
                    ("x", "y", "yaw", "vx", "vy")},
 }
 
+# The scenario file format. load_scenario's walk below enforces it; the
+# tests check the walk against a JSON Schema validator of this schema.
 SCENARIO_SCHEMA = {
     "type": "object",
     "required": ["dt", "H", "T", "ego_index", "agents", "map"],
@@ -158,27 +168,113 @@ SCENARIO_SCHEMA = {
     },
 }
 
-_VALIDATOR = Draft202012Validator(SCENARIO_SCHEMA)
+_SCENARIO_KEYS = tuple(SCENARIO_SCHEMA["required"])
+_AGENT_KEYS = tuple(SCENARIO_SCHEMA["properties"]["agents"]["items"]
+                    ["required"])
+_STATE_KEYS = tuple(_STATE_SCHEMA["required"])
+_POLYLINE_KEYS = tuple(SCENARIO_SCHEMA["properties"]["map"]["items"]
+                       ["required"])
 
 
-def _json_path(error) -> str:
-    parts = ["$"]
-    for p in error.absolute_path:
-        parts.append(f"[{p}]" if isinstance(p, int) else f".{p}")
-    return "".join(parts)
+def _fail(path: str, message: str):
+    raise ScenarioError(f"schema violation at {path}: {message}")
 
 
-def _check_finite(value: float, path: str) -> None:
-    if not math.isfinite(value):
-        raise ScenarioError(f"non-finite value at {path}")
+def _describe(value) -> str:
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, list):
+        return "an array"
+    return repr(value)
 
 
-def _state_from_json(obj: dict, length: float, width: float, mass: float,
-                     agent_class: str, path: str) -> AgentState:
-    for k in ("x", "y", "yaw", "vx", "vy"):
-        _check_finite(obj[k], f"{path}.{k}")
-    return AgentState(obj["x"], obj["y"], obj["yaw"], obj["vx"], obj["vy"],
-                      length, width, mass, agent_class)
+def _object(value, required: tuple[str, ...], path: str) -> dict:
+    if type(value) is not dict:
+        _fail(path, f"expected an object, got {_describe(value)}")
+    for key in required:
+        if key not in value:
+            _fail(path, f"missing required property {key!r}")
+    return value
+
+
+def _array(value, path: str, min_items: int = 0) -> list:
+    if type(value) is not list:
+        _fail(path, f"expected an array, got {_describe(value)}")
+    if len(value) < min_items:
+        _fail(path, f"needs at least {min_items} items, got {len(value)}")
+    return value
+
+
+def _number(value, path: str) -> float:
+    if type(value) is float:
+        if not math.isfinite(value):
+            _fail(path, f"non-finite number {value!r}")
+    elif type(value) is not int:
+        _fail(path, f"expected a number, got {_describe(value)}")
+    return value
+
+
+def _positive(value, path: str) -> float:
+    if _number(value, path) <= 0:
+        _fail(path, f"{value!r} is not greater than 0")
+    return value
+
+
+def _integer(value, path: str, minimum: int) -> int:
+    if type(value) is not int:
+        _fail(path, f"expected an integer, got {_describe(value)}")
+    if value < minimum:
+        _fail(path, f"{value!r} is less than the minimum of {minimum}")
+    return value
+
+
+def _string(value, path: str) -> str:
+    if type(value) is not str:
+        _fail(path, f"expected a string, got {_describe(value)}")
+    return value
+
+
+def _enum(value, allowed, path: str) -> str:
+    if type(value) is not str or value not in allowed:
+        _fail(path, f"{_describe(value)} is not one of {list(allowed)}")
+    return value
+
+
+def _states(value, path: str, dims: list, agent_class: str
+            ) -> list[AgentState]:
+    states = []
+    for i, s in enumerate(_array(value, path)):
+        spath = f"{path}[{i}]"
+        _object(s, _STATE_KEYS, spath)
+        x, y, yaw, vx, vy = [_number(s[k], f"{spath}.{k}")
+                             for k in _STATE_KEYS]
+        states.append(AgentState(x, y, yaw, vx, vy, *dims, agent_class))
+    return states
+
+
+def _agent(value, path: str) -> AgentHistory:
+    a = _object(value, _AGENT_KEYS, path)
+    agent_id = _string(a["id"], f"{path}.id")
+    agent_class = _enum(a["class"], AGENT_DIMS, f"{path}.class")
+    dims = [_positive(a[k], f"{path}.{k}") for k in ("length", "width",
+                                                     "mass")]
+    states = _states(a["states"], f"{path}.states", dims, agent_class)
+    future = _states(a["future"], f"{path}.future", dims, agent_class) \
+        if "future" in a else []
+    return AgentHistory(agent_id, states, future or None)
+
+
+def _polyline(value, path: str) -> MapPolyline:
+    m = _object(value, _POLYLINE_KEYS, path)
+    kind = _enum(m["kind"], POLYLINE_KINDS, f"{path}.kind")
+    waypoints = _array(m["waypoints"], f"{path}.waypoints", min_items=2)
+    for i, w in enumerate(waypoints):
+        wpath = f"{path}.waypoints[{i}]"
+        for j, v in enumerate(_array(w, wpath)):
+            _number(v, f"{wpath}[{j}]")
+        if len(w) != 2:
+            _fail(wpath, f"needs exactly 2 items, got {len(w)}")
+    return MapPolyline(np.array(waypoints, dtype=np.float64), kind)
 
 
 def load_scenario(text: str) -> Scenario:
@@ -191,47 +287,31 @@ def load_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"invalid JSON: {e}") from e
-    error = next(_VALIDATOR.iter_errors(doc), None)
-    if error is not None:
-        raise ScenarioError(f"schema violation at {_json_path(error)}: "
-                            f"{error.message}")
+    _object(doc, _SCENARIO_KEYS, "$")
+    dt = _positive(doc["dt"], "$.dt")
+    H = _integer(doc["H"], "$.H", 1)
+    T = _integer(doc["T"], "$.T", 1)
+    ego_index = _integer(doc["ego_index"], "$.ego_index", 0)
+    scenario_id = _string(doc.get("scenario_id", ""), "$.scenario_id")
+    template = _string(doc.get("template", ""), "$.template")
+    agents = [_agent(a, f"$.agents[{i}]")
+              for i, a in enumerate(_array(doc["agents"], "$.agents", 1))]
+    polylines = [_polyline(m, f"$.map[{i}]")
+                 for i, m in enumerate(_array(doc["map"], "$.map"))]
 
-    H, T = doc["H"], doc["T"]
-    agents = []
-    for ai, a in enumerate(doc["agents"]):
-        if len(a["states"]) != H + 1:
+    for a in agents:
+        if len(a.states) != H + 1:
             raise ScenarioError(
-                f"agent {a['id']!r}: expected H+1 = {H + 1} past states, "
-                f"got {len(a['states'])}")
-        future_doc = a.get("future", [])
-        if future_doc and len(future_doc) != T:
+                f"agent {a.agent_id!r}: expected H+1 = {H + 1} past states, "
+                f"got {len(a.states)}")
+        if a.future_truth and len(a.future_truth) != T:
             raise ScenarioError(
-                f"agent {a['id']!r}: expected T = {T} future states, "
-                f"got {len(future_doc)}")
-        dims = (a["length"], a["width"], a["mass"])
-        states = [
-            _state_from_json(s, *dims, a["class"],
-                             f"$.agents[{ai}].states[{si}]")
-            for si, s in enumerate(a["states"])
-        ]
-        future = [
-            _state_from_json(s, *dims, a["class"],
-                             f"$.agents[{ai}].future[{si}]")
-            for si, s in enumerate(future_doc)
-        ] or None
-        agents.append(AgentHistory(a["id"], states, future))
-
-    polylines = []
-    for mi, m in enumerate(doc["map"]):
-        for wi, w in enumerate(m["waypoints"]):
-            _check_finite(w[0], f"$.map[{mi}].waypoints[{wi}][0]")
-            _check_finite(w[1], f"$.map[{mi}].waypoints[{wi}][1]")
-        polylines.append(MapPolyline(np.array(m["waypoints"]), m["kind"]))
-
-    if not 0 <= doc["ego_index"] < len(agents):
-        raise ScenarioError(f"ego_index {doc['ego_index']} out of range")
-    return Scenario(agents, polylines, H, T, doc["dt"], doc["ego_index"],
-                    doc.get("scenario_id", ""), doc.get("template", ""))
+                f"agent {a.agent_id!r}: expected T = {T} future states, "
+                f"got {len(a.future_truth)}")
+    if ego_index >= len(agents):
+        raise ScenarioError(f"ego_index {ego_index} out of range")
+    return Scenario(agents, polylines, H, T, dt, ego_index, scenario_id,
+                    template)
 
 
 def _state_to_json(s: AgentState) -> dict:

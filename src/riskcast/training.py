@@ -245,11 +245,11 @@ def train(scenarios: list[Scenario], model_cfg: ModelConfig,
         report.val_ade.append(val_ade)
         report.val_fde.append(val_fde)
         if out_dir is not None:
-            model.save(os.path.join(out_dir, "checkpoint.json"))
+            model.save(os.path.join(out_dir, "checkpoint.npz"))
 
     report.final_val_ade = report.val_ade[-1]
     report.final_val_fde = report.val_fde[-1]
     if out_dir is not None:
-        model.save(os.path.join(out_dir, "model_final.json"))
+        model.save(os.path.join(out_dir, "model_final.npz"))
         report.write_csv(os.path.join(out_dir, "train_log.csv"))
     return model, report

@@ -3,7 +3,9 @@ gen -> train -> predict -> risk -> eval pipeline."""
 
 import json
 import os
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from riskcast.cli import main
@@ -94,6 +96,79 @@ class TestErrors:
         assert "exactly one" in capsys.readouterr().err
 
 
+def _v1_checkpoint(config):
+    return json.dumps({"format": "riskcast-checkpoint", "version": 1,
+                       "config": config, "tensors": {}})
+
+
+def _flip_middle(path):
+    data = bytearray(path.read_bytes())
+    mid = len(data) // 2
+    data[mid:mid + 64] = bytes(b ^ 0xFF for b in data[mid:mid + 64])
+    path.write_bytes(bytes(data))
+
+
+def _object_tensor(path):
+    with np.load(path) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    name = next(k for k in arrays if k != "__meta__")
+    arrays[name] = np.array([{"not": "a float"}], dtype=object)
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+
+
+# each edit turns a saved tiny checkpoint into a malformed one
+BAD_CHECKPOINTS = {
+    "unknown_config_key": lambda p, cfg: p.write_text(
+        _v1_checkpoint({**cfg, "bogus": 1})),
+    "missing_config_key": lambda p, cfg: p.write_text(_v1_checkpoint(
+        {k: v for k, v in cfg.items() if k != "n_modes"})),
+    "non_object_document": lambda p, cfg: p.write_text("[1, 2, 3]"),
+    "config_value_wrong_type": lambda p, cfg: p.write_text(
+        _v1_checkpoint({**cfg, "embed_dim": "8"})),
+    "truncated_zip": lambda p, cfg: p.write_bytes(
+        p.read_bytes()[:p.stat().st_size // 2]),
+    "corrupt_zip": lambda p, cfg: _flip_middle(p),
+    "object_array": lambda p, cfg: _object_tensor(p),
+}
+
+
+def _tiny_checkpoint(path):
+    model = JointPredictor(ModelConfig(
+        embed_dim=8, attention_heads=2, transformer_layers=1, n_modes=2,
+        future_steps=10))
+    model.save(str(path))
+    return model
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+    def test_malformed_checkpoint_exits_1(self, tmp_path, capsys, case):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(dump_scenario(
+            generate_scenario("straight", 3, seed=0, H=4, T=10)))
+        ckpt = tmp_path / "model.ckpt"
+        model = _tiny_checkpoint(ckpt)
+        BAD_CHECKPOINTS[case](ckpt, asdict(model.cfg))
+        code = main(["predict", "--model", str(ckpt), "--scenario",
+                     str(scenario), "--out", str(tmp_path / "o")] + TINY)
+        assert code == 1
+        assert "invalid checkpoint" in capsys.readouterr().err
+
+    def test_float_ego_index_exits_1(self, tmp_path, capsys):
+        doc = json.loads(dump_scenario(
+            generate_scenario("straight", 3, seed=0, H=4, T=10)))
+        doc["ego_index"] = 0.0
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        ckpt = tmp_path / "model.ckpt"
+        _tiny_checkpoint(ckpt)
+        code = main(["predict", "--model", str(ckpt), "--scenario",
+                     str(scenario), "--out", str(tmp_path / "o")] + TINY)
+        assert code == 1
+        assert "$.ego_index" in capsys.readouterr().err
+
+
 class TestSeedPrecedence:
     def test_env_seed_overrides_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RISKCAST_SEED", "123")
@@ -162,7 +237,7 @@ class TestPipeline:
                      "--set", "train.split_val=0.0",
                      "--set", "train.split_test=0.0",
                      "--out", str(run)] + TINY) == 0
-        model_path = run / "model_final.json"
+        model_path = run / "model_final.npz"
         assert model_path.exists()
         assert (run / "train_log.csv").exists()
 
@@ -223,7 +298,7 @@ class TestPipeline:
         outs = []
         for name in ("p1", "p2"):
             out = tmp_path / name
-            main(["predict", "--model", str(run / "model_final.json"),
+            main(["predict", "--model", str(run / "model_final.npz"),
                   "--scenario", str(data / "scenario_0001.json"),
                   "--out", str(out)] + TINY)
             outs.append((out / "prediction.json").read_bytes())

@@ -2,6 +2,8 @@
 round-trips, prediction determinism, and export formats."""
 
 import json
+import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -145,11 +147,86 @@ class TestCheckpoint:
 
     def test_rejects_shape_mismatch(self, tmp_path, tiny_setup):
         model, _, _ = tiny_setup
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         model.save(str(path))
+        name = model.params()[0].name
+        rewrite_npz(path, lambda arrays: arrays.update({name: np.zeros(
+            (1, 1))}))
+        with pytest.raises(ValueError, match="shape"):
+            JointPredictor.load(str(path))
+
+    def test_rejects_missing_tensor(self, tmp_path, tiny_setup):
+        model, _, _ = tiny_setup
+        path = tmp_path / "ckpt.npz"
+        model.save(str(path))
+        name = model.params()[0].name
+        rewrite_npz(path, lambda arrays: arrays.pop(name))
+        with pytest.raises(ValueError, match="missing tensor"):
+            JointPredictor.load(str(path))
+
+    def test_rejects_wrong_dtype(self, tmp_path, tiny_setup):
+        model, _, _ = tiny_setup
+        path = tmp_path / "ckpt.npz"
+        model.save(str(path))
+        p = model.params()[0]
+        rewrite_npz(path, lambda arrays: arrays.update(
+            {p.name: p.value.astype(np.float32)}))
+        with pytest.raises(ValueError, match="float64"):
+            JointPredictor.load(str(path))
+
+    def test_saves_to_exactly_the_path_deterministically(self, tmp_path,
+                                                         tiny_setup):
+        model, _, _ = tiny_setup
+        model.save(str(tmp_path / "x.json.tmp1"))
+        model.save(str(tmp_path / "y"))
+        assert sorted(os.listdir(tmp_path)) == ["x.json.tmp1", "y"]
+        assert (tmp_path / "x.json.tmp1").read_bytes() == \
+            (tmp_path / "y").read_bytes()
+        again = JointPredictor.load(str(tmp_path / "x.json.tmp1"))
+        assert all(np.array_equal(p.value, q.value)
+                   for p, q in zip(model.params(), again.params()))
+
+
+def rewrite_npz(path, edit):
+    """Apply `edit` to the arrays of a saved checkpoint and write them back."""
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    edit(arrays)
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+
+
+def save_v1(model, path):
+    """Write `model` in the version-1 JSON checkpoint layout."""
+    path.write_text(json.dumps({
+        "format": "riskcast-checkpoint",
+        "version": 1,
+        "config": asdict(model.cfg),
+        "tensors": {p.name: {"shape": list(p.shape),
+                             "data": p.value.reshape(-1).tolist()}
+                    for p in model.params()},
+    }, sort_keys=True))
+
+
+class TestCheckpointV1:
+    def test_round_trip_bit_exact(self, tmp_path, tiny_setup):
+        model, scn, _ = tiny_setup
+        path = tmp_path / "ckpt.json"
+        save_v1(model, path)
+        again = JointPredictor.load(str(path))
+        for p, q in zip(model.params(), again.params()):
+            assert np.array_equal(p.value, q.value)
+        jp1, _ = model.predict(scn)
+        jp2, _ = again.predict(scn)
+        assert np.array_equal(jp1.trajectories, jp2.trajectories)
+
+    def test_rejects_shape_mismatch(self, tmp_path, tiny_setup):
+        model, _, _ = tiny_setup
+        path = tmp_path / "ckpt.json"
+        save_v1(model, path)
         doc = json.loads(path.read_text())
         name = next(iter(doc["tensors"]))
-        doc["tensors"][name]["shape"] = [1, 1]
+        doc["tensors"][name] = {"shape": [1, 1], "data": [0.0]}
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="shape"):
             JointPredictor.load(str(path))
@@ -157,10 +234,9 @@ class TestCheckpoint:
     def test_rejects_missing_tensor(self, tmp_path, tiny_setup):
         model, _, _ = tiny_setup
         path = tmp_path / "ckpt.json"
-        model.save(str(path))
+        save_v1(model, path)
         doc = json.loads(path.read_text())
-        name = next(iter(doc["tensors"]))
-        del doc["tensors"][name]
+        del doc["tensors"][next(iter(doc["tensors"]))]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="missing tensor"):
             JointPredictor.load(str(path))

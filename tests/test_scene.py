@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,29 @@ class TestSerialization:
     def test_invalid_json(self):
         with pytest.raises(ScenarioError, match="invalid JSON"):
             load_scenario("{not json")
+
+    @pytest.mark.parametrize("key", ["H", "T", "ego_index"])
+    def test_integer_field_given_as_float(self, scenario, key):
+        doc = json.loads(dump_scenario(scenario))
+        doc[key] = float(doc[key])
+        with pytest.raises(ScenarioError,
+                           match=rf"schema violation at \$\.{key}:"):
+            load_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("keys", [
+        ("dt",), ("agents", 1, "length"), ("agents", 1, "width"),
+        ("agents", 1, "mass"), ("map", 0, "waypoints", 1, 0)])
+    def test_non_finite_number_reports_path(self, scenario, keys, value):
+        doc = json.loads(dump_scenario(scenario))
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                             for k in keys)
+        with pytest.raises(ScenarioError, match=re.escape(f"at {path}:")):
+            load_scenario(json.dumps(doc))
 
     def test_bad_ego_index(self, scenario):
         doc = json.loads(dump_scenario(scenario))

@@ -197,5 +197,5 @@ class TestTrainLoop:
         log = (tmp_path / "train_log.csv").read_text().splitlines()
         assert log[0] == "epoch,L_pre,L_man,L_risk,L,val_ADE,val_FDE"
         assert len(log) == 3
-        assert (tmp_path / "checkpoint.json").exists()
-        assert (tmp_path / "model_final.json").exists()
+        assert (tmp_path / "checkpoint.npz").exists()
+        assert (tmp_path / "model_final.npz").exists()
