@@ -24,9 +24,15 @@ class CliError(Exception):
     """User-facing failure: printed to stderr, exit code 1."""
 
 
-def _read_scenario(path: str):
+def _require_file(path: str, what: str) -> None:
+    if os.path.isdir(path):
+        raise CliError(f"{what} is a directory, not a file: {path}")
     if not os.path.exists(path):
-        raise CliError(f"scenario file not found: {path}")
+        raise CliError(f"{what} not found: {path}")
+
+
+def _read_scenario(path: str):
+    _require_file(path, "scenario file")
     with open(path) as f:
         try:
             return load_scenario(f.read())
@@ -46,8 +52,7 @@ def _read_dataset(data_dir: str):
 
 
 def _load_model(path: str) -> JointPredictor:
-    if not os.path.exists(path):
-        raise CliError(f"model checkpoint not found: {path}")
+    _require_file(path, "model checkpoint")
     try:
         return JointPredictor.load(path)
     except ValueError as e:
@@ -134,8 +139,7 @@ def cmd_predict(args) -> int:
 def cmd_risk(args) -> int:
     cfg = _resolve(args)
     scn = _read_scenario(args.scenario)
-    if not os.path.exists(args.prediction):
-        raise CliError(f"prediction file not found: {args.prediction}")
+    _require_file(args.prediction, "prediction file")
     with open(args.prediction) as f:
         jp = prediction_from_json(json.load(f))
     out = _prepare_out(args, cfg)

@@ -123,10 +123,18 @@ class MetricsReport:
                       f, indent=1, sort_keys=True)
 
 
-def _agent_metrics(pred: np.ndarray, truth: np.ndarray,
-                   horizons: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array([ade(pred, truth, h) for h in horizons])
-    f = np.array([fde(pred, truth, h) for h in horizons])
+def _horizon_metrics(pred: np.ndarray, truth: np.ndarray,
+                     horizons: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """ADE and FDE of pred [..., T, 2] against truth [N, T, 2] at every
+    horizon, as ``ade``/``fde`` compute them: two arrays [..., N, horizons].
+    """
+    diff = pred - truth
+    err = np.linalg.norm(diff, axis=-1)
+    a = np.stack([err[..., :h].mean(axis=-1) for h in horizons], axis=-1)
+    # fde's norm of one 2-vector is sqrt(d @ d); a batched matmul rounds
+    # as that dot product does
+    d = diff[..., np.asarray(horizons) - 1, :]
+    f = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
     return a, f
 
 
@@ -135,7 +143,9 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
     """Score a predictor over scenarios with ground-truth futures.
 
     predict_fn returns a joint prediction in global coordinates covering a
-    subset of the scenario's agents (at least the ego).
+    subset of the scenario's agents (at least the ego). The errors of a
+    scene are computed once for every mode, agent and step; best-of-modes
+    takes the first mode with the lowest ADE at the longest horizon.
     """
     if not scenarios:
         raise ValueError("no scenarios to evaluate")
@@ -148,6 +158,7 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
         horizons_s = [1]
         horizon_steps = [t_total]
     report = MetricsReport(horizons_s)
+    h_max = horizon_steps[-1]
 
     for scn in scenarios:
         if any(not a.future_truth for a in scn.agents):
@@ -165,36 +176,35 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
                    else "normal",
                    lateral]
 
-        per_est: dict[str, dict[str, list]] = {
-            est: {"ego": [], "others": []} for est in ESTIMATORS}
-        for i, aid in enumerate(jp.agent_ids):
-            agent = scn.agent_by_id(aid)
-            truth = np.array([[s.x, s.y] for s in agent.future_truth])
-            sel_a, sel_f = _agent_metrics(jp.trajectories[k_sel, i], truth,
-                                          horizon_steps)
-            best = None
-            for k in range(jp.trajectories.shape[0]):
-                a_k, f_k = _agent_metrics(jp.trajectories[k, i], truth,
-                                          horizon_steps)
-                if best is None or a_k[-1] < best[0][-1]:
-                    best = (a_k, f_k)
-            cv = constant_velocity_baseline(agent, truth.shape[0], scn.dt)
-            cv_a, cv_f = _agent_metrics(cv, truth, horizon_steps)
-            for est, (a_vals, f_vals) in zip(
-                    ESTIMATORS, [(sel_a, sel_f), best, (cv_a, cv_f)]):
-                bucket = "ego" if aid == ego_id else "others"
-                per_est[est][bucket].append((a_vals, f_vals))
-
+        agents = [scn.agent_by_id(aid) for aid in jp.agent_ids]
+        span = min([jp.trajectories.shape[2]]
+                   + [len(a.future_truth) for a in agents])
+        if h_max > span:
+            raise ValueError(f"horizon {h_max} exceeds trajectory "
+                             f"length {span}")
+        truth = np.array([[[s.x, s.y] for s in a.future_truth[:h_max]]
+                          for a in agents])
+        model_a, model_f = _horizon_metrics(
+            np.asarray(jp.trajectories, dtype=np.float64)[:, :, :h_max],
+            truth, horizon_steps)
+        cv = np.array([constant_velocity_baseline(a, h_max, scn.dt)
+                       for a in agents])
+        rows = np.arange(len(agents))
+        best = np.argmin(model_a[:, :, -1], axis=0)
+        estimates = {
+            "model_selected": (model_a[k_sel], model_f[k_sel]),
+            "model_best": (model_a[best, rows], model_f[best, rows]),
+            "cv": _horizon_metrics(cv, truth, horizon_steps),
+        }
+        if ego_id not in jp.agent_ids:
+            continue
+        ego = jp.agent_ids.index(ego_id)
+        ego_first = [ego] + [i for i in rows if i != ego]
         for est in ESTIMATORS:
-            ego_vals = per_est[est]["ego"]
-            all_vals = ego_vals + per_est[est]["others"]
-            if not ego_vals:
-                continue
-            ego_a = np.mean([v[0] for v in ego_vals], axis=0)
-            ego_f = np.mean([v[1] for v in ego_vals], axis=0)
-            all_a = np.mean([v[0] for v in all_vals], axis=0)
-            all_f = np.mean([v[1] for v in all_vals], axis=0)
+            a_vals, f_vals = estimates[est]
+            all_a = np.mean(a_vals[ego_first], axis=0)
+            all_f = np.mean(f_vals[ego_first], axis=0)
             for subset in subsets:
-                report.add(subset, est, "ego", ego_a, ego_f)
+                report.add(subset, est, "ego", a_vals[ego], f_vals[ego])
                 report.add(subset, est, "all", all_a, all_f)
     return report

@@ -3,7 +3,12 @@ agent-agent self-attention, and agent-map cross attention.
 
 Locality is taken literally: each agent's interaction features are computed
 on the subgraph of agents within its context radius, so agents outside the
-radius cannot influence a row even through intermediate hops. The agent-map
+radius cannot influence a row even through intermediate hops. The subgraph
+transformer runs once per distinct context set, not once per agent: agents
+with the same set share that run, which computes exactly what each of their
+own runs would. In a scene where every agent sees every other it runs once.
+The history features are built for all agents and steps as array
+operations that round as the scalar ``relative_encoding`` does. The agent-map
 attention replaces a row by its attended map context (no internal residual);
 rows with no visible polyline, or an entirely empty map, pass through
 unchanged.
@@ -16,12 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .geometry import AGENT_CLASSES, relative_encoding
+from .geometry import AGENT_CLASSES, DIST_EPS, SPEED_EPS
 from .scene import MapPolyline, Scenario
 
 POS_SCALE = 50.0
 VEL_SCALE = 15.0
 YAW_SCALE = np.pi
+KINEMATIC_SCALE = np.array([POS_SCALE, POS_SCALE, YAW_SCALE, VEL_SCALE,
+                            VEL_SCALE])  # x, y, yaw, vx, vy
 
 HISTORY_FEATURES = 10 + len(AGENT_CLASSES)  # kinematics + rel encoding + class
 
@@ -40,26 +47,47 @@ class InteractionConfig:
             raise ValueError("embed_dim must be divisible by attention_heads")
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a batched matmul rounds as relative_encoding's 2-vector `a @ b` does
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def history_feature_matrix(scn: Scenario) -> np.ndarray:
     """Per-step inputs [N, H+1, F]: normalized kinematics, relative encoding
-    to the ego at the same step, and the class one-hot."""
-    ego = scn.ego
-    rows = []
-    for agent in scn.agents:
-        onehot = np.zeros(len(AGENT_CLASSES))
-        onehot[AGENT_CLASSES.index(agent.current.agent_class)] = 1.0
-        steps = []
-        for st, ego_st in zip(agent.states, ego.states):
-            rel = relative_encoding(ego_st, st)
-            steps.append(np.concatenate([
-                [st.x / POS_SCALE, st.y / POS_SCALE, st.yaw / YAW_SCALE,
-                 st.vx / VEL_SCALE, st.vy / VEL_SCALE],
-                [rel.sin_heading_diff, rel.cos_heading_diff,
-                 rel.sin_bearing, rel.cos_bearing, rel.distance / POS_SCALE],
-                onehot,
-            ]))
-        rows.append(np.stack(steps))
-    return np.stack(rows)
+    to the ego at the same step, and the class one-hot.
+
+    The relative encoding is ``relative_encoding(ego state, agent state)``
+    for all agents and steps at once, with its fallbacks: a stopped agent
+    moves along its yaw, and coincident positions have bearing
+    (sin, cos) = (0, 1).
+    """
+    kin = np.array([[(s.x, s.y, s.yaw, s.vx, s.vy, s.speed) for s in a.states]
+                    for a in scn.agents])
+    n, steps = kin.shape[:2]
+    speed = kin[..., 5]
+    stopped = speed < SPEED_EPS
+    # AgentState.direction of every state
+    u = np.where(stopped[..., None],
+                 np.stack([np.cos(kin[..., 2]), np.sin(kin[..., 2])], axis=-1),
+                 kin[..., 3:5] / np.where(stopped, 1.0, speed)[..., None])
+    u_ego = u[scn.ego_index]
+    d = kin[..., :2] - kin[scn.ego_index, :, :2]
+    dist = np.hypot(d[..., 0], d[..., 1])
+    near = dist < DIST_EPS
+    dn = d / np.where(near, 1.0, dist)[..., None]
+    rel = np.stack([_cross(u_ego, u), _dot(u_ego, u),
+                    np.where(near, 0.0, _cross(dn, u)),
+                    np.where(near, 1.0, _dot(dn, u)),
+                    dist / POS_SCALE], axis=-1)
+    classes = [AGENT_CLASSES.index(a.current.agent_class) for a in scn.agents]
+    onehot = np.broadcast_to(np.eye(len(AGENT_CLASSES))[classes][:, None],
+                             (n, steps, len(AGENT_CLASSES)))
+    return np.concatenate([kin[..., :5] / KINEMATIC_SCALE, rel, onehot],
+                          axis=-1)
 
 
 def map_feature_matrix(polylines: list[MapPolyline],
@@ -121,11 +149,6 @@ class HistoryEncoder(nn.Module):
         return self.lstm.backward(g)
 
 
-def encode_history(encoder: HistoryEncoder, scn: Scenario) -> np.ndarray:
-    out = encoder.forward(history_feature_matrix(scn))
-    return nn.ensure_finite(out, "history embeddings")
-
-
 class MapEncoder(nn.Module):
     def __init__(self, cfg: InteractionConfig, rng: np.random.Generator,
                  name: str = "map"):
@@ -142,14 +165,6 @@ class MapEncoder(nn.Module):
 
     def backward(self, g: np.ndarray) -> np.ndarray:
         return self.mlp.backward(g)
-
-
-def encode_map(encoder: MapEncoder,
-               polylines: list[MapPolyline]) -> np.ndarray:
-    feats = map_feature_matrix(polylines, encoder.pad)
-    if feats.shape[0] == 0:
-        return np.zeros((0, encoder.mlp.out_dim))
-    return encoder.forward(feats)
 
 
 class SelfAttentionBlock(nn.Module):
@@ -184,7 +199,13 @@ class AgentAgentEncoder(nn.Module):
 
     Row i of the output is computed by running the blocks over the agents
     inside agent i's context set only, so out-of-radius agents cannot leak
-    in through multi-hop attention.
+    in through multi-hop attention. Agents whose context sets are equal
+    (equal mask rows) share one run of the blocks over that set, and each
+    takes the output row at its own position. This is exact, not an
+    approximation: a run depends only on the set, so the shared run is the
+    very computation each member's own run would be. The blocks run once
+    per distinct context set, once per scene when every agent sees every
+    other.
     """
 
     def __init__(self, cfg: InteractionConfig, rng: np.random.Generator,
@@ -194,46 +215,47 @@ class AgentAgentEncoder(nn.Module):
                                cfg.ff_mult, rng, name=f"{name}.{i}")
             for i in range(cfg.transformer_layers)
         ]
-        self._cache: list[list[tuple[np.ndarray, int]]] = []
+        self._cache: list[list[tuple[np.ndarray, np.ndarray,
+                                     np.ndarray]]] = []
 
     def params(self):
         return [p for b in self.blocks for p in b.params()]
 
     def forward(self, embeds: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        n = embeds.shape[0]
         mask = np.asarray(mask, dtype=bool)
+        empty = np.flatnonzero(~mask.any(axis=1))
+        if empty.size:
+            raise ValueError(f"agent {empty[0]} has an empty context set")
+        outside = np.flatnonzero(~np.diagonal(mask))
+        if outside.size:
+            raise ValueError(
+                f"agent {outside[0]} is not in its own context set")
+        sets, which = np.unique(mask, axis=0, return_inverse=True)
+        which = which.reshape(-1)
         out = np.empty_like(embeds)
         runs = []
-        for i in range(n):
-            idx = np.flatnonzero(mask[i])
-            if idx.size == 0:
-                raise ValueError(f"agent {i} has an empty context set")
+        for s, row in enumerate(sets):
+            idx = np.flatnonzero(row)
+            members = np.flatnonzero(which == s)
             x = embeds[idx]
             for block in self.blocks:
                 x = block.forward(x)
-            pos = int(np.where(idx == i)[0][0]) if i in idx else 0
-            out[i] = x[pos]
-            runs.append((idx, pos))
+            pos = np.searchsorted(idx, members)
+            out[members] = x[pos]
+            runs.append((idx, members, pos))
         self._cache.append(runs)
         return out
 
     def backward(self, g: np.ndarray) -> np.ndarray:
         runs = self._cache.pop()
         dembeds = np.zeros_like(g)
-        for i in reversed(range(len(runs))):
-            idx, pos = runs[i]
+        for idx, members, pos in reversed(runs):
             gx = np.zeros((idx.size, g.shape[1]))
-            gx[pos] = g[i]
+            gx[pos] = g[members]
             for block in reversed(self.blocks):
                 gx = block.backward(gx)
             dembeds[idx] += gx
         return dembeds
-
-
-def agent_agent_attention(encoder: AgentAgentEncoder, embeds: np.ndarray,
-                          mask: np.ndarray) -> np.ndarray:
-    return nn.ensure_finite(encoder.forward(embeds, mask),
-                            "interaction features")
 
 
 class AgentMapAttention(nn.Module):
@@ -278,9 +300,3 @@ class AgentMapAttention(nn.Module):
             dfeat[rows] = dq
             dmap = dk + dv
         return dfeat, dmap
-
-
-def agent_map_attention(att: AgentMapAttention, features: np.ndarray,
-                        map_embeds: np.ndarray,
-                        vis: np.ndarray | None = None) -> np.ndarray:
-    return att.forward(features, map_embeds, vis)

@@ -22,10 +22,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
-from .geometry import AgentState, rotation, transform_state
+from .geometry import AgentState, rotation, wrap_angle
 
 POLYLINE_KINDS = ("lane_center", "road_boundary", "crosswalk")
 TEMPLATES = ("straight", "left_turn", "right_turn", "merge",
@@ -670,15 +671,21 @@ def local_frame(scn: Scenario, agent_id: str,
     ego_index = next(i for i, a in enumerate(kept)
                      if a.agent_id == agent_id)
 
-    def move(st: AgentState) -> AgentState:
-        return transform_state(st, frame.origin, frame.angle)
-
-    agents = [
-        AgentHistory(a.agent_id, [move(s) for s in a.states],
-                     [move(s) for s in a.future_truth] if a.future_truth
-                     else None)
-        for a in kept
-    ]
+    # every kept state, past and future, in one array op; the batched 2x2
+    # matmul rounds as transform_state's R @ p does
+    states = [s for a in kept for s in a.states + (a.future_truth or [])]
+    kin = np.array([(s.x, s.y, s.vx, s.vy) for s in states])
+    R = rotation(-frame.angle)
+    pos = (R @ (kin[:, :2] - frame.origin)[:, :, None])[:, :, 0].tolist()
+    vel = (R @ kin[:, 2:, None])[:, :, 0].tolist()
+    moved = iter([AgentState(p[0], p[1], wrap_angle(s.yaw - frame.angle),
+                             v[0], v[1], s.length, s.width, s.mass,
+                             s.agent_class)
+                  for s, p, v in zip(states, pos, vel)])
+    agents = [AgentHistory(a.agent_id, list(islice(moved, len(a.states))),
+                           list(islice(moved, len(a.future_truth or [])))
+                           or None)
+              for a in kept]
     polys = []
     for p in scn.map:
         dists = np.linalg.norm(p.waypoints - frame.origin, axis=1)

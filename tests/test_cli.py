@@ -81,6 +81,35 @@ class TestErrors:
         assert code == 1
         assert "nope.ckpt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--model", "--scenario"])
+    def test_predict_directory_input_exits_1(self, tmp_path, capsys, flag):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(dump_scenario(
+            generate_scenario("straight", 3, seed=0, H=4, T=10)))
+        ckpt = tmp_path / "model.ckpt"
+        _tiny_checkpoint(ckpt)
+        args = {"--model": str(ckpt), "--scenario": str(scenario)}
+        args[flag] = str(tmp_path / "a_dir")
+        os.mkdir(args[flag])
+        code = main(["predict", "--model", args["--model"], "--scenario",
+                     args["--scenario"], "--out", str(tmp_path / "o")]
+                    + TINY)
+        assert code == 1
+        assert f"is a directory, not a file: {args[flag]}" in \
+            capsys.readouterr().err
+
+    def test_risk_directory_prediction_exits_1(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(dump_scenario(
+            generate_scenario("straight", 3, seed=0, H=4, T=10)))
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        code = main(["risk", "--scenario", str(scenario), "--prediction",
+                     str(pred_dir), "--out", str(tmp_path / "o")] + TINY)
+        assert code == 1
+        assert f"is a directory, not a file: {pred_dir}" in \
+            capsys.readouterr().err
+
     def test_bad_config_key_exits_1(self, tmp_path, capsys):
         code = main(["gen", "--set", "nonsense.key=1",
                      "--out", str(tmp_path / "o")])

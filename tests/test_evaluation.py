@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from riskcast.evaluation import (ade, constant_velocity_baseline, evaluate,
-                                 fde)
+from riskcast.evaluation import (ESTIMATORS, MetricsReport, ade,
+                                 constant_velocity_baseline, evaluate, fde)
 from riskcast.geometry import AgentState, rotation
-from riskcast.intention import JointPrediction
+from riskcast.intention import JointPrediction, label_intentions, select_mode
+from riskcast.model import JointPredictor, ModelConfig
 from riskcast.scene import AgentHistory, generate_scenario
 
 
@@ -169,3 +170,101 @@ class TestEvaluate:
         report = evaluate(oracle_predict, scns)
         cv = report.mean("LT", "cv", "ego", "ade")
         assert cv[-1] > 0.5  # turning scenes defeat constant velocity
+
+
+def reference_evaluate(predict_fn, scenarios):
+    """evaluate's former per-agent, per-mode, per-horizon loop over the
+    public ade/fde."""
+    steps_per_s = max(int(round(1.0 / scenarios[0].dt)), 1)
+    t_total = scenarios[0].horizon_future
+    horizons_s = [s for s in (1, 2, 3, 4, 5) if s * steps_per_s <= t_total]
+    horizon_steps = [s * steps_per_s for s in horizons_s]
+    report = MetricsReport(horizons_s)
+
+    def metrics(pred, truth):
+        return (np.array([ade(pred, truth, h) for h in horizon_steps]),
+                np.array([fde(pred, truth, h) for h in horizon_steps]))
+
+    for scn in scenarios:
+        jp = predict_fn(scn)
+        k_sel = select_mode(jp)
+        try:
+            lateral, _ = label_intentions(scn.ego.future_truth)
+        except ValueError:
+            lateral = "ST"
+        subsets = ["all", "conflict" if scn.template == "crossing_conflict"
+                   else "normal", lateral]
+        per_est = {est: {"ego": [], "others": []} for est in ESTIMATORS}
+        for i, aid in enumerate(jp.agent_ids):
+            agent = scn.agent_by_id(aid)
+            truth = np.array([[s.x, s.y] for s in agent.future_truth])
+            best = None
+            for k in range(jp.trajectories.shape[0]):
+                vals = metrics(jp.trajectories[k, i], truth)
+                if best is None or vals[0][-1] < best[0][-1]:
+                    best = vals
+            cv = constant_velocity_baseline(agent, truth.shape[0], scn.dt)
+            bucket = "ego" if aid == scn.ego.agent_id else "others"
+            for est, vals in zip(ESTIMATORS, [
+                    metrics(jp.trajectories[k_sel, i], truth), best,
+                    metrics(cv, truth)]):
+                per_est[est][bucket].append(vals)
+        for est in ESTIMATORS:
+            ego_vals = per_est[est]["ego"]
+            all_vals = ego_vals + per_est[est]["others"]
+            for subset in subsets:
+                for scope, vals in (("ego", ego_vals), ("all", all_vals)):
+                    report.add(subset, est, scope,
+                               np.mean([v[0] for v in vals], axis=0),
+                               np.mean([v[1] for v in vals], axis=0))
+    return report
+
+
+def _assert_same_rows(report, ref):
+    rows, ref_rows = report.rows(), ref.rows()
+    assert len(rows) == len(ref_rows)
+    for row, ref_row in zip(rows, ref_rows):
+        assert row.keys() == ref_row.keys()
+        for key, value in row.items():
+            if isinstance(value, float):
+                if math.isnan(ref_row[key]):
+                    assert math.isnan(value), (row, key)
+                else:
+                    assert abs(value - ref_row[key]) <= 1e-12, (row, key)
+            else:
+                assert value == ref_row[key]
+
+
+class TestEvaluateMatchesPerCallLoop:
+    def test_model_predictions(self):
+        model = JointPredictor(ModelConfig(embed_dim=16, attention_heads=2))
+        scns = [generate_scenario(t, n, 40 + i)
+                for i, (t, n) in enumerate([
+                    ("straight", 16), ("left_turn", 8), ("right_turn", 3),
+                    ("merge", 16), ("crossing_conflict", 8)])]
+
+        def predict_fn(scn):
+            return model.predict(scn)[0]
+
+        _assert_same_rows(evaluate(predict_fn, scns),
+                          reference_evaluate(predict_fn, scns))
+
+    def test_best_of_modes_takes_first_minimum(self):
+        # modes 1 and 2 tie at the longest horizon (mean error 1 m over
+        # 5 s) but differ before it; the first of them must win
+        scn = generate_scenario("straight", 2, 3)
+        truth = oracle_predict(scn).trajectories[0]
+        t = truth.shape[1]
+        offsets = np.zeros((3, t))
+        offsets[0] = 3.0
+        offsets[1, t // 2:] = 2.0
+        offsets[2] = 1.0
+        trajs = truth[None] + offsets[:, None, :, None] * [1.0, 0.0]
+        assert ade(trajs[1, 0], truth[0], t) == ade(trajs[2, 0], truth[0], t)
+        jp =JointPrediction(trajs, np.array([0.5, 0.25, 0.25]),
+                             [a.agent_id for a in scn.agents])
+        report = evaluate(lambda s: jp, [scn])
+        _assert_same_rows(report, reference_evaluate(lambda s: jp, [scn]))
+        best = report.mean("all", "model_best", "ego", "ade")
+        assert best[0] == pytest.approx(0.0, abs=1e-12)
+        assert best[-1] == pytest.approx(1.0, abs=1e-12)

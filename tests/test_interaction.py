@@ -1,18 +1,24 @@
 """Interaction encoder tests: history/map encoding, locality, permutation
-behavior, and the agent-map attention contract."""
+behavior, the agent-map attention contract, and the array forms of the
+subgraph attention, local frame and history features against the per-agent
+and per-state references they replace."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from riskcast import nn
-from riskcast.interaction import (AgentAgentEncoder, AgentMapAttention,
+from riskcast.geometry import (AGENT_CLASSES, relative_encoding,
+                               transform_state)
+from riskcast.interaction import (POS_SCALE, VEL_SCALE, YAW_SCALE,
+                                  AgentAgentEncoder, AgentMapAttention,
                                   HistoryEncoder, InteractionConfig,
-                                  MapEncoder, agent_agent_attention,
-                                  agent_map_attention, encode_history,
-                                  encode_map, history_feature_matrix,
-                                  map_feature_matrix, map_visibility,
-                                  neighbor_mask)
-from riskcast.scene import MapPolyline, generate_scenario, local_frame
+                                  MapEncoder, SelfAttentionBlock,
+                                  history_feature_matrix, map_feature_matrix,
+                                  map_visibility, neighbor_mask)
+from riskcast.scene import (AgentHistory, MapPolyline, generate_scenario,
+                            local_frame, pose_frame)
 
 
 CFG = InteractionConfig(embed_dim=16, attention_heads=2, map_pad=20)
@@ -28,7 +34,7 @@ class TestHistoryEncoder:
     def test_output_shape_finite(self):
         scn = generate_scenario("straight", 1, seed=0)
         enc = HistoryEncoder(CFG, nn.seeded_rng(0))
-        out = encode_history(enc, local_frame(scn, "ego"))
+        out = enc.forward(history_feature_matrix(local_frame(scn, "ego")))
         assert out.shape == (1, CFG.embed_dim)
         assert np.all(np.isfinite(out))
 
@@ -53,24 +59,25 @@ class TestHistoryEncoder:
 class TestMapEncoder:
     def test_empty_map(self):
         enc = MapEncoder(CFG, nn.seeded_rng(2))
-        out = encode_map(enc, [])
+        out = enc.forward(map_feature_matrix([], CFG.map_pad))
         assert out.shape == (0, CFG.embed_dim)
 
     def test_identical_polylines_identical_embeddings(self):
         enc = MapEncoder(CFG, nn.seeded_rng(3))
         poly = MapPolyline(np.array([[0.0, 0.0], [5.0, 1.0], [10.0, 3.0]]))
-        out = encode_map(enc, [poly, poly])
+        out = enc.forward(map_feature_matrix([poly, poly], CFG.map_pad))
         assert np.array_equal(out[0], out[1])
 
     def test_local_frame_pipeline_invariance(self):
         # translating the whole scene changes nothing after local framing
-        from dataclasses import replace
         scn = generate_scenario("left_turn", 2, seed=4)
         from riskcast.scene import _apply_rigid
         moved = _apply_rigid(scn, np.array([123.0, -77.0]), 0.0)
         enc = MapEncoder(CFG, nn.seeded_rng(4))
-        a = encode_map(enc, local_frame(scn, "ego").map)
-        b = encode_map(enc, local_frame(moved, "ego").map)
+        a = enc.forward(map_feature_matrix(local_frame(scn, "ego").map,
+                                           CFG.map_pad))
+        b = enc.forward(map_feature_matrix(local_frame(moved, "ego").map,
+                                           CFG.map_pad))
         assert np.allclose(a, b, atol=1e-9)
 
     def test_long_polylines_padded(self):
@@ -140,7 +147,7 @@ class TestAgentMapAttention:
     def test_empty_map_pass_through(self):
         att = AgentMapAttention(CFG, nn.seeded_rng(12))
         x = nn.seeded_rng(13).normal(size=(3, CFG.embed_dim))
-        out = agent_map_attention(att, x, np.zeros((0, CFG.embed_dim)))
+        out = att.forward(x, np.zeros((0, CFG.embed_dim)))
         assert np.array_equal(out, x)
 
     def test_single_polyline_identity_projection(self):
@@ -192,12 +199,237 @@ def test_all_finite_over_generator_scenarios():
     for seed in range(20):
         scn = generate_scenario("crossing_conflict", 3, seed)
         local = local_frame(scn, "ego", CFG.context_radius_m)
-        h = encode_history(hist, local)
-        base = agent_agent_attention(aa, h,
-                                     neighbor_mask(local,
-                                                   CFG.context_radius_m))
-        m = encode_map(menc, local.map)
-        out = agent_map_attention(amap, base, m,
-                                  map_visibility(local,
-                                                 CFG.context_radius_m))
+        h = hist.forward(history_feature_matrix(local))
+        base = aa.forward(h, neighbor_mask(local, CFG.context_radius_m))
+        m = menc.forward(map_feature_matrix(local.map, CFG.map_pad))
+        out = amap.forward(base, m,
+                           map_visibility(local, CFG.context_radius_m))
+        assert np.all(np.isfinite(h))
+        assert np.all(np.isfinite(base))
         assert np.all(np.isfinite(out))
+
+
+# --------------------------------------------------------------------------
+# Array forms against the per-agent and per-state code they replaced
+# --------------------------------------------------------------------------
+
+class PerAgentReference:
+    """The loop AgentAgentEncoder used to run: the blocks once per agent,
+    over that agent's context set, keeping the row at the agent's own
+    position."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.runs = []
+
+    def forward(self, embeds, mask):
+        out = np.empty_like(embeds)
+        self.runs = []
+        for i in range(embeds.shape[0]):
+            idx = np.flatnonzero(mask[i])
+            x = embeds[idx]
+            for block in self.blocks:
+                x = block.forward(x)
+            pos = int(np.flatnonzero(idx == i)[0])
+            out[i] = x[pos]
+            self.runs.append((idx, pos))
+        return out
+
+    def backward(self, g):
+        dembeds = np.zeros_like(g)
+        for i in reversed(range(len(self.runs))):
+            idx, pos = self.runs[i]
+            gx = np.zeros((idx.size, g.shape[1]))
+            gx[pos] = g[i]
+            for block in reversed(self.blocks):
+                gx = block.backward(gx)
+            dembeds[idx] += gx
+        return dembeds
+
+
+def reference_history_features(scn):
+    """The per-step loop history_feature_matrix used to run over
+    relative_encoding."""
+    rows = []
+    for agent in scn.agents:
+        onehot = np.zeros(len(AGENT_CLASSES))
+        onehot[AGENT_CLASSES.index(agent.current.agent_class)] = 1.0
+        steps = []
+        for st, ego_st in zip(agent.states, scn.ego.states):
+            rel = relative_encoding(ego_st, st)
+            steps.append(np.concatenate([
+                [st.x / POS_SCALE, st.y / POS_SCALE, st.yaw / YAW_SCALE,
+                 st.vx / VEL_SCALE, st.vy / VEL_SCALE],
+                rel.as_array() / [1.0, 1.0, 1.0, 1.0, POS_SCALE],
+                onehot,
+            ]))
+        rows.append(np.stack(steps))
+    return np.stack(rows)
+
+
+def _band_mask(n):
+    i = np.arange(n)
+    return np.abs(i[:, None] - i[None, :]) <= 1
+
+
+def _real_mask():
+    # radius 12 m splits this 8-agent scene into several context sets
+    scn = local_frame(generate_scenario("straight", 8, seed=3), "ego")
+    return neighbor_mask(scn, 12.0)
+
+
+def _masked_agent_mask():
+    mask = np.ones((4, 4), dtype=bool)
+    mask[:3, 3] = False  # as in test_masked_agent_equals_deletion
+    return mask
+
+
+MASKS = {
+    "one_set": np.ones((5, 5), dtype=bool),
+    "two_sets_masked_agent": _masked_agent_mask(),
+    "n_sets_band": _band_mask(5),
+    "neighbor_mask": _real_mask(),
+}
+
+
+def _distinct_sets(mask):
+    return len(np.unique(mask, axis=0))
+
+
+def test_mask_cases_cover_one_two_and_n_sets():
+    assert _distinct_sets(MASKS["one_set"]) == 1
+    assert _distinct_sets(MASKS["two_sets_masked_agent"]) == 2
+    assert _distinct_sets(MASKS["n_sets_band"]) == 5
+    real = MASKS["neighbor_mask"]
+    assert 1 < _distinct_sets(real) < len(real)
+
+
+class TestGroupedSubgraphAttention:
+    @pytest.mark.parametrize("name", sorted(MASKS))
+    def test_matches_per_agent_loop(self, name):
+        mask = MASKS[name]
+        n = len(mask)
+        rng = nn.seeded_rng(30)
+        enc = AgentAgentEncoder(CFG, rng)
+        x = rng.normal(size=(n, CFG.embed_dim))
+        g = rng.normal(size=(n, CFG.embed_dim))
+
+        ref = PerAgentReference(enc.blocks)
+        enc.zero_grad()
+        ref_out = ref.forward(x, mask)
+        ref_dx = ref.backward(g)
+        ref_grads = [p.grad.copy() for p in enc.params()]
+
+        enc.zero_grad()
+        out = enc.forward(x, mask)
+        dx = enc.backward(g)
+        assert np.max(np.abs(out - ref_out)) <= 1e-12
+        assert np.max(np.abs(dx - ref_dx)) <= 1e-12
+        for p, ref_grad in zip(enc.params(), ref_grads):
+            assert np.max(np.abs(p.grad - ref_grad)) <= 1e-12, p.name
+
+    @pytest.mark.parametrize("name", sorted(MASKS))
+    def test_blocks_run_once_per_distinct_set(self, name, monkeypatch):
+        mask = MASKS[name]
+        calls = []
+        original = SelfAttentionBlock.forward
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SelfAttentionBlock, "forward", counting)
+        enc = AgentAgentEncoder(CFG, nn.seeded_rng(31))
+        x = nn.seeded_rng(32).normal(size=(len(mask), CFG.embed_dim))
+        enc.forward(x, mask)
+        assert len(calls) == CFG.transformer_layers * _distinct_sets(mask)
+
+    def test_grad_check_with_several_sets(self):
+        small = InteractionConfig(embed_dim=4, attention_heads=2)
+        rng = nn.seeded_rng(33)
+        enc = AgentAgentEncoder(small, rng)
+        mask = MASKS["two_sets_masked_agent"]
+        x = nn.Parameter("x", rng.normal(size=(4, small.embed_dim)))
+        w = rng.normal(size=(4, small.embed_dim))
+
+        def loss():
+            out = enc.forward(x.value, mask)
+            x.grad += enc.backward(w)
+            return float((out * w).sum())
+
+        assert nn.grad_check(loss, enc.params() + [x]) < 1e-5
+
+    def test_agent_outside_its_own_set_raises(self):
+        enc = AgentAgentEncoder(CFG, nn.seeded_rng(34))
+        x = np.zeros((3, CFG.embed_dim))
+        mask = np.ones((3, 3), dtype=bool)
+        mask[1, 1] = False
+        with pytest.raises(ValueError, match="agent 1 is not in its own"):
+            enc.forward(x, mask)
+
+
+def _degenerate_scene(ego_index=0):
+    """A 4-agent scene where agent 1 stands still over its whole history,
+    the ego crawls below SPEED_EPS at step 0, and agent 2 sits on the ego's
+    position at every other step."""
+    scn = generate_scenario("straight", 4, seed=21)
+    ego, a1, a2, a3 = scn.agents
+    ego_states = [replace(ego.states[0], vx=1e-7, vy=0.0)] + ego.states[1:]
+    a1_states = [replace(s, vx=0.0, vy=0.0) for s in a1.states]
+    a2_states = [replace(s, x=e.x, y=e.y) if t % 2 == 0 else s
+                 for t, (s, e) in enumerate(zip(a2.states, ego_states))]
+    agents = [AgentHistory(ego.agent_id, ego_states, ego.future_truth),
+              AgentHistory(a1.agent_id, a1_states, a1.future_truth),
+              AgentHistory(a2.agent_id, a2_states, a2.future_truth), a3]
+    return replace(scn, agents=agents, ego_index=ego_index)
+
+
+def _kinematics(states):
+    return np.array([(s.x, s.y, s.yaw, s.vx, s.vy) for s in states])
+
+
+class TestArrayFrameAndFeatures:
+    @pytest.mark.parametrize("template,n,seed", [
+        ("crossing_conflict", 8, 5), ("left_turn", 16, 6), ("merge", 3, 7)])
+    def test_local_frame_matches_transform_state(self, template, n, seed):
+        scn = generate_scenario(template, n, seed)
+        self._check_local_frame(scn, "ego")
+
+    def test_local_frame_degenerate_states(self):
+        scn = _degenerate_scene()
+        for agent in scn.agents:
+            self._check_local_frame(scn, agent.agent_id)
+
+    @staticmethod
+    def _check_local_frame(scn, agent_id):
+        frame = pose_frame(scn, agent_id)
+        local = local_frame(scn, agent_id)
+        for a in local.agents:
+            src = scn.agent_by_id(a.agent_id)
+            for got, orig in ((a.states, src.states),
+                              (a.future_truth, src.future_truth)):
+                want = [transform_state(s, frame.origin, frame.angle)
+                        for s in orig]
+                assert len(got) == len(want)
+                assert np.max(np.abs(_kinematics(got) - _kinematics(want))
+                              ) <= 1e-12
+                assert [(s.length, s.width, s.mass, s.agent_class)
+                        for s in got] == [(s.length, s.width, s.mass,
+                                           s.agent_class) for s in want]
+
+    @pytest.mark.parametrize("ego_index", [0, 2])
+    def test_history_features_match_relative_encoding(self, ego_index):
+        scn = _degenerate_scene(ego_index)
+        for s in (scn, local_frame(scn, scn.ego.agent_id, radius=1e9)):
+            got = history_feature_matrix(s)
+            want = reference_history_features(s)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_history_features_generated_scenes(self):
+        for seed, template in enumerate(("straight", "right_turn",
+                                         "crossing_conflict")):
+            local = local_frame(generate_scenario(template, 8, seed), "ego")
+            assert np.max(np.abs(history_feature_matrix(local)
+                                 - reference_history_features(local))
+                          ) <= 1e-12
