@@ -51,6 +51,21 @@ def _read_dataset(data_dir: str):
     return [_read_scenario(p) for p in paths]
 
 
+def _prediction_doc(path: str):
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as e:   # JSONDecodeError, UnicodeDecodeError
+            raise CliError(f"invalid prediction {path}: {e}") from e
+
+
+def _prediction(doc, path: str):
+    try:
+        return prediction_from_json(doc)
+    except ValueError as e:
+        raise CliError(f"invalid prediction {path}: {e}") from e
+
+
 def _load_model(path: str) -> JointPredictor:
     _require_file(path, "model checkpoint")
     try:
@@ -140,8 +155,7 @@ def cmd_risk(args) -> int:
     cfg = _resolve(args)
     scn = _read_scenario(args.scenario)
     _require_file(args.prediction, "prediction file")
-    with open(args.prediction) as f:
-        jp = prediction_from_json(json.load(f))
+    jp = _prediction(_prediction_doc(args.prediction), args.prediction)
     out = _prepare_out(args, cfg)
     risk_cfg = cfgmod.risk_config(cfg)
     try:
@@ -180,10 +194,10 @@ def cmd_eval(args) -> int:
         by_id = {}
         for path in sorted(glob.glob(os.path.join(args.predictions,
                                                   "*.json"))):
-            with open(path) as f:
-                doc = json.load(f)
-            if "modes" in doc:
-                jp = prediction_from_json(doc)
+            # other JSON objects (a resolved_config.json) are not predictions
+            doc = _prediction_doc(path)
+            if isinstance(doc, dict) and "modes" in doc:
+                jp = _prediction(doc, path)
                 by_id[jp.scenario_id] = jp
 
         def predict_fn(scn):
@@ -194,7 +208,11 @@ def cmd_eval(args) -> int:
             return jp
 
     out = _prepare_out(args, cfg)
-    report = evaluate(predict_fn, scenarios)
+    try:
+        report = evaluate(predict_fn, scenarios)
+    except ValueError as e:
+        raise CliError(f"cannot evaluate "
+                       f"{args.model or args.predictions}: {e}") from e
     report.write_csv(os.path.join(out, "metrics.csv"))
     report.write_json(os.path.join(out, "metrics.json"))
     sel = report.mean("all", "model_selected", "ego", "ade")

@@ -54,13 +54,10 @@ def constant_velocity_baseline(history: AgentHistory, horizon: int,
                                dt: float) -> np.ndarray:
     """Extrapolate the last observed velocity; a single-state history holds
     position."""
-    last = history.states[-1]
-    if len(history.states) < 2:
-        v = np.zeros(2)
-    else:
-        v = last.velocity
+    last = history.past[-1]
+    v = last[3:] if len(history.past) > 1 else np.zeros(2)
     steps = np.arange(1, horizon + 1)[:, None]
-    return last.position[None, :] + v[None, :] * dt * steps
+    return last[None, :2] + v[None, :] * dt * steps
 
 
 @dataclass
@@ -161,14 +158,14 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
     h_max = horizon_steps[-1]
 
     for scn in scenarios:
-        if any(not a.future_truth for a in scn.agents):
+        if any(a.future is None for a in scn.agents):
             raise ValueError(
                 f"scenario {scn.scenario_id!r} lacks ground-truth futures")
         jp = predict_fn(scn)
         k_sel = select_mode(jp)
         ego_id = scn.ego.agent_id
         try:
-            lateral, _ = label_intentions(scn.ego.future_truth)
+            lateral, _ = label_intentions(scn.ego.future)
         except ValueError:
             lateral = "ST"
         subsets = ["all",
@@ -176,14 +173,18 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
                    else "normal",
                    lateral]
 
-        agents = [scn.agent_by_id(aid) for aid in jp.agent_ids]
+        by_id = {a.agent_id: a for a in scn.agents}
+        unknown = [aid for aid in jp.agent_ids if aid not in by_id]
+        if unknown:
+            raise ValueError(f"scenario {scn.scenario_id!r}: predicted "
+                             f"agents not in the scenario: {unknown}")
+        agents = [by_id[aid] for aid in jp.agent_ids]
         span = min([jp.trajectories.shape[2]]
-                   + [len(a.future_truth) for a in agents])
+                   + [len(a.future) for a in agents])
         if h_max > span:
             raise ValueError(f"horizon {h_max} exceeds trajectory "
                              f"length {span}")
-        truth = np.array([[[s.x, s.y] for s in a.future_truth[:h_max]]
-                          for a in agents])
+        truth = np.array([a.future[:h_max, :2] for a in agents])
         model_a, model_f = _horizon_metrics(
             np.asarray(jp.trajectories, dtype=np.float64)[:, :, :h_max],
             truth, horizon_steps)

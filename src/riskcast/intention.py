@@ -10,12 +10,13 @@ lateral and longitudinal embeddings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .geometry import AgentState, wrap_angle
+from .geometry import wrap_angle
 
 LATERAL_CLASSES = ("LT", "ST", "RT")
 LONGITUDINAL_CLASSES = ("ACC", "CON", "DEC")
@@ -64,13 +65,6 @@ class IntentionHead(nn.Module):
         dfeat = self.lat_mlp.backward(nn.softmax_backward(lat, dlat))
         dfeat += self.lon_mlp.backward(nn.softmax_backward(lon, dlon))
         return dfeat
-
-
-def predict_intention(head: IntentionHead, features: np.ndarray
-                      ) -> list[IntentionDistribution]:
-    lat, lon = head.forward(features)
-    return [IntentionDistribution(lat[i], lon[i])
-            for i in range(features.shape[0])]
 
 
 class ClassEmbeddings(nn.Module):
@@ -129,11 +123,6 @@ class IntentionFuser(nn.Module):
         return dcat[:, :self.dim], dcat[:, self.dim:]
 
 
-def fuse_intention(fuser: IntentionFuser, e_lat: np.ndarray,
-                   e_lon: np.ndarray) -> np.ndarray:
-    return fuser.forward(e_lat, e_lon)
-
-
 class JointDecoder(nn.Module):
     """K trajectory heads emitting per-step offsets that are integrated from
     each agent's current position, plus a max-pooled scene feature that is
@@ -187,11 +176,6 @@ class JointDecoder(nn.Module):
         return ddec
 
 
-def decode_joint(decoder: JointDecoder, dec_in: np.ndarray,
-                 pos0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return decoder.forward(dec_in, pos0)
-
-
 def select_mode(jp: JointPrediction) -> int:
     """Highest-probability mode; ties resolve to the lowest index."""
     if jp.mode_probs.size == 0:
@@ -199,20 +183,24 @@ def select_mode(jp: JointPrediction) -> int:
     return int(np.argmax(jp.mode_probs))
 
 
-def label_intentions(future: list[AgentState],
+def label_intentions(future: np.ndarray,
                      yaw_threshold: float = YAW_CHANGE_THRESHOLD,
                      speed_threshold: float = SPEED_CHANGE_THRESHOLD
                      ) -> tuple[str, str]:
-    """Derive (lateral, longitudinal) labels from a ground-truth future.
+    """Derive (lateral, longitudinal) labels from a ground-truth future
+    [T, 5] of (x, y, yaw, vx, vy) rows.
 
     Lateral uses the net yaw change accumulated over the horizon;
     longitudinal uses the speed change between the start and the end,
-    each averaged over a fifth of the horizon to suppress jitter.
+    each averaged over a fifth of the horizon to suppress jitter. Both are
+    scalar sums, in step order, of ``wrap_angle`` and ``math.hypot``.
     """
-    if not future:
+    future = np.asarray(future, dtype=np.float64)
+    if len(future) == 0:
         raise ValueError("cannot label an empty future")
-    net_yaw = sum(wrap_angle(b.yaw - a.yaw)
-                  for a, b in zip(future[:-1], future[1:]))
+    yaws = future[:, 2].tolist()
+    speeds = [math.hypot(vx, vy) for vx, vy in future[:, 3:].tolist()]
+    net_yaw = sum(wrap_angle(b - a) for a, b in zip(yaws[:-1], yaws[1:]))
     if net_yaw > yaw_threshold:
         lateral = "LT"
     elif net_yaw < -yaw_threshold:
@@ -220,8 +208,7 @@ def label_intentions(future: list[AgentState],
     else:
         lateral = "ST"
     w = max(len(future) // 5, 1)
-    dv = (sum(s.speed for s in future[-w:]) / w
-          - sum(s.speed for s in future[:w]) / w)
+    dv = sum(speeds[-w:]) / w - sum(speeds[:w]) / w
     if dv > speed_threshold:
         longitudinal = "ACC"
     elif dv < -speed_threshold:
@@ -231,6 +218,6 @@ def label_intentions(future: list[AgentState],
     return lateral, longitudinal
 
 
-def label_indices(future: list[AgentState]) -> tuple[int, int]:
+def label_indices(future: np.ndarray) -> tuple[int, int]:
     la, lo = label_intentions(future)
     return LATERAL_CLASSES.index(la), LONGITUDINAL_CLASSES.index(lo)

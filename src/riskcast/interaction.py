@@ -7,8 +7,10 @@ radius cannot influence a row even through intermediate hops. The subgraph
 transformer runs once per distinct context set, not once per agent: agents
 with the same set share that run, which computes exactly what each of their
 own runs would. In a scene where every agent sees every other it runs once.
-The history features are built for all agents and steps as array
-operations that round as the scalar ``relative_encoding`` does. The agent-map
+The history features are built for all agents and steps, and the map
+features and visibility for all polylines, as array operations on the
+scene's arrays; the history features round as the scalar
+``relative_encoding`` does. The agent-map
 attention replaces a row by its attended map context (no internal residual);
 rows with no visible polyline, or an entirely empty map, pass through
 unchanged.
@@ -16,13 +18,14 @@ unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .geometry import AGENT_CLASSES, DIST_EPS, SPEED_EPS
-from .scene import MapPolyline, Scenario
+from .scene import POLYLINE_KINDS, RoadMap, Scenario
 
 POS_SCALE = 50.0
 VEL_SCALE = 15.0
@@ -65,10 +68,12 @@ def history_feature_matrix(scn: Scenario) -> np.ndarray:
     moves along its yaw, and coincident positions have bearing
     (sin, cos) = (0, 1).
     """
-    kin = np.array([[(s.x, s.y, s.yaw, s.vx, s.vy, s.speed) for s in a.states]
-                    for a in scn.agents])
+    kin = np.array([a.past for a in scn.agents])
     n, steps = kin.shape[:2]
-    speed = kin[..., 5]
+    # AgentState.speed is math.hypot, which np.hypot does not always match
+    speed = np.array([math.hypot(vx, vy) for vx, vy
+                      in kin[..., 3:].reshape(-1, 2).tolist()]
+                     ).reshape(n, steps)
     stopped = speed < SPEED_EPS
     # AgentState.direction of every state
     u = np.where(stopped[..., None],
@@ -83,37 +88,30 @@ def history_feature_matrix(scn: Scenario) -> np.ndarray:
                     np.where(near, 0.0, _cross(dn, u)),
                     np.where(near, 1.0, _dot(dn, u)),
                     dist / POS_SCALE], axis=-1)
-    classes = [AGENT_CLASSES.index(a.current.agent_class) for a in scn.agents]
+    classes = [AGENT_CLASSES.index(a.agent_class) for a in scn.agents]
     onehot = np.broadcast_to(np.eye(len(AGENT_CLASSES))[classes][:, None],
                              (n, steps, len(AGENT_CLASSES)))
     return np.concatenate([kin[..., :5] / KINEMATIC_SCALE, rel, onehot],
                           axis=-1)
 
 
-def map_feature_matrix(polylines: list[MapPolyline],
-                       pad: int = 20) -> np.ndarray:
+def map_feature_matrix(road_map: RoadMap, pad: int = 20) -> np.ndarray:
     """Flattened, padded waypoints plus a validity flag per slot and the
-    polyline-kind one-hot: [M, pad*3 + 3]."""
-    from .scene import POLYLINE_KINDS
-
-    feats = []
-    for p in polylines:
-        slots = np.zeros((pad, 3))
-        n = min(len(p.waypoints), pad)
-        slots[:n, :2] = p.waypoints[:n] / POS_SCALE
-        slots[:n, 2] = 1.0
-        kind = np.zeros(len(POLYLINE_KINDS))
-        kind[POLYLINE_KINDS.index(p.kind)] = 1.0
-        feats.append(np.concatenate([slots.reshape(-1), kind]))
-    if not feats:
-        return np.zeros((0, pad * 3 + 3))
-    return np.stack(feats)
+    polyline-kind one-hot: [P, pad*3 + 3]. Waypoints beyond `pad` are
+    dropped."""
+    n = min(road_map.waypoints.shape[1], pad)
+    slots = np.zeros((len(road_map), pad, 3))
+    slots[:, :n, :2] = road_map.waypoints[:, :n] / POS_SCALE
+    slots[:, :n, 2] = road_map.valid[:, :n]
+    kinds = np.eye(len(POLYLINE_KINDS))[road_map.kinds]
+    return np.concatenate([slots.reshape(len(road_map), pad * 3), kinds],
+                          axis=1)
 
 
 def neighbor_mask(scn: Scenario, radius: float) -> np.ndarray:
     """mask[i, j] is True when agent j's current position lies within
     agent i's context radius (diagonal always True)."""
-    pos = np.array([a.current.position for a in scn.agents])
+    pos = scn.current_kinematics()[:, :2]
     d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
     mask = d <= radius
     np.fill_diagonal(mask, True)
@@ -123,12 +121,11 @@ def neighbor_mask(scn: Scenario, radius: float) -> np.ndarray:
 def map_visibility(scn: Scenario, radius: float) -> np.ndarray:
     """vis[i, m] is True when polyline m has a waypoint within agent i's
     context radius."""
-    pos = np.array([a.current.position for a in scn.agents])
-    vis = np.zeros((len(scn.agents), len(scn.map)), dtype=bool)
-    for m, p in enumerate(scn.map):
-        d = np.linalg.norm(pos[:, None, :] - p.waypoints[None, :, :], axis=-1)
-        vis[:, m] = d.min(axis=1) <= radius
-    return vis
+    pos = scn.current_kinematics()[:, :2]
+    d = np.linalg.norm(pos[:, None, None, :] - scn.map.waypoints[None],
+                       axis=-1)                               # [N, P, W]
+    d = np.where(scn.map.valid, d, np.inf)
+    return d.min(axis=-1, initial=np.inf) <= radius
 
 
 class HistoryEncoder(nn.Module):

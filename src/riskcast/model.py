@@ -21,15 +21,14 @@ from __future__ import annotations
 import json
 import math
 import zipfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import nn
 from .intention import (ClassEmbeddings, IntentionDistribution, IntentionFuser,
                         IntentionHead, JointDecoder, JointPrediction,
-                        LATERAL_CLASSES, LONGITUDINAL_CLASSES,
-                        predict_intention)
+                        LATERAL_CLASSES, LONGITUDINAL_CLASSES)
 from .interaction import (AgentAgentEncoder, AgentMapAttention,
                           HistoryEncoder, InteractionConfig, MapEncoder,
                           history_feature_matrix, map_feature_matrix,
@@ -111,7 +110,7 @@ class JointPredictor(nn.Module):
 
         att_rows = None
         features = base
-        if local.map:
+        if len(local.map):
             membeds = self.map_enc.forward(
                 map_feature_matrix(local.map, cfg.map_pad))
             vis = map_visibility(local, cfg.context_radius_m)
@@ -125,7 +124,7 @@ class JointPredictor(nn.Module):
         e_lon = self.lon_embeddings.forward(features, lon)
         z = self.fuser.forward(e_lat, e_lon)
         dec_in = np.concatenate([features, z], axis=1)
-        pos0 = np.array([a.current.position for a in local.agents])
+        pos0 = local.current_kinematics()[:, :2]
         trajs, probs = self.decoder.forward(dec_in, pos0)
         nn.ensure_finite(trajs, "decoded trajectories")
         return ForwardResult(trajs, probs, lat, lon, z, features,
@@ -166,7 +165,9 @@ class JointPredictor(nn.Module):
                 ) -> tuple[JointPrediction, list[IntentionDistribution]]:
         """Run the model on a global-frame scenario; trajectories come back
         in global coordinates."""
-        local = self.prepare(scn)
+        # the forward pass reads only the past, so the futures stay behind
+        local = self.prepare(replace(
+            scn, agents=[replace(a, future=None) for a in scn.agents]))
         frame = pose_frame(scn, scn.ego.agent_id)
         res = self.forward(local)
         k, n, t, _ = res.trajectories.shape
@@ -314,11 +315,55 @@ def prediction_to_json(jp: JointPrediction,
             "intentions": intentions}
 
 
-def prediction_from_json(doc: dict) -> JointPrediction:
-    modes = sorted(doc["modes"], key=lambda m: m["k"])
+def prediction_from_json(doc) -> JointPrediction:
+    """The prediction of a ``prediction_to_json`` document, modes in k
+    order. Raises ValueError on a malformed document: modes missing or
+    empty, a mode without an integer k, a p or a non-empty agents array,
+    repeated k, agent ids that repeat or differ between modes, points that
+    do not form one [K, N, T, 2] array of finite numbers with T >= 1, or a
+    non-finite p."""
+    if not isinstance(doc, dict):
+        raise ValueError("a prediction must be a JSON object")
+    if not isinstance(doc.get("scenario_id", ""), str):
+        raise ValueError("scenario_id must be a string")
+    modes = doc.get("modes")
+    if not isinstance(modes, list) or not modes:
+        raise ValueError("'modes' must be a non-empty array")
+    for i, m in enumerate(modes):
+        if not (isinstance(m, dict) and type(m.get("k")) is int
+                and "p" in m and isinstance(m.get("agents"), list)
+                and m["agents"]
+                and all(isinstance(a, dict) and isinstance(a.get("id"), str)
+                        and "points" in a for a in m["agents"])):
+            raise ValueError(
+                f"modes[{i}] needs an integer k, a p and a non-empty agents "
+                f"array of objects with a string id and points")
+    modes = sorted(modes, key=lambda m: m["k"])
+    ks = [m["k"] for m in modes]
+    if len(set(ks)) != len(ks):
+        raise ValueError(f"mode indices k repeat: {ks}")
     agent_ids = [a["id"] for a in modes[0]["agents"]]
-    trajs = np.array([[a["points"] for a in m["agents"]] for m in modes])
-    probs = np.array([m["p"] for m in modes])
+    if len(set(agent_ids)) != len(agent_ids):
+        raise ValueError(f"agent ids repeat: {agent_ids}")
+    for m in modes[1:]:
+        if [a["id"] for a in m["agents"]] != agent_ids:
+            raise ValueError(f"mode k={m['k']} lists agents "
+                             f"{[a['id'] for a in m['agents']]}, mode "
+                             f"k={ks[0]} lists {agent_ids}")
+    try:
+        trajs = np.array([[a["points"] for a in m["agents"]] for m in modes],
+                         dtype=np.float64)
+        probs = np.array([m["p"] for m in modes], dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"points and p must be numbers: {e}") from e
+    if trajs.ndim != 4 or trajs.shape[2] < 1 or trajs.shape[3] != 2:
+        raise ValueError(f"points must form one [K, N, T, 2] array with "
+                         f"T >= 1, got shape {list(trajs.shape)}")
+    if not np.isfinite(trajs).all():
+        raise ValueError("non-finite trajectory point")
+    if probs.ndim != 1 or not np.isfinite(probs).all():
+        raise ValueError(f"every p must be a finite number, got "
+                         f"{[m['p'] for m in modes]}")
     return JointPrediction(trajs, probs, agent_ids,
                            doc.get("scenario_id", ""))
 

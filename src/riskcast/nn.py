@@ -152,11 +152,6 @@ class MLP(Module):
         return g
 
 
-def mlp_forward(mlp: MLP, x: np.ndarray) -> np.ndarray:
-    """Stateless-looking alias for the MLP forward pass."""
-    return mlp.forward(x)
-
-
 class LayerNorm(Module):
     def __init__(self, dim: int, name: str = "ln", eps: float = 1e-5):
         self.name = name
@@ -218,10 +213,10 @@ class LSTMCell(Module):
                 f"in_dim={self.in_dim}, hidden={self.hidden_dim}")
         H = self.hidden_dim
         pre = x @ self.Wx.value + h_prev @ self.Wh.value + self.b.value
-        i = _sigmoid(pre[..., 0 * H:1 * H])
-        f = _sigmoid(pre[..., 1 * H:2 * H])
+        i = sigmoid(pre[..., 0 * H:1 * H])
+        f = sigmoid(pre[..., 1 * H:2 * H])
         g = np.tanh(pre[..., 2 * H:3 * H])
-        o = _sigmoid(pre[..., 3 * H:4 * H])
+        o = sigmoid(pre[..., 3 * H:4 * H])
         c = f * c_prev + i * g
         h = o * np.tanh(c)
         self._cache.append((x, h_prev, c_prev, i, f, g, o, c))
@@ -249,11 +244,6 @@ class LSTMCell(Module):
         dx = dpre @ self.Wx.value.T
         dh_prev = dpre @ self.Wh.value.T
         return dx, dh_prev, dc_prev
-
-
-def lstm_step(cell: LSTMCell, x: np.ndarray, h_prev: np.ndarray,
-              c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return cell.step(x, h_prev, c_prev)
 
 
 class LSTM(Module):
@@ -376,18 +366,10 @@ class MultiHeadAttention(Module):
         return dq, dk, dv
 
 
-def mha_forward(mha: MultiHeadAttention, q: np.ndarray, k: np.ndarray,
-                v: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    return mha.forward(q, k, v, mask)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) without overflow: exp only ever sees -|z|."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def _softmax_lastaxis(x: np.ndarray) -> np.ndarray:
@@ -494,10 +476,6 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad[...] = 0.0
-
-
-def adam_step(opt: Adam) -> None:
-    opt.step()
 
 
 def grad_check(loss_fn: Callable[[], float], params: Sequence[Parameter],

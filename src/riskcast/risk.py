@@ -17,12 +17,13 @@ derivative in the distance. The three probabilities are summed and clamped
 to [0, 1], giving the collision probability [K, M, T]. Harm [K, M, T] maps
 the victim's post-collision speed change (delta-v from the masses, speeds
 and collision angle) and the struck region (front, side or rear, from the
-bearing of the ego in the victim's frame) through a numerically stable
-logistic, times the victim's harm scale. A victim's risk is the maximum over
-T of harm x probability; the kernel keeps the argmax step.
+bearing of the ego in the victim's frame) through the numerically stable
+logistic `nn.sigmoid`, times the victim's harm scale. A victim's risk is the
+maximum over T of harm x probability; the kernel keeps the argmax step.
 
 Boundary risk. The ego's clearance to the nearest road-boundary segment,
-[K, T] from one point-to-all-segments op over [K, T, S], goes through a
+[K, T] from one point-to-all-segments op over [K, T, S] (the segments of the
+scene's `RoadMap` of boundaries, in polyline order), goes through a
 second `disc_probability` call (radius half the ego width, sigma_t); harm
 takes the ego speed as delta-v with a side impact.
 
@@ -51,10 +52,11 @@ import numpy as np
 from scipy.special import i1e
 from scipy.stats import ncx2
 
+from . import nn
 from .geometry import (DIST_EPS, SPEED_EPS, AgentState, CollisionRegion,
                        collision_region)
 from .intention import JointPrediction
-from .scene import AgentHistory, MapPolyline, Scenario
+from .scene import AgentHistory, RoadMap, Scenario
 
 
 @dataclass
@@ -174,15 +176,12 @@ class AgentTrack:
 
 
 def track_from_truth(agent: AgentHistory, dt: float) -> AgentTrack:
-    fut = agent.future_truth
-    if not fut:
+    fut = agent.future
+    if fut is None:
         raise ValueError(f"agent {agent.agent_id!r} has no future truth")
-    cur = agent.current
-    return AgentTrack(agent.agent_id, cur.agent_class, cur.length, cur.width,
-                      cur.mass, cur.protected_flag,
-                      np.array([[s.x, s.y] for s in fut]),
-                      np.array([[s.vx, s.vy] for s in fut]),
-                      np.array([s.yaw for s in fut]), dt)
+    return AgentTrack(agent.agent_id, agent.agent_class, agent.length,
+                      agent.width, agent.mass, agent.protected_flag,
+                      fut[:, :2], fut[:, 3:], fut[:, 2], dt)
 
 
 def track_from_prediction(agent: AgentHistory, positions: np.ndarray,
@@ -190,11 +189,9 @@ def track_from_prediction(agent: AgentHistory, positions: np.ndarray,
     """The agent's decoded positions [T, 2] with velocities and yaws
     derived as in `batch_from_prediction`."""
     b = batch_from_prediction([agent], np.asarray(positions)[None, None], dt)
-    cur = agent.current
-    return AgentTrack(agent.agent_id, cur.agent_class, cur.length, cur.width,
-                      cur.mass, cur.protected_flag, b.positions[0, 0],
-                      b.velocities[0, 0], b.yaws[0, 0], dt)
-
+    return AgentTrack(agent.agent_id, agent.agent_class, agent.length,
+                      agent.width, agent.mass, agent.protected_flag,
+                      b.positions[0, 0], b.velocities[0, 0], b.yaws[0, 0], dt)
 
 
 # --------------------------------------------------------------------------
@@ -277,20 +274,20 @@ def batch_from_prediction(agents: list[AgentHistory], positions: np.ndarray,
             or positions.shape[3] != 2:
         raise ValueError(f"positions {positions.shape} do not match "
                          f"[K, {len(agents)}, T, 2]")
-    cur = [a.current for a in agents]
-    start = np.array([c.position for c in cur])[None, :, None, :]
+    cur = np.array([a.past[-1] for a in agents])          # [N, 5]
+    start = cur[None, :, None, :2]
     anchored = np.concatenate([
         np.broadcast_to(start, positions.shape[:2] + (1, 2)), positions],
         axis=2)
     vel = np.diff(anchored, axis=2) / dt
     speeds = np.linalg.norm(vel, axis=-1)
     yaws = np.where(speeds > SPEED_EPS, np.arctan2(vel[..., 1], vel[..., 0]),
-                    np.array([c.yaw for c in cur])[None, :, None])
+                    cur[None, :, None, 2])
     return MotionBatch([a.agent_id for a in agents], positions, vel, yaws,
-                       np.array([c.length for c in cur]),
-                       np.array([c.width for c in cur]),
-                       np.array([c.mass for c in cur]),
-                       np.array([c.protected_flag for c in cur]))
+                       np.array([a.length for a in agents]),
+                       np.array([a.width for a in agents]),
+                       np.array([a.mass for a in agents]),
+                       np.array([a.protected_flag for a in agents]))
 
 
 def batch_from_tracks(tracks: list[AgentTrack]) -> MotionBatch:
@@ -328,18 +325,13 @@ class RiskTerms:
     boundary_step: np.ndarray  # [K] the step of that maximum
 
 
-def _logistic(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)) without overflow, as in `harm`."""
-    ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-
-
-def _clearance(points: np.ndarray, polylines: list[MapPolyline]
+def _clearance(points: np.ndarray, polylines: RoadMap
                ) -> tuple[np.ndarray, np.ndarray]:
     """Distance from each point [..., 2] to the nearest segment of the
-    polylines, and the nearest point on that segment."""
-    a = np.concatenate([p.waypoints[:-1] for p in polylines])   # [S, 2]
-    ab = np.concatenate([p.waypoints[1:] for p in polylines]) - a
+    polylines, and the nearest point on that segment (the first in segment
+    order on a tie)."""
+    a, b = polylines.segments()                                 # [S, 2]
+    ab = b - a
     denom = (ab * ab).sum(axis=-1)
     rel = points[..., None, :] - a                              # [..., S, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -352,7 +344,7 @@ def _clearance(points: np.ndarray, polylines: list[MapPolyline]
             np.take_along_axis(closest, j[..., None], axis=-2)[..., 0, :])
 
 
-def risk_kernel(batch: MotionBatch, ego: int, boundaries: list[MapPolyline],
+def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
                 cfg: RiskConfig) -> RiskTerms:
     """Victim and boundary risks of every mode in one pass; see the module
     docstring for the layout."""
@@ -410,17 +402,17 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: list[MapPolyline],
     area = np.where(np.hypot(d[..., 0], d[..., 1]) < DIST_EPS,
                     mu[CollisionRegion.FRONT], area)
     scale = np.array([cfg.harm_scale(batch.protected[i]) for i in victims])
-    harms = _logistic(coeffs.mu0 + coeffs.mu1 * dv + area) * scale[:, None]
+    harms = nn.sigmoid(coeffs.mu0 + coeffs.mu1 * dv + area) * scale[:, None]
     weighted = harms * probs
     steps = weighted.argmax(axis=-1)
 
     # boundary: an immovable partner, delta-v the ego speed, side impact
     clearance = np.full((k_count, t_count), np.inf)
     nearest = np.zeros((k_count, t_count, 2))
-    boundary_harm = _logistic(coeffs.mu0 + coeffs.mu1 * speeds[:, ego]
-                              + mu[CollisionRegion.SIDE])
+    boundary_harm = nn.sigmoid(coeffs.mu0 + coeffs.mu1 * speeds[:, ego]
+                               + mu[CollisionRegion.SIDE])
     b_weighted = np.zeros((k_count, t_count))
-    if boundaries:
+    if len(boundaries):
         clearance, nearest = _clearance(pos[:, ego], boundaries)
         b_weighted = boundary_harm * disc_probability(
             clearance, 0.5 * batch.widths[ego], sigma)
@@ -444,7 +436,7 @@ def trajectory_risk(victim: AgentTrack, other: AgentTrack,
     return float(terms.risks[0, 0])
 
 
-def boundary_risk(ego: AgentTrack, boundaries: list[MapPolyline],
+def boundary_risk(ego: AgentTrack, boundaries: RoadMap,
                   u: UncertaintyModel, coeffs: HarmCoefficients) -> float:
     """Risk of the ego leaving the road: clearance to the nearest boundary
     mapped through the collision-probability and harm machinery with an
@@ -549,8 +541,8 @@ def mode_risk_report(terms: RiskTerms, mode: int, mode_prob: float,
                                                terms.probs[mode])))
 
 
-def _road_boundaries(scn: Scenario) -> list[MapPolyline]:
-    return [p for p in scn.map if p.kind == "road_boundary"]
+def _road_boundaries(scn: Scenario) -> RoadMap:
+    return scn.map.of_kind("road_boundary")
 
 
 def _predicted_agents(jp: JointPrediction, scn: Scenario

@@ -2,35 +2,56 @@
 synthetic scenario generator, and local-frame extraction.
 
 A scenario holds, per agent, H+1 past states (the last one is "now") and
-optionally T ground-truth future states, plus map polylines. The generator
-produces kinematically consistent trajectories: velocities are recomputed
-from the jittered positions, so position(t+1) = position(t) + v(t)*dt holds
-exactly; yaw is taken from the noiseless path heading.
+optionally T ground-truth future states, plus map polylines. Both are stored
+as arrays:
+
+- ``AgentHistory.past`` is float64 ``[H+1, 5]`` and ``AgentHistory.future``
+  ``[T, 5]`` or None, columns ``KINEMATICS`` = (x, y, yaw, vx, vy); the class,
+  length, width and mass are per-agent attributes.
+- ``RoadMap`` holds every polyline once: ``waypoints`` ``[P, W, 2]`` padded
+  with zeros past each polyline's ``counts[p]`` waypoints, and ``kinds``
+  ``[P]`` as indices into ``POLYLINE_KINDS``. Its segments, in polyline then
+  waypoint order, are the nearest-boundary search space of the risk kernel.
+
+``AgentState`` and ``MapPolyline`` appear only at the boundary: the JSON
+schema, ``AgentHistory.from_states`` and ``RoadMap.from_polylines`` for
+fixtures, ``AgentHistory.current`` (built from ``past[-1]`` on demand), and
+iterating a ``RoadMap``. Every stage reads and transforms scenes as array
+operations that round as the per-state code they replaced did.
+
+The generator produces kinematically consistent trajectories: velocities are
+recomputed from the jittered positions, so position(t+1) = position(t) +
+v(t)*dt holds exactly; yaw is taken from the noiseless path heading.
 
 ``SCENARIO_SCHEMA`` documents the file format as a JSON Schema.
 ``load_scenario`` enforces it with one walk of the parsed document that
 checks types, required keys, enums and item counts in the order a JSON
 Schema validator visits them, reports the first violation at the same JSON
-path, and builds the agents' states as it goes. The walk is stricter than
-the schema in two ways: every number must be finite, and integer fields
-(``H``, ``T``, ``ego_index``) must be JSON integers, not floats such as
-``0.0``.
+path, and builds the agents' arrays as it goes. The walk is stricter than
+the schema in two ways: every number must be finite (an integer too large
+for a float counts as non-finite), and integer fields (``H``, ``T``,
+``ego_index``) must be JSON integers, not floats such as ``0.0``. Numbers
+are stored as float64, so a load and dump writes an integral kinematic value
+such as ``3`` as ``3.0``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from itertools import islice
+import operator
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import AgentState, rotation, wrap_angle
+from .geometry import (AGENT_CLASSES, PROTECTED_CLASSES, AgentState, rotation,
+                       wrap_angle)
 
 POLYLINE_KINDS = ("lane_center", "road_boundary", "crosswalk")
 TEMPLATES = ("straight", "left_turn", "right_turn", "merge",
              "crossing_conflict")
+KINEMATICS = ("x", "y", "yaw", "vx", "vy")  # columns of past / future
 
 DEFAULT_H = 10          # past steps (history has H+1 states)
 DEFAULT_T = 50          # future steps
@@ -55,6 +76,8 @@ class ScenarioError(ValueError):
 
 @dataclass
 class MapPolyline:
+    """One polyline at the boundary: input of ``RoadMap.from_polylines``
+    and what iterating a ``RoadMap`` yields."""
     waypoints: np.ndarray  # [n, 2]
     kind: str = "lane_center"
 
@@ -73,20 +96,126 @@ class MapPolyline:
 
 
 @dataclass
+class RoadMap:
+    """All polylines of a scene as one zero-padded waypoint array."""
+    waypoints: np.ndarray  # [P, W, 2], zero past each count
+    counts: np.ndarray     # [P] waypoints per polyline, each >= 2
+    kinds: np.ndarray      # [P] indices into POLYLINE_KINDS
+
+    @classmethod
+    def from_polylines(cls, polylines: list[MapPolyline]) -> "RoadMap":
+        counts = np.array([len(p.waypoints) for p in polylines], dtype=int)
+        waypoints = np.zeros((len(polylines), counts.max(initial=0), 2))
+        for wp, p in zip(waypoints, polylines):
+            wp[:len(p.waypoints)] = p.waypoints
+        kinds = np.array([POLYLINE_KINDS.index(p.kind) for p in polylines],
+                         dtype=int)
+        return cls(waypoints, counts, kinds)
+
+    @property
+    def valid(self) -> np.ndarray:
+        """[P, W] True at real (unpadded) waypoints."""
+        return np.arange(self.waypoints.shape[1]) < self.counts[:, None]
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self):
+        for wp, n, k in zip(self.waypoints, self.counts, self.kinds):
+            yield MapPolyline(wp[:n], POLYLINE_KINDS[k])
+
+    def __eq__(self, other):
+        return (isinstance(other, RoadMap)
+                and np.array_equal(self.counts, other.counts)
+                and np.array_equal(self.kinds, other.kinds)
+                and np.array_equal(self.waypoints, other.waypoints))
+
+    def select(self, keep: np.ndarray) -> "RoadMap":
+        """The polylines where the boolean `keep` [P] is True, in order."""
+        return RoadMap(self.waypoints[keep], self.counts[keep],
+                       self.kinds[keep])
+
+    def of_kind(self, kind: str) -> "RoadMap":
+        return self.select(self.kinds == POLYLINE_KINDS.index(kind))
+
+    def moved(self, waypoints: np.ndarray) -> "RoadMap":
+        """The same polylines with transformed waypoints, padding zeroed."""
+        return RoadMap(np.where(self.valid[..., None], waypoints, 0.0),
+                       self.counts, self.kinds)
+
+    def segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end points [S, 2] of every segment, polyline by
+        polyline."""
+        real = np.arange(self.waypoints.shape[1] - 1) < \
+            self.counts[:, None] - 1
+        return self.waypoints[:, :-1][real], self.waypoints[:, 1:][real]
+
+
+def _kinematics(kin, what: str) -> np.ndarray:
+    kin = np.asarray(kin, dtype=np.float64)
+    if kin.ndim != 2 or kin.shape[1] != len(KINEMATICS) or len(kin) < 1:
+        raise ScenarioError(f"{what} must be a non-empty [n, 5] array")
+    return kin
+
+
+@dataclass
 class AgentHistory:
+    """One agent: static attributes plus past [H+1, 5] and future [T, 5]
+    kinematics (x, y, yaw, vx, vy); the last past row is "now"."""
     agent_id: str
-    states: list[AgentState]                 # H+1 past states, time ordered
-    future_truth: list[AgentState] | None = None
+    agent_class: str
+    length: float
+    width: float
+    mass: float
+    past: np.ndarray
+    future: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.agent_class not in AGENT_CLASSES:
+            raise ScenarioError(f"unknown agent class {self.agent_class!r}")
+        if self.length <= 0 or self.width <= 0 or self.mass <= 0:
+            raise ScenarioError("length, width and mass must be positive")
+        self.past = _kinematics(self.past, "past")
+        if self.future is not None:
+            self.future = _kinematics(self.future, "future")
+
+    @classmethod
+    def from_states(cls, agent_id: str, states: list[AgentState],
+                    future: list[AgentState] | None = None
+                    ) -> "AgentHistory":
+        """An agent from AgentState lists; the static attributes are the
+        last past state's."""
+        def rows(seq):
+            return [(s.x, s.y, s.yaw, s.vx, s.vy) for s in seq]
+
+        cur = states[-1]
+        return cls(agent_id, cur.agent_class, cur.length, cur.width,
+                   cur.mass, rows(states), rows(future) if future else None)
 
     @property
     def current(self) -> AgentState:
-        return self.states[-1]
+        return AgentState(*self.past[-1].tolist(), self.length, self.width,
+                          self.mass, self.agent_class)
+
+    @property
+    def protected_flag(self) -> bool:
+        return self.agent_class in PROTECTED_CLASSES
+
+    def __eq__(self, other):
+        def static(a):
+            return a.agent_id, a.agent_class, a.length, a.width, a.mass
+
+        # np.array_equal(None, None) holds, None against an array does not
+        return (isinstance(other, AgentHistory)
+                and static(self) == static(other)
+                and np.array_equal(self.past, other.past)
+                and np.array_equal(self.future, other.future))
 
 
 @dataclass
 class Scenario:
     agents: list[AgentHistory]
-    map: list[MapPolyline]
+    map: RoadMap
     horizon_past: int
     horizon_future: int
     dt: float
@@ -104,6 +233,10 @@ class Scenario:
                 return a
         raise KeyError(f"unknown agent_id {agent_id!r}")
 
+    def current_kinematics(self) -> np.ndarray:
+        """[N, 5] every agent's current (last past) row."""
+        return np.array([a.past[-1] for a in self.agents])
+
 
 # --------------------------------------------------------------------------
 # JSON schema and (de)serialization
@@ -111,9 +244,8 @@ class Scenario:
 
 _STATE_SCHEMA = {
     "type": "object",
-    "required": ["x", "y", "yaw", "vx", "vy"],
-    "properties": {k: {"type": "number"} for k in
-                   ("x", "y", "yaw", "vx", "vy")},
+    "required": list(KINEMATICS),
+    "properties": {k: {"type": "number"} for k in KINEMATICS},
 }
 
 # The scenario file format. load_scenario's walk below enforces it; the
@@ -172,9 +304,13 @@ SCENARIO_SCHEMA = {
 _SCENARIO_KEYS = tuple(SCENARIO_SCHEMA["required"])
 _AGENT_KEYS = tuple(SCENARIO_SCHEMA["properties"]["agents"]["items"]
                     ["required"])
-_STATE_KEYS = tuple(_STATE_SCHEMA["required"])
+_STATE_KEY_SET = frozenset(KINEMATICS)
+_STATE_ROW = operator.itemgetter(*KINEMATICS)
 _POLYLINE_KEYS = tuple(SCENARIO_SCHEMA["properties"]["map"]["items"]
                        ["required"])
+
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def _fail(path: str, message: str):
@@ -212,6 +348,8 @@ def _number(value, path: str) -> float:
             _fail(path, f"non-finite number {value!r}")
     elif type(value) is not int:
         _fail(path, f"expected a number, got {_describe(value)}")
+    elif not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        _fail(path, f"non-finite number {value!r} (beyond the float range)")
     return value
 
 
@@ -241,34 +379,55 @@ def _enum(value, allowed, path: str) -> str:
     return value
 
 
-def _states(value, path: str, dims: list, agent_class: str
-            ) -> list[AgentState]:
-    states = []
-    for i, s in enumerate(_array(value, path)):
+def _finite(rows: list) -> np.ndarray | None:
+    """rows as a float64 array if every item is a finite float, else None.
+    Well-formed documents take this path; any other input is walked again
+    item by item, so that the first violation is reported at its path."""
+    if all(type(v) is float for row in rows for v in row):
+        kin = np.array(rows, dtype=np.float64)
+        if np.isfinite(kin).all():
+            return kin
+    return None
+
+
+def _states(value, path: str) -> np.ndarray:
+    """[n, 5] rows of (x, y, yaw, vx, vy)."""
+    states = _array(value, path)
+    if all(type(s) is dict and s.keys() >= _STATE_KEY_SET for s in states):
+        kin = _finite([_STATE_ROW(s) for s in states])
+        if kin is not None:
+            return kin.reshape(-1, len(KINEMATICS))
+    rows = []
+    for i, s in enumerate(states):
         spath = f"{path}[{i}]"
-        _object(s, _STATE_KEYS, spath)
-        x, y, yaw, vx, vy = [_number(s[k], f"{spath}.{k}")
-                             for k in _STATE_KEYS]
-        states.append(AgentState(x, y, yaw, vx, vy, *dims, agent_class))
-    return states
+        _object(s, KINEMATICS, spath)
+        rows.append([_number(s[k], f"{spath}.{k}") for k in KINEMATICS])
+    return np.array(rows, dtype=np.float64).reshape(-1, len(KINEMATICS))
 
 
-def _agent(value, path: str) -> AgentHistory:
+def _agent(value, path: str) -> tuple:
+    """The AgentHistory fields of an agent object; an empty future is
+    None."""
     a = _object(value, _AGENT_KEYS, path)
     agent_id = _string(a["id"], f"{path}.id")
     agent_class = _enum(a["class"], AGENT_DIMS, f"{path}.class")
     dims = [_positive(a[k], f"{path}.{k}") for k in ("length", "width",
                                                      "mass")]
-    states = _states(a["states"], f"{path}.states", dims, agent_class)
-    future = _states(a["future"], f"{path}.future", dims, agent_class) \
-        if "future" in a else []
-    return AgentHistory(agent_id, states, future or None)
+    past = _states(a["states"], f"{path}.states")
+    future = _states(a["future"], f"{path}.future") if "future" in a \
+        else np.empty((0, len(KINEMATICS)))
+    return agent_id, agent_class, *dims, past, (future if len(future)
+                                                else None)
 
 
 def _polyline(value, path: str) -> MapPolyline:
     m = _object(value, _POLYLINE_KEYS, path)
     kind = _enum(m["kind"], POLYLINE_KINDS, f"{path}.kind")
     waypoints = _array(m["waypoints"], f"{path}.waypoints", min_items=2)
+    if all(type(w) is list and len(w) == 2 for w in waypoints):
+        points = _finite(waypoints)
+        if points is not None:
+            return MapPolyline(points, kind)
     for i, w in enumerate(waypoints):
         wpath = f"{path}.waypoints[{i}]"
         for j, v in enumerate(_array(w, wpath)):
@@ -295,28 +454,31 @@ def load_scenario(text: str) -> Scenario:
     ego_index = _integer(doc["ego_index"], "$.ego_index", 0)
     scenario_id = _string(doc.get("scenario_id", ""), "$.scenario_id")
     template = _string(doc.get("template", ""), "$.template")
-    agents = [_agent(a, f"$.agents[{i}]")
+    walked = [_agent(a, f"$.agents[{i}]")
               for i, a in enumerate(_array(doc["agents"], "$.agents", 1))]
     polylines = [_polyline(m, f"$.map[{i}]")
                  for i, m in enumerate(_array(doc["map"], "$.map"))]
 
-    for a in agents:
-        if len(a.states) != H + 1:
+    for agent_id, *_, past, future in walked:
+        if len(past) != H + 1:
             raise ScenarioError(
-                f"agent {a.agent_id!r}: expected H+1 = {H + 1} past states, "
-                f"got {len(a.states)}")
-        if a.future_truth and len(a.future_truth) != T:
+                f"agent {agent_id!r}: expected H+1 = {H + 1} past states, "
+                f"got {len(past)}")
+        if future is not None and len(future) != T:
             raise ScenarioError(
-                f"agent {a.agent_id!r}: expected T = {T} future states, "
-                f"got {len(a.future_truth)}")
-    if ego_index >= len(agents):
+                f"agent {agent_id!r}: expected T = {T} future states, "
+                f"got {len(future)}")
+    if ego_index >= len(walked):
         raise ScenarioError(f"ego_index {ego_index} out of range")
-    return Scenario(agents, polylines, H, T, dt, ego_index, scenario_id,
-                    template)
+    agents = [AgentHistory(*fields) for fields in walked]
+    return Scenario(agents, RoadMap.from_polylines(polylines), H, T, dt,
+                    ego_index, scenario_id, template)
 
 
-def _state_to_json(s: AgentState) -> dict:
-    return {"x": s.x, "y": s.y, "yaw": s.yaw, "vx": s.vx, "vy": s.vy}
+def _kinematics_to_json(kin: np.ndarray | None) -> list[dict]:
+    if kin is None:
+        return []
+    return [dict(zip(KINEMATICS, row)) for row in kin.tolist()]
 
 
 def dump_scenario(scn: Scenario) -> str:
@@ -331,12 +493,12 @@ def dump_scenario(scn: Scenario) -> str:
         "agents": [
             {
                 "id": a.agent_id,
-                "class": a.current.agent_class,
-                "length": a.current.length,
-                "width": a.current.width,
-                "mass": a.current.mass,
-                "states": [_state_to_json(s) for s in a.states],
-                "future": [_state_to_json(s) for s in a.future_truth or []],
+                "class": a.agent_class,
+                "length": a.length,
+                "width": a.width,
+                "mass": a.mass,
+                "states": _kinematics_to_json(a.past),
+                "future": _kinematics_to_json(a.future),
             }
             for a in scn.agents
         ],
@@ -463,13 +625,10 @@ def _roll_agent(spec: _AgentSpec, H: int, T: int, dt: float,
     vel[:-1] = (pts[1:] - pts[:-1]) / dt
     vel[-1] = vel[-2]
 
-    length, width, mass = AGENT_DIMS[spec.agent_class]
-    states = [
-        AgentState(pts[t, 0], pts[t, 1], yaws[t], vel[t, 0], vel[t, 1],
-                   length, width, mass, spec.agent_class)
-        for t in range(steps)
-    ]
-    return AgentHistory(spec.agent_id, states[:H + 1], states[H + 1:])
+    kin = np.column_stack([pts, yaws, vel])
+    return AgentHistory(spec.agent_id, spec.agent_class,
+                        *AGENT_DIMS[spec.agent_class], kin[:H + 1],
+                        kin[H + 1:])
 
 
 def _sample_polyline(path: _Path, s_lo: float, s_hi: float, kind: str,
@@ -486,26 +645,46 @@ def _sample_polyline(path: _Path, s_lo: float, s_hi: float, kind: str,
     return out
 
 
+def _rotated_rows(kin: np.ndarray, angle: float) -> np.ndarray:
+    """Rows [S, 5] rotated by angle about the origin. Positions and
+    velocities go through a batched 2x2 matmul, which rounds as ``R @ p``
+    on one vector does, and yaws through the scalar ``wrap_angle``."""
+    R = rotation(angle)
+    out = np.empty_like(kin)
+    out[:, :2] = (R @ kin[:, :2, None])[:, :, 0]
+    out[:, 3:] = (R @ kin[:, 3:, None])[:, :, 0]
+    out[:, 2] = [wrap_angle(yaw + angle) for yaw in kin[:, 2].tolist()]
+    return out
+
+
+def _blocks(agents: list[AgentHistory]) -> list[np.ndarray]:
+    return [kin for a in agents for kin in (a.past, a.future)
+            if kin is not None]
+
+
+def _stack_rows(agents: list[AgentHistory]) -> np.ndarray:
+    """Every past and future row of the agents, agent by agent: [S, 5]."""
+    return np.concatenate(_blocks(agents))
+
+
+def _split_rows(agents: list[AgentHistory], kin: np.ndarray
+                ) -> list[AgentHistory]:
+    """The agents with their rows replaced by those of kin, which is laid
+    out as ``_stack_rows`` lays them out."""
+    parts = iter(np.split(kin, np.cumsum([len(b) for b in
+                                          _blocks(agents)])[:-1]))
+    return [replace(a, past=next(parts),
+                    future=None if a.future is None else next(parts))
+            for a in agents]
+
+
 def _apply_rigid(scn: Scenario, origin: np.ndarray, angle: float) -> Scenario:
     """Rotate by angle then translate by origin (scene augmentation)."""
-    R = rotation(angle)
-
-    def move(st: AgentState) -> AgentState:
-        p = R @ st.position + origin
-        v = R @ st.velocity
-        return replace(st, x=p[0], y=p[1], vx=v[0], vy=v[1],
-                       yaw=math.atan2(math.sin(st.yaw + angle),
-                                      math.cos(st.yaw + angle)))
-
-    agents = [
-        AgentHistory(a.agent_id, [move(s) for s in a.states],
-                     [move(s) for s in a.future_truth] if a.future_truth
-                     else None)
-        for a in scn.agents
-    ]
-    polys = [MapPolyline((p.waypoints @ R.T) + origin, p.kind)
-             for p in scn.map]
-    return replace(scn, agents=agents, map=polys)
+    kin = _rotated_rows(_stack_rows(scn.agents), angle)
+    kin[:, :2] += origin
+    waypoints = scn.map.waypoints @ rotation(angle).T + origin
+    return replace(scn, agents=_split_rows(scn.agents, kin),
+                   map=scn.map.moved(waypoints))
 
 
 def generate_scenario(template: str, n_agents: int, seed: int,
@@ -616,7 +795,8 @@ def generate_scenario(template: str, n_agents: int, seed: int,
             "crosswalk"))
 
     agents = [_roll_agent(spec, H, T, dt, rng, jitter) for spec in specs]
-    scn = Scenario(agents, polys, H, T, dt, ego_index=0,
+    scn = Scenario(agents, RoadMap.from_polylines(polys), H, T, dt,
+                   ego_index=0,
                    scenario_id=f"{template}-{seed}", template=template)
     angle = rng.uniform(0.0, 2 * math.pi)
     origin = rng.uniform(-30.0, 30.0, size=2)
@@ -625,8 +805,7 @@ def generate_scenario(template: str, n_agents: int, seed: int,
 
 def min_future_separation(scn: Scenario) -> float:
     """Smallest center distance between any agent pair over the future."""
-    tracks = [np.array([[s.x, s.y] for s in a.future_truth])
-              for a in scn.agents if a.future_truth]
+    tracks = [a.future[:, :2] for a in scn.agents if a.future is not None]
     best = math.inf
     for i in range(len(tracks)):
         for j in range(i + 1, len(tracks)):
@@ -664,31 +843,23 @@ def local_frame(scn: Scenario, agent_id: str,
     within `radius` of that agent."""
     frame = pose_frame(scn, agent_id)
 
-    kept = []
-    for a in scn.agents:
-        if np.linalg.norm(a.current.position - frame.origin) <= radius:
-            kept.append(a)
+    d = scn.current_kinematics()[:, :2] - frame.origin
+    # sqrt of a batched-matmul dot rounds as np.linalg.norm of one 2-vector
+    near = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) <= radius
+    kept = [a for a, keep in zip(scn.agents, near) if keep]
     ego_index = next(i for i, a in enumerate(kept)
                      if a.agent_id == agent_id)
 
-    # every kept state, past and future, in one array op; the batched 2x2
-    # matmul rounds as transform_state's R @ p does
-    states = [s for a in kept for s in a.states + (a.future_truth or [])]
-    kin = np.array([(s.x, s.y, s.vx, s.vy) for s in states])
-    R = rotation(-frame.angle)
-    pos = (R @ (kin[:, :2] - frame.origin)[:, :, None])[:, :, 0].tolist()
-    vel = (R @ kin[:, 2:, None])[:, :, 0].tolist()
-    moved = iter([AgentState(p[0], p[1], wrap_angle(s.yaw - frame.angle),
-                             v[0], v[1], s.length, s.width, s.mass,
-                             s.agent_class)
-                  for s, p, v in zip(states, pos, vel)])
-    agents = [AgentHistory(a.agent_id, list(islice(moved, len(a.states))),
-                           list(islice(moved, len(a.future_truth or [])))
-                           or None)
-              for a in kept]
-    polys = []
-    for p in scn.map:
-        dists = np.linalg.norm(p.waypoints - frame.origin, axis=1)
-        if dists.min() <= radius:
-            polys.append(MapPolyline(frame.to_local(p.waypoints), p.kind))
-    return replace(scn, agents=agents, map=polys, ego_index=ego_index)
+    # every kept row, past and future, in one array op, rounding as
+    # transform_state does (subtracting 0 from yaw and velocity is exact)
+    shift = np.concatenate([frame.origin, np.zeros(3)])
+    moved = _rotated_rows(_stack_rows(kept) - shift, -frame.angle)
+
+    # waypoints as one matmul, which rounds as per-polyline to_local does
+    dists = np.linalg.norm(scn.map.waypoints - frame.origin, axis=-1)
+    reach = np.where(scn.map.valid, dists, np.inf).min(axis=1,
+                                                        initial=np.inf)
+    polys = scn.map.select(reach <= radius)
+    return replace(scn, agents=_split_rows(kept, moved),
+                   map=polys.moved(frame.to_local(polys.waypoints)),
+                   ego_index=ego_index)

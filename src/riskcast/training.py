@@ -132,13 +132,11 @@ def split_dataset(scenarios: list[Scenario], cfg: TrainConfig
 
 
 def _truth_matrix(local: Scenario) -> np.ndarray:
-    rows = []
     for a in local.agents:
-        if not a.future_truth:
+        if a.future is None:
             raise ValueError(
                 f"agent {a.agent_id!r} has no ground-truth future")
-        rows.append([[s.x, s.y] for s in a.future_truth])
-    return np.array(rows)
+    return np.array([a.future[:, :2] for a in local.agents])
 
 
 def _scenario_losses(model: JointPredictor, local: Scenario, epoch: int,
@@ -149,7 +147,7 @@ def _scenario_losses(model: JointPredictor, local: Scenario, epoch: int,
     truth = _truth_matrix(local)
 
     l_pre, k_star, dtrajs = prediction_loss(res.trajectories, truth)
-    labels = [label_indices(a.future_truth) for a in local.agents]
+    labels = [label_indices(a.future) for a in local.agents]
     l_man, dlat, dlon = intention_loss(res.lat_probs, res.lon_probs, labels)
     dprobs = cfg.mode_loss_weight * nn.cross_entropy_grad(
         res.mode_probs, k_star)
@@ -176,8 +174,7 @@ def _validate(model: JointPredictor, scenarios: list[Scenario]
         k = select_mode(jp)
         local_ids = jp.agent_ids
         ego_pos = local_ids.index(scn.ego.agent_id)
-        truth = np.array([[s.x, s.y]
-                          for s in scn.ego.future_truth])
+        truth = scn.ego.future[:, :2]
         horizon = truth.shape[0]
         ades.append(ade(jp.trajectories[k, ego_pos], truth, horizon))
         fdes.append(fde(jp.trajectories[k, ego_pos], truth, horizon))

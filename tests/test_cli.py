@@ -2,6 +2,7 @@
 gen -> train -> predict -> risk -> eval pipeline."""
 
 import json
+import math
 import os
 from dataclasses import asdict
 
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from riskcast.cli import main
-from riskcast.model import JointPredictor, ModelConfig
+from riskcast.intention import JointPrediction
+from riskcast.model import JointPredictor, ModelConfig, prediction_to_json
 from riskcast.scene import dump_scenario, generate_scenario
 
 TINY = [
@@ -250,6 +252,151 @@ class TestRisk:
                      str(pred_path), "--out", str(tmp_path / "risk")]
                     + TINY) == 1
         assert "ego" in capsys.readouterr().err
+
+
+def _truth_prediction(scn):
+    """A two-mode prediction.json document made of the scene's futures."""
+    truth = np.array([a.future[:, :2] for a in scn.agents])
+    jp = JointPrediction(np.stack([truth, truth + 0.5]), np.array([0.6, 0.4]),
+                         [a.agent_id for a in scn.agents], scn.scenario_id)
+    return json.loads(json.dumps(prediction_to_json(jp, [])))
+
+
+def _without_modes(doc):
+    del doc["modes"]
+
+
+def _empty_modes(doc):
+    doc["modes"] = []
+
+
+def _modes_not_array(doc):
+    doc["modes"] = 1
+
+
+def _ids_differ(doc):
+    doc["modes"][1]["agents"].reverse()
+
+
+def _ragged_points(doc):
+    doc["modes"][1]["agents"][2]["points"].pop()
+
+
+def _point_not_pair(doc):
+    doc["modes"][0]["agents"][1]["points"][3] = [1.0, 2.0, 3.0]
+
+
+def _nan_point(doc):
+    doc["modes"][0]["agents"][0]["points"][4][1] = math.nan
+
+
+def _infinite_p(doc):
+    doc["modes"][1]["p"] = math.inf
+
+
+def _string_point(doc):
+    doc["modes"][0]["agents"][0]["points"][0][0] = "x"
+
+
+MALFORMED_PREDICTIONS = {
+    "without_modes": _without_modes, "empty_modes": _empty_modes,
+    "modes_not_array": _modes_not_array, "ids_differ": _ids_differ,
+    "ragged_points": _ragged_points, "point_not_pair": _point_not_pair,
+    "nan_point": _nan_point, "infinite_p": _infinite_p,
+    "string_point": _string_point,
+}
+
+
+class TestMalformedPredictions:
+    @pytest.fixture
+    def scene(self, tmp_path):
+        scn = generate_scenario("straight", 3, seed=0, H=4, T=10)
+        path = tmp_path / "scenario.json"
+        path.write_text(dump_scenario(scn))
+        return scn, path
+
+    def _risk(self, tmp_path, scenario, text):
+        pred = tmp_path / "bad_prediction.json"
+        pred.write_bytes(text.encode() if isinstance(text, str) else text)
+        code = main(["risk", "--scenario", str(scenario), "--prediction",
+                     str(pred), "--out", str(tmp_path / "risk")] + TINY)
+        return code, pred
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", b"\xff"],
+                             ids=["not_json", "not_object", "not_utf8"])
+    def test_risk_unreadable_prediction_exits_1(self, tmp_path, capsys,
+                                                scene, text):
+        code, pred = self._risk(tmp_path, scene[1], text)
+        assert code == 1
+        assert f"invalid prediction {pred}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate", MALFORMED_PREDICTIONS.values(),
+                             ids=MALFORMED_PREDICTIONS.keys())
+    def test_risk_malformed_prediction_exits_1(self, tmp_path, capsys,
+                                               scene, mutate):
+        doc = _truth_prediction(scene[0])
+        mutate(doc)
+        code, pred = self._risk(tmp_path, scene[1], json.dumps(doc))
+        assert code == 1
+        assert f"invalid prediction {pred}" in capsys.readouterr().err
+
+    def test_risk_well_formed_prediction_ranks(self, tmp_path, scene):
+        code, _ = self._risk(tmp_path, scene[1],
+                             json.dumps(_truth_prediction(scene[0])))
+        assert code == 0
+
+    def _eval(self, tmp_path, scn, text):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "scenario_0000.json").write_text(dump_scenario(scn))
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        bad = preds / "p0.json"
+        bad.write_text(text)
+        code = main(["eval", "--data", str(data), "--predictions",
+                     str(preds), "--out", str(tmp_path / "eval")] + TINY)
+        return code, bad
+
+    # a JSON object without modes is not a prediction, and eval skips it
+    @pytest.mark.parametrize("name", [name for name in MALFORMED_PREDICTIONS
+                                      if name != "without_modes"])
+    def test_eval_malformed_prediction_exits_1(self, tmp_path, capsys,
+                                               scene, name):
+        doc = _truth_prediction(scene[0])
+        MALFORMED_PREDICTIONS[name](doc)
+        code, bad = self._eval(tmp_path, scene[0], json.dumps(doc))
+        assert code == 1
+        assert f"invalid prediction {bad}" in capsys.readouterr().err
+
+    def test_eval_unreadable_prediction_exits_1(self, tmp_path, capsys,
+                                                scene):
+        code, bad = self._eval(tmp_path, scene[0], "{not json")
+        assert code == 1
+        assert f"invalid prediction {bad}" in capsys.readouterr().err
+
+    def test_eval_prediction_of_unknown_agent_exits_1(self, tmp_path, capsys,
+                                                      scene):
+        doc = _truth_prediction(scene[0])
+        for mode in doc["modes"]:
+            mode["agents"][1]["id"] = "stranger"
+        code, _ = self._eval(tmp_path, scene[0], json.dumps(doc))
+        assert code == 1
+        assert "stranger" in capsys.readouterr().err
+
+    def test_eval_prediction_shorter_than_horizon_exits_1(
+            self, tmp_path, capsys, scene):
+        doc = _truth_prediction(scene[0])
+        for mode in doc["modes"]:
+            for agent in mode["agents"]:
+                del agent["points"][5:]
+        code, _ = self._eval(tmp_path, scene[0], json.dumps(doc))
+        assert code == 1
+        assert "exceeds trajectory length" in capsys.readouterr().err
+
+    def test_eval_well_formed_prediction_evaluates(self, tmp_path, scene):
+        code, _ = self._eval(tmp_path, scene[0],
+                             json.dumps(_truth_prediction(scene[0])))
+        assert code == 0
 
 
 class TestPipeline:

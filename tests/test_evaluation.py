@@ -84,24 +84,25 @@ class TestBaseline:
     def history(self, v, n=5, dt=0.1):
         states = [AgentState(v * dt * t, 0.0, 0.0, v, 0.0)
                   for t in range(n)]
-        return AgentHistory("a", states)
+        return AgentHistory.from_states("a", states)
 
     def test_constant_velocity_truth_gives_zero(self):
         h = self.history(v=4.0)
         pred = constant_velocity_baseline(h, horizon=10, dt=0.1)
-        truth = np.array([[h.states[-1].x + 4.0 * 0.1 * t, 0.0]
+        truth = np.array([[h.current.x + 4.0 * 0.1 * t, 0.0]
                           for t in range(1, 11)])
         assert ade(pred, truth, 10) == pytest.approx(0.0, abs=1e-12)
 
     def test_turning_truth_gives_error(self):
         scn = generate_scenario("left_turn", 1, seed=2)
-        truth = np.array([[s.x, s.y] for s in scn.ego.future_truth])
+        truth = scn.ego.future[:, :2]
         pred = constant_velocity_baseline(scn.ego, len(truth), scn.dt)
         assert ade(pred, truth, len(truth)) > 0.5
 
     def test_single_state_holds_position(self):
         st = AgentState(3.0, 4.0, 0.0, 9.0, 0.0)
-        pred = constant_velocity_baseline(AgentHistory("a", [st]), 5, 0.1)
+        pred = constant_velocity_baseline(AgentHistory.from_states("a", [st]),
+                                          5, 0.1)
         assert np.allclose(pred, [[3.0, 4.0]] * 5)
 
     def test_deterministic(self):
@@ -114,7 +115,7 @@ class TestBaseline:
 def oracle_predict(scn):
     """A predictor that returns the ground truth as its single mode."""
     trajs = np.stack([
-        np.array([[s.x, s.y] for s in a.future_truth])
+        a.future[:, :2]
         for a in scn.agents
     ])[None]
     return JointPrediction(trajs, np.array([1.0]),
@@ -149,7 +150,7 @@ class TestEvaluate:
 
     def test_missing_future_rejected(self):
         scn = generate_scenario("straight", 1, 0)
-        scn.agents[0].future_truth = None
+        scn.agents[0].future = None
         with pytest.raises(ValueError, match="futures"):
             evaluate(oracle_predict, [scn])
 
@@ -189,7 +190,7 @@ def reference_evaluate(predict_fn, scenarios):
         jp = predict_fn(scn)
         k_sel = select_mode(jp)
         try:
-            lateral, _ = label_intentions(scn.ego.future_truth)
+            lateral, _ = label_intentions(scn.ego.future)
         except ValueError:
             lateral = "ST"
         subsets = ["all", "conflict" if scn.template == "crossing_conflict"
@@ -197,7 +198,7 @@ def reference_evaluate(predict_fn, scenarios):
         per_est = {est: {"ego": [], "others": []} for est in ESTIMATORS}
         for i, aid in enumerate(jp.agent_ids):
             agent = scn.agent_by_id(aid)
-            truth = np.array([[s.x, s.y] for s in agent.future_truth])
+            truth = agent.future[:, :2]
             best = None
             for k in range(jp.trajectories.shape[0]):
                 vals = metrics(jp.trajectories[k, i], truth)

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from riskcast import nn
-from riskcast.geometry import AgentState
 from riskcast.intention import (ClassEmbeddings, IntentionFuser,
                                 IntentionHead, JointDecoder, JointPrediction,
-                                label_intentions, predict_intention,
-                                select_mode)
+                                label_intentions, select_mode)
 
 DIM = 12
 
@@ -24,19 +22,20 @@ class TestIntentionHead:
     def test_distributions_sum_to_one(self):
         head = IntentionHead(DIM, nn.seeded_rng(0))
         feats = nn.seeded_rng(1).normal(size=(4, DIM))
-        dists = predict_intention(head, feats)
-        for d in dists:
-            assert d.lateral.sum() == pytest.approx(1.0, abs=1e-9)
-            assert d.longitudinal.sum() == pytest.approx(1.0, abs=1e-9)
-            assert np.all(d.lateral >= 0) and np.all(d.longitudinal >= 0)
+        lat, lon = head.forward(feats)
+        assert lat.shape == lon.shape == (4, 3)
+        for d_lat, d_lon in zip(lat, lon):
+            assert d_lat.sum() == pytest.approx(1.0, abs=1e-9)
+            assert d_lon.sum() == pytest.approx(1.0, abs=1e-9)
+            assert np.all(d_lat >= 0) and np.all(d_lon >= 0)
 
     def test_zero_params_uniform(self):
         head = IntentionHead(DIM, nn.seeded_rng(0))
         zero_params(head)
-        dists = predict_intention(head, np.ones((2, DIM)))
-        for d in dists:
-            assert np.allclose(d.lateral, 1 / 3, atol=1e-12)
-            assert np.allclose(d.longitudinal, 1 / 3, atol=1e-12)
+        lat, lon = head.forward(np.ones((2, DIM)))
+        assert lat.shape == lon.shape == (2, 3)
+        assert np.allclose(lat, 1 / 3, atol=1e-12)
+        assert np.allclose(lon, 1 / 3, atol=1e-12)
 
     def test_identical_rows_identical_distributions(self):
         head = IntentionHead(DIM, nn.seeded_rng(2))
@@ -154,6 +153,7 @@ class TestSelectMode:
 
 
 def make_future(yaw_total=0.0, v0=5.0, v1=5.0, steps=20, dt=0.1):
+    """A [steps, 5] future of (x, y, yaw, vx, vy) rows."""
     states = []
     yaw = 0.0
     x = y = 0.0
@@ -162,10 +162,10 @@ def make_future(yaw_total=0.0, v0=5.0, v1=5.0, steps=20, dt=0.1):
         yaw = yaw_total * frac
         speed = v0 + (v1 - v0) * frac
         vx, vy = speed * math.cos(yaw), speed * math.sin(yaw)
-        states.append(AgentState(x, y, yaw, vx, vy))
+        states.append((x, y, yaw, vx, vy))
         x += vx * dt
         y += vy * dt
-    return states
+    return np.array(states)
 
 
 class TestLabeling:

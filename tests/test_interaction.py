@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from riskcast import nn
-from riskcast.geometry import (AGENT_CLASSES, relative_encoding,
-                               transform_state)
+from riskcast.geometry import (AGENT_CLASSES, AgentState,
+                               relative_encoding, transform_state)
 from riskcast.interaction import (POS_SCALE, VEL_SCALE, YAW_SCALE,
                                   AgentAgentEncoder, AgentMapAttention,
                                   HistoryEncoder, InteractionConfig,
                                   MapEncoder, SelfAttentionBlock,
                                   history_feature_matrix, map_feature_matrix,
                                   map_visibility, neighbor_mask)
-from riskcast.scene import (AgentHistory, MapPolyline, generate_scenario,
+from riskcast.scene import (MapPolyline, RoadMap, generate_scenario,
                             local_frame, pose_frame)
 
 
@@ -52,20 +52,22 @@ class TestHistoryEncoder:
         h = np.zeros((feats.shape[0], CFG.embed_dim))
         c = np.zeros_like(h)
         for t in range(feats.shape[1]):
-            h, c = nn.lstm_step(enc.lstm.cell, feats[:, t, :], h, c)
+            h, c = enc.lstm.cell.step(feats[:, t, :], h, c)
         assert np.allclose(out, h, atol=1e-10)
 
 
 class TestMapEncoder:
     def test_empty_map(self):
         enc = MapEncoder(CFG, nn.seeded_rng(2))
-        out = enc.forward(map_feature_matrix([], CFG.map_pad))
+        out = enc.forward(map_feature_matrix(RoadMap.from_polylines([]),
+                                             CFG.map_pad))
         assert out.shape == (0, CFG.embed_dim)
 
     def test_identical_polylines_identical_embeddings(self):
         enc = MapEncoder(CFG, nn.seeded_rng(3))
         poly = MapPolyline(np.array([[0.0, 0.0], [5.0, 1.0], [10.0, 3.0]]))
-        out = enc.forward(map_feature_matrix([poly, poly], CFG.map_pad))
+        out = enc.forward(map_feature_matrix(
+            RoadMap.from_polylines([poly, poly]), CFG.map_pad))
         assert np.array_equal(out[0], out[1])
 
     def test_local_frame_pipeline_invariance(self):
@@ -83,7 +85,8 @@ class TestMapEncoder:
     def test_long_polylines_padded(self):
         enc = MapEncoder(CFG, nn.seeded_rng(5))
         poly = MapPolyline(np.arange(30).reshape(15, 2).astype(float))
-        feats = map_feature_matrix([poly], CFG.map_pad)
+        feats = map_feature_matrix(RoadMap.from_polylines([poly]),
+                                   CFG.map_pad)
         assert feats.shape == (1, CFG.map_pad * 3 + 3)
         assert feats[0, 14 * 3 + 2] == 1.0   # last real slot valid
         assert feats[0, 15 * 3 + 2] == 0.0   # first padded slot masked
@@ -247,15 +250,22 @@ class PerAgentReference:
         return dembeds
 
 
+def as_states(agent, kin):
+    """The rows of kin [n, 5] as AgentStates with the agent's attributes."""
+    return [AgentState(*row, agent.length, agent.width, agent.mass,
+                       agent.agent_class) for row in kin.tolist()]
+
+
 def reference_history_features(scn):
     """The per-step loop history_feature_matrix used to run over
     relative_encoding."""
     rows = []
+    ego_states = as_states(scn.ego, scn.ego.past)
     for agent in scn.agents:
         onehot = np.zeros(len(AGENT_CLASSES))
         onehot[AGENT_CLASSES.index(agent.current.agent_class)] = 1.0
         steps = []
-        for st, ego_st in zip(agent.states, scn.ego.states):
+        for st, ego_st in zip(as_states(agent, agent.past), ego_states):
             rel = relative_encoding(ego_st, st)
             steps.append(np.concatenate([
                 [st.x / POS_SCALE, st.y / POS_SCALE, st.yaw / YAW_SCALE,
@@ -374,13 +384,14 @@ def _degenerate_scene(ego_index=0):
     position at every other step."""
     scn = generate_scenario("straight", 4, seed=21)
     ego, a1, a2, a3 = scn.agents
-    ego_states = [replace(ego.states[0], vx=1e-7, vy=0.0)] + ego.states[1:]
-    a1_states = [replace(s, vx=0.0, vy=0.0) for s in a1.states]
-    a2_states = [replace(s, x=e.x, y=e.y) if t % 2 == 0 else s
-                 for t, (s, e) in enumerate(zip(a2.states, ego_states))]
-    agents = [AgentHistory(ego.agent_id, ego_states, ego.future_truth),
-              AgentHistory(a1.agent_id, a1_states, a1.future_truth),
-              AgentHistory(a2.agent_id, a2_states, a2.future_truth), a3]
+    ego_past = ego.past.copy()
+    ego_past[0, 3:] = (1e-7, 0.0)
+    a1_past = a1.past.copy()
+    a1_past[:, 3:] = 0.0
+    a2_past = a2.past.copy()
+    a2_past[::2, :2] = ego_past[::2, :2]
+    agents = [replace(ego, past=ego_past), replace(a1, past=a1_past),
+              replace(a2, past=a2_past), a3]
     return replace(scn, agents=agents, ego_index=ego_index)
 
 
@@ -406,16 +417,13 @@ class TestArrayFrameAndFeatures:
         local = local_frame(scn, agent_id)
         for a in local.agents:
             src = scn.agent_by_id(a.agent_id)
-            for got, orig in ((a.states, src.states),
-                              (a.future_truth, src.future_truth)):
+            for got, orig in ((a.past, src.past), (a.future, src.future)):
                 want = [transform_state(s, frame.origin, frame.angle)
-                        for s in orig]
+                        for s in as_states(src, orig)]
                 assert len(got) == len(want)
-                assert np.max(np.abs(_kinematics(got) - _kinematics(want))
-                              ) <= 1e-12
-                assert [(s.length, s.width, s.mass, s.agent_class)
-                        for s in got] == [(s.length, s.width, s.mass,
-                                           s.agent_class) for s in want]
+                assert np.max(np.abs(got - _kinematics(want))) <= 1e-12
+            assert (a.length, a.width, a.mass, a.agent_class) == \
+                (src.length, src.width, src.mass, src.agent_class)
 
     @pytest.mark.parametrize("ego_index", [0, 2])
     def test_history_features_match_relative_encoding(self, ego_index):

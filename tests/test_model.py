@@ -49,7 +49,7 @@ class TestForward:
     def test_full_model_gradient_check(self, tiny_setup):
         model, _, local = tiny_setup
         truth = _truth_matrix(local)
-        labels = [label_indices(a.future_truth) for a in local.agents]
+        labels = [label_indices(a.future) for a in local.agents]
 
         def loss_fn():
             model.clear_cache()

@@ -80,7 +80,7 @@ class TestMLP:
         mlp = nn.MLP([2, 2], nn.seeded_rng(0))
         mlp.layers[0].W.value[...] = np.eye(2)
         mlp.layers[0].b.value[...] = 0.0
-        out = nn.mlp_forward(mlp, np.array([[1.0, 2.0]]))
+        out = mlp.forward(np.array([[1.0, 2.0]]))
         assert np.array_equal(out, [[1.0, 2.0]])
 
     def test_bias_only(self):
@@ -124,8 +124,8 @@ class TestLSTM:
     def test_zero_params_zero_cell(self):
         cell = nn.LSTMCell(3, 2, nn.seeded_rng(0))
         zero_params(cell)
-        h, c = nn.lstm_step(cell, np.ones((1, 3)), np.zeros((1, 2)),
-                            np.zeros((1, 2)))
+        h, c = cell.step(np.ones((1, 3)), np.zeros((1, 2)),
+                         np.zeros((1, 2)))
         assert np.array_equal(h, np.zeros((1, 2)))
         assert np.array_equal(c, np.zeros((1, 2)))
 
@@ -188,7 +188,7 @@ class TestAttention:
         mha = identity_mha(4, heads=2)
         q = np.array([[0.3, -0.2, 0.9, 0.1]])
         v = np.array([[1.0, 2.0, 3.0, 4.0]])
-        out = nn.mha_forward(mha, q, v, v)
+        out = mha.forward(q, v, v)
         assert np.allclose(out, v, atol=1e-12)
 
     def test_identical_keys_give_shared_value(self):
@@ -271,6 +271,35 @@ class TestAttention:
 # --------------------------------------------------------------------------
 # Scalar ops
 # --------------------------------------------------------------------------
+
+def masked_scatter_sigmoid(x):
+    """The LSTM gates' former sigmoid: 1 / (1 + exp(-x)) where x >= 0 and
+    exp(x) / (1 + exp(x)) elsewhere, scattered through a boolean mask."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_bit_equal_to_masked_scatter_form(self):
+        rng = nn.seeded_rng(0)
+        x = np.concatenate([
+            rng.normal(scale=3.0, size=100_000),
+            rng.uniform(-800.0, 800.0, size=100_000),
+            [0.0, -0.0, 800.0, -800.0, 1e308, -1e308, np.inf, -np.inf,
+             np.nextafter(0.0, 1.0), -np.nextafter(0.0, 1.0)]])
+        got, want = nn.sigmoid(x), masked_scatter_sigmoid(x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_limits_and_midpoint(self):
+        assert nn.sigmoid(np.array([0.0]))[0] == 0.5
+        assert np.array_equal(nn.sigmoid(np.array([-np.inf, np.inf])),
+                              [0.0, 1.0])
+        assert nn.sigmoid(np.array([-800.0]))[0] == 0.0
+
 
 class TestSoftmax:
     def test_uniform(self):

@@ -20,7 +20,8 @@ from riskcast.risk import (AgentTrack, HarmCoefficients, RiskConfig,
                            risk_loss_and_grad, safety_cost, total_risk_cost,
                            track_from_prediction, track_from_truth,
                            trajectory_risk)
-from riskcast.scene import MapPolyline, generate_scenario
+from riskcast.scene import (POLYLINE_KINDS, MapPolyline, RoadMap,
+                            generate_scenario)
 
 
 def make_track(positions, width=1.8, length=4.5, mass=1500.0,
@@ -345,17 +346,17 @@ class TestCosts:
 class TestBoundary:
     def test_no_boundaries_zero(self):
         ego = straight_track([0, 0], [5, 0], 10)
-        assert boundary_risk(ego, [], UncertaintyModel(),
-                             HarmCoefficients()) == 0.0
+        assert boundary_risk(ego, RoadMap.from_polylines([]),
+                             UncertaintyModel(), HarmCoefficients()) == 0.0
 
     def test_nearby_boundary_raises_risk(self):
         u = UncertaintyModel()
         coeffs = HarmCoefficients()
-        wall = [MapPolyline(np.array([[-50.0, 1.0], [50.0, 1.0]]),
-                            "road_boundary")]
+        wall = RoadMap.from_polylines([MapPolyline(
+            np.array([[-50.0, 1.0], [50.0, 1.0]]), "road_boundary")])
         near = straight_track([0, 0], [8, 0], 20)
-        far_wall = [MapPolyline(np.array([[-50.0, 40.0], [50.0, 40.0]]),
-                                "road_boundary")]
+        far_wall = RoadMap.from_polylines([MapPolyline(
+            np.array([[-50.0, 40.0], [50.0, 40.0]]), "road_boundary")])
         assert boundary_risk(near, wall, u, coeffs) > \
             boundary_risk(near, far_wall, u, coeffs)
 
@@ -370,11 +371,11 @@ def synthetic_conflict_prediction(seed=0, k_near=1, n_modes=4):
     n = len(scn.agents)
     trajs = np.zeros((n_modes, n, t_len, 2))
     for i, agent in enumerate(scn.agents):
-        truth = np.array([[s.x, s.y] for s in agent.future_truth])
+        truth = agent.future[:, :2]
         trajs[:, i] = truth[None, :, :]
 
     ego_i = scn.ego_index
-    ped_future = np.array([[s.x, s.y] for s in ped.future_truth])
+    ped_future = ped.future[:, :2]
     mid = t_len // 2
     for k in range(n_modes):
         if k == k_near:
@@ -404,11 +405,12 @@ class TestRanking:
         scn = generate_scenario("straight", 1, seed=2)
         t_len = scn.horizon_future
         trajs = np.zeros((3, 1, t_len, 2))
-        truth = np.array([[s.x, s.y] for s in scn.ego.future_truth])
+        truth = scn.ego.future[:, :2]
         trajs[:, 0] = truth[None]
         jp = JointPrediction(trajs, np.array([0.2, 0.5, 0.3]), ["ego"],
                              scn.scenario_id)
-        scn.map = [p for p in scn.map if p.kind != "road_boundary"]
+        scn.map = scn.map.select(
+            scn.map.kinds != POLYLINE_KINDS.index("road_boundary"))
         order, reports = rank_trajectories(jp, scn)
         assert order == [1, 2, 0]
         assert all(r.l_risk == 0.0 for r in reports)
@@ -434,7 +436,8 @@ class TestRanking:
 
     def test_no_boundary_polylines_means_zero_rb(self):
         scn, jp, _ = synthetic_conflict_prediction(seed=5)
-        scn.map = [p for p in scn.map if p.kind != "road_boundary"]
+        scn.map = scn.map.select(
+            scn.map.kinds != POLYLINE_KINDS.index("road_boundary"))
         _, reports = rank_trajectories(jp, scn)
         assert all(r.boundary == 0.0 for r in reports)
 
@@ -447,7 +450,7 @@ class TestRiskGradient:
         scn = generate_scenario("crossing_conflict", 3, seed=6)
         cfg = RiskConfig(harm=HarmCoefficients(mu0=0.5, mu1=1e-9))
         trajs = np.stack([
-            np.array([[s.x, s.y] for s in a.future_truth])
+            a.future[:, :2]
             for a in scn.agents
         ])
         # spread the others to moderate clearance so the collision

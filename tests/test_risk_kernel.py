@@ -72,8 +72,7 @@ def with_truth_mode(jp, scn):
     """The prediction plus one mode made of the agents' ground-truth
     futures, which holds the scene's close encounters."""
     by_id = {a.agent_id: a for a in scn.agents}
-    truth = np.array([[[s.x, s.y] for s in by_id[aid].future_truth]
-                      for aid in jp.agent_ids])
+    truth = np.array([by_id[aid].future[:, :2] for aid in jp.agent_ids])
     probs = np.append(jp.mode_probs, 0.5) / 1.5
     return replace(jp, trajectories=np.concatenate(
         [jp.trajectories, truth[None]]), mode_probs=probs)

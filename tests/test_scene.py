@@ -3,13 +3,14 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from riskcast.geometry import relative_encoding
 from riskcast.intention import label_intentions
-from riskcast.scene import (AgentHistory, MapPolyline, Scenario,
+from riskcast.scene import (MapPolyline, Scenario,
                             ScenarioError, dump_scenario, generate_scenario,
                             load_scenario, local_frame,
                             min_future_separation, pose_frame)
@@ -106,27 +107,29 @@ class TestGenerator:
         for seed in range(10):
             scn = generate_scenario("straight", 3, seed)
             for agent in scn.agents:
-                seq = agent.states + (agent.future_truth or [])
+                seq = np.concatenate([agent.past, agent.future])
                 for prev, nxt in zip(seq[:-1], seq[1:]):
-                    err = math.hypot(nxt.x - (prev.x + prev.vx * scn.dt),
-                                     nxt.y - (prev.y + prev.vy * scn.dt))
+                    err = math.hypot(nxt[0] - (prev[0] + prev[3] * scn.dt),
+                                     nxt[1] - (prev[1] + prev[4] * scn.dt))
                     assert err < 1e-6
 
     def test_constant_speed_spacing(self):
         scn = generate_scenario("straight", 1, seed=5, jitter=0.0)
         ego = scn.ego
-        seq = ego.states + ego.future_truth
+        seq = np.concatenate([ego.past, ego.future])
         for prev, nxt in zip(seq[:-1], seq[1:]):
-            step = math.hypot(nxt.x - prev.x, nxt.y - prev.y)
-            assert step == pytest.approx(prev.speed * scn.dt, abs=1e-9)
+            step = math.hypot(nxt[0] - prev[0], nxt[1] - prev[1])
+            speed = math.hypot(prev[3], prev[4])
+            assert step == pytest.approx(speed * scn.dt, abs=1e-9)
 
     def test_shapes(self):
         scn = generate_scenario("left_turn", 4, seed=0)
         assert len(scn.agents) == 4
         for agent in scn.agents:
-            assert len(agent.states) == scn.horizon_past + 1
-            assert len(agent.future_truth) == scn.horizon_future
+            assert agent.past.shape == (scn.horizon_past + 1, 5)
+            assert agent.future.shape == (scn.horizon_future, 5)
         assert all(len(p.waypoints) <= 20 for p in scn.map)
+        assert (scn.map.counts <= 20).all()
         kinds = {p.kind for p in scn.map}
         assert "lane_center" in kinds and "road_boundary" in kinds
 
@@ -135,7 +138,7 @@ class TestGenerator:
         for template, want in expected.items():
             for seed in range(25):
                 scn = generate_scenario(template, 2, seed)
-                lateral, _ = label_intentions(scn.ego.future_truth)
+                lateral, _ = label_intentions(scn.ego.future)
                 assert lateral == want, (template, seed)
 
     def test_conflict_has_close_pair_and_pedestrian(self):
@@ -188,12 +191,10 @@ class TestLocalFrame:
         far = scenario.agents[1]
         frame = pose_frame(scenario, "ego")
         offset = frame.origin + np.array([80.0, 0.0])
-        moved = [
-            type(s)(offset[0], offset[1], s.yaw, 0.0, 0.0, s.length,
-                    s.width, s.mass, s.agent_class) for s in far.states
-        ]
-        scenario.agents[1] = AgentHistory(far.agent_id, moved,
-                                          far.future_truth)
+        moved = far.past.copy()
+        moved[:, :2] = offset
+        moved[:, 3:] = 0.0
+        scenario.agents[1] = replace(far, past=moved)
         local = local_frame(scenario, "ego", radius=50.0)
         assert all(a.agent_id != far.agent_id for a in local.agents)
 
