@@ -66,6 +66,12 @@ def _prediction(doc, path: str):
         raise CliError(f"invalid prediction {path}: {e}") from e
 
 
+def _unpredicted(scn, jp) -> list[str]:
+    """Scene agents the prediction has no trajectory for (the model's
+    context radius dropped them), in scene order."""
+    return [a.agent_id for a in scn.agents if a.agent_id not in jp.agent_ids]
+
+
 def _load_model(path: str) -> JointPredictor:
     _require_file(path, "model checkpoint")
     try:
@@ -140,8 +146,10 @@ def cmd_predict(args) -> int:
     model = _load_model(args.model)
     out = _prepare_out(args, cfg)
     jp, dists = model.predict(scn)
+    doc = prediction_to_json(jp, dists)
+    doc["unpredicted"] = _unpredicted(scn, jp)
     with open(os.path.join(out, "prediction.json"), "w") as f:
-        json.dump(prediction_to_json(jp, dists), f, sort_keys=True)
+        json.dump(doc, f, sort_keys=True)
     with open(os.path.join(out, "prediction.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["scenario_id", "agent_id", "mode_k", "t", "x", "y",
@@ -166,9 +174,7 @@ def cmd_risk(args) -> int:
         "scenario_id": scn.scenario_id,
         "order": order,
         "modes": [r.to_json() for r in reports],
-        # scene agents the model had no prediction for (context radius)
-        "unpredicted": [a.agent_id for a in scn.agents
-                        if a.agent_id not in jp.agent_ids],
+        "unpredicted": _unpredicted(scn, jp),
     }
     with open(os.path.join(out, "risk_report.json"), "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)

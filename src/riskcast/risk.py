@@ -12,14 +12,16 @@ the victim's three body points (front, center, rear) to the ego's center,
 `disc_probability` call on all of them: the chance that an isotropic
 Gaussian (the position uncertainty of both agents combined, sqrt(2) sigma_t)
 lands within (width_victim + width_ego)/2 of the body point. The disc
-integral is exact, through the noncentral chi-square CDF, with a closed-form
-derivative in the distance. The three probabilities are summed and clamped
-to [0, 1], giving the collision probability [K, M, T]. Harm [K, M, T] maps
-the victim's post-collision speed change (delta-v from the masses, speeds
-and collision angle) and the struck region (front, side or rear, from the
-bearing of the ego in the victim's frame) through the numerically stable
-logistic `nn.sigmoid`, times the victim's harm scale. A victim's risk is the
-maximum over T of harm x probability; the kernel keeps the argmax step.
+integral is the noncentral chi-square CDF, set to 0 where a Rayleigh tail
+bound proves it below 6.2e-14, with a closed-form derivative in the
+distance. The three probabilities are summed and clamped to [0, 1], giving
+the collision probability [K, M, T]. Harm [K, M, T] maps the victim's
+post-collision speed change (delta-v from the masses, speeds and collision
+angle) and the struck region (front, side or rear, from the bearing of the
+ego in the victim's frame) through the numerically stable logistic
+`nn.sigmoid`, times the victim's harm scale; the kernel keeps delta-v and
+the region too. A victim's risk is the maximum over T of harm x
+probability; the kernel keeps the argmax step.
 
 Boundary risk. The ego's clearance to the nearest road-boundary segment,
 [K, T] from one point-to-all-segments op over [K, T, S] (the segments of the
@@ -49,8 +51,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import i1e
-from scipy.stats import ncx2
+from scipy.special import chdtr, chndtr, i1e
 
 from . import nn
 from .geometry import (DIST_EPS, SPEED_EPS, AgentState, CollisionRegion,
@@ -113,14 +114,40 @@ class RiskConfig:
 # Geometry-level probability pieces
 # --------------------------------------------------------------------------
 
-def disc_probability(dist: float | np.ndarray, radius: float,
+# alpha - beta past which `disc_probability` returns 0; the probabilities it
+# drops are at most exp(-TAIL_CUT**2 / 2) = 6.2e-14
+TAIL_CUT = 7.8
+
+
+def disc_probability(dist: float | np.ndarray, radius: float | np.ndarray,
                      sigma: float | np.ndarray) -> np.ndarray:
     """P(|X - b| < radius) for X ~ N(c, sigma^2 I) in the plane, with
-    dist = |c - b|. Exact via the noncentral chi-square CDF."""
-    dist = np.asarray(dist, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    p = ncx2.cdf((radius / sigma) ** 2, 2, (dist / sigma) ** 2)
-    return np.clip(p, 0.0, 1.0)
+    dist = |c - b|: the noncentral chi-square CDF with 2 degrees of freedom
+    at (radius / sigma)^2 with noncentrality (dist / sigma)^2, by
+    `scipy.special.chndtr` (`chdtr`, the central CDF, where dist = 0).
+
+    Tail gate. Let alpha = dist / sigma and beta = radius / sigma. When
+    alpha > beta, every point X of the disc has
+    |X - c| >= |c - b| - |X - b| > dist - radius, so the disc lies outside
+    the circle of radius dist - radius around c. |X - c| / sigma is Rayleigh
+    distributed, hence
+        P <= P(|X - c| > dist - radius) = exp(-(alpha - beta)^2 / 2).
+    Elements with alpha - beta > TAIL_CUT = 7.8 are returned as exactly 0,
+    off by at most exp(-7.8^2 / 2) = 6.2e-14 each, without evaluating the
+    CDF series, whose cost grows with the noncentrality. A NaN distance
+    stays NaN.
+    """
+    alpha, beta = np.broadcast_arrays(
+        np.asarray(dist, dtype=np.float64) / sigma,
+        np.asarray(radius, dtype=np.float64) / sigma)
+    near = ~(alpha - beta > TAIL_CUT)
+    x, nc = beta[near] ** 2, alpha[near] ** 2
+    p_near = chndtr(x, 2.0, nc)
+    central = nc == 0.0
+    p_near[central] = chdtr(2.0, x[central])
+    p = np.zeros(alpha.shape)
+    p[near] = np.clip(p_near, 0.0, 1.0)
+    return p
 
 
 def disc_probability_ddist(dist: float | np.ndarray, radius: float,
@@ -315,6 +342,8 @@ class RiskTerms:
     pair_sigma: np.ndarray     # [T] uncertainty of the pair
     prob_sums: np.ndarray      # [K, M, T] summed body-point probabilities
     probs: np.ndarray          # [K, M, T] the sums clamped to [0, 1]
+    delta_v: np.ndarray        # [K, M, T] victim's speed change in a collision
+    region: np.ndarray         # [K, M, T] struck region, list(CollisionRegion)
     harms: np.ndarray          # [K, M, T] scaled harm borne by the victim
     risks: np.ndarray          # [K, M] max over T of harm * probability
     steps: np.ndarray          # [K, M] the step of that maximum
@@ -325,29 +354,44 @@ class RiskTerms:
     boundary_step: np.ndarray  # [K] the step of that maximum
 
 
+# RiskTerms.region indexes this list
+REGIONS = list(CollisionRegion)
+_FRONT, _SIDE, _REAR = (REGIONS.index(r) for r in
+                        (CollisionRegion.FRONT, CollisionRegion.SIDE,
+                         CollisionRegion.REAR))
+
+
 def _clearance(points: np.ndarray, polylines: RoadMap
                ) -> tuple[np.ndarray, np.ndarray]:
     """Distance from each point [..., 2] to the nearest segment of the
     polylines, and the nearest point on that segment (the first in segment
-    order on a tie)."""
+    order on a tie). Works on x and y separately: for two components
+    x*x + y*y rounds as a norm or sum over a trailing axis of length 2."""
     a, b = polylines.segments()                                 # [S, 2]
-    ab = b - a
-    denom = (ab * ab).sum(axis=-1)
-    rel = points[..., None, :] - a                              # [..., S, 2]
+    ax, ay = a[:, 0], a[:, 1]
+    abx, aby = b[:, 0] - ax, b[:, 1] - ay
+    denom = abx * abx + aby * aby
+    px, py = points[..., 0, None], points[..., 1, None]
+    rx, ry = px - ax, py - ay                                   # [..., S]
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(denom > 0.0,
-                     np.clip((rel * ab).sum(axis=-1) / denom, 0.0, 1.0), 0.0)
-    closest = a + s[..., None] * ab
-    dist = np.linalg.norm(points[..., None, :] - closest, axis=-1)
+                     np.clip((rx * abx + ry * aby) / denom, 0.0, 1.0), 0.0)
+    cx, cy = ax + s * abx, ay + s * aby
+    dx, dy = px - cx, py - cy
+    dist = np.sqrt(dx * dx + dy * dy)
     j = dist.argmin(axis=-1)[..., None]
-    return (np.take_along_axis(dist, j, axis=-1)[..., 0],
-            np.take_along_axis(closest, j[..., None], axis=-2)[..., 0, :])
+
+    def pick(v):
+        return np.take_along_axis(v, j, axis=-1)[..., 0]
+
+    return pick(dist), np.stack([pick(cx), pick(cy)], axis=-1)
 
 
 def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
                 cfg: RiskConfig) -> RiskTerms:
     """Victim and boundary risks of every mode in one pass; see the module
-    docstring for the layout."""
+    docstring for the layout. Positions and offsets are handled as separate
+    x and y arrays, which round as the [..., 2] forms do."""
     k_count, n, t_count = batch.yaws.shape
     if t_count < 1:
         raise ValueError("risk needs at least one future step")
@@ -355,27 +399,30 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
         raise ValueError("masses must be positive")
     sigma = cfg.uncertainty.sigma_array(t_count)
     coeffs = cfg.harm
-    mu = coeffs.mu_area
+    mu_area = np.array([coeffs.mu_area[r] for r in REGIONS])
     victims = np.delete(np.arange(n), ego)
 
-    pos = batch.positions
-    speeds = np.linalg.norm(batch.velocities, axis=-1)    # [K, N, T]
-    facing = np.stack([np.cos(batch.yaws), np.sin(batch.yaws)], axis=-1)
+    px, py = batch.positions[..., 0], batch.positions[..., 1]   # [K, N, T]
+    vx, vy = batch.velocities[..., 0], batch.velocities[..., 1]
+    speeds = np.sqrt(vx * vx + vy * vy)
+    cos_yaw, sin_yaw = np.cos(batch.yaws), np.sin(batch.yaws)
     # unit motion direction, the yaw direction when (nearly) stopped; as in
-    # AgentState.direction, by hypot, which rounds unlike the norm above
-    hyp = np.hypot(batch.velocities[..., 0], batch.velocities[..., 1])
+    # AgentState.direction, by hypot, which rounds unlike the speeds above
+    hyp = np.hypot(vx, vy)
     with np.errstate(divide="ignore", invalid="ignore"):
         moving = batch.velocities / hyp[..., None]
-    heading = np.where((hyp < SPEED_EPS)[..., None], facing, moving)
+    heading = np.where((hyp < SPEED_EPS)[..., None],
+                       np.stack([cos_yaw, sin_yaw], axis=-1), moving)
 
     # collision probability against the victims' body points
-    center = pos[:, victims]                              # [K, M, T, 2]
-    half = 0.5 * batch.lengths[victims, None, None]
-    axis = facing[:, victims]
-    body = np.stack([center + half * axis, center, center - half * axis],
-                    axis=3)                               # [K, M, T, 3, 2]
-    offsets = pos[:, ego, None, :, None, :] - body
-    dists = np.linalg.norm(offsets, axis=-1)
+    cx, cy = px[:, victims], py[:, victims]                     # [K, M, T]
+    half = 0.5 * batch.lengths[victims, None]
+    hx, hy = half * cos_yaw[:, victims], half * sin_yaw[:, victims]
+    ox = px[:, ego, None, :, None] - np.stack([cx + hx, cx, cx - hx],
+                                              axis=-1)        # [K, M, T, 3]
+    oy = py[:, ego, None, :, None] - np.stack([cy + hy, cy, cy - hy],
+                                              axis=-1)
+    dists = np.sqrt(ox * ox + oy * oy)
     radii = 0.5 * (batch.widths[victims] + batch.widths[ego])
     pair_sigma = math.sqrt(2.0) * sigma   # both positions uncertain
     prob_sums = disc_probability(dists, radii[:, None, None],
@@ -392,17 +439,15 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
     rel = np.sqrt(np.maximum(v_vic * v_vic + v_ego * v_ego - 2.0 * v_vic
                              * v_ego * np.cos(np.arccos(cos_theta)), 0.0))
     dv = m_ego / (m_vic + m_ego) * rel
-    d = offsets[:, :, :, 1]                # ego center minus victim center
-    bearing = np.arctan2(d[..., 1], d[..., 0]) - batch.yaws[:, victims]
+    dx, dy = ox[..., 1], oy[..., 1]        # ego center minus victim center
+    bearing = np.arctan2(dy, dx) - batch.yaws[:, victims]
     bearing = np.abs(np.arctan2(np.sin(bearing), np.cos(bearing)))
-    area = np.where(bearing <= math.pi / 4, mu[CollisionRegion.FRONT],
-                    np.where(bearing >= 3 * math.pi / 4,
-                             mu[CollisionRegion.REAR],
-                             mu[CollisionRegion.SIDE]))
-    area = np.where(np.hypot(d[..., 0], d[..., 1]) < DIST_EPS,
-                    mu[CollisionRegion.FRONT], area)
+    region = np.where(bearing <= math.pi / 4, _FRONT,
+                      np.where(bearing >= 3 * math.pi / 4, _REAR, _SIDE))
+    region = np.where(np.hypot(dx, dy) < DIST_EPS, _FRONT, region)
     scale = np.array([cfg.harm_scale(batch.protected[i]) for i in victims])
-    harms = nn.sigmoid(coeffs.mu0 + coeffs.mu1 * dv + area) * scale[:, None]
+    harms = nn.sigmoid(coeffs.mu0 + coeffs.mu1 * dv + mu_area[region]) \
+        * scale[:, None]
     weighted = harms * probs
     steps = weighted.argmax(axis=-1)
 
@@ -410,17 +455,18 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
     clearance = np.full((k_count, t_count), np.inf)
     nearest = np.zeros((k_count, t_count, 2))
     boundary_harm = nn.sigmoid(coeffs.mu0 + coeffs.mu1 * speeds[:, ego]
-                               + mu[CollisionRegion.SIDE])
+                               + mu_area[_SIDE])
     b_weighted = np.zeros((k_count, t_count))
     if len(boundaries):
-        clearance, nearest = _clearance(pos[:, ego], boundaries)
+        clearance, nearest = _clearance(batch.positions[:, ego], boundaries)
         b_weighted = boundary_harm * disc_probability(
             clearance, 0.5 * batch.widths[ego], sigma)
 
     return RiskTerms(
-        [batch.agent_ids[i] for i in victims], victims, offsets, dists, radii,
-        pair_sigma, prob_sums, probs, harms, weighted.max(axis=-1), steps,
-        clearance, nearest, boundary_harm, b_weighted.max(axis=-1),
+        [batch.agent_ids[i] for i in victims], victims,
+        np.stack([ox, oy], axis=-1), dists, radii, pair_sigma, prob_sums,
+        probs, dv, region, harms, weighted.max(axis=-1), steps, clearance,
+        nearest, boundary_harm, b_weighted.max(axis=-1),
         b_weighted.argmax(axis=-1))
 
 

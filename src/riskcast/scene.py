@@ -695,8 +695,12 @@ def generate_scenario(template: str, n_agents: int, seed: int,
 
     The scene is constructed with the ego heading +x through the origin and
     then rotated/translated by a random rigid transform. crossing_conflict
-    always contains at least three agents (ego, a crossing vehicle timed to
-    a sub-2 m encounter, and a pedestrian near the ego path).
+    always contains at least three agents: the ego, a crossing vehicle timed
+    to a sub-2 m encounter with it t_star seconds (2-4 s) after t=0, and a
+    pedestrian that walks across the ego's lane on a crosswalk, reaching the
+    crosswalk's middle within the horizon, t_star seconds before the ego
+    gets there. At t=0 the pedestrian is thus far ahead of the ego, often
+    beyond a 50 m context radius, in which case `predict` drops it.
     """
     if template not in TEMPLATES:
         raise ValueError(f"unknown template {template!r}; "

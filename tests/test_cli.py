@@ -4,11 +4,14 @@ gen -> train -> predict -> risk -> eval pipeline."""
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import riskcast
 from riskcast.cli import main
 from riskcast.intention import JointPrediction
 from riskcast.model import JointPredictor, ModelConfig, prediction_to_json
@@ -240,6 +243,18 @@ class TestRisk:
         doc = json.loads((risk_dir / "risk_report.json").read_text())
         assert doc["unpredicted"] == ["ped"]
         assert all(len(m["R"]) == 1 for m in doc["modes"])
+
+    @pytest.mark.parametrize("template,dropped", [
+        ("crossing_conflict", ["ped"]), ("straight", [])])
+    def test_prediction_lists_agents_dropped_by_context_radius(
+            self, tmp_path, template, dropped):
+        scn = generate_scenario(template, 3, seed=0)
+        _, pred_path = self._predict(tmp_path, scn)
+        doc = json.loads(pred_path.read_text())
+        assert doc["unpredicted"] == dropped
+        predicted = {a["id"] for a in doc["modes"][0]["agents"]}
+        assert predicted.isdisjoint(dropped)
+        assert predicted | set(dropped) == {a.agent_id for a in scn.agents}
 
     def test_prediction_without_ego_exits_1(self, tmp_path, capsys):
         scn = generate_scenario("straight", 3, seed=1)
@@ -479,3 +494,15 @@ class TestPipeline:
                   "--out", str(out)] + TINY)
             outs.append((out / "prediction.json").read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats takes about a second and ~45 MB of memory
+    src = os.path.dirname(os.path.dirname(os.path.abspath(riskcast.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, riskcast.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, check=True,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "False"

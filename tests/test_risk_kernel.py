@@ -1,5 +1,6 @@
 """The batched risk kernel against the scalar per-step reference on model
-predictions (risks, boundary risk, costs, order, training loss), the join of
+predictions (risks, boundary risk, costs, order, training loss, delta-v and
+struck region), the tail gate of the disc probability, the join of
 predictions to scenes by agent id, and invariances of predict ->
 rank_trajectories."""
 
@@ -8,13 +9,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import chndtr
+from scipy.stats import ncx2
 
-from riskcast.geometry import CollisionRegion
+from riskcast.geometry import CollisionRegion, collision_region
 from riskcast.intention import select_mode
 from riskcast.model import JointPredictor, ModelConfig
-from riskcast.risk import (RiskConfig, care_cost, collision_probability,
-                           disc_probability, harm, pair_harm,
-                           rank_trajectories, responsiveness_cost,
+from riskcast.risk import (REGIONS, TAIL_CUT, RiskConfig, _predicted_agents,
+                           _road_boundaries, batch_from_prediction, care_cost,
+                           collision_probability, delta_v, disc_probability,
+                           harm, pair_harm, rank_trajectories,
+                           responsiveness_cost, risk_kernel,
                            risk_loss_and_grad, safety_cost, total_risk_cost,
                            track_from_prediction)
 from riskcast.scene import _apply_rigid, generate_scenario
@@ -103,6 +108,83 @@ def test_kernel_matches_per_step_reference(model, template, n, seed):
     loss, _ = risk_loss_and_grad(jp.trajectories[k], predicted,
                                  predicted.ego_index, cfg)
     assert loss == pytest.approx(reports[k].l_risk, rel=1e-12, abs=0)
+
+
+def kernel_terms(jp, scn, cfg):
+    """The risk kernel's output for every mode, as rank_trajectories has
+    it."""
+    batch = batch_from_prediction(_predicted_agents(jp, scn),
+                                  jp.trajectories, scn.dt)
+    return risk_kernel(batch, batch.agent_ids.index(scn.ego.agent_id),
+                       _road_boundaries(scn), cfg)
+
+
+def ncx2_disc_probability(dist, radius, sigma):
+    """The disc probability without the tail gate."""
+    return np.clip(ncx2.cdf((radius / sigma) ** 2, 2, (dist / sigma) ** 2),
+                   0.0, 1.0)
+
+
+def test_tail_bound_holds_past_the_cut():
+    gap, beta = np.meshgrid(np.linspace(TAIL_CUT, 40.0, 193),
+                            np.linspace(0.0, 60.0, 121)[1:])
+    alpha = beta + gap
+    p = chndtr(beta ** 2, 2.0, alpha ** 2)
+    bound = np.exp(-0.5 * gap ** 2)
+    assert (p <= bound).all()
+    assert (p[bound == 0.0] == 0.0).all()
+    gated = disc_probability(alpha, beta, 1.0)
+    assert (gated[alpha - beta > TAIL_CUT] == 0.0).all()
+
+
+@pytest.mark.parametrize("template,n,seed", PARITY_SCENES)
+def test_gated_disc_probability_matches_ncx2(model, template, n, seed):
+    scn = generate_scenario(template, n, seed)
+    jp = with_truth_mode(model.predict(scn)[0], scn)
+    cfg = RiskConfig()
+    terms = kernel_terms(jp, scn, cfg)
+    sigma = cfg.uncertainty.sigma_array(jp.trajectories.shape[2])
+    calls = [(terms.dists, terms.radii[:, None, None],
+              terms.pair_sigma[:, None]),
+             (terms.clearance, 0.5 * scn.ego.width, sigma)]
+    for dist, radius, s in calls:
+        gated = disc_probability(dist, radius, s)
+        oracle = ncx2_disc_probability(dist, radius, s)
+        np.testing.assert_allclose(gated, oracle, rtol=0, atol=1e-12)
+        skipped = np.broadcast_to(dist / s - radius / s > TAIL_CUT,
+                                  gated.shape)
+        assert (gated[skipped] == 0.0).all()
+        assert np.array_equal(gated[~skipped], oracle[~skipped])
+    # the gate and the exact CDF both take part on the pair elements
+    assert 0.0 < (terms.dists / terms.pair_sigma[:, None]
+                  - terms.radii[:, None, None] / terms.pair_sigma[:, None]
+                  > TAIL_CUT).mean() < 1.0
+
+
+@pytest.mark.parametrize("template,n,seed", PARITY_SCENES)
+def test_kernel_keeps_delta_v_and_struck_region(model, template, n, seed):
+    scn = generate_scenario(template, n, seed)
+    jp = with_truth_mode(model.predict(scn)[0], scn)
+    cfg = RiskConfig()
+    terms = kernel_terms(jp, scn, cfg)
+    by_id = {a.agent_id: a for a in scn.agents}
+    shape = terms.probs.shape
+    assert terms.delta_v.shape == terms.region.shape == shape
+    for k in range(shape[0]):
+        tracks = {aid: track_from_prediction(by_id[aid], jp.trajectories[k, i],
+                                             scn.dt)
+                  for i, aid in enumerate(jp.agent_ids)}
+        ego = tracks[scn.ego.agent_id]
+        for m, aid in enumerate(terms.victim_ids):
+            victim, t = tracks[aid], terms.steps[k, m]
+            theta = math.acos(float(np.clip(
+                victim.state_at(t).direction() @ ego.state_at(t).direction(),
+                -1.0, 1.0)))
+            assert terms.delta_v[k, m, t] == pytest.approx(delta_v(
+                victim.mass, ego.mass, victim.speeds[t], ego.speeds[t],
+                theta), rel=1e-12, abs=1e-12)
+            assert REGIONS[terms.region[k, m, t]] == collision_region(
+                victim.state_at(t), ego.state_at(t))
 
 
 def test_ranks_scene_with_agent_dropped_by_context_radius(model):

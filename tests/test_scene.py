@@ -148,6 +148,23 @@ class TestGenerator:
             classes = {a.current.agent_class for a in scn.agents}
             assert "pedestrian" in classes
 
+    def test_conflict_pedestrian_crosses_before_the_ego_arrives(self):
+        beyond_radius = 0
+        for n in (3, 8):
+            for seed in range(20):
+                scn = generate_scenario("crossing_conflict", n, seed)
+                ped, ego = scn.agent_by_id("ped"), scn.ego
+                middle = scn.map.of_kind("crosswalk").waypoints[0, 1]
+                gaps = np.linalg.norm(ped.future[:, :2] - middle, axis=1)
+                t = int(gaps.argmin())
+                assert gaps[t] < 0.5, (n, seed)
+                heading = ego.future[t, 3:] / np.linalg.norm(ego.future[t, 3:])
+                assert (middle - ego.future[t, :2]) @ heading > 0, (n, seed)
+                beyond_radius += np.linalg.norm(
+                    ped.past[-1, :2] - ego.past[-1, :2]) > 50.0
+        # at t=0 the pedestrian is often out of a 50 m context radius
+        assert beyond_radius >= 10
+
     def test_unknown_template(self):
         with pytest.raises(ValueError, match="unknown template"):
             generate_scenario("u_turn", 2, seed=0)
