@@ -16,7 +16,7 @@ from .evaluation import evaluate
 from .model import (JointPredictor, prediction_from_json, prediction_to_csv_rows,
                     prediction_to_json)
 from .risk import rank_trajectories
-from .scene import dump_scenario, generate_scenario, load_scenario
+from .scene import dump_scenario, load_scenario
 from .training import train
 
 
@@ -100,6 +100,14 @@ def _resolve(args) -> dict:
         raise CliError(str(e)) from e
 
 
+def _checked(what: str, fn, *args):
+    """fn(*args), a ValueError ending in a CliError."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        raise CliError(f"{what}: {e}") from e
+
+
 def _prepare_out(args, cfg: dict) -> str:
     os.makedirs(args.out, exist_ok=True)
     cfgmod.write_resolved(cfg, args.out)
@@ -116,10 +124,7 @@ def cmd_gen(args) -> int:
         cfg["gen.n_agents"] = args.n_agents
     out = _prepare_out(args, cfg)
     for i in range(cfg["gen.count"]):
-        scn = generate_scenario(
-            cfg["gen.template"], cfg["gen.n_agents"], cfg["seed"] + i,
-            H=cfg["gen.H"], T=cfg["gen.T"], dt=cfg["gen.dt"],
-            jitter=cfg["gen.jitter"])
+        scn = _checked("invalid config", cfgmod.scenario, cfg, i)
         path = os.path.join(out, f"scenario_{i:04d}.json")
         with open(path, "w") as f:
             f.write(dump_scenario(scn))
@@ -131,10 +136,15 @@ def cmd_train(args) -> int:
     cfg = _resolve(args)
     if args.epochs is not None:
         cfg["train.epochs"] = args.epochs
+    model_cfg = _checked("invalid config", cfgmod.model_config, cfg)
+    train_cfg = _checked("invalid config", cfgmod.train_config, cfg)
     scenarios = _read_dataset(args.data)
     out = _prepare_out(args, cfg)
-    _, report = train(scenarios, cfgmod.model_config(cfg),
-                      cfgmod.train_config(cfg), out_dir=out)
+    try:
+        with cfgmod.keyed(cfgmod.TRAIN_KEYS):
+            _, report = train(scenarios, model_cfg, train_cfg, out_dir=out)
+    except ValueError as e:
+        raise CliError(f"cannot train on {args.data}: {e}") from e
     print(f"trained {cfg['train.epochs']} epochs; "
           f"final val ADE {report.final_val_ade:.3f} m")
     return 0
@@ -164,8 +174,8 @@ def cmd_risk(args) -> int:
     scn = _read_scenario(args.scenario)
     _require_file(args.prediction, "prediction file")
     jp = _prediction(_prediction_doc(args.prediction), args.prediction)
+    risk_cfg = _checked("invalid config", cfgmod.risk_config, cfg)
     out = _prepare_out(args, cfg)
-    risk_cfg = cfgmod.risk_config(cfg)
     try:
         order, reports = rank_trajectories(jp, scn, risk_cfg)
     except ValueError as e:

@@ -7,10 +7,13 @@ provenance.
 from __future__ import annotations
 
 import json
+import math
 import os
+from contextlib import contextmanager
 
 from .model import ModelConfig
 from .risk import HarmCoefficients, RiskConfig, UncertaintyModel
+from .scene import Scenario, generate_scenario
 from .training import TrainConfig
 from .geometry import CollisionRegion
 
@@ -59,15 +62,26 @@ DEFAULTS: dict[str, object] = {
 }
 
 
+# the value types each key type takes, and how an error names the key type
+_ACCEPTS = {int: ((int, str), "an integer"),
+            float: ((int, float, str), "a finite number"),
+            str: ((str,), "a string")}
+
+
 def _coerce(key: str, value: object) -> object:
-    ref = DEFAULTS[key]
-    if isinstance(ref, bool):
-        return bool(value)
-    if isinstance(ref, int) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(ref, float):
-        return float(value)
-    return type(ref)(value)
+    """`value` as the type of `key`'s default. An integer key takes an
+    integer or its string, a float key a finite number or its string and a
+    string key a string; anything else, such as 2.7 or true for an integer
+    key, or nan for a float key, raises ValueError."""
+    kind = type(DEFAULTS[key])
+    types, what = _ACCEPTS[kind]
+    try:
+        out = kind(value) if type(value) in types else None
+    except (ValueError, OverflowError):
+        out = None
+    if out is None or (kind is float and not math.isfinite(out)):
+        raise ValueError(f"{key}: {value!r} is not {what}")
+    return out
 
 
 def resolve_config(config_file: str | None = None,
@@ -97,28 +111,74 @@ def write_resolved(cfg: dict[str, object], out_dir: str) -> None:
         json.dump(cfg, f, indent=1, sort_keys=True)
 
 
+@contextmanager
+def keyed(keys: dict[str, str]):
+    """Raise a ValueError whose message starts with "<field>:", for a field
+    in `keys`, again with the field replaced by its config key."""
+    try:
+        yield
+    except ValueError as e:
+        field, _, rest = str(e).partition(":")
+        if field not in keys:
+            raise
+        raise ValueError(f"{keys[field]}:{rest}") from e
+
+
+# typed-config field -> config key
+MODEL_KEYS = {
+    "embed_dim": "model.embed_dim",
+    "attention_heads": "model.attention_heads",
+    "transformer_layers": "model.transformer_layers",
+    "ff_mult": "model.ff_mult",
+    "context_radius_m": "model.context_radius_m",
+    "map_pad": "model.map_pad",
+    "n_modes": "model.n_modes",
+    "future_steps": "model.future_steps",
+    "init_seed": "seed",
+}
+TRAIN_KEYS = {
+    "batch_size": "train.batch_size",
+    "lr": "train.lr",
+    "weight_decay": "train.weight_decay",
+    "epochs": "train.epochs",
+    "stage1_epochs": "train.stage1_epochs",
+    "tau": "train.tau",
+    "seed": "seed",
+    "mode_loss_weight": "train.mode_loss_weight",
+    "val_every": "train.val_every",
+    "split": "train.split_train/split_val/split_test",
+}
+HARM_KEYS = {"mu0": "risk.mu0", "mu1": "risk.mu1"}
+GEN_KEYS = {
+    "template": "gen.template",
+    "n_agents": "gen.n_agents",
+    "H": "gen.H",
+    "T": "gen.T",
+    "dt": "gen.dt",
+    "jitter": "gen.jitter",
+}
+
+
+def _values(cfg: dict[str, object], keys: dict[str, str]) -> dict:
+    """The values of the keys that map one to one onto fields."""
+    return {f: cfg[k] for f, k in keys.items() if k in cfg}
+
+
 def model_config(cfg: dict[str, object]) -> ModelConfig:
-    return ModelConfig(
-        embed_dim=cfg["model.embed_dim"],
-        attention_heads=cfg["model.attention_heads"],
-        transformer_layers=cfg["model.transformer_layers"],
-        ff_mult=cfg["model.ff_mult"],
-        context_radius_m=cfg["model.context_radius_m"],
-        map_pad=cfg["model.map_pad"],
-        n_modes=cfg["model.n_modes"],
-        future_steps=cfg["model.future_steps"],
-        init_seed=cfg["seed"],
-    )
+    with keyed(MODEL_KEYS):
+        return ModelConfig(**_values(cfg, MODEL_KEYS))
 
 
 def risk_config(cfg: dict[str, object]) -> RiskConfig:
-    return RiskConfig(
-        uncertainty=UncertaintyModel(cfg["risk.sigma0"], cfg["risk.growth"]),
-        harm=HarmCoefficients(cfg["risk.mu0"], cfg["risk.mu1"], {
+    with keyed(HARM_KEYS):
+        harm = HarmCoefficients(**_values(cfg, HARM_KEYS), mu_area={
             CollisionRegion.FRONT: cfg["risk.mu_front"],
             CollisionRegion.SIDE: cfg["risk.mu_side"],
             CollisionRegion.REAR: cfg["risk.mu_rear"],
-        }),
+        })
+    return RiskConfig(
+        uncertainty=UncertaintyModel(cfg["risk.sigma0"], cfg["risk.growth"]),
+        harm=harm,
         weights=(cfg["risk.weight_s"], cfg["risk.weight_c"],
                  cfg["risk.weight_r"]),
         responsiveness_scale=cfg["risk.responsiveness_scale"],
@@ -129,17 +189,17 @@ def risk_config(cfg: dict[str, object]) -> RiskConfig:
 
 
 def train_config(cfg: dict[str, object]) -> TrainConfig:
-    return TrainConfig(
-        batch_size=cfg["train.batch_size"],
-        lr=cfg["train.lr"],
-        weight_decay=cfg["train.weight_decay"],
-        epochs=cfg["train.epochs"],
-        stage1_epochs=cfg["train.stage1_epochs"],
-        tau=cfg["train.tau"],
-        seed=cfg["seed"],
-        mode_loss_weight=cfg["train.mode_loss_weight"],
-        split=(cfg["train.split_train"], cfg["train.split_val"],
-               cfg["train.split_test"]),
-        val_every=cfg["train.val_every"],
-        risk=risk_config(cfg),
-    )
+    risk = risk_config(cfg)
+    with keyed(TRAIN_KEYS):
+        return TrainConfig(
+            **_values(cfg, TRAIN_KEYS),
+            split=(cfg["train.split_train"], cfg["train.split_val"],
+                   cfg["train.split_test"]),
+            risk=risk)
+
+
+def scenario(cfg: dict[str, object], i: int) -> Scenario:
+    """The i-th generated scenario of the gen.* keys, seeded seed + i."""
+    with keyed(GEN_KEYS):
+        return generate_scenario(seed=cfg["seed"] + i,
+                                 **_values(cfg, GEN_KEYS))

@@ -48,22 +48,24 @@ class IntentionHead(nn.Module):
                               name=f"{name}.lat")
         self.lon_mlp = nn.MLP([dim, dim, len(LONGITUDINAL_CLASSES)], rng,
                               name=f"{name}.lon")
-        self._cache: list[tuple[np.ndarray, np.ndarray]] = []
 
     def params(self):
         return self.lat_mlp.params() + self.lon_mlp.params()
 
     def forward(self, features: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-        lat = nn.softmax(self.lat_mlp.forward(features), axis=-1)
-        lon = nn.softmax(self.lon_mlp.forward(features), axis=-1)
-        self._cache.append((lat, lon))
-        return lat, lon
+                ) -> tuple[tuple[np.ndarray, np.ndarray], tuple]:
+        lat_logits, lat_ctx = self.lat_mlp.forward(features)
+        lon_logits, lon_ctx = self.lon_mlp.forward(features)
+        lat = nn.softmax(lat_logits, axis=-1)
+        lon = nn.softmax(lon_logits, axis=-1)
+        return (lat, lon), (lat_ctx, lon_ctx, lat, lon)
 
-    def backward(self, dlat: np.ndarray, dlon: np.ndarray) -> np.ndarray:
-        lat, lon = self._cache.pop()
-        dfeat = self.lat_mlp.backward(nn.softmax_backward(lat, dlat))
-        dfeat += self.lon_mlp.backward(nn.softmax_backward(lon, dlon))
+    def backward(self, ctx: tuple, dlat: np.ndarray,
+                 dlon: np.ndarray) -> np.ndarray:
+        lat_ctx, lon_ctx, lat, lon = ctx
+        dfeat = self.lat_mlp.backward(lat_ctx, nn.softmax_backward(lat, dlat))
+        dfeat += self.lon_mlp.backward(lon_ctx,
+                                       nn.softmax_backward(lon, dlon))
         return dfeat
 
 
@@ -75,26 +77,25 @@ class ClassEmbeddings(nn.Module):
                  name: str = "emb"):
         self.heads = [nn.Linear(dim, dim, rng, name=f"{name}.{c}")
                       for c in range(n_classes)]
-        self._cache: list[tuple[np.ndarray, list[np.ndarray]]] = []
 
     def params(self):
         return [p for h in self.heads for p in h.params()]
 
-    def forward(self, features: np.ndarray,
-                probs: np.ndarray) -> np.ndarray:
-        outs = [h.forward(features) for h in self.heads]
+    def forward(self, features: np.ndarray, probs: np.ndarray
+                ) -> tuple[np.ndarray, tuple]:
+        outs, head_ctxs = zip(*(h.forward(features) for h in self.heads))
         mixed = sum(probs[:, c:c + 1] * outs[c] for c in range(len(outs)))
-        self._cache.append((probs, outs))
-        return mixed
+        return mixed, (probs, outs, head_ctxs)
 
-    def backward(self, g: np.ndarray
+    def backward(self, ctx: tuple, g: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-        probs, outs = self._cache.pop()
+        probs, outs, head_ctxs = ctx
         dprobs = np.stack([(g * outs[c]).sum(axis=1)
                            for c in range(len(outs))], axis=1)
         dfeat = np.zeros_like(g)
         for c in reversed(range(len(self.heads))):
-            dfeat += self.heads[c].backward(probs[:, c:c + 1] * g)
+            dfeat += self.heads[c].backward(head_ctxs[c],
+                                            probs[:, c:c + 1] * g)
         return dfeat, dprobs
 
 
@@ -106,20 +107,21 @@ class IntentionFuser(nn.Module):
                  name: str = "fuse"):
         self.mlp = nn.MLP([2 * dim, dim], rng, name=name)
         self.dim = dim
-        self._cache: list[np.ndarray] = []
 
     def params(self):
         return self.mlp.params()
 
-    def forward(self, e_lat: np.ndarray, e_lon: np.ndarray) -> np.ndarray:
-        z = nn.softmax(self.mlp.forward(
-            np.concatenate([e_lat, e_lon], axis=1)), axis=-1)
-        self._cache.append(z)
-        return z
+    def forward(self, e_lat: np.ndarray, e_lon: np.ndarray
+                ) -> tuple[np.ndarray, tuple]:
+        logits, mlp_ctx = self.mlp.forward(
+            np.concatenate([e_lat, e_lon], axis=1))
+        z = nn.softmax(logits, axis=-1)
+        return z, (mlp_ctx, z)
 
-    def backward(self, dz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = self._cache.pop()
-        dcat = self.mlp.backward(nn.softmax_backward(z, dz))
+    def backward(self, ctx: tuple, dz: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        mlp_ctx, z = ctx
+        dcat = self.mlp.backward(mlp_ctx, nn.softmax_backward(z, dz))
         return dcat[:, :self.dim], dcat[:, self.dim:]
 
 
@@ -139,40 +141,39 @@ class JointDecoder(nn.Module):
         ]
         self.pool_mlp = nn.MLP([in_dim, dim], rng, name=f"{name}.pool")
         self.prob_mlp = nn.MLP([dim, dim, n_modes], rng, name=f"{name}.prob")
-        self._cache: list[tuple] = []
 
     def params(self):
         out = [p for h in self.heads for p in h.params()]
         return out + self.pool_mlp.params() + self.prob_mlp.params()
 
     def forward(self, dec_in: np.ndarray, pos0: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
+                ) -> tuple[tuple[np.ndarray, np.ndarray], tuple]:
         n = dec_in.shape[0]
-        trajs = np.empty((self.n_modes, n, self.horizon, 2))
-        for k, head in enumerate(self.heads):
-            offsets = head.forward(dec_in).reshape(n, self.horizon, 2)
-            trajs[k] = pos0[:, None, :] + np.cumsum(offsets, axis=1)
-        feat = self.pool_mlp.forward(dec_in)
+        offsets, head_ctxs = zip(*(h.forward(dec_in) for h in self.heads))
+        trajs = pos0[:, None, :] + np.cumsum(
+            np.reshape(offsets, (self.n_modes, n, self.horizon, 2)), axis=2)
+        feat, pool_ctx = self.pool_mlp.forward(dec_in)
         arg = feat.argmax(axis=0)
         pooled = feat[arg, np.arange(feat.shape[1])]
-        logits = self.prob_mlp.forward(pooled[None, :])[0]
-        probs = nn.softmax(logits)
-        self._cache.append((n, arg, feat.shape, probs))
-        return trajs, probs
+        logits, prob_ctx = self.prob_mlp.forward(pooled[None, :])
+        probs = nn.softmax(logits[0])
+        return (trajs, probs), (head_ctxs, pool_ctx, prob_ctx, arg,
+                                feat.shape, probs)
 
-    def backward(self, dtrajs: np.ndarray,
+    def backward(self, ctx: tuple, dtrajs: np.ndarray,
                  dprobs: np.ndarray) -> np.ndarray:
-        n, arg, feat_shape, probs = self._cache.pop()
+        head_ctxs, pool_ctx, prob_ctx, arg, feat_shape, probs = ctx
+        n = feat_shape[0]
         dlogits = nn.softmax_backward(probs, dprobs)
-        dpooled = self.prob_mlp.backward(dlogits[None, :])[0]
+        dpooled = self.prob_mlp.backward(prob_ctx, dlogits[None, :])[0]
         dfeat = np.zeros(feat_shape)
         dfeat[arg, np.arange(feat_shape[1])] = dpooled
-        ddec = self.pool_mlp.backward(dfeat)
+        ddec = self.pool_mlp.backward(pool_ctx, dfeat)
         for k in reversed(range(self.n_modes)):
             # integrate backwards: offset t influences all steps >= t
             dofs = np.cumsum(dtrajs[k][:, ::-1, :], axis=1)[:, ::-1, :]
             ddec += self.heads[k].backward(
-                np.ascontiguousarray(dofs).reshape(n, -1))
+                head_ctxs[k], np.ascontiguousarray(dofs).reshape(n, -1))
         return ddec
 
 

@@ -45,10 +45,6 @@ class InteractionConfig:
     ff_mult: int = 2
     map_pad: int = 20
 
-    def __post_init__(self):
-        if self.embed_dim % self.attention_heads != 0:
-            raise ValueError("embed_dim must be divisible by attention_heads")
-
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
@@ -139,11 +135,11 @@ class HistoryEncoder(nn.Module):
     def params(self):
         return self.lstm.params()
 
-    def forward(self, seq: np.ndarray) -> np.ndarray:
+    def forward(self, seq: np.ndarray) -> tuple[np.ndarray, list]:
         return self.lstm.forward(seq)
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        return self.lstm.backward(g)
+    def backward(self, ctx: list, g: np.ndarray) -> np.ndarray:
+        return self.lstm.backward(ctx, g)
 
 
 class MapEncoder(nn.Module):
@@ -157,11 +153,11 @@ class MapEncoder(nn.Module):
     def params(self):
         return self.mlp.params()
 
-    def forward(self, feats: np.ndarray) -> np.ndarray:
+    def forward(self, feats: np.ndarray) -> tuple[np.ndarray, list]:
         return self.mlp.forward(feats)
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        return self.mlp.backward(g)
+    def backward(self, ctx: list, g: np.ndarray) -> np.ndarray:
+        return self.mlp.backward(ctx, g)
 
 
 class SelfAttentionBlock(nn.Module):
@@ -178,17 +174,20 @@ class SelfAttentionBlock(nn.Module):
         return (self.ln1.params() + self.mha.params() + self.ln2.params()
                 + self.ff.params())
 
-    def forward(self, x: np.ndarray,
-                mask: np.ndarray | None = None) -> np.ndarray:
-        h = self.ln1.forward(x)
-        y = x + self.mha.forward(h, h, h, mask)
-        z = y + self.ff.forward(self.ln2.forward(y))
-        return z
+    def forward(self, x: np.ndarray, mask: np.ndarray | None = None
+                ) -> tuple[np.ndarray, tuple]:
+        h, ln1_ctx = self.ln1.forward(x)
+        att, mha_ctx = self.mha.forward(h, h, h, mask)
+        y = x + att
+        hy, ln2_ctx = self.ln2.forward(y)
+        ff, ff_ctx = self.ff.forward(hy)
+        return y + ff, (ln1_ctx, mha_ctx, ln2_ctx, ff_ctx)
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        dy = g + self.ln2.backward(self.ff.backward(g))
-        dq, dk, dv = self.mha.backward(dy)
-        return dy + self.ln1.backward(dq + dk + dv)
+    def backward(self, ctx: tuple, g: np.ndarray) -> np.ndarray:
+        ln1_ctx, mha_ctx, ln2_ctx, ff_ctx = ctx
+        dy = g + self.ln2.backward(ln2_ctx, self.ff.backward(ff_ctx, g))
+        dq, dk, dv = self.mha.backward(mha_ctx, dy)
+        return dy + self.ln1.backward(ln1_ctx, dq + dk + dv)
 
 
 class AgentAgentEncoder(nn.Module):
@@ -212,13 +211,14 @@ class AgentAgentEncoder(nn.Module):
                                cfg.ff_mult, rng, name=f"{name}.{i}")
             for i in range(cfg.transformer_layers)
         ]
-        self._cache: list[list[tuple[np.ndarray, np.ndarray,
-                                     np.ndarray]]] = []
 
     def params(self):
         return [p for b in self.blocks for p in b.params()]
 
-    def forward(self, embeds: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    def forward(self, embeds: np.ndarray, mask: np.ndarray
+                ) -> tuple[np.ndarray, list]:
+        """(output, ctx); the context lists, per context set, its agents,
+        their members and positions, and the block contexts."""
         mask = np.asarray(mask, dtype=bool)
         empty = np.flatnonzero(~mask.any(axis=1))
         if empty.size:
@@ -235,22 +235,23 @@ class AgentAgentEncoder(nn.Module):
             idx = np.flatnonzero(row)
             members = np.flatnonzero(which == s)
             x = embeds[idx]
+            block_ctxs = []
             for block in self.blocks:
-                x = block.forward(x)
+                x, bctx = block.forward(x)
+                block_ctxs.append(bctx)
             pos = np.searchsorted(idx, members)
             out[members] = x[pos]
-            runs.append((idx, members, pos))
-        self._cache.append(runs)
-        return out
+            runs.append((idx, members, pos, block_ctxs))
+        return out, runs
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        runs = self._cache.pop()
+    def backward(self, runs: list, g: np.ndarray) -> np.ndarray:
         dembeds = np.zeros_like(g)
-        for idx, members, pos in reversed(runs):
+        for idx, members, pos, block_ctxs in reversed(runs):
             gx = np.zeros((idx.size, g.shape[1]))
             gx[pos] = g[members]
-            for block in reversed(self.blocks):
-                gx = block.backward(gx)
+            for block, bctx in zip(reversed(self.blocks),
+                                   reversed(block_ctxs)):
+                gx = block.backward(bctx, gx)
             dembeds[idx] += gx
         return dembeds
 
@@ -264,36 +265,33 @@ class AgentMapAttention(nn.Module):
                  name: str = "amap"):
         self.mha = nn.MultiHeadAttention(cfg.embed_dim, cfg.attention_heads,
                                          rng, name=name)
-        self._cache: list[tuple | None] = []
 
     def params(self):
         return self.mha.params()
 
     def forward(self, features: np.ndarray, map_embeds: np.ndarray,
-                vis: np.ndarray | None = None) -> np.ndarray:
+                vis: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
+        """(output, ctx); the context is the attending rows, the polyline
+        count and the attention context (None when no row attends)."""
         n, m = features.shape[0], map_embeds.shape[0]
-        if m == 0:
-            self._cache.append(None)
-            return features
         if vis is None:
             vis = np.ones((n, m), dtype=bool)
         rows = np.flatnonzero(vis.any(axis=1))
         out = features.copy()
+        mha_ctx = None
         if rows.size:
-            out[rows] = self.mha.forward(features[rows], map_embeds,
-                                         map_embeds, vis[rows])
-        self._cache.append((rows, n, m))
-        return out
+            att, mha_ctx = self.mha.forward(features[rows], map_embeds,
+                                            map_embeds, vis[rows])
+            out[rows] = att
+        return out, (rows, m, mha_ctx)
 
-    def backward(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ctx = self._cache.pop()
-        if ctx is None:
-            return g, np.zeros((0, g.shape[1]))
-        rows, n, m = ctx
+    def backward(self, ctx: tuple, g: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        rows, m, mha_ctx = ctx
         dfeat = g.copy()
         dmap = np.zeros((m, g.shape[1]))
         if rows.size:
-            dq, dk, dv = self.mha.backward(g[rows])
+            dq, dk, dv = self.mha.backward(mha_ctx, g[rows])
             dfeat[rows] = dq
             dmap = dk + dv
         return dfeat, dmap

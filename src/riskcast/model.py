@@ -53,6 +53,18 @@ class ModelConfig:
     future_steps: int = 50
     init_seed: int = 0
 
+    def __post_init__(self):
+        """Every value finite and positive (the seed non-negative), and the
+        heads dividing the embedding. A message starts with "<field>:"."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            in_range = value >= 0 if f.name == "init_seed" else value > 0
+            if not (in_range and math.isfinite(value)):
+                raise ValueError(f"{f.name}: {value!r} is out of range")
+        if self.embed_dim % self.attention_heads:
+            raise ValueError(f"embed_dim: {self.embed_dim} is not a multiple "
+                             f"of attention_heads ({self.attention_heads})")
+
     def interaction(self) -> InteractionConfig:
         return InteractionConfig(self.embed_dim, self.attention_heads,
                                  self.context_radius_m,
@@ -69,8 +81,8 @@ class ForwardResult:
     lon_probs: np.ndarray         # [N, 3]
     intention_feature: np.ndarray  # [N, D]
     features: np.ndarray          # [N, D] fused interaction features
-    map_count: int
-    att_rows: np.ndarray | None
+    att_rows: np.ndarray | None   # [N] rows given map context; None: no map
+    ctx: tuple                    # the layer contexts, in forward order
 
 
 class JointPredictor(nn.Module):
@@ -104,57 +116,61 @@ class JointPredictor(nn.Module):
     def forward(self, local: Scenario) -> ForwardResult:
         cfg = self.cfg
         feats = history_feature_matrix(local)
-        h = self.history.forward(feats)
+        h, hist_ctx = self.history.forward(feats)
         mask = neighbor_mask(local, cfg.context_radius_m)
-        base = self.agent_agent.forward(h, mask)
+        base, aa_ctx = self.agent_agent.forward(h, mask)
 
-        att_rows = None
+        att_rows = map_ctx = None
         features = base
         if len(local.map):
-            membeds = self.map_enc.forward(
+            membeds, menc_ctx = self.map_enc.forward(
                 map_feature_matrix(local.map, cfg.map_pad))
             vis = map_visibility(local, cfg.context_radius_m)
-            fused = self.agent_map.forward(base, membeds, vis)
+            fused, amap_ctx = self.agent_map.forward(base, membeds, vis)
+            map_ctx = (menc_ctx, amap_ctx)
             att_rows = vis.any(axis=1)
             features = base.copy()
             features[att_rows] += fused[att_rows]
 
-        lat, lon = self.intention_head.forward(features)
-        e_lat = self.lat_embeddings.forward(features, lat)
-        e_lon = self.lon_embeddings.forward(features, lon)
-        z = self.fuser.forward(e_lat, e_lon)
+        (lat, lon), head_ctx = self.intention_head.forward(features)
+        e_lat, elat_ctx = self.lat_embeddings.forward(features, lat)
+        e_lon, elon_ctx = self.lon_embeddings.forward(features, lon)
+        z, fuse_ctx = self.fuser.forward(e_lat, e_lon)
         dec_in = np.concatenate([features, z], axis=1)
         pos0 = local.current_kinematics()[:, :2]
-        trajs, probs = self.decoder.forward(dec_in, pos0)
+        (trajs, probs), dec_ctx = self.decoder.forward(dec_in, pos0)
         nn.ensure_finite(trajs, "decoded trajectories")
-        return ForwardResult(trajs, probs, lat, lon, z, features,
-                             len(local.map), att_rows)
+        return ForwardResult(trajs, probs, lat, lon, z, features, att_rows,
+                             (hist_ctx, aa_ctx, map_ctx, head_ctx, elat_ctx,
+                              elon_ctx, fuse_ctx, dec_ctx))
 
     def backward(self, res: ForwardResult, dtrajs: np.ndarray,
                  dprobs: np.ndarray, dlat: np.ndarray,
                  dlon: np.ndarray) -> None:
+        (hist_ctx, aa_ctx, map_ctx, head_ctx, elat_ctx, elon_ctx, fuse_ctx,
+         dec_ctx) = res.ctx
         d = self.cfg.embed_dim
-        ddec_in = self.decoder.backward(dtrajs, dprobs)
+        ddec_in = self.decoder.backward(dec_ctx, dtrajs, dprobs)
         dfeat = ddec_in[:, :d].copy()
         dz = ddec_in[:, d:]
-        de_lat, de_lon = self.fuser.backward(dz)
-        df, dlon_emb = self.lon_embeddings.backward(de_lon)
+        de_lat, de_lon = self.fuser.backward(fuse_ctx, dz)
+        df, dlon_emb = self.lon_embeddings.backward(elon_ctx, de_lon)
         dfeat += df
-        df, dlat_emb = self.lat_embeddings.backward(de_lat)
+        df, dlat_emb = self.lat_embeddings.backward(elat_ctx, de_lat)
         dfeat += df
-        dfeat += self.intention_head.backward(dlat + dlat_emb,
+        dfeat += self.intention_head.backward(head_ctx, dlat + dlat_emb,
                                               dlon + dlon_emb)
 
-        if res.map_count > 0:
+        dbase = dfeat
+        if map_ctx is not None:
+            menc_ctx, amap_ctx = map_ctx
             g_op = np.zeros_like(dfeat)
             g_op[res.att_rows] = dfeat[res.att_rows]
-            dbase_att, dmap = self.agent_map.backward(g_op)
-            self.map_enc.backward(dmap)
+            dbase_att, dmap = self.agent_map.backward(amap_ctx, g_op)
+            self.map_enc.backward(menc_ctx, dmap)
             dbase = dfeat + dbase_att
-        else:
-            dbase = dfeat
-        dh = self.agent_agent.backward(dbase)
-        self.history.backward(dh)
+        dh = self.agent_agent.backward(aa_ctx, dbase)
+        self.history.backward(hist_ctx, dh)
 
     # -- inference ---------------------------------------------------------
 
@@ -178,7 +194,6 @@ class JointPredictor(nn.Module):
                              scn.scenario_id)
         dists = [IntentionDistribution(res.lat_probs[i], res.lon_probs[i])
                  for i in range(n)]
-        self.clear_cache()
         return jp, dists
 
     # -- checkpointing -----------------------------------------------------
@@ -262,8 +277,8 @@ def _read_json(f, path: str) -> tuple[object, dict[str, np.ndarray]]:
 
 def _config_from_json(obj) -> ModelConfig:
     """A ModelConfig from a checkpoint's config object: every field and no
-    other, integer fields as JSON integers, float fields finite, and every
-    value positive (the seed non-negative)."""
+    other, integer fields as JSON integers, float fields finite, and the
+    values in the ranges ModelConfig checks."""
     if not isinstance(obj, dict):
         raise ValueError("checkpoint config is not an object")
     names = {f.name: type(f.default) for f in fields(ModelConfig)}
@@ -279,11 +294,11 @@ def _config_from_json(obj) -> ModelConfig:
                                        and math.isfinite(value))):
             raise ValueError(f"checkpoint config {name}: {value!r} is not "
                              f"a finite {want.__name__}")
-        if value < 0 or (value == 0 and name != "init_seed"):
-            raise ValueError(f"checkpoint config {name}: {value!r} is out "
-                             f"of range")
         values[name] = want(value)
-    return ModelConfig(**values)
+    try:
+        return ModelConfig(**values)
+    except ValueError as e:
+        raise ValueError(f"checkpoint config {e}") from e
 
 
 # --------------------------------------------------------------------------

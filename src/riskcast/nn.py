@@ -2,11 +2,14 @@
 passes, an Adam optimizer with decoupled weight decay, and a finite-difference
 gradient checker.
 
-Everything runs on float64 numpy arrays. There is no autodiff graph: each layer
-caches what its backward pass needs on a call stack, and callers invoke the
-backward passes in exact reverse order of the forwards. A layer may be called
-several times inside one forward pass (the caches stack up and pop off in
-reverse), which is how shared parameters are handled.
+Everything runs on float64 numpy arrays. There is no autodiff graph and no
+layer keeps per-call state: each ``forward`` returns ``(output, ctx)``, where
+``ctx`` holds what the matching backward needs, and each ``backward`` takes
+that ``ctx`` as its first argument. Composite layers keep their sub-layers'
+contexts inside their own. Inference drops the context. Backward passes may
+run in any order, and a layer may be called several times inside one forward
+pass (each call has its own context), which is how shared parameters are
+handled; gradients accumulate into the parameters.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ class Parameter:
 
 
 class Module:
-    """Base class: parameter listing, gradient reset, cache reset."""
+    """Base class: parameter listing and gradient reset."""
 
     def params(self) -> list[Parameter]:
         raise NotImplementedError
@@ -61,20 +64,6 @@ class Module:
     def zero_grad(self) -> None:
         for p in self.params():
             p.grad[...] = 0.0
-
-    def clear_cache(self) -> None:
-        """Empty every backward cache of this module and its sub-modules.
-        A list attribute holding modules lists sub-modules; any other list
-        attribute is a cache."""
-        for attr in vars(self).values():
-            if isinstance(attr, Module):
-                attr.clear_cache()
-            elif isinstance(attr, list):
-                if attr and all(isinstance(x, Module) for x in attr):
-                    for sub in attr:
-                        sub.clear_cache()
-                else:
-                    attr.clear()
 
 
 class Linear(Module):
@@ -85,22 +74,20 @@ class Linear(Module):
         self.out_dim = out_dim
         self.W = Parameter(f"{name}.W", glorot_uniform(rng, in_dim, out_dim))
         self.b = Parameter(f"{name}.b", np.zeros(out_dim)) if bias else None
-        self._cache: list[np.ndarray] = []
 
     def params(self) -> list[Parameter]:
         return [self.W] if self.b is None else [self.W, self.b]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x W + b, ctx); the context is the input."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise DimensionError(
                 f"{self.name}: expected input [*, {self.in_dim}], got {x.shape}")
-        self._cache.append(x)
         y = x @ self.W.value
-        return y if self.b is None else y + self.b.value
+        return (y if self.b is None else y + self.b.value), x
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        x = self._cache.pop()
+    def backward(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         self.W.grad += x.T @ g
         if self.b is not None:
             self.b.grad += g.sum(axis=0)
@@ -119,7 +106,6 @@ class MLP(Module):
             Linear(sizes[i], sizes[i + 1], rng, name=f"{name}.{i}")
             for i in range(len(sizes) - 1)
         ]
-        self._relu_cache: list[list[np.ndarray]] = []
 
     @property
     def in_dim(self) -> int:
@@ -132,23 +118,24 @@ class MLP(Module):
     def params(self) -> list[Parameter]:
         return [p for layer in self.layers for p in layer.params()]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        masks = []
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+        """(output, ctx); the context lists each layer's context and the
+        ReLU mask after it (None after the last layer)."""
+        ctx = []
         for i, layer in enumerate(self.layers):
-            x = layer.forward(x)
+            x, lctx = layer.forward(x)
+            mask = None
             if i < len(self.layers) - 1:
                 mask = x > 0.0
-                masks.append(mask)
                 x = x * mask
-        self._relu_cache.append(masks)
-        return x
+            ctx.append((lctx, mask))
+        return x, ctx
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        masks = self._relu_cache.pop()
-        for i in reversed(range(len(self.layers))):
-            if i < len(self.layers) - 1:
-                g = g * masks[i]
-            g = self.layers[i].backward(g)
+    def backward(self, ctx: list, g: np.ndarray) -> np.ndarray:
+        for layer, (lctx, mask) in zip(reversed(self.layers), reversed(ctx)):
+            if mask is not None:
+                g = g * mask
+            g = layer.backward(lctx, g)
         return g
 
 
@@ -159,12 +146,11 @@ class LayerNorm(Module):
         self.eps = eps
         self.gamma = Parameter(f"{name}.gamma", np.ones(dim))
         self.beta = Parameter(f"{name}.beta", np.zeros(dim))
-        self._cache: list[tuple[np.ndarray, np.ndarray]] = []
 
     def params(self) -> list[Parameter]:
         return [self.gamma, self.beta]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         if x.shape[-1] != self.dim:
             raise DimensionError(
                 f"{self.name}: expected trailing dim {self.dim}, got {x.shape}")
@@ -172,11 +158,10 @@ class LayerNorm(Module):
         var = x.var(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mu) * inv
-        self._cache.append((xhat, inv))
-        return xhat * self.gamma.value + self.beta.value
+        return xhat * self.gamma.value + self.beta.value, (xhat, inv)
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        xhat, inv = self._cache.pop()
+    def backward(self, ctx: tuple, g: np.ndarray) -> np.ndarray:
+        xhat, inv = ctx
         self.gamma.grad += (g * xhat).sum(axis=0)
         self.beta.grad += g.sum(axis=0)
         gx = g * self.gamma.value
@@ -199,13 +184,13 @@ class LSTMCell(Module):
         self.Wh = Parameter(f"{name}.Wh",
                             glorot_uniform(rng, hidden_dim, 4 * hidden_dim))
         self.b = Parameter(f"{name}.b", np.zeros(4 * hidden_dim))
-        self._cache: list[tuple] = []
 
     def params(self) -> list[Parameter]:
         return [self.Wx, self.Wh, self.b]
 
-    def step(self, x: np.ndarray, h_prev: np.ndarray,
-             c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
+             ) -> tuple[tuple[np.ndarray, np.ndarray], tuple]:
+        """((h, c), ctx) of one step."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.in_dim or h_prev.shape[-1] != self.hidden_dim:
             raise DimensionError(
@@ -219,12 +204,11 @@ class LSTMCell(Module):
         o = sigmoid(pre[..., 3 * H:4 * H])
         c = f * c_prev + i * g
         h = o * np.tanh(c)
-        self._cache.append((x, h_prev, c_prev, i, f, g, o, c))
-        return h, c
+        return (h, c), (x, h_prev, c_prev, i, f, g, o, c)
 
-    def backward_step(self, dh: np.ndarray, dc: np.ndarray
+    def backward_step(self, ctx: tuple, dh: np.ndarray, dc: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x, h_prev, c_prev, i, f, g, o, c = self._cache.pop()
+        x, h_prev, c_prev, i, f, g, o, c = ctx
         tc = np.tanh(c)
         do = dh * tc
         dc_total = dc + dh * o * (1.0 - tc * tc)
@@ -253,7 +237,6 @@ class LSTM(Module):
     def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator,
                  name: str = "lstm"):
         self.cell = LSTMCell(in_dim, hidden_dim, rng, name=name)
-        self._steps: list[int] = []
 
     @property
     def hidden_dim(self) -> int:
@@ -262,23 +245,24 @@ class LSTM(Module):
     def params(self) -> list[Parameter]:
         return self.cell.params()
 
-    def forward(self, seq: np.ndarray) -> np.ndarray:
+    def forward(self, seq: np.ndarray) -> tuple[np.ndarray, list]:
+        """(final hidden state, ctx); the context lists the step contexts."""
         seq = np.asarray(seq, dtype=np.float64)
         n, t, _ = seq.shape
         h = np.zeros((n, self.cell.hidden_dim))
         c = np.zeros((n, self.cell.hidden_dim))
+        steps = []
         for step in range(t):
-            h, c = self.cell.step(seq[:, step, :], h, c)
-        self._steps.append(t)
-        return h
+            (h, c), sctx = self.cell.step(seq[:, step, :], h, c)
+            steps.append(sctx)
+        return h, steps
 
-    def backward(self, dh_last: np.ndarray) -> np.ndarray:
-        t = self._steps.pop()
+    def backward(self, steps: list, dh_last: np.ndarray) -> np.ndarray:
         dh = dh_last
         dc = np.zeros_like(dh_last)
         dseq = []
-        for _ in range(t):
-            dx, dh, dc = self.cell.backward_step(dh, dc)
+        for sctx in reversed(steps):
+            dx, dh, dc = self.cell.backward_step(sctx, dh, dc)
             dseq.append(dx)
         return np.stack(dseq[::-1], axis=1)
 
@@ -306,14 +290,13 @@ class MultiHeadAttention(Module):
                          bias=False)
         self.Wv = Linear(embed_dim, embed_dim, rng, name=f"{name}.v")
         self.Wo = Linear(embed_dim, embed_dim, rng, name=f"{name}.o")
-        self._cache: list[tuple] = []
 
     def params(self) -> list[Parameter]:
         return (self.Wq.params() + self.Wk.params() + self.Wv.params()
                 + self.Wo.params())
 
     def forward(self, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                mask: np.ndarray | None = None) -> np.ndarray:
+                mask: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
         nq, nk = q.shape[0], k.shape[0]
         if mask is None:
             mask = np.ones((nq, nk), dtype=bool)
@@ -329,29 +312,31 @@ class MultiHeadAttention(Module):
             raise ValueError("empty attention context")
 
         hd, heads = self.head_dim, self.heads
-        Q = self.Wq.forward(q).reshape(nq, heads, hd).transpose(1, 0, 2)
-        K = self.Wk.forward(k).reshape(nk, heads, hd).transpose(1, 0, 2)
-        V = self.Wv.forward(v).reshape(nk, heads, hd).transpose(1, 0, 2)
+        Q, q_ctx = self.Wq.forward(q)
+        K, k_ctx = self.Wk.forward(k)
+        V, v_ctx = self.Wv.forward(v)
+        Q = Q.reshape(nq, heads, hd).transpose(1, 0, 2)
+        K = K.reshape(nk, heads, hd).transpose(1, 0, 2)
+        V = V.reshape(nk, heads, hd).transpose(1, 0, 2)
 
         scores = np.einsum("hid,hjd->hij", Q, K) / np.sqrt(hd)
         scores = np.where(mask[None, :, :], scores, -np.inf)
-        weights = _softmax_lastaxis(scores)
-        ctx = np.einsum("hij,hjd->hid", weights, V)
-        ctx_flat = ctx.transpose(1, 0, 2).reshape(nq, self.embed_dim)
-        out = self.Wo.forward(ctx_flat)
-        self._cache.append((Q, K, V, weights))
-        return out
+        weights = softmax(scores)
+        att = np.einsum("hij,hjd->hid", weights, V)
+        att_flat = att.transpose(1, 0, 2).reshape(nq, self.embed_dim)
+        out, o_ctx = self.Wo.forward(att_flat)
+        return out, (q_ctx, k_ctx, v_ctx, o_ctx, Q, K, V, weights)
 
-    def backward(self, g: np.ndarray
+    def backward(self, ctx: tuple, g: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        Q, K, V, weights = self._cache.pop()
+        q_ctx, k_ctx, v_ctx, o_ctx, Q, K, V, weights = ctx
         heads, hd = self.heads, self.head_dim
         nq, nk = Q.shape[1], K.shape[1]
 
-        dctx_flat = self.Wo.backward(g)
-        dctx = dctx_flat.reshape(nq, heads, hd).transpose(1, 0, 2)
-        dV = np.einsum("hij,hid->hjd", weights, dctx)
-        dweights = np.einsum("hid,hjd->hij", dctx, V)
+        datt_flat = self.Wo.backward(o_ctx, g)
+        datt = datt_flat.reshape(nq, heads, hd).transpose(1, 0, 2)
+        dV = np.einsum("hij,hid->hjd", weights, datt)
+        dweights = np.einsum("hid,hjd->hij", datt, V)
         # softmax backward per (head, query) row; masked weights are 0 so
         # their score gradient vanishes automatically
         row_dot = (dweights * weights).sum(axis=2, keepdims=True)
@@ -360,9 +345,9 @@ class MultiHeadAttention(Module):
         dQ = np.einsum("hij,hjd->hid", dscores, K)
         dK = np.einsum("hij,hid->hjd", dscores, Q)
 
-        dq = self.Wq.backward(dQ.transpose(1, 0, 2).reshape(nq, -1))
-        dk = self.Wk.backward(dK.transpose(1, 0, 2).reshape(nk, -1))
-        dv = self.Wv.backward(dV.transpose(1, 0, 2).reshape(nk, -1))
+        dq = self.Wq.backward(q_ctx, dQ.transpose(1, 0, 2).reshape(nq, -1))
+        dk = self.Wk.backward(k_ctx, dK.transpose(1, 0, 2).reshape(nk, -1))
+        dv = self.Wv.backward(v_ctx, dV.transpose(1, 0, 2).reshape(nk, -1))
         return dq, dk, dv
 
 
@@ -370,12 +355,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)) without overflow: exp only ever sees -|z|."""
     ez = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-
-
-def _softmax_lastaxis(x: np.ndarray) -> np.ndarray:
-    m = np.max(x, axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

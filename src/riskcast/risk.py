@@ -92,7 +92,8 @@ class HarmCoefficients:
 
     def __post_init__(self):
         if self.mu1 <= 0:
-            raise ValueError("mu1 must be positive (harm grows with delta-v)")
+            raise ValueError(f"mu1: {self.mu1!r} is not positive (harm "
+                             f"grows with delta-v)")
 
 
 @dataclass

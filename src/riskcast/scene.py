@@ -701,12 +701,17 @@ def generate_scenario(template: str, n_agents: int, seed: int,
     crosswalk's middle within the horizon, t_star seconds before the ego
     gets there. At t=0 the pedestrian is thus far ahead of the ego, often
     beyond a 50 m context radius, in which case `predict` drops it.
+
+    An unknown template, n_agents < 1 or dt <= 0 raises ValueError; the
+    message starts with "<parameter>:".
     """
     if template not in TEMPLATES:
-        raise ValueError(f"unknown template {template!r}; "
+        raise ValueError(f"template: unknown template {template!r}; "
                          f"expected one of {TEMPLATES}")
     if n_agents < 1:
-        raise ValueError("n_agents must be >= 1")
+        raise ValueError(f"n_agents: {n_agents!r} is not >= 1")
+    if not dt > 0:
+        raise ValueError(f"dt: {dt!r} is not positive")
     rng = np.random.default_rng(seed)
     total_time = (H + T) * dt
     specs: list[_AgentSpec] = []

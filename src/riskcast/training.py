@@ -42,10 +42,21 @@ class TrainConfig:
     risk: RiskConfig = field(default_factory=RiskConfig)
 
     def __post_init__(self):
+        """A message starts with "<field>:"."""
+        for name in ("batch_size", "epochs", "val_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: {getattr(self, name)!r} is not "
+                                 f"positive")
+        if not 0 <= self.stage1_epochs <= self.epochs:
+            raise ValueError(f"stage1_epochs: {self.stage1_epochs!r} does "
+                             f"not lie in 0..epochs ({self.epochs})")
         if not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must lie strictly between 0 and 1")
-        if self.stage1_epochs > self.epochs:
-            raise ValueError("stage1_epochs cannot exceed epochs")
+            raise ValueError(f"tau: {self.tau!r} does not lie strictly "
+                             f"between 0 and 1")
+        # the test fraction is what the others leave, so they must add up
+        if min(self.split) < 0 or not math.isclose(sum(self.split), 1.0):
+            raise ValueError(f"split: fractions {self.split} are not "
+                             f"non-negative with sum 1")
 
 
 @dataclass
@@ -192,7 +203,8 @@ def train(scenarios: list[Scenario], model_cfg: ModelConfig,
     opt = nn.Adam(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     train_idx, val_idx, _ = split_dataset(scenarios, cfg)
     if not train_idx:
-        raise ValueError("training split is empty")
+        raise ValueError(f"split: a training fraction of {cfg.split[0]!r} "
+                         f"leaves none of {len(scenarios)} scenes")
     locals_train = {i: model.prepare(scenarios[i]) for i in train_idx}
     val_scns = [scenarios[i] for i in val_idx] or \
         [scenarios[i] for i in train_idx[:20]]

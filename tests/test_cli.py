@@ -160,6 +160,8 @@ BAD_CHECKPOINTS = {
     "non_object_document": lambda p, cfg: p.write_text("[1, 2, 3]"),
     "config_value_wrong_type": lambda p, cfg: p.write_text(
         _v1_checkpoint({**cfg, "embed_dim": "8"})),
+    "config_value_out_of_range": lambda p, cfg: p.write_text(
+        _v1_checkpoint({**cfg, "n_modes": 0})),
     "truncated_zip": lambda p, cfg: p.write_bytes(
         p.read_bytes()[:p.stat().st_size // 2]),
     "corrupt_zip": lambda p, cfg: _flip_middle(p),
@@ -201,6 +203,62 @@ class TestBadInputs:
                      str(scenario), "--out", str(tmp_path / "o")] + TINY)
         assert code == 1
         assert "$.ego_index" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("data")
+    assert main(["gen", "--count", "3", "--out", str(data)] + TINY) == 0
+    return data
+
+
+# (command, extra arguments, the config key the error must name)
+BAD_CONFIG_VALUES = {
+    "epochs_below_stage1": ("train", ["--epochs", "1"],
+                            "train.stage1_epochs"),
+    "tau": ("train", ["--set", "train.tau=2"], "train.tau"),
+    "heads_not_dividing": ("train", ["--set", "model.embed_dim=30",
+                                     "--set", "model.attention_heads=4"],
+                           "model.embed_dim"),
+    "split_train_zero": ("train", ["--set", "train.split_train=0"],
+                         "train.split_train"),
+    "no_modes": ("train", ["--set", "model.n_modes=0"], "model.n_modes"),
+    "mu1": ("train", ["--set", "risk.mu1=-1"], "risk.mu1"),
+    "n_agents": ("gen", ["--set", "gen.n_agents=0"], "gen.n_agents"),
+    "template": ("gen", ["--set", "gen.template=foo"], "gen.template"),
+    "time_step": ("gen", ["--set", "gen.dt=0"], "gen.dt"),
+    "training_split_rounds_to_none": (
+        "train", ["--set", "train.split_train=0.05",
+                  "--set", "train.split_val=0.8"], "train.split_train"),
+    "integer_with_fraction": ("train", ["--set", "train.epochs=2.7"],
+                              "train.epochs"),
+    "infinite_float": ("train", ["--set", "train.lr=inf"], "train.lr"),
+}
+
+
+class TestBadConfigValues:
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+    def test_exits_1_naming_the_key(self, tmp_path, capsys, tiny_data,
+                                    case):
+        command, extra, key = BAD_CONFIG_VALUES[case]
+        data = ["--data", str(tiny_data)] if command == "train" else []
+        code = main([command, "--out", str(tmp_path / "o")] + data + TINY
+                    + extra)
+        assert code == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["2.7", "true", "NaN", "Infinity",
+                                       '"3"'])
+    def test_config_file_values_are_strict(self, tmp_path, capsys, value):
+        # a JSON string of an integer is accepted, like --set's strings
+        key = "train.lr" if value in ("NaN", "Infinity") else "train.epochs"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(f'{{"{key}": {value}}}')
+        code = main(["gen", "--count", "1", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")] + TINY)
+        assert code == (0 if value == '"3"' else 1)
+        if code:
+            assert key in capsys.readouterr().err
 
 
 class TestSeedPrecedence:

@@ -22,7 +22,7 @@ class TestIntentionHead:
     def test_distributions_sum_to_one(self):
         head = IntentionHead(DIM, nn.seeded_rng(0))
         feats = nn.seeded_rng(1).normal(size=(4, DIM))
-        lat, lon = head.forward(feats)
+        (lat, lon), _ = head.forward(feats)
         assert lat.shape == lon.shape == (4, 3)
         for d_lat, d_lon in zip(lat, lon):
             assert d_lat.sum() == pytest.approx(1.0, abs=1e-9)
@@ -32,7 +32,7 @@ class TestIntentionHead:
     def test_zero_params_uniform(self):
         head = IntentionHead(DIM, nn.seeded_rng(0))
         zero_params(head)
-        lat, lon = head.forward(np.ones((2, DIM)))
+        (lat, lon), _ = head.forward(np.ones((2, DIM)))
         assert lat.shape == lon.shape == (2, 3)
         assert np.allclose(lat, 1 / 3, atol=1e-12)
         assert np.allclose(lon, 1 / 3, atol=1e-12)
@@ -41,7 +41,7 @@ class TestIntentionHead:
         head = IntentionHead(DIM, nn.seeded_rng(2))
         row = nn.seeded_rng(3).normal(size=DIM)
         feats = np.stack([row, row])
-        lat, lon = head.forward(feats)
+        (lat, lon), _ = head.forward(feats)
         assert np.array_equal(lat[0], lat[1])
         assert np.array_equal(lon[0], lon[1])
 
@@ -50,14 +50,14 @@ class TestFusion:
     def test_rows_softmax_normalized(self):
         fuser = IntentionFuser(DIM, nn.seeded_rng(4))
         e = nn.seeded_rng(5).normal(size=(3, DIM))
-        z = fuser.forward(e, e * 0.5)
+        z, _ = fuser.forward(e, e * 0.5)
         assert np.allclose(z.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(z > 0)
 
     def test_zero_params_uniform(self):
         fuser = IntentionFuser(DIM, nn.seeded_rng(6))
         zero_params(fuser)
-        z = fuser.forward(np.ones((2, DIM)), np.ones((2, DIM)))
+        z, _ = fuser.forward(np.ones((2, DIM)), np.ones((2, DIM)))
         assert np.allclose(z, 1.0 / DIM, atol=1e-12)
 
     def test_matches_oracle_composition(self):
@@ -65,9 +65,9 @@ class TestFusion:
         rng = nn.seeded_rng(8)
         e_lat = rng.normal(size=(3, DIM))
         e_lon = rng.normal(size=(3, DIM))
-        z = fuser.forward(e_lat, e_lon)
+        z, _ = fuser.forward(e_lat, e_lon)
         expected = nn.softmax(
-            fuser.mlp.forward(np.concatenate([e_lat, e_lon], axis=1)),
+            fuser.mlp.forward(np.concatenate([e_lat, e_lon], axis=1))[0],
             axis=-1)
         assert np.allclose(z, expected, atol=1e-12)
 
@@ -76,8 +76,8 @@ class TestFusion:
         rng = nn.seeded_rng(10)
         feats = rng.normal(size=(2, DIM))
         probs = nn.softmax(rng.normal(size=(2, 3)), axis=-1)
-        out = emb.forward(feats, probs)
-        expected = sum(probs[:, c:c + 1] * emb.heads[c].forward(feats)
+        out, _ = emb.forward(feats, probs)
+        expected = sum(probs[:, c:c + 1] * emb.heads[c].forward(feats)[0]
                        for c in range(3))
         assert np.allclose(out, expected, atol=1e-12)
 
@@ -87,7 +87,7 @@ class TestJointDecoder:
         dec = JointDecoder(DIM, n_modes=4, horizon=6, rng=nn.seeded_rng(11))
         x = nn.seeded_rng(12).normal(size=(3, 2 * DIM))
         pos0 = nn.seeded_rng(13).normal(size=(3, 2))
-        trajs, p = dec.forward(x, pos0)
+        (trajs, p), _ = dec.forward(x, pos0)
         assert trajs.shape == (4, 3, 6, 2)
         assert p.shape == (4,)
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
@@ -96,7 +96,7 @@ class TestJointDecoder:
         dec = JointDecoder(DIM, n_modes=3, horizon=5, rng=nn.seeded_rng(14))
         zero_params(dec)
         pos0 = np.array([[1.5, -2.0], [0.0, 4.0]])
-        trajs, p = dec.forward(np.ones((2, 2 * DIM)), pos0)
+        (trajs, p), _ = dec.forward(np.ones((2, 2 * DIM)), pos0)
         for k in range(3):
             for i in range(2):
                 assert np.allclose(trajs[k, i], pos0[i], atol=1e-12)
@@ -108,12 +108,12 @@ class TestJointDecoder:
         dec = JointDecoder(DIM, n_modes=2, horizon=4, rng=nn.seeded_rng(15))
         x = nn.seeded_rng(16).normal(size=(2, 2 * DIM))
         pos0 = np.array([[3.0, 1.0], [-1.0, 2.0]])
-        trajs, _ = dec.forward(x, pos0)
+        (trajs, _), _ = dec.forward(x, pos0)
         offsets0 = trajs[:, :, 0, :] - pos0[None, :, :]
         assert np.all(np.isfinite(offsets0))
         for p in dec.params():
             p.value *= 1e-12
-        trajs2, _ = dec.forward(x, pos0)
+        (trajs2, _), _ = dec.forward(x, pos0)
         assert np.allclose(trajs2[:, :, 0, :], pos0[None], atol=1e-9)
 
     def test_permuting_non_ego_agents(self):
@@ -122,8 +122,8 @@ class TestJointDecoder:
         x = rng.normal(size=(4, 2 * DIM))
         pos0 = rng.normal(size=(4, 2))
         perm = np.array([0, 2, 3, 1])  # keep agent 0 in place
-        trajs, p = dec.forward(x, pos0)
-        trajs_p, p_p = dec.forward(x[perm], pos0[perm])
+        (trajs, p), _ = dec.forward(x, pos0)
+        (trajs_p, p_p), _ = dec.forward(x[perm], pos0[perm])
         assert np.allclose(trajs_p, trajs[:, perm], atol=1e-12)
         assert np.allclose(p_p, p, atol=1e-12)
 

@@ -34,7 +34,7 @@ class TestHistoryEncoder:
     def test_output_shape_finite(self):
         scn = generate_scenario("straight", 1, seed=0)
         enc = HistoryEncoder(CFG, nn.seeded_rng(0))
-        out = enc.forward(history_feature_matrix(local_frame(scn, "ego")))
+        out, _ = enc.forward(history_feature_matrix(local_frame(scn, "ego")))
         assert out.shape == (1, CFG.embed_dim)
         assert np.all(np.isfinite(out))
 
@@ -42,31 +42,31 @@ class TestHistoryEncoder:
         enc = HistoryEncoder(CFG, nn.seeded_rng(1))
         feats = history_feature_matrix(local)
         doubled = np.concatenate([feats, feats[:1]], axis=0)
-        out = enc.forward(doubled)
+        out, _ = enc.forward(doubled)
         assert np.allclose(out[0], out[-1], atol=0)
 
     def test_matches_stepwise_lstm_oracle(self, local):
         enc = HistoryEncoder(CFG, nn.seeded_rng(7))
         feats = history_feature_matrix(local)
-        out = enc.forward(feats)
+        out, _ = enc.forward(feats)
         h = np.zeros((feats.shape[0], CFG.embed_dim))
         c = np.zeros_like(h)
         for t in range(feats.shape[1]):
-            h, c = enc.lstm.cell.step(feats[:, t, :], h, c)
+            (h, c), _ = enc.lstm.cell.step(feats[:, t, :], h, c)
         assert np.allclose(out, h, atol=1e-10)
 
 
 class TestMapEncoder:
     def test_empty_map(self):
         enc = MapEncoder(CFG, nn.seeded_rng(2))
-        out = enc.forward(map_feature_matrix(RoadMap.from_polylines([]),
-                                             CFG.map_pad))
+        out, _ = enc.forward(map_feature_matrix(RoadMap.from_polylines([]),
+                                                CFG.map_pad))
         assert out.shape == (0, CFG.embed_dim)
 
     def test_identical_polylines_identical_embeddings(self):
         enc = MapEncoder(CFG, nn.seeded_rng(3))
         poly = MapPolyline(np.array([[0.0, 0.0], [5.0, 1.0], [10.0, 3.0]]))
-        out = enc.forward(map_feature_matrix(
+        out, _ = enc.forward(map_feature_matrix(
             RoadMap.from_polylines([poly, poly]), CFG.map_pad))
         assert np.array_equal(out[0], out[1])
 
@@ -76,10 +76,10 @@ class TestMapEncoder:
         from riskcast.scene import _apply_rigid
         moved = _apply_rigid(scn, np.array([123.0, -77.0]), 0.0)
         enc = MapEncoder(CFG, nn.seeded_rng(4))
-        a = enc.forward(map_feature_matrix(local_frame(scn, "ego").map,
-                                           CFG.map_pad))
-        b = enc.forward(map_feature_matrix(local_frame(moved, "ego").map,
-                                           CFG.map_pad))
+        a, _ = enc.forward(map_feature_matrix(local_frame(scn, "ego").map,
+                                              CFG.map_pad))
+        b, _ = enc.forward(map_feature_matrix(local_frame(moved, "ego").map,
+                                              CFG.map_pad))
         assert np.allclose(a, b, atol=1e-9)
 
     def test_long_polylines_padded(self):
@@ -96,8 +96,8 @@ class TestAgentAgentAttention:
     def test_single_agent_depends_on_self(self):
         enc = AgentAgentEncoder(CFG, nn.seeded_rng(6))
         x = nn.seeded_rng(7).normal(size=(1, CFG.embed_dim))
-        out1 = enc.forward(x, np.ones((1, 1), dtype=bool))
-        out2 = enc.forward(x.copy(), np.ones((1, 1), dtype=bool))
+        out1, _ = enc.forward(x, np.ones((1, 1), dtype=bool))
+        out2, _ = enc.forward(x.copy(), np.ones((1, 1), dtype=bool))
         assert np.array_equal(out1, out2)
 
     def test_permutation_equivariance(self):
@@ -106,8 +106,8 @@ class TestAgentAgentAttention:
         x = rng.normal(size=(5, CFG.embed_dim))
         mask = np.ones((5, 5), dtype=bool)
         perm = np.array([0, 3, 1, 4, 2])
-        out = enc.forward(x, mask)
-        out_p = enc.forward(x[perm], mask[np.ix_(perm, perm)])
+        out, _ = enc.forward(x, mask)
+        out_p, _ = enc.forward(x[perm], mask[np.ix_(perm, perm)])
         assert np.allclose(out_p, out[perm], atol=1e-12)
 
     def test_masked_agent_equals_deletion(self):
@@ -116,8 +116,8 @@ class TestAgentAgentAttention:
         x = rng.normal(size=(4, CFG.embed_dim))
         mask = np.ones((4, 4), dtype=bool)
         mask[:3, 3] = False  # agent 3 invisible to everyone else
-        out = enc.forward(x, mask)
-        out_del = enc.forward(x[:3], np.ones((3, 3), dtype=bool))
+        out, _ = enc.forward(x, mask)
+        out_del, _ = enc.forward(x[:3], np.ones((3, 3), dtype=bool))
         assert np.allclose(out[:3], out_del, atol=1e-9)
 
     def test_empty_context_raises(self):
@@ -134,7 +134,7 @@ class TestAgentAgentAttention:
         enc = AgentAgentEncoder(CFG, rng)
         feats = rng.normal(size=(len(local.agents), CFG.embed_dim))
         mask = neighbor_mask(local, CFG.context_radius_m)
-        base = enc.forward(feats, mask)
+        base, _ = enc.forward(feats, mask)
 
         far_feat = rng.normal(size=(1, CFG.embed_dim))
         feats2 = np.concatenate([feats, far_feat])
@@ -142,7 +142,7 @@ class TestAgentAgentAttention:
         mask2 = np.zeros((n, n), dtype=bool)
         mask2[:n - 1, :n - 1] = mask
         mask2[n - 1, n - 1] = True  # far agent sees only itself
-        out = enc.forward(feats2, mask2)
+        out, _ = enc.forward(feats2, mask2)
         assert np.allclose(out[:n - 1], base, atol=1e-9)
 
 
@@ -150,7 +150,7 @@ class TestAgentMapAttention:
     def test_empty_map_pass_through(self):
         att = AgentMapAttention(CFG, nn.seeded_rng(12))
         x = nn.seeded_rng(13).normal(size=(3, CFG.embed_dim))
-        out = att.forward(x, np.zeros((0, CFG.embed_dim)))
+        out, _ = att.forward(x, np.zeros((0, CFG.embed_dim)))
         assert np.array_equal(out, x)
 
     def test_single_polyline_identity_projection(self):
@@ -161,7 +161,7 @@ class TestAgentMapAttention:
                 lin.b.value[...] = 0.0
         x = nn.seeded_rng(15).normal(size=(3, CFG.embed_dim))
         value = nn.seeded_rng(16).normal(size=(1, CFG.embed_dim))
-        out = att.forward(x, value)
+        out, _ = att.forward(x, value)
         assert np.allclose(out, np.repeat(value, 3, axis=0), atol=1e-12)
 
     def test_polyline_permutation_invariance(self):
@@ -170,7 +170,7 @@ class TestAgentMapAttention:
         x = rng.normal(size=(2, CFG.embed_dim))
         m = rng.normal(size=(5, CFG.embed_dim))
         perm = np.array([4, 2, 0, 1, 3])
-        assert np.allclose(att.forward(x, m), att.forward(x, m[perm]),
+        assert np.allclose(att.forward(x, m)[0], att.forward(x, m[perm])[0],
                            atol=1e-12)
 
     def test_invisible_rows_pass_through(self):
@@ -179,7 +179,7 @@ class TestAgentMapAttention:
         x = rng.normal(size=(3, CFG.embed_dim))
         m = rng.normal(size=(2, CFG.embed_dim))
         vis = np.array([[True, True], [False, False], [True, False]])
-        out = att.forward(x, m, vis)
+        out, _ = att.forward(x, m, vis)
         assert np.array_equal(out[1], x[1])
         assert not np.allclose(out[0], x[0])
 
@@ -202,11 +202,11 @@ def test_all_finite_over_generator_scenarios():
     for seed in range(20):
         scn = generate_scenario("crossing_conflict", 3, seed)
         local = local_frame(scn, "ego", CFG.context_radius_m)
-        h = hist.forward(history_feature_matrix(local))
-        base = aa.forward(h, neighbor_mask(local, CFG.context_radius_m))
-        m = menc.forward(map_feature_matrix(local.map, CFG.map_pad))
-        out = amap.forward(base, m,
-                           map_visibility(local, CFG.context_radius_m))
+        h, _ = hist.forward(history_feature_matrix(local))
+        base, _ = aa.forward(h, neighbor_mask(local, CFG.context_radius_m))
+        m, _ = menc.forward(map_feature_matrix(local.map, CFG.map_pad))
+        out, _ = amap.forward(base, m,
+                              map_visibility(local, CFG.context_radius_m))
         assert np.all(np.isfinite(h))
         assert np.all(np.isfinite(base))
         assert np.all(np.isfinite(out))
@@ -231,21 +231,23 @@ class PerAgentReference:
         for i in range(embeds.shape[0]):
             idx = np.flatnonzero(mask[i])
             x = embeds[idx]
+            ctxs = []
             for block in self.blocks:
-                x = block.forward(x)
+                x, ctx = block.forward(x)
+                ctxs.append(ctx)
             pos = int(np.flatnonzero(idx == i)[0])
             out[i] = x[pos]
-            self.runs.append((idx, pos))
+            self.runs.append((idx, pos, ctxs))
         return out
 
     def backward(self, g):
         dembeds = np.zeros_like(g)
         for i in reversed(range(len(self.runs))):
-            idx, pos = self.runs[i]
+            idx, pos, ctxs = self.runs[i]
             gx = np.zeros((idx.size, g.shape[1]))
             gx[pos] = g[i]
-            for block in reversed(self.blocks):
-                gx = block.backward(gx)
+            for block, ctx in zip(reversed(self.blocks), reversed(ctxs)):
+                gx = block.backward(ctx, gx)
             dembeds[idx] += gx
         return dembeds
 
@@ -331,8 +333,8 @@ class TestGroupedSubgraphAttention:
         ref_grads = [p.grad.copy() for p in enc.params()]
 
         enc.zero_grad()
-        out = enc.forward(x, mask)
-        dx = enc.backward(g)
+        out, ctx = enc.forward(x, mask)
+        dx = enc.backward(ctx, g)
         assert np.max(np.abs(out - ref_out)) <= 1e-12
         assert np.max(np.abs(dx - ref_dx)) <= 1e-12
         for p, ref_grad in zip(enc.params(), ref_grads):
@@ -363,8 +365,8 @@ class TestGroupedSubgraphAttention:
         w = rng.normal(size=(4, small.embed_dim))
 
         def loss():
-            out = enc.forward(x.value, mask)
-            x.grad += enc.backward(w)
+            out, ctx = enc.forward(x.value, mask)
+            x.grad += enc.backward(ctx, w)
             return float((out * w).sum())
 
         assert nn.grad_check(loss, enc.params() + [x]) < 1e-5

@@ -52,7 +52,6 @@ class TestForward:
         labels = [label_indices(a.future) for a in local.agents]
 
         def loss_fn():
-            model.clear_cache()
             res = model.forward(local)
             l_pre, k_star, dtrajs = prediction_loss(res.trajectories, truth)
             l_man, dlat, dlon = intention_loss(res.lat_probs, res.lon_probs,
@@ -117,6 +116,54 @@ class TestForward:
                 "MLP", "Linear", "LSTM", "LSTMCell"} <= seen
         assert left == []
 
+    def test_forward_leaves_only_parameters_and_config(self, tiny_setup):
+        # a module holds parameters, sub-modules and config values; what a
+        # forward computes for its backward goes into the returned context
+        model, _, local = tiny_setup
+        model.forward(local)
+        bad = []
+
+        def walk(module, path):
+            for name, attr in vars(module).items():
+                subs = attr if isinstance(attr, list) else [attr]
+                if subs and all(isinstance(x, nn.Module) for x in subs):
+                    for i, sub in enumerate(subs):
+                        walk(sub, f"{path}.{name}[{i}]")
+                elif not isinstance(attr, (nn.Parameter, ModelConfig, int,
+                                           float, str, type(None))):
+                    bad.append(f"{path}.{name}")
+
+        walk(model, "model")
+        assert bad == []
+
+    def test_interleaved_backwards_match_separate_passes(self):
+        model = JointPredictor(TINY)
+        locals_ = [model.prepare(generate_scenario(t, n, seed=s, H=3, T=5))
+                   for t, n, s in (("crossing_conflict", 3, 11),
+                                   ("merge", 4, 2))]
+
+        def backward(res, local):
+            _, k_star, dtrajs = prediction_loss(res.trajectories,
+                                                _truth_matrix(local))
+            labels = [label_indices(a.future) for a in local.agents]
+            _, dlat, dlon = intention_loss(res.lat_probs, res.lon_probs,
+                                           labels)
+            model.backward(res, dtrajs,
+                           nn.cross_entropy_grad(res.mode_probs, k_star),
+                           dlat, dlon)
+
+        model.zero_grad()
+        for local in locals_:
+            backward(model.forward(local), local)
+        separate = [p.grad.copy() for p in model.params()]
+
+        model.zero_grad()
+        results = [model.forward(local) for local in locals_]
+        for res, local in zip(results, locals_):
+            backward(res, local)
+        for p, want in zip(model.params(), separate):
+            assert p.grad.tobytes() == want.tobytes(), p.name
+
     def test_prediction_in_global_frame(self, tiny_setup):
         model, scn, _ = tiny_setup
         jp, _ = model.predict(scn)
@@ -124,6 +171,23 @@ class TestForward:
         first = jp.trajectories[0, jp.agent_ids.index("ego"), 0]
         # decoded points start near the ego's current global position
         assert np.linalg.norm(first - ego_pos) < 30.0
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("n_modes", 0), ("embed_dim", -8), ("future_steps", 0),
+        ("context_radius_m", float("nan")), ("context_radius_m", 0.0),
+        ("init_seed", -1)])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}:"):
+            ModelConfig(**{field: value})
+
+    def test_heads_must_divide_embedding(self):
+        with pytest.raises(ValueError, match="^embed_dim:"):
+            ModelConfig(embed_dim=30, attention_heads=4)
+
+    def test_seed_zero_accepted(self):
+        assert ModelConfig(init_seed=0).init_seed == 0
 
 
 class TestCheckpoint:

@@ -80,20 +80,20 @@ class TestMLP:
         mlp = nn.MLP([2, 2], nn.seeded_rng(0))
         mlp.layers[0].W.value[...] = np.eye(2)
         mlp.layers[0].b.value[...] = 0.0
-        out = mlp.forward(np.array([[1.0, 2.0]]))
+        out = mlp.forward(np.array([[1.0, 2.0]]))[0]
         assert np.array_equal(out, [[1.0, 2.0]])
 
     def test_bias_only(self):
         mlp = nn.MLP([2, 1], nn.seeded_rng(0))
         zero_params(mlp)
         mlp.layers[0].b.value[...] = 3.0
-        out = mlp.forward(np.array([[5.0, -7.0]]))
+        out = mlp.forward(np.array([[5.0, -7.0]]))[0]
         assert np.array_equal(out, [[3.0]])
 
     def test_matches_naive_oracle(self):
         mlp = nn.MLP([3, 5, 2], nn.seeded_rng(7))
         x = nn.seeded_rng(8).normal(size=(4, 3))
-        assert np.allclose(mlp.forward(x), naive_mlp_forward(mlp, x),
+        assert np.allclose(mlp.forward(x)[0], naive_mlp_forward(mlp, x),
                            atol=1e-10)
 
     def test_dimension_error_names_layer(self):
@@ -109,8 +109,8 @@ class TestMLP:
 
         def loss():
             mlp.zero_grad()
-            out = mlp.forward(x)
-            mlp.backward(r)
+            out, ctx = mlp.forward(x)
+            mlp.backward(ctx, r)
             return float((out * r).sum())
 
         assert nn.grad_check(loss, mlp.params()) < 1e-5
@@ -124,8 +124,8 @@ class TestLSTM:
     def test_zero_params_zero_cell(self):
         cell = nn.LSTMCell(3, 2, nn.seeded_rng(0))
         zero_params(cell)
-        h, c = cell.step(np.ones((1, 3)), np.zeros((1, 2)),
-                         np.zeros((1, 2)))
+        (h, c), _ = cell.step(np.ones((1, 3)), np.zeros((1, 2)),
+                              np.zeros((1, 2)))
         assert np.array_equal(h, np.zeros((1, 2)))
         assert np.array_equal(c, np.zeros((1, 2)))
 
@@ -134,7 +134,8 @@ class TestLSTM:
         # c' = 0.5*1, h = 0.5*tanh(0.5)
         cell = nn.LSTMCell(2, 1, nn.seeded_rng(0))
         zero_params(cell)
-        h, c = cell.step(np.ones((1, 2)), np.zeros((1, 1)), np.ones((1, 1)))
+        (h, c), _ = cell.step(np.ones((1, 2)), np.zeros((1, 1)),
+                              np.ones((1, 1)))
         assert c[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert h[0, 0] == pytest.approx(0.5 * np.tanh(0.5), abs=1e-12)
         assert h[0, 0] == pytest.approx(0.2311, abs=1e-4)
@@ -145,7 +146,7 @@ class TestLSTM:
         x = rng.normal(size=(2, 4))
         h0 = rng.normal(size=(2, 3))
         c0 = rng.normal(size=(2, 3))
-        h, c = cell.step(x, h0, c0)
+        (h, c), _ = cell.step(x, h0, c0)
         h_ref, c_ref = naive_lstm_step(cell, x, h0, c0)
         assert np.allclose(h, h_ref, atol=1e-10)
         assert np.allclose(c, c_ref, atol=1e-10)
@@ -163,8 +164,8 @@ class TestLSTM:
 
         def loss():
             lstm.zero_grad()
-            out = lstm.forward(seq)
-            lstm.backward(r)
+            out, ctx = lstm.forward(seq)
+            lstm.backward(ctx, r)
             return float((out * r).sum())
 
         assert nn.grad_check(loss, lstm.params()) < 1e-5
@@ -188,7 +189,7 @@ class TestAttention:
         mha = identity_mha(4, heads=2)
         q = np.array([[0.3, -0.2, 0.9, 0.1]])
         v = np.array([[1.0, 2.0, 3.0, 4.0]])
-        out = mha.forward(q, v, v)
+        out = mha.forward(q, v, v)[0]
         assert np.allclose(out, v, atol=1e-12)
 
     def test_identical_keys_give_shared_value(self):
@@ -196,7 +197,7 @@ class TestAttention:
         q = np.array([[5.0, -1.0]])
         k = np.array([[0.7, 0.7], [0.7, 0.7]])
         v = np.array([[2.0, 9.0], [2.0, 9.0]])
-        out = mha.forward(q, k, v)
+        out = mha.forward(q, k, v)[0]
         assert np.allclose(out, [[2.0, 9.0]], atol=1e-12)
 
     def test_masked_key_equals_deletion(self):
@@ -206,8 +207,8 @@ class TestAttention:
         k = rng.normal(size=(4, 6))
         v = rng.normal(size=(4, 6))
         mask = np.array([True, True, False, True])
-        masked = mha.forward(q, k, v, mask)
-        deleted = mha.forward(q, k[mask], v[mask])
+        masked = mha.forward(q, k, v, mask)[0]
+        deleted = mha.forward(q, k[mask], v[mask])[0]
         assert np.allclose(masked, deleted, atol=1e-12)
 
     def test_permutation_equivariance_of_keys(self):
@@ -218,8 +219,8 @@ class TestAttention:
         v = rng.normal(size=(5, 8))
         mask = np.array([True, False, True, True, True])
         perm = np.array([3, 0, 4, 2, 1])
-        out = mha.forward(q, k, v, mask)
-        out_p = mha.forward(q, k[perm], v[perm], mask[perm])
+        out = mha.forward(q, k, v, mask)[0]
+        out_p = mha.forward(q, k[perm], v[perm], mask[perm])[0]
         assert np.allclose(out, out_p, atol=1e-12)
 
     def test_all_masked_raises(self):
@@ -241,8 +242,8 @@ class TestAttention:
 
         def loss():
             mha.zero_grad()
-            out = mha.forward(x, x, x, mask)
-            dq, dk, dv = mha.backward(r)
+            out, ctx = mha.forward(x, x, x, mask)
+            dq, dk, dv = mha.backward(ctx, r)
             return float((out * r).sum())
 
         assert nn.grad_check(loss, mha.params()) < 1e-5
@@ -254,16 +255,16 @@ class TestAttention:
         k = rng.normal(size=(3, 4))
         v = rng.normal(size=(3, 4))
         r = rng.normal(size=(2, 4))
-        out = mha.forward(q, k, v)
-        dq, dk, dv = mha.backward(r)
+        out, ctx = mha.forward(q, k, v)
+        dq, dk, dv = mha.backward(ctx, r)
         h = 1e-6
         for arr, grad in ((q, dq), (k, dk), (v, dv)):
             idx = (0, 1)
             orig = arr[idx]
             arr[idx] = orig + h
-            lp = float((mha.forward(q, k, v) * r).sum())
+            lp = float((mha.forward(q, k, v)[0] * r).sum())
             arr[idx] = orig - h
-            lm = float((mha.forward(q, k, v) * r).sum())
+            lm = float((mha.forward(q, k, v)[0] * r).sum())
             arr[idx] = orig
             assert grad[idx] == pytest.approx((lp - lm) / (2 * h), rel=1e-4)
 
@@ -429,10 +430,9 @@ class TestGradCheck:
 
         def bad_loss():
             lin.zero_grad()
-            out = lin.forward(x)
-            lin.backward(r)
+            out, ctx = lin.forward(x)
+            lin.backward(ctx, r)
             lin.W.grad *= 1.5  # corrupt
-            lin._cache.clear()
             return float((out * r).sum())
 
         assert nn.grad_check(bad_loss, lin.params()) > 1e-2
@@ -455,6 +455,6 @@ def test_finite_forward_on_finite_inputs():
     mha = nn.MultiHeadAttention(4, 2, rng)
     x = rng.normal(size=(3, 4)) * 100
     seq = rng.normal(size=(3, 6, 4)) * 100
-    assert np.all(np.isfinite(mlp.forward(x)))
-    assert np.all(np.isfinite(lstm.forward(seq)))
-    assert np.all(np.isfinite(mha.forward(x, x, x)))
+    assert np.all(np.isfinite(mlp.forward(x)[0]))
+    assert np.all(np.isfinite(lstm.forward(seq)[0]))
+    assert np.all(np.isfinite(mha.forward(x, x, x)[0]))

@@ -127,6 +127,20 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             TrainConfig(epochs=3, stage1_epochs=5)
 
+    @pytest.mark.parametrize("split", [(0.7, 0.15, 0.1), (0.7, 0.4, -0.1),
+                                       (0.0, 0.15, 0.15)])
+    def test_split_must_be_fractions_summing_to_one(self, split):
+        with pytest.raises(ValueError, match="^split:"):
+            TrainConfig(split=split)
+
+    @pytest.mark.parametrize("field", ["batch_size", "epochs", "val_every"])
+    def test_counts_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=f"^{field}:"):
+            TrainConfig(**{field: 0, "stage1_epochs": 0})
+
+    def test_stage2_only_and_all_training_splits_accepted(self):
+        TrainConfig(epochs=1, stage1_epochs=0, split=(1.0, 0.0, 0.0))
+
 
 class TestSplit:
     def test_disjoint_and_complete(self):
