@@ -122,9 +122,15 @@ def cmd_gen(args) -> int:
         cfg["gen.count"] = args.count
     if args.n_agents is not None:
         cfg["gen.n_agents"] = args.n_agents
+    if cfg["gen.count"] < 1:
+        raise CliError(f"invalid config: gen.count: {cfg['gen.count']!r} "
+                       f"is not >= 1")
+    # the first scene checks the gen.* values before anything is written
+    scn = _checked("invalid config", cfgmod.scenario, cfg, 0)
     out = _prepare_out(args, cfg)
     for i in range(cfg["gen.count"]):
-        scn = _checked("invalid config", cfgmod.scenario, cfg, i)
+        if i:
+            scn = _checked("invalid config", cfgmod.scenario, cfg, i)
         path = os.path.join(out, f"scenario_{i:04d}.json")
         with open(path, "w") as f:
             f.write(dump_scenario(scn))

@@ -128,7 +128,13 @@ class IntentionFuser(nn.Module):
 class JointDecoder(nn.Module):
     """K trajectory heads emitting per-step offsets that are integrated from
     each agent's current position, plus a max-pooled scene feature that is
-    decoded into mode probabilities."""
+    decoded into mode probabilities.
+
+    The rows may hold several scenes: ``slices[b]`` are scene b's rows, and
+    its max-pool runs over those rows only, so the mode probabilities come
+    out as one row per scene, [B, K]. Without slices all rows are one
+    scene.
+    """
 
     def __init__(self, dim: int, n_modes: int, horizon: int,
                  rng: np.random.Generator, name: str = "dec"):
@@ -146,17 +152,22 @@ class JointDecoder(nn.Module):
         out = [p for h in self.heads for p in h.params()]
         return out + self.pool_mlp.params() + self.prob_mlp.params()
 
-    def forward(self, dec_in: np.ndarray, pos0: np.ndarray
+    def forward(self, dec_in: np.ndarray, pos0: np.ndarray,
+                slices: list[slice] | None = None
                 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple]:
+        """((trajectories [K, N, T, 2], mode probabilities [B, K]), ctx)."""
         n = dec_in.shape[0]
+        if slices is None:
+            slices = [slice(0, n)]
         offsets, head_ctxs = zip(*(h.forward(dec_in) for h in self.heads))
         trajs = pos0[:, None, :] + np.cumsum(
             np.reshape(offsets, (self.n_modes, n, self.horizon, 2)), axis=2)
         feat, pool_ctx = self.pool_mlp.forward(dec_in)
-        arg = feat.argmax(axis=0)
+        # arg[b, j]: the row holding scene b's largest feature j
+        arg = np.stack([feat[s].argmax(axis=0) + s.start for s in slices])
         pooled = feat[arg, np.arange(feat.shape[1])]
-        logits, prob_ctx = self.prob_mlp.forward(pooled[None, :])
-        probs = nn.softmax(logits[0])
+        logits, prob_ctx = self.prob_mlp.forward(pooled)
+        probs = nn.softmax(logits, axis=-1)
         return (trajs, probs), (head_ctxs, pool_ctx, prob_ctx, arg,
                                 feat.shape, probs)
 
@@ -165,7 +176,7 @@ class JointDecoder(nn.Module):
         head_ctxs, pool_ctx, prob_ctx, arg, feat_shape, probs = ctx
         n = feat_shape[0]
         dlogits = nn.softmax_backward(probs, dprobs)
-        dpooled = self.prob_mlp.backward(prob_ctx, dlogits[None, :])[0]
+        dpooled = self.prob_mlp.backward(prob_ctx, dlogits)
         dfeat = np.zeros(feat_shape)
         dfeat[arg, np.arange(feat_shape[1])] = dpooled
         ddec = self.pool_mlp.backward(pool_ctx, dfeat)

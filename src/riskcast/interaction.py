@@ -14,6 +14,10 @@ scene's arrays; the history features round as the scalar
 attention replaces a row by its attended map context (no internal residual);
 rows with no visible polyline, or an entirely empty map, pass through
 unchanged.
+
+Every layer also takes the disjoint union of several scenes' rows (see
+``riskcast.model``): the agent-agent mask and the agent-map visibility are
+then block-diagonal, so no row sees another scene's agents or polylines.
 """
 
 from __future__ import annotations
@@ -259,7 +263,13 @@ class AgentAgentEncoder(nn.Module):
 class AgentMapAttention(nn.Module):
     """Cross attention from agent features (queries) to polyline embeddings
     (keys and values). Output rows are the attended map context; rows with
-    nothing visible, or an empty map, pass through unchanged."""
+    nothing visible, or an empty map, pass through unchanged.
+
+    The rows and keys may be the union of several scenes, each a block of
+    (row slice, key slice), with the visibility False outside the blocks.
+    The attention then runs once per block, so that its cost grows with
+    the scenes' own sizes, not with the square of the union's.
+    """
 
     def __init__(self, cfg: InteractionConfig, rng: np.random.Generator,
                  name: str = "amap"):
@@ -270,28 +280,40 @@ class AgentMapAttention(nn.Module):
         return self.mha.params()
 
     def forward(self, features: np.ndarray, map_embeds: np.ndarray,
-                vis: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
-        """(output, ctx); the context is the attending rows, the polyline
-        count and the attention context (None when no row attends)."""
+                vis: np.ndarray | None = None,
+                blocks: list[tuple[slice, slice]] | None = None
+                ) -> tuple[np.ndarray, tuple]:
+        """(output, ctx); without blocks, all rows and keys are one block.
+        The context is the polyline count and, per block, its attending
+        rows, its keys and the attention context (None when no row
+        attends)."""
         n, m = features.shape[0], map_embeds.shape[0]
         if vis is None:
             vis = np.ones((n, m), dtype=bool)
-        rows = np.flatnonzero(vis.any(axis=1))
+        if blocks is None:
+            blocks = [(slice(0, n), slice(0, m))]
         out = features.copy()
-        mha_ctx = None
-        if rows.size:
-            att, mha_ctx = self.mha.forward(features[rows], map_embeds,
-                                            map_embeds, vis[rows])
-            out[rows] = att
-        return out, (rows, m, mha_ctx)
+        runs = []
+        for block_rows, keys in blocks:
+            rows = block_rows.start + np.flatnonzero(
+                vis[block_rows, keys].any(axis=1))
+            mha_ctx = None
+            if rows.size:
+                att, mha_ctx = self.mha.forward(
+                    features[rows], map_embeds[keys], map_embeds[keys],
+                    vis[rows, keys])
+                out[rows] = att
+            runs.append((rows, keys, mha_ctx))
+        return out, (m, runs)
 
     def backward(self, ctx: tuple, g: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-        rows, m, mha_ctx = ctx
+        m, runs = ctx
         dfeat = g.copy()
         dmap = np.zeros((m, g.shape[1]))
-        if rows.size:
-            dq, dk, dv = self.mha.backward(mha_ctx, g[rows])
-            dfeat[rows] = dq
-            dmap = dk + dv
+        for rows, keys, mha_ctx in runs:
+            if rows.size:
+                dq, dk, dv = self.mha.backward(mha_ctx, g[rows])
+                dfeat[rows] = dq
+                dmap[keys] = dk + dv
         return dfeat, dmap

@@ -6,6 +6,20 @@ The model operates in the ego's local frame (scene recentered on the ego's
 current pose, out-of-radius elements dropped); predictions are mapped back
 to global coordinates.
 
+``JointPredictor.forward`` takes a batch of local scenes and runs them as
+one disjoint union, the way graph libraries batch small graphs into one
+disconnected graph: the agents of every scene are stacked into one set of
+rows ([sum N, ...]) and the polylines into one set of keys, and each
+scene's rows are one slice of them (``ForwardResult.slices``). Row-wise
+layers (the LSTM, the MLPs and heads) run once over all rows. The
+agent-agent mask and the agent-map visibility are block-diagonal, so a
+row only ever sees its own scene's agents and polylines, and the decoder
+max-pools each scene's slice to one row of mode probabilities ([B, K]).
+Training runs one forward and one backward per minibatch this way;
+``predict`` is the batch of one, whose outputs are exactly those of a
+forward over that scene alone. The scenes of one batch must share their
+history length.
+
 Checkpoints (format version 2) are uncompressed ``.npz`` archives written to
 exactly the path given: one float64 array per parameter name plus a
 ``__meta__`` JSON string holding the format name, the version and the model
@@ -74,14 +88,17 @@ class ModelConfig:
 
 @dataclass
 class ForwardResult:
-    """Everything the losses and the backward pass need from one forward."""
-    trajectories: np.ndarray      # [K, N, T, 2] in the local frame
-    mode_probs: np.ndarray        # [K]
+    """Everything the losses and the backward pass need from one forward
+    over B scenes. Rows run over the agents of every scene (N = sum of the
+    scenes' agent counts); scene b's rows are ``slices[b]``."""
+    trajectories: np.ndarray      # [K, N, T, 2] in each scene's local frame
+    mode_probs: np.ndarray        # [B, K]
     lat_probs: np.ndarray         # [N, 3]
     lon_probs: np.ndarray         # [N, 3]
     intention_feature: np.ndarray  # [N, D]
     features: np.ndarray          # [N, D] fused interaction features
     att_rows: np.ndarray | None   # [N] rows given map context; None: no map
+    slices: list[slice]           # [B] each scene's rows
     ctx: tuple                    # the layer contexts, in forward order
 
 
@@ -113,20 +130,32 @@ class JointPredictor(nn.Module):
 
     # -- forward / backward over a local-frame scenario -------------------
 
-    def forward(self, local: Scenario) -> ForwardResult:
+    def forward(self, locals_: list[Scenario]) -> ForwardResult:
+        """One pass over local-frame scenes of one history length, run as
+        one disjoint union (see the module docstring)."""
         cfg = self.cfg
-        feats = history_feature_matrix(local)
-        h, hist_ctx = self.history.forward(feats)
-        mask = neighbor_mask(local, cfg.context_radius_m)
+        feats = [history_feature_matrix(local) for local in locals_]
+        steps = sorted({f.shape[1] for f in feats})
+        if len(steps) > 1:
+            raise nn.DimensionError(
+                f"forward: the scenes' history lengths differ: {steps} steps")
+        slices = _slices([len(f) for f in feats])
+        h, hist_ctx = self.history.forward(np.concatenate(feats))
+        mask = _block_diagonal([neighbor_mask(local, cfg.context_radius_m)
+                                for local in locals_])
         base, aa_ctx = self.agent_agent.forward(h, mask)
 
         att_rows = map_ctx = None
         features = base
-        if len(local.map):
-            membeds, menc_ctx = self.map_enc.forward(
-                map_feature_matrix(local.map, cfg.map_pad))
-            vis = map_visibility(local, cfg.context_radius_m)
-            fused, amap_ctx = self.agent_map.forward(base, membeds, vis)
+        if any(len(local.map) for local in locals_):
+            maps = [map_feature_matrix(local.map, cfg.map_pad)
+                    for local in locals_]
+            membeds, menc_ctx = self.map_enc.forward(np.concatenate(maps))
+            vis = _block_diagonal([map_visibility(local, cfg.context_radius_m)
+                                   for local in locals_])
+            blocks = list(zip(slices, _slices([len(m) for m in maps])))
+            fused, amap_ctx = self.agent_map.forward(base, membeds, vis,
+                                                     blocks)
             map_ctx = (menc_ctx, amap_ctx)
             att_rows = vis.any(axis=1)
             features = base.copy()
@@ -137,16 +166,21 @@ class JointPredictor(nn.Module):
         e_lon, elon_ctx = self.lon_embeddings.forward(features, lon)
         z, fuse_ctx = self.fuser.forward(e_lat, e_lon)
         dec_in = np.concatenate([features, z], axis=1)
-        pos0 = local.current_kinematics()[:, :2]
-        (trajs, probs), dec_ctx = self.decoder.forward(dec_in, pos0)
+        pos0 = np.concatenate([local.current_kinematics()[:, :2]
+                               for local in locals_])
+        (trajs, probs), dec_ctx = self.decoder.forward(dec_in, pos0, slices)
         nn.ensure_finite(trajs, "decoded trajectories")
         return ForwardResult(trajs, probs, lat, lon, z, features, att_rows,
+                             slices,
                              (hist_ctx, aa_ctx, map_ctx, head_ctx, elat_ctx,
                               elon_ctx, fuse_ctx, dec_ctx))
 
     def backward(self, res: ForwardResult, dtrajs: np.ndarray,
                  dprobs: np.ndarray, dlat: np.ndarray,
                  dlon: np.ndarray) -> None:
+        """Accumulate the parameter gradients of the losses' gradients with
+        respect to the forward's outputs, laid out as they are: dtrajs
+        [K, N, T, 2], dprobs [B, K], dlat and dlon [N, 3]."""
         (hist_ctx, aa_ctx, map_ctx, head_ctx, elat_ctx, elon_ctx, fuse_ctx,
          dec_ctx) = res.ctx
         d = self.cfg.embed_dim
@@ -185,11 +219,11 @@ class JointPredictor(nn.Module):
         local = self.prepare(replace(
             scn, agents=[replace(a, future=None) for a in scn.agents]))
         frame = pose_frame(scn, scn.ego.agent_id)
-        res = self.forward(local)
+        res = self.forward([local])
         k, n, t, _ = res.trajectories.shape
         flat = res.trajectories.reshape(-1, 2)
         global_trajs = frame.to_global(flat).reshape(k, n, t, 2)
-        jp = JointPrediction(global_trajs, res.mode_probs,
+        jp = JointPrediction(global_trajs, res.mode_probs[0],
                              [a.agent_id for a in local.agents],
                              scn.scenario_id)
         dists = [IntentionDistribution(res.lat_probs[i], res.lon_probs[i])
@@ -231,6 +265,23 @@ class JointPredictor(nn.Module):
                                  f"expected float64")
             p.value[...] = value
         return model
+
+
+def _slices(sizes: list[int]) -> list[slice]:
+    """Consecutive slices of the given sizes, from 0."""
+    bounds = np.cumsum([0] + sizes).tolist()
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
+    """The boolean matrix with `blocks` along its diagonal, False elsewhere;
+    a block may have no columns."""
+    rows = _slices([b.shape[0] for b in blocks])
+    cols = _slices([b.shape[1] for b in blocks])
+    out = np.zeros((rows[-1].stop, cols[-1].stop), dtype=bool)
+    for b, r, c in zip(blocks, rows, cols):
+        out[r, c] = b
+    return out
 
 
 def _check_header(meta, version: int, path: str) -> None:

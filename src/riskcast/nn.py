@@ -198,18 +198,18 @@ class LSTMCell(Module):
                 f"in_dim={self.in_dim}, hidden={self.hidden_dim}")
         H = self.hidden_dim
         pre = x @ self.Wx.value + h_prev @ self.Wh.value + self.b.value
-        i = sigmoid(pre[..., 0 * H:1 * H])
-        f = sigmoid(pre[..., 1 * H:2 * H])
-        g = np.tanh(pre[..., 2 * H:3 * H])
-        o = sigmoid(pre[..., 3 * H:4 * H])
+        # one sigmoid over every block; the g block then takes its tanh
+        gates = sigmoid(pre)
+        np.tanh(pre[..., 2 * H:3 * H], out=gates[..., 2 * H:3 * H])
+        i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
         c = f * c_prev + i * g
-        h = o * np.tanh(c)
-        return (h, c), (x, h_prev, c_prev, i, f, g, o, c)
+        tc = np.tanh(c)
+        h = o * tc
+        return (h, c), (x, h_prev, c_prev, i, f, g, o, tc)
 
     def backward_step(self, ctx: tuple, dh: np.ndarray, dc: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x, h_prev, c_prev, i, f, g, o, c = ctx
-        tc = np.tanh(c)
+        x, h_prev, c_prev, i, f, g, o, tc = ctx
         do = dh * tc
         dc_total = dc + dh * o * (1.0 - tc * tc)
         df = dc_total * c_prev

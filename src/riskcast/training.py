@@ -6,6 +6,15 @@ A winner-take-all cross-entropy on the mode probabilities (toward the mode
 closest to the ground truth) is optimized alongside so that the mode
 probabilities are informative; it is reported separately from the staged
 total.
+
+A minibatch runs as one forward and one backward: its scenes go through
+``JointPredictor.forward`` together, as one disjoint union of their agents
+(scenes of different history lengths as one union per length). Each scene's
+losses read its own slice of the union's rows, and their gradients are
+written back into that slice of one upstream gradient per output. Every
+scene's loss is checked for divergence, and the reported losses add up in
+minibatch order. The truth matrices and intention labels are computed once
+per scene, before the first epoch.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,14 +118,16 @@ def prediction_loss(trajs: np.ndarray, truth: np.ndarray
             f"prediction_loss: trajectories {trajs.shape} vs truth "
             f"{truth.shape}")
     k_count, n = trajs.shape[0], trajs.shape[1]
-    losses = np.array([
-        sum(nn.smooth_l1(trajs[k, i], truth[i]) for i in range(n))
-        for k in range(k_count)
-    ])
+    # nn.smooth_l1 and nn.smooth_l1_grad (beta 1) for every (mode, agent)
+    # pair at once, the agents summed in agent order as the scalar form does
+    d = trajs - truth
+    ad = np.abs(d)
+    per = np.where(ad < 1.0, 0.5 * d * d, ad - 0.5)
+    means = per.reshape(k_count, n, -1).mean(axis=-1)
+    losses = sum(means[:, i] for i in range(n))
     k_star = int(np.argmin(losses))
     grad = np.zeros_like(trajs)
-    for i in range(n):
-        grad[k_star, i] = nn.smooth_l1_grad(trajs[k_star, i], truth[i])
+    grad[k_star] = np.clip(d[k_star], -1.0, 1.0) / truth[0].size
     return float(losses[k_star]), k_star, grad
 
 
@@ -150,28 +162,65 @@ def _truth_matrix(local: Scenario) -> np.ndarray:
     return np.array([a.future[:, :2] for a in local.agents])
 
 
-def _scenario_losses(model: JointPredictor, local: Scenario, epoch: int,
-                     cfg: TrainConfig) -> tuple[float, float, float]:
-    """Forward, losses and backward for one scenario; gradients accumulate
-    into the model parameters."""
-    res: ForwardResult = model.forward(local)
-    truth = _truth_matrix(local)
+@dataclass
+class _TrainScene:
+    """A training scene in the model's local frame with its targets."""
+    local: Scenario
+    truth: np.ndarray                # [N, T, 2]
+    labels: list[tuple[int, int]]    # [N] (lateral, longitudinal) indices
 
-    l_pre, k_star, dtrajs = prediction_loss(res.trajectories, truth)
-    labels = [label_indices(a.future) for a in local.agents]
-    l_man, dlat, dlon = intention_loss(res.lat_probs, res.lon_probs, labels)
-    dprobs = cfg.mode_loss_weight * nn.cross_entropy_grad(
-        res.mode_probs, k_star)
+    @classmethod
+    def of(cls, local: Scenario) -> "_TrainScene":
+        return cls(local, _truth_matrix(local),
+                   [label_indices(a.future) for a in local.agents])
 
-    l_risk = 0.0
-    if epoch > cfg.stage1_epochs:
-        k_sel = int(np.argmax(res.mode_probs))
-        l_risk, drisk = risk_loss_and_grad(
-            res.trajectories[k_sel], local, local.ego_index, cfg.risk)
-        dtrajs[k_sel] += (1.0 - cfg.tau) * drisk
+
+def _union_losses(model: JointPredictor, scenes: list[_TrainScene],
+                  epoch: int, cfg: TrainConfig
+                  ) -> list[tuple[float, float, float]]:
+    """One forward and one backward over scenes of one history length, run
+    as one union; gradients accumulate into the model parameters. Returns
+    each scene's (l_pre, l_man, l_risk), in the given order."""
+    res: ForwardResult = model.forward([s.local for s in scenes])
+    dtrajs = np.zeros_like(res.trajectories)
+    dprobs = np.zeros_like(res.mode_probs)
+    dlat = np.zeros_like(res.lat_probs)
+    dlon = np.zeros_like(res.lon_probs)
+    losses = []
+    for b, (scene, rows) in enumerate(zip(scenes, res.slices)):
+        trajs = res.trajectories[:, rows]
+        l_pre, k_star, dtrajs[:, rows] = prediction_loss(trajs, scene.truth)
+        l_man, dlat[rows], dlon[rows] = intention_loss(
+            res.lat_probs[rows], res.lon_probs[rows], scene.labels)
+        dprobs[b] = cfg.mode_loss_weight * nn.cross_entropy_grad(
+            res.mode_probs[b], k_star)
+
+        l_risk = 0.0
+        if epoch > cfg.stage1_epochs:
+            k_sel = int(np.argmax(res.mode_probs[b]))
+            l_risk, drisk = risk_loss_and_grad(
+                trajs[k_sel], scene.local, scene.local.ego_index, cfg.risk)
+            dtrajs[k_sel, rows] += (1.0 - cfg.tau) * drisk
+        losses.append((l_pre, l_man, l_risk))
 
     model.backward(res, dtrajs, dprobs, cfg.tau * dlat, cfg.tau * dlon)
-    return l_pre, l_man, l_risk
+    return losses
+
+
+def _minibatch_losses(model: JointPredictor, scenes: list[_TrainScene],
+                      epoch: int, cfg: TrainConfig
+                      ) -> list[tuple[float, float, float]]:
+    """Losses and gradients of a minibatch, one union per history length;
+    each scene's (l_pre, l_man, l_risk), in minibatch order."""
+    groups: dict[int, list[int]] = {}
+    for j, scene in enumerate(scenes):
+        groups.setdefault(len(scene.local.ego.past), []).append(j)
+    losses = [None] * len(scenes)
+    for group in groups.values():
+        for j, scene_losses in zip(group, _union_losses(
+                model, [scenes[j] for j in group], epoch, cfg)):
+            losses[j] = scene_losses
+    return losses
 
 
 def _validate(model: JointPredictor, scenarios: list[Scenario]
@@ -205,7 +254,8 @@ def train(scenarios: list[Scenario], model_cfg: ModelConfig,
     if not train_idx:
         raise ValueError(f"split: a training fraction of {cfg.split[0]!r} "
                          f"leaves none of {len(scenarios)} scenes")
-    locals_train = {i: model.prepare(scenarios[i]) for i in train_idx}
+    scenes_train = {i: _TrainScene.of(model.prepare(scenarios[i]))
+                    for i in train_idx}
     val_scns = [scenarios[i] for i in val_idx] or \
         [scenarios[i] for i in train_idx[:20]]
 
@@ -219,9 +269,8 @@ def train(scenarios: list[Scenario], model_cfg: ModelConfig,
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
             opt.zero_grad()
-            for i in batch:
-                l_pre, l_man, l_risk = _scenario_losses(
-                    model, locals_train[int(i)], epoch, cfg)
+            for l_pre, l_man, l_risk in _minibatch_losses(
+                    model, [scenes_train[int(i)] for i in batch], epoch, cfg):
                 l_tot = total_loss(l_pre, l_man, l_risk, epoch, cfg)
                 if not math.isfinite(l_tot):
                     raise RuntimeError(
@@ -259,6 +308,8 @@ def train(scenarios: list[Scenario], model_cfg: ModelConfig,
     report.final_val_ade = report.val_ade[-1]
     report.final_val_fde = report.val_fde[-1]
     if out_dir is not None:
-        model.save(os.path.join(out_dir, "model_final.npz"))
+        # the last epoch's checkpoint is the final model, byte for byte
+        shutil.copyfile(os.path.join(out_dir, "checkpoint.npz"),
+                        os.path.join(out_dir, "model_final.npz"))
         report.write_csv(os.path.join(out_dir, "train_log.csv"))
     return model, report

@@ -261,6 +261,27 @@ class TestBadConfigValues:
             assert key in capsys.readouterr().err
 
 
+# gen values that must end in a CliError naming their key, before any file
+# is written: (extra arguments, the config key)
+BAD_GEN_VALUES = {
+    "negative_count": (["--set", "gen.count=-1"], "gen.count"),
+    "zero_count": (["--count", "0"], "gen.count"),
+    "no_history": (["--set", "gen.H=0"], "gen.H"),
+    "no_future": (["--set", "gen.T=0"], "gen.T"),
+}
+
+
+class TestBadGenValues:
+    @pytest.mark.parametrize("case", sorted(BAD_GEN_VALUES))
+    def test_exits_1_before_writing(self, tmp_path, capsys, case):
+        extra, key = BAD_GEN_VALUES[case]
+        out = tmp_path / "o"
+        code = main(["gen", "--out", str(out)] + TINY + extra)
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSeedPrecedence:
     def test_env_seed_overrides_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RISKCAST_SEED", "123")

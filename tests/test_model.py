@@ -3,7 +3,7 @@ round-trips, prediction determinism, and export formats."""
 
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -12,8 +12,9 @@ from riskcast import nn
 from riskcast.intention import label_indices
 from riskcast.model import (JointPredictor, ModelConfig, prediction_from_json,
                             prediction_to_csv_rows, prediction_to_json)
-from riskcast.scene import generate_scenario
-from riskcast.training import _truth_matrix, intention_loss, prediction_loss
+from riskcast.scene import RoadMap, generate_scenario
+from riskcast.training import (TrainConfig, _TrainScene, _truth_matrix,
+                               _union_losses, intention_loss, prediction_loss)
 
 TINY = ModelConfig(embed_dim=8, attention_heads=2, transformer_layers=2,
                    ff_mult=2, map_pad=20, n_modes=2, future_steps=5,
@@ -31,11 +32,11 @@ def tiny_setup():
 class TestForward:
     def test_shapes(self, tiny_setup):
         model, _, local = tiny_setup
-        res = model.forward(local)
+        res = model.forward([local])
         n = len(local.agents)
         assert res.trajectories.shape == (2, n, 5, 2)
-        assert res.mode_probs.shape == (2,)
-        assert res.mode_probs.sum() == pytest.approx(1.0, abs=1e-9)
+        assert res.mode_probs[0].shape == (2,)
+        assert res.mode_probs[0].sum() == pytest.approx(1.0, abs=1e-9)
         assert res.lat_probs.shape == (n, 3)
         assert np.allclose(res.lat_probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose(res.intention_feature.sum(axis=1), 1.0,
@@ -52,12 +53,12 @@ class TestForward:
         labels = [label_indices(a.future) for a in local.agents]
 
         def loss_fn():
-            res = model.forward(local)
+            res = model.forward([local])
             l_pre, k_star, dtrajs = prediction_loss(res.trajectories, truth)
             l_man, dlat, dlon = intention_loss(res.lat_probs, res.lon_probs,
                                                labels)
-            l_mode = nn.cross_entropy(res.mode_probs, k_star)
-            dp = nn.cross_entropy_grad(res.mode_probs, k_star)
+            l_mode = nn.cross_entropy(res.mode_probs[0], k_star)
+            dp = nn.cross_entropy_grad(res.mode_probs[0], k_star)
             model.backward(res, dtrajs, dp, 0.5 * dlat, 0.5 * dlon)
             return l_pre + 0.5 * l_man + l_mode
 
@@ -120,7 +121,7 @@ class TestForward:
         # a module holds parameters, sub-modules and config values; what a
         # forward computes for its backward goes into the returned context
         model, _, local = tiny_setup
-        model.forward(local)
+        model.forward([local])
         bad = []
 
         def walk(module, path):
@@ -149,16 +150,16 @@ class TestForward:
             _, dlat, dlon = intention_loss(res.lat_probs, res.lon_probs,
                                            labels)
             model.backward(res, dtrajs,
-                           nn.cross_entropy_grad(res.mode_probs, k_star),
+                           nn.cross_entropy_grad(res.mode_probs[0], k_star),
                            dlat, dlon)
 
         model.zero_grad()
         for local in locals_:
-            backward(model.forward(local), local)
+            backward(model.forward([local]), local)
         separate = [p.grad.copy() for p in model.params()]
 
         model.zero_grad()
-        results = [model.forward(local) for local in locals_]
+        results = [model.forward([local]) for local in locals_]
         for res, local in zip(results, locals_):
             backward(res, local)
         for p, want in zip(model.params(), separate):
@@ -171,6 +172,95 @@ class TestForward:
         first = jp.trajectories[0, jp.agent_ids.index("ego"), 0]
         # decoded points start near the ego's current global position
         assert np.linalg.norm(first - ego_pos) < 30.0
+
+
+def union_scenes(model):
+    """Three local scenes with N = 3, 5 and 8, the second without a map."""
+    scns = [generate_scenario("merge", 3, seed=21, H=3, T=5),
+            generate_scenario("left_turn", 5, seed=22, H=3, T=5),
+            generate_scenario("straight", 8, seed=23, H=3, T=5)]
+    scns[1] = replace(scns[1], map=RoadMap.from_polylines([]))
+    locals_ = [model.prepare(scn) for scn in scns]
+    assert [len(local.agents) for local in locals_] == [3, 5, 8]
+    assert [len(local.map) > 0 for local in locals_] == [True, False, True]
+    return locals_
+
+
+def batch_loss(model, locals_):
+    """Forward, backward and loss of a batch: per scene, the trajectory,
+    half the intention and the mode cross-entropy losses."""
+    res = model.forward(locals_)
+    dtrajs = np.zeros_like(res.trajectories)
+    dprobs = np.zeros_like(res.mode_probs)
+    dlat = np.zeros_like(res.lat_probs)
+    dlon = np.zeros_like(res.lon_probs)
+    loss = 0.0
+    for b, (local, rows) in enumerate(zip(locals_, res.slices)):
+        l_pre, k_star, dtrajs[:, rows] = prediction_loss(
+            res.trajectories[:, rows], _truth_matrix(local))
+        l_man, dlat[rows], dlon[rows] = intention_loss(
+            res.lat_probs[rows], res.lon_probs[rows],
+            [label_indices(a.future) for a in local.agents])
+        dprobs[b] = nn.cross_entropy_grad(res.mode_probs[b], k_star)
+        loss += l_pre + 0.5 * l_man + nn.cross_entropy(res.mode_probs[b],
+                                                       k_star)
+    model.backward(res, dtrajs, dprobs, 0.5 * dlat, 0.5 * dlon)
+    return loss
+
+
+class TestUnion:
+    """A batch of scenes runs as one disjoint union of their agents."""
+
+    def test_each_scene_matches_its_batch_of_one(self):
+        model = JointPredictor(TINY)
+        locals_ = union_scenes(model)
+        res = model.forward(locals_)
+        assert [(s.start, s.stop) for s in res.slices] == \
+            [(0, 3), (3, 8), (8, 16)]
+        assert res.mode_probs.shape == (3, TINY.n_modes)
+        assert not res.att_rows[res.slices[1]].any()
+        for b, local in enumerate(locals_):
+            alone = model.forward([local])
+            rows = res.slices[b]
+            for got, want in ((res.trajectories[:, rows], alone.trajectories),
+                              (res.mode_probs[b], alone.mode_probs[0]),
+                              (res.lat_probs[rows], alone.lat_probs),
+                              (res.lon_probs[rows], alone.lon_probs),
+                              (res.features[rows], alone.features)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_minibatch_gradient_is_the_sum_of_scene_gradients(self):
+        # stage 2, so that the risk gradient is written back too
+        model = JointPredictor(TINY)
+        scenes = [_TrainScene.of(local) for local in union_scenes(model)]
+        cfg = TrainConfig(epochs=2, stage1_epochs=1)
+        model.zero_grad()
+        alone = [_union_losses(model, [scene], 2, cfg)[0]
+                 for scene in scenes]
+        want = [p.grad.copy() for p in model.params()]
+        model.zero_grad()
+        together = _union_losses(model, scenes, 2, cfg)
+        np.testing.assert_allclose(together, alone, rtol=1e-12, atol=0)
+        assert any(l_risk > 0 for _, _, l_risk in together)
+        for p, w in zip(model.params(), want):
+            assert np.linalg.norm(p.grad - w) <= 1e-12 * np.linalg.norm(w), \
+                p.name
+
+    def test_gradient_check_over_two_scenes(self):
+        model = JointPredictor(TINY)
+        locals_ = [model.prepare(generate_scenario(t, n, seed=s, H=3, T=5))
+                   for t, n, s in (("crossing_conflict", 3, 11),
+                                   ("merge", 4, 2))]
+        biases = [p for p in model.params() if p.name.endswith(".b")]
+        assert nn.grad_check(lambda: batch_loss(model, locals_),
+                             biases) < 1e-5
+
+    def test_history_lengths_must_agree(self):
+        model = JointPredictor(TINY)
+        locals_ = [model.prepare(generate_scenario("merge", 3, seed=1, H=h,
+                                                   T=5)) for h in (3, 4)]
+        with pytest.raises(nn.DimensionError, match="history lengths"):
+            model.forward(locals_)
 
 
 class TestConfig:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from riskcast import nn
-from riskcast.model import ModelConfig
+from riskcast.model import JointPredictor, ModelConfig
 from riskcast.scene import generate_scenario
 from riskcast.training import (TrainConfig, intention_loss, prediction_loss,
                                split_dataset, total_loss, train)
@@ -39,7 +39,36 @@ class TestIntentionLoss:
         assert loss == pytest.approx(expected, abs=1e-12)
 
 
+def reference_prediction_loss(trajs, truth):
+    """prediction_loss in its scalar form: one smooth_l1 per (mode, agent)
+    pair, and the winner's gradient one agent at a time."""
+    k_count, n = trajs.shape[0], trajs.shape[1]
+    losses = np.array([
+        sum(nn.smooth_l1(trajs[k, i], truth[i]) for i in range(n))
+        for k in range(k_count)
+    ])
+    k_star = int(np.argmin(losses))
+    grad = np.zeros_like(trajs)
+    for i in range(n):
+        grad[k_star, i] = nn.smooth_l1_grad(trajs[k_star, i], truth[i])
+    return float(losses[k_star]), k_star, grad
+
+
 class TestPredictionLoss:
+    def test_matches_the_scalar_form_bit_for_bit(self):
+        rng = nn.seeded_rng(9)
+        for case in range(300):
+            n = 1 + case % 16
+            k, t = rng.integers(1, 7), rng.integers(1, 30)
+            truth = rng.normal(scale=3.0, size=(n, t, 2))
+            scale = rng.choice([0.1, 1.0, 5.0])
+            trajs = truth + rng.normal(scale=scale, size=(k, n, t, 2))
+            loss, k_star, grad = prediction_loss(trajs, truth)
+            want_loss, want_k, want_grad = reference_prediction_loss(trajs,
+                                                                     truth)
+            assert (loss, k_star) == (want_loss, want_k)
+            assert grad.tobytes() == want_grad.tobytes()
+
     def test_exact_mode_gives_zero(self):
         truth = nn.seeded_rng(1).normal(size=(2, 4, 2))
         trajs = np.stack([truth + 3.0, truth])
@@ -213,3 +242,51 @@ class TestTrainLoop:
         assert len(log) == 3
         assert (tmp_path / "checkpoint.npz").exists()
         assert (tmp_path / "model_final.npz").exists()
+
+    def test_final_model_is_the_last_checkpoint(self, tmp_path):
+        data = tiny_dataset(3)
+        cfg = TrainConfig(batch_size=3, epochs=2, stage1_epochs=1, seed=0,
+                          split=(1.0, 0.0, 0.0))
+        model, _ = train(data, tiny_model_cfg(), cfg, out_dir=str(tmp_path))
+        final = tmp_path / "model_final.npz"
+        last = tmp_path / "checkpoint.npz"
+        assert final.read_bytes() == last.read_bytes()
+        for path in (final, last):
+            loaded = JointPredictor.load(str(path))
+            assert all(np.array_equal(p.value, q.value)
+                       for p, q in zip(model.params(), loaded.params()))
+
+
+def record_unions(monkeypatch) -> list[int]:
+    """The scene count of every union that JointPredictor.backward runs."""
+    unions = []
+    backward = JointPredictor.backward
+
+    def recording(self, res, *grads):
+        unions.append(len(res.slices))
+        return backward(self, res, *grads)
+
+    monkeypatch.setattr(JointPredictor, "backward", recording)
+    return unions
+
+
+class TestMinibatchUnion:
+    def test_one_union_per_minibatch(self, monkeypatch):
+        unions = record_unions(monkeypatch)
+        cfg = TrainConfig(batch_size=4, epochs=2, stage1_epochs=1, seed=0,
+                          split=(1.0, 0.0, 0.0))
+        train(tiny_dataset(6), tiny_model_cfg(), cfg)
+        assert unions == [4, 2, 4, 2]
+
+    def test_minibatch_of_two_history_lengths_trains(self, monkeypatch):
+        unions = record_unions(monkeypatch)
+        data = [generate_scenario("straight" if s % 2 else "left_turn", 2, s,
+                                  H=4 + 2 * (s % 2), T=8) for s in range(6)]
+        cfg = TrainConfig(batch_size=6, epochs=2, stage1_epochs=1, seed=0,
+                          split=(1.0, 0.0, 0.0))
+        _, rep = train(data, tiny_model_cfg(), cfg)
+        # one union per epoch and history length
+        assert unions == [3, 3, 3, 3]
+        assert all(math.isfinite(v)
+                   for row in (rep.l_pre, rep.l_man, rep.l_risk, rep.l_total,
+                               rep.val_ade) for v in row)
