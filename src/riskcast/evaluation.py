@@ -163,7 +163,6 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
                 f"scenario {scn.scenario_id!r} lacks ground-truth futures")
         jp = predict_fn(scn)
         k_sel = select_mode(jp)
-        ego_id = scn.ego.agent_id
         try:
             lateral, _ = label_intentions(scn.ego.future)
         except ValueError:
@@ -173,12 +172,7 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
                    else "normal",
                    lateral]
 
-        by_id = {a.agent_id: a for a in scn.agents}
-        unknown = [aid for aid in jp.agent_ids if aid not in by_id]
-        if unknown:
-            raise ValueError(f"scenario {scn.scenario_id!r}: predicted "
-                             f"agents not in the scenario: {unknown}")
-        agents = [by_id[aid] for aid in jp.agent_ids]
+        agents = scn.predicted_agents(jp.agent_ids)
         span = min([jp.trajectories.shape[2]]
                    + [len(a.future) for a in agents])
         if h_max > span:
@@ -197,9 +191,7 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
             "model_best": (model_a[best, rows], model_f[best, rows]),
             "cv": _horizon_metrics(cv, truth, horizon_steps),
         }
-        if ego_id not in jp.agent_ids:
-            continue
-        ego = jp.agent_ids.index(ego_id)
+        ego = jp.agent_ids.index(scn.ego.agent_id)
         ego_first = [ego] + [i for i in rows if i != ego]
         for est in ESTIMATORS:
             a_vals, f_vals = estimates[est]

@@ -126,8 +126,7 @@ def collision_region(victim: AgentState, other: AgentState) -> CollisionRegion:
     d = other.position - victim.position
     if np.hypot(d[0], d[1]) < DIST_EPS:
         return CollisionRegion.FRONT
-    bearing = math.atan2(d[1], d[0]) - victim.yaw
-    bearing = abs(math.atan2(math.sin(bearing), math.cos(bearing)))
+    bearing = abs(wrap_angle(math.atan2(d[1], d[0]) - victim.yaw))
     if bearing <= math.pi / 4:
         return CollisionRegion.FRONT
     if bearing >= 3 * math.pi / 4:
@@ -147,9 +146,8 @@ def transform_state(a: AgentState, origin: np.ndarray,
     R = rotation(-angle)
     p = R @ (a.position - origin)
     v = R @ a.velocity
-    yaw = math.atan2(math.sin(a.yaw - angle), math.cos(a.yaw - angle))
-    return AgentState(p[0], p[1], yaw, v[0], v[1], a.length, a.width,
-                      a.mass, a.agent_class)
+    return AgentState(p[0], p[1], wrap_angle(a.yaw - angle), v[0], v[1],
+                      a.length, a.width, a.mass, a.agent_class)
 
 
 def wrap_angle(angle: float) -> float:

@@ -128,40 +128,22 @@ def map_visibility(scn: Scenario, radius: float) -> np.ndarray:
     return d.min(axis=-1, initial=np.inf) <= radius
 
 
-class HistoryEncoder(nn.Module):
+class HistoryEncoder(nn.LSTM):
     """LSTM over each agent's past states; the final hidden state is the
     agent's trajectory embedding."""
 
     def __init__(self, cfg: InteractionConfig, rng: np.random.Generator,
                  name: str = "hist"):
-        self.lstm = nn.LSTM(HISTORY_FEATURES, cfg.embed_dim, rng, name=name)
-
-    def params(self):
-        return self.lstm.params()
-
-    def forward(self, seq: np.ndarray) -> tuple[np.ndarray, list]:
-        return self.lstm.forward(seq)
-
-    def backward(self, ctx: list, g: np.ndarray) -> np.ndarray:
-        return self.lstm.backward(ctx, g)
+        super().__init__(HISTORY_FEATURES, cfg.embed_dim, rng, name=name)
 
 
-class MapEncoder(nn.Module):
+class MapEncoder(nn.MLP):
+    """MLP over each polyline's `map_feature_matrix` row."""
+
     def __init__(self, cfg: InteractionConfig, rng: np.random.Generator,
                  name: str = "map"):
-        in_dim = cfg.map_pad * 3 + 3
-        self.pad = cfg.map_pad
-        self.mlp = nn.MLP([in_dim, cfg.embed_dim, cfg.embed_dim], rng,
-                          name=name)
-
-    def params(self):
-        return self.mlp.params()
-
-    def forward(self, feats: np.ndarray) -> tuple[np.ndarray, list]:
-        return self.mlp.forward(feats)
-
-    def backward(self, ctx: list, g: np.ndarray) -> np.ndarray:
-        return self.mlp.backward(ctx, g)
+        super().__init__([cfg.map_pad * 3 + 3, cfg.embed_dim, cfg.embed_dim],
+                         rng, name=name)
 
 
 class SelfAttentionBlock(nn.Module):
@@ -178,10 +160,9 @@ class SelfAttentionBlock(nn.Module):
         return (self.ln1.params() + self.mha.params() + self.ln2.params()
                 + self.ff.params())
 
-    def forward(self, x: np.ndarray, mask: np.ndarray | None = None
-                ) -> tuple[np.ndarray, tuple]:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         h, ln1_ctx = self.ln1.forward(x)
-        att, mha_ctx = self.mha.forward(h, h, h, mask)
+        att, mha_ctx = self.mha.forward(h, h, h)
         y = x + att
         hy, ln2_ctx = self.ln2.forward(y)
         ff, ff_ctx = self.ff.forward(hy)

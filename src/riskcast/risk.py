@@ -39,10 +39,12 @@ and evaluates `disc_probability_ddist` only at the argmax step of each
 victim and of the boundary.
 
 The scalar functions (`collision_probability`, `pair_harm`, `delta_v`,
-`harm`) on `AgentTrack`s are the per-step reference the tests compare the
-kernel against. The region coefficients and the logistic intercept/slope
-are config placeholders (the formulas, not these values, are what the tests
-pin down).
+`harm`) take one pair of `AgentState`s at one step and are the per-step
+reference the tests compare the kernel against; `MotionBatch.state` reads
+such a state out of the kernel's arrays, and the body points, collision
+angle and struck region come from `geometry`. The region coefficients and
+the logistic intercept/slope are config placeholders (the formulas, not
+these values, are what the tests pin down).
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ import numpy as np
 from scipy.special import chdtr, chndtr, i1e
 
 from . import nn
-from .geometry import (DIST_EPS, SPEED_EPS, AgentState, CollisionRegion,
+from .geometry import (DIST_EPS, PROTECTED_CLASSES, SPEED_EPS, AgentState,
+                       CollisionRegion, body_points, collision_angle,
                        collision_region)
 from .intention import JointPrediction
 from .scene import AgentHistory, RoadMap, Scenario
@@ -162,80 +165,20 @@ def disc_probability_ddist(dist: float | np.ndarray, radius: float,
     return -(b / sigma) * np.exp(-0.5 * (a - b) ** 2) * i1e(a * b)
 
 
-class AgentTrack:
-    """A future trajectory with the metadata needed for risk evaluation.
-
-    Velocities/yaws are taken from the states when built from ground truth,
-    or derived by finite differences when built from a decoded trajectory.
-    """
-
-    def __init__(self, agent_id: str, agent_class: str, length: float,
-                 width: float, mass: float, protected_flag: bool,
-                 positions: np.ndarray, velocities: np.ndarray,
-                 yaws: np.ndarray, dt: float):
-        self.agent_id = agent_id
-        self.agent_class = agent_class
-        self.length = length
-        self.width = width
-        self.mass = mass
-        self.protected_flag = protected_flag
-        self.positions = np.asarray(positions, dtype=np.float64)
-        self.velocities = np.asarray(velocities, dtype=np.float64)
-        self.speeds = np.linalg.norm(self.velocities, axis=1)
-        self.yaws = np.asarray(yaws, dtype=np.float64)
-        self.dt = dt
-
-    @property
-    def horizon(self) -> int:
-        return self.positions.shape[0]
-
-    def state_at(self, t: int) -> AgentState:
-        return AgentState(self.positions[t, 0], self.positions[t, 1],
-                          self.yaws[t], self.velocities[t, 0],
-                          self.velocities[t, 1], self.length, self.width,
-                          self.mass, self.agent_class)
-
-    def body_points_at(self, t: int) -> np.ndarray:
-        """[3, 2] front/center/rear points at step t."""
-        u = np.array([math.cos(self.yaws[t]), math.sin(self.yaws[t])])
-        c = self.positions[t]
-        half = 0.5 * self.length
-        return np.stack([c + half * u, c, c - half * u])
-
-
-def track_from_truth(agent: AgentHistory, dt: float) -> AgentTrack:
-    fut = agent.future
-    if fut is None:
-        raise ValueError(f"agent {agent.agent_id!r} has no future truth")
-    return AgentTrack(agent.agent_id, agent.agent_class, agent.length,
-                      agent.width, agent.mass, agent.protected_flag,
-                      fut[:, :2], fut[:, 3:], fut[:, 2], dt)
-
-
-def track_from_prediction(agent: AgentHistory, positions: np.ndarray,
-                          dt: float) -> AgentTrack:
-    """The agent's decoded positions [T, 2] with velocities and yaws
-    derived as in `batch_from_prediction`."""
-    b = batch_from_prediction([agent], np.asarray(positions)[None, None], dt)
-    return AgentTrack(agent.agent_id, agent.agent_class, agent.length,
-                      agent.width, agent.mass, agent.protected_flag,
-                      b.positions[0, 0], b.velocities[0, 0], b.yaws[0, 0], dt)
-
-
 # --------------------------------------------------------------------------
 # Scalar reference formulas (one pair, one step)
 # --------------------------------------------------------------------------
 
-def collision_probability(track_i: AgentTrack, track_j: AgentTrack, t: int,
-                          u: UncertaintyModel) -> float:
-    """Overall collision probability of the pair at future step index t
-    (0-based): the disc integrals around i's three body points against j's
-    center, summed and clamped to [0, 1]."""
-    sigma = math.sqrt(2.0) * u.sigma(t + 1)  # both positions uncertain
-    radius = 0.5 * (track_i.width + track_j.width)
-    dists = np.linalg.norm(track_i.body_points_at(t) - track_j.positions[t],
+def collision_probability(victim: AgentState, other: AgentState,
+                          sigma: float) -> float:
+    """Collision probability of the pair at a step whose position
+    uncertainty is sigma: the disc integrals around the victim's three body
+    points against the other's center, summed and clamped to [0, 1]."""
+    pair_sigma = math.sqrt(2.0) * sigma  # both positions uncertain
+    radius = 0.5 * (victim.width + other.width)
+    dists = np.linalg.norm(np.stack(body_points(victim)) - other.position,
                            axis=1)
-    return float(min(disc_probability(dists, radius, sigma).sum(), 1.0))
+    return float(min(disc_probability(dists, radius, pair_sigma).sum(), 1.0))
 
 
 def delta_v(m_a: float, m_b: float, v_a: float, v_b: float,
@@ -259,20 +202,17 @@ def harm(dv: float, region: CollisionRegion,
     return ez / (1.0 + ez)
 
 
-def _pair_angle(track_i: AgentTrack, track_j: AgentTrack, t: int) -> float:
-    ui = track_i.state_at(t).direction()
-    uj = track_j.state_at(t).direction()
-    return math.acos(float(np.clip(ui @ uj, -1.0, 1.0)))
-
-
-def pair_harm(victim: AgentTrack, other: AgentTrack, t: int,
+def pair_harm(victim: AgentState, other: AgentState,
               coeffs: HarmCoefficients, harm_scale: float = 1.0) -> float:
-    """Harm borne by the victim at step t in a collision with the other."""
-    theta = _pair_angle(victim, other, t)
-    dv = delta_v(victim.mass, other.mass, victim.speeds[t], other.speeds[t],
-                 theta)
-    region = collision_region(victim.state_at(t), other.state_at(t))
-    return harm(dv, region, coeffs) * harm_scale
+    """Harm borne by the victim in a collision with the other."""
+    # sqrt(vx*vx + vy*vy) rounds as the kernel's speeds do; hypot
+    # (AgentState.speed) does not, which moves the harm where the two
+    # speeds nearly cancel in delta-v
+    v_victim = math.sqrt(victim.vx * victim.vx + victim.vy * victim.vy)
+    v_other = math.sqrt(other.vx * other.vx + other.vy * other.vy)
+    dv = delta_v(victim.mass, other.mass, v_victim, v_other,
+                 collision_angle(victim, other))
+    return harm(dv, collision_region(victim, other), coeffs) * harm_scale
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +229,15 @@ class MotionBatch:
     lengths: np.ndarray      # [N]
     widths: np.ndarray       # [N]
     masses: np.ndarray       # [N]
-    protected: np.ndarray    # [N] bool
+    agent_classes: list[str]  # [N]
+
+    def state(self, k: int, i: int, t: int) -> AgentState:
+        """Agent i at step t of mode k, as the per-step references take
+        it."""
+        (x, y), (vx, vy) = self.positions[k, i, t], self.velocities[k, i, t]
+        return AgentState(x, y, self.yaws[k, i, t], vx, vy, self.lengths[i],
+                          self.widths[i], self.masses[i],
+                          self.agent_classes[i])
 
 
 def batch_from_prediction(agents: list[AgentHistory], positions: np.ndarray,
@@ -315,20 +263,7 @@ def batch_from_prediction(agents: list[AgentHistory], positions: np.ndarray,
                        np.array([a.length for a in agents]),
                        np.array([a.width for a in agents]),
                        np.array([a.mass for a in agents]),
-                       np.array([a.protected_flag for a in agents]))
-
-
-def batch_from_tracks(tracks: list[AgentTrack]) -> MotionBatch:
-    """One mode made of the given tracks (equal horizons)."""
-    return MotionBatch(
-        [tr.agent_id for tr in tracks],
-        np.stack([tr.positions for tr in tracks])[None],
-        np.stack([tr.velocities for tr in tracks])[None],
-        np.stack([tr.yaws for tr in tracks])[None],
-        np.array([tr.length for tr in tracks]),
-        np.array([tr.width for tr in tracks]),
-        np.array([tr.mass for tr in tracks]),
-        np.array([tr.protected_flag for tr in tracks]))
+                       [a.agent_class for a in agents])
 
 
 @dataclass
@@ -446,7 +381,8 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
     region = np.where(bearing <= math.pi / 4, _FRONT,
                       np.where(bearing >= 3 * math.pi / 4, _REAR, _SIDE))
     region = np.where(np.hypot(dx, dy) < DIST_EPS, _FRONT, region)
-    scale = np.array([cfg.harm_scale(batch.protected[i]) for i in victims])
+    scale = np.array([cfg.harm_scale(batch.agent_classes[i]
+                                     in PROTECTED_CLASSES) for i in victims])
     harms = nn.sigmoid(coeffs.mu0 + coeffs.mu1 * dv + mu_area[region]) \
         * scale[:, None]
     weighted = harms * probs
@@ -471,26 +407,13 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
         b_weighted.argmax(axis=-1))
 
 
-def trajectory_risk(victim: AgentTrack, other: AgentTrack,
-                    u: UncertaintyModel, coeffs: HarmCoefficients,
-                    harm_scale: float = 1.0) -> float:
-    """max over future steps of harm(t) * collision_probability(t): the
-    kernel's risk of the victim against the other."""
-    cfg = RiskConfig(uncertainty=u, harm=coeffs,
-                     protected_harm_scale=harm_scale,
-                     unprotected_harm_scale=harm_scale)
-    terms = risk_kernel(batch_from_tracks([victim, other]), 1, [], cfg)
-    return float(terms.risks[0, 0])
-
-
-def boundary_risk(ego: AgentTrack, boundaries: RoadMap,
-                  u: UncertaintyModel, coeffs: HarmCoefficients) -> float:
-    """Risk of the ego leaving the road: clearance to the nearest boundary
-    mapped through the collision-probability and harm machinery with an
-    immovable partner (delta-v equals the ego speed, side impact)."""
-    cfg = RiskConfig(uncertainty=u, harm=coeffs)
-    terms = risk_kernel(batch_from_tracks([ego]), 0, boundaries, cfg)
-    return float(terms.boundary[0])
+def boundary_risk(batch: MotionBatch, ego: int, boundaries: RoadMap,
+                  cfg: RiskConfig) -> np.ndarray:
+    """[K] risk of the ego leaving the road in each mode: clearance to the
+    nearest boundary mapped through the collision-probability and harm
+    machinery with an immovable partner (delta-v equals the ego speed, side
+    impact)."""
+    return risk_kernel(batch, ego, boundaries, cfg).boundary
 
 
 # --------------------------------------------------------------------------
@@ -506,15 +429,12 @@ def safety_cost(risks: np.ndarray, boundary_risk_value: float) -> float:
     return float((risks.sum() + boundary_risk_value) / (2.0 * n))
 
 
-def care_cost(risks: np.ndarray,
-              protected_flags: list[bool] | None = None) -> float:
+def care_cost(risks: np.ndarray) -> float:
     """Mean absolute risk difference over all ordered agent pairs. The
     protected/unprotected distinction enters upstream through the harm
     scale, not through this double sum."""
     risks = np.asarray(risks, dtype=np.float64)
     n = risks.size
-    if protected_flags is not None and len(protected_flags) != n:
-        raise ValueError("protected_flags length must match risks")
     if n == 0:
         return 0.0
     diff = np.abs(risks[:, None] - risks[None, :]).sum()
@@ -592,20 +512,6 @@ def _road_boundaries(scn: Scenario) -> RoadMap:
     return scn.map.of_kind("road_boundary")
 
 
-def _predicted_agents(jp: JointPrediction, scn: Scenario
-                      ) -> list[AgentHistory]:
-    """The scene agents of the prediction, in prediction order, joined by
-    agent id. Scene agents without a prediction (dropped by the model's
-    context radius) are left out."""
-    by_id = {a.agent_id: a for a in scn.agents}
-    unknown = [aid for aid in jp.agent_ids if aid not in by_id]
-    if unknown:
-        raise ValueError(f"predicted agents not in the scenario: {unknown}")
-    if scn.ego.agent_id not in jp.agent_ids:
-        raise ValueError(f"no prediction for the ego {scn.ego.agent_id!r}")
-    return [by_id[aid] for aid in jp.agent_ids]
-
-
 def rank_trajectories(jp: JointPrediction, scn: Scenario,
                       cfg: RiskConfig | None = None
                       ) -> tuple[list[int], list[RiskReport]]:
@@ -613,7 +519,7 @@ def rank_trajectories(jp: JointPrediction, scn: Scenario,
     lists mode indices from best (lowest risk-adjusted score) to worst.
     Only the predicted agents are ranked."""
     cfg = cfg or RiskConfig()
-    batch = batch_from_prediction(_predicted_agents(jp, scn),
+    batch = batch_from_prediction(scn.predicted_agents(jp.agent_ids),
                                   jp.trajectories, scn.dt)
     terms = risk_kernel(batch, batch.agent_ids.index(scn.ego.agent_id),
                         _road_boundaries(scn), cfg)

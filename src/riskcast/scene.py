@@ -233,6 +233,20 @@ class Scenario:
                 return a
         raise KeyError(f"unknown agent_id {agent_id!r}")
 
+    def predicted_agents(self, agent_ids: list[str]) -> list[AgentHistory]:
+        """The agents a prediction covers, in its order, joined by agent id.
+        Agents without a prediction (dropped by the model's context radius)
+        are left out; an unknown id or a missing ego raises ValueError."""
+        by_id = {a.agent_id: a for a in self.agents}
+        unknown = [aid for aid in agent_ids if aid not in by_id]
+        if unknown:
+            raise ValueError(f"predicted agents not in scenario "
+                             f"{self.scenario_id!r}: {unknown}")
+        if self.ego.agent_id not in agent_ids:
+            raise ValueError(f"scenario {self.scenario_id!r}: no prediction "
+                             f"for the ego {self.ego.agent_id!r}")
+        return [by_id[aid] for aid in agent_ids]
+
     def current_kinematics(self) -> np.ndarray:
         """[N, 5] every agent's current (last past) row."""
         return np.array([a.past[-1] for a in self.agents])

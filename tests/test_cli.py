@@ -477,6 +477,16 @@ class TestMalformedPredictions:
         assert code == 1
         assert "stranger" in capsys.readouterr().err
 
+    def test_eval_prediction_without_ego_exits_1(self, tmp_path, capsys,
+                                                 scene):
+        doc = _truth_prediction(scene[0])
+        for mode in doc["modes"]:
+            mode["agents"] = [a for a in mode["agents"]
+                              if a["id"] != scene[0].ego.agent_id]
+        code, _ = self._eval(tmp_path, scene[0], json.dumps(doc))
+        assert code == 1
+        assert "no prediction for the ego" in capsys.readouterr().err
+
     def test_eval_prediction_shorter_than_horizon_exits_1(
             self, tmp_path, capsys, scene):
         doc = _truth_prediction(scene[0])

@@ -9,32 +9,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskcast.geometry import CollisionRegion
+from riskcast.geometry import CollisionRegion, body_points
 from riskcast.intention import JointPrediction
-from riskcast.risk import (AgentTrack, HarmCoefficients, RiskConfig,
+from riskcast.risk import (HarmCoefficients, MotionBatch, RiskConfig,
                            UncertaintyModel, boundary_risk,
                            care_cost, collision_probability,
                            delta_v, disc_probability,
-                           disc_probability_ddist, harm, mode_risk_report,
+                           disc_probability_ddist, harm, pair_harm,
                            rank_trajectories, responsiveness_cost,
-                           risk_loss_and_grad, safety_cost, total_risk_cost,
-                           track_from_prediction, track_from_truth,
-                           trajectory_risk)
+                           risk_kernel, risk_loss_and_grad, safety_cost,
+                           total_risk_cost)
 from riskcast.scene import (POLYLINE_KINDS, MapPolyline, RoadMap,
                             generate_scenario)
+
+NO_BOUNDARIES = RoadMap.from_polylines([])
 
 
 def make_track(positions, width=1.8, length=4.5, mass=1500.0,
                agent_class="car", dt=0.1, agent_id="x"):
+    """One mode of one agent through the positions [T, 2]."""
     positions = np.asarray(positions, dtype=float)
     vel = np.zeros_like(positions)
     if len(positions) > 1:
         vel[:-1] = (positions[1:] - positions[:-1]) / dt
         vel[-1] = vel[-2]
     yaws = np.arctan2(vel[:, 1], vel[:, 0])
-    protected = agent_class in ("car", "truck")
-    return AgentTrack(agent_id, agent_class, length, width, mass, protected,
-                      positions, vel, yaws, dt)
+    return MotionBatch([agent_id], positions[None, None], vel[None, None],
+                       yaws[None, None], np.array([length]),
+                       np.array([width]), np.array([mass]), [agent_class])
+
+
+def joined(*tracks):
+    """One mode of the given one-agent tracks, in that order."""
+    def cat(name, axis):
+        return np.concatenate([getattr(tr, name) for tr in tracks], axis=axis)
+
+    return MotionBatch([tr.agent_ids[0] for tr in tracks],
+                       cat("positions", 1), cat("velocities", 1),
+                       cat("yaws", 1), cat("lengths", 0), cat("widths", 0),
+                       cat("masses", 0),
+                       [tr.agent_classes[0] for tr in tracks])
+
+
+def at(track, t):
+    """The state of a one-agent track at step t."""
+    return track.state(0, 0, t)
 
 
 def straight_track(start, velocity, steps, dt=0.1, **kw):
@@ -100,19 +119,19 @@ class TestCollisionProbability:
         a = straight_track([0, 0], [1, 0], 5)
         b = straight_track([100, 0], [1, 0], 5, agent_id="y")
         u = UncertaintyModel(sigma0=1.0, growth=0.0)
-        assert collision_probability(a, b, 0, u) < 1e-12
+        assert collision_probability(at(a, 0), at(b, 0), u.sigma(1)) < 1e-12
 
     def test_coincident_matches_monte_carlo(self):
         u = UncertaintyModel(sigma0=0.8, growth=0.0)
         a = straight_track([0, 0], [2, 0], 3)
         b = straight_track([0, 0], [2, 0], 3, agent_id="y")
-        p = collision_probability(a, b, 1, u)
+        p = collision_probability(at(a, 1), at(b, 1), u.sigma(2))
 
         sigma = math.sqrt(2.0) * u.sigma(2)
-        radius = 0.5 * (a.width + b.width)
+        radius = 0.5 * (at(a, 1).width + at(b, 1).width)
         total, var = 0.0, 0.0
-        for bp, center in zip(a.body_points_at(1),
-                              [b.positions[1]] * 3):
+        for bp, center in zip(body_points(at(a, 1)),
+                              [at(b, 1).position] * 3):
             d = float(np.linalg.norm(bp - center))
             mc, se = mc_disc_probability(d, radius, sigma, seed=7)
             total += mc
@@ -125,7 +144,7 @@ class TestCollisionProbability:
         last = None
         for sep in np.linspace(3.0, 25.0, 40):
             b = straight_track([sep, 0], [1, 0], 1, agent_id="y")
-            p = collision_probability(a, b, 0, u)
+            p = collision_probability(at(a, 0), at(b, 0), u.sigma(1))
             if last is not None:
                 assert p <= last + 1e-12
             last = p
@@ -138,8 +157,10 @@ class TestCollisionProbability:
                                                       5 * heading[1]], 10,
                                agent_id="y")
             for t in (0, 4, 9):
-                pab = collision_probability(a, b, t, u)
-                pba = collision_probability(b, a, t, u)
+                pab = collision_probability(at(a, t), at(b, t),
+                                            u.sigma(t + 1))
+                pba = collision_probability(at(b, t), at(a, t),
+                                            u.sigma(t + 1))
                 assert abs(pab - pba) < 1e-6
 
     def test_in_unit_interval(self):
@@ -150,7 +171,7 @@ class TestCollisionProbability:
                                4)
             b = straight_track(rng.uniform(-5, 5, 2), rng.uniform(-5, 5, 2),
                                4, agent_id="y")
-            p = collision_probability(a, b, 2, u)
+            p = collision_probability(at(a, 2), at(b, 2), u.sigma(3))
             assert 0.0 <= p <= 1.0
 
 
@@ -224,30 +245,33 @@ class TestHarm:
 
 class TestTrajectoryRisk:
     def test_zero_when_far(self):
-        u = UncertaintyModel(sigma0=0.5, growth=0.0)
+        cfg = RiskConfig(uncertainty=UncertaintyModel(sigma0=0.5, growth=0.0))
         a = straight_track([0, 0], [5, 0], 10)
         b = straight_track([0, 500], [5, 0], 10, agent_id="y")
-        assert trajectory_risk(a, b, u, HarmCoefficients()) == 0.0
+        assert risk_kernel(joined(a, b), 1, NO_BOUNDARIES,
+                           cfg).risks[0, 0] == 0.0
 
     def test_matches_exhaustive_scan(self):
         u = UncertaintyModel()
         coeffs = HarmCoefficients()
         victim = straight_track([0, 6], [0, -1.5], 30, agent_id="v")
         ego = straight_track([-10, 0], [4, 0], 30, agent_id="e")
-        r = trajectory_risk(victim, ego, u, coeffs)
-        from riskcast.risk import collision_probability as cp, pair_harm
-        brute = max(pair_harm(victim, ego, t, coeffs)
-                    * cp(victim, ego, t, u) for t in range(30))
+        r = risk_kernel(joined(victim, ego), 1, NO_BOUNDARIES,
+                        RiskConfig(uncertainty=u, harm=coeffs)).risks[0, 0]
+        brute = max(pair_harm(at(victim, t), at(ego, t), coeffs)
+                    * collision_probability(at(victim, t), at(ego, t),
+                                            u.sigma(t + 1))
+                    for t in range(30))
         assert r == pytest.approx(brute, abs=1e-15)
         assert r > 0
 
     def test_single_peak(self):
-        u = UncertaintyModel(sigma0=0.4, growth=0.0)
-        coeffs = HarmCoefficients()
+        cfg = RiskConfig(uncertainty=UncertaintyModel(sigma0=0.4, growth=0.0))
         # paths intersect at exactly one step
         victim = straight_track([5, -5], [0, 5], 10, agent_id="v")
         ego = straight_track([0, 0], [5, 0], 10, agent_id="e")
-        r = trajectory_risk(victim, ego, u, coeffs)
+        r = risk_kernel(joined(victim, ego), 1, NO_BOUNDARIES,
+                        cfg).risks[0, 0]
         assert r > 0
 
 
@@ -334,10 +358,6 @@ class TestCosts:
                 assert c > 0.0
         assert care_cost(np.full(4, 0.37)) == 0.0
 
-    def test_mismatched_flags(self):
-        with pytest.raises(ValueError):
-            care_cost(np.array([0.1, 0.2]), [True])
-
 
 # --------------------------------------------------------------------------
 # Boundary risk and ranking
@@ -346,19 +366,17 @@ class TestCosts:
 class TestBoundary:
     def test_no_boundaries_zero(self):
         ego = straight_track([0, 0], [5, 0], 10)
-        assert boundary_risk(ego, RoadMap.from_polylines([]),
-                             UncertaintyModel(), HarmCoefficients()) == 0.0
+        assert boundary_risk(ego, 0, NO_BOUNDARIES, RiskConfig())[0] == 0.0
 
     def test_nearby_boundary_raises_risk(self):
-        u = UncertaintyModel()
-        coeffs = HarmCoefficients()
+        cfg = RiskConfig()
         wall = RoadMap.from_polylines([MapPolyline(
             np.array([[-50.0, 1.0], [50.0, 1.0]]), "road_boundary")])
         near = straight_track([0, 0], [8, 0], 20)
         far_wall = RoadMap.from_polylines([MapPolyline(
             np.array([[-50.0, 40.0], [50.0, 40.0]]), "road_boundary")])
-        assert boundary_risk(near, wall, u, coeffs) > \
-            boundary_risk(near, far_wall, u, coeffs)
+        assert boundary_risk(near, 0, wall, cfg)[0] > \
+            boundary_risk(near, 0, far_wall, cfg)[0]
 
 
 def synthetic_conflict_prediction(seed=0, k_near=1, n_modes=4):

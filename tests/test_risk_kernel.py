@@ -1,8 +1,8 @@
 """The batched risk kernel against the scalar per-step reference on model
 predictions (risks, boundary risk, costs, order, training loss, delta-v and
-struck region), the tail gate of the disc probability, the join of
-predictions to scenes by agent id, and invariances of predict ->
-rank_trajectories."""
+struck region, and every step's collision probability and harm), the tail
+gate of the disc probability, the join of predictions to scenes by agent
+id, and invariances of predict -> rank_trajectories."""
 
 import math
 from dataclasses import replace
@@ -12,16 +12,16 @@ import pytest
 from scipy.special import chndtr
 from scipy.stats import ncx2
 
-from riskcast.geometry import CollisionRegion, collision_region
+from riskcast.geometry import (CollisionRegion, collision_angle,
+                               collision_region)
 from riskcast.intention import select_mode
 from riskcast.model import JointPredictor, ModelConfig
-from riskcast.risk import (REGIONS, TAIL_CUT, RiskConfig, _predicted_agents,
-                           _road_boundaries, batch_from_prediction, care_cost,
+from riskcast.risk import (REGIONS, TAIL_CUT, RiskConfig, _road_boundaries,
+                           batch_from_prediction, care_cost,
                            collision_probability, delta_v, disc_probability,
                            harm, pair_harm, rank_trajectories,
                            responsiveness_cost, risk_kernel,
-                           risk_loss_and_grad, safety_cost, total_risk_cost,
-                           track_from_prediction)
+                           risk_loss_and_grad, safety_cost, total_risk_cost)
 from riskcast.scene import _apply_rigid, generate_scenario
 
 # (template, N, seed); the 50 m context radius drops the pedestrian of the
@@ -49,23 +49,32 @@ def loop_clearance(p, polylines):
     return best
 
 
+def reference_pair(batch, k, v, e, t, cfg):
+    """(collision probability, harm) of victim v against the ego e at step t
+    of mode k from the per-step formulas."""
+    victim, ego = batch.state(k, v, t), batch.state(k, e, t)
+    return (collision_probability(victim, ego, cfg.uncertainty.sigma(t + 1)),
+            pair_harm(victim, ego, cfg.harm,
+                      cfg.harm_scale(victim.protected_flag)))
+
+
 def reference_mode(jp, scn, k, cfg):
     """(risks, R_b, l_risk, score) of mode k from the per-step formulas."""
     u, coeffs = cfg.uncertainty, cfg.harm
-    by_id = {a.agent_id: a for a in scn.agents}
-    tracks = [track_from_prediction(by_id[aid], jp.trajectories[k, i], scn.dt)
-              for i, aid in enumerate(jp.agent_ids)]
-    ego = tracks[jp.agent_ids.index(scn.ego.agent_id)]
+    batch = predicted_batch(jp, scn)
+    e, horizon = batch.agent_ids.index(scn.ego.agent_id), batch.yaws.shape[2]
     risks = np.array([
-        max(pair_harm(v, ego, t, coeffs, cfg.harm_scale(v.protected_flag))
-            * collision_probability(v, ego, t, u) for t in range(v.horizon))
-        for v in tracks if v is not ego])
+        max(math.prod(reference_pair(batch, k, v, e, t, cfg))
+            for t in range(horizon))
+        for v in range(len(batch.agent_ids)) if v != e])
     boundaries = [p for p in scn.map if p.kind == "road_boundary"]
+    speeds = np.linalg.norm(batch.velocities[k, e], axis=1)
     r_b = max(
-        harm(ego.speeds[t], CollisionRegion.SIDE, coeffs)
-        * float(disc_probability(loop_clearance(ego.positions[t], boundaries),
-                                 0.5 * ego.width, u.sigma(t + 1)))
-        for t in range(ego.horizon))
+        harm(speeds[t], CollisionRegion.SIDE, coeffs)
+        * float(disc_probability(
+            loop_clearance(batch.positions[k, e, t], boundaries),
+            0.5 * batch.widths[e], u.sigma(t + 1)))
+        for t in range(horizon))
     l_risk = total_risk_cost(safety_cost(risks, r_b), care_cost(risks),
                              responsiveness_cost(risks), cfg.weights)
     score = l_risk - cfg.prob_tradeoff * math.log(
@@ -102,21 +111,25 @@ def test_kernel_matches_per_step_reference(model, template, n, seed):
     assert max(r.boundary for r in reports) > 1e-3
 
     k = select_mode(jp)
-    by_id = {a.agent_id: a for a in scn.agents}
-    predicted = replace(scn, agents=[by_id[aid] for aid in jp.agent_ids],
+    predicted = replace(scn, agents=scn.predicted_agents(jp.agent_ids),
                         ego_index=jp.agent_ids.index(scn.ego.agent_id))
     loss, _ = risk_loss_and_grad(jp.trajectories[k], predicted,
                                  predicted.ego_index, cfg)
     assert loss == pytest.approx(reports[k].l_risk, rel=1e-12, abs=0)
 
 
+def predicted_batch(jp, scn):
+    """Every mode of the prediction, as rank_trajectories batches it."""
+    return batch_from_prediction(scn.predicted_agents(jp.agent_ids),
+                                 jp.trajectories, scn.dt)
+
+
 def kernel_terms(jp, scn, cfg):
-    """The risk kernel's output for every mode, as rank_trajectories has
-    it."""
-    batch = batch_from_prediction(_predicted_agents(jp, scn),
-                                  jp.trajectories, scn.dt)
-    return risk_kernel(batch, batch.agent_ids.index(scn.ego.agent_id),
-                       _road_boundaries(scn), cfg)
+    """The batch and the risk kernel's output for every mode, as
+    rank_trajectories has them."""
+    batch = predicted_batch(jp, scn)
+    return batch, risk_kernel(batch, batch.agent_ids.index(scn.ego.agent_id),
+                              _road_boundaries(scn), cfg)
 
 
 def ncx2_disc_probability(dist, radius, sigma):
@@ -142,7 +155,7 @@ def test_gated_disc_probability_matches_ncx2(model, template, n, seed):
     scn = generate_scenario(template, n, seed)
     jp = with_truth_mode(model.predict(scn)[0], scn)
     cfg = RiskConfig()
-    terms = kernel_terms(jp, scn, cfg)
+    _, terms = kernel_terms(jp, scn, cfg)
     sigma = cfg.uncertainty.sigma_array(jp.trajectories.shape[2])
     calls = [(terms.dists, terms.radii[:, None, None],
               terms.pair_sigma[:, None]),
@@ -166,25 +179,35 @@ def test_kernel_keeps_delta_v_and_struck_region(model, template, n, seed):
     scn = generate_scenario(template, n, seed)
     jp = with_truth_mode(model.predict(scn)[0], scn)
     cfg = RiskConfig()
-    terms = kernel_terms(jp, scn, cfg)
-    by_id = {a.agent_id: a for a in scn.agents}
+    batch, terms = kernel_terms(jp, scn, cfg)
+    e = batch.agent_ids.index(scn.ego.agent_id)
+    speeds = np.linalg.norm(batch.velocities, axis=-1)
     shape = terms.probs.shape
     assert terms.delta_v.shape == terms.region.shape == shape
     for k in range(shape[0]):
-        tracks = {aid: track_from_prediction(by_id[aid], jp.trajectories[k, i],
-                                             scn.dt)
-                  for i, aid in enumerate(jp.agent_ids)}
-        ego = tracks[scn.ego.agent_id]
-        for m, aid in enumerate(terms.victim_ids):
-            victim, t = tracks[aid], terms.steps[k, m]
-            theta = math.acos(float(np.clip(
-                victim.state_at(t).direction() @ ego.state_at(t).direction(),
-                -1.0, 1.0)))
+        for m, v in enumerate(terms.victims):
+            t = terms.steps[k, m]
+            victim, ego = batch.state(k, v, t), batch.state(k, e, t)
             assert terms.delta_v[k, m, t] == pytest.approx(delta_v(
-                victim.mass, ego.mass, victim.speeds[t], ego.speeds[t],
-                theta), rel=1e-12, abs=1e-12)
+                victim.mass, ego.mass, speeds[k, v, t], speeds[k, e, t],
+                collision_angle(victim, ego)), rel=1e-12, abs=1e-12)
             assert REGIONS[terms.region[k, m, t]] == collision_region(
-                victim.state_at(t), ego.state_at(t))
+                victim, ego)
+
+
+@pytest.mark.parametrize("template,n,seed", PARITY_SCENES)
+def test_every_step_matches_per_step_reference(model, template, n, seed):
+    scn = generate_scenario(template, n, seed)
+    jp = with_truth_mode(model.predict(scn)[0], scn)
+    cfg = RiskConfig()
+    batch, terms = kernel_terms(jp, scn, cfg)
+    e = batch.agent_ids.index(scn.ego.agent_id)
+    probs, harms = np.empty_like(terms.probs), np.empty_like(terms.harms)
+    for k, m, t in np.ndindex(terms.probs.shape):
+        probs[k, m, t], harms[k, m, t] = reference_pair(
+            batch, k, terms.victims[m], e, t, cfg)
+    assert np.array_equal(probs, terms.probs)
+    np.testing.assert_allclose(harms, terms.harms, rtol=1e-12, atol=0)
 
 
 def test_ranks_scene_with_agent_dropped_by_context_radius(model):

@@ -10,9 +10,8 @@ import pytest
 
 from riskcast.geometry import relative_encoding
 from riskcast.intention import label_intentions
-from riskcast.scene import (MapPolyline, Scenario,
-                            ScenarioError, dump_scenario, generate_scenario,
-                            load_scenario, local_frame,
+from riskcast.scene import (MapPolyline, ScenarioError, dump_scenario,
+                            generate_scenario, load_scenario, local_frame,
                             min_future_separation, pose_frame)
 
 
