@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import norm2
 from .intention import JointPrediction, label_intentions, select_mode
 from .scene import AgentHistory, Scenario
 
@@ -58,6 +59,17 @@ def constant_velocity_baseline(history: AgentHistory, horizon: int,
     v = last[3:] if len(history.past) > 1 else np.zeros(2)
     steps = np.arange(1, horizon + 1)[:, None]
     return last[None, :2] + v[None, :] * dt * steps
+
+
+def constant_velocity_baselines(agents: list[AgentHistory], horizon: int,
+                                dt: float) -> np.ndarray:
+    """``constant_velocity_baseline`` of every agent as one array op,
+    [N, horizon, 2], rounding as the per-agent baseline does."""
+    last = np.array([a.past[-1] for a in agents])
+    moving = np.array([len(a.past) > 1 for a in agents])
+    v = np.where(moving[:, None], last[:, 3:], 0.0)
+    steps = np.arange(1, horizon + 1)[:, None]
+    return last[:, None, :2] + v[:, None, :] * dt * steps
 
 
 @dataclass
@@ -126,7 +138,7 @@ def _horizon_metrics(pred: np.ndarray, truth: np.ndarray,
     horizon, as ``ade``/``fde`` compute them: two arrays [..., N, horizons].
     """
     diff = pred - truth
-    err = np.linalg.norm(diff, axis=-1)
+    err = norm2(diff)
     a = np.stack([err[..., :h].mean(axis=-1) for h in horizons], axis=-1)
     # fde's norm of one 2-vector is sqrt(d @ d); a batched matmul rounds
     # as that dot product does
@@ -182,8 +194,7 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
         model_a, model_f = _horizon_metrics(
             np.asarray(jp.trajectories, dtype=np.float64)[:, :, :h_max],
             truth, horizon_steps)
-        cv = np.array([constant_velocity_baseline(a, h_max, scn.dt)
-                       for a in agents])
+        cv = constant_velocity_baselines(agents, h_max, scn.dt)
         rows = np.arange(len(agents))
         best = np.argmin(model_a[:, :, -1], axis=0)
         estimates = {

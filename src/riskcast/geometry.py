@@ -150,5 +150,12 @@ def transform_state(a: AgentState, origin: np.ndarray,
                       a.length, a.width, a.mass, a.agent_class)
 
 
+def norm2(d: np.ndarray) -> np.ndarray:
+    """Length of each 2-vector along the last axis. Rounds as
+    ``np.linalg.norm(d, axis=-1)`` does (no scaling against overflow), in
+    two array ops instead of its reduction."""
+    return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
+
+
 def wrap_angle(angle: float) -> float:
     return math.atan2(math.sin(angle), math.cos(angle))

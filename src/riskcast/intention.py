@@ -6,6 +6,12 @@ are accelerate / constant / decelerate. Intention-specific embeddings use one
 linear head per class, mixed by the predicted class probabilities; the fused
 intention feature is a feature-axis softmax of an MLP over the concatenated
 lateral and longitudinal embeddings.
+
+Sibling heads over one input run stacked (``nn.StackedMLP``,
+``nn.StackedLinear``): the lateral and longitudinal MLPs, the class heads of
+each embedding, and the decoder's K trajectory heads each run as one batched
+matmul per layer, and each head keeps its own checkpoint names
+(``int.lat.0.W``, ``emb.lon.2.b``, ``dec.k3.1.W``).
 """
 
 from __future__ import annotations
@@ -40,62 +46,61 @@ class JointPrediction:
 
 
 class IntentionHead(nn.Module):
-    """Two softmax heads over interaction features."""
+    """Two softmax heads over interaction features: the lateral and
+    longitudinal MLPs, stacked in that order (both have three classes)."""
 
     def __init__(self, dim: int, rng: np.random.Generator,
                  name: str = "int"):
-        self.lat_mlp = nn.MLP([dim, dim, len(LATERAL_CLASSES)], rng,
-                              name=f"{name}.lat")
-        self.lon_mlp = nn.MLP([dim, dim, len(LONGITUDINAL_CLASSES)], rng,
-                              name=f"{name}.lon")
+        self.mlps = nn.StackedMLP([dim, dim, len(LATERAL_CLASSES)],
+                                  [f"{name}.lat", f"{name}.lon"], rng,
+                                  name=name)
 
-    def params(self):
-        return self.lat_mlp.params() + self.lon_mlp.params()
+    def parts(self):
+        return [self.mlps]
 
     def forward(self, features: np.ndarray
                 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple]:
-        lat_logits, lat_ctx = self.lat_mlp.forward(features)
-        lon_logits, lon_ctx = self.lon_mlp.forward(features)
-        lat = nn.softmax(lat_logits, axis=-1)
-        lon = nn.softmax(lon_logits, axis=-1)
-        return (lat, lon), (lat_ctx, lon_ctx, lat, lon)
+        logits, mlp_ctx = self.mlps.forward(features)
+        lat = nn.softmax(logits[0], axis=-1)
+        lon = nn.softmax(logits[1], axis=-1)
+        return (lat, lon), (mlp_ctx, lat, lon)
 
     def backward(self, ctx: tuple, dlat: np.ndarray,
                  dlon: np.ndarray) -> np.ndarray:
-        lat_ctx, lon_ctx, lat, lon = ctx
-        dfeat = self.lat_mlp.backward(lat_ctx, nn.softmax_backward(lat, dlat))
-        dfeat += self.lon_mlp.backward(lon_ctx,
-                                       nn.softmax_backward(lon, dlon))
-        return dfeat
+        mlp_ctx, lat, lon = ctx
+        dfeat = self.mlps.backward(mlp_ctx, np.stack([
+            nn.softmax_backward(lat, dlat), nn.softmax_backward(lon, dlon)]))
+        return dfeat[0] + dfeat[1]
 
 
 class ClassEmbeddings(nn.Module):
-    """One linear embedding head per intention class; the class-specific
-    embeddings are mixed by the predicted class probabilities."""
+    """One linear embedding head per intention class, the heads stacked in
+    class order; the class-specific embeddings are mixed by the predicted
+    class probabilities."""
 
     def __init__(self, dim: int, n_classes: int, rng: np.random.Generator,
                  name: str = "emb"):
-        self.heads = [nn.Linear(dim, dim, rng, name=f"{name}.{c}")
-                      for c in range(n_classes)]
+        [W] = nn.stacked_glorot(rng, n_classes, [(dim, dim)])
+        self.heads = nn.StackedLinear(
+            W, [f"{name}.{c}" for c in range(n_classes)], name=name)
 
-    def params(self):
-        return [p for h in self.heads for p in h.params()]
+    def parts(self):
+        return [self.heads]
 
     def forward(self, features: np.ndarray, probs: np.ndarray
                 ) -> tuple[np.ndarray, tuple]:
-        outs, head_ctxs = zip(*(h.forward(features) for h in self.heads))
+        outs, heads_ctx = self.heads.forward(features)      # [C, N, D]
         mixed = sum(probs[:, c:c + 1] * outs[c] for c in range(len(outs)))
-        return mixed, (probs, outs, head_ctxs)
+        return mixed, (probs, outs, heads_ctx)
 
     def backward(self, ctx: tuple, g: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-        probs, outs, head_ctxs = ctx
-        dprobs = np.stack([(g * outs[c]).sum(axis=1)
-                           for c in range(len(outs))], axis=1)
+        probs, outs, heads_ctx = ctx
+        dprobs = (g * outs).sum(axis=2).T
+        dheads = self.heads.backward(heads_ctx, probs.T[:, :, None] * g)
         dfeat = np.zeros_like(g)
-        for c in reversed(range(len(self.heads))):
-            dfeat += self.heads[c].backward(head_ctxs[c],
-                                            probs[:, c:c + 1] * g)
+        for c in reversed(range(len(outs))):
+            dfeat += dheads[c]
         return dfeat, dprobs
 
 
@@ -108,8 +113,8 @@ class IntentionFuser(nn.Module):
         self.mlp = nn.MLP([2 * dim, dim], rng, name=name)
         self.dim = dim
 
-    def params(self):
-        return self.mlp.params()
+    def parts(self):
+        return [self.mlp]
 
     def forward(self, e_lat: np.ndarray, e_lon: np.ndarray
                 ) -> tuple[np.ndarray, tuple]:
@@ -128,7 +133,8 @@ class IntentionFuser(nn.Module):
 class JointDecoder(nn.Module):
     """K trajectory heads emitting per-step offsets that are integrated from
     each agent's current position, plus a max-pooled scene feature that is
-    decoded into mode probabilities.
+    decoded into mode probabilities. The K heads are one StackedMLP, whose
+    two layers are [K, 2D, 2D] and [K, 2D, 2T] weights.
 
     The rows may hold several scenes: ``slices[b]`` are scene b's rows, and
     its max-pool runs over those rows only, so the mode probabilities come
@@ -141,16 +147,14 @@ class JointDecoder(nn.Module):
         in_dim = 2 * dim
         self.n_modes = n_modes
         self.horizon = horizon
-        self.heads = [
-            nn.MLP([in_dim, in_dim, horizon * 2], rng, name=f"{name}.k{k}")
-            for k in range(n_modes)
-        ]
+        self.heads = nn.StackedMLP([in_dim, in_dim, horizon * 2],
+                                   [f"{name}.k{k}" for k in range(n_modes)],
+                                   rng, name=f"{name}.heads")
         self.pool_mlp = nn.MLP([in_dim, dim], rng, name=f"{name}.pool")
         self.prob_mlp = nn.MLP([dim, dim, n_modes], rng, name=f"{name}.prob")
 
-    def params(self):
-        out = [p for h in self.heads for p in h.params()]
-        return out + self.pool_mlp.params() + self.prob_mlp.params()
+    def parts(self):
+        return [self.heads, self.pool_mlp, self.prob_mlp]
 
     def forward(self, dec_in: np.ndarray, pos0: np.ndarray,
                 slices: list[slice] | None = None
@@ -159,32 +163,33 @@ class JointDecoder(nn.Module):
         n = dec_in.shape[0]
         if slices is None:
             slices = [slice(0, n)]
-        offsets, head_ctxs = zip(*(h.forward(dec_in) for h in self.heads))
+        offsets, heads_ctx = self.heads.forward(dec_in)     # [K, N, 2T]
         trajs = pos0[:, None, :] + np.cumsum(
-            np.reshape(offsets, (self.n_modes, n, self.horizon, 2)), axis=2)
+            offsets.reshape(self.n_modes, n, self.horizon, 2), axis=2)
         feat, pool_ctx = self.pool_mlp.forward(dec_in)
         # arg[b, j]: the row holding scene b's largest feature j
         arg = np.stack([feat[s].argmax(axis=0) + s.start for s in slices])
         pooled = feat[arg, np.arange(feat.shape[1])]
         logits, prob_ctx = self.prob_mlp.forward(pooled)
         probs = nn.softmax(logits, axis=-1)
-        return (trajs, probs), (head_ctxs, pool_ctx, prob_ctx, arg,
+        return (trajs, probs), (heads_ctx, pool_ctx, prob_ctx, arg,
                                 feat.shape, probs)
 
     def backward(self, ctx: tuple, dtrajs: np.ndarray,
                  dprobs: np.ndarray) -> np.ndarray:
-        head_ctxs, pool_ctx, prob_ctx, arg, feat_shape, probs = ctx
+        heads_ctx, pool_ctx, prob_ctx, arg, feat_shape, probs = ctx
         n = feat_shape[0]
         dlogits = nn.softmax_backward(probs, dprobs)
         dpooled = self.prob_mlp.backward(prob_ctx, dlogits)
         dfeat = np.zeros(feat_shape)
         dfeat[arg, np.arange(feat_shape[1])] = dpooled
         ddec = self.pool_mlp.backward(pool_ctx, dfeat)
+        # integrate backwards: offset t influences all steps >= t
+        dofs = np.cumsum(dtrajs[:, :, ::-1, :], axis=2)[:, :, ::-1, :]
+        dheads = self.heads.backward(
+            heads_ctx, np.ascontiguousarray(dofs).reshape(self.n_modes, n, -1))
         for k in reversed(range(self.n_modes)):
-            # integrate backwards: offset t influences all steps >= t
-            dofs = np.cumsum(dtrajs[k][:, ::-1, :], axis=1)[:, ::-1, :]
-            ddec += self.heads[k].backward(
-                head_ctxs[k], np.ascontiguousarray(dofs).reshape(n, -1))
+            ddec += dheads[k]
         return ddec
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .geometry import AGENT_CLASSES, DIST_EPS, SPEED_EPS
+from .geometry import AGENT_CLASSES, DIST_EPS, SPEED_EPS, norm2
 from .scene import POLYLINE_KINDS, RoadMap, Scenario
 
 POS_SCALE = 50.0
@@ -112,8 +112,7 @@ def neighbor_mask(scn: Scenario, radius: float) -> np.ndarray:
     """mask[i, j] is True when agent j's current position lies within
     agent i's context radius (diagonal always True)."""
     pos = scn.current_kinematics()[:, :2]
-    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    mask = d <= radius
+    mask = norm2(pos[:, None, :] - pos[None, :, :]) <= radius
     np.fill_diagonal(mask, True)
     return mask
 
@@ -122,8 +121,7 @@ def map_visibility(scn: Scenario, radius: float) -> np.ndarray:
     """vis[i, m] is True when polyline m has a waypoint within agent i's
     context radius."""
     pos = scn.current_kinematics()[:, :2]
-    d = np.linalg.norm(pos[:, None, None, :] - scn.map.waypoints[None],
-                       axis=-1)                               # [N, P, W]
+    d = norm2(pos[:, None, None, :] - scn.map.waypoints[None])  # [N, P, W]
     d = np.where(scn.map.valid, d, np.inf)
     return d.min(axis=-1, initial=np.inf) <= radius
 
@@ -156,9 +154,8 @@ class SelfAttentionBlock(nn.Module):
         self.ln2 = nn.LayerNorm(dim, name=f"{name}.ln2")
         self.ff = nn.MLP([dim, ff_mult * dim, dim], rng, name=f"{name}.ff")
 
-    def params(self):
-        return (self.ln1.params() + self.mha.params() + self.ln2.params()
-                + self.ff.params())
+    def parts(self):
+        return [self.ln1, self.mha, self.ln2, self.ff]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         h, ln1_ctx = self.ln1.forward(x)
@@ -187,6 +184,11 @@ class AgentAgentEncoder(nn.Module):
     very computation each member's own run would be. The blocks run once
     per distinct context set, once per scene when every agent sees every
     other.
+
+    The rows may be the union of several scenes, each a block of rows
+    (``slices``) with the mask False outside the blocks. The context sets
+    are then found block by block, since none crosses a block, and a block
+    whose mask is all True is one set, found without a sort.
     """
 
     def __init__(self, cfg: InteractionConfig, rng: np.random.Generator,
@@ -197,13 +199,14 @@ class AgentAgentEncoder(nn.Module):
             for i in range(cfg.transformer_layers)
         ]
 
-    def params(self):
-        return [p for b in self.blocks for p in b.params()]
+    def parts(self):
+        return self.blocks
 
-    def forward(self, embeds: np.ndarray, mask: np.ndarray
-                ) -> tuple[np.ndarray, list]:
-        """(output, ctx); the context lists, per context set, its agents,
-        their members and positions, and the block contexts."""
+    def forward(self, embeds: np.ndarray, mask: np.ndarray,
+                slices: list[slice] | None = None) -> tuple[np.ndarray, list]:
+        """(output, ctx); without slices, all rows are one block. The
+        context lists, per context set, its agents, their members and
+        positions, and the block contexts."""
         mask = np.asarray(mask, dtype=bool)
         empty = np.flatnonzero(~mask.any(axis=1))
         if empty.size:
@@ -212,21 +215,23 @@ class AgentAgentEncoder(nn.Module):
         if outside.size:
             raise ValueError(
                 f"agent {outside[0]} is not in its own context set")
-        sets, which = np.unique(mask, axis=0, return_inverse=True)
-        which = which.reshape(-1)
+        if slices is None:
+            slices = [slice(0, len(mask))]
         out = np.empty_like(embeds)
         runs = []
-        for s, row in enumerate(sets):
-            idx = np.flatnonzero(row)
-            members = np.flatnonzero(which == s)
-            x = embeds[idx]
-            block_ctxs = []
-            for block in self.blocks:
-                x, bctx = block.forward(x)
-                block_ctxs.append(bctx)
-            pos = np.searchsorted(idx, members)
-            out[members] = x[pos]
-            runs.append((idx, members, pos, block_ctxs))
+        # the last block first: the order np.unique gives the sets of the
+        # whole union, which the gradient sums of the backward keep
+        for rows in reversed(slices):
+            for idx, members in _context_sets(mask[rows, rows]):
+                idx, members = idx + rows.start, members + rows.start
+                x = embeds[idx]
+                block_ctxs = []
+                for block in self.blocks:
+                    x, bctx = block.forward(x)
+                    block_ctxs.append(bctx)
+                pos = np.searchsorted(idx, members)
+                out[members] = x[pos]
+                runs.append((idx, members, pos, block_ctxs))
         return out, runs
 
     def backward(self, runs: list, g: np.ndarray) -> np.ndarray:
@@ -239,6 +244,19 @@ class AgentAgentEncoder(nn.Module):
                 gx = block.backward(bctx, gx)
             dembeds[idx] += gx
         return dembeds
+
+
+def _context_sets(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(agents, members) of each distinct row of a square mask, in the
+    order np.unique sorts the rows: the agents the row marks, and the rows
+    equal to it."""
+    if mask.all():
+        everyone = np.arange(len(mask))
+        return [(everyone, everyone)]
+    sets, which = np.unique(mask, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    return [(np.flatnonzero(row), np.flatnonzero(which == s))
+            for s, row in enumerate(sets)]
 
 
 class AgentMapAttention(nn.Module):
@@ -257,8 +275,8 @@ class AgentMapAttention(nn.Module):
         self.mha = nn.MultiHeadAttention(cfg.embed_dim, cfg.attention_heads,
                                          rng, name=name)
 
-    def params(self):
-        return self.mha.params()
+    def parts(self):
+        return [self.mha]
 
     def forward(self, features: np.ndarray, map_embeds: np.ndarray,
                 vis: np.ndarray | None = None,
@@ -280,9 +298,9 @@ class AgentMapAttention(nn.Module):
                 vis[block_rows, keys].any(axis=1))
             mha_ctx = None
             if rows.size:
-                att, mha_ctx = self.mha.forward(
-                    features[rows], map_embeds[keys], map_embeds[keys],
-                    vis[rows, keys])
+                kv = map_embeds[keys]
+                att, mha_ctx = self.mha.forward(features[rows], kv, kv,
+                                                vis[rows, keys])
                 out[rows] = att
             runs.append((rows, keys, mha_ctx))
         return out, (m, runs)

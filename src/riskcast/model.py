@@ -21,13 +21,14 @@ forward over that scene alone. The scenes of one batch must share their
 history length.
 
 Checkpoints (format version 2) are uncompressed ``.npz`` archives written to
-exactly the path given: one float64 array per parameter name plus a
+exactly the path given: one float64 array per member name plus a
 ``__meta__`` JSON string holding the format name, the version and the model
-config. The bytes depend only on the parameters and the config, and a round
-trip is bit-exact. ``JointPredictor.load`` tells the formats apart by the
-zip magic and still reads version 1, a JSON document of the same header
-with each tensor stored as a shape and a flat float list. Every malformed
-checkpoint raises ``ValueError``.
+config. A member is a parameter, or one slice of a stacked parameter
+(``nn.Parameter.names``): the decoder's ``dec.k3.0.W`` is slice 3 of the
+stacked first-layer weight of its K heads. The members come in
+``Module.members`` order, so the bytes depend only on the parameters and
+the config, and a round trip is bit-exact. Every malformed checkpoint,
+a file that is not a zip archive among them, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -120,13 +121,11 @@ class JointPredictor(nn.Module):
         self.fuser = IntentionFuser(d, rng, name="fuse")
         self.decoder = JointDecoder(d, cfg.n_modes, cfg.future_steps, rng,
                                     name="dec")
-        self._modules = [self.history, self.map_enc, self.agent_agent,
-                         self.agent_map, self.intention_head,
-                         self.lat_embeddings, self.lon_embeddings,
-                         self.fuser, self.decoder]
 
-    def params(self) -> list[nn.Parameter]:
-        return [p for m in self._modules for p in m.params()]
+    def parts(self) -> list[nn.Module]:
+        return [self.history, self.map_enc, self.agent_agent, self.agent_map,
+                self.intention_head, self.lat_embeddings, self.lon_embeddings,
+                self.fuser, self.decoder]
 
     # -- forward / backward over a local-frame scenario -------------------
 
@@ -143,7 +142,7 @@ class JointPredictor(nn.Module):
         h, hist_ctx = self.history.forward(np.concatenate(feats))
         mask = _block_diagonal([neighbor_mask(local, cfg.context_radius_m)
                                 for local in locals_])
-        base, aa_ctx = self.agent_agent.forward(h, mask)
+        base, aa_ctx = self.agent_agent.forward(h, mask, slices)
 
         att_rows = map_ctx = None
         features = base
@@ -236,7 +235,7 @@ class JointPredictor(nn.Module):
         """Write a version-2 checkpoint to exactly `path`."""
         meta = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
                 "config": asdict(self.cfg)}
-        arrays = {p.name: p.value for p in self.params()}
+        arrays = {name: value for name, value, _ in self.members()}
         arrays[_META_KEY] = np.array(json.dumps(meta, sort_keys=True))
         # through a handle: given a name, np.savez would append ".npz"
         with open(path, "wb") as f:
@@ -244,26 +243,26 @@ class JointPredictor(nn.Module):
 
     @classmethod
     def load(cls, path: str) -> "JointPredictor":
-        """Read a version-2 (``.npz``) or version-1 (JSON) checkpoint."""
+        """Read a version-2 checkpoint, filling each member by its name."""
         with open(path, "rb") as f:
-            binary = f.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC
+            if f.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+                raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
             f.seek(0)
-            config, tensors = _read_npz(f, path) if binary \
-                else _read_json(f, path)
+            config, tensors = _read_npz(f, path)
         model = cls(_config_from_json(config))
-        for p in model.params():
-            value = tensors.get(p.name)
-            if value is None:
-                raise ValueError(f"checkpoint missing tensor {p.name!r}")
-            if value.shape != p.shape:
+        for name, value, _ in model.members():
+            saved = tensors.get(name)
+            if saved is None:
+                raise ValueError(f"checkpoint missing tensor {name!r}")
+            if saved.shape != value.shape:
                 raise ValueError(
-                    f"tensor {p.name!r}: checkpoint shape "
-                    f"{list(value.shape)} does not match model shape "
-                    f"{list(p.shape)}")
-            if value.dtype != np.float64:
-                raise ValueError(f"tensor {p.name!r}: dtype {value.dtype}, "
+                    f"tensor {name!r}: checkpoint shape "
+                    f"{list(saved.shape)} does not match model shape "
+                    f"{list(value.shape)}")
+            if saved.dtype != np.float64:
+                raise ValueError(f"tensor {name!r}: dtype {saved.dtype}, "
                                  f"expected float64")
-            p.value[...] = value
+            value[...] = saved
         return model
 
 
@@ -284,16 +283,6 @@ def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _check_header(meta, version: int, path: str) -> None:
-    """`version` is the one the file's layout (zip or JSON) implies."""
-    if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
-    if meta.get("version") != version:
-        raise ValueError(f"unsupported checkpoint version "
-                         f"{meta.get('version')!r} (the file layout is "
-                         f"version {version}): {path}")
-
-
 def _read_npz(f, path: str) -> tuple[object, dict[str, np.ndarray]]:
     """Config and tensors of a version-2 checkpoint."""
     try:
@@ -305,25 +294,12 @@ def _read_npz(f, path: str) -> tuple[object, dict[str, np.ndarray]]:
     if meta is None or meta.shape != () or meta.dtype.kind != "U":
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     meta = json.loads(str(meta))
-    _check_header(meta, CHECKPOINT_VERSION, path)
+    if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version "
+                         f"{meta.get('version')!r}: {path}")
     return meta.get("config"), arrays
-
-
-def _read_json(f, path: str) -> tuple[object, dict[str, np.ndarray]]:
-    """Config and tensors of a version-1 (JSON) checkpoint."""
-    doc = json.load(f)
-    _check_header(doc, 1, path)
-    tensors = doc.get("tensors")
-    if not isinstance(tensors, dict):
-        raise ValueError(f"checkpoint tensors are not an object: {path}")
-    arrays = {}
-    for name, entry in tensors.items():
-        try:
-            arrays[name] = np.array(entry["data"], dtype=np.float64
-                                    ).reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"tensor {name!r}: malformed entry: {e}") from e
-    return doc.get("config"), arrays
 
 
 def _config_from_json(obj) -> ModelConfig:

@@ -58,7 +58,7 @@ from scipy.special import chdtr, chndtr, i1e
 from . import nn
 from .geometry import (DIST_EPS, PROTECTED_CLASSES, SPEED_EPS, AgentState,
                        CollisionRegion, body_points, collision_angle,
-                       collision_region)
+                       collision_region, norm2)
 from .intention import JointPrediction
 from .scene import AgentHistory, RoadMap, Scenario
 
@@ -256,7 +256,7 @@ def batch_from_prediction(agents: list[AgentHistory], positions: np.ndarray,
         np.broadcast_to(start, positions.shape[:2] + (1, 2)), positions],
         axis=2)
     vel = np.diff(anchored, axis=2) / dt
-    speeds = np.linalg.norm(vel, axis=-1)
+    speeds = norm2(vel)
     yaws = np.where(speeds > SPEED_EPS, np.arctan2(vel[..., 1], vel[..., 0]),
                     cur[None, :, None, 2])
     return MotionBatch([a.agent_id for a in agents], positions, vel, yaws,

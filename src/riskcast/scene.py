@@ -45,8 +45,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (AGENT_CLASSES, PROTECTED_CLASSES, AgentState, rotation,
-                       wrap_angle)
+from .geometry import (AGENT_CLASSES, PROTECTED_CLASSES, AgentState, norm2,
+                       rotation, wrap_angle)
 
 POLYLINE_KINDS = ("lane_center", "road_boundary", "crosswalk")
 TEMPLATES = ("straight", "left_turn", "right_turn", "merge",
@@ -880,7 +880,7 @@ def local_frame(scn: Scenario, agent_id: str,
     moved = _rotated_rows(_stack_rows(kept) - shift, -frame.angle)
 
     # waypoints as one matmul, which rounds as per-polyline to_local does
-    dists = np.linalg.norm(scn.map.waypoints - frame.origin, axis=-1)
+    dists = norm2(scn.map.waypoints - frame.origin)
     reach = np.where(scn.map.valid, dists, np.inf).min(axis=1,
                                                         initial=np.inf)
     polys = scn.map.select(reach <= radius)

@@ -268,7 +268,7 @@ def train(scenarios: list[Scenario], model_cfg: ModelConfig,
         count = 0
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            opt.zero_grad()
+            model.zero_grad()
             for l_pre, l_man, l_risk in _minibatch_losses(
                     model, [scenes_train[int(i)] for i in batch], epoch, cfg):
                 l_tot = total_loss(l_pre, l_man, l_risk, epoch, cfg)
@@ -281,8 +281,9 @@ def train(scenarios: list[Scenario], model_cfg: ModelConfig,
             for p in model.params():
                 p.grad /= len(batch)
             if cfg.clip_norm > 0:
-                total = math.sqrt(sum(float((p.grad * p.grad).sum())
-                                      for p in model.params()))
+                # summed member by member, as the checkpoint lists them
+                total = math.sqrt(sum(float((g * g).sum())
+                                      for _, _, g in model.members()))
                 if total > cfg.clip_norm:
                     scale = cfg.clip_norm / total
                     for p in model.params():

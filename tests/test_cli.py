@@ -130,9 +130,15 @@ class TestErrors:
         assert "exactly one" in capsys.readouterr().err
 
 
-def _v1_checkpoint(config):
-    return json.dumps({"format": "riskcast-checkpoint", "version": 1,
-                       "config": config, "tensors": {}})
+def _with_config(path, config):
+    """Rewrite a saved checkpoint's header to carry `config`."""
+    with np.load(path) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    meta["config"] = config
+    arrays["__meta__"] = np.array(json.dumps(meta))
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
 
 
 def _flip_middle(path):
@@ -153,15 +159,14 @@ def _object_tensor(path):
 
 # each edit turns a saved tiny checkpoint into a malformed one
 BAD_CHECKPOINTS = {
-    "unknown_config_key": lambda p, cfg: p.write_text(
-        _v1_checkpoint({**cfg, "bogus": 1})),
-    "missing_config_key": lambda p, cfg: p.write_text(_v1_checkpoint(
-        {k: v for k, v in cfg.items() if k != "n_modes"})),
+    "unknown_config_key": lambda p, cfg: _with_config(p, {**cfg, "bogus": 1}),
+    "missing_config_key": lambda p, cfg: _with_config(
+        p, {k: v for k, v in cfg.items() if k != "n_modes"}),
     "non_object_document": lambda p, cfg: p.write_text("[1, 2, 3]"),
-    "config_value_wrong_type": lambda p, cfg: p.write_text(
-        _v1_checkpoint({**cfg, "embed_dim": "8"})),
-    "config_value_out_of_range": lambda p, cfg: p.write_text(
-        _v1_checkpoint({**cfg, "n_modes": 0})),
+    "config_value_wrong_type": lambda p, cfg: _with_config(
+        p, {**cfg, "embed_dim": "8"}),
+    "config_value_out_of_range": lambda p, cfg: _with_config(
+        p, {**cfg, "n_modes": 0}),
     "truncated_zip": lambda p, cfg: p.write_bytes(
         p.read_bytes()[:p.stat().st_size // 2]),
     "corrupt_zip": lambda p, cfg: _flip_middle(p),

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from riskcast.evaluation import (ESTIMATORS, MetricsReport, ade,
-                                 constant_velocity_baseline, evaluate, fde)
+                                 constant_velocity_baseline,
+                                 constant_velocity_baselines, evaluate, fde)
 from riskcast.geometry import AgentState, rotation
 from riskcast.intention import JointPrediction, label_intentions, select_mode
 from riskcast.model import JointPredictor, ModelConfig
@@ -110,6 +111,17 @@ class TestBaseline:
         a = constant_velocity_baseline(h, 10, 0.1)
         b = constant_velocity_baseline(h, 10, 0.1)
         assert np.array_equal(a, b)
+
+    def test_all_agents_at_once_equal_each_agent(self):
+        scn = generate_scenario("merge", 8, seed=4)
+        single = AgentHistory.from_states(
+            "s", [AgentState(3.0, 4.0, 0.5, -2.0, 7.0)])
+        for agents, dt in ((scn.agents, scn.dt), (scn.agents + [single], 0.3),
+                           ([single], 0.1)):
+            want = np.array([constant_velocity_baseline(a, 17, dt)
+                             for a in agents])
+            assert np.array_equal(constant_velocity_baselines(agents, 17, dt),
+                                  want)
 
 
 def oracle_predict(scn):

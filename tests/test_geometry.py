@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskcast.geometry import (AgentState, CollisionRegion, body_points,
-                               collision_angle, collision_region,
+                               collision_angle, collision_region, norm2,
                                relative_encoding, transform_state)
 
 
@@ -163,3 +163,18 @@ class TestAgentState:
     def test_unknown_class(self):
         with pytest.raises(ValueError):
             AgentState(0, 0, 0, 0, 0, agent_class="tank")
+
+
+class TestNorm2:
+    def test_rounds_as_linalg_norm(self):
+        rng = np.random.default_rng(0)
+        d = rng.normal(size=(6, 16, 50, 2)) * 10.0 ** rng.uniform(
+            -5, 5, size=(6, 16, 50, 1))
+        special = np.array([[0.0, 0.0], [-0.0, 3.0], [np.inf, 1.0],
+                            [-np.inf, np.nan], [np.nan, 2.0], [1e200, 1e200],
+                            [-1e155, 1e-300], [1e-170, 1e-170], [5e-324, 0.0]])
+        for x in (d, special):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.linalg.norm(x, axis=-1)
+                got = norm2(x)
+            assert np.array_equal(got, want, equal_nan=True)

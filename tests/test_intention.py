@@ -77,7 +77,8 @@ class TestFusion:
         feats = rng.normal(size=(2, DIM))
         probs = nn.softmax(rng.normal(size=(2, 3)), axis=-1)
         out, _ = emb.forward(feats, probs)
-        expected = sum(probs[:, c:c + 1] * emb.heads[c].forward(feats)[0]
+        W, b = emb.heads.W.value, emb.heads.b.value
+        expected = sum(probs[:, c:c + 1] * (feats @ W[c] + b[c])
                        for c in range(3))
         assert np.allclose(out, expected, atol=1e-12)
 

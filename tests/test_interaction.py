@@ -52,7 +52,8 @@ class TestHistoryEncoder:
         h = np.zeros((feats.shape[0], CFG.embed_dim))
         c = np.zeros_like(h)
         for t in range(feats.shape[1]):
-            (h, c), _ = enc.cell.step(feats[:, t, :], h, c)
+            (h, c), _ = enc.cell.step(feats[:, t, :] @ enc.cell.Wx.value, h,
+                                      c)
         assert np.allclose(out, h, atol=1e-10)
 
 
@@ -155,10 +156,11 @@ class TestAgentMapAttention:
 
     def test_single_polyline_identity_projection(self):
         att = AgentMapAttention(CFG, nn.seeded_rng(14))
-        for lin in (att.mha.Wq, att.mha.Wk, att.mha.Wv, att.mha.Wo):
-            lin.W.value[...] = np.eye(CFG.embed_dim)
-            if lin.b is not None:
-                lin.b.value[...] = 0.0
+        mha = att.mha
+        mha.Wqkv.value[...] = np.eye(CFG.embed_dim)
+        mha.Wo.W.value[...] = np.eye(CFG.embed_dim)
+        for b in (mha.bq, mha.bv, mha.Wo.b):
+            b.value[...] = 0.0
         x = nn.seeded_rng(15).normal(size=(3, CFG.embed_dim))
         value = nn.seeded_rng(16).normal(size=(1, CFG.embed_dim))
         out, _ = att.forward(x, value)
@@ -370,6 +372,43 @@ class TestGroupedSubgraphAttention:
             return float((out * w).sum())
 
         assert nn.grad_check(loss, enc.params() + [x]) < 1e-5
+
+    def test_blocks_group_as_the_whole_union_does(self):
+        # a union of every mask case, grouped block by block, runs the same
+        # sets in the same order as grouping the whole union mask, so its
+        # outputs and gradients are bit-identical
+        masks = [MASKS[name] for name in sorted(MASKS)]
+        bounds = np.cumsum([0] + [len(m) for m in masks])
+        slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        union = np.zeros((bounds[-1], bounds[-1]), dtype=bool)
+        for m, rows in zip(masks, slices):
+            union[rows, rows] = m
+        rng = nn.seeded_rng(35)
+        enc = AgentAgentEncoder(CFG, rng)
+        x = rng.normal(size=(len(union), CFG.embed_dim))
+        g = rng.normal(size=(len(union), CFG.embed_dim))
+        results = []
+        for blocks in (None, slices):
+            enc.zero_grad()
+            out, runs = enc.forward(x, union, blocks)
+            dx = enc.backward(runs, g)
+            results.append([out, dx] + [p.grad.copy() for p in enc.params()]
+                           + [a for idx, members, _, _ in runs
+                              for a in (idx, members)])
+        whole, per_block = results
+        assert len(whole) == len(per_block)
+        for a, b in zip(whole, per_block):
+            assert np.array_equal(a, b)
+
+    def test_a_full_block_is_one_set_without_a_sort(self, monkeypatch):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", no_sort)
+        enc = AgentAgentEncoder(CFG, nn.seeded_rng(36))
+        x = nn.seeded_rng(37).normal(size=(5, CFG.embed_dim))
+        _, runs = enc.forward(x, MASKS["one_set"])
+        assert len(runs) == 1
 
     def test_agent_outside_its_own_set_raises(self):
         enc = AgentAgentEncoder(CFG, nn.seeded_rng(34))

@@ -3,7 +3,7 @@ round-trips, prediction determinism, and export formats."""
 
 import json
 import os
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -328,6 +328,67 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="float64"):
             JointPredictor.load(str(path))
 
+    def test_rejects_version_1_json(self, tmp_path, tiny_setup):
+        model, _, _ = tiny_setup
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps({
+            "format": "riskcast-checkpoint", "version": 1, "tensors": {
+                p.name: {"shape": list(p.shape),
+                         "data": p.value.reshape(-1).tolist()}
+                for p in model.params()}}))
+        with pytest.raises(ValueError, match="not a riskcast-checkpoint"):
+            JointPredictor.load(str(path))
+
+    @pytest.mark.parametrize("name", ["dec.k1.0.W", "emb.lon.2.b",
+                                      "int.lat.1.W", "aa.1.mha.k.W"])
+    def test_checks_each_stacked_member(self, tmp_path, tiny_setup, name):
+        model, _, _ = tiny_setup
+        path = tmp_path / "ckpt.npz"
+        model.save(str(path))
+        rewrite_npz(path, lambda arrays: arrays.update({name: np.zeros(1)}))
+        with pytest.raises(ValueError, match=f"{name}.*shape"):
+            JointPredictor.load(str(path))
+        rewrite_npz(path, lambda arrays: arrays.pop(name))
+        with pytest.raises(ValueError, match=f"missing tensor '{name}'"):
+            JointPredictor.load(str(path))
+
+    def test_members_keep_per_head_names_and_order(self, tmp_path):
+        # each stacked member is saved under the name, with the shape and
+        # at the place, its own layer's parameter had before stacking
+        model = JointPredictor(TINY)
+        path = tmp_path / "ckpt.npz"
+        model.save(str(path))
+        with np.load(path) as npz:
+            shapes = {n: npz[n].shape for n in npz.files if n != "__meta__"}
+        d, t = TINY.embed_dim, TINY.future_steps
+        want = {}
+        for k in range(TINY.n_modes):
+            want.update({f"dec.k{k}.0.W": (2 * d, 2 * d),
+                         f"dec.k{k}.0.b": (2 * d,),
+                         f"dec.k{k}.1.W": (2 * d, 2 * t),
+                         f"dec.k{k}.1.b": (2 * t,)})
+        for side in ("lat", "lon"):
+            for c in range(3):
+                want.update({f"emb.{side}.{c}.W": (d, d),
+                             f"emb.{side}.{c}.b": (d,)})
+            want.update({f"int.{side}.0.W": (d, d), f"int.{side}.0.b": (d,),
+                         f"int.{side}.1.W": (d, 3), f"int.{side}.1.b": (3,)})
+        mhas = [f"aa.{i}.mha" for i in range(TINY.transformer_layers)]
+        for mha in mhas + ["amap"]:
+            want.update({f"{mha}.{x}.W": (d, d) for x in "qkv"})
+        assert {n: shapes.get(n) for n in want} == want
+        plain = {p.name: p.shape for p in model.params() if p.names is None}
+        assert set(shapes) == set(want) | set(plain)
+
+        names = list(shapes)
+        for group in (["dec.k0.1.b", "dec.k1.0.W"],
+                      ["emb.lat.0.W", "emb.lat.0.b", "emb.lat.1.W"],
+                      ["int.lat.1.b", "int.lon.0.W"],
+                      ["amap.q.W", "amap.q.b", "amap.k.W", "amap.v.W",
+                       "amap.v.b", "amap.o.W", "amap.o.b"]):
+            i = names.index(group[0])
+            assert names[i:i + len(group)] == group
+
     def test_saves_to_exactly_the_path_deterministically(self, tmp_path,
                                                          tiny_setup):
         model, _, _ = tiny_setup
@@ -348,52 +409,6 @@ def rewrite_npz(path, edit):
     edit(arrays)
     with open(path, "wb") as f:
         np.savez(f, **arrays)
-
-
-def save_v1(model, path):
-    """Write `model` in the version-1 JSON checkpoint layout."""
-    path.write_text(json.dumps({
-        "format": "riskcast-checkpoint",
-        "version": 1,
-        "config": asdict(model.cfg),
-        "tensors": {p.name: {"shape": list(p.shape),
-                             "data": p.value.reshape(-1).tolist()}
-                    for p in model.params()},
-    }, sort_keys=True))
-
-
-class TestCheckpointV1:
-    def test_round_trip_bit_exact(self, tmp_path, tiny_setup):
-        model, scn, _ = tiny_setup
-        path = tmp_path / "ckpt.json"
-        save_v1(model, path)
-        again = JointPredictor.load(str(path))
-        for p, q in zip(model.params(), again.params()):
-            assert np.array_equal(p.value, q.value)
-        jp1, _ = model.predict(scn)
-        jp2, _ = again.predict(scn)
-        assert np.array_equal(jp1.trajectories, jp2.trajectories)
-
-    def test_rejects_shape_mismatch(self, tmp_path, tiny_setup):
-        model, _, _ = tiny_setup
-        path = tmp_path / "ckpt.json"
-        save_v1(model, path)
-        doc = json.loads(path.read_text())
-        name = next(iter(doc["tensors"]))
-        doc["tensors"][name] = {"shape": [1, 1], "data": [0.0]}
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="shape"):
-            JointPredictor.load(str(path))
-
-    def test_rejects_missing_tensor(self, tmp_path, tiny_setup):
-        model, _, _ = tiny_setup
-        path = tmp_path / "ckpt.json"
-        save_v1(model, path)
-        doc = json.loads(path.read_text())
-        del doc["tensors"][next(iter(doc["tensors"]))]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="missing tensor"):
-            JointPredictor.load(str(path))
 
 
 class TestExport:

@@ -116,6 +116,69 @@ class TestMLP:
         assert nn.grad_check(loss, mlp.params()) < 1e-5
 
 
+class TestStacked:
+    @pytest.mark.parametrize("sizes", [[5, 4], [5, 7, 4], [3, 6, 6, 2]])
+    def test_stacked_mlp_equals_its_members(self, sizes):
+        # the same draws, outputs and gradients, bit for bit, as one MLP
+        # per member created in member order
+        names = ["a", "b", "c"]
+        stack = nn.StackedMLP(sizes, names, nn.seeded_rng(21), name="s")
+        rng = nn.seeded_rng(21)
+        mlps = [nn.MLP(sizes, rng, name=n) for n in names]
+        assert [n for n, _, _ in stack.members()] == \
+            [p.name for m in mlps for p in m.params()]
+
+        rng = nn.seeded_rng(22)
+        x = rng.normal(size=(9, sizes[0]))
+        g = rng.normal(size=(len(names), 9, sizes[-1]))
+        out, ctx = stack.forward(x)
+        dx = stack.backward(ctx, g)
+        for k, mlp in enumerate(mlps):
+            out_k, ctx_k = mlp.forward(x)
+            assert np.array_equal(out[k], out_k)
+            assert np.array_equal(dx[k], mlp.backward(ctx_k, g[k]))
+        want = {p.name: (p.value, p.grad) for m in mlps for p in m.params()}
+        for name, value, grad in stack.members():
+            assert np.array_equal(value, want[name][0]), name
+            assert np.array_equal(grad, want[name][1]), name
+
+    def test_stacked_linear_takes_one_input_per_member(self):
+        rng = nn.seeded_rng(23)
+        lin = nn.StackedLinear(rng.normal(size=(2, 4, 3)), ["p", "q"], "s")
+        lin.b.value[...] = rng.normal(size=(2, 3))
+        x = rng.normal(size=(2, 5, 4))
+        g = rng.normal(size=(2, 5, 3))
+        out, ctx = lin.forward(x)
+        dx = lin.backward(ctx, g)
+        W, b = lin.W.value, lin.b.value
+        for k in range(2):
+            assert np.array_equal(out[k], x[k] @ W[k] + b[k])
+            assert np.array_equal(dx[k], g[k] @ W[k].T)
+            assert np.array_equal(lin.W.grad[k], x[k].T @ g[k])
+            assert np.array_equal(lin.b.grad[k], g[k].sum(axis=0))
+
+    def test_stacked_linear_shape_mismatch(self):
+        lin = nn.StackedLinear(np.zeros((2, 4, 3)), ["p", "q"], "s")
+        with pytest.raises(nn.DimensionError, match="s"):
+            lin.forward(np.zeros((5, 3)))
+
+
+class TestLayerNorm:
+    def test_rounds_as_the_var_formula(self):
+        # the variance is the mean of the squared centered input, which is
+        # how x.var computes it
+        rng = nn.seeded_rng(26)
+        ln = nn.LayerNorm(16)
+        ln.gamma.value[...] = rng.normal(size=16)
+        ln.beta.value[...] = rng.normal(size=16)
+        for scale in (1e-3, 1.0, 1e4):
+            x = rng.normal(loc=scale, scale=scale, size=(50, 16))
+            mu = x.mean(axis=-1, keepdims=True)
+            inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + ln.eps)
+            want = (x - mu) * inv * ln.gamma.value + ln.beta.value
+            assert np.array_equal(ln.forward(x)[0], want)
+
+
 # --------------------------------------------------------------------------
 # LSTM
 # --------------------------------------------------------------------------
@@ -124,8 +187,8 @@ class TestLSTM:
     def test_zero_params_zero_cell(self):
         cell = nn.LSTMCell(3, 2, nn.seeded_rng(0))
         zero_params(cell)
-        (h, c), _ = cell.step(np.ones((1, 3)), np.zeros((1, 2)),
-                              np.zeros((1, 2)))
+        (h, c), _ = cell.step(np.ones((1, 3)) @ cell.Wx.value,
+                              np.zeros((1, 2)), np.zeros((1, 2)))
         assert np.array_equal(h, np.zeros((1, 2)))
         assert np.array_equal(c, np.zeros((1, 2)))
 
@@ -134,8 +197,8 @@ class TestLSTM:
         # c' = 0.5*1, h = 0.5*tanh(0.5)
         cell = nn.LSTMCell(2, 1, nn.seeded_rng(0))
         zero_params(cell)
-        (h, c), _ = cell.step(np.ones((1, 2)), np.zeros((1, 1)),
-                              np.ones((1, 1)))
+        (h, c), _ = cell.step(np.ones((1, 2)) @ cell.Wx.value,
+                              np.zeros((1, 1)), np.ones((1, 1)))
         assert c[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert h[0, 0] == pytest.approx(0.5 * np.tanh(0.5), abs=1e-12)
         assert h[0, 0] == pytest.approx(0.2311, abs=1e-4)
@@ -146,7 +209,7 @@ class TestLSTM:
         x = rng.normal(size=(2, 4))
         h0 = rng.normal(size=(2, 3))
         c0 = rng.normal(size=(2, 3))
-        (h, c), _ = cell.step(x, h0, c0)
+        (h, c), _ = cell.step(x @ cell.Wx.value, h0, c0)
         h_ref, c_ref = naive_lstm_step(cell, x, h0, c0)
         assert np.allclose(h, h_ref, atol=1e-10)
         assert np.allclose(c, c_ref, atol=1e-10)
@@ -171,16 +234,49 @@ class TestLSTM:
         assert nn.grad_check(loss, lstm.params()) < 1e-5
 
 
+    def test_equals_a_step_loop_over_the_unprojected_input(self):
+        rng = nn.seeded_rng(24)
+        lstm = nn.LSTM(5, 3, rng)
+        cell = lstm.cell
+        seq = rng.normal(size=(4, 6, 5))
+        dh_last = rng.normal(size=(4, 3))
+        out, ctx = lstm.forward(seq)
+        dseq = lstm.backward(ctx, dh_last)
+        lstm_grads = [p.grad.copy() for p in lstm.params()]
+
+        lstm.zero_grad()
+        h = c = np.zeros((4, 3))
+        steps = []
+        for t in range(6):
+            (h, c), sctx = cell.step(seq[:, t] @ cell.Wx.value, h, c)
+            steps.append(sctx)
+        assert np.array_equal(out, h)
+        dh, dc = dh_last, np.zeros((4, 3))
+        dx = [None] * 6
+        for t in reversed(range(6)):
+            dpre, dh, dc = cell.backward_step(steps[t], dh, dc)
+            cell.Wx.grad += seq[:, t].T @ dpre
+            dx[t] = dpre @ cell.Wx.value.T
+        assert np.array_equal(dseq, np.stack(dx, axis=1))
+        for p, want in zip(lstm.params(), lstm_grads):
+            assert np.array_equal(p.grad, want), p.name
+
+    def test_sequence_shape_mismatch(self):
+        lstm = nn.LSTM(4, 3, nn.seeded_rng(0), name="hist")
+        with pytest.raises(nn.DimensionError, match="hist"):
+            lstm.forward(np.zeros((2, 5, 3)))
+
+
 # --------------------------------------------------------------------------
 # Attention
 # --------------------------------------------------------------------------
 
 def identity_mha(dim, heads=1):
     mha = nn.MultiHeadAttention(dim, heads, nn.seeded_rng(0))
-    for lin in (mha.Wq, mha.Wk, mha.Wv, mha.Wo):
-        lin.W.value[...] = np.eye(dim)
-        if lin.b is not None:
-            lin.b.value[...] = 0.0
+    mha.Wqkv.value[...] = np.eye(dim)
+    mha.Wo.W.value[...] = np.eye(dim)
+    for b in (mha.bq, mha.bv, mha.Wo.b):
+        b.value[...] = 0.0
     return mha
 
 
@@ -222,6 +318,31 @@ class TestAttention:
         out = mha.forward(q, k, v, mask)[0]
         out_p = mha.forward(q, k[perm], v[perm], mask[perm])[0]
         assert np.allclose(out, out_p, atol=1e-12)
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_fused_projection_equals_separate_projections(self, cross):
+        # q, k, v passed as one array run the fused [3, D, D] projection;
+        # copies run it as three separate projections
+        rng = nn.seeded_rng(25)
+        mha = nn.MultiHeadAttention(8, 2, rng)
+        mha.bq.value[...] = rng.normal(size=8)
+        mha.bv.value[...] = rng.normal(size=8)
+        kv = rng.normal(size=(5, 8))
+        q = rng.normal(size=(3, 8)) if cross else kv
+        mask = rng.random((len(q), 5)) < 0.7
+        mask[:, 0] = True
+        r = rng.normal(size=(len(q), 8))
+        results = []
+        for args in ((q, kv, kv), (q.copy(), kv.copy(), kv.copy())):
+            mha.zero_grad()
+            out, ctx = mha.forward(*args, mask)
+            grads = mha.backward(ctx, r)
+            results.append((out, grads, [p.grad.copy()
+                                         for p in mha.params()]))
+        (out, grads, pgrads), (out_s, grads_s, pgrads_s) = results
+        assert np.array_equal(out, out_s)
+        for a, b in zip(grads + tuple(pgrads), grads_s + tuple(pgrads_s)):
+            assert np.array_equal(a, b)
 
     def test_all_masked_raises(self):
         mha = nn.MultiHeadAttention(4, 2, nn.seeded_rng(0))
