@@ -69,7 +69,7 @@ def _prediction(doc, path: str):
 def _unpredicted(scn, jp) -> list[str]:
     """Scene agents the prediction has no trajectory for (the model's
     context radius dropped them), in scene order."""
-    return [a.agent_id for a in scn.agents if a.agent_id not in jp.agent_ids]
+    return [aid for aid in scn.agent_ids.tolist() if aid not in jp.agent_ids]
 
 
 def _load_model(path: str) -> JointPredictor:

@@ -61,13 +61,13 @@ def constant_velocity_baseline(history: AgentHistory, horizon: int,
     return last[None, :2] + v[None, :] * dt * steps
 
 
-def constant_velocity_baselines(agents: list[AgentHistory], horizon: int,
+def constant_velocity_baselines(past: np.ndarray, horizon: int,
                                 dt: float) -> np.ndarray:
-    """``constant_velocity_baseline`` of every agent as one array op,
-    [N, horizon, 2], rounding as the per-agent baseline does."""
-    last = np.array([a.past[-1] for a in agents])
-    moving = np.array([len(a.past) > 1 for a in agents])
-    v = np.where(moving[:, None], last[:, 3:], 0.0)
+    """``constant_velocity_baseline`` of every agent of a scene's past
+    [N, S, 5] as one array op, [N, horizon, 2], rounding as the per-agent
+    baseline does."""
+    last = past[:, -1]
+    v = last[:, 3:] if past.shape[1] > 1 else np.zeros((len(last), 2))
     steps = np.arange(1, horizon + 1)[:, None]
     return last[:, None, :2] + v[:, None, :] * dt * steps
 
@@ -154,11 +154,19 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
     predict_fn returns a joint prediction in global coordinates covering a
     subset of the scenario's agents (at least the ego). The errors of a
     scene are computed once for every mode, agent and step; best-of-modes
-    takes the first mode with the lowest ADE at the longest horizon.
+    takes the first mode with the lowest ADE at the longest horizon. The
+    horizons are whole seconds of the first scenario's time step, so every
+    scenario must share it.
     """
     if not scenarios:
         raise ValueError("no scenarios to evaluate")
     dt = scenarios[0].dt
+    for scn in scenarios:
+        if scn.dt != dt:
+            raise ValueError(
+                f"scenario {scn.scenario_id!r} has time step {scn.dt!r}, the "
+                f"first scenario {scenarios[0].scenario_id!r} has {dt!r}; "
+                f"one report needs one time step")
     steps_per_s = max(int(round(1.0 / dt)), 1)
     t_total = scenarios[0].horizon_future
     horizons_s = [s for s in (1, 2, 3, 4, 5) if s * steps_per_s <= t_total]
@@ -170,13 +178,13 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
     h_max = horizon_steps[-1]
 
     for scn in scenarios:
-        if any(a.future is None for a in scn.agents):
+        if not scn.has_future.all():
             raise ValueError(
                 f"scenario {scn.scenario_id!r} lacks ground-truth futures")
         jp = predict_fn(scn)
         k_sel = select_mode(jp)
         try:
-            lateral, _ = label_intentions(scn.ego.future)
+            lateral, _ = label_intentions(scn.future[scn.ego_index])
         except ValueError:
             lateral = "ST"
         subsets = ["all",
@@ -184,25 +192,24 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
                    else "normal",
                    lateral]
 
-        agents = scn.predicted_agents(jp.agent_ids)
-        span = min([jp.trajectories.shape[2]]
-                   + [len(a.future) for a in agents])
+        predicted = scn.prediction_rows(jp.agent_ids)
+        span = min(jp.trajectories.shape[2], scn.future.shape[1])
         if h_max > span:
             raise ValueError(f"horizon {h_max} exceeds trajectory "
                              f"length {span}")
-        truth = np.array([a.future[:h_max, :2] for a in agents])
+        truth = scn.future[predicted, :h_max, :2]
         model_a, model_f = _horizon_metrics(
             np.asarray(jp.trajectories, dtype=np.float64)[:, :, :h_max],
             truth, horizon_steps)
-        cv = constant_velocity_baselines(agents, h_max, scn.dt)
-        rows = np.arange(len(agents))
+        cv = constant_velocity_baselines(scn.past[predicted], h_max, scn.dt)
+        rows = np.arange(len(predicted))
         best = np.argmin(model_a[:, :, -1], axis=0)
         estimates = {
             "model_selected": (model_a[k_sel], model_f[k_sel]),
             "model_best": (model_a[best, rows], model_f[best, rows]),
             "cv": _horizon_metrics(cv, truth, horizon_steps),
         }
-        ego = jp.agent_ids.index(scn.ego.agent_id)
+        ego = jp.agent_ids.index(scn.ego_id)
         ego_first = [ego] + [i for i in rows if i != ego]
         for est in ESTIMATORS:
             a_vals, f_vals = estimates[est]

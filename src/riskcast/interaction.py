@@ -7,13 +7,12 @@ radius cannot influence a row even through intermediate hops. The subgraph
 transformer runs once per distinct context set, not once per agent: agents
 with the same set share that run, which computes exactly what each of their
 own runs would. In a scene where every agent sees every other it runs once.
-The history features are built for all agents and steps, and the map
-features and visibility for all polylines, as array operations on the
-scene's arrays; the history features round as the scalar
-``relative_encoding`` does. The agent-map
-attention replaces a row by its attended map context (no internal residual);
-rows with no visible polyline, or an entirely empty map, pass through
-unchanged.
+The history features are built for all agents and steps from the scene's
+``past`` [N, H+1, 5], and the map features and visibility for all
+polylines, as array operations; the history features round as the scalar
+``relative_encoding`` does. The agent-map attention replaces a row by its
+attended map context (no internal residual); rows with no visible polyline,
+or an entirely empty map, pass through unchanged.
 
 Every layer also takes the disjoint union of several scenes' rows (see
 ``riskcast.model``): the agent-agent mask and the agent-map visibility are
@@ -68,7 +67,7 @@ def history_feature_matrix(scn: Scenario) -> np.ndarray:
     moves along its yaw, and coincident positions have bearing
     (sin, cos) = (0, 1).
     """
-    kin = np.array([a.past for a in scn.agents])
+    kin = scn.past
     n, steps = kin.shape[:2]
     # AgentState.speed is math.hypot, which np.hypot does not always match
     speed = np.array([math.hypot(vx, vy) for vx, vy
@@ -88,7 +87,7 @@ def history_feature_matrix(scn: Scenario) -> np.ndarray:
                     np.where(near, 0.0, _cross(dn, u)),
                     np.where(near, 1.0, _dot(dn, u)),
                     dist / POS_SCALE], axis=-1)
-    classes = [AGENT_CLASSES.index(a.agent_class) for a in scn.agents]
+    classes = [AGENT_CLASSES.index(c) for c in scn.agent_classes]
     onehot = np.broadcast_to(np.eye(len(AGENT_CLASSES))[classes][:, None],
                              (n, steps, len(AGENT_CLASSES)))
     return np.concatenate([kin[..., :5] / KINEMATIC_SCALE, rel, onehot],
@@ -111,7 +110,7 @@ def map_feature_matrix(road_map: RoadMap, pad: int = 20) -> np.ndarray:
 def neighbor_mask(scn: Scenario, radius: float) -> np.ndarray:
     """mask[i, j] is True when agent j's current position lies within
     agent i's context radius (diagonal always True)."""
-    pos = scn.current_kinematics()[:, :2]
+    pos = scn.past[:, -1, :2]
     mask = norm2(pos[:, None, :] - pos[None, :, :]) <= radius
     np.fill_diagonal(mask, True)
     return mask
@@ -120,7 +119,7 @@ def neighbor_mask(scn: Scenario, radius: float) -> np.ndarray:
 def map_visibility(scn: Scenario, radius: float) -> np.ndarray:
     """vis[i, m] is True when polyline m has a waypoint within agent i's
     context radius."""
-    pos = scn.current_kinematics()[:, :2]
+    pos = scn.past[:, -1, :2]
     d = norm2(pos[:, None, None, :] - scn.map.waypoints[None])  # [N, P, W]
     d = np.where(scn.map.valid, d, np.inf)
     return d.min(axis=-1, initial=np.inf) <= radius

@@ -8,17 +8,17 @@ to global coordinates.
 
 ``JointPredictor.forward`` takes a batch of local scenes and runs them as
 one disjoint union, the way graph libraries batch small graphs into one
-disconnected graph: the agents of every scene are stacked into one set of
-rows ([sum N, ...]) and the polylines into one set of keys, and each
-scene's rows are one slice of them (``ForwardResult.slices``). Row-wise
-layers (the LSTM, the MLPs and heads) run once over all rows. The
-agent-agent mask and the agent-map visibility are block-diagonal, so a
-row only ever sees its own scene's agents and polylines, and the decoder
-max-pools each scene's slice to one row of mode probabilities ([B, K]).
-Training runs one forward and one backward per minibatch this way;
-``predict`` is the batch of one, whose outputs are exactly those of a
-forward over that scene alone. The scenes of one batch must share their
-history length.
+disconnected graph: the per-scene arrays the stages read from each scene's
+``past`` [N, H+1, 5] and map are concatenated into one set of rows
+([sum N, ...]) and one set of keys, and each scene's rows are one slice of
+them (``ForwardResult.slices``). Row-wise layers (the LSTM, the MLPs and
+heads) run once over all rows. The agent-agent mask and the agent-map
+visibility are block-diagonal, so a row only ever sees its own scene's
+agents and polylines, and the decoder max-pools each scene's slice to one
+row of mode probabilities ([B, K]). Training runs one forward and one
+backward per minibatch this way; ``predict`` is the batch of one, whose
+outputs are exactly those of a forward over that scene alone. The scenes
+of one batch must share their history length.
 
 Checkpoints (format version 2) are uncompressed ``.npz`` archives written to
 exactly the path given: one float64 array per member name plus a
@@ -165,8 +165,7 @@ class JointPredictor(nn.Module):
         e_lon, elon_ctx = self.lon_embeddings.forward(features, lon)
         z, fuse_ctx = self.fuser.forward(e_lat, e_lon)
         dec_in = np.concatenate([features, z], axis=1)
-        pos0 = np.concatenate([local.current_kinematics()[:, :2]
-                               for local in locals_])
+        pos0 = np.concatenate([local.past[:, -1, :2] for local in locals_])
         (trajs, probs), dec_ctx = self.decoder.forward(dec_in, pos0, slices)
         nn.ensure_finite(trajs, "decoded trajectories")
         return ForwardResult(trajs, probs, lat, lon, z, features, att_rows,
@@ -208,7 +207,7 @@ class JointPredictor(nn.Module):
     # -- inference ---------------------------------------------------------
 
     def prepare(self, scn: Scenario) -> Scenario:
-        return local_frame(scn, scn.ego.agent_id, self.cfg.context_radius_m)
+        return local_frame(scn, scn.ego_id, self.cfg.context_radius_m)
 
     def predict(self, scn: Scenario
                 ) -> tuple[JointPrediction, list[IntentionDistribution]]:
@@ -216,15 +215,14 @@ class JointPredictor(nn.Module):
         in global coordinates."""
         # the forward pass reads only the past, so the futures stay behind
         local = self.prepare(replace(
-            scn, agents=[replace(a, future=None) for a in scn.agents]))
-        frame = pose_frame(scn, scn.ego.agent_id)
+            scn, has_future=np.zeros_like(scn.has_future)))
+        frame = pose_frame(scn, scn.ego_id)
         res = self.forward([local])
         k, n, t, _ = res.trajectories.shape
         flat = res.trajectories.reshape(-1, 2)
         global_trajs = frame.to_global(flat).reshape(k, n, t, 2)
         jp = JointPrediction(global_trajs, res.mode_probs[0],
-                             [a.agent_id for a in local.agents],
-                             scn.scenario_id)
+                             local.agent_ids.tolist(), scn.scenario_id)
         dists = [IntentionDistribution(res.lat_probs[i], res.lon_probs[i])
                  for i in range(n)]
         return jp, dists

@@ -60,7 +60,7 @@ from .geometry import (DIST_EPS, PROTECTED_CLASSES, SPEED_EPS, AgentState,
                        CollisionRegion, body_points, collision_angle,
                        collision_region, norm2)
 from .intention import JointPrediction
-from .scene import AgentHistory, RoadMap, Scenario
+from .scene import RoadMap, Scenario
 
 
 @dataclass
@@ -240,30 +240,28 @@ class MotionBatch:
                           self.agent_classes[i])
 
 
-def batch_from_prediction(agents: list[AgentHistory], positions: np.ndarray,
-                          dt: float) -> MotionBatch:
-    """Decoded positions [K, N, T, 2] of the given agents, in that order.
+def batch_from_prediction(scn: Scenario, positions: np.ndarray
+                          ) -> MotionBatch:
+    """Decoded positions [K, N, T, 2] of the scene's agents, in row order.
     Velocities are finite differences anchored at each agent's current
     position; yaws follow the velocity (the current yaw while stopped)."""
     positions = np.asarray(positions, dtype=np.float64)
-    if positions.ndim != 4 or positions.shape[1] != len(agents) \
+    n = len(scn.agent_ids)
+    if positions.ndim != 4 or positions.shape[1] != n \
             or positions.shape[3] != 2:
         raise ValueError(f"positions {positions.shape} do not match "
-                         f"[K, {len(agents)}, T, 2]")
-    cur = np.array([a.past[-1] for a in agents])          # [N, 5]
+                         f"[K, {n}, T, 2]")
+    cur = scn.past[:, -1]                                   # [N, 5]
     start = cur[None, :, None, :2]
     anchored = np.concatenate([
         np.broadcast_to(start, positions.shape[:2] + (1, 2)), positions],
         axis=2)
-    vel = np.diff(anchored, axis=2) / dt
+    vel = np.diff(anchored, axis=2) / scn.dt
     speeds = norm2(vel)
     yaws = np.where(speeds > SPEED_EPS, np.arctan2(vel[..., 1], vel[..., 0]),
                     cur[None, :, None, 2])
-    return MotionBatch([a.agent_id for a in agents], positions, vel, yaws,
-                       np.array([a.length for a in agents]),
-                       np.array([a.width for a in agents]),
-                       np.array([a.mass for a in agents]),
-                       [a.agent_class for a in agents])
+    return MotionBatch(scn.agent_ids.tolist(), positions, vel, yaws,
+                       *scn.dims.T, scn.agent_classes.tolist())
 
 
 @dataclass
@@ -474,7 +472,6 @@ class RiskReport:
     l_risk: float
     score: float
     rank: int = -1
-    collision_probs: dict[str, np.ndarray] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -503,9 +500,7 @@ def mode_risk_report(terms: RiskTerms, mode: int, mode_prob: float,
     l_risk = total_risk_cost(c_s, c_c, c_r, cfg.weights)
     score = l_risk - cfg.prob_tradeoff * math.log(max(mode_prob, 1e-12))
     return RiskReport(mode, mode_prob, list(terms.victim_ids), risks, r_b,
-                      c_s, c_c, c_r, l_risk, score,
-                      collision_probs=dict(zip(terms.victim_ids,
-                                               terms.probs[mode])))
+                      c_s, c_c, c_r, l_risk, score)
 
 
 def _road_boundaries(scn: Scenario) -> RoadMap:
@@ -519,10 +514,9 @@ def rank_trajectories(jp: JointPrediction, scn: Scenario,
     lists mode indices from best (lowest risk-adjusted score) to worst.
     Only the predicted agents are ranked."""
     cfg = cfg or RiskConfig()
-    batch = batch_from_prediction(scn.predicted_agents(jp.agent_ids),
-                                  jp.trajectories, scn.dt)
-    terms = risk_kernel(batch, batch.agent_ids.index(scn.ego.agent_id),
-                        _road_boundaries(scn), cfg)
+    predicted = scn.take(scn.prediction_rows(jp.agent_ids))
+    terms = risk_kernel(batch_from_prediction(predicted, jp.trajectories),
+                        predicted.ego_index, _road_boundaries(scn), cfg)
     reports = [mode_risk_report(terms, k, float(jp.mode_probs[k]), cfg)
                for k in range(jp.trajectories.shape[0])]
     order = sorted(range(len(reports)), key=lambda k: reports[k].score)
@@ -546,7 +540,7 @@ def risk_loss_and_grad(trajs: np.ndarray, scn: Scenario, ego_index: int,
     each victim's argmax step (where the probability sum is unclamped) and
     through the boundary clearance at its argmax step.
     """
-    batch = batch_from_prediction(scn.agents, trajs[None], scn.dt)
+    batch = batch_from_prediction(scn, trajs[None])
     terms = risk_kernel(batch, ego_index, _road_boundaries(scn), cfg)
     l_risk = mode_risk_report(terms, 0, 1.0, cfg).l_risk
     grad = np.zeros_like(trajs)

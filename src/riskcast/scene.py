@@ -2,22 +2,28 @@
 synthetic scenario generator, and local-frame extraction.
 
 A scenario holds, per agent, H+1 past states (the last one is "now") and
-optionally T ground-truth future states, plus map polylines. Both are stored
-as arrays:
+optionally T ground-truth future states, plus map polylines. The scene owns
+them as arrays whose row i is agent i (``AGENT_FIELDS``):
 
-- ``AgentHistory.past`` is float64 ``[H+1, 5]`` and ``AgentHistory.future``
-  ``[T, 5]`` or None, columns ``KINEMATICS`` = (x, y, yaw, vx, vy); the class,
-  length, width and mass are per-agent attributes.
+- ``past`` is float64 ``[N, H+1, 5]`` and ``future`` ``[N, T, 5]``, columns
+  ``KINEMATICS`` = (x, y, yaw, vx, vy); ``has_future`` ``[N]`` marks the
+  agents that have a future (a file may give an agent none), and the future
+  rows of the others are ignored. ``agent_ids``, ``agent_classes`` and
+  ``dims`` (columns ``DIMS`` = length, width, mass) complete the agents.
 - ``RoadMap`` holds every polyline once: ``waypoints`` ``[P, W, 2]`` padded
   with zeros past each polyline's ``counts[p]`` waypoints, and ``kinds``
   ``[P]`` as indices into ``POLYLINE_KINDS``. Its segments, in polyline then
   waypoint order, are the nearest-boundary search space of the risk kernel.
 
-``AgentState`` and ``MapPolyline`` appear only at the boundary: the JSON
-schema, ``AgentHistory.from_states`` and ``RoadMap.from_polylines`` for
-fixtures, ``AgentHistory.current`` (built from ``past[-1]`` on demand), and
-iterating a ``RoadMap``. Every stage reads and transforms scenes as array
-operations that round as the per-state code they replaced did.
+Every stage reads slices of these arrays: ``Scenario.take`` selects and
+reorders agents, ``Scenario.prediction_rows`` joins a prediction to rows by
+agent id, and clearing ``has_future`` drops the futures. ``AgentHistory``,
+``AgentState`` and ``MapPolyline`` appear only at the boundary, for fixtures
+and tests: ``Scenario.from_agents``, ``AgentHistory.from_states`` and
+``RoadMap.from_polylines`` build scenes from them, and ``Scenario.agents``,
+``AgentHistory.current`` and iterating a ``RoadMap`` build them on demand.
+Every stage transforms scenes as array operations that round as the
+per-state code they replaced did.
 
 The generator produces kinematically consistent trajectories: velocities are
 recomputed from the jittered positions, so position(t+1) = position(t) +
@@ -27,12 +33,12 @@ v(t)*dt holds exactly; yaw is taken from the noiseless path heading.
 ``load_scenario`` enforces it with one walk of the parsed document that
 checks types, required keys, enums and item counts in the order a JSON
 Schema validator visits them, reports the first violation at the same JSON
-path, and builds the agents' arrays as it goes. The walk is stricter than
+path, and builds the scene's arrays as it goes. The walk is stricter than
 the schema in two ways: every number must be finite (an integer too large
 for a float counts as non-finite), and integer fields (``H``, ``T``,
-``ego_index``) must be JSON integers, not floats such as ``0.0``. Numbers
-are stored as float64, so a load and dump writes an integral kinematic value
-such as ``3`` as ``3.0``.
+``ego_index``) must be JSON integers, not floats such as ``0.0``. Kinematics
+and dimensions are stored as float64, so a load and dump writes an integral
+value such as ``3`` as ``3.0``.
 """
 
 from __future__ import annotations
@@ -41,17 +47,20 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .geometry import (AGENT_CLASSES, PROTECTED_CLASSES, AgentState, norm2,
-                       rotation, wrap_angle)
+from .geometry import AGENT_CLASSES, AgentState, norm2, rotation, wrap_angle
 
 POLYLINE_KINDS = ("lane_center", "road_boundary", "crosswalk")
 TEMPLATES = ("straight", "left_turn", "right_turn", "merge",
              "crossing_conflict")
 KINEMATICS = ("x", "y", "yaw", "vx", "vy")  # columns of past / future
+DIMS = ("length", "width", "mass")            # columns of dims
+# the Scenario fields whose row i is agent i
+AGENT_FIELDS = ("agent_ids", "agent_classes", "dims", "past", "future",
+                "has_future")
 
 DEFAULT_H = 10          # past steps (history has H+1 states)
 DEFAULT_T = 50          # future steps
@@ -160,8 +169,9 @@ def _kinematics(kin, what: str) -> np.ndarray:
 
 @dataclass
 class AgentHistory:
-    """One agent: static attributes plus past [H+1, 5] and future [T, 5]
-    kinematics (x, y, yaw, vx, vy); the last past row is "now"."""
+    """One agent at the boundary: static attributes plus past [H+1, 5] and
+    future [T, 5] or None kinematics (x, y, yaw, vx, vy); the last past row
+    is "now"."""
     agent_id: str
     agent_class: str
     length: float
@@ -197,10 +207,6 @@ class AgentHistory:
         return AgentState(*self.past[-1].tolist(), self.length, self.width,
                           self.mass, self.agent_class)
 
-    @property
-    def protected_flag(self) -> bool:
-        return self.agent_class in PROTECTED_CLASSES
-
     def __eq__(self, other):
         def static(a):
             return a.agent_id, a.agent_class, a.length, a.width, a.mass
@@ -214,7 +220,13 @@ class AgentHistory:
 
 @dataclass
 class Scenario:
-    agents: list[AgentHistory]
+    """A scene's agents, as the arrays of AGENT_FIELDS, and its map."""
+    agent_ids: np.ndarray      # [N] str, object dtype
+    agent_classes: np.ndarray  # [N] str, object dtype
+    dims: np.ndarray           # [N, 3] columns DIMS
+    past: np.ndarray           # [N, H+1, 5] columns KINEMATICS
+    future: np.ndarray         # [N, T, 5], rows without has_future ignored
+    has_future: np.ndarray     # [N] bool
     map: RoadMap
     horizon_past: int
     horizon_future: int
@@ -223,33 +235,90 @@ class Scenario:
     scenario_id: str = ""
     template: str = ""
 
+    @classmethod
+    def from_agents(cls, agents: list[AgentHistory], road_map: RoadMap,
+                    horizon_past: int, horizon_future: int, *args
+                    ) -> "Scenario":
+        """A scene of AgentHistory objects, pasts of H+1 rows and futures of
+        T rows or None; `args` are the fields after horizon_future."""
+        return cls(*_agent_arrays([astuple(a) for a in agents],
+                                  horizon_future),
+                   road_map, horizon_past, horizon_future, *args)
+
+    @property
+    def agents(self) -> list[AgentHistory]:
+        """Every row as an AgentHistory, whose arrays are views of the
+        scene's."""
+        return [AgentHistory(*static, *dims, past, future if has else None)
+                for *static, dims, past, future, has in zip(
+                    self.agent_ids, self.agent_classes, self.dims.tolist(),
+                    self.past, self.future, self.has_future)]
+
     @property
     def ego(self) -> AgentHistory:
         return self.agents[self.ego_index]
 
-    def agent_by_id(self, agent_id: str) -> AgentHistory:
-        for a in self.agents:
-            if a.agent_id == agent_id:
-                return a
-        raise KeyError(f"unknown agent_id {agent_id!r}")
+    @property
+    def ego_id(self) -> str:
+        return self.agent_ids[self.ego_index]
 
-    def predicted_agents(self, agent_ids: list[str]) -> list[AgentHistory]:
-        """The agents a prediction covers, in its order, joined by agent id.
+    def row(self, agent_id: str) -> int:
+        """The first row of the agent with this id; KeyError if none."""
+        hits = np.flatnonzero(self.agent_ids == agent_id)
+        if not hits.size:
+            raise KeyError(f"unknown agent_id {agent_id!r}")
+        return int(hits[0])
+
+    def agent_by_id(self, agent_id: str) -> AgentHistory:
+        return self.agents[self.row(agent_id)]
+
+    def prediction_rows(self, agent_ids: list[str]) -> np.ndarray:
+        """The rows a prediction covers, in its order, joined by agent id.
         Agents without a prediction (dropped by the model's context radius)
         are left out; an unknown id or a missing ego raises ValueError."""
-        by_id = {a.agent_id: a for a in self.agents}
-        unknown = [aid for aid in agent_ids if aid not in by_id]
+        rows = {aid: i for i, aid in enumerate(self.agent_ids)}
+        unknown = [aid for aid in agent_ids if aid not in rows]
         if unknown:
             raise ValueError(f"predicted agents not in scenario "
                              f"{self.scenario_id!r}: {unknown}")
-        if self.ego.agent_id not in agent_ids:
+        if self.ego_id not in agent_ids:
             raise ValueError(f"scenario {self.scenario_id!r}: no prediction "
-                             f"for the ego {self.ego.agent_id!r}")
-        return [by_id[aid] for aid in agent_ids]
+                             f"for the ego {self.ego_id!r}")
+        return np.array([rows[aid] for aid in agent_ids], dtype=int)
 
-    def current_kinematics(self) -> np.ndarray:
-        """[N, 5] every agent's current (last past) row."""
-        return np.array([a.past[-1] for a in self.agents])
+    def take(self, rows) -> "Scenario":
+        """The agents of `rows`, in that order; the ego must be among them
+        and stays the ego."""
+        rows = np.asarray(rows, dtype=int)
+        ego = np.flatnonzero(rows == self.ego_index)
+        if not ego.size:
+            raise ValueError(f"scenario {self.scenario_id!r}: the ego "
+                             f"{self.ego_id!r} is not among the rows taken")
+        return replace(self, ego_index=int(ego[0]),
+                       **{f: getattr(self, f)[rows] for f in AGENT_FIELDS})
+
+    def __eq__(self, other):
+        def same(name):
+            a, b = getattr(self, name), getattr(other, name)
+            if name == "future":
+                a, b = a[self.has_future], b[other.has_future]
+            return np.array_equal(a, b) if name in AGENT_FIELDS else a == b
+
+        return isinstance(other, Scenario) and all(same(f.name)
+                                                   for f in fields(self))
+
+
+def _agent_arrays(agents: list[tuple], horizon_future: int) -> tuple:
+    """The AGENT_FIELDS of a scene of per-agent (id, class, length, width,
+    mass, past, future or None) tuples."""
+    ids, classes, length, width, mass, pasts, futures = zip(*agents)
+    empty = np.zeros((horizon_future, len(KINEMATICS)))
+    return (np.array(ids, dtype=object), np.array(classes, dtype=object),
+            np.array(list(zip(length, width, mass)), dtype=np.float64),
+            np.array(pasts, dtype=np.float64),
+            np.array([empty if f is None else f for f in futures],
+                     dtype=np.float64),
+            np.array([f is not None for f in futures]))
 
 
 # --------------------------------------------------------------------------
@@ -420,13 +489,12 @@ def _states(value, path: str) -> np.ndarray:
 
 
 def _agent(value, path: str) -> tuple:
-    """The AgentHistory fields of an agent object; an empty future is
-    None."""
+    """(id, class, length, width, mass, past, future) of an agent object;
+    an empty future is None."""
     a = _object(value, _AGENT_KEYS, path)
     agent_id = _string(a["id"], f"{path}.id")
     agent_class = _enum(a["class"], AGENT_DIMS, f"{path}.class")
-    dims = [_positive(a[k], f"{path}.{k}") for k in ("length", "width",
-                                                     "mass")]
+    dims = [_positive(a[k], f"{path}.{k}") for k in DIMS]
     past = _states(a["states"], f"{path}.states")
     future = _states(a["future"], f"{path}.future") if "future" in a \
         else np.empty((0, len(KINEMATICS)))
@@ -484,9 +552,9 @@ def load_scenario(text: str) -> Scenario:
                 f"got {len(future)}")
     if ego_index >= len(walked):
         raise ScenarioError(f"ego_index {ego_index} out of range")
-    agents = [AgentHistory(*fields) for fields in walked]
-    return Scenario(agents, RoadMap.from_polylines(polylines), H, T, dt,
-                    ego_index, scenario_id, template)
+    return Scenario(*_agent_arrays(walked, T),
+                    RoadMap.from_polylines(polylines), H, T, dt, ego_index,
+                    scenario_id, template)
 
 
 def _kinematics_to_json(kin: np.ndarray | None) -> list[dict]:
@@ -627,7 +695,8 @@ class _AgentSpec:
 
 
 def _roll_agent(spec: _AgentSpec, H: int, T: int, dt: float,
-                rng: np.random.Generator, jitter: float) -> AgentHistory:
+                rng: np.random.Generator, jitter: float) -> tuple:
+    """The agent as an ``_agent_arrays`` tuple."""
     steps = H + 1 + T
     speeds = np.maximum(spec.v0 + spec.accel * dt * np.arange(steps), 0.3)
     s = np.concatenate([[0.0], np.cumsum(speeds[:-1] * dt)])
@@ -640,9 +709,8 @@ def _roll_agent(spec: _AgentSpec, H: int, T: int, dt: float,
     vel[-1] = vel[-2]
 
     kin = np.column_stack([pts, yaws, vel])
-    return AgentHistory(spec.agent_id, spec.agent_class,
-                        *AGENT_DIMS[spec.agent_class], kin[:H + 1],
-                        kin[H + 1:])
+    return (spec.agent_id, spec.agent_class, *AGENT_DIMS[spec.agent_class],
+            kin[:H + 1], kin[H + 1:])
 
 
 def _sample_polyline(path: _Path, s_lo: float, s_hi: float, kind: str,
@@ -671,34 +739,29 @@ def _rotated_rows(kin: np.ndarray, angle: float) -> np.ndarray:
     return out
 
 
-def _blocks(agents: list[AgentHistory]) -> list[np.ndarray]:
-    return [kin for a in agents for kin in (a.past, a.future)
-            if kin is not None]
-
-
-def _stack_rows(agents: list[AgentHistory]) -> np.ndarray:
-    """Every past and future row of the agents, agent by agent: [S, 5]."""
-    return np.concatenate(_blocks(agents))
-
-
-def _split_rows(agents: list[AgentHistory], kin: np.ndarray
-                ) -> list[AgentHistory]:
-    """The agents with their rows replaced by those of kin, which is laid
-    out as ``_stack_rows`` lays them out."""
-    parts = iter(np.split(kin, np.cumsum([len(b) for b in
-                                          _blocks(agents)])[:-1]))
-    return [replace(a, past=next(parts),
-                    future=None if a.future is None else next(parts))
-            for a in agents]
+def _moved_rows(scn: Scenario, move) -> Scenario:
+    """The scene with `move`, [S, 5] rows to [S, 5] rows, applied to every
+    past row and every future row of the agents that have one, in one
+    call; the other future rows are zero."""
+    past = scn.past.reshape(-1, len(KINEMATICS))
+    kin = move(np.concatenate([past, scn.future[scn.has_future].reshape(
+        -1, len(KINEMATICS))]))
+    future = np.zeros_like(scn.future)
+    future[scn.has_future] = kin[len(past):].reshape(
+        -1, *scn.future.shape[1:])
+    return replace(scn, past=kin[:len(past)].reshape(scn.past.shape),
+                   future=future)
 
 
 def _apply_rigid(scn: Scenario, origin: np.ndarray, angle: float) -> Scenario:
     """Rotate by angle then translate by origin (scene augmentation)."""
-    kin = _rotated_rows(_stack_rows(scn.agents), angle)
-    kin[:, :2] += origin
+    def move(kin):
+        kin = _rotated_rows(kin, angle)
+        kin[:, :2] += origin
+        return kin
+
     waypoints = scn.map.waypoints @ rotation(angle).T + origin
-    return replace(scn, agents=_split_rows(scn.agents, kin),
-                   map=scn.map.moved(waypoints))
+    return replace(_moved_rows(scn, move), map=scn.map.moved(waypoints))
 
 
 def generate_scenario(template: str, n_agents: int, seed: int,
@@ -819,9 +882,9 @@ def generate_scenario(template: str, n_agents: int, seed: int,
             "crosswalk"))
 
     agents = [_roll_agent(spec, H, T, dt, rng, jitter) for spec in specs]
-    scn = Scenario(agents, RoadMap.from_polylines(polys), H, T, dt,
-                   ego_index=0,
-                   scenario_id=f"{template}-{seed}", template=template)
+    scn = Scenario(*_agent_arrays(agents, T), RoadMap.from_polylines(polys),
+                   H, T, dt, ego_index=0, scenario_id=f"{template}-{seed}",
+                   template=template)
     angle = rng.uniform(0.0, 2 * math.pi)
     origin = rng.uniform(-30.0, 30.0, size=2)
     return _apply_rigid(scn, origin, angle)
@@ -829,13 +892,9 @@ def generate_scenario(template: str, n_agents: int, seed: int,
 
 def min_future_separation(scn: Scenario) -> float:
     """Smallest center distance between any agent pair over the future."""
-    tracks = [a.future[:, :2] for a in scn.agents if a.future is not None]
-    best = math.inf
-    for i in range(len(tracks)):
-        for j in range(i + 1, len(tracks)):
-            d = np.linalg.norm(tracks[i] - tracks[j], axis=1).min()
-            best = min(best, float(d))
-    return best
+    tracks = scn.future[scn.has_future, :, :2]
+    i, j = np.triu_indices(len(tracks), 1)
+    return float(norm2(tracks[i] - tracks[j]).min(initial=math.inf))
 
 
 # --------------------------------------------------------------------------
@@ -856,8 +915,8 @@ class Frame:
 
 
 def pose_frame(scn: Scenario, agent_id: str) -> Frame:
-    cur = scn.agent_by_id(agent_id).current
-    return Frame(cur.position, cur.yaw)
+    x, y, yaw = scn.past[scn.row(agent_id), -1, :3].tolist()
+    return Frame(np.array([x, y]), yaw)
 
 
 def local_frame(scn: Scenario, agent_id: str,
@@ -867,23 +926,22 @@ def local_frame(scn: Scenario, agent_id: str,
     within `radius` of that agent."""
     frame = pose_frame(scn, agent_id)
 
-    d = scn.current_kinematics()[:, :2] - frame.origin
+    d = scn.past[:, -1, :2] - frame.origin
     # sqrt of a batched-matmul dot rounds as np.linalg.norm of one 2-vector
     near = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) <= radius
-    kept = [a for a, keep in zip(scn.agents, near) if keep]
-    ego_index = next(i for i, a in enumerate(kept)
-                     if a.agent_id == agent_id)
+    # the agent whose frame this is becomes the ego
+    kept = replace(scn, ego_index=scn.row(agent_id)).take(
+        np.flatnonzero(near))
 
     # every kept row, past and future, in one array op, rounding as
     # transform_state does (subtracting 0 from yaw and velocity is exact)
     shift = np.concatenate([frame.origin, np.zeros(3)])
-    moved = _rotated_rows(_stack_rows(kept) - shift, -frame.angle)
+    moved = _moved_rows(kept, lambda kin: _rotated_rows(kin - shift,
+                                                        -frame.angle))
 
     # waypoints as one matmul, which rounds as per-polyline to_local does
     dists = norm2(scn.map.waypoints - frame.origin)
     reach = np.where(scn.map.valid, dists, np.inf).min(axis=1,
                                                         initial=np.inf)
     polys = scn.map.select(reach <= radius)
-    return replace(scn, agents=_split_rows(kept, moved),
-                   map=polys.moved(frame.to_local(polys.waypoints)),
-                   ego_index=ego_index)
+    return replace(moved, map=polys.moved(frame.to_local(polys.waypoints)))

@@ -155,11 +155,11 @@ def split_dataset(scenarios: list[Scenario], cfg: TrainConfig
 
 
 def _truth_matrix(local: Scenario) -> np.ndarray:
-    for a in local.agents:
-        if a.future is None:
-            raise ValueError(
-                f"agent {a.agent_id!r} has no ground-truth future")
-    return np.array([a.future[:, :2] for a in local.agents])
+    missing = local.agent_ids[~local.has_future]
+    if missing.size:
+        raise ValueError(f"scenario {local.scenario_id!r}: agent "
+                         f"{missing[0]!r} has no ground-truth future")
+    return local.future[..., :2]
 
 
 @dataclass
@@ -172,7 +172,7 @@ class _TrainScene:
     @classmethod
     def of(cls, local: Scenario) -> "_TrainScene":
         return cls(local, _truth_matrix(local),
-                   [label_indices(a.future) for a in local.agents])
+                   [label_indices(future) for future in local.future])
 
 
 def _union_losses(model: JointPredictor, scenes: list[_TrainScene],
@@ -214,7 +214,7 @@ def _minibatch_losses(model: JointPredictor, scenes: list[_TrainScene],
     each scene's (l_pre, l_man, l_risk), in minibatch order."""
     groups: dict[int, list[int]] = {}
     for j, scene in enumerate(scenes):
-        groups.setdefault(len(scene.local.ego.past), []).append(j)
+        groups.setdefault(scene.local.past.shape[1], []).append(j)
     losses = [None] * len(scenes)
     for group in groups.values():
         for j, scene_losses in zip(group, _union_losses(
@@ -232,9 +232,8 @@ def _validate(model: JointPredictor, scenarios: list[Scenario]
     for scn in scenarios:
         jp, _ = model.predict(scn)
         k = select_mode(jp)
-        local_ids = jp.agent_ids
-        ego_pos = local_ids.index(scn.ego.agent_id)
-        truth = scn.ego.future[:, :2]
+        ego_pos = jp.agent_ids.index(scn.ego_id)
+        truth = scn.future[scn.ego_index, :, :2]
         horizon = truth.shape[0]
         ades.append(ade(jp.trajectories[k, ego_pos], truth, horizon))
         fdes.append(fde(jp.trajectories[k, ego_pos], truth, horizon))
@@ -258,6 +257,10 @@ def train(scenarios: list[Scenario], model_cfg: ModelConfig,
                     for i in train_idx}
     val_scns = [scenarios[i] for i in val_idx] or \
         [scenarios[i] for i in train_idx[:20]]
+    for scn in val_scns:
+        if not scn.has_future[scn.ego_index]:
+            raise ValueError(f"scenario {scn.scenario_id!r}: the ego "
+                             f"{scn.ego_id!r} has no ground-truth future")
 
     rng = nn.seeded_rng(cfg.seed + 1)
     report = TrainReport()

@@ -16,6 +16,7 @@ from riskcast.cli import main
 from riskcast.intention import JointPrediction
 from riskcast.model import JointPredictor, ModelConfig, prediction_to_json
 from riskcast.scene import dump_scenario, generate_scenario
+from riskcast.training import TrainConfig, split_dataset
 
 TINY = [
     "--set", "gen.H=4", "--set", "gen.T=10",
@@ -285,6 +286,27 @@ class TestBadGenValues:
         assert code == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestTrainData:
+    def test_validation_ego_without_future_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen", "--count", "10", "--out", str(data)]
+                    + TINY) == 0
+        # the split depends only on the scene count and the seed
+        _, val, _ = split_dataset([None] * 10, TrainConfig())
+        path = data / f"scenario_{val[0]:04d}.json"
+        doc = json.loads(path.read_text())
+        doc["agents"][doc["ego_index"]]["future"] = []
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = main(["train", "--data", str(data), "--out", str(out),
+                     "--epochs", "1", "--set", "train.stage1_epochs=0"]
+                    + TINY)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert repr(doc["scenario_id"]) in err and "future" in err
+        assert not (out / "checkpoint.npz").exists()
 
 
 class TestSeedPrecedence:

@@ -116,11 +116,12 @@ class TestBaseline:
         scn = generate_scenario("merge", 8, seed=4)
         single = AgentHistory.from_states(
             "s", [AgentState(3.0, 4.0, 0.5, -2.0, 7.0)])
-        for agents, dt in ((scn.agents, scn.dt), (scn.agents + [single], 0.3),
+        for agents, dt in ((scn.agents, scn.dt), (scn.agents, 0.3),
                            ([single], 0.1)):
             want = np.array([constant_velocity_baseline(a, 17, dt)
                              for a in agents])
-            assert np.array_equal(constant_velocity_baselines(agents, 17, dt),
+            past = np.array([a.past for a in agents])
+            assert np.array_equal(constant_velocity_baselines(past, 17, dt),
                                   want)
 
 
@@ -162,9 +163,17 @@ class TestEvaluate:
 
     def test_missing_future_rejected(self):
         scn = generate_scenario("straight", 1, 0)
-        scn.agents[0].future = None
+        scn.has_future[0] = False
         with pytest.raises(ValueError, match="futures"):
             evaluate(oracle_predict, [scn])
+
+    def test_mixed_time_steps_rejected(self):
+        scns = [generate_scenario("straight", 2, 0),
+                generate_scenario("straight", 2, 1, dt=0.05)]
+        for order in (scns, scns[::-1]):
+            with pytest.raises(ValueError, match=(
+                    f"scenario '{order[1].scenario_id}' has time step")):
+                evaluate(oracle_predict, order)
 
     def test_report_rows_and_csv(self, tmp_path):
         scns = [generate_scenario("straight", 2, s) for s in range(2)]

@@ -17,7 +17,7 @@ from riskcast.interaction import (POS_SCALE, VEL_SCALE, YAW_SCALE,
                                   MapEncoder, SelfAttentionBlock,
                                   history_feature_matrix, map_feature_matrix,
                                   map_visibility, neighbor_mask)
-from riskcast.scene import (MapPolyline, RoadMap, generate_scenario,
+from riskcast.scene import (MapPolyline, RoadMap, Scenario, generate_scenario,
                             local_frame, pose_frame)
 
 
@@ -433,7 +433,8 @@ def _degenerate_scene(ego_index=0):
     a2_past[::2, :2] = ego_past[::2, :2]
     agents = [replace(ego, past=ego_past), replace(a1, past=a1_past),
               replace(a2, past=a2_past), a3]
-    return replace(scn, agents=agents, ego_index=ego_index)
+    return Scenario.from_agents(agents, scn.map, scn.horizon_past,
+                                scn.horizon_future, scn.dt, ego_index)
 
 
 def _kinematics(states):

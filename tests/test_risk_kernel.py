@@ -111,8 +111,7 @@ def test_kernel_matches_per_step_reference(model, template, n, seed):
     assert max(r.boundary for r in reports) > 1e-3
 
     k = select_mode(jp)
-    predicted = replace(scn, agents=scn.predicted_agents(jp.agent_ids),
-                        ego_index=jp.agent_ids.index(scn.ego.agent_id))
+    predicted = scn.take(scn.prediction_rows(jp.agent_ids))
     loss, _ = risk_loss_and_grad(jp.trajectories[k], predicted,
                                  predicted.ego_index, cfg)
     assert loss == pytest.approx(reports[k].l_risk, rel=1e-12, abs=0)
@@ -120,8 +119,8 @@ def test_kernel_matches_per_step_reference(model, template, n, seed):
 
 def predicted_batch(jp, scn):
     """Every mode of the prediction, as rank_trajectories batches it."""
-    return batch_from_prediction(scn.predicted_agents(jp.agent_ids),
-                                 jp.trajectories, scn.dt)
+    return batch_from_prediction(scn.take(scn.prediction_rows(jp.agent_ids)),
+                                 jp.trajectories)
 
 
 def kernel_terms(jp, scn, cfg):
@@ -217,7 +216,6 @@ def test_ranks_scene_with_agent_dropped_by_context_radius(model):
     order, reports = rank_trajectories(jp, scn)
     assert sorted(order) == list(range(len(reports)))
     assert all(r.agent_ids == ["crosser"] for r in reports)
-    assert all(set(r.collision_probs) == {"crosser"} for r in reports)
 
 
 def test_prediction_without_the_ego_is_rejected(model):
@@ -266,10 +264,9 @@ def test_plan_invariant_under_rigid_transform(model, template, n, seed):
                                              ("merge", 8, 1)])
 def test_plan_invariant_under_non_ego_permutation(model, template, n, seed):
     scn = generate_scenario(template, n, seed)
-    ego = scn.agents[scn.ego_index]
-    others = [a for a in scn.agents if a is not ego]
+    others = [i for i in range(len(scn.agent_ids)) if i != scn.ego_index]
     perm = np.random.default_rng(seed).permutation(len(others))
-    agents = [others[i] for i in perm]
-    agents.insert(2, ego)
-    shuffled = replace(scn, agents=agents, ego_index=2)
+    rows = [others[i] for i in perm]
+    rows.insert(2, scn.ego_index)
+    shuffled = scn.take(rows)
     _assert_same_plan(_plan(model, scn), _plan(model, shuffled))

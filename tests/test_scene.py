@@ -3,7 +3,6 @@
 import json
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,7 +209,7 @@ class TestLocalFrame:
         moved = far.past.copy()
         moved[:, :2] = offset
         moved[:, 3:] = 0.0
-        scenario.agents[1] = replace(far, past=moved)
+        scenario.past[1] = moved
         local = local_frame(scenario, "ego", radius=50.0)
         assert all(a.agent_id != far.agent_id for a in local.agents)
 

@@ -20,7 +20,7 @@ from riskcast.interaction import (POS_SCALE, history_feature_matrix,
 from riskcast.model import JointPredictor, ModelConfig
 from riskcast.risk import _clearance
 from riskcast.scene import (POLYLINE_KINDS, AgentHistory, MapPolyline,
-                            RoadMap, ScenarioError, dump_scenario,
+                            RoadMap, Scenario, ScenarioError, dump_scenario,
                             generate_scenario, load_scenario, local_frame,
                             pose_frame)
 
@@ -165,7 +165,14 @@ def degenerate_scene():
     a2_past[::2, :2] = ego_past[::2, :2]
     agents = [replace(ego, past=ego_past), replace(a1, past=a1_past),
               replace(a2, past=a2_past), replace(a3, future=None), a4]
-    return replace(scn, agents=agents)
+    return rebuilt(scn, agents)
+
+
+def rebuilt(scn, agents):
+    """The scene with other agents, through the boundary constructor."""
+    return Scenario.from_agents(agents, scn.map, scn.horizon_past,
+                                scn.horizon_future, scn.dt, scn.ego_index,
+                                scn.scenario_id, scn.template)
 
 
 SCENES = [generate_scenario(t, n, seed) for t, n, seed in [
@@ -226,6 +233,37 @@ def test_agent_history_boundary_constructor():
     assert no_future.future is None and no_future != replace(a, agent_id="x")
 
 
+@pytest.mark.parametrize("scn", SCENES, ids=lambda s: s.scenario_id)
+def test_row_selection_matches_per_agent_selection(scn):
+    agents, n = scn.agents, len(scn.agents)
+    assert agents == [scn.agent_by_id(a.agent_id) for a in agents]
+    others = [i for i in range(n) if i != scn.ego_index]
+    perm = np.random.default_rng(n).permutation(others).tolist()
+    for rows in (list(range(n)), perm[::2] + [scn.ego_index],
+                 [scn.ego_index] + perm, list(reversed(range(n)))):
+        taken = scn.take(rows)
+        assert taken.agents == [agents[i] for i in rows]
+        assert taken.ego_id == scn.ego_id
+        assert taken == rebuilt(replace(scn, ego_index=rows.index(
+            scn.ego_index)), [agents[i] for i in rows])
+        ids = [agents[i].agent_id for i in rows]
+        assert scn.prediction_rows(ids).tolist() == rows
+    with pytest.raises(ValueError, match="ego"):
+        scn.take(others)
+    with pytest.raises(ValueError, match="ego"):
+        scn.prediction_rows([agents[i].agent_id for i in others])
+    with pytest.raises(ValueError, match="nobody"):
+        scn.prediction_rows([scn.ego_id, "nobody"])
+
+    bare = replace(scn, has_future=np.zeros(n, bool))
+    per_agent = rebuilt(scn, [replace(a, future=None) for a in agents])
+    assert bare == per_agent and bare != scn
+    assert bare.agents == per_agent.agents
+    assert dump_scenario(bare) == dump_scenario(per_agent)
+    assert local_frame(bare, scn.ego_id) == local_frame(per_agent,
+                                                        scn.ego_id)
+
+
 @pytest.mark.parametrize("past", [np.zeros((0, 5)), np.zeros((3, 4)),
                                   np.zeros(5)])
 def test_agent_history_rejects_bad_shapes(past):
@@ -236,8 +274,7 @@ def test_agent_history_rejects_bad_shapes(past):
 def test_predict_reads_only_the_past():
     model = JointPredictor(ModelConfig(embed_dim=16, attention_heads=2))
     scn = SCENES[2]
-    bare = replace(scn, agents=[replace(a, future=None)
-                                for a in scn.agents])
+    bare = rebuilt(scn, [replace(a, future=None) for a in scn.agents])
     (jp, dists), (jp2, dists2) = model.predict(scn), model.predict(bare)
     assert np.array_equal(jp.trajectories, jp2.trajectories)
     assert np.array_equal(jp.mode_probs, jp2.mode_probs)
