@@ -90,7 +90,8 @@ def resolve_config(config_file: str | None = None,
     cfg = dict(DEFAULTS)
     env_seed = os.environ.get("RISKCAST_SEED")
     if env_seed is not None:
-        cfg["seed"] = int(env_seed)
+        with keyed({"seed": "RISKCAST_SEED"}):
+            cfg["seed"] = _coerce("seed", env_seed)
     if config_file is not None:
         with open(config_file) as f:
             file_cfg = json.load(f)

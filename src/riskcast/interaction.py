@@ -22,7 +22,6 @@ then block-diagonal, so no row sees another scene's agents or polylines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,16 +36,6 @@ KINEMATIC_SCALE = np.array([POS_SCALE, POS_SCALE, YAW_SCALE, VEL_SCALE,
                             VEL_SCALE])  # x, y, yaw, vx, vy
 
 HISTORY_FEATURES = 10 + len(AGENT_CLASSES)  # kinematics + rel encoding + class
-
-
-@dataclass
-class InteractionConfig:
-    embed_dim: int = 64
-    attention_heads: int = 4
-    context_radius_m: float = 50.0
-    transformer_layers: int = 2
-    ff_mult: int = 2
-    map_pad: int = 20
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,18 +118,18 @@ class HistoryEncoder(nn.LSTM):
     """LSTM over each agent's past states; the final hidden state is the
     agent's trajectory embedding."""
 
-    def __init__(self, cfg: InteractionConfig, rng: np.random.Generator,
+    def __init__(self, dim: int, rng: np.random.Generator,
                  name: str = "hist"):
-        super().__init__(HISTORY_FEATURES, cfg.embed_dim, rng, name=name)
+        super().__init__(HISTORY_FEATURES, dim, rng, name=name)
 
 
 class MapEncoder(nn.MLP):
-    """MLP over each polyline's `map_feature_matrix` row."""
+    """MLP over each polyline's `map_feature_matrix` row, of `map_pad`
+    waypoints."""
 
-    def __init__(self, cfg: InteractionConfig, rng: np.random.Generator,
+    def __init__(self, map_pad: int, dim: int, rng: np.random.Generator,
                  name: str = "map"):
-        super().__init__([cfg.map_pad * 3 + 3, cfg.embed_dim, cfg.embed_dim],
-                         rng, name=name)
+        super().__init__([map_pad * 3 + 3, dim, dim], rng, name=name)
 
 
 class SelfAttentionBlock(nn.Module):
@@ -190,12 +179,11 @@ class AgentAgentEncoder(nn.Module):
     whose mask is all True is one set, found without a sort.
     """
 
-    def __init__(self, cfg: InteractionConfig, rng: np.random.Generator,
-                 name: str = "aa"):
+    def __init__(self, dim: int, heads: int, ff_mult: int, layers: int,
+                 rng: np.random.Generator, name: str = "aa"):
         self.blocks = [
-            SelfAttentionBlock(cfg.embed_dim, cfg.attention_heads,
-                               cfg.ff_mult, rng, name=f"{name}.{i}")
-            for i in range(cfg.transformer_layers)
+            SelfAttentionBlock(dim, heads, ff_mult, rng, name=f"{name}.{i}")
+            for i in range(layers)
         ]
 
     def parts(self):
@@ -269,10 +257,9 @@ class AgentMapAttention(nn.Module):
     the scenes' own sizes, not with the square of the union's.
     """
 
-    def __init__(self, cfg: InteractionConfig, rng: np.random.Generator,
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator,
                  name: str = "amap"):
-        self.mha = nn.MultiHeadAttention(cfg.embed_dim, cfg.attention_heads,
-                                         rng, name=name)
+        self.mha = nn.MultiHeadAttention(dim, heads, rng, name=name)
 
     def parts(self):
         return [self.mha]

@@ -45,7 +45,7 @@ from .intention import (ClassEmbeddings, IntentionDistribution, IntentionFuser,
                         IntentionHead, JointDecoder, JointPrediction,
                         LATERAL_CLASSES, LONGITUDINAL_CLASSES)
 from .interaction import (AgentAgentEncoder, AgentMapAttention,
-                          HistoryEncoder, InteractionConfig, MapEncoder,
+                          HistoryEncoder, MapEncoder,
                           history_feature_matrix, map_feature_matrix,
                           map_visibility, neighbor_mask)
 from .scene import Scenario, local_frame, pose_frame
@@ -80,12 +80,6 @@ class ModelConfig:
             raise ValueError(f"embed_dim: {self.embed_dim} is not a multiple "
                              f"of attention_heads ({self.attention_heads})")
 
-    def interaction(self) -> InteractionConfig:
-        return InteractionConfig(self.embed_dim, self.attention_heads,
-                                 self.context_radius_m,
-                                 self.transformer_layers, self.ff_mult,
-                                 self.map_pad)
-
 
 @dataclass
 class ForwardResult:
@@ -106,13 +100,14 @@ class ForwardResult:
 class JointPredictor(nn.Module):
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
-        icfg = cfg.interaction()
         rng = nn.seeded_rng(cfg.init_seed)
-        d = cfg.embed_dim
-        self.history = HistoryEncoder(icfg, rng, name="hist")
-        self.map_enc = MapEncoder(icfg, rng, name="map")
-        self.agent_agent = AgentAgentEncoder(icfg, rng, name="aa")
-        self.agent_map = AgentMapAttention(icfg, rng, name="amap")
+        d, heads = cfg.embed_dim, cfg.attention_heads
+        self.history = HistoryEncoder(d, rng, name="hist")
+        self.map_enc = MapEncoder(cfg.map_pad, d, rng, name="map")
+        self.agent_agent = AgentAgentEncoder(d, heads, cfg.ff_mult,
+                                             cfg.transformer_layers, rng,
+                                             name="aa")
+        self.agent_map = AgentMapAttention(d, heads, rng, name="amap")
         self.intention_head = IntentionHead(d, rng, name="int")
         self.lat_embeddings = ClassEmbeddings(d, len(LATERAL_CLASSES), rng,
                                               name="emb.lat")

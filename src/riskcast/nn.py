@@ -121,15 +121,15 @@ class Module:
 
 class Linear(Module):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 name: str = "linear", bias: bool = True):
+                 name: str = "linear"):
         self.name = name
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.W = Parameter(f"{name}.W", glorot_uniform(rng, in_dim, out_dim))
-        self.b = Parameter(f"{name}.b", np.zeros(out_dim)) if bias else None
+        self.b = Parameter(f"{name}.b", np.zeros(out_dim))
 
     def parts(self) -> list[Parameter]:
-        return [self.W] if self.b is None else [self.W, self.b]
+        return [self.W, self.b]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(x W + b, ctx); the context is the input."""
@@ -137,13 +137,11 @@ class Linear(Module):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise DimensionError(
                 f"{self.name}: expected input [*, {self.in_dim}], got {x.shape}")
-        y = x @ self.W.value
-        return (y if self.b is None else y + self.b.value), x
+        return x @ self.W.value + self.b.value, x
 
     def backward(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         self.W.grad += x.T @ g
-        if self.b is not None:
-            self.b.grad += g.sum(axis=0)
+        self.b.grad += g.sum(axis=0)
         return g @ self.W.value.T
 
 

@@ -29,16 +29,19 @@ The generator produces kinematically consistent trajectories: velocities are
 recomputed from the jittered positions, so position(t+1) = position(t) +
 v(t)*dt holds exactly; yaw is taken from the noiseless path heading.
 
-``SCENARIO_SCHEMA`` documents the file format as a JSON Schema.
-``load_scenario`` enforces it with one walk of the parsed document that
-checks types, required keys, enums and item counts in the order a JSON
-Schema validator visits them, reports the first violation at the same JSON
-path, and builds the scene's arrays as it goes. The walk is stricter than
-the schema in two ways: every number must be finite (an integer too large
-for a float counts as non-finite), and integer fields (``H``, ``T``,
-``ego_index``) must be JSON integers, not floats such as ``0.0``. Kinematics
-and dimensions are stored as float64, so a load and dump writes an integral
-value such as ``3`` as ``3.0``.
+``SCENARIO_SCHEMA`` states the file format as a JSON Schema, and
+``load_scenario`` enforces it by walking the schema itself: keyword by
+keyword in the schema's order, as a JSON Schema validator visits them, it
+reports the first violation at the validator's JSON path. The walk is
+stricter than the schema in two ways: every number must be finite (an
+integer too large for a float counts as non-finite), and integer fields
+(``H``, ``T``, ``ego_index``) must be JSON integers, not floats such as
+``0.0``. After the walk, agent ids must be distinct and every history and
+future must have its declared length. Arrays of states and of waypoints
+come out of the walk as float64 arrays, from which the scene's arrays and
+``RoadMap`` are built, and ``dump_scenario`` writes straight from those
+arrays. Kinematics and dimensions are stored as float64, so a load and dump
+writes an integral value such as ``3`` as ``3.0``.
 """
 
 from __future__ import annotations
@@ -113,13 +116,20 @@ class RoadMap:
 
     @classmethod
     def from_polylines(cls, polylines: list[MapPolyline]) -> "RoadMap":
-        counts = np.array([len(p.waypoints) for p in polylines], dtype=int)
-        waypoints = np.zeros((len(polylines), counts.max(initial=0), 2))
-        for wp, p in zip(waypoints, polylines):
-            wp[:len(p.waypoints)] = p.waypoints
-        kinds = np.array([POLYLINE_KINDS.index(p.kind) for p in polylines],
-                         dtype=int)
-        return cls(waypoints, counts, kinds)
+        return cls.padded([p.waypoints for p in polylines],
+                          [p.kind for p in polylines])
+
+    @classmethod
+    def padded(cls, waypoints: list[np.ndarray], kinds: list[str]
+               ) -> "RoadMap":
+        """Polylines of [n, 2] waypoints, n >= 2, and their kind names."""
+        counts = np.array([len(w) for w in waypoints], dtype=int)
+        padded = np.zeros((len(waypoints), counts.max(initial=0), 2))
+        for row, w in zip(padded, waypoints):
+            row[:len(w)] = w
+        return cls(padded, counts,
+                   np.array([POLYLINE_KINDS.index(k) for k in kinds],
+                            dtype=int))
 
     @property
     def valid(self) -> np.ndarray:
@@ -325,14 +335,16 @@ def _agent_arrays(agents: list[tuple], horizon_future: int) -> tuple:
 # JSON schema and (de)serialization
 # --------------------------------------------------------------------------
 
+_NUMBER = {"type": "number"}
 _STATE_SCHEMA = {
     "type": "object",
     "required": list(KINEMATICS),
-    "properties": {k: {"type": "number"} for k in KINEMATICS},
+    "properties": {k: _NUMBER for k in KINEMATICS},
 }
+_WAYPOINT_SCHEMA = {"type": "array", "items": _NUMBER, "minItems": 2,
+                    "maxItems": 2}
 
-# The scenario file format. load_scenario's walk below enforces it; the
-# tests check the walk against a JSON Schema validator of this schema.
+# The scenario file format; load_scenario enforces it by walking it.
 SCENARIO_SCHEMA = {
     "type": "object",
     "required": ["dt", "H", "T", "ego_index", "agents", "map"],
@@ -352,7 +364,7 @@ SCENARIO_SCHEMA = {
                              "states"],
                 "properties": {
                     "id": {"type": "string"},
-                    "class": {"enum": list(AGENT_DIMS)},
+                    "class": {"enum": list(AGENT_CLASSES)},
                     "length": {"type": "number", "exclusiveMinimum": 0},
                     "width": {"type": "number", "exclusiveMinimum": 0},
                     "mass": {"type": "number", "exclusiveMinimum": 0},
@@ -371,12 +383,7 @@ SCENARIO_SCHEMA = {
                     "waypoints": {
                         "type": "array",
                         "minItems": 2,
-                        "items": {
-                            "type": "array",
-                            "items": {"type": "number"},
-                            "minItems": 2,
-                            "maxItems": 2,
-                        },
+                        "items": _WAYPOINT_SCHEMA,
                     },
                 },
             },
@@ -384,16 +391,24 @@ SCENARIO_SCHEMA = {
     },
 }
 
-_SCENARIO_KEYS = tuple(SCENARIO_SCHEMA["required"])
-_AGENT_KEYS = tuple(SCENARIO_SCHEMA["properties"]["agents"]["items"]
-                    ["required"])
-_STATE_KEY_SET = frozenset(KINEMATICS)
-_STATE_ROW = operator.itemgetter(*KINEMATICS)
-_POLYLINE_KEYS = tuple(SCENARIO_SCHEMA["properties"]["map"]["items"]
-                       ["required"])
-
-
+# JSON Schema type -> the types json.loads gives it (a bool is not an int)
+_TYPES = {"object": ((dict,), "an object"), "array": ((list,), "an array"),
+          "string": ((str,), "a string"), "integer": ((int,), "an integer"),
+          "number": ((int, float), "a number")}
 _FLOAT_MAX = sys.float_info.max
+
+
+def _pair(waypoint) -> list:
+    if type(waypoint) is not list or len(waypoint) != 2:
+        raise TypeError("not a waypoint")
+    return waypoint
+
+
+# the item schemas (by identity) whose arrays load as one float64 array of
+# rows, and the reader of one item's row; it raises KeyError or TypeError
+# for an item of another shape
+_ROW_READERS = {id(_STATE_SCHEMA): operator.itemgetter(*KINEMATICS),
+                id(_WAYPOINT_SCHEMA): _pair}
 
 
 def _fail(path: str, message: str):
@@ -408,140 +423,93 @@ def _describe(value) -> str:
     return repr(value)
 
 
-def _object(value, required: tuple[str, ...], path: str) -> dict:
-    if type(value) is not dict:
-        _fail(path, f"expected an object, got {_describe(value)}")
-    for key in required:
-        if key not in value:
-            _fail(path, f"missing required property {key!r}")
+def _walk(value, schema: dict, path: str):
+    """`value` checked against `schema` as a JSON Schema validator checks
+    it, keyword by keyword in the schema's order; the first violation
+    raises ScenarioError at its JSON path. Two rules are stricter than JSON
+    Schema: a number must be finite, and an integer a JSON integer. Returns
+    the value with every array of rows (states, waypoints) as a float64
+    array."""
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            types, what = _TYPES[arg]
+            if type(value) not in types:
+                _fail(path, f"expected {what}, got {_describe(value)}")
+            if arg == "number" and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                beyond = " (beyond the float range)" \
+                    if type(value) is int else ""
+                _fail(path, f"non-finite number {value!r}{beyond}")
+        elif keyword == "required":
+            for key in arg:
+                if key not in value:
+                    _fail(path, f"missing required property {key!r}")
+        elif keyword == "properties":
+            value = value | {key: _walk(value[key], sub, f"{path}.{key}")
+                             for key, sub in arg.items() if key in value}
+        elif keyword == "items":
+            value = _items(value, arg, path)
+        elif keyword == "minItems":
+            if len(value) < arg:
+                _fail(path, f"needs at least {arg} items, got {len(value)}")
+        elif keyword == "maxItems":
+            if len(value) > arg:
+                _fail(path, f"needs at most {arg} items, got {len(value)}")
+        elif keyword == "minimum":
+            if value < arg:
+                _fail(path, f"{value!r} is less than the minimum of {arg}")
+        elif keyword == "exclusiveMinimum":
+            if value <= arg:
+                _fail(path, f"{value!r} is not greater than {arg}")
+        elif keyword == "enum":
+            if value not in arg:
+                _fail(path, f"{_describe(value)} is not one of {arg}")
+        else:
+            raise NotImplementedError(f"schema keyword {keyword!r}")
     return value
 
 
-def _array(value, path: str, min_items: int = 0) -> list:
-    if type(value) is not list:
-        _fail(path, f"expected an array, got {_describe(value)}")
-    if len(value) < min_items:
-        _fail(path, f"needs at least {min_items} items, got {len(value)}")
-    return value
-
-
-def _number(value, path: str) -> float:
-    if type(value) is float:
-        if not math.isfinite(value):
-            _fail(path, f"non-finite number {value!r}")
-    elif type(value) is not int:
-        _fail(path, f"expected a number, got {_describe(value)}")
-    elif not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        _fail(path, f"non-finite number {value!r} (beyond the float range)")
-    return value
-
-
-def _positive(value, path: str) -> float:
-    if _number(value, path) <= 0:
-        _fail(path, f"{value!r} is not greater than 0")
-    return value
-
-
-def _integer(value, path: str, minimum: int) -> int:
-    if type(value) is not int:
-        _fail(path, f"expected an integer, got {_describe(value)}")
-    if value < minimum:
-        _fail(path, f"{value!r} is less than the minimum of {minimum}")
-    return value
-
-
-def _string(value, path: str) -> str:
-    if type(value) is not str:
-        _fail(path, f"expected a string, got {_describe(value)}")
-    return value
-
-
-def _enum(value, allowed, path: str) -> str:
-    if type(value) is not str or value not in allowed:
-        _fail(path, f"{_describe(value)} is not one of {list(allowed)}")
-    return value
-
-
-def _finite(rows: list) -> np.ndarray | None:
-    """rows as a float64 array if every item is a finite float, else None.
-    Well-formed documents take this path; any other input is walked again
-    item by item, so that the first violation is reported at its path."""
-    if all(type(v) is float for row in rows for v in row):
-        kin = np.array(rows, dtype=np.float64)
-        if np.isfinite(kin).all():
-            return kin
-    return None
-
-
-def _states(value, path: str) -> np.ndarray:
-    """[n, 5] rows of (x, y, yaw, vx, vy)."""
-    states = _array(value, path)
-    if all(type(s) is dict and s.keys() >= _STATE_KEY_SET for s in states):
-        kin = _finite([_STATE_ROW(s) for s in states])
-        if kin is not None:
-            return kin.reshape(-1, len(KINEMATICS))
-    rows = []
-    for i, s in enumerate(states):
-        spath = f"{path}[{i}]"
-        _object(s, KINEMATICS, spath)
-        rows.append([_number(s[k], f"{spath}.{k}") for k in KINEMATICS])
-    return np.array(rows, dtype=np.float64).reshape(-1, len(KINEMATICS))
-
-
-def _agent(value, path: str) -> tuple:
-    """(id, class, length, width, mass, past, future) of an agent object;
-    an empty future is None."""
-    a = _object(value, _AGENT_KEYS, path)
-    agent_id = _string(a["id"], f"{path}.id")
-    agent_class = _enum(a["class"], AGENT_DIMS, f"{path}.class")
-    dims = [_positive(a[k], f"{path}.{k}") for k in DIMS]
-    past = _states(a["states"], f"{path}.states")
-    future = _states(a["future"], f"{path}.future") if "future" in a \
-        else np.empty((0, len(KINEMATICS)))
-    return agent_id, agent_class, *dims, past, (future if len(future)
-                                                else None)
-
-
-def _polyline(value, path: str) -> MapPolyline:
-    m = _object(value, _POLYLINE_KEYS, path)
-    kind = _enum(m["kind"], POLYLINE_KINDS, f"{path}.kind")
-    waypoints = _array(m["waypoints"], f"{path}.waypoints", min_items=2)
-    if all(type(w) is list and len(w) == 2 for w in waypoints):
-        points = _finite(waypoints)
-        if points is not None:
-            return MapPolyline(points, kind)
-    for i, w in enumerate(waypoints):
-        wpath = f"{path}.waypoints[{i}]"
-        for j, v in enumerate(_array(w, wpath)):
-            _number(v, f"{wpath}[{j}]")
-        if len(w) != 2:
-            _fail(wpath, f"needs exactly 2 items, got {len(w)}")
-    return MapPolyline(np.array(waypoints, dtype=np.float64), kind)
+def _items(value: list, items: dict, path: str):
+    """The array's items walked; the rows of _ROW_READERS come back as one
+    float64 array, at once when every number is a finite float. Other
+    arrays are walked item by item, so that the first violation is
+    reported at its path."""
+    read = _ROW_READERS.get(id(items))
+    if read is not None:
+        try:
+            rows = [read(item) for item in value]
+        except (KeyError, TypeError):
+            rows = None
+        if rows is not None and all(type(v) is float
+                                    for row in rows for v in row):
+            kin = np.array(rows, dtype=np.float64)
+            if np.isfinite(kin).all():
+                return kin
+    walked = [_walk(item, items, f"{path}[{i}]")
+              for i, item in enumerate(value)]
+    if read is None:
+        return walked
+    return np.array([read(item) for item in walked], dtype=np.float64)
 
 
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario JSON document.
 
     Schema violations report the JSON path of the offending element; history
-    or future length mismatches report the agent id.
+    or future length mismatches and a repeated id report the agent id.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"invalid JSON: {e}") from e
-    _object(doc, _SCENARIO_KEYS, "$")
-    dt = _positive(doc["dt"], "$.dt")
-    H = _integer(doc["H"], "$.H", 1)
-    T = _integer(doc["T"], "$.T", 1)
-    ego_index = _integer(doc["ego_index"], "$.ego_index", 0)
-    scenario_id = _string(doc.get("scenario_id", ""), "$.scenario_id")
-    template = _string(doc.get("template", ""), "$.template")
-    walked = [_agent(a, f"$.agents[{i}]")
-              for i, a in enumerate(_array(doc["agents"], "$.agents", 1))]
-    polylines = [_polyline(m, f"$.map[{i}]")
-                 for i, m in enumerate(_array(doc["map"], "$.map"))]
+    doc = _walk(doc, SCENARIO_SCHEMA, "$")
+    H, T, ego_index = doc["H"], doc["T"], doc["ego_index"]
+    agents = []
+    for a in doc["agents"]:
+        future = a.get("future", ())
+        agents.append((a["id"], a["class"], *(a[k] for k in DIMS),
+                       a["states"], future if len(future) else None))
 
-    for agent_id, *_, past, future in walked:
+    for agent_id, *_, past, future in agents:
         if len(past) != H + 1:
             raise ScenarioError(
                 f"agent {agent_id!r}: expected H+1 = {H + 1} past states, "
@@ -550,21 +518,26 @@ def load_scenario(text: str) -> Scenario:
             raise ScenarioError(
                 f"agent {agent_id!r}: expected T = {T} future states, "
                 f"got {len(future)}")
-    if ego_index >= len(walked):
+    ids = [a[0] for a in agents]
+    if len(set(ids)) < len(ids):
+        repeated = next(aid for i, aid in enumerate(ids) if aid in ids[:i])
+        raise ScenarioError(f"agent {repeated!r}: the id is repeated")
+    if ego_index >= len(agents):
         raise ScenarioError(f"ego_index {ego_index} out of range")
-    return Scenario(*_agent_arrays(walked, T),
-                    RoadMap.from_polylines(polylines), H, T, dt, ego_index,
-                    scenario_id, template)
+    road = RoadMap.padded([m["waypoints"] for m in doc["map"]],
+                          [m["kind"] for m in doc["map"]])
+    return Scenario(*_agent_arrays(agents, T), road, H, T, doc["dt"],
+                    ego_index, doc.get("scenario_id", ""),
+                    doc.get("template", ""))
 
 
-def _kinematics_to_json(kin: np.ndarray | None) -> list[dict]:
-    if kin is None:
-        return []
-    return [dict(zip(KINEMATICS, row)) for row in kin.tolist()]
+def _rows_to_json(rows: list) -> list[dict]:
+    return [dict(zip(KINEMATICS, row)) for row in rows]
 
 
 def dump_scenario(scn: Scenario) -> str:
     """Serialize to deterministic JSON (sorted keys, fixed separators)."""
+    road = scn.map
     doc = {
         "dt": scn.dt,
         "H": scn.horizon_past,
@@ -573,20 +546,19 @@ def dump_scenario(scn: Scenario) -> str:
         "scenario_id": scn.scenario_id,
         "template": scn.template,
         "agents": [
-            {
-                "id": a.agent_id,
-                "class": a.agent_class,
-                "length": a.length,
-                "width": a.width,
-                "mass": a.mass,
-                "states": _kinematics_to_json(a.past),
-                "future": _kinematics_to_json(a.future),
-            }
-            for a in scn.agents
+            {"id": agent_id, "class": agent_class, **dict(zip(DIMS, dims)),
+             "states": _rows_to_json(past),
+             "future": _rows_to_json(future) if has else []}
+            for agent_id, agent_class, dims, past, future, has in zip(
+                scn.agent_ids.tolist(), scn.agent_classes.tolist(),
+                scn.dims.tolist(), scn.past.tolist(), scn.future.tolist(),
+                scn.has_future.tolist())
         ],
         "map": [
-            {"kind": p.kind, "waypoints": p.waypoints.tolist()}
-            for p in scn.map
+            {"kind": POLYLINE_KINDS[kind], "waypoints": waypoints[:n]}
+            for waypoints, n, kind in zip(road.waypoints.tolist(),
+                                          road.counts.tolist(),
+                                          road.kinds.tolist())
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=1)

@@ -23,7 +23,7 @@ import csv
 import math
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,13 +34,13 @@ from .model import ForwardResult, JointPredictor, ModelConfig
 from .risk import RiskConfig, risk_loss_and_grad
 from .scene import Scenario
 
+CLIP_NORM = 5.0  # the global gradient norm is clipped to this
+
 
 @dataclass
 class TrainConfig:
     batch_size: int = 32
     lr: float = 2e-4
-    lr_decay: float = 1.0   # multiplicative decay applied per epoch
-    clip_norm: float = 5.0  # global gradient-norm clip; 0 disables
     weight_decay: float = 3e-4
     epochs: int = 20
     stage1_epochs: int = 5
@@ -246,8 +246,7 @@ def train(scenarios: list[Scenario], model_cfg: ModelConfig,
     """Train a fresh model; deterministic given the configs and data."""
     if not scenarios:
         raise ValueError("training dataset is empty")
-    model_cfg.init_seed = cfg.seed
-    model = JointPredictor(model_cfg)
+    model = JointPredictor(replace(model_cfg, init_seed=cfg.seed))
     opt = nn.Adam(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     train_idx, val_idx, _ = split_dataset(scenarios, cfg)
     if not train_idx:
@@ -265,7 +264,6 @@ def train(scenarios: list[Scenario], model_cfg: ModelConfig,
     rng = nn.seeded_rng(cfg.seed + 1)
     report = TrainReport()
     for epoch in range(1, cfg.epochs + 1):
-        opt.lr = cfg.lr * cfg.lr_decay ** (epoch - 1)
         order = rng.permutation(train_idx)
         sums = np.zeros(3)
         count = 0
@@ -283,14 +281,13 @@ def train(scenarios: list[Scenario], model_cfg: ModelConfig,
                 count += 1
             for p in model.params():
                 p.grad /= len(batch)
-            if cfg.clip_norm > 0:
-                # summed member by member, as the checkpoint lists them
-                total = math.sqrt(sum(float((g * g).sum())
-                                      for _, _, g in model.members()))
-                if total > cfg.clip_norm:
-                    scale = cfg.clip_norm / total
-                    for p in model.params():
-                        p.grad *= scale
+            # summed member by member, as the checkpoint lists them
+            total = math.sqrt(sum(float((g * g).sum())
+                                  for _, _, g in model.members()))
+            if total > CLIP_NORM:
+                scale = CLIP_NORM / total
+                for p in model.params():
+                    p.grad *= scale
             opt.step()
         mean_pre, mean_man, mean_risk = sums / count
         mean_total = total_loss(mean_pre, mean_man, mean_risk, epoch, cfg)

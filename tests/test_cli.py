@@ -197,6 +197,20 @@ class TestBadInputs:
         assert code == 1
         assert "invalid checkpoint" in capsys.readouterr().err
 
+    def test_repeated_agent_id_exits_1(self, tmp_path, capsys):
+        doc = json.loads(dump_scenario(
+            generate_scenario("straight", 3, seed=1, H=4, T=10)))
+        doc["agents"][2]["id"] = "ego"
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        ckpt = tmp_path / "model.ckpt"
+        _tiny_checkpoint(ckpt)
+        code = main(["predict", "--model", str(ckpt), "--scenario",
+                     str(scenario), "--out", str(tmp_path / "o")] + TINY)
+        assert code == 1
+        assert "'ego': the id is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_float_ego_index_exits_1(self, tmp_path, capsys):
         doc = json.loads(dump_scenario(
             generate_scenario("straight", 3, seed=0, H=4, T=10)))
@@ -316,6 +330,15 @@ class TestSeedPrecedence:
         main(["gen", "--count", "1", "--out", str(out)] + TINY)
         cfg = json.loads((out / "resolved_config.json").read_text())
         assert cfg["seed"] == 123
+
+    def test_bad_env_seed_exits_1_naming_it(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.setenv("RISKCAST_SEED", "abc")
+        out = tmp_path / "env"
+        assert main(["gen", "--count", "1", "--out", str(out)] + TINY) == 1
+        assert "RISKCAST_SEED: 'abc' is not an integer" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_flag_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RISKCAST_SEED", "123")

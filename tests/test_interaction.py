@@ -13,15 +13,16 @@ from riskcast.geometry import (AGENT_CLASSES, AgentState,
                                relative_encoding, transform_state)
 from riskcast.interaction import (POS_SCALE, VEL_SCALE, YAW_SCALE,
                                   AgentAgentEncoder, AgentMapAttention,
-                                  HistoryEncoder, InteractionConfig,
-                                  MapEncoder, SelfAttentionBlock,
+                                  HistoryEncoder, MapEncoder,
+                                  SelfAttentionBlock,
                                   history_feature_matrix, map_feature_matrix,
                                   map_visibility, neighbor_mask)
+from riskcast.model import ModelConfig
 from riskcast.scene import (MapPolyline, RoadMap, Scenario, generate_scenario,
                             local_frame, pose_frame)
 
 
-CFG = InteractionConfig(embed_dim=16, attention_heads=2, map_pad=20)
+CFG = ModelConfig(embed_dim=16, attention_heads=2, map_pad=20)
 
 
 @pytest.fixture
@@ -33,20 +34,20 @@ def local():
 class TestHistoryEncoder:
     def test_output_shape_finite(self):
         scn = generate_scenario("straight", 1, seed=0)
-        enc = HistoryEncoder(CFG, nn.seeded_rng(0))
+        enc = HistoryEncoder(CFG.embed_dim, nn.seeded_rng(0))
         out, _ = enc.forward(history_feature_matrix(local_frame(scn, "ego")))
         assert out.shape == (1, CFG.embed_dim)
         assert np.all(np.isfinite(out))
 
     def test_identical_histories_identical_rows(self, local):
-        enc = HistoryEncoder(CFG, nn.seeded_rng(1))
+        enc = HistoryEncoder(CFG.embed_dim, nn.seeded_rng(1))
         feats = history_feature_matrix(local)
         doubled = np.concatenate([feats, feats[:1]], axis=0)
         out, _ = enc.forward(doubled)
         assert np.allclose(out[0], out[-1], atol=0)
 
     def test_matches_stepwise_lstm_oracle(self, local):
-        enc = HistoryEncoder(CFG, nn.seeded_rng(7))
+        enc = HistoryEncoder(CFG.embed_dim, nn.seeded_rng(7))
         feats = history_feature_matrix(local)
         out, _ = enc.forward(feats)
         h = np.zeros((feats.shape[0], CFG.embed_dim))
@@ -59,13 +60,13 @@ class TestHistoryEncoder:
 
 class TestMapEncoder:
     def test_empty_map(self):
-        enc = MapEncoder(CFG, nn.seeded_rng(2))
+        enc = MapEncoder(CFG.map_pad, CFG.embed_dim, nn.seeded_rng(2))
         out, _ = enc.forward(map_feature_matrix(RoadMap.from_polylines([]),
                                                 CFG.map_pad))
         assert out.shape == (0, CFG.embed_dim)
 
     def test_identical_polylines_identical_embeddings(self):
-        enc = MapEncoder(CFG, nn.seeded_rng(3))
+        enc = MapEncoder(CFG.map_pad, CFG.embed_dim, nn.seeded_rng(3))
         poly = MapPolyline(np.array([[0.0, 0.0], [5.0, 1.0], [10.0, 3.0]]))
         out, _ = enc.forward(map_feature_matrix(
             RoadMap.from_polylines([poly, poly]), CFG.map_pad))
@@ -76,7 +77,7 @@ class TestMapEncoder:
         scn = generate_scenario("left_turn", 2, seed=4)
         from riskcast.scene import _apply_rigid
         moved = _apply_rigid(scn, np.array([123.0, -77.0]), 0.0)
-        enc = MapEncoder(CFG, nn.seeded_rng(4))
+        enc = MapEncoder(CFG.map_pad, CFG.embed_dim, nn.seeded_rng(4))
         a, _ = enc.forward(map_feature_matrix(local_frame(scn, "ego").map,
                                               CFG.map_pad))
         b, _ = enc.forward(map_feature_matrix(local_frame(moved, "ego").map,
@@ -84,7 +85,7 @@ class TestMapEncoder:
         assert np.allclose(a, b, atol=1e-9)
 
     def test_long_polylines_padded(self):
-        enc = MapEncoder(CFG, nn.seeded_rng(5))
+        enc = MapEncoder(CFG.map_pad, CFG.embed_dim, nn.seeded_rng(5))
         poly = MapPolyline(np.arange(30).reshape(15, 2).astype(float))
         feats = map_feature_matrix(RoadMap.from_polylines([poly]),
                                    CFG.map_pad)
@@ -95,7 +96,9 @@ class TestMapEncoder:
 
 class TestAgentAgentAttention:
     def test_single_agent_depends_on_self(self):
-        enc = AgentAgentEncoder(CFG, nn.seeded_rng(6))
+        enc = AgentAgentEncoder(CFG.embed_dim, CFG.attention_heads,
+                                CFG.ff_mult, CFG.transformer_layers,
+                                nn.seeded_rng(6))
         x = nn.seeded_rng(7).normal(size=(1, CFG.embed_dim))
         out1, _ = enc.forward(x, np.ones((1, 1), dtype=bool))
         out2, _ = enc.forward(x.copy(), np.ones((1, 1), dtype=bool))
@@ -103,7 +106,8 @@ class TestAgentAgentAttention:
 
     def test_permutation_equivariance(self):
         rng = nn.seeded_rng(8)
-        enc = AgentAgentEncoder(CFG, rng)
+        enc = AgentAgentEncoder(CFG.embed_dim, CFG.attention_heads,
+                                CFG.ff_mult, CFG.transformer_layers, rng)
         x = rng.normal(size=(5, CFG.embed_dim))
         mask = np.ones((5, 5), dtype=bool)
         perm = np.array([0, 3, 1, 4, 2])
@@ -113,7 +117,8 @@ class TestAgentAgentAttention:
 
     def test_masked_agent_equals_deletion(self):
         rng = nn.seeded_rng(9)
-        enc = AgentAgentEncoder(CFG, rng)
+        enc = AgentAgentEncoder(CFG.embed_dim, CFG.attention_heads,
+                                CFG.ff_mult, CFG.transformer_layers, rng)
         x = rng.normal(size=(4, CFG.embed_dim))
         mask = np.ones((4, 4), dtype=bool)
         mask[:3, 3] = False  # agent 3 invisible to everyone else
@@ -122,7 +127,9 @@ class TestAgentAgentAttention:
         assert np.allclose(out[:3], out_del, atol=1e-9)
 
     def test_empty_context_raises(self):
-        enc = AgentAgentEncoder(CFG, nn.seeded_rng(10))
+        enc = AgentAgentEncoder(CFG.embed_dim, CFG.attention_heads,
+                                CFG.ff_mult, CFG.transformer_layers,
+                                nn.seeded_rng(10))
         x = np.zeros((2, CFG.embed_dim))
         mask = np.ones((2, 2), dtype=bool)
         mask[1, :] = False
@@ -132,7 +139,8 @@ class TestAgentAgentAttention:
     def test_radius_locality_end_to_end(self, local):
         # an agent outside everyone's radius never affects any row
         rng = nn.seeded_rng(11)
-        enc = AgentAgentEncoder(CFG, rng)
+        enc = AgentAgentEncoder(CFG.embed_dim, CFG.attention_heads,
+                                CFG.ff_mult, CFG.transformer_layers, rng)
         feats = rng.normal(size=(len(local.agents), CFG.embed_dim))
         mask = neighbor_mask(local, CFG.context_radius_m)
         base, _ = enc.forward(feats, mask)
@@ -149,13 +157,15 @@ class TestAgentAgentAttention:
 
 class TestAgentMapAttention:
     def test_empty_map_pass_through(self):
-        att = AgentMapAttention(CFG, nn.seeded_rng(12))
+        att = AgentMapAttention(CFG.embed_dim, CFG.attention_heads,
+                                nn.seeded_rng(12))
         x = nn.seeded_rng(13).normal(size=(3, CFG.embed_dim))
         out, _ = att.forward(x, np.zeros((0, CFG.embed_dim)))
         assert np.array_equal(out, x)
 
     def test_single_polyline_identity_projection(self):
-        att = AgentMapAttention(CFG, nn.seeded_rng(14))
+        att = AgentMapAttention(CFG.embed_dim, CFG.attention_heads,
+                                nn.seeded_rng(14))
         mha = att.mha
         mha.Wqkv.value[...] = np.eye(CFG.embed_dim)
         mha.Wo.W.value[...] = np.eye(CFG.embed_dim)
@@ -168,7 +178,7 @@ class TestAgentMapAttention:
 
     def test_polyline_permutation_invariance(self):
         rng = nn.seeded_rng(17)
-        att = AgentMapAttention(CFG, rng)
+        att = AgentMapAttention(CFG.embed_dim, CFG.attention_heads, rng)
         x = rng.normal(size=(2, CFG.embed_dim))
         m = rng.normal(size=(5, CFG.embed_dim))
         perm = np.array([4, 2, 0, 1, 3])
@@ -177,7 +187,7 @@ class TestAgentMapAttention:
 
     def test_invisible_rows_pass_through(self):
         rng = nn.seeded_rng(18)
-        att = AgentMapAttention(CFG, rng)
+        att = AgentMapAttention(CFG.embed_dim, CFG.attention_heads, rng)
         x = rng.normal(size=(3, CFG.embed_dim))
         m = rng.normal(size=(2, CFG.embed_dim))
         vis = np.array([[True, True], [False, False], [True, False]])
@@ -197,10 +207,11 @@ def test_masks_from_scenario(local):
 
 def test_all_finite_over_generator_scenarios():
     rng = nn.seeded_rng(19)
-    hist = HistoryEncoder(CFG, rng)
-    menc = MapEncoder(CFG, rng)
-    aa = AgentAgentEncoder(CFG, rng)
-    amap = AgentMapAttention(CFG, rng)
+    hist = HistoryEncoder(CFG.embed_dim, rng)
+    menc = MapEncoder(CFG.map_pad, CFG.embed_dim, rng)
+    aa = AgentAgentEncoder(CFG.embed_dim, CFG.attention_heads,
+                           CFG.ff_mult, CFG.transformer_layers, rng)
+    amap = AgentMapAttention(CFG.embed_dim, CFG.attention_heads, rng)
     for seed in range(20):
         scn = generate_scenario("crossing_conflict", 3, seed)
         local = local_frame(scn, "ego", CFG.context_radius_m)
@@ -324,7 +335,8 @@ class TestGroupedSubgraphAttention:
         mask = MASKS[name]
         n = len(mask)
         rng = nn.seeded_rng(30)
-        enc = AgentAgentEncoder(CFG, rng)
+        enc = AgentAgentEncoder(CFG.embed_dim, CFG.attention_heads,
+                                CFG.ff_mult, CFG.transformer_layers, rng)
         x = rng.normal(size=(n, CFG.embed_dim))
         g = rng.normal(size=(n, CFG.embed_dim))
 
@@ -353,15 +365,18 @@ class TestGroupedSubgraphAttention:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(SelfAttentionBlock, "forward", counting)
-        enc = AgentAgentEncoder(CFG, nn.seeded_rng(31))
+        enc = AgentAgentEncoder(CFG.embed_dim, CFG.attention_heads,
+                                CFG.ff_mult, CFG.transformer_layers,
+                                nn.seeded_rng(31))
         x = nn.seeded_rng(32).normal(size=(len(mask), CFG.embed_dim))
         enc.forward(x, mask)
         assert len(calls) == CFG.transformer_layers * _distinct_sets(mask)
 
     def test_grad_check_with_several_sets(self):
-        small = InteractionConfig(embed_dim=4, attention_heads=2)
+        small = ModelConfig(embed_dim=4, attention_heads=2)
         rng = nn.seeded_rng(33)
-        enc = AgentAgentEncoder(small, rng)
+        enc = AgentAgentEncoder(small.embed_dim, small.attention_heads,
+                                small.ff_mult, small.transformer_layers, rng)
         mask = MASKS["two_sets_masked_agent"]
         x = nn.Parameter("x", rng.normal(size=(4, small.embed_dim)))
         w = rng.normal(size=(4, small.embed_dim))
@@ -384,7 +399,8 @@ class TestGroupedSubgraphAttention:
         for m, rows in zip(masks, slices):
             union[rows, rows] = m
         rng = nn.seeded_rng(35)
-        enc = AgentAgentEncoder(CFG, rng)
+        enc = AgentAgentEncoder(CFG.embed_dim, CFG.attention_heads,
+                                CFG.ff_mult, CFG.transformer_layers, rng)
         x = rng.normal(size=(len(union), CFG.embed_dim))
         g = rng.normal(size=(len(union), CFG.embed_dim))
         results = []
@@ -405,13 +421,17 @@ class TestGroupedSubgraphAttention:
             raise AssertionError("np.unique called")
 
         monkeypatch.setattr(np, "unique", no_sort)
-        enc = AgentAgentEncoder(CFG, nn.seeded_rng(36))
+        enc = AgentAgentEncoder(CFG.embed_dim, CFG.attention_heads,
+                                CFG.ff_mult, CFG.transformer_layers,
+                                nn.seeded_rng(36))
         x = nn.seeded_rng(37).normal(size=(5, CFG.embed_dim))
         _, runs = enc.forward(x, MASKS["one_set"])
         assert len(runs) == 1
 
     def test_agent_outside_its_own_set_raises(self):
-        enc = AgentAgentEncoder(CFG, nn.seeded_rng(34))
+        enc = AgentAgentEncoder(CFG.embed_dim, CFG.attention_heads,
+                                CFG.ff_mult, CFG.transformer_layers,
+                                nn.seeded_rng(34))
         x = np.zeros((3, CFG.embed_dim))
         mask = np.ones((3, 3), dtype=bool)
         mask[1, 1] = False

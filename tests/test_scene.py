@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from riskcast import scene
 from riskcast.geometry import relative_encoding
 from riskcast.intention import label_intentions
 from riskcast.scene import (MapPolyline, ScenarioError, dump_scenario,
@@ -88,6 +89,16 @@ class TestSerialization:
         doc["ego_index"] = 99
         with pytest.raises(ScenarioError, match="ego_index"):
             load_scenario(json.dumps(doc))
+
+    def test_repeated_agent_id(self):
+        doc = json.loads(dump_scenario(generate_scenario("straight", 3, 1)))
+        doc["agents"][2]["id"] = "ego"
+        with pytest.raises(ScenarioError, match="'ego': the id is repeated"):
+            load_scenario(json.dumps(doc))
+
+    def test_unhandled_schema_keyword_raises(self):
+        with pytest.raises(NotImplementedError, match="maximum"):
+            scene._walk(3, {"type": "integer", "maximum": 2}, "$")
 
 
 class TestGenerator:

@@ -1,6 +1,7 @@
 """Loss structure and training-loop tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,6 +228,15 @@ class TestTrainLoop:
                           val_every=12)
         _, rep = train(data, tiny_model_cfg(), cfg)
         assert rep.l_pre[-1] < rep.l_pre[0]
+
+    def test_leaves_the_model_config_as_given(self):
+        model_cfg = replace(tiny_model_cfg(), init_seed=7)
+        cfg = TrainConfig(batch_size=3, epochs=1, stage1_epochs=1, seed=0,
+                          split=(1.0, 0.0, 0.0))
+        model, _ = train(tiny_dataset(3), model_cfg, cfg)
+        assert model_cfg.init_seed == 7
+        # the model is drawn from the training seed
+        assert model.cfg.init_seed == 0
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
