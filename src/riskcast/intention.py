@@ -136,10 +136,9 @@ class JointDecoder(nn.Module):
     decoded into mode probabilities. The K heads are one StackedMLP, whose
     two layers are [K, 2D, 2D] and [K, 2D, 2T] weights.
 
-    The rows may hold several scenes: ``slices[b]`` are scene b's rows, and
+    The rows hold one or more scenes: ``slices[b]`` are scene b's rows, and
     its max-pool runs over those rows only, so the mode probabilities come
-    out as one row per scene, [B, K]. Without slices all rows are one
-    scene.
+    out as one row per scene, [B, K].
     """
 
     def __init__(self, dim: int, n_modes: int, horizon: int,
@@ -157,12 +156,10 @@ class JointDecoder(nn.Module):
         return [self.heads, self.pool_mlp, self.prob_mlp]
 
     def forward(self, dec_in: np.ndarray, pos0: np.ndarray,
-                slices: list[slice] | None = None
+                slices: list[slice]
                 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple]:
         """((trajectories [K, N, T, 2], mode probabilities [B, K]), ctx)."""
         n = dec_in.shape[0]
-        if slices is None:
-            slices = [slice(0, n)]
         offsets, heads_ctx = self.heads.forward(dec_in)     # [K, N, 2T]
         trajs = pos0[:, None, :] + np.cumsum(
             offsets.reshape(self.n_modes, n, self.horizon, 2), axis=2)

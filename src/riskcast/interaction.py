@@ -14,9 +14,11 @@ polylines, as array operations; the history features round as the scalar
 attended map context (no internal residual); rows with no visible polyline,
 or an entirely empty map, pass through unchanged.
 
-Every layer also takes the disjoint union of several scenes' rows (see
-``riskcast.model``): the agent-agent mask and the agent-map visibility are
-then block-diagonal, so no row sees another scene's agents or polylines.
+Every layer takes the disjoint union of one or more scenes' rows (see
+``riskcast.model``). The agent-agent encoder and the agent-map attention
+take one mask or visibility block per scene, and a scene's rows (and
+polylines) follow the previous scene's, so no row sees another scene's
+agents or polylines.
 """
 
 from __future__ import annotations
@@ -173,10 +175,9 @@ class AgentAgentEncoder(nn.Module):
     per distinct context set, once per scene when every agent sees every
     other.
 
-    The rows may be the union of several scenes, each a block of rows
-    (``slices``) with the mask False outside the blocks. The context sets
-    are then found block by block, since none crosses a block, and a block
-    whose mask is all True is one set, found without a sort.
+    Each scene of a union is its own square mask, whose context sets are
+    found on their own, since none crosses a scene; a mask that is all True
+    is one set, found without a sort.
     """
 
     def __init__(self, dim: int, heads: int, ff_mult: int, layers: int,
@@ -189,28 +190,28 @@ class AgentAgentEncoder(nn.Module):
     def parts(self):
         return self.blocks
 
-    def forward(self, embeds: np.ndarray, mask: np.ndarray,
-                slices: list[slice] | None = None) -> tuple[np.ndarray, list]:
-        """(output, ctx); without slices, all rows are one block. The
-        context lists, per context set, its agents, their members and
-        positions, and the block contexts."""
-        mask = np.asarray(mask, dtype=bool)
-        empty = np.flatnonzero(~mask.any(axis=1))
-        if empty.size:
-            raise ValueError(f"agent {empty[0]} has an empty context set")
-        outside = np.flatnonzero(~np.diagonal(mask))
-        if outside.size:
-            raise ValueError(
-                f"agent {outside[0]} is not in its own context set")
-        if slices is None:
-            slices = [slice(0, len(mask))]
+    def forward(self, embeds: np.ndarray, masks: list[np.ndarray]
+                ) -> tuple[np.ndarray, list]:
+        """(output, ctx). masks[b] is scene b's square mask, whose rows
+        follow scene b-1's. The context lists, per context set, its agents,
+        their members and positions, and the block contexts."""
+        starts = np.cumsum([0] + [len(mask) for mask in masks]).tolist()
         out = np.empty_like(embeds)
         runs = []
-        # the last block first: the order np.unique gives the sets of the
+        # the last scene first: the order np.unique gives the sets of the
         # whole union, which the gradient sums of the backward keep
-        for rows in reversed(slices):
-            for idx, members in _context_sets(mask[rows, rows]):
-                idx, members = idx + rows.start, members + rows.start
+        for start, mask in reversed(list(zip(starts, masks))):
+            mask = np.asarray(mask, dtype=bool)
+            empty = np.flatnonzero(~mask.any(axis=1))
+            if empty.size:
+                raise ValueError(
+                    f"agent {start + empty[0]} has an empty context set")
+            outside = np.flatnonzero(~np.diagonal(mask))
+            if outside.size:
+                raise ValueError(f"agent {start + outside[0]} is not in its "
+                                 f"own context set")
+            for idx, members in _context_sets(mask):
+                idx, members = idx + start, members + start
                 x = embeds[idx]
                 block_ctxs = []
                 for block in self.blocks:
@@ -251,10 +252,9 @@ class AgentMapAttention(nn.Module):
     (keys and values). Output rows are the attended map context; rows with
     nothing visible, or an empty map, pass through unchanged.
 
-    The rows and keys may be the union of several scenes, each a block of
-    (row slice, key slice), with the visibility False outside the blocks.
-    The attention then runs once per block, so that its cost grows with
-    the scenes' own sizes, not with the square of the union's.
+    Each scene of a union is its own [N_b, P_b] visibility block, and the
+    attention runs once per scene, so that its cost grows with the scenes'
+    own sizes, not with the square of the union's.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
@@ -265,31 +265,27 @@ class AgentMapAttention(nn.Module):
         return [self.mha]
 
     def forward(self, features: np.ndarray, map_embeds: np.ndarray,
-                vis: np.ndarray | None = None,
-                blocks: list[tuple[slice, slice]] | None = None
-                ) -> tuple[np.ndarray, tuple]:
-        """(output, ctx); without blocks, all rows and keys are one block.
-        The context is the polyline count and, per block, its attending
-        rows, its keys and the attention context (None when no row
-        attends)."""
-        n, m = features.shape[0], map_embeds.shape[0]
-        if vis is None:
-            vis = np.ones((n, m), dtype=bool)
-        if blocks is None:
-            blocks = [(slice(0, n), slice(0, m))]
+                vis: list[np.ndarray]) -> tuple[np.ndarray, tuple]:
+        """(output, ctx). vis[b] is scene b's visibility, whose rows and
+        polylines follow scene b-1's. The context is the polyline count
+        and, per scene, its attending rows, its keys and the attention
+        context (None when no row attends)."""
         out = features.copy()
         runs = []
-        for block_rows, keys in blocks:
-            rows = block_rows.start + np.flatnonzero(
-                vis[block_rows, keys].any(axis=1))
+        row0 = key0 = 0
+        for v in vis:
+            keys = slice(key0, key0 + v.shape[1])
+            attending = np.flatnonzero(v.any(axis=1))
+            rows = row0 + attending
             mha_ctx = None
             if rows.size:
                 kv = map_embeds[keys]
                 att, mha_ctx = self.mha.forward(features[rows], kv, kv,
-                                                vis[rows, keys])
+                                                v[attending])
                 out[rows] = att
             runs.append((rows, keys, mha_ctx))
-        return out, (m, runs)
+            row0, key0 = row0 + v.shape[0], keys.stop
+        return out, (len(map_embeds), runs)
 
     def backward(self, ctx: tuple, g: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:

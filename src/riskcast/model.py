@@ -12,13 +12,14 @@ disconnected graph: the per-scene arrays the stages read from each scene's
 ``past`` [N, H+1, 5] and map are concatenated into one set of rows
 ([sum N, ...]) and one set of keys, and each scene's rows are one slice of
 them (``ForwardResult.slices``). Row-wise layers (the LSTM, the MLPs and
-heads) run once over all rows. The agent-agent mask and the agent-map
-visibility are block-diagonal, so a row only ever sees its own scene's
-agents and polylines, and the decoder max-pools each scene's slice to one
-row of mode probabilities ([B, K]). Training runs one forward and one
-backward per minibatch this way; ``predict`` is the batch of one, whose
-outputs are exactly those of a forward over that scene alone. The scenes
-of one batch must share their history length.
+heads) run once over all rows. The agent-agent encoder and the agent-map
+attention take each scene's own neighbor mask [N_b, N_b] and map
+visibility [N_b, P_b], never a matrix over the whole union, so a row only
+ever sees its own scene's agents and polylines; a scene without a map is a
+visibility block with no columns. The decoder max-pools each scene's slice
+to one row of mode probabilities ([B, K]). Training runs one forward and
+one backward per minibatch this way; ``predict`` is the batch of one. The
+scenes of one batch must share their history length.
 
 Checkpoints (format version 2) are uncompressed ``.npz`` archives written to
 exactly the path given: one float64 array per member name plus a
@@ -92,7 +93,7 @@ class ForwardResult:
     lon_probs: np.ndarray         # [N, 3]
     intention_feature: np.ndarray  # [N, D]
     features: np.ndarray          # [N, D] fused interaction features
-    att_rows: np.ndarray | None   # [N] rows given map context; None: no map
+    att_rows: np.ndarray          # [N] rows given map context
     slices: list[slice]           # [B] each scene's rows
     ctx: tuple                    # the layer contexts, in forward order
 
@@ -135,25 +136,17 @@ class JointPredictor(nn.Module):
                 f"forward: the scenes' history lengths differ: {steps} steps")
         slices = _slices([len(f) for f in feats])
         h, hist_ctx = self.history.forward(np.concatenate(feats))
-        mask = _block_diagonal([neighbor_mask(local, cfg.context_radius_m)
-                                for local in locals_])
-        base, aa_ctx = self.agent_agent.forward(h, mask, slices)
-
-        att_rows = map_ctx = None
-        features = base
-        if any(len(local.map) for local in locals_):
-            maps = [map_feature_matrix(local.map, cfg.map_pad)
-                    for local in locals_]
-            membeds, menc_ctx = self.map_enc.forward(np.concatenate(maps))
-            vis = _block_diagonal([map_visibility(local, cfg.context_radius_m)
-                                   for local in locals_])
-            blocks = list(zip(slices, _slices([len(m) for m in maps])))
-            fused, amap_ctx = self.agent_map.forward(base, membeds, vis,
-                                                     blocks)
-            map_ctx = (menc_ctx, amap_ctx)
-            att_rows = vis.any(axis=1)
-            features = base.copy()
-            features[att_rows] += fused[att_rows]
+        base, aa_ctx = self.agent_agent.forward(
+            h, [neighbor_mask(local, cfg.context_radius_m)
+                for local in locals_])
+        membeds, menc_ctx = self.map_enc.forward(np.concatenate(
+            [map_feature_matrix(local.map, cfg.map_pad) for local in locals_]))
+        vis = [map_visibility(local, cfg.context_radius_m)
+               for local in locals_]
+        fused, amap_ctx = self.agent_map.forward(base, membeds, vis)
+        att_rows = np.concatenate([v.any(axis=1) for v in vis])
+        features = base.copy()
+        features[att_rows] += fused[att_rows]
 
         (lat, lon), head_ctx = self.intention_head.forward(features)
         e_lat, elat_ctx = self.lat_embeddings.forward(features, lat)
@@ -165,8 +158,8 @@ class JointPredictor(nn.Module):
         nn.ensure_finite(trajs, "decoded trajectories")
         return ForwardResult(trajs, probs, lat, lon, z, features, att_rows,
                              slices,
-                             (hist_ctx, aa_ctx, map_ctx, head_ctx, elat_ctx,
-                              elon_ctx, fuse_ctx, dec_ctx))
+                             (hist_ctx, aa_ctx, menc_ctx, amap_ctx, head_ctx,
+                              elat_ctx, elon_ctx, fuse_ctx, dec_ctx))
 
     def backward(self, res: ForwardResult, dtrajs: np.ndarray,
                  dprobs: np.ndarray, dlat: np.ndarray,
@@ -174,8 +167,8 @@ class JointPredictor(nn.Module):
         """Accumulate the parameter gradients of the losses' gradients with
         respect to the forward's outputs, laid out as they are: dtrajs
         [K, N, T, 2], dprobs [B, K], dlat and dlon [N, 3]."""
-        (hist_ctx, aa_ctx, map_ctx, head_ctx, elat_ctx, elon_ctx, fuse_ctx,
-         dec_ctx) = res.ctx
+        (hist_ctx, aa_ctx, menc_ctx, amap_ctx, head_ctx, elat_ctx, elon_ctx,
+         fuse_ctx, dec_ctx) = res.ctx
         d = self.cfg.embed_dim
         ddec_in = self.decoder.backward(dec_ctx, dtrajs, dprobs)
         dfeat = ddec_in[:, :d].copy()
@@ -188,15 +181,11 @@ class JointPredictor(nn.Module):
         dfeat += self.intention_head.backward(head_ctx, dlat + dlat_emb,
                                               dlon + dlon_emb)
 
-        dbase = dfeat
-        if map_ctx is not None:
-            menc_ctx, amap_ctx = map_ctx
-            g_op = np.zeros_like(dfeat)
-            g_op[res.att_rows] = dfeat[res.att_rows]
-            dbase_att, dmap = self.agent_map.backward(amap_ctx, g_op)
-            self.map_enc.backward(menc_ctx, dmap)
-            dbase = dfeat + dbase_att
-        dh = self.agent_agent.backward(aa_ctx, dbase)
+        g_op = np.zeros_like(dfeat)
+        g_op[res.att_rows] = dfeat[res.att_rows]
+        dbase, dmap = self.agent_map.backward(amap_ctx, g_op)
+        self.map_enc.backward(menc_ctx, dmap)
+        dh = self.agent_agent.backward(aa_ctx, dfeat + dbase)
         self.history.backward(hist_ctx, dh)
 
     # -- inference ---------------------------------------------------------
@@ -263,17 +252,6 @@ def _slices(sizes: list[int]) -> list[slice]:
     """Consecutive slices of the given sizes, from 0."""
     bounds = np.cumsum([0] + sizes).tolist()
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
-    """The boolean matrix with `blocks` along its diagonal, False elsewhere;
-    a block may have no columns."""
-    rows = _slices([b.shape[0] for b in blocks])
-    cols = _slices([b.shape[1] for b in blocks])
-    out = np.zeros((rows[-1].stop, cols[-1].stop), dtype=bool)
-    for b, r, c in zip(blocks, rows, cols):
-        out[r, c] = b
-    return out
 
 
 def _read_npz(f, path: str) -> tuple[object, dict[str, np.ndarray]]:

@@ -512,13 +512,18 @@ def rank_trajectories(jp: JointPrediction, scn: Scenario,
                       ) -> tuple[list[int], list[RiskReport]]:
     """Score every candidate mode and return (order, reports), where order
     lists mode indices from best (lowest risk-adjusted score) to worst.
-    Only the predicted agents are ranked."""
+    Only the predicted agents are ranked. A mode whose score is not finite
+    cannot be ranked and raises ValueError."""
     cfg = cfg or RiskConfig()
     predicted = scn.take(scn.prediction_rows(jp.agent_ids))
     terms = risk_kernel(batch_from_prediction(predicted, jp.trajectories),
                         predicted.ego_index, _road_boundaries(scn), cfg)
     reports = [mode_risk_report(terms, k, float(jp.mode_probs[k]), cfg)
                for k in range(jp.trajectories.shape[0])]
+    for r in reports:
+        if not math.isfinite(r.score):
+            raise ValueError(f"scenario {scn.scenario_id!r}: mode {r.mode} "
+                             f"has a non-finite risk score {r.score!r}")
     order = sorted(range(len(reports)), key=lambda k: reports[k].score)
     for rank, k in enumerate(order):
         reports[k].rank = rank

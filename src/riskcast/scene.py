@@ -751,15 +751,16 @@ def generate_scenario(template: str, n_agents: int, seed: int,
     gets there. At t=0 the pedestrian is thus far ahead of the ego, often
     beyond a 50 m context radius, in which case `predict` drops it.
 
-    An unknown template, n_agents, H or T below 1, or dt <= 0 raises
-    ValueError; the message starts with "<parameter>:".
+    An unknown template, a negative seed, n_agents, H or T below 1, or
+    dt <= 0 raises ValueError; the message starts with "<parameter>:".
     """
     if template not in TEMPLATES:
         raise ValueError(f"template: unknown template {template!r}; "
                          f"expected one of {TEMPLATES}")
-    for name, value in (("n_agents", n_agents), ("H", H), ("T", T)):
-        if value < 1:
-            raise ValueError(f"{name}: {value!r} is not >= 1")
+    for name, value, low in (("seed", seed, 0), ("n_agents", n_agents, 1),
+                             ("H", H, 1), ("T", T, 1)):
+        if value < low:
+            raise ValueError(f"{name}: {value!r} is not >= {low}")
     if not dt > 0:
         raise ValueError(f"dt: {dt!r} is not positive")
     rng = np.random.default_rng(seed)

@@ -15,7 +15,7 @@ import riskcast
 from riskcast.cli import main
 from riskcast.intention import JointPrediction
 from riskcast.model import JointPredictor, ModelConfig, prediction_to_json
-from riskcast.scene import dump_scenario, generate_scenario
+from riskcast.scene import dump_scenario, generate_scenario, load_scenario
 from riskcast.training import TrainConfig, split_dataset
 
 TINY = [
@@ -340,6 +340,19 @@ class TestSeedPrecedence:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_negative_seed_exits_1_naming_it(self, tmp_path, monkeypatch,
+                                             capsys, via):
+        out = tmp_path / "neg"
+        argv = ["gen", "--count", "1", "--out", str(out)] + TINY
+        if via == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("RISKCAST_SEED", "-1")
+        assert main(argv) == 1
+        assert "seed: -1 is not >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flag_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RISKCAST_SEED", "123")
         out = tmp_path / "flag"
@@ -384,6 +397,26 @@ class TestRisk:
         predicted = {a["id"] for a in doc["modes"][0]["agents"]}
         assert predicted.isdisjoint(dropped)
         assert predicted | set(dropped) == {a.agent_id for a in scn.agents}
+
+    # a step of 1e-300 s overflows the generated velocities; numpy warns of
+    # the overflow and of the invalid values it leads to, the NaN risks
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:"
+                                "RuntimeWarning")
+    def test_non_finite_ranking_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen", "--count", "1", "--set", "gen.dt=1e-300",
+                     "--out", str(data)] + TINY) == 0
+        scn = load_scenario((data / "scenario_0000.json").read_text())
+        scenario, pred_path = self._predict(tmp_path, scn)
+        risk_dir = tmp_path / "risk"
+        capsys.readouterr()
+        assert main(["risk", "--scenario", str(scenario), "--prediction",
+                     str(pred_path), "--out", str(risk_dir)] + TINY) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite risk score" in err
+        assert repr(scn.scenario_id) in err
+        assert not (risk_dir / "risk_report.json").exists()
 
     def test_prediction_without_ego_exits_1(self, tmp_path, capsys):
         scn = generate_scenario("straight", 3, seed=1)

@@ -88,7 +88,7 @@ class TestJointDecoder:
         dec = JointDecoder(DIM, n_modes=4, horizon=6, rng=nn.seeded_rng(11))
         x = nn.seeded_rng(12).normal(size=(3, 2 * DIM))
         pos0 = nn.seeded_rng(13).normal(size=(3, 2))
-        (trajs, [p]), _ = dec.forward(x, pos0)
+        (trajs, [p]), _ = dec.forward(x, pos0, [slice(0, 3)])
         assert trajs.shape == (4, 3, 6, 2)
         assert p.shape == (4,)
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
@@ -97,7 +97,8 @@ class TestJointDecoder:
         dec = JointDecoder(DIM, n_modes=3, horizon=5, rng=nn.seeded_rng(14))
         zero_params(dec)
         pos0 = np.array([[1.5, -2.0], [0.0, 4.0]])
-        (trajs, [p]), _ = dec.forward(np.ones((2, 2 * DIM)), pos0)
+        (trajs, [p]), _ = dec.forward(np.ones((2, 2 * DIM)), pos0,
+                                     [slice(0, 2)])
         for k in range(3):
             for i in range(2):
                 assert np.allclose(trajs[k, i], pos0[i], atol=1e-12)
@@ -109,12 +110,12 @@ class TestJointDecoder:
         dec = JointDecoder(DIM, n_modes=2, horizon=4, rng=nn.seeded_rng(15))
         x = nn.seeded_rng(16).normal(size=(2, 2 * DIM))
         pos0 = np.array([[3.0, 1.0], [-1.0, 2.0]])
-        (trajs, _), _ = dec.forward(x, pos0)
+        (trajs, _), _ = dec.forward(x, pos0, [slice(0, 2)])
         offsets0 = trajs[:, :, 0, :] - pos0[None, :, :]
         assert np.all(np.isfinite(offsets0))
         for p in dec.params():
             p.value *= 1e-12
-        (trajs2, _), _ = dec.forward(x, pos0)
+        (trajs2, _), _ = dec.forward(x, pos0, [slice(0, 2)])
         assert np.allclose(trajs2[:, :, 0, :], pos0[None], atol=1e-9)
 
     def test_permuting_non_ego_agents(self):
@@ -123,8 +124,9 @@ class TestJointDecoder:
         x = rng.normal(size=(4, 2 * DIM))
         pos0 = rng.normal(size=(4, 2))
         perm = np.array([0, 2, 3, 1])  # keep agent 0 in place
-        (trajs, [p]), _ = dec.forward(x, pos0)
-        (trajs_p, [p_p]), _ = dec.forward(x[perm], pos0[perm])
+        (trajs, [p]), _ = dec.forward(x, pos0, [slice(0, 4)])
+        (trajs_p, [p_p]), _ = dec.forward(x[perm], pos0[perm],
+                                          [slice(0, 4)])
         assert np.allclose(trajs_p, trajs[:, perm], atol=1e-12)
         assert np.allclose(p_p, p, atol=1e-12)
 

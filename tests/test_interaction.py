@@ -100,8 +100,8 @@ class TestAgentAgentAttention:
                                 CFG.ff_mult, CFG.transformer_layers,
                                 nn.seeded_rng(6))
         x = nn.seeded_rng(7).normal(size=(1, CFG.embed_dim))
-        out1, _ = enc.forward(x, np.ones((1, 1), dtype=bool))
-        out2, _ = enc.forward(x.copy(), np.ones((1, 1), dtype=bool))
+        out1, _ = enc.forward(x, [np.ones((1, 1), dtype=bool)])
+        out2, _ = enc.forward(x.copy(), [np.ones((1, 1), dtype=bool)])
         assert np.array_equal(out1, out2)
 
     def test_permutation_equivariance(self):
@@ -111,8 +111,8 @@ class TestAgentAgentAttention:
         x = rng.normal(size=(5, CFG.embed_dim))
         mask = np.ones((5, 5), dtype=bool)
         perm = np.array([0, 3, 1, 4, 2])
-        out, _ = enc.forward(x, mask)
-        out_p, _ = enc.forward(x[perm], mask[np.ix_(perm, perm)])
+        out, _ = enc.forward(x, [mask])
+        out_p, _ = enc.forward(x[perm], [mask[np.ix_(perm, perm)]])
         assert np.allclose(out_p, out[perm], atol=1e-12)
 
     def test_masked_agent_equals_deletion(self):
@@ -122,8 +122,8 @@ class TestAgentAgentAttention:
         x = rng.normal(size=(4, CFG.embed_dim))
         mask = np.ones((4, 4), dtype=bool)
         mask[:3, 3] = False  # agent 3 invisible to everyone else
-        out, _ = enc.forward(x, mask)
-        out_del, _ = enc.forward(x[:3], np.ones((3, 3), dtype=bool))
+        out, _ = enc.forward(x, [mask])
+        out_del, _ = enc.forward(x[:3], [np.ones((3, 3), dtype=bool)])
         assert np.allclose(out[:3], out_del, atol=1e-9)
 
     def test_empty_context_raises(self):
@@ -134,7 +134,7 @@ class TestAgentAgentAttention:
         mask = np.ones((2, 2), dtype=bool)
         mask[1, :] = False
         with pytest.raises(ValueError, match="empty context"):
-            enc.forward(x, mask)
+            enc.forward(x, [mask])
 
     def test_radius_locality_end_to_end(self, local):
         # an agent outside everyone's radius never affects any row
@@ -143,7 +143,7 @@ class TestAgentAgentAttention:
                                 CFG.ff_mult, CFG.transformer_layers, rng)
         feats = rng.normal(size=(len(local.agents), CFG.embed_dim))
         mask = neighbor_mask(local, CFG.context_radius_m)
-        base, _ = enc.forward(feats, mask)
+        base, _ = enc.forward(feats, [mask])
 
         far_feat = rng.normal(size=(1, CFG.embed_dim))
         feats2 = np.concatenate([feats, far_feat])
@@ -151,7 +151,7 @@ class TestAgentAgentAttention:
         mask2 = np.zeros((n, n), dtype=bool)
         mask2[:n - 1, :n - 1] = mask
         mask2[n - 1, n - 1] = True  # far agent sees only itself
-        out, _ = enc.forward(feats2, mask2)
+        out, _ = enc.forward(feats2, [mask2])
         assert np.allclose(out[:n - 1], base, atol=1e-9)
 
 
@@ -160,7 +160,8 @@ class TestAgentMapAttention:
         att = AgentMapAttention(CFG.embed_dim, CFG.attention_heads,
                                 nn.seeded_rng(12))
         x = nn.seeded_rng(13).normal(size=(3, CFG.embed_dim))
-        out, _ = att.forward(x, np.zeros((0, CFG.embed_dim)))
+        out, _ = att.forward(x, np.zeros((0, CFG.embed_dim)),
+                             [np.zeros((3, 0), dtype=bool)])
         assert np.array_equal(out, x)
 
     def test_single_polyline_identity_projection(self):
@@ -173,7 +174,7 @@ class TestAgentMapAttention:
             b.value[...] = 0.0
         x = nn.seeded_rng(15).normal(size=(3, CFG.embed_dim))
         value = nn.seeded_rng(16).normal(size=(1, CFG.embed_dim))
-        out, _ = att.forward(x, value)
+        out, _ = att.forward(x, value, [np.ones((3, 1), dtype=bool)])
         assert np.allclose(out, np.repeat(value, 3, axis=0), atol=1e-12)
 
     def test_polyline_permutation_invariance(self):
@@ -182,8 +183,9 @@ class TestAgentMapAttention:
         x = rng.normal(size=(2, CFG.embed_dim))
         m = rng.normal(size=(5, CFG.embed_dim))
         perm = np.array([4, 2, 0, 1, 3])
-        assert np.allclose(att.forward(x, m)[0], att.forward(x, m[perm])[0],
-                           atol=1e-12)
+        vis = [np.ones((2, 5), dtype=bool)]
+        assert np.allclose(att.forward(x, m, vis)[0],
+                           att.forward(x, m[perm], vis)[0], atol=1e-12)
 
     def test_invisible_rows_pass_through(self):
         rng = nn.seeded_rng(18)
@@ -191,7 +193,7 @@ class TestAgentMapAttention:
         x = rng.normal(size=(3, CFG.embed_dim))
         m = rng.normal(size=(2, CFG.embed_dim))
         vis = np.array([[True, True], [False, False], [True, False]])
-        out, _ = att.forward(x, m, vis)
+        out, _ = att.forward(x, m, [vis])
         assert np.array_equal(out[1], x[1])
         assert not np.allclose(out[0], x[0])
 
@@ -216,10 +218,10 @@ def test_all_finite_over_generator_scenarios():
         scn = generate_scenario("crossing_conflict", 3, seed)
         local = local_frame(scn, "ego", CFG.context_radius_m)
         h, _ = hist.forward(history_feature_matrix(local))
-        base, _ = aa.forward(h, neighbor_mask(local, CFG.context_radius_m))
+        base, _ = aa.forward(h, [neighbor_mask(local, CFG.context_radius_m)])
         m, _ = menc.forward(map_feature_matrix(local.map, CFG.map_pad))
         out, _ = amap.forward(base, m,
-                              map_visibility(local, CFG.context_radius_m))
+                              [map_visibility(local, CFG.context_radius_m)])
         assert np.all(np.isfinite(h))
         assert np.all(np.isfinite(base))
         assert np.all(np.isfinite(out))
@@ -347,7 +349,7 @@ class TestGroupedSubgraphAttention:
         ref_grads = [p.grad.copy() for p in enc.params()]
 
         enc.zero_grad()
-        out, ctx = enc.forward(x, mask)
+        out, ctx = enc.forward(x, [mask])
         dx = enc.backward(ctx, g)
         assert np.max(np.abs(out - ref_out)) <= 1e-12
         assert np.max(np.abs(dx - ref_dx)) <= 1e-12
@@ -369,7 +371,7 @@ class TestGroupedSubgraphAttention:
                                 CFG.ff_mult, CFG.transformer_layers,
                                 nn.seeded_rng(31))
         x = nn.seeded_rng(32).normal(size=(len(mask), CFG.embed_dim))
-        enc.forward(x, mask)
+        enc.forward(x, [mask])
         assert len(calls) == CFG.transformer_layers * _distinct_sets(mask)
 
     def test_grad_check_with_several_sets(self):
@@ -382,7 +384,7 @@ class TestGroupedSubgraphAttention:
         w = rng.normal(size=(4, small.embed_dim))
 
         def loss():
-            out, ctx = enc.forward(x.value, mask)
+            out, ctx = enc.forward(x.value, [mask])
             x.grad += enc.backward(ctx, w)
             return float((out * w).sum())
 
@@ -404,9 +406,9 @@ class TestGroupedSubgraphAttention:
         x = rng.normal(size=(len(union), CFG.embed_dim))
         g = rng.normal(size=(len(union), CFG.embed_dim))
         results = []
-        for blocks in (None, slices):
+        for blocks in ([union], masks):
             enc.zero_grad()
-            out, runs = enc.forward(x, union, blocks)
+            out, runs = enc.forward(x, blocks)
             dx = enc.backward(runs, g)
             results.append([out, dx] + [p.grad.copy() for p in enc.params()]
                            + [a for idx, members, _, _ in runs
@@ -425,7 +427,7 @@ class TestGroupedSubgraphAttention:
                                 CFG.ff_mult, CFG.transformer_layers,
                                 nn.seeded_rng(36))
         x = nn.seeded_rng(37).normal(size=(5, CFG.embed_dim))
-        _, runs = enc.forward(x, MASKS["one_set"])
+        _, runs = enc.forward(x, [MASKS["one_set"]])
         assert len(runs) == 1
 
     def test_agent_outside_its_own_set_raises(self):
@@ -436,7 +438,7 @@ class TestGroupedSubgraphAttention:
         mask = np.ones((3, 3), dtype=bool)
         mask[1, 1] = False
         with pytest.raises(ValueError, match="agent 1 is not in its own"):
-            enc.forward(x, mask)
+            enc.forward(x, [mask])
 
 
 def _degenerate_scene(ego_index=0):

@@ -208,6 +208,19 @@ def batch_loss(model, locals_):
     return loss
 
 
+def assert_scenes_match_alone(model, locals_, res):
+    """Each scene's rows of the union forward `res` are its batch of one."""
+    for b, local in enumerate(locals_):
+        alone = model.forward([local])
+        rows = res.slices[b]
+        for got, want in ((res.trajectories[:, rows], alone.trajectories),
+                          (res.mode_probs[b], alone.mode_probs[0]),
+                          (res.lat_probs[rows], alone.lat_probs),
+                          (res.lon_probs[rows], alone.lon_probs),
+                          (res.features[rows], alone.features)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 class TestUnion:
     """A batch of scenes runs as one disjoint union of their agents."""
 
@@ -219,15 +232,31 @@ class TestUnion:
             [(0, 3), (3, 8), (8, 16)]
         assert res.mode_probs.shape == (3, TINY.n_modes)
         assert not res.att_rows[res.slices[1]].any()
-        for b, local in enumerate(locals_):
-            alone = model.forward([local])
-            rows = res.slices[b]
-            for got, want in ((res.trajectories[:, rows], alone.trajectories),
-                              (res.mode_probs[b], alone.mode_probs[0]),
-                              (res.lat_probs[rows], alone.lat_probs),
-                              (res.lon_probs[rows], alone.lon_probs),
-                              (res.features[rows], alone.features)):
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert_scenes_match_alone(model, locals_, res)
+
+    def test_a_union_without_maps(self):
+        # the map encoder runs on no polylines and the agent-map attention
+        # on visibility blocks without columns: no row attends, and the map
+        # layers get no gradient
+        model = JointPredictor(TINY)
+        scns = [replace(generate_scenario(t, n, seed=s, H=3, T=5),
+                        map=RoadMap.from_polylines([]))
+                for t, n, s in (("merge", 3, 21), ("left_turn", 5, 22),
+                                ("straight", 8, 23))]
+        locals_ = [model.prepare(scn) for scn in scns]
+        res = model.forward(locals_)
+        assert not res.att_rows.any()
+        assert_scenes_match_alone(model, locals_, res)
+
+        model.zero_grad()
+        batch_loss(model, locals_)
+        map_params = [p for p in model.params()
+                      if p.name.startswith(("map.", "amap."))]
+        assert map_params
+        for p in map_params:
+            assert not p.grad.any(), p.name
+        assert all(p.grad.any() for p in model.params()
+                   if p.name.startswith("hist."))
 
     def test_minibatch_gradient_is_the_sum_of_scene_gradients(self):
         # stage 2, so that the risk gradient is written back too
