@@ -33,11 +33,9 @@ def _require_file(path: str, what: str) -> None:
 
 def _read_scenario(path: str):
     _require_file(path, "scenario file")
-    with open(path) as f:
-        try:
-            return load_scenario(f.read())
-        except ValueError as e:
-            raise CliError(f"invalid scenario {path}: {e}") from e
+    with open(path) as f:   # reading raises UnicodeDecodeError, a ValueError
+        return _checked(f"invalid scenario {path}",
+                        lambda: load_scenario(f.read()))
 
 
 def _read_dataset(data_dir: str):
@@ -52,18 +50,8 @@ def _read_dataset(data_dir: str):
 
 
 def _prediction_doc(path: str):
-    with open(path) as f:
-        try:
-            return json.load(f)
-        except ValueError as e:   # JSONDecodeError, UnicodeDecodeError
-            raise CliError(f"invalid prediction {path}: {e}") from e
-
-
-def _prediction(doc, path: str):
-    try:
-        return prediction_from_json(doc)
-    except ValueError as e:
-        raise CliError(f"invalid prediction {path}: {e}") from e
+    with open(path) as f:   # JSONDecodeError, UnicodeDecodeError
+        return _checked(f"invalid prediction {path}", json.load, f)
 
 
 def _unpredicted(scn, jp) -> list[str]:
@@ -74,10 +62,7 @@ def _unpredicted(scn, jp) -> list[str]:
 
 def _load_model(path: str) -> JointPredictor:
     _require_file(path, "model checkpoint")
-    try:
-        return JointPredictor.load(path)
-    except ValueError as e:
-        raise CliError(f"invalid checkpoint {path}: {e}") from e
+    return _checked(f"invalid checkpoint {path}", JointPredictor.load, path)
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -90,22 +75,37 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return out
 
 
+# flag -> the config key it overrides; a flag beats --set
+FLAG_KEYS = {"seed": "seed", "template": "gen.template", "count": "gen.count",
+             "n_agents": "gen.n_agents", "epochs": "train.epochs"}
+
+
 def _resolve(args) -> dict:
     overrides = _parse_overrides(args.set)
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
+    for flag, key in FLAG_KEYS.items():
+        if getattr(args, flag, None) is not None:
+            overrides[key] = getattr(args, flag)
     try:
         return cfgmod.resolve_config(args.config, overrides)
     except (KeyError, ValueError, OSError) as e:
         raise CliError(str(e)) from e
 
 
-def _checked(what: str, fn, *args):
-    """fn(*args), a ValueError ending in a CliError."""
+def _checked(what: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), a ValueError ending in a CliError."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except ValueError as e:
         raise CliError(f"{what}: {e}") from e
+
+
+def _write_json(path: str, doc, **kwargs) -> None:
+    """doc as strict JSON: a NaN or an infinity in it ends in a CliError
+    before the file is opened."""
+    text = _checked(f"cannot write {path}", lambda: json.dumps(
+        doc, allow_nan=False, **kwargs))
+    with open(path, "w") as f:
+        f.write(text)
 
 
 def _prepare_out(args, cfg: dict) -> str:
@@ -116,12 +116,6 @@ def _prepare_out(args, cfg: dict) -> str:
 
 def cmd_gen(args) -> int:
     cfg = _resolve(args)
-    if args.template is not None:
-        cfg["gen.template"] = args.template
-    if args.count is not None:
-        cfg["gen.count"] = args.count
-    if args.n_agents is not None:
-        cfg["gen.n_agents"] = args.n_agents
     if cfg["gen.count"] < 1:
         raise CliError(f"invalid config: gen.count: {cfg['gen.count']!r} "
                        f"is not >= 1")
@@ -140,17 +134,13 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve(args)
-    if args.epochs is not None:
-        cfg["train.epochs"] = args.epochs
     model_cfg = _checked("invalid config", cfgmod.model_config, cfg)
     train_cfg = _checked("invalid config", cfgmod.train_config, cfg)
     scenarios = _read_dataset(args.data)
     out = _prepare_out(args, cfg)
-    try:
-        with cfgmod.keyed(cfgmod.TRAIN_KEYS):
-            _, report = train(scenarios, model_cfg, train_cfg, out_dir=out)
-    except ValueError as e:
-        raise CliError(f"cannot train on {args.data}: {e}") from e
+    _, report = _checked(f"cannot train on {args.data}",
+                         cfgmod.keyed(cfgmod.TRAIN_KEYS)(train), scenarios,
+                         model_cfg, train_cfg, out_dir=out)
     print(f"trained {cfg['train.epochs']} epochs; "
           f"final val ADE {report.final_val_ade:.3f} m")
     return 0
@@ -164,8 +154,7 @@ def cmd_predict(args) -> int:
     jp, dists = model.predict(scn)
     doc = prediction_to_json(jp, dists)
     doc["unpredicted"] = _unpredicted(scn, jp)
-    with open(os.path.join(out, "prediction.json"), "w") as f:
-        json.dump(doc, f, sort_keys=True)
+    _write_json(os.path.join(out, "prediction.json"), doc, sort_keys=True)
     with open(os.path.join(out, "prediction.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["scenario_id", "agent_id", "mode_k", "t", "x", "y",
@@ -179,21 +168,20 @@ def cmd_risk(args) -> int:
     cfg = _resolve(args)
     scn = _read_scenario(args.scenario)
     _require_file(args.prediction, "prediction file")
-    jp = _prediction(_prediction_doc(args.prediction), args.prediction)
+    jp = _checked(f"invalid prediction {args.prediction}",
+                  prediction_from_json, _prediction_doc(args.prediction))
     risk_cfg = _checked("invalid config", cfgmod.risk_config, cfg)
     out = _prepare_out(args, cfg)
-    try:
-        order, reports = rank_trajectories(jp, scn, risk_cfg)
-    except ValueError as e:
-        raise CliError(f"cannot rank {args.prediction}: {e}") from e
+    order, reports = _checked(f"cannot rank {args.prediction}",
+                              rank_trajectories, jp, scn, risk_cfg)
     doc = {
         "scenario_id": scn.scenario_id,
         "order": order,
         "modes": [r.to_json() for r in reports],
         "unpredicted": _unpredicted(scn, jp),
     }
-    with open(os.path.join(out, "risk_report.json"), "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
+    _write_json(os.path.join(out, "risk_report.json"), doc, indent=1,
+                sort_keys=True)
     print(f"ranked {len(reports)} modes; best mode {order[0]}")
     return 0
 
@@ -219,7 +207,8 @@ def cmd_eval(args) -> int:
             # other JSON objects (a resolved_config.json) are not predictions
             doc = _prediction_doc(path)
             if isinstance(doc, dict) and "modes" in doc:
-                jp = _prediction(doc, path)
+                jp = _checked(f"invalid prediction {path}",
+                              prediction_from_json, doc)
                 by_id[jp.scenario_id] = jp
 
         def predict_fn(scn):
@@ -230,13 +219,11 @@ def cmd_eval(args) -> int:
             return jp
 
     out = _prepare_out(args, cfg)
-    try:
-        report = evaluate(predict_fn, scenarios)
-    except ValueError as e:
-        raise CliError(f"cannot evaluate "
-                       f"{args.model or args.predictions}: {e}") from e
+    report = _checked(f"cannot evaluate {args.model or args.predictions}",
+                      evaluate, predict_fn, scenarios)
+    path = os.path.join(out, "metrics.json")
+    _checked(f"cannot write {path}", report.write_json, path)
     report.write_csv(os.path.join(out, "metrics.csv"))
-    report.write_json(os.path.join(out, "metrics.json"))
     sel = report.mean("all", "model_selected", "ego", "ade")
     print(f"evaluated {len(scenarios)} scenarios; "
           f"ego ADE@{report.horizons_s[-1]}s = {sel[-1]:.3f} m")

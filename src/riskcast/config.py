@@ -2,6 +2,13 @@
 built-in defaults < RISKCAST_SEED env var < config file < command-line
 overrides. The fully resolved mapping is written next to every output for
 provenance.
+
+Defaults and keys come from the typed configs: each number or string field
+of `ModelConfig`, `TrainConfig`, `RiskConfig` and its parts is the key
+"<section>.<field>" with the field's default, and the gen.* keys are
+`generate_scenario`'s parameters with scene.py's defaults. Written out are
+only the names the configs do not give: `seed`, the split fractions, the
+region harm coefficients, the risk weights and the CLI's own gen.* keys.
 """
 
 from __future__ import annotations
@@ -10,55 +17,66 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from dataclasses import fields
 
+from .geometry import CollisionRegion
 from .model import ModelConfig
 from .risk import HarmCoefficients, RiskConfig, UncertaintyModel
-from .scene import Scenario, generate_scenario
+from .scene import (DEFAULT_DT, DEFAULT_H, DEFAULT_T, JITTER_STD, Scenario,
+                    generate_scenario)
 from .training import TrainConfig
-from .geometry import CollisionRegion
+
+
+def _scalar_fields(config) -> list[str]:
+    """The fields of a typed config that hold a number or a string."""
+    return [f.name for f in fields(config)
+            if isinstance(getattr(config, f.name), (int, float, str))]
+
+
+def _keys(section: str, config, **irregular: str) -> dict[str, str]:
+    """typed-config field -> config key: "<section>.<field>" for each
+    scalar field, unless `irregular` names its key."""
+    return {f: f"{section}.{f}" for f in _scalar_fields(config)} | irregular
+
+
+_MODEL, _TRAIN, _RISK = ModelConfig(), TrainConfig(), RiskConfig()
+MODEL_KEYS = _keys("model", _MODEL, init_seed="seed")
+TRAIN_KEYS = _keys("train", _TRAIN, seed="seed",
+                   split="train.split_train/split_val/split_test")
+UNCERTAINTY_KEYS = _keys("risk", _RISK.uncertainty)
+HARM_KEYS = _keys("risk", _RISK.harm)
+RISK_KEYS = _keys("risk", _RISK)
+GEN_KEYS = {p: f"gen.{p}"
+            for p in ("template", "n_agents", "H", "T", "dt", "jitter")}
+SPLIT_KEYS = ("train.split_train", "train.split_val", "train.split_test")
+MU_AREA_KEYS = {r: f"risk.mu_{r.value}" for r in CollisionRegion}
+WEIGHT_KEYS = ("risk.weight_s", "risk.weight_c", "risk.weight_r")
+
+
+def _defaults(config, keys: dict[str, str]) -> dict[str, object]:
+    """Each "<section>.<field>" key of a typed config with its default
+    (seed, shared by two configs, is stated in DEFAULTS itself)."""
+    return {keys[f]: getattr(config, f) for f in _scalar_fields(config)
+            if keys[f] != "seed"}
+
 
 DEFAULTS: dict[str, object] = {
-    "seed": 0,
+    "seed": _TRAIN.seed,
     "gen.template": "straight",
     "gen.count": 10,
     "gen.n_agents": 3,
-    "gen.H": 10,
-    "gen.T": 50,
-    "gen.dt": 0.1,
-    "gen.jitter": 0.05,
-    "model.embed_dim": 64,
-    "model.attention_heads": 4,
-    "model.transformer_layers": 2,
-    "model.ff_mult": 2,
-    "model.context_radius_m": 50.0,
-    "model.map_pad": 20,
-    "model.n_modes": 6,
-    "model.future_steps": 50,
-    "train.batch_size": 32,
-    "train.lr": 2e-4,
-    "train.weight_decay": 3e-4,
-    "train.epochs": 20,
-    "train.stage1_epochs": 5,
-    "train.tau": 0.5,
-    "train.mode_loss_weight": 0.5,
-    "train.val_every": 1,
-    "train.split_train": 0.7,
-    "train.split_val": 0.15,
-    "train.split_test": 0.15,
-    "risk.sigma0": 0.5,
-    "risk.growth": 0.05,
-    "risk.mu0": -6.0,
-    "risk.mu1": 0.4,
-    "risk.mu_front": 0.2,
-    "risk.mu_side": 0.8,
-    "risk.mu_rear": 0.0,
-    "risk.weight_s": 33.3,
-    "risk.weight_c": 33.3,
-    "risk.weight_r": 33.3,
-    "risk.responsiveness_scale": 1.0,
-    "risk.prob_tradeoff": 1.0,
-    "risk.protected_harm_scale": 1.0,
-    "risk.unprotected_harm_scale": 2.0,
+    "gen.H": DEFAULT_H,
+    "gen.T": DEFAULT_T,
+    "gen.dt": DEFAULT_DT,
+    "gen.jitter": JITTER_STD,
+    **_defaults(_MODEL, MODEL_KEYS),
+    **_defaults(_TRAIN, TRAIN_KEYS),
+    **dict(zip(SPLIT_KEYS, _TRAIN.split)),
+    **_defaults(_RISK.uncertainty, UNCERTAINTY_KEYS),
+    **_defaults(_RISK.harm, HARM_KEYS),
+    **{MU_AREA_KEYS[r]: mu for r, mu in _RISK.harm.mu_area.items()},
+    **dict(zip(WEIGHT_KEYS, _RISK.weights)),
+    **_defaults(_RISK, RISK_KEYS),
 }
 
 
@@ -109,7 +127,7 @@ def resolve_config(config_file: str | None = None,
 def write_resolved(cfg: dict[str, object], out_dir: str) -> None:
     path = os.path.join(out_dir, "resolved_config.json")
     with open(path, "w") as f:
-        json.dump(cfg, f, indent=1, sort_keys=True)
+        json.dump(cfg, f, indent=1, sort_keys=True, allow_nan=False)
 
 
 @contextmanager
@@ -125,41 +143,6 @@ def keyed(keys: dict[str, str]):
         raise ValueError(f"{keys[field]}:{rest}") from e
 
 
-# typed-config field -> config key
-MODEL_KEYS = {
-    "embed_dim": "model.embed_dim",
-    "attention_heads": "model.attention_heads",
-    "transformer_layers": "model.transformer_layers",
-    "ff_mult": "model.ff_mult",
-    "context_radius_m": "model.context_radius_m",
-    "map_pad": "model.map_pad",
-    "n_modes": "model.n_modes",
-    "future_steps": "model.future_steps",
-    "init_seed": "seed",
-}
-TRAIN_KEYS = {
-    "batch_size": "train.batch_size",
-    "lr": "train.lr",
-    "weight_decay": "train.weight_decay",
-    "epochs": "train.epochs",
-    "stage1_epochs": "train.stage1_epochs",
-    "tau": "train.tau",
-    "seed": "seed",
-    "mode_loss_weight": "train.mode_loss_weight",
-    "val_every": "train.val_every",
-    "split": "train.split_train/split_val/split_test",
-}
-HARM_KEYS = {"mu0": "risk.mu0", "mu1": "risk.mu1"}
-GEN_KEYS = {
-    "template": "gen.template",
-    "n_agents": "gen.n_agents",
-    "H": "gen.H",
-    "T": "gen.T",
-    "dt": "gen.dt",
-    "jitter": "gen.jitter",
-}
-
-
 def _values(cfg: dict[str, object], keys: dict[str, str]) -> dict:
     """The values of the keys that map one to one onto fields."""
     return {f: cfg[k] for f, k in keys.items() if k in cfg}
@@ -173,30 +156,18 @@ def model_config(cfg: dict[str, object]) -> ModelConfig:
 def risk_config(cfg: dict[str, object]) -> RiskConfig:
     with keyed(HARM_KEYS):
         harm = HarmCoefficients(**_values(cfg, HARM_KEYS), mu_area={
-            CollisionRegion.FRONT: cfg["risk.mu_front"],
-            CollisionRegion.SIDE: cfg["risk.mu_side"],
-            CollisionRegion.REAR: cfg["risk.mu_rear"],
-        })
+            r: cfg[k] for r, k in MU_AREA_KEYS.items()})
     return RiskConfig(
-        uncertainty=UncertaintyModel(cfg["risk.sigma0"], cfg["risk.growth"]),
-        harm=harm,
-        weights=(cfg["risk.weight_s"], cfg["risk.weight_c"],
-                 cfg["risk.weight_r"]),
-        responsiveness_scale=cfg["risk.responsiveness_scale"],
-        prob_tradeoff=cfg["risk.prob_tradeoff"],
-        protected_harm_scale=cfg["risk.protected_harm_scale"],
-        unprotected_harm_scale=cfg["risk.unprotected_harm_scale"],
-    )
+        uncertainty=UncertaintyModel(**_values(cfg, UNCERTAINTY_KEYS)),
+        harm=harm, weights=tuple(cfg[k] for k in WEIGHT_KEYS),
+        **_values(cfg, RISK_KEYS))
 
 
 def train_config(cfg: dict[str, object]) -> TrainConfig:
     risk = risk_config(cfg)
     with keyed(TRAIN_KEYS):
-        return TrainConfig(
-            **_values(cfg, TRAIN_KEYS),
-            split=(cfg["train.split_train"], cfg["train.split_val"],
-                   cfg["train.split_test"]),
-            risk=risk)
+        return TrainConfig(**_values(cfg, TRAIN_KEYS),
+                           split=tuple(cfg[k] for k in SPLIT_KEYS), risk=risk)
 
 
 def scenario(cfg: dict[str, object], i: int) -> Scenario:

@@ -127,9 +127,15 @@ class MetricsReport:
             w.writerows(rows)
 
     def write_json(self, path: str) -> None:
+        """The rows as strict JSON: a subset without a scene has null where
+        `rows()` has NaN, and any other NaN raises ValueError before the
+        file is opened."""
+        empty = dict.fromkeys((f"h{h}s" for h in self.horizons_s), None)
+        rows = [row if row["count"] else row | empty for row in self.rows()]
+        text = json.dumps({"horizons_s": self.horizons_s, "rows": rows},
+                          indent=1, sort_keys=True, allow_nan=False)
         with open(path, "w") as f:
-            json.dump({"horizons_s": self.horizons_s, "rows": self.rows()},
-                      f, indent=1, sort_keys=True)
+            f.write(text)
 
 
 def _horizon_metrics(pred: np.ndarray, truth: np.ndarray,

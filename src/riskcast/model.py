@@ -218,7 +218,8 @@ class JointPredictor(nn.Module):
         meta = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
                 "config": asdict(self.cfg)}
         arrays = {name: value for name, value, _ in self.members()}
-        arrays[_META_KEY] = np.array(json.dumps(meta, sort_keys=True))
+        arrays[_META_KEY] = np.array(
+            json.dumps(meta, sort_keys=True, allow_nan=False))
         # through a handle: given a name, np.savez would append ".npz"
         with open(path, "wb") as f:
             np.savez(f, **arrays)

@@ -561,7 +561,7 @@ def dump_scenario(scn: Scenario) -> str:
                                           road.kinds.tolist())
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
 
 
 # --------------------------------------------------------------------------
@@ -736,6 +736,9 @@ def _apply_rigid(scn: Scenario, origin: np.ndarray, angle: float) -> Scenario:
     return replace(_moved_rows(scn, move), map=scn.map.moved(waypoints))
 
 
+# a time step small enough to overflow the kinematics is reported by the
+# finiteness check at the end, not by numpy's warnings on the way
+@np.errstate(over="ignore", invalid="ignore")
 def generate_scenario(template: str, n_agents: int, seed: int,
                       H: int = DEFAULT_H, T: int = DEFAULT_T,
                       dt: float = DEFAULT_DT,
@@ -751,8 +754,9 @@ def generate_scenario(template: str, n_agents: int, seed: int,
     gets there. At t=0 the pedestrian is thus far ahead of the ego, often
     beyond a 50 m context radius, in which case `predict` drops it.
 
-    An unknown template, a negative seed, n_agents, H or T below 1, or
-    dt <= 0 raises ValueError; the message starts with "<parameter>:".
+    An unknown template, a negative seed, n_agents, H or T below 1,
+    dt <= 0, or a dt so small that the kinematics or the map are not finite
+    raises ValueError; the message starts with "<parameter>:".
     """
     if template not in TEMPLATES:
         raise ValueError(f"template: unknown template {template!r}; "
@@ -860,7 +864,11 @@ def generate_scenario(template: str, n_agents: int, seed: int,
                    template=template)
     angle = rng.uniform(0.0, 2 * math.pi)
     origin = rng.uniform(-30.0, 30.0, size=2)
-    return _apply_rigid(scn, origin, angle)
+    scn = _apply_rigid(scn, origin, angle)
+    if not all(np.isfinite(a).all()
+               for a in (scn.past, scn.future, scn.map.waypoints)):
+        raise ValueError(f"dt: {dt!r} gives non-finite kinematics")
+    return scn
 
 
 def min_future_separation(scn: Scenario) -> float:

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 import riskcast
+from riskcast import config as cfgmod
 from riskcast.cli import main
 from riskcast.intention import JointPrediction
 from riskcast.model import JointPredictor, ModelConfig, prediction_to_json
+from riskcast.risk import RiskConfig
 from riskcast.scene import dump_scenario, generate_scenario, load_scenario
 from riskcast.training import TrainConfig, split_dataset
 
@@ -288,6 +290,7 @@ BAD_GEN_VALUES = {
     "zero_count": (["--count", "0"], "gen.count"),
     "no_history": (["--set", "gen.H=0"], "gen.H"),
     "no_future": (["--set", "gen.T=0"], "gen.T"),
+    "time_step_overflows": (["--set", "gen.dt=1e-320"], "gen.dt"),
 }
 
 
@@ -300,6 +303,30 @@ class TestBadGenValues:
         assert code == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestConfigDefaults:
+    def test_cli_defaults_build_the_api_defaults(self):
+        assert cfgmod.model_config(cfgmod.DEFAULTS) == ModelConfig()
+        assert cfgmod.train_config(cfgmod.DEFAULTS) == TrainConfig()
+        assert cfgmod.risk_config(cfgmod.DEFAULTS) == RiskConfig()
+        assert cfgmod.scenario(cfgmod.DEFAULTS, 0) == generate_scenario(
+            "straight", 3, 0)
+
+    def test_count_flag_beats_set(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["gen", "--set", "gen.count=7", "--count", "4",
+                     "--out", str(out)] + TINY) == 0
+        assert len([f for f in listdir(out)
+                    if f.startswith("scenario_")]) == 4
+
+    def test_template_flag_beats_set(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["gen", "--set", "gen.template=merge", "--template",
+                     "left_turn", "--count", "1", "--out", str(out)]
+                    + TINY) == 0
+        doc = json.loads((out / "scenario_0000.json").read_text())
+        assert doc["template"] == "left_turn"
 
 
 class TestTrainData:
@@ -580,6 +607,18 @@ class TestMalformedPredictions:
         assert code == 1
         assert "exceeds trajectory length" in capsys.readouterr().err
 
+    # points 1e200 m off overflow the squared errors to inf, and numpy warns
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_eval_infinite_error_exits_1(self, tmp_path, capsys, scene):
+        doc = _truth_prediction(scene[0])
+        for agent in doc["modes"][0]["agents"]:
+            agent["points"] = [[x + 1e200, y] for x, y in agent["points"]]
+        code, _ = self._eval(tmp_path, scene[0], json.dumps(doc))
+        assert code == 1
+        assert "metrics.json: Out of range float" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "metrics.json").exists()
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+
     def test_eval_well_formed_prediction_evaluates(self, tmp_path, scene):
         code, _ = self._eval(tmp_path, scene[0],
                              json.dumps(_truth_prediction(scene[0])))
@@ -646,6 +685,28 @@ class TestPipeline:
                      str(pred_all), "--out", str(eval_dir2)] + TINY) == 0
         metrics = json.loads((eval_dir2 / "metrics.json").read_text())
         assert metrics["rows"]
+
+    def test_eval_writes_strict_json(self, tmp_path):
+        # a straight dataset leaves the conflict, LT and RT subsets empty
+        data = tmp_path / "data"
+        assert main(["gen", "--template", "straight", "--count", "2",
+                     "--out", str(data)] + TINY) == 0
+        model = tmp_path / "model.npz"
+        _tiny_checkpoint(model)
+        out = tmp_path / "eval"
+        assert main(["eval", "--data", str(data), "--model", str(model),
+                     "--out", str(out)] + TINY) == 0
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        metrics = json.loads((out / "metrics.json").read_text(),
+                             parse_constant=refuse)
+        empty = [row for row in metrics["rows"] if row["count"] == 0]
+        assert {row["subset"] for row in empty} == {"conflict", "LT", "RT"}
+        assert all(row["h1s"] is None for row in empty)
+        assert all(isinstance(row["h1s"], float) for row in metrics["rows"]
+                   if row["count"])
 
     def test_predict_reproducible_bit_exact(self, tmp_path):
         data = tmp_path / "data"
