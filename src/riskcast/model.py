@@ -245,6 +245,8 @@ class JointPredictor(nn.Module):
             if saved.dtype != np.float64:
                 raise ValueError(f"tensor {name!r}: dtype {saved.dtype}, "
                                  f"expected float64")
+            if not np.isfinite(saved).all():
+                raise ValueError(f"tensor {name!r}: non-finite values")
             value[...] = saved
         return model
 

@@ -521,9 +521,11 @@ class MultiHeadAttention(Module):
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)) without overflow: exp only ever sees -|z|."""
+    """1 / (1 + exp(-z)) without overflow: exp only ever sees -|z|, and
+    one division gives 1 / (1 + ez) where z >= 0 and ez / (1 + ez)
+    elsewhere."""
     ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -8,25 +8,41 @@ order.
 
 Pair risk. For each (mode, victim, step) the kernel takes the offsets from
 the victim's three body points (front, center, rear) to the ego's center,
-[K, M, T, 3, 2], and their lengths [K, M, T, 3], and makes one
-`disc_probability` call on all of them: the chance that an isotropic
-Gaussian (the position uncertainty of both agents combined, sqrt(2) sigma_t)
-lands within (width_victim + width_ego)/2 of the body point. The disc
-integral is the noncentral chi-square CDF, set to 0 where a Rayleigh tail
-bound proves it below 6.2e-14, with a closed-form derivative in the
-distance. The three probabilities are summed and clamped to [0, 1], giving
-the collision probability [K, M, T]. Harm [K, M, T] maps the victim's
-post-collision speed change (delta-v from the masses, speeds and collision
-angle) and the struck region (front, side or rear, from the bearing of the
-ego in the victim's frame) through the numerically stable logistic
-`nn.sigmoid`, times the victim's harm scale; the kernel keeps delta-v and
-the region too. A victim's risk is the maximum over T of harm x
-probability; the kernel keeps the argmax step.
+[K, M, T, 3, 2], and their lengths [K, M, T, 3]. `disc_probability` gives
+the chance that an isotropic Gaussian (the position uncertainty of both
+agents combined, sqrt(2) sigma_t) lands within (width_victim +
+width_ego)/2 of a body point. The disc integral is the noncentral
+chi-square CDF, set to 0 where a Rayleigh tail bound proves it below
+6.2e-14, with a closed-form derivative in the distance. The three
+probabilities are summed and clamped to [0, 1], giving the collision
+probability [K, M, T]. Harm [K, M, T] maps the victim's post-collision
+speed change (delta-v from the masses, speeds and collision angle) and the
+struck region (front, side or rear, from the bearing of the ego in the
+victim's frame) through the numerically stable logistic `nn.sigmoid`,
+times the victim's harm scale; the kernel keeps delta-v and the region too.
+A victim's risk is the maximum over T of harm x probability; the kernel
+keeps the argmax step and the summed probabilities there.
+
+The CDF gate. The CDF is most of the kernel's cost, and most steps cannot
+set a victim's risk. With alpha = dist / sigma and beta = radius / sigma,
+each disc probability is at most min(1, beta^2 / 2) exp(-max(alpha - beta,
+0)^2 / 2): the disc area times the peak Gaussian density on the disc,
+capped by the Rayleigh tail. Harm times the clamped sum of the three bounds,
+times (1 + BOUND_SLACK), bounds harm x probability at a step (`pair_bound`).
+The kernel evaluates `disc_probability` at each (mode, victim)'s
+largest-bound step, which gives a lower bound L on its risk, and then only
+at the steps whose bound is not below L; a step whose body points all lie
+beyond the tail cut has probability exactly 0 and needs no call. Every
+skipped step lies strictly below the maximum, so `risks`, `steps`, the
+boundary, the loss and the gradient are those of the full evaluation, bit
+for bit. `RiskTerms.prob_sums` and `probs`, at every step, are computed on
+first read by the full `disc_probability` call; ranking and training do not
+read them.
 
 Boundary risk. The ego's clearance to the nearest road-boundary segment,
 [K, T] from one point-to-all-segments op over [K, T, S] (the segments of the
 scene's `RoadMap` of boundaries, in polyline order), goes through a
-second `disc_probability` call (radius half the ego width, sigma_t); harm
+`disc_probability` call of its own (radius half the ego width, sigma_t); harm
 takes the ego speed as delta-v with a side impact.
 
 The safety, care and responsiveness costs then aggregate each mode's victim
@@ -51,6 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import chdtr, chndtr, i1e
@@ -141,14 +158,16 @@ def disc_probability(dist: float | np.ndarray, radius: float | np.ndarray,
     CDF series, whose cost grows with the noncentrality. A NaN distance
     stays NaN.
     """
-    alpha, beta = np.broadcast_arrays(
-        np.asarray(dist, dtype=np.float64) / sigma,
-        np.asarray(radius, dtype=np.float64) / sigma)
+    alpha = np.asarray(dist, dtype=np.float64) / sigma
+    beta = np.asarray(radius, dtype=np.float64) / sigma
+    if alpha.shape != beta.shape:
+        alpha, beta = np.broadcast_arrays(alpha, beta)
     near = ~(alpha - beta > TAIL_CUT)
     x, nc = beta[near] ** 2, alpha[near] ** 2
     p_near = chndtr(x, 2.0, nc)
     central = nc == 0.0
-    p_near[central] = chdtr(2.0, x[central])
+    if central.any():
+        p_near[central] = chdtr(2.0, x[central])
     p = np.zeros(alpha.shape)
     p[near] = np.clip(p_near, 0.0, 1.0)
     return p
@@ -267,25 +286,37 @@ def batch_from_prediction(scn: Scenario, positions: np.ndarray
 @dataclass
 class RiskTerms:
     """What `risk_kernel` computes for K modes. The M victims are the
-    agents other than the ego, in batch order."""
+    agents other than the ego, in batch order. `prob_sums` and `probs`, at
+    every step, are computed on first read; the kernel itself evaluates
+    the probabilities only where they can set a risk."""
     victim_ids: list[str]
     victims: np.ndarray        # [M] batch indices
     offsets: np.ndarray        # [K, M, T, 3, 2] ego center minus body point
     dists: np.ndarray          # [K, M, T, 3] their lengths
     radii: np.ndarray          # [M] disc radius of each pair
     pair_sigma: np.ndarray     # [T] uncertainty of the pair
-    prob_sums: np.ndarray      # [K, M, T] summed body-point probabilities
-    probs: np.ndarray          # [K, M, T] the sums clamped to [0, 1]
     delta_v: np.ndarray        # [K, M, T] victim's speed change in a collision
     region: np.ndarray         # [K, M, T] struck region, list(CollisionRegion)
     harms: np.ndarray          # [K, M, T] scaled harm borne by the victim
     risks: np.ndarray          # [K, M] max over T of harm * probability
     steps: np.ndarray          # [K, M] the step of that maximum
+    step_sums: np.ndarray      # [K, M] the summed probabilities at that step
     clearance: np.ndarray      # [K, T] ego distance to the nearest boundary
     nearest: np.ndarray        # [K, T, 2] nearest boundary point
     boundary_harm: np.ndarray  # [K, T]
     boundary: np.ndarray       # [K] boundary risk
     boundary_step: np.ndarray  # [K] the step of that maximum
+
+    @cached_property
+    def prob_sums(self) -> np.ndarray:
+        """[K, M, T] summed body-point probabilities."""
+        return disc_probability(self.dists, self.radii[:, None, None],
+                                self.pair_sigma[:, None]).sum(axis=-1)
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """[K, M, T] the sums clamped to [0, 1]."""
+        return np.minimum(self.prob_sums, 1.0)
 
 
 # RiskTerms.region indexes this list
@@ -305,20 +336,118 @@ def _clearance(points: np.ndarray, polylines: RoadMap
     ax, ay = a[:, 0], a[:, 1]
     abx, aby = b[:, 0] - ax, b[:, 1] - ay
     denom = abx * abx + aby * aby
+    proper = denom > 0.0
     px, py = points[..., 0, None], points[..., 1, None]
     rx, ry = px - ax, py - ay                                   # [..., S]
+    # s = clip((rx * abx + ry * aby) / denom, 0, 1), 0 on a degenerate
+    # segment; computed in place, each op rounding as the expression does
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(denom > 0.0,
-                     np.clip((rx * abx + ry * aby) / denom, 0.0, 1.0), 0.0)
-    cx, cy = ax + s * abx, ay + s * aby
-    dx, dy = px - cx, py - cy
-    dist = np.sqrt(dx * dx + dy * dy)
-    j = dist.argmin(axis=-1)[..., None]
+        s = rx * abx
+        s += np.multiply(ry, aby, out=ry)
+        s /= denom
+        np.clip(s, 0.0, 1.0, out=s)
+    if not proper.all():
+        s[..., ~proper] = 0.0
+    # dx = px - (ax + s * abx), and dy alike, into rx and ry
+    dx = np.subtract(px, np.add(ax, np.multiply(s, abx, out=rx), out=rx),
+                     out=rx)
+    dy = np.subtract(py, np.add(ay, np.multiply(s, aby, out=ry), out=ry),
+                     out=ry)
+    dist = np.multiply(dx, dx, out=dx)
+    dist += np.multiply(dy, dy, out=dy)
+    np.sqrt(dist, out=dist)
+    j = dist.argmin(axis=-1)
+    d_j, s_j = (np.take_along_axis(v, j[..., None], axis=-1)[..., 0]
+                for v in (dist, s))
+    # the nearest point, computed at the picked segment alone
+    return d_j, np.stack([ax[j] + s_j * abx[j], ay[j] + s_j * aby[j]],
+                         axis=-1)
 
-    def pick(v):
-        return np.take_along_axis(v, j, axis=-1)[..., 0]
 
-    return pick(dist), np.stack([pick(cx), pick(cy)], axis=-1)
+# relative slack on the pair probability bound of `_gated_risks`, far above
+# the rounding of the bound's few operations and the CDF's relative error
+# (where the bound is tight, beta -> 0 with alpha <= beta, the CDF exceeds
+# it by a few 1e-15)
+BOUND_SLACK = 1e-9
+
+
+def pair_bound(dists: np.ndarray, radii: np.ndarray, pair_sigma: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """[K, M, T] upper bound on the summed body-point probabilities, clamped
+    to 1, and [K, M, T] whether all three body points lie beyond TAIL_CUT.
+
+    With alpha = dist / sigma and beta = radius / sigma, each disc
+    probability is at most its area times the largest Gaussian density on
+    the disc, (beta^2 / 2) exp(-max(alpha - beta, 0)^2 / 2), and at most the
+    Rayleigh tail exp(-max(alpha - beta, 0)^2 / 2) that `disc_probability`
+    already uses; so at most min(1, beta^2 / 2) exp(-max(alpha - beta, 0)^2
+    / 2). Where alpha - beta > TAIL_CUT, rounded as `disc_probability`
+    rounds it, that function returns exactly 0, and so does the bound. A
+    NaN distance gives a NaN bound."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = radii[:, None] / pair_sigma                          # [M, T]
+        gap = dists / pair_sigma[:, None]
+        gap -= beta[..., None]
+        beyond = gap > TAIL_CUT
+        np.maximum(gap, 0.0, out=gap)
+        np.copyto(gap, np.inf, where=beyond)
+        gap *= gap
+        gap *= -0.5
+        np.exp(gap, out=gap)
+        # by slices: reductions over a trailing axis of 3 are slow
+        bound = gap[..., 0] + gap[..., 1]
+        bound += gap[..., 2]
+        bound *= np.minimum(0.5 * beta * beta, 1.0)
+        return (np.minimum(bound, 1.0, out=bound),
+                beyond[..., 0] & beyond[..., 1] & beyond[..., 2])
+
+
+def _gated_risks(dists: np.ndarray, radii: np.ndarray,
+                 pair_sigma: np.ndarray, harms: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[K, M] max over T of harm * probability, its first argmax step and
+    the summed probabilities there, evaluating `disc_probability` only
+    where it can set the maximum.
+
+    A step whose body points all lie beyond TAIL_CUT has a probability sum
+    of exactly 0, so its harm * probability is harm * 0.0 without the CDF.
+    At every other step, U = max(harm, 0) * pair_bound * (1 + BOUND_SLACK)
+    is at least harm * probability. The first call evaluates each
+    (mode, victim) at its largest-U step, which gives a lower bound L on
+    its risk; the second evaluates the other steps whose U is not below L
+    (a NaN U is evaluated). Every skipped step lies strictly below the
+    maximum, so the maximum and its first argmax are those of the full
+    [K, M, T] array, bit for bit."""
+    bound, beyond = pair_bound(dists, radii, pair_sigma)
+    upper = np.maximum(harms, 0.0) * bound
+    upper *= 1.0 + BOUND_SLACK
+    k_count, m_count, t_count = upper.shape
+    # flat C-order (mode, victim, step) rows of the [K, M, T] arrays
+    flat_dists, flat_harms = dists.reshape(-1, 3), harms.reshape(-1)
+    weighted = np.full(upper.size, -np.inf)
+    np.copyto(weighted, flat_harms * 0.0, where=beyond.reshape(-1))
+    sums = np.zeros(upper.size)
+
+    def evaluate(rows):
+        # one flat element per body point, so that no operand broadcasts
+        p = disc_probability(
+            flat_dists[rows].ravel(),
+            np.repeat(radii[rows // t_count % m_count], 3),
+            np.repeat(pair_sigma[rows % t_count], 3)).reshape(-1, 3)
+        p = p[:, 0] + p[:, 1] + p[:, 2]   # as sum(axis=-1) adds them
+        sums[rows] = p
+        weighted[rows] = flat_harms[rows] * np.minimum(p, 1.0)
+
+    starts = np.arange(0, upper.size, t_count)     # step 0 of each row
+    top = starts + upper.argmax(axis=-1).ravel()
+    evaluate(top)
+    rest = np.flatnonzero(~(upper < weighted[top].reshape(k_count, m_count, 1))
+                          & ~beyond)
+    evaluate(rest[rest != top[rest // t_count]])
+    weighted = weighted.reshape(upper.shape)
+    steps = weighted.argmax(axis=-1)
+    return (weighted.max(axis=-1), steps,
+            sums[starts + steps.ravel()].reshape(steps.shape))
 
 
 def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
@@ -359,9 +488,6 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
     dists = np.sqrt(ox * ox + oy * oy)
     radii = 0.5 * (batch.widths[victims] + batch.widths[ego])
     pair_sigma = math.sqrt(2.0) * sigma   # both positions uncertain
-    prob_sums = disc_probability(dists, radii[:, None, None],
-                                 pair_sigma[:, None]).sum(axis=-1)
-    probs = np.minimum(prob_sums, 1.0)
 
     # harm borne by the victims: delta-v and the struck region
     # matmul rounds the dot product as `@` on two vectors does
@@ -383,8 +509,7 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
                                      in PROTECTED_CLASSES) for i in victims])
     harms = nn.sigmoid(coeffs.mu0 + coeffs.mu1 * dv + mu_area[region]) \
         * scale[:, None]
-    weighted = harms * probs
-    steps = weighted.argmax(axis=-1)
+    risks, steps, step_sums = _gated_risks(dists, radii, pair_sigma, harms)
 
     # boundary: an immovable partner, delta-v the ego speed, side impact
     clearance = np.full((k_count, t_count), np.inf)
@@ -399,10 +524,9 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
 
     return RiskTerms(
         [batch.agent_ids[i] for i in victims], victims,
-        np.stack([ox, oy], axis=-1), dists, radii, pair_sigma, prob_sums,
-        probs, dv, region, harms, weighted.max(axis=-1), steps, clearance,
-        nearest, boundary_harm, b_weighted.max(axis=-1),
-        b_weighted.argmax(axis=-1))
+        np.stack([ox, oy], axis=-1), dists, radii, pair_sigma, dv, region,
+        harms, risks, steps, step_sums, clearance, nearest, boundary_harm,
+        b_weighted.max(axis=-1), b_weighted.argmax(axis=-1))
 
 
 def boundary_risk(batch: MotionBatch, ego: int, boundaries: RoadMap,
@@ -543,7 +667,8 @@ def risk_loss_and_grad(trajs: np.ndarray, scn: Scenario, ego_index: int,
     Harm factors, struck regions and the argmax steps are treated as
     constants; the gradient flows through the collision probabilities at
     each victim's argmax step (where the probability sum is unclamped) and
-    through the boundary clearance at its argmax step.
+    through the boundary clearance at its argmax step. A loss or gradient
+    that is not finite raises ValueError naming the scenario.
     """
     batch = batch_from_prediction(scn, trajs[None])
     terms = risk_kernel(batch, ego_index, _road_boundaries(scn), cfg)
@@ -558,7 +683,7 @@ def risk_loss_and_grad(trajs: np.ndarray, scn: Scenario, ego_index: int,
         dl_drisk = (w_s / (2.0 * m) + w_c * 2.0 * sign_sum / m
                     + w_r * cfg.responsiveness_scale)
         rows, t = np.arange(m), terms.steps[0]
-        live = (risks > 0.0) & (terms.prob_sums[0, rows, t] < 1.0)
+        live = (risks > 0.0) & (terms.step_sums[0] < 1.0)
         rows, t = rows[live], t[live]
         dists = terms.dists[0, rows, t]                           # [L, 3]
         dp = disc_probability_ddist(dists, terms.radii[rows, None],
@@ -584,4 +709,7 @@ def risk_loss_and_grad(trajs: np.ndarray, scn: Scenario, ego_index: int,
             grad[ego_index, t] += \
                 dl_drb * terms.boundary_harm[0, t] * dp * direction
 
+    if not (math.isfinite(l_risk) and np.isfinite(grad).all()):
+        raise ValueError(f"scenario {scn.scenario_id!r}: the risk loss "
+                         f"{l_risk!r} or its gradient is not finite")
     return l_risk, grad

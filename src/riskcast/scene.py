@@ -46,6 +46,7 @@ writes an integral value such as ``3`` as ``3.0``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -476,11 +477,11 @@ def _items(value: list, items: dict, path: str):
     read = _ROW_READERS.get(id(items))
     if read is not None:
         try:
-            rows = [read(item) for item in value]
+            rows = list(map(read, value))
         except (KeyError, TypeError):
             rows = None
-        if rows is not None and all(type(v) is float
-                                    for row in rows for v in row):
+        if rows is not None and set(map(
+                type, itertools.chain.from_iterable(rows))) <= {float}:
             kin = np.array(rows, dtype=np.float64)
             if np.isfinite(kin).all():
                 return kin
@@ -607,17 +608,19 @@ class _TurnPath(_Path):
     def pos(self, s):
         if s <= self.s_turn or self.kappa == 0.0:
             return self.line.pos(s)
-        ds = s - self.s_turn
-        th0, k = self.line.theta, self.kappa
-        th = th0 + k * ds
+        th0, k, th = self.line.theta, self.kappa, self.heading(s)
         dx = (math.sin(th) - math.sin(th0)) / k
         dy = -(math.cos(th) - math.cos(th0)) / k
         return self.anchor + np.array([dx, dy])
 
     def heading(self, s):
+        """The heading at arc length s; NaN where the turn angle overflows
+        (a curvature from a vanishing time step), which math.sin and
+        math.cos pass through."""
         if s <= self.s_turn:
             return self.line.theta
-        return self.line.theta + self.kappa * (s - self.s_turn)
+        th = self.line.theta + self.kappa * (s - self.s_turn)
+        return th if math.isfinite(th) else math.nan
 
 
 class _LaneChangePath(_Path):

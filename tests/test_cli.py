@@ -17,7 +17,8 @@ from riskcast.cli import main
 from riskcast.intention import JointPrediction
 from riskcast.model import JointPredictor, ModelConfig, prediction_to_json
 from riskcast.risk import RiskConfig
-from riskcast.scene import dump_scenario, generate_scenario, load_scenario
+from riskcast.scene import (TEMPLATES, dump_scenario, generate_scenario,
+                            load_scenario)
 from riskcast.training import TrainConfig, split_dataset
 
 TINY = [
@@ -199,6 +200,25 @@ class TestBadInputs:
         assert code == 1
         assert "invalid checkpoint" in capsys.readouterr().err
 
+    def test_non_finite_checkpoint_exits_1(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(dump_scenario(
+            generate_scenario("straight", 3, seed=0, H=4, T=10)))
+        ckpt = tmp_path / "model.ckpt"
+        _tiny_checkpoint(ckpt)
+        with np.load(ckpt) as npz:
+            arrays = {k: npz[k] if k == "__meta__" else np.full_like(
+                npz[k], np.nan) for k in npz.files}
+        with open(ckpt, "wb") as f:
+            np.savez(f, **arrays)
+        code = main(["predict", "--model", str(ckpt), "--scenario",
+                     str(scenario), "--out", str(tmp_path / "o")] + TINY)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid checkpoint")
+        assert "non-finite values" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_repeated_agent_id_exits_1(self, tmp_path, capsys):
         doc = json.loads(dump_scenario(
             generate_scenario("straight", 3, seed=1, H=4, T=10)))
@@ -291,6 +311,9 @@ BAD_GEN_VALUES = {
     "no_history": (["--set", "gen.H=0"], "gen.H"),
     "no_future": (["--set", "gen.T=0"], "gen.T"),
     "time_step_overflows": (["--set", "gen.dt=1e-320"], "gen.dt"),
+    **{f"time_step_{dt}_{template}": (["--template", template,
+                                       "--set", f"gen.dt={dt}"], "gen.dt")
+       for template in TEMPLATES for dt in ("1e-320", "5e-324")},
 }
 
 
@@ -347,6 +370,26 @@ class TestTrainData:
         assert code == 1
         err = capsys.readouterr().err
         assert repr(doc["scenario_id"]) in err and "future" in err
+        assert not (out / "checkpoint.npz").exists()
+
+    # a step of 1e-300 s overflows the generated velocities, so every risk
+    # is NaN; numpy warns of the overflow and of the invalid values
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:"
+                                "RuntimeWarning")
+    def test_non_finite_risk_loss_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen", "--count", "3", "--set", "gen.dt=1e-300",
+                     "--out", str(data)] + TINY) == 0
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = main(["train", "--data", str(data), "--out", str(out),
+                     "--epochs", "1", "--set", "train.stage1_epochs=0"]
+                    + TINY)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot train on ")
+        assert "scenario 'straight-" in err and "risk loss nan" in err
         assert not (out / "checkpoint.npz").exists()
 
 

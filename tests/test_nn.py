@@ -405,7 +405,25 @@ def masked_scatter_sigmoid(x):
     return out
 
 
+def two_branch_sigmoid(x):
+    """The sigmoid with one division per branch, both branches evaluated:
+    1 / (1 + exp(-|x|)) where x >= 0 and exp(-|x|) / (1 + exp(-|x|))
+    elsewhere."""
+    ez = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
 class TestSigmoid:
+    def test_bit_equal_to_two_branch_form(self):
+        rng = nn.seeded_rng(1)
+        x = np.concatenate([
+            rng.normal(scale=3.0, size=100_000),
+            rng.uniform(-800.0, 800.0, size=100_000),
+            [0.0, -0.0, 800.0, -800.0, 1e308, -1e308, np.inf, -np.inf,
+             np.nextafter(0.0, 1.0), -np.nextafter(0.0, 1.0), np.nan]])
+        got, want = nn.sigmoid(x), two_branch_sigmoid(x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_bit_equal_to_masked_scatter_form(self):
         rng = nn.seeded_rng(0)
         x = np.concatenate([

@@ -1,8 +1,9 @@
 """The batched risk kernel against the scalar per-step reference on model
 predictions (risks, boundary risk, costs, order, training loss, delta-v and
 struck region, and every step's collision probability and harm), the tail
-gate of the disc probability, the join of predictions to scenes by agent
-id, and invariances of predict -> rank_trajectories."""
+gate of the disc probability, the bound that gates the kernel's pair
+probabilities, the join of predictions to scenes by agent id, and
+invariances of predict -> rank_trajectories."""
 
 import math
 from dataclasses import replace
@@ -12,14 +13,15 @@ import pytest
 from scipy.special import chndtr
 from scipy.stats import ncx2
 
+from riskcast import risk
 from riskcast.geometry import (CollisionRegion, collision_angle,
                                collision_region)
 from riskcast.intention import select_mode
 from riskcast.model import JointPredictor, ModelConfig
-from riskcast.risk import (REGIONS, TAIL_CUT, RiskConfig, _road_boundaries,
-                           batch_from_prediction, care_cost,
+from riskcast.risk import (BOUND_SLACK, REGIONS, TAIL_CUT, RiskConfig,
+                           _road_boundaries, batch_from_prediction, care_cost,
                            collision_probability, delta_v, disc_probability,
-                           harm, pair_harm, rank_trajectories,
+                           harm, pair_bound, pair_harm, rank_trajectories,
                            responsiveness_cost, risk_kernel,
                            risk_loss_and_grad, safety_cost, total_risk_cost)
 from riskcast.scene import _apply_rigid, generate_scenario
@@ -171,6 +173,66 @@ def test_gated_disc_probability_matches_ncx2(model, template, n, seed):
     assert 0.0 < (terms.dists / terms.pair_sigma[:, None]
                   - terms.radii[:, None, None] / terms.pair_sigma[:, None]
                   > TAIL_CUT).mean() < 1.0
+
+
+def test_pair_bound_holds():
+    """disc_probability <= pair_bound * (1 + BOUND_SLACK) with beta down to
+    1e-8, alpha <= beta, and alpha - beta up to past TAIL_CUT; the other
+    two body points are out of reach, so the bound is of one disc."""
+    beta = np.logspace(-8.0, 1.7, 80)[:, None]
+    alpha = np.concatenate([beta * np.linspace(0.0, 1.0, 21),
+                            beta + np.linspace(0.0, TAIL_CUT + 0.5, 120)],
+                           axis=1)
+    beta = np.broadcast_to(beta, alpha.shape).ravel()
+    alpha = alpha.ravel()
+    dists = np.full((1, alpha.size, 1, 3), np.inf)
+    dists[0, :, 0, 0] = alpha
+    bound = pair_bound(dists, beta, np.array([1.0]))[0][0, :, 0]
+    p = disc_probability(alpha, beta, 1.0)
+    assert (p <= bound * (1.0 + BOUND_SLACK)).all()
+    # the bound is tight to rounding where beta -> 0 and alpha <= beta, so
+    # the slack is needed there
+    tiny = (beta < 1e-6) & (alpha <= beta)
+    assert (p[tiny] / bound[tiny]).max() == pytest.approx(1.0, abs=1e-12)
+    # exactly 0 where disc_probability is, past TAIL_CUT
+    assert (bound[alpha - beta > TAIL_CUT] == 0.0).all()
+
+
+# the parity scenes and the benchmark's normal and conflict templates
+GATE_SCENES = PARITY_SCENES + [
+    (template, n, 5) for template in ("straight", "left_turn", "right_turn",
+                                      "merge", "crossing_conflict")
+    for n in (3, 8, 16)]
+
+
+@pytest.mark.parametrize("template,n,seed", GATE_SCENES)
+def test_gated_risks_are_the_full_maximum(model, template, n, seed):
+    scn = generate_scenario(template, n, seed)
+    jp = with_truth_mode(model.predict(scn)[0], scn)
+    _, terms = kernel_terms(jp, scn, RiskConfig())
+    weighted = terms.harms * terms.probs
+    assert np.array_equal(terms.steps, weighted.argmax(axis=-1))
+    assert np.array_equal(terms.risks.view(np.int64),
+                          weighted.max(axis=-1).view(np.int64))
+    assert np.array_equal(terms.step_sums, np.take_along_axis(
+        terms.prob_sums, terms.steps[..., None], axis=-1)[..., 0])
+
+
+def test_gate_skips_pair_probabilities(model, monkeypatch):
+    scn = generate_scenario("merge", 8, seed=1)
+    jp, _ = model.predict(scn)
+    sizes = []
+
+    def counted(dist, radius, sigma):
+        sizes.append(np.size(dist))
+        return disc_probability(dist, radius, sigma)
+
+    monkeypatch.setattr(risk, "disc_probability", counted)
+    rank_trajectories(jp, scn)
+    k, n, t, _ = jp.trajectories.shape
+    # two pair calls and the boundary call, which is not gated
+    assert len(sizes) == 3 and sizes[2] == k * t
+    assert 0 < sizes[0] + sizes[1] < 0.5 * k * (n - 1) * t * 3
 
 
 @pytest.mark.parametrize("template,n,seed", PARITY_SCENES)
