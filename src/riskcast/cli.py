@@ -109,7 +109,10 @@ def _write_json(path: str, doc, **kwargs) -> None:
 
 
 def _prepare_out(args, cfg: dict) -> str:
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except FileExistsError as e:   # exist_ok spares only a directory
+        raise CliError(f"output directory is a file: {args.out}") from e
     cfgmod.write_resolved(cfg, args.out)
     return args.out
 
@@ -201,7 +204,7 @@ def cmd_eval(args) -> int:
         if not os.path.isdir(args.predictions):
             raise CliError(
                 f"predictions directory not found: {args.predictions}")
-        by_id = {}
+        by_id, files = {}, {}
         for path in sorted(glob.glob(os.path.join(args.predictions,
                                                   "*.json"))):
             # other JSON objects (a resolved_config.json) are not predictions
@@ -209,7 +212,11 @@ def cmd_eval(args) -> int:
             if isinstance(doc, dict) and "modes" in doc:
                 jp = _checked(f"invalid prediction {path}",
                               prediction_from_json, doc)
-                by_id[jp.scenario_id] = jp
+                if jp.scenario_id in files:
+                    raise CliError(
+                        f"{files[jp.scenario_id]} and {path} both predict "
+                        f"scenario {jp.scenario_id!r}")
+                by_id[jp.scenario_id], files[jp.scenario_id] = jp, path
 
         def predict_fn(scn):
             jp = by_id.get(scn.scenario_id)

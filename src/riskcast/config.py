@@ -113,6 +113,9 @@ def resolve_config(config_file: str | None = None,
     if config_file is not None:
         with open(config_file) as f:
             file_cfg = json.load(f)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {config_file}: expected a JSON "
+                             f"object of config keys")
         for key, value in file_cfg.items():
             if key not in DEFAULTS:
                 raise KeyError(f"unknown config key {key!r}")

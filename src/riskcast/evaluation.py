@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import norm2
 from .intention import JointPrediction, label_intentions, select_mode
-from .scene import AgentHistory, Scenario
+from .scene import Scenario
 
 SUBSETS = ("all", "normal", "conflict", "LT", "ST", "RT")
 ESTIMATORS = ("model_selected", "model_best", "cv")
@@ -51,12 +51,12 @@ def fde(pred: np.ndarray, truth: np.ndarray, horizon_steps: int) -> float:
     return float(np.linalg.norm(d))
 
 
-def constant_velocity_baseline(history: AgentHistory, horizon: int,
+def constant_velocity_baseline(past: np.ndarray, horizon: int,
                                dt: float) -> np.ndarray:
-    """Extrapolate the last observed velocity; a single-state history holds
-    position."""
-    last = history.past[-1]
-    v = last[3:] if len(history.past) > 1 else np.zeros(2)
+    """Extrapolate the last observed velocity of one agent's past [S, 5];
+    a single-state past holds position."""
+    last = past[-1]
+    v = last[3:] if len(past) > 1 else np.zeros(2)
     steps = np.arange(1, horizon + 1)[:, None]
     return last[None, :2] + v[None, :] * dt * steps
 

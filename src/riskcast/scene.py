@@ -15,15 +15,14 @@ them as arrays whose row i is agent i (``AGENT_FIELDS``):
   ``[P]`` as indices into ``POLYLINE_KINDS``. Its segments, in polyline then
   waypoint order, are the nearest-boundary search space of the risk kernel.
 
-Every stage reads slices of these arrays: ``Scenario.take`` selects and
-reorders agents, ``Scenario.prediction_rows`` joins a prediction to rows by
-agent id, and clearing ``has_future`` drops the futures. ``AgentHistory``,
-``AgentState`` and ``MapPolyline`` appear only at the boundary, for fixtures
-and tests: ``Scenario.from_agents``, ``AgentHistory.from_states`` and
-``RoadMap.from_polylines`` build scenes from them, and ``Scenario.agents``,
-``AgentHistory.current`` and iterating a ``RoadMap`` build them on demand.
-Every stage transforms scenes as array operations that round as the
-per-state code they replaced did.
+These arrays are the scene's only form. Every stage reads slices of them:
+``Scenario.take`` selects and reorders agents, ``Scenario.prediction_rows``
+joins a prediction to rows by agent id, and clearing ``has_future`` drops
+the futures. A map is built from (waypoints, kind) pairs by
+``RoadMap.padded``. Every stage transforms scenes as array operations that
+round as the per-state code they replaced did; ``Scenario.state`` is the
+bridge to that code, one agent's state as a scalar ``AgentState`` for the
+per-state references kept as test oracles.
 
 The generator produces kinematically consistent trajectories: velocities are
 recomputed from the jittered positions, so position(t+1) = position(t) +
@@ -51,7 +50,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -88,37 +87,11 @@ class ScenarioError(ValueError):
 
 
 @dataclass
-class MapPolyline:
-    """One polyline at the boundary: input of ``RoadMap.from_polylines``
-    and what iterating a ``RoadMap`` yields."""
-    waypoints: np.ndarray  # [n, 2]
-    kind: str = "lane_center"
-
-    def __post_init__(self):
-        self.waypoints = np.asarray(self.waypoints, dtype=np.float64)
-        if self.waypoints.ndim != 2 or self.waypoints.shape[1] != 2:
-            raise ScenarioError("polyline waypoints must be an [n, 2] array")
-        if self.waypoints.shape[0] < 2:
-            raise ScenarioError("polyline needs at least 2 waypoints")
-        if self.kind not in POLYLINE_KINDS:
-            raise ScenarioError(f"unknown polyline kind {self.kind!r}")
-
-    def __eq__(self, other):
-        return (isinstance(other, MapPolyline) and self.kind == other.kind
-                and np.array_equal(self.waypoints, other.waypoints))
-
-
-@dataclass
 class RoadMap:
     """All polylines of a scene as one zero-padded waypoint array."""
     waypoints: np.ndarray  # [P, W, 2], zero past each count
     counts: np.ndarray     # [P] waypoints per polyline, each >= 2
     kinds: np.ndarray      # [P] indices into POLYLINE_KINDS
-
-    @classmethod
-    def from_polylines(cls, polylines: list[MapPolyline]) -> "RoadMap":
-        return cls.padded([p.waypoints for p in polylines],
-                          [p.kind for p in polylines])
 
     @classmethod
     def padded(cls, waypoints: list[np.ndarray], kinds: list[str]
@@ -139,10 +112,6 @@ class RoadMap:
 
     def __len__(self) -> int:
         return len(self.counts)
-
-    def __iter__(self):
-        for wp, n, k in zip(self.waypoints, self.counts, self.kinds):
-            yield MapPolyline(wp[:n], POLYLINE_KINDS[k])
 
     def __eq__(self, other):
         return (isinstance(other, RoadMap)
@@ -171,64 +140,6 @@ class RoadMap:
         return self.waypoints[:, :-1][real], self.waypoints[:, 1:][real]
 
 
-def _kinematics(kin, what: str) -> np.ndarray:
-    kin = np.asarray(kin, dtype=np.float64)
-    if kin.ndim != 2 or kin.shape[1] != len(KINEMATICS) or len(kin) < 1:
-        raise ScenarioError(f"{what} must be a non-empty [n, 5] array")
-    return kin
-
-
-@dataclass
-class AgentHistory:
-    """One agent at the boundary: static attributes plus past [H+1, 5] and
-    future [T, 5] or None kinematics (x, y, yaw, vx, vy); the last past row
-    is "now"."""
-    agent_id: str
-    agent_class: str
-    length: float
-    width: float
-    mass: float
-    past: np.ndarray
-    future: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.agent_class not in AGENT_CLASSES:
-            raise ScenarioError(f"unknown agent class {self.agent_class!r}")
-        if self.length <= 0 or self.width <= 0 or self.mass <= 0:
-            raise ScenarioError("length, width and mass must be positive")
-        self.past = _kinematics(self.past, "past")
-        if self.future is not None:
-            self.future = _kinematics(self.future, "future")
-
-    @classmethod
-    def from_states(cls, agent_id: str, states: list[AgentState],
-                    future: list[AgentState] | None = None
-                    ) -> "AgentHistory":
-        """An agent from AgentState lists; the static attributes are the
-        last past state's."""
-        def rows(seq):
-            return [(s.x, s.y, s.yaw, s.vx, s.vy) for s in seq]
-
-        cur = states[-1]
-        return cls(agent_id, cur.agent_class, cur.length, cur.width,
-                   cur.mass, rows(states), rows(future) if future else None)
-
-    @property
-    def current(self) -> AgentState:
-        return AgentState(*self.past[-1].tolist(), self.length, self.width,
-                          self.mass, self.agent_class)
-
-    def __eq__(self, other):
-        def static(a):
-            return a.agent_id, a.agent_class, a.length, a.width, a.mass
-
-        # np.array_equal(None, None) holds, None against an array does not
-        return (isinstance(other, AgentHistory)
-                and static(self) == static(other)
-                and np.array_equal(self.past, other.past)
-                and np.array_equal(self.future, other.future))
-
-
 @dataclass
 class Scenario:
     """A scene's agents, as the arrays of AGENT_FIELDS, and its map."""
@@ -246,29 +157,6 @@ class Scenario:
     scenario_id: str = ""
     template: str = ""
 
-    @classmethod
-    def from_agents(cls, agents: list[AgentHistory], road_map: RoadMap,
-                    horizon_past: int, horizon_future: int, *args
-                    ) -> "Scenario":
-        """A scene of AgentHistory objects, pasts of H+1 rows and futures of
-        T rows or None; `args` are the fields after horizon_future."""
-        return cls(*_agent_arrays([astuple(a) for a in agents],
-                                  horizon_future),
-                   road_map, horizon_past, horizon_future, *args)
-
-    @property
-    def agents(self) -> list[AgentHistory]:
-        """Every row as an AgentHistory, whose arrays are views of the
-        scene's."""
-        return [AgentHistory(*static, *dims, past, future if has else None)
-                for *static, dims, past, future, has in zip(
-                    self.agent_ids, self.agent_classes, self.dims.tolist(),
-                    self.past, self.future, self.has_future)]
-
-    @property
-    def ego(self) -> AgentHistory:
-        return self.agents[self.ego_index]
-
     @property
     def ego_id(self) -> str:
         return self.agent_ids[self.ego_index]
@@ -280,8 +168,10 @@ class Scenario:
             raise KeyError(f"unknown agent_id {agent_id!r}")
         return int(hits[0])
 
-    def agent_by_id(self, agent_id: str) -> AgentHistory:
-        return self.agents[self.row(agent_id)]
+    def state(self, i: int, t: int = -1) -> AgentState:
+        """Agent i at past step t, as the per-state references take it."""
+        return AgentState(*self.past[i, t].tolist(), *self.dims[i].tolist(),
+                          self.agent_classes[i])
 
     def prediction_rows(self, agent_ids: list[str]) -> np.ndarray:
         """The rows a prediction covers, in its order, joined by agent id.
@@ -690,16 +580,15 @@ def _roll_agent(spec: _AgentSpec, H: int, T: int, dt: float,
 
 def _sample_polyline(path: _Path, s_lo: float, s_hi: float, kind: str,
                      offset: float = 0.0, spacing: float = 3.0
-                     ) -> list[MapPolyline]:
+                     ) -> list[tuple[np.ndarray, str]]:
+    """(waypoints, kind) pairs along the path from s_lo to s_hi, chunks of
+    at most MAX_POLYLINE_POINTS waypoints that share their end points; each
+    chunk starts before the last point, so it has at least two."""
     n = max(int(math.ceil((s_hi - s_lo) / spacing)) + 1, 2)
     ss = np.linspace(s_lo, s_hi, n)
     pts = np.array([path.pos(s) + offset * path.normal(s) for s in ss])
-    out = []
-    for lo in range(0, len(pts) - 1, MAX_POLYLINE_POINTS - 1):
-        chunk = pts[lo:lo + MAX_POLYLINE_POINTS]
-        if len(chunk) >= 2:
-            out.append(MapPolyline(chunk, kind))
-    return out
+    return [(pts[lo:lo + MAX_POLYLINE_POINTS], kind)
+            for lo in range(0, len(pts) - 1, MAX_POLYLINE_POINTS - 1)]
 
 
 def _rotated_rows(kin: np.ndarray, angle: float) -> np.ndarray:
@@ -773,7 +662,7 @@ def generate_scenario(template: str, n_agents: int, seed: int,
     rng = np.random.default_rng(seed)
     total_time = (H + T) * dt
     specs: list[_AgentSpec] = []
-    polys: list[MapPolyline] = []
+    polys: list[tuple[np.ndarray, str]] = []
 
     def lane_neighbor(idx: int, theta: float = 0.0) -> _AgentSpec:
         lat = rng.choice([-LANE_WIDTH, LANE_WIDTH, 2 * LANE_WIDTH])
@@ -857,12 +746,11 @@ def generate_scenario(template: str, n_agents: int, seed: int,
         polys += _sample_polyline(cross_path, -5.0,
                                   v_c * (t_star + 2.0 + H * dt) + 8.0,
                                   "lane_center")
-        polys.append(MapPolyline(
-            np.array([[x_ped, -4.5], [x_ped, 0.0], [x_ped, 4.5]]),
-            "crosswalk"))
+        polys.append((np.array([[x_ped, -4.5], [x_ped, 0.0], [x_ped, 4.5]]),
+                      "crosswalk"))
 
     agents = [_roll_agent(spec, H, T, dt, rng, jitter) for spec in specs]
-    scn = Scenario(*_agent_arrays(agents, T), RoadMap.from_polylines(polys),
+    scn = Scenario(*_agent_arrays(agents, T), RoadMap.padded(*zip(*polys)),
                    H, T, dt, ego_index=0, scenario_id=f"{template}-{seed}",
                    template=template)
     angle = rng.uniform(0.0, 2 * math.pi)

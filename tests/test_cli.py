@@ -302,6 +302,44 @@ class TestBadConfigValues:
         if code:
             assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", '"seed"'])
+    def test_config_file_not_an_object_exits_1(self, tmp_path, capsys,
+                                               text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "o"
+        code = main(["gen", "--count", "1", "--config", str(cfg_path),
+                     "--out", str(out)] + TINY)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: config file {cfg_path}: expected a JSON object")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "predict", "risk",
+                                     "eval"])
+def test_out_naming_a_file_exits_1(tmp_path, capsys, tiny_data, command):
+    scenario = str(tiny_data / "scenario_0000.json")
+    model = tmp_path / "model.ckpt"
+    _tiny_checkpoint(model)
+    pred = tmp_path / "pred"
+    assert main(["predict", "--model", str(model), "--scenario", scenario,
+                 "--out", str(pred)] + TINY) == 0
+    inputs = {"gen": ["--count", "1"],
+              "train": ["--data", str(tiny_data)],
+              "predict": ["--model", str(model), "--scenario", scenario],
+              "risk": ["--scenario", scenario,
+                       "--prediction", str(pred / "prediction.json")],
+              "eval": ["--data", str(tiny_data), "--model", str(model)]}
+    out = tmp_path / "out.txt"
+    out.write_text("kept")
+    capsys.readouterr()
+    code = main([command, "--out", str(out)] + inputs[command] + TINY)
+    assert code == 1
+    assert capsys.readouterr().err == \
+        f"error: output directory is a file: {out}\n"
+    assert out.read_text() == "kept"
+
 
 # gen values that must end in a CliError naming their key, before any file
 # is written: (extra arguments, the config key)
@@ -466,7 +504,7 @@ class TestRisk:
         assert doc["unpredicted"] == dropped
         predicted = {a["id"] for a in doc["modes"][0]["agents"]}
         assert predicted.isdisjoint(dropped)
-        assert predicted | set(dropped) == {a.agent_id for a in scn.agents}
+        assert predicted | set(dropped) == set(scn.agent_ids)
 
     # a step of 1e-300 s overflows the generated velocities; numpy warns of
     # the overflow and of the invalid values it leads to, the NaN risks
@@ -503,9 +541,9 @@ class TestRisk:
 
 def _truth_prediction(scn):
     """A two-mode prediction.json document made of the scene's futures."""
-    truth = np.array([a.future[:, :2] for a in scn.agents])
+    truth = scn.future[:, :, :2]
     jp = JointPrediction(np.stack([truth, truth + 0.5]), np.array([0.6, 0.4]),
-                         [a.agent_id for a in scn.agents], scn.scenario_id)
+                         scn.agent_ids.tolist(), scn.scenario_id)
     return json.loads(json.dumps(prediction_to_json(jp, [])))
 
 
@@ -635,7 +673,7 @@ class TestMalformedPredictions:
         doc = _truth_prediction(scene[0])
         for mode in doc["modes"]:
             mode["agents"] = [a for a in mode["agents"]
-                              if a["id"] != scene[0].ego.agent_id]
+                              if a["id"] != scene[0].ego_id]
         code, _ = self._eval(tmp_path, scene[0], json.dumps(doc))
         assert code == 1
         assert "no prediction for the ego" in capsys.readouterr().err
@@ -666,6 +704,25 @@ class TestMalformedPredictions:
         code, _ = self._eval(tmp_path, scene[0],
                              json.dumps(_truth_prediction(scene[0])))
         assert code == 0
+
+    def test_eval_repeated_scenario_id_exits_1(self, tmp_path, capsys,
+                                               scene):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "scenario_0000.json").write_text(dump_scenario(scene[0]))
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        text = json.dumps(_truth_prediction(scene[0]))
+        for name in ("p0.json", "p1.json"):
+            (preds / name).write_text(text)
+        out = tmp_path / "eval"
+        code = main(["eval", "--data", str(data), "--predictions",
+                     str(preds), "--out", str(out)] + TINY)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {preds / 'p0.json'} and {preds / 'p1.json'} both "
+            f"predict scenario {scene[0].scenario_id!r}\n")
+        assert not out.exists()
 
 
 class TestPipeline:

@@ -8,10 +8,10 @@ import pytest
 from riskcast.evaluation import (ESTIMATORS, MetricsReport, ade,
                                  constant_velocity_baseline,
                                  constant_velocity_baselines, evaluate, fde)
-from riskcast.geometry import AgentState, rotation
+from riskcast.geometry import rotation
 from riskcast.intention import JointPrediction, label_intentions, select_mode
 from riskcast.model import JointPredictor, ModelConfig
-from riskcast.scene import AgentHistory, generate_scenario
+from riskcast.scene import generate_scenario
 
 
 class TestAde:
@@ -83,27 +83,25 @@ class TestRigidInvariance:
 
 class TestBaseline:
     def history(self, v, n=5, dt=0.1):
-        states = [AgentState(v * dt * t, 0.0, 0.0, v, 0.0)
-                  for t in range(n)]
-        return AgentHistory.from_states("a", states)
+        return np.array([(v * dt * t, 0.0, 0.0, v, 0.0) for t in range(n)])
 
     def test_constant_velocity_truth_gives_zero(self):
         h = self.history(v=4.0)
         pred = constant_velocity_baseline(h, horizon=10, dt=0.1)
-        truth = np.array([[h.current.x + 4.0 * 0.1 * t, 0.0]
+        truth = np.array([[h[-1, 0] + 4.0 * 0.1 * t, 0.0]
                           for t in range(1, 11)])
         assert ade(pred, truth, 10) == pytest.approx(0.0, abs=1e-12)
 
     def test_turning_truth_gives_error(self):
         scn = generate_scenario("left_turn", 1, seed=2)
-        truth = scn.ego.future[:, :2]
-        pred = constant_velocity_baseline(scn.ego, len(truth), scn.dt)
+        truth = scn.future[scn.ego_index, :, :2]
+        pred = constant_velocity_baseline(scn.past[scn.ego_index], len(truth),
+                                          scn.dt)
         assert ade(pred, truth, len(truth)) > 0.5
 
     def test_single_state_holds_position(self):
-        st = AgentState(3.0, 4.0, 0.0, 9.0, 0.0)
-        pred = constant_velocity_baseline(AgentHistory.from_states("a", [st]),
-                                          5, 0.1)
+        pred = constant_velocity_baseline(np.array([[3.0, 4.0, 0.0, 9.0,
+                                                     0.0]]), 5, 0.1)
         assert np.allclose(pred, [[3.0, 4.0]] * 5)
 
     def test_deterministic(self):
@@ -114,25 +112,18 @@ class TestBaseline:
 
     def test_all_agents_at_once_equal_each_agent(self):
         scn = generate_scenario("merge", 8, seed=4)
-        single = AgentHistory.from_states(
-            "s", [AgentState(3.0, 4.0, 0.5, -2.0, 7.0)])
-        for agents, dt in ((scn.agents, scn.dt), (scn.agents, 0.3),
-                           ([single], 0.1)):
-            want = np.array([constant_velocity_baseline(a, 17, dt)
-                             for a in agents])
-            past = np.array([a.past for a in agents])
+        single = np.array([[[3.0, 4.0, 0.5, -2.0, 7.0]]])
+        for past, dt in ((scn.past, scn.dt), (scn.past, 0.3), (single, 0.1)):
+            want = np.array([constant_velocity_baseline(p, 17, dt)
+                             for p in past])
             assert np.array_equal(constant_velocity_baselines(past, 17, dt),
                                   want)
 
 
 def oracle_predict(scn):
     """A predictor that returns the ground truth as its single mode."""
-    trajs = np.stack([
-        a.future[:, :2]
-        for a in scn.agents
-    ])[None]
-    return JointPrediction(trajs, np.array([1.0]),
-                           [a.agent_id for a in scn.agents],
+    trajs = scn.future[None, :, :, :2].copy()
+    return JointPrediction(trajs, np.array([1.0]), scn.agent_ids.tolist(),
                            scn.scenario_id)
 
 
@@ -211,22 +202,23 @@ def reference_evaluate(predict_fn, scenarios):
         jp = predict_fn(scn)
         k_sel = select_mode(jp)
         try:
-            lateral, _ = label_intentions(scn.ego.future)
+            lateral, _ = label_intentions(scn.future[scn.ego_index])
         except ValueError:
             lateral = "ST"
         subsets = ["all", "conflict" if scn.template == "crossing_conflict"
                    else "normal", lateral]
         per_est = {est: {"ego": [], "others": []} for est in ESTIMATORS}
         for i, aid in enumerate(jp.agent_ids):
-            agent = scn.agent_by_id(aid)
-            truth = agent.future[:, :2]
+            row = scn.row(aid)
+            truth = scn.future[row, :, :2]
             best = None
             for k in range(jp.trajectories.shape[0]):
                 vals = metrics(jp.trajectories[k, i], truth)
                 if best is None or vals[0][-1] < best[0][-1]:
                     best = vals
-            cv = constant_velocity_baseline(agent, truth.shape[0], scn.dt)
-            bucket = "ego" if aid == scn.ego.agent_id else "others"
+            cv = constant_velocity_baseline(scn.past[row], truth.shape[0],
+                                            scn.dt)
+            bucket = "ego" if aid == scn.ego_id else "others"
             for est, vals in zip(ESTIMATORS, [
                     metrics(jp.trajectories[k_sel, i], truth), best,
                     metrics(cv, truth)]):
@@ -283,8 +275,8 @@ class TestEvaluateMatchesPerCallLoop:
         offsets[2] = 1.0
         trajs = truth[None] + offsets[:, None, :, None] * [1.0, 0.0]
         assert ade(trajs[1, 0], truth[0], t) == ade(trajs[2, 0], truth[0], t)
-        jp =JointPrediction(trajs, np.array([0.5, 0.25, 0.25]),
-                             [a.agent_id for a in scn.agents])
+        jp = JointPrediction(trajs, np.array([0.5, 0.25, 0.25]),
+                             scn.agent_ids.tolist())
         report = evaluate(lambda s: jp, [scn])
         _assert_same_rows(report, reference_evaluate(lambda s: jp, [scn]))
         best = report.mean("all", "model_best", "ego", "ade")

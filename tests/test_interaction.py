@@ -18,8 +18,8 @@ from riskcast.interaction import (POS_SCALE, VEL_SCALE, YAW_SCALE,
                                   history_feature_matrix, map_feature_matrix,
                                   map_visibility, neighbor_mask)
 from riskcast.model import ModelConfig
-from riskcast.scene import (MapPolyline, RoadMap, Scenario, generate_scenario,
-                            local_frame, pose_frame)
+from riskcast.scene import (RoadMap, generate_scenario, local_frame,
+                            pose_frame)
 
 
 CFG = ModelConfig(embed_dim=16, attention_heads=2, map_pad=20)
@@ -61,15 +61,15 @@ class TestHistoryEncoder:
 class TestMapEncoder:
     def test_empty_map(self):
         enc = MapEncoder(CFG.map_pad, CFG.embed_dim, nn.seeded_rng(2))
-        out, _ = enc.forward(map_feature_matrix(RoadMap.from_polylines([]),
+        out, _ = enc.forward(map_feature_matrix(RoadMap.padded([], []),
                                                 CFG.map_pad))
         assert out.shape == (0, CFG.embed_dim)
 
     def test_identical_polylines_identical_embeddings(self):
         enc = MapEncoder(CFG.map_pad, CFG.embed_dim, nn.seeded_rng(3))
-        poly = MapPolyline(np.array([[0.0, 0.0], [5.0, 1.0], [10.0, 3.0]]))
+        poly = np.array([[0.0, 0.0], [5.0, 1.0], [10.0, 3.0]])
         out, _ = enc.forward(map_feature_matrix(
-            RoadMap.from_polylines([poly, poly]), CFG.map_pad))
+            RoadMap.padded([poly, poly], ["lane_center"] * 2), CFG.map_pad))
         assert np.array_equal(out[0], out[1])
 
     def test_local_frame_pipeline_invariance(self):
@@ -86,8 +86,8 @@ class TestMapEncoder:
 
     def test_long_polylines_padded(self):
         enc = MapEncoder(CFG.map_pad, CFG.embed_dim, nn.seeded_rng(5))
-        poly = MapPolyline(np.arange(30).reshape(15, 2).astype(float))
-        feats = map_feature_matrix(RoadMap.from_polylines([poly]),
+        poly = np.arange(30).reshape(15, 2).astype(float)
+        feats = map_feature_matrix(RoadMap.padded([poly], ["lane_center"]),
                                    CFG.map_pad)
         assert feats.shape == (1, CFG.map_pad * 3 + 3)
         assert feats[0, 14 * 3 + 2] == 1.0   # last real slot valid
@@ -141,7 +141,7 @@ class TestAgentAgentAttention:
         rng = nn.seeded_rng(11)
         enc = AgentAgentEncoder(CFG.embed_dim, CFG.attention_heads,
                                 CFG.ff_mult, CFG.transformer_layers, rng)
-        feats = rng.normal(size=(len(local.agents), CFG.embed_dim))
+        feats = rng.normal(size=(len(local.agent_ids), CFG.embed_dim))
         mask = neighbor_mask(local, CFG.context_radius_m)
         base, _ = enc.forward(feats, [mask])
 
@@ -200,10 +200,10 @@ class TestAgentMapAttention:
 
 def test_masks_from_scenario(local):
     mask = neighbor_mask(local, radius=1.0)
-    assert np.array_equal(np.diag(mask), np.ones(len(local.agents),
+    assert np.array_equal(np.diag(mask), np.ones(len(local.agent_ids),
                                                  dtype=bool))
     vis = map_visibility(local, radius=CFG.context_radius_m)
-    assert vis.shape == (len(local.agents), len(local.map))
+    assert vis.shape == (len(local.agent_ids), len(local.map))
     assert vis.any()
 
 
@@ -267,22 +267,22 @@ class PerAgentReference:
         return dembeds
 
 
-def as_states(agent, kin):
-    """The rows of kin [n, 5] as AgentStates with the agent's attributes."""
-    return [AgentState(*row, agent.length, agent.width, agent.mass,
-                       agent.agent_class) for row in kin.tolist()]
+def as_states(scn, i, kin):
+    """The rows of kin [n, 5] as AgentStates with agent i's attributes."""
+    return [AgentState(*row, *scn.dims[i].tolist(), scn.agent_classes[i])
+            for row in kin.tolist()]
 
 
 def reference_history_features(scn):
     """The per-step loop history_feature_matrix used to run over
     relative_encoding."""
     rows = []
-    ego_states = as_states(scn.ego, scn.ego.past)
-    for agent in scn.agents:
+    ego_states = as_states(scn, scn.ego_index, scn.past[scn.ego_index])
+    for i, past in enumerate(scn.past):
         onehot = np.zeros(len(AGENT_CLASSES))
-        onehot[AGENT_CLASSES.index(agent.current.agent_class)] = 1.0
+        onehot[AGENT_CLASSES.index(scn.state(i).agent_class)] = 1.0
         steps = []
-        for st, ego_st in zip(as_states(agent, agent.past), ego_states):
+        for st, ego_st in zip(as_states(scn, i, past), ego_states):
             rel = relative_encoding(ego_st, st)
             steps.append(np.concatenate([
                 [st.x / POS_SCALE, st.y / POS_SCALE, st.yaw / YAW_SCALE,
@@ -446,17 +446,11 @@ def _degenerate_scene(ego_index=0):
     the ego crawls below SPEED_EPS at step 0, and agent 2 sits on the ego's
     position at every other step."""
     scn = generate_scenario("straight", 4, seed=21)
-    ego, a1, a2, a3 = scn.agents
-    ego_past = ego.past.copy()
-    ego_past[0, 3:] = (1e-7, 0.0)
-    a1_past = a1.past.copy()
-    a1_past[:, 3:] = 0.0
-    a2_past = a2.past.copy()
-    a2_past[::2, :2] = ego_past[::2, :2]
-    agents = [replace(ego, past=ego_past), replace(a1, past=a1_past),
-              replace(a2, past=a2_past), a3]
-    return Scenario.from_agents(agents, scn.map, scn.horizon_past,
-                                scn.horizon_future, scn.dt, ego_index)
+    past = scn.past.copy()
+    past[0, 0, 3:] = (1e-7, 0.0)
+    past[1, :, 3:] = 0.0
+    past[2, ::2, :2] = past[0, ::2, :2]
+    return replace(scn, past=past, ego_index=ego_index)
 
 
 def _kinematics(states):
@@ -472,27 +466,28 @@ class TestArrayFrameAndFeatures:
 
     def test_local_frame_degenerate_states(self):
         scn = _degenerate_scene()
-        for agent in scn.agents:
-            self._check_local_frame(scn, agent.agent_id)
+        for agent_id in scn.agent_ids:
+            self._check_local_frame(scn, agent_id)
 
     @staticmethod
     def _check_local_frame(scn, agent_id):
         frame = pose_frame(scn, agent_id)
         local = local_frame(scn, agent_id)
-        for a in local.agents:
-            src = scn.agent_by_id(a.agent_id)
-            for got, orig in ((a.past, src.past), (a.future, src.future)):
+        for j, aid in enumerate(local.agent_ids):
+            i = scn.row(aid)
+            for got, orig in ((local.past[j], scn.past[i]),
+                              (local.future[j], scn.future[i])):
                 want = [transform_state(s, frame.origin, frame.angle)
-                        for s in as_states(src, orig)]
+                        for s in as_states(scn, i, orig)]
                 assert len(got) == len(want)
                 assert np.max(np.abs(got - _kinematics(want))) <= 1e-12
-            assert (a.length, a.width, a.mass, a.agent_class) == \
-                (src.length, src.width, src.mass, src.agent_class)
+            assert (*local.dims[j].tolist(), local.agent_classes[j]) == \
+                (*scn.dims[i].tolist(), scn.agent_classes[i])
 
     @pytest.mark.parametrize("ego_index", [0, 2])
     def test_history_features_match_relative_encoding(self, ego_index):
         scn = _degenerate_scene(ego_index)
-        for s in (scn, local_frame(scn, scn.ego.agent_id, radius=1e9)):
+        for s in (scn, local_frame(scn, scn.ego_id, radius=1e9)):
             got = history_feature_matrix(s)
             want = reference_history_features(s)
             assert got.shape == want.shape

@@ -33,7 +33,7 @@ class TestForward:
     def test_shapes(self, tiny_setup):
         model, _, local = tiny_setup
         res = model.forward([local])
-        n = len(local.agents)
+        n = len(local.agent_ids)
         assert res.trajectories.shape == (2, n, 5, 2)
         assert res.mode_probs[0].shape == (2,)
         assert res.mode_probs[0].sum() == pytest.approx(1.0, abs=1e-9)
@@ -50,7 +50,7 @@ class TestForward:
     def test_full_model_gradient_check(self, tiny_setup):
         model, _, local = tiny_setup
         truth = _truth_matrix(local)
-        labels = [label_indices(a.future) for a in local.agents]
+        labels = [label_indices(f) for f in local.future]
 
         def loss_fn():
             res = model.forward([local])
@@ -146,7 +146,7 @@ class TestForward:
         def backward(res, local):
             _, k_star, dtrajs = prediction_loss(res.trajectories,
                                                 _truth_matrix(local))
-            labels = [label_indices(a.future) for a in local.agents]
+            labels = [label_indices(f) for f in local.future]
             _, dlat, dlon = intention_loss(res.lat_probs, res.lon_probs,
                                            labels)
             model.backward(res, dtrajs,
@@ -168,7 +168,7 @@ class TestForward:
     def test_prediction_in_global_frame(self, tiny_setup):
         model, scn, _ = tiny_setup
         jp, _ = model.predict(scn)
-        ego_pos = scn.ego.current.position
+        ego_pos = scn.state(scn.ego_index).position
         first = jp.trajectories[0, jp.agent_ids.index("ego"), 0]
         # decoded points start near the ego's current global position
         assert np.linalg.norm(first - ego_pos) < 30.0
@@ -179,9 +179,9 @@ def union_scenes(model):
     scns = [generate_scenario("merge", 3, seed=21, H=3, T=5),
             generate_scenario("left_turn", 5, seed=22, H=3, T=5),
             generate_scenario("straight", 8, seed=23, H=3, T=5)]
-    scns[1] = replace(scns[1], map=RoadMap.from_polylines([]))
+    scns[1] = replace(scns[1], map=RoadMap.padded([], []))
     locals_ = [model.prepare(scn) for scn in scns]
-    assert [len(local.agents) for local in locals_] == [3, 5, 8]
+    assert [len(local.agent_ids) for local in locals_] == [3, 5, 8]
     assert [len(local.map) > 0 for local in locals_] == [True, False, True]
     return locals_
 
@@ -200,7 +200,7 @@ def batch_loss(model, locals_):
             res.trajectories[:, rows], _truth_matrix(local))
         l_man, dlat[rows], dlon[rows] = intention_loss(
             res.lat_probs[rows], res.lon_probs[rows],
-            [label_indices(a.future) for a in local.agents])
+            [label_indices(f) for f in local.future])
         dprobs[b] = nn.cross_entropy_grad(res.mode_probs[b], k_star)
         loss += l_pre + 0.5 * l_man + nn.cross_entropy(res.mode_probs[b],
                                                        k_star)
@@ -240,7 +240,7 @@ class TestUnion:
         # layers get no gradient
         model = JointPredictor(TINY)
         scns = [replace(generate_scenario(t, n, seed=s, H=3, T=5),
-                        map=RoadMap.from_polylines([]))
+                        map=RoadMap.padded([], []))
                 for t, n, s in (("merge", 3, 21), ("left_turn", 5, 22),
                                 ("straight", 8, 23))]
         locals_ = [model.prepare(scn) for scn in scns]

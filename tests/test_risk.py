@@ -19,10 +19,9 @@ from riskcast.risk import (HarmCoefficients, MotionBatch, RiskConfig,
                            rank_trajectories, responsiveness_cost,
                            risk_kernel, risk_loss_and_grad, safety_cost,
                            total_risk_cost)
-from riskcast.scene import (POLYLINE_KINDS, MapPolyline, RoadMap,
-                            generate_scenario)
+from riskcast.scene import POLYLINE_KINDS, RoadMap, generate_scenario
 
-NO_BOUNDARIES = RoadMap.from_polylines([])
+NO_BOUNDARIES = RoadMap.padded([], [])
 
 
 def make_track(positions, width=1.8, length=4.5, mass=1500.0,
@@ -370,11 +369,11 @@ class TestBoundary:
 
     def test_nearby_boundary_raises_risk(self):
         cfg = RiskConfig()
-        wall = RoadMap.from_polylines([MapPolyline(
-            np.array([[-50.0, 1.0], [50.0, 1.0]]), "road_boundary")])
+        wall = RoadMap.padded([np.array([[-50.0, 1.0], [50.0, 1.0]])],
+                              ["road_boundary"])
         near = straight_track([0, 0], [8, 0], 20)
-        far_wall = RoadMap.from_polylines([MapPolyline(
-            np.array([[-50.0, 40.0], [50.0, 40.0]]), "road_boundary")])
+        far_wall = RoadMap.padded([np.array([[-50.0, 40.0], [50.0, 40.0]])],
+                                  ["road_boundary"])
         assert boundary_risk(near, 0, wall, cfg)[0] > \
             boundary_risk(near, 0, far_wall, cfg)[0]
 
@@ -383,17 +382,16 @@ def synthetic_conflict_prediction(seed=0, k_near=1, n_modes=4):
     """A crossing-conflict scenario with hand-built candidate modes: mode
     k_near grazes the pedestrian, the rest keep well clear."""
     scn = generate_scenario("crossing_conflict", 3, seed)
-    ped = next(a for a in scn.agents
-               if a.current.agent_class == "pedestrian")
+    ped = scn.agent_classes.tolist().index("pedestrian")
     t_len = scn.horizon_future
-    n = len(scn.agents)
+    n = len(scn.agent_ids)
     trajs = np.zeros((n_modes, n, t_len, 2))
-    for i, agent in enumerate(scn.agents):
-        truth = agent.future[:, :2]
+    for i, future in enumerate(scn.future):
+        truth = future[:, :2]
         trajs[:, i] = truth[None, :, :]
 
     ego_i = scn.ego_index
-    ped_future = ped.future[:, :2]
+    ped_future = scn.future[ped, :, :2]
     mid = t_len // 2
     for k in range(n_modes):
         if k == k_near:
@@ -401,14 +399,14 @@ def synthetic_conflict_prediction(seed=0, k_near=1, n_modes=4):
             target = ped_future[mid] + np.array([0.3, 0.0])
         else:
             # detour with > 5 m clearance from the pedestrian at all times
-            direction = scn.ego.current.position - ped_future[mid]
+            direction = scn.state(ego_i).position - ped_future[mid]
             direction = direction / np.linalg.norm(direction)
             target = ped_future[mid] + 30.0 * direction
-        start = scn.ego.current.position
+        start = scn.state(ego_i).position
         frac = np.minimum(np.arange(1, t_len + 1) / mid, 1.0)[:, None]
         trajs[k, ego_i] = start + frac * (target - start)
     jp = JointPrediction(trajs, np.full(n_modes, 1.0 / n_modes),
-                         [a.agent_id for a in scn.agents], scn.scenario_id)
+                         scn.agent_ids.tolist(), scn.scenario_id)
     return scn, jp, k_near
 
 
@@ -423,7 +421,7 @@ class TestRanking:
         scn = generate_scenario("straight", 1, seed=2)
         t_len = scn.horizon_future
         trajs = np.zeros((3, 1, t_len, 2))
-        truth = scn.ego.future[:, :2]
+        truth = scn.future[scn.ego_index, :, :2]
         trajs[:, 0] = truth[None]
         jp = JointPrediction(trajs, np.array([0.2, 0.5, 0.3]), ["ego"],
                              scn.scenario_id)
@@ -467,10 +465,7 @@ class TestRiskGradient:
         # finite differences with a near-flat harm slope
         scn = generate_scenario("crossing_conflict", 3, seed=6)
         cfg = RiskConfig(harm=HarmCoefficients(mu0=0.5, mu1=1e-9))
-        trajs = np.stack([
-            a.future[:, :2]
-            for a in scn.agents
-        ])
+        trajs = scn.future[:, :, :2].copy()
         # spread the others to moderate clearance so the collision
         # probabilities sit in the smooth (unclamped) regime
         for i in range(trajs.shape[0]):

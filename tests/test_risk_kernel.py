@@ -38,10 +38,10 @@ def model():
 
 
 def loop_clearance(p, polylines):
-    """Distance from p to the nearest segment, one segment at a time."""
+    """Distance from p to the nearest segment of polylines of [n, 2]
+    waypoints, one segment at a time."""
     best = math.inf
-    for poly in polylines:
-        w = poly.waypoints
+    for w in polylines:
         for a, b in zip(w[:-1], w[1:]):
             ab = b - a
             denom = float(ab @ ab)
@@ -64,12 +64,13 @@ def reference_mode(jp, scn, k, cfg):
     """(risks, R_b, l_risk, score) of mode k from the per-step formulas."""
     u, coeffs = cfg.uncertainty, cfg.harm
     batch = predicted_batch(jp, scn)
-    e, horizon = batch.agent_ids.index(scn.ego.agent_id), batch.yaws.shape[2]
+    e, horizon = batch.agent_ids.index(scn.ego_id), batch.yaws.shape[2]
     risks = np.array([
         max(math.prod(reference_pair(batch, k, v, e, t, cfg))
             for t in range(horizon))
         for v in range(len(batch.agent_ids)) if v != e])
-    boundaries = [p for p in scn.map if p.kind == "road_boundary"]
+    road = scn.map.of_kind("road_boundary")
+    boundaries = [w[:n] for w, n in zip(road.waypoints, road.counts)]
     speeds = np.linalg.norm(batch.velocities[k, e], axis=1)
     r_b = max(
         harm(speeds[t], CollisionRegion.SIDE, coeffs)
@@ -87,8 +88,8 @@ def reference_mode(jp, scn, k, cfg):
 def with_truth_mode(jp, scn):
     """The prediction plus one mode made of the agents' ground-truth
     futures, which holds the scene's close encounters."""
-    by_id = {a.agent_id: a for a in scn.agents}
-    truth = np.array([by_id[aid].future[:, :2] for aid in jp.agent_ids])
+    truth = np.array([scn.future[scn.row(aid), :, :2]
+                      for aid in jp.agent_ids])
     probs = np.append(jp.mode_probs, 0.5) / 1.5
     return replace(jp, trajectories=np.concatenate(
         [jp.trajectories, truth[None]]), mode_probs=probs)
@@ -129,7 +130,7 @@ def kernel_terms(jp, scn, cfg):
     """The batch and the risk kernel's output for every mode, as
     rank_trajectories has them."""
     batch = predicted_batch(jp, scn)
-    return batch, risk_kernel(batch, batch.agent_ids.index(scn.ego.agent_id),
+    return batch, risk_kernel(batch, batch.agent_ids.index(scn.ego_id),
                               _road_boundaries(scn), cfg)
 
 
@@ -160,7 +161,7 @@ def test_gated_disc_probability_matches_ncx2(model, template, n, seed):
     sigma = cfg.uncertainty.sigma_array(jp.trajectories.shape[2])
     calls = [(terms.dists, terms.radii[:, None, None],
               terms.pair_sigma[:, None]),
-             (terms.clearance, 0.5 * scn.ego.width, sigma)]
+             (terms.clearance, 0.5 * scn.dims[scn.ego_index, 1], sigma)]
     for dist, radius, s in calls:
         gated = disc_probability(dist, radius, s)
         oracle = ncx2_disc_probability(dist, radius, s)
@@ -241,7 +242,7 @@ def test_kernel_keeps_delta_v_and_struck_region(model, template, n, seed):
     jp = with_truth_mode(model.predict(scn)[0], scn)
     cfg = RiskConfig()
     batch, terms = kernel_terms(jp, scn, cfg)
-    e = batch.agent_ids.index(scn.ego.agent_id)
+    e = batch.agent_ids.index(scn.ego_id)
     speeds = np.linalg.norm(batch.velocities, axis=-1)
     shape = terms.probs.shape
     assert terms.delta_v.shape == terms.region.shape == shape
@@ -262,7 +263,7 @@ def test_every_step_matches_per_step_reference(model, template, n, seed):
     jp = with_truth_mode(model.predict(scn)[0], scn)
     cfg = RiskConfig()
     batch, terms = kernel_terms(jp, scn, cfg)
-    e = batch.agent_ids.index(scn.ego.agent_id)
+    e = batch.agent_ids.index(scn.ego_id)
     probs, harms = np.empty_like(terms.probs), np.empty_like(terms.harms)
     for k, m, t in np.ndindex(terms.probs.shape):
         probs[k, m, t], harms[k, m, t] = reference_pair(

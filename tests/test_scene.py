@@ -10,7 +10,7 @@ import pytest
 from riskcast import scene
 from riskcast.geometry import relative_encoding
 from riskcast.intention import label_intentions
-from riskcast.scene import (MapPolyline, ScenarioError, dump_scenario,
+from riskcast.scene import (POLYLINE_KINDS, ScenarioError, dump_scenario,
                             generate_scenario, load_scenario, local_frame,
                             min_future_separation, pose_frame)
 
@@ -115,8 +115,8 @@ class TestGenerator:
     def test_kinematic_consistency(self):
         for seed in range(10):
             scn = generate_scenario("straight", 3, seed)
-            for agent in scn.agents:
-                seq = np.concatenate([agent.past, agent.future])
+            for past, future in zip(scn.past, scn.future):
+                seq = np.concatenate([past, future])
                 for prev, nxt in zip(seq[:-1], seq[1:]):
                     err = math.hypot(nxt[0] - (prev[0] + prev[3] * scn.dt),
                                      nxt[1] - (prev[1] + prev[4] * scn.dt))
@@ -124,8 +124,8 @@ class TestGenerator:
 
     def test_constant_speed_spacing(self):
         scn = generate_scenario("straight", 1, seed=5, jitter=0.0)
-        ego = scn.ego
-        seq = np.concatenate([ego.past, ego.future])
+        e = scn.ego_index
+        seq = np.concatenate([scn.past[e], scn.future[e]])
         for prev, nxt in zip(seq[:-1], seq[1:]):
             step = math.hypot(nxt[0] - prev[0], nxt[1] - prev[1])
             speed = math.hypot(prev[3], prev[4])
@@ -133,13 +133,14 @@ class TestGenerator:
 
     def test_shapes(self):
         scn = generate_scenario("left_turn", 4, seed=0)
-        assert len(scn.agents) == 4
-        for agent in scn.agents:
-            assert agent.past.shape == (scn.horizon_past + 1, 5)
-            assert agent.future.shape == (scn.horizon_future, 5)
-        assert all(len(p.waypoints) <= 20 for p in scn.map)
+        assert len(scn.agent_ids) == 4
+        for past, future in zip(scn.past, scn.future):
+            assert past.shape == (scn.horizon_past + 1, 5)
+            assert future.shape == (scn.horizon_future, 5)
+        assert all(len(w[:n]) <= 20
+                   for w, n in zip(scn.map.waypoints, scn.map.counts))
         assert (scn.map.counts <= 20).all()
-        kinds = {p.kind for p in scn.map}
+        kinds = {POLYLINE_KINDS[k] for k in scn.map.kinds}
         assert "lane_center" in kinds and "road_boundary" in kinds
 
     def test_template_labels(self):
@@ -147,14 +148,14 @@ class TestGenerator:
         for template, want in expected.items():
             for seed in range(25):
                 scn = generate_scenario(template, 2, seed)
-                lateral, _ = label_intentions(scn.ego.future)
+                lateral, _ = label_intentions(scn.future[scn.ego_index])
                 assert lateral == want, (template, seed)
 
     def test_conflict_has_close_pair_and_pedestrian(self):
         for seed in range(25):
             scn = generate_scenario("crossing_conflict", 3, seed)
             assert min_future_separation(scn) < 2.0
-            classes = {a.current.agent_class for a in scn.agents}
+            classes = set(scn.agent_classes)
             assert "pedestrian" in classes
 
     def test_conflict_pedestrian_crosses_before_the_ego_arrives(self):
@@ -162,15 +163,16 @@ class TestGenerator:
         for n in (3, 8):
             for seed in range(20):
                 scn = generate_scenario("crossing_conflict", n, seed)
-                ped, ego = scn.agent_by_id("ped"), scn.ego
+                ped, ego = scn.row("ped"), scn.ego_index
                 middle = scn.map.of_kind("crosswalk").waypoints[0, 1]
-                gaps = np.linalg.norm(ped.future[:, :2] - middle, axis=1)
+                gaps = np.linalg.norm(scn.future[ped, :, :2] - middle, axis=1)
                 t = int(gaps.argmin())
                 assert gaps[t] < 0.5, (n, seed)
-                heading = ego.future[t, 3:] / np.linalg.norm(ego.future[t, 3:])
-                assert (middle - ego.future[t, :2]) @ heading > 0, (n, seed)
+                ego_future = scn.future[ego]
+                heading = ego_future[t, 3:] / np.linalg.norm(ego_future[t, 3:])
+                assert (middle - ego_future[t, :2]) @ heading > 0, (n, seed)
                 beyond_radius += np.linalg.norm(
-                    ped.past[-1, :2] - ego.past[-1, :2]) > 50.0
+                    scn.past[ped, -1, :2] - scn.past[ego, -1, :2]) > 50.0
         # at t=0 the pedestrian is often out of a 50 m context radius
         assert beyond_radius >= 10
 
@@ -186,43 +188,41 @@ class TestGenerator:
 class TestLocalFrame:
     def test_target_at_origin(self, scenario):
         local = local_frame(scenario, "ego")
-        cur = local.ego.current
+        cur = local.state(local.ego_index)
         assert cur.x == pytest.approx(0.0, abs=1e-9)
         assert cur.y == pytest.approx(0.0, abs=1e-9)
         assert cur.yaw == pytest.approx(0.0, abs=1e-9)
 
     def test_pairwise_distances_preserved(self, scenario):
         local = local_frame(scenario, "ego", radius=1e9)
-        for i in range(len(scenario.agents)):
-            for j in range(i + 1, len(scenario.agents)):
-                d0 = np.linalg.norm(
-                    scenario.agents[i].current.position
-                    - scenario.agents[j].current.position)
-                d1 = np.linalg.norm(
-                    local.agents[i].current.position
-                    - local.agents[j].current.position)
+        for i in range(len(scenario.agent_ids)):
+            for j in range(i + 1, len(scenario.agent_ids)):
+                d0 = np.linalg.norm(scenario.state(i).position
+                                    - scenario.state(j).position)
+                d1 = np.linalg.norm(local.state(i).position
+                                    - local.state(j).position)
                 assert d1 == pytest.approx(d0, abs=1e-9)
 
     def test_relative_encodings_preserved(self, scenario):
         local = local_frame(scenario, "ego", radius=1e9)
-        for i in range(len(scenario.agents)):
-            for j in range(len(scenario.agents)):
-                r0 = relative_encoding(scenario.agents[i].current,
-                                       scenario.agents[j].current).as_array()
-                r1 = relative_encoding(local.agents[i].current,
-                                       local.agents[j].current).as_array()
+        for i in range(len(scenario.agent_ids)):
+            for j in range(len(scenario.agent_ids)):
+                r0 = relative_encoding(scenario.state(i),
+                                       scenario.state(j)).as_array()
+                r1 = relative_encoding(local.state(i),
+                                       local.state(j)).as_array()
                 assert np.allclose(r0, r1, atol=1e-9)
 
     def test_far_agent_excluded(self, scenario):
-        far = scenario.agents[1]
+        far_id = scenario.agent_ids[1]
         frame = pose_frame(scenario, "ego")
         offset = frame.origin + np.array([80.0, 0.0])
-        moved = far.past.copy()
+        moved = scenario.past[1].copy()
         moved[:, :2] = offset
         moved[:, 3:] = 0.0
         scenario.past[1] = moved
         local = local_frame(scenario, "ego", radius=50.0)
-        assert all(a.agent_id != far.agent_id for a in local.agents)
+        assert all(aid != far_id for aid in local.agent_ids)
 
     def test_unknown_agent(self, scenario):
         with pytest.raises(KeyError):
@@ -239,13 +239,3 @@ class TestLocalFrame:
         pts = np.array([[1.0, 2.0], [-3.0, 4.5]])
         back = frame.to_global(frame.to_local(pts))
         assert np.allclose(back, pts, atol=1e-9)
-
-
-def test_polyline_needs_two_waypoints():
-    with pytest.raises(ScenarioError):
-        MapPolyline(np.array([[0.0, 0.0]]))
-
-
-def test_polyline_unknown_kind():
-    with pytest.raises(ScenarioError):
-        MapPolyline(np.zeros((2, 2)), kind="sidewalk")

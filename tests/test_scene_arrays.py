@@ -19,8 +19,8 @@ from riskcast.interaction import (POS_SCALE, history_feature_matrix,
                                   map_feature_matrix, map_visibility)
 from riskcast.model import JointPredictor, ModelConfig
 from riskcast.risk import _clearance
-from riskcast.scene import (POLYLINE_KINDS, AgentHistory, MapPolyline,
-                            RoadMap, Scenario, ScenarioError, dump_scenario,
+from riskcast.scene import (AGENT_FIELDS, POLYLINE_KINDS, RoadMap,
+                            ScenarioError, _agent_arrays, dump_scenario,
                             generate_scenario, load_scenario, local_frame,
                             pose_frame)
 
@@ -98,9 +98,10 @@ def test_generated_scene_bytes_unchanged(key):
 # Per-state and per-polyline references
 # --------------------------------------------------------------------------
 
-def as_states(agent, kin):
-    return [AgentState(*row, agent.length, agent.width, agent.mass,
-                       agent.agent_class) for row in kin.tolist()]
+def as_states(scn, i, kin):
+    """The rows of kin [n, 5] as AgentStates with agent i's attributes."""
+    return [AgentState(*row, *scn.dims[i].tolist(), scn.agent_classes[i])
+            for row in kin.tolist()]
 
 
 def kinematics(states):
@@ -108,30 +109,32 @@ def kinematics(states):
 
 
 def loop_visibility(scn, radius):
-    pos = np.array([a.current.position for a in scn.agents])
-    vis = np.zeros((len(scn.agents), len(scn.map)), dtype=bool)
-    for m, p in enumerate(scn.map):
-        d = np.linalg.norm(pos[:, None, :] - p.waypoints[None, :, :], axis=-1)
+    pos = np.array([scn.state(i).position for i in range(len(scn.agent_ids))])
+    vis = np.zeros((len(scn.agent_ids), len(scn.map)), dtype=bool)
+    for m, n in enumerate(scn.map.counts):
+        waypoints = scn.map.waypoints[m, :n]
+        d = np.linalg.norm(pos[:, None, :] - waypoints[None, :, :], axis=-1)
         vis[:, m] = d.min(axis=1) <= radius
     return vis
 
 
-def loop_map_features(polylines, pad):
+def loop_map_features(road, pad):
     feats = []
-    for p in polylines:
+    for waypoints, count, k in zip(road.waypoints, road.counts, road.kinds):
         slots = np.zeros((pad, 3))
-        n = min(len(p.waypoints), pad)
-        slots[:n, :2] = p.waypoints[:n] / POS_SCALE
+        n = min(count, pad)
+        slots[:n, :2] = waypoints[:n] / POS_SCALE
         slots[:n, 2] = 1.0
         kind = np.zeros(len(POLYLINE_KINDS))
-        kind[POLYLINE_KINDS.index(p.kind)] = 1.0
+        kind[k] = 1.0
         feats.append(np.concatenate([slots.reshape(-1), kind]))
     return np.stack(feats) if feats else np.zeros((0, pad * 3 + 3))
 
 
 def loop_clearance(points, polylines):
-    a = np.concatenate([p.waypoints[:-1] for p in polylines])
-    ab = np.concatenate([p.waypoints[1:] for p in polylines]) - a
+    """The nearest-segment search over polylines of [n, 2] waypoints."""
+    a = np.concatenate([w[:-1] for w in polylines])
+    ab = np.concatenate([w[1:] for w in polylines]) - a
     denom = (ab * ab).sum(axis=-1)
     rel = points[..., None, :] - a
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -145,10 +148,22 @@ def loop_clearance(points, polylines):
 
 
 def loop_local_map(scn, agent_id, radius):
+    """The waypoints [n, 2] and kinds of the polylines within radius, in
+    the agent's frame."""
     frame = pose_frame(scn, agent_id)
-    return [MapPolyline(frame.to_local(p.waypoints), p.kind) for p in scn.map
-            if np.linalg.norm(p.waypoints - frame.origin, axis=1).min()
-            <= radius]
+    kept = [(frame.to_local(w[:n]), k) for w, n, k in zip(
+        scn.map.waypoints, scn.map.counts, scn.map.kinds)
+        if np.linalg.norm(w[:n] - frame.origin, axis=1).min() <= radius]
+    return [w for w, _ in kept], [k for _, k in kept]
+
+
+def same_polylines(road, waypoints, kinds):
+    """Whether road holds these polylines, [n, 2] waypoints and kind
+    indices, in this order."""
+    return (road.kinds.tolist() == list(kinds)
+            and road.counts.tolist() == [len(w) for w in waypoints]
+            and all(np.array_equal(row[:len(w)], w)
+                    for row, w in zip(road.waypoints, waypoints)))
 
 
 def degenerate_scene():
@@ -156,23 +171,30 @@ def degenerate_scene():
     agent 2 sits on the ego's position at every other step, and agent 3
     has no future."""
     scn = generate_scenario("merge", 5, seed=8)
-    ego, a1, a2, a3, a4 = scn.agents
-    ego_past = ego.past.copy()
-    ego_past[0, 3:] = (1e-7, 0.0)
-    a1_past = a1.past.copy()
-    a1_past[:, 3:] = 0.0
-    a2_past = a2.past.copy()
-    a2_past[::2, :2] = ego_past[::2, :2]
-    agents = [replace(ego, past=ego_past), replace(a1, past=a1_past),
-              replace(a2, past=a2_past), replace(a3, future=None), a4]
-    return rebuilt(scn, agents)
+    past, future = scn.past.copy(), scn.future.copy()
+    past[0, 0, 3:] = (1e-7, 0.0)
+    past[1, :, 3:] = 0.0
+    past[2, ::2, :2] = past[0, ::2, :2]
+    future[3] = 0.0
+    has_future = scn.has_future.copy()
+    has_future[3] = False
+    return replace(scn, past=past, future=future, has_future=has_future)
+
+
+def agent_rows(scn):
+    """The scene's agents as per-row (id, class, length, width, mass, past,
+    future or None) tuples of plain lists, the input of _agent_arrays."""
+    return [(aid, cls, *dims, past, future if has else None)
+            for aid, cls, dims, past, future, has in zip(
+                scn.agent_ids.tolist(), scn.agent_classes.tolist(),
+                scn.dims.tolist(), scn.past.tolist(), scn.future.tolist(),
+                scn.has_future.tolist())]
 
 
 def rebuilt(scn, agents):
-    """The scene with other agents, through the boundary constructor."""
-    return Scenario.from_agents(agents, scn.map, scn.horizon_past,
-                                scn.horizon_future, scn.dt, scn.ego_index,
-                                scn.scenario_id, scn.template)
+    """The scene with other agents, given as agent_rows tuples."""
+    return replace(scn, **dict(zip(AGENT_FIELDS, _agent_arrays(
+        agents, scn.horizon_future))))
 
 
 SCENES = [generate_scenario(t, n, seed) for t, n, seed in [
@@ -187,25 +209,27 @@ SCENES = [generate_scenario(t, n, seed) for t, n, seed in [
 @pytest.mark.parametrize("scn", SCENES, ids=lambda s: s.scenario_id)
 @pytest.mark.parametrize("radius", [1e9, 50.0, 20.0])
 def test_local_frame_matches_transform_state(scn, radius):
-    for agent_id in [a.agent_id for a in scn.agents][:4]:
+    for agent_id in scn.agent_ids.tolist()[:4]:
         frame = pose_frame(scn, agent_id)
         local = local_frame(scn, agent_id, radius)
-        kept = [a.agent_id for a in scn.agents
-                if np.linalg.norm(a.current.position - frame.origin)
+        kept = [aid for i, aid in enumerate(scn.agent_ids)
+                if np.linalg.norm(scn.state(i).position - frame.origin)
                 <= radius]
-        assert [a.agent_id for a in local.agents] == kept
-        assert local.ego.agent_id == agent_id
-        for a in local.agents:
-            src = scn.agent_by_id(a.agent_id)
-            assert (a.agent_class, a.length, a.width, a.mass) == \
-                (src.agent_class, src.length, src.width, src.mass)
-            assert (a.future is None) == (src.future is None)
-            for got, orig in ((a.past, src.past), (a.future, src.future)):
-                if orig is None:
+        assert local.agent_ids.tolist() == kept
+        assert local.ego_id == agent_id
+        for j, aid in enumerate(local.agent_ids):
+            i = scn.row(aid)
+            assert (local.agent_classes[j], *local.dims[j].tolist()) == \
+                (scn.agent_classes[i], *scn.dims[i].tolist())
+            assert local.has_future[j] == scn.has_future[i]
+            for got, orig, has in ((local.past[j], scn.past[i], True),
+                                   (local.future[j], scn.future[i],
+                                    scn.has_future[i])):
+                if not has:
                     continue
                 want = kinematics([
                     transform_state(s, frame.origin, frame.angle)
-                    for s in as_states(src, orig)])
+                    for s in as_states(scn, i, orig)])
                 assert np.array_equal(got, want)
 
 
@@ -213,68 +237,50 @@ def test_local_frame_matches_transform_state(scn, radius):
 def test_history_features_match_relative_encoding(scn):
     for s in (scn, local_frame(scn, "ego", radius=1e9)):
         got = history_feature_matrix(s)
-        ego = as_states(s.ego, s.ego.past)
-        for i, agent in enumerate(s.agents):
-            for t, (st, ego_st) in enumerate(zip(as_states(agent, agent.past),
+        ego = as_states(s, s.ego_index, s.past[s.ego_index])
+        for i, past in enumerate(s.past):
+            for t, (st, ego_st) in enumerate(zip(as_states(s, i, past),
                                                  ego)):
                 rel = relative_encoding(ego_st, st).as_array()
                 assert np.array_equal(got[i, t, 5:10],
                                       rel / [1, 1, 1, 1, POS_SCALE])
 
 
-def test_agent_history_boundary_constructor():
-    scn = SCENES[1]
-    for a in scn.agents:
-        again = AgentHistory.from_states(a.agent_id, as_states(a, a.past),
-                                         as_states(a, a.future))
-        assert again == a
-        assert again.current == as_states(a, a.past)[-1]
-    no_future = AgentHistory.from_states("x", as_states(a, a.past))
-    assert no_future.future is None and no_future != replace(a, agent_id="x")
-
-
 @pytest.mark.parametrize("scn", SCENES, ids=lambda s: s.scenario_id)
 def test_row_selection_matches_per_agent_selection(scn):
-    agents, n = scn.agents, len(scn.agents)
-    assert agents == [scn.agent_by_id(a.agent_id) for a in agents]
+    agents, n = agent_rows(scn), len(scn.agent_ids)
+    assert agents == [agents[scn.row(a[0])] for a in agents]
     others = [i for i in range(n) if i != scn.ego_index]
     perm = np.random.default_rng(n).permutation(others).tolist()
     for rows in (list(range(n)), perm[::2] + [scn.ego_index],
                  [scn.ego_index] + perm, list(reversed(range(n)))):
         taken = scn.take(rows)
-        assert taken.agents == [agents[i] for i in rows]
+        assert agent_rows(taken) == [agents[i] for i in rows]
         assert taken.ego_id == scn.ego_id
         assert taken == rebuilt(replace(scn, ego_index=rows.index(
             scn.ego_index)), [agents[i] for i in rows])
-        ids = [agents[i].agent_id for i in rows]
+        ids = [agents[i][0] for i in rows]
         assert scn.prediction_rows(ids).tolist() == rows
     with pytest.raises(ValueError, match="ego"):
         scn.take(others)
     with pytest.raises(ValueError, match="ego"):
-        scn.prediction_rows([agents[i].agent_id for i in others])
+        scn.prediction_rows([agents[i][0] for i in others])
     with pytest.raises(ValueError, match="nobody"):
         scn.prediction_rows([scn.ego_id, "nobody"])
 
     bare = replace(scn, has_future=np.zeros(n, bool))
-    per_agent = rebuilt(scn, [replace(a, future=None) for a in agents])
+    per_agent = rebuilt(scn, [(*a[:-1], None) for a in agents])
     assert bare == per_agent and bare != scn
-    assert bare.agents == per_agent.agents
+    assert agent_rows(bare) == agent_rows(per_agent)
     assert dump_scenario(bare) == dump_scenario(per_agent)
     assert local_frame(bare, scn.ego_id) == local_frame(per_agent,
                                                         scn.ego_id)
 
 
-@pytest.mark.parametrize("past", [np.zeros((0, 5)), np.zeros((3, 4)),
-                                  np.zeros(5)])
-def test_agent_history_rejects_bad_shapes(past):
-    with pytest.raises(ScenarioError):
-        AgentHistory("a", "car", 4.5, 1.8, 1500.0, past)
-
-
 def test_predict_reads_only_the_past():
     model = JointPredictor(ModelConfig(embed_dim=16, attention_heads=2))
     scn = SCENES[2]
-    bare = rebuilt(scn, [replace(a, future=None) for a in scn.agents])
+    bare = rebuilt(scn, [(*a[:-1], None) for a in agent_rows(scn)])
     (jp, dists), (jp2, dists2) = model.predict(scn), model.predict(bare)
     assert np.array_equal(jp.trajectories, jp2.trajectories)
     assert np.array_equal(jp.mode_probs, jp2.mode_probs)
@@ -290,10 +296,10 @@ def odd_map():
     """Polylines of 2, 7 and 25 waypoints (beyond the default pad of 20)
     of every kind."""
     rng = np.random.default_rng(0)
-    return RoadMap.from_polylines([
-        MapPolyline(rng.normal(scale=30.0, size=(n, 2)), kind)
-        for n, kind in [(2, "road_boundary"), (7, "crosswalk"),
-                        (25, "lane_center"), (3, "road_boundary")]])
+    sizes, kinds = zip((2, "road_boundary"), (7, "crosswalk"),
+                       (25, "lane_center"), (3, "road_boundary"))
+    return RoadMap.padded([rng.normal(scale=30.0, size=(n, 2))
+                           for n in sizes], kinds)
 
 
 @pytest.mark.parametrize("scn", SCENES[:5] + [replace(SCENES[0],
@@ -303,15 +309,17 @@ def odd_map():
 def test_map_stages_match_per_polyline_loops(scn, radius):
     local = local_frame(scn, "ego", radius)
     want = loop_local_map(scn, "ego", radius)
-    assert list(local.map) == want
+    assert same_polylines(local.map, *want)
     assert (local.map.waypoints[~local.map.valid] == 0.0).all()
     for s in (scn, local):
         assert np.array_equal(map_visibility(s, radius),
                               loop_visibility(s, radius))
         for pad in (20, 5, 30):
             assert np.array_equal(map_feature_matrix(s.map, pad),
-                                  loop_map_features(list(s.map), pad))
-    boundaries = [p for p in scn.map if p.kind == "road_boundary"]
+                                  loop_map_features(s.map, pad))
+    boundaries = [w[:n] for w, n, k in zip(scn.map.waypoints, scn.map.counts,
+                                           scn.map.kinds)
+                  if POLYLINE_KINDS[k] == "road_boundary"]
     if boundaries:
         points = np.random.default_rng(1).normal(scale=40.0, size=(3, 7, 2))
         for got, ref in zip(_clearance(points, scn.map.of_kind(
@@ -321,10 +329,9 @@ def test_map_stages_match_per_polyline_loops(scn, radius):
 
 def test_clearance_tie_takes_first_segment():
     # the point is 1 m from both walls; the first polyline's segment wins
-    walls = RoadMap.from_polylines([
-        MapPolyline(np.array([[-5.0, 1.0], [5.0, 1.0]]), "road_boundary"),
-        MapPolyline(np.array([[-5.0, -1.0], [0.0, -1.0], [5.0, -1.0]]),
-                    "road_boundary")])
+    walls = RoadMap.padded([np.array([[-5.0, 1.0], [5.0, 1.0]]),
+                            np.array([[-5.0, -1.0], [0.0, -1.0], [5.0, -1.0]])],
+                           ["road_boundary"] * 2)
     dist, nearest = _clearance(np.array([[0.0, 0.0]]), walls)
     assert dist[0] == 1.0 and np.array_equal(nearest[0], [0.0, 1.0])
     dist, nearest = _clearance(np.array([[0.0, 0.0]]), walls.select(
@@ -335,20 +342,18 @@ def test_clearance_tie_takes_first_segment():
 def test_road_map_segments_in_polyline_order():
     road_map = odd_map()
     a, b = road_map.segments()
-    polys = list(road_map)
-    assert np.array_equal(a, np.concatenate([p.waypoints[:-1]
-                                             for p in polys]))
-    assert np.array_equal(b, np.concatenate([p.waypoints[1:]
-                                             for p in polys]))
-    assert [p.kind for p in road_map.of_kind("road_boundary")] == \
-        ["road_boundary"] * 2
+    polys = [w[:n] for w, n in zip(road_map.waypoints, road_map.counts)]
+    assert np.array_equal(a, np.concatenate([w[:-1] for w in polys]))
+    assert np.array_equal(b, np.concatenate([w[1:] for w in polys]))
+    assert [POLYLINE_KINDS[k] for k in road_map.of_kind(
+        "road_boundary").kinds] == ["road_boundary"] * 2
 
 
 def test_empty_road_map():
-    empty = RoadMap.from_polylines([])
-    assert len(empty) == 0 and list(empty) == []
+    empty = RoadMap.padded([], [])
+    assert len(empty) == 0 and empty.waypoints.size == 0
     scn = replace(SCENES[1], map=empty)
-    assert map_visibility(scn, 50.0).shape == (len(scn.agents), 0)
+    assert map_visibility(scn, 50.0).shape == (len(scn.agent_ids), 0)
     assert map_feature_matrix(empty, 20).shape == (0, 63)
     assert len(local_frame(scn, "ego").map) == 0
     assert load_scenario(dump_scenario(scn)) == scn
@@ -371,8 +376,8 @@ def test_integral_numbers_load_as_floats():
     doc["agents"][0]["states"][0]["x"] = 3
     doc["map"][0]["waypoints"][0] = [1, 2]
     scn = load_scenario(json.dumps(doc))
-    assert scn.agents[0].past.dtype == np.float64
-    assert scn.agents[0].past[0, 0] == 3.0
+    assert scn.past[0].dtype == np.float64
+    assert scn.past[0, 0, 0] == 3.0
     assert np.array_equal(scn.map.waypoints[0, 0], [1.0, 2.0])
 
 
@@ -391,10 +396,12 @@ def test_rigid_move_rounds_as_per_state_rotation():
     origin, angle = np.array([12.5, -3.25]), 0.7
     moved = _apply_rigid(scn, origin, angle)
     R = rotation(angle)
-    for a, src in zip(moved.agents, scn.agents):
-        for got, orig in ((a.past, src.past), (a.future, src.future)):
+    for i in range(len(scn.agent_ids)):
+        for got, orig in ((moved.past[i], scn.past[i]),
+                          (moved.future[i], scn.future[i])):
             for row, o in zip(got, orig):
                 assert np.array_equal(row[:2], R @ o[:2] + origin)
                 assert np.array_equal(row[3:], R @ o[3:])
-    assert list(moved.map) == [MapPolyline(p.waypoints @ R.T + origin,
-                                           p.kind) for p in scn.map]
+    assert same_polylines(moved.map, [
+        w[:n] @ R.T + origin for w, n in zip(scn.map.waypoints,
+                                             scn.map.counts)], scn.map.kinds)
