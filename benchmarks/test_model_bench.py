@@ -1,0 +1,95 @@
+"""Per-layer benchmarks of the model: the history LSTM, the agent-agent
+encoder and the decoder (each forward and backward), the agent-map
+attention (forward), on one fixed `merge` scene per N in {3, 8, 16} with a
+seeded, untrained model, and checkpoint save and load.
+
+    python -m pytest benchmarks --benchmark-enable \
+        --benchmark-json=BENCH_<n>.json
+
+As with the risk cases, the test suite runs each case once and
+--benchmark-enable turns the timing on. A layer's inputs are what
+`JointPredictor.forward` hands it for the scene; its backward takes an
+all-ones output gradient.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from riskcast.interaction import (history_feature_matrix, map_feature_matrix,
+                                  map_visibility, neighbor_mask)
+from riskcast.model import JointPredictor, ModelConfig
+from riskcast.scene import generate_scenario
+
+N_AGENTS = (3, 8, 16)
+
+
+@pytest.fixture(scope="module")
+def model():
+    return JointPredictor(ModelConfig())
+
+
+@pytest.fixture(scope="module", params=N_AGENTS, ids=lambda n: f"N{n}")
+def inputs(request, model):
+    """The local scene's inputs to each layer, from one forward."""
+    cfg = model.cfg
+    local = model.prepare(generate_scenario("merge", request.param, seed=3))
+    res = model.forward([local])
+    feats = history_feature_matrix(local)
+    hist, _ = model.history.forward(feats)
+    masks = [neighbor_mask(local, cfg.context_radius_m)]
+    base, _ = model.agent_agent.forward(hist, masks)
+    map_embeds, _ = model.map_enc.forward(
+        map_feature_matrix(local.map, cfg.map_pad))
+    return SimpleNamespace(
+        feats=feats, hist=hist, base=base, map_embeds=map_embeds,
+        masks=masks, vis=[map_visibility(local, cfg.context_radius_m)],
+        dec_in=np.concatenate([res.features, res.intention_feature], axis=1),
+        pos0=local.past[:, -1, :2], slices=res.slices)
+
+
+def test_history_lstm(benchmark, model, inputs):
+    def run():
+        h, ctx = model.history.forward(inputs.feats)
+        return model.history.backward(ctx, np.ones_like(h))
+
+    assert benchmark(run).shape == inputs.feats.shape
+
+
+def test_agent_agent_encoder(benchmark, model, inputs):
+    def run():
+        out, ctx = model.agent_agent.forward(inputs.hist, inputs.masks)
+        return model.agent_agent.backward(ctx, np.ones_like(out))
+
+    assert benchmark(run).shape == inputs.hist.shape
+
+
+def test_agent_map_attention(benchmark, model, inputs):
+    out, _ = benchmark(model.agent_map.forward, inputs.base,
+                       inputs.map_embeds, inputs.vis)
+    assert out.shape == inputs.base.shape
+
+
+def test_decoder(benchmark, model, inputs):
+    def run():
+        (trajs, probs), ctx = model.decoder.forward(
+            inputs.dec_in, inputs.pos0, inputs.slices)
+        return model.decoder.backward(ctx, np.ones_like(trajs),
+                                      np.ones_like(probs))
+
+    assert benchmark(run).shape == inputs.dec_in.shape
+
+
+def test_checkpoint_save(benchmark, model, tmp_path):
+    path = tmp_path / "model.npz"
+    benchmark(model.save, str(path))
+    assert path.stat().st_size > 0
+
+
+def test_checkpoint_load(benchmark, model, tmp_path):
+    path = str(tmp_path / "model.npz")
+    model.save(path)
+    loaded = benchmark(JointPredictor.load, path)
+    assert [n for n, _, _ in loaded.members()] == \
+        [n for n, _, _ in model.members()]

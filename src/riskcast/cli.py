@@ -113,6 +113,9 @@ def _prepare_out(args, cfg: dict) -> str:
         os.makedirs(args.out, exist_ok=True)
     except FileExistsError as e:   # exist_ok spares only a directory
         raise CliError(f"output directory is a file: {args.out}") from e
+    except OSError as e:           # a file on the way, a denied parent
+        raise CliError(f"cannot create output directory {args.out}: "
+                       f"{e.strerror}") from e
     cfgmod.write_resolved(cfg, args.out)
     return args.out
 

@@ -162,7 +162,8 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
     scene are computed once for every mode, agent and step; best-of-modes
     takes the first mode with the lowest ADE at the longest horizon. The
     horizons are whole seconds of the first scenario's time step, so every
-    scenario must share it.
+    scenario must share it. A scene with an error that is not finite (a
+    prediction or a baseline that overflows) raises ValueError naming it.
     """
     if not scenarios:
         raise ValueError("no scenarios to evaluate")
@@ -204,16 +205,25 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
             raise ValueError(f"horizon {h_max} exceeds trajectory "
                              f"length {span}")
         truth = scn.future[predicted, :h_max, :2]
-        model_a, model_f = _horizon_metrics(
-            np.asarray(jp.trajectories, dtype=np.float64)[:, :, :h_max],
-            truth, horizon_steps)
-        cv = constant_velocity_baselines(scn.past[predicted], h_max, scn.dt)
+        # an error that overflows is reported by the finiteness check
+        # below, not by numpy's warnings on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            model_a, model_f = _horizon_metrics(
+                np.asarray(jp.trajectories, dtype=np.float64)[:, :, :h_max],
+                truth, horizon_steps)
+            cv = constant_velocity_baselines(scn.past[predicted], h_max,
+                                             scn.dt)
+            cv_a, cv_f = _horizon_metrics(cv, truth, horizon_steps)
+        if not all(np.isfinite(e).all()
+                   for e in (model_a, model_f, cv_a, cv_f)):
+            raise ValueError(f"scenario {scn.scenario_id!r}: an error is "
+                             f"not finite")
         rows = np.arange(len(predicted))
         best = np.argmin(model_a[:, :, -1], axis=0)
         estimates = {
             "model_selected": (model_a[k_sel], model_f[k_sel]),
             "model_best": (model_a[best, rows], model_f[best, rows]),
-            "cv": _horizon_metrics(cv, truth, horizon_steps),
+            "cv": (cv_a, cv_f),
         }
         ego = jp.agent_ids.index(scn.ego_id)
         ego_first = [ego] + [i for i in rows if i != ego]

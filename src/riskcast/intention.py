@@ -7,10 +7,10 @@ linear head per class, mixed by the predicted class probabilities; the fused
 intention feature is a feature-axis softmax of an MLP over the concatenated
 lateral and longitudinal embeddings.
 
-Sibling heads over one input run stacked (``nn.StackedMLP``,
-``nn.StackedLinear``): the lateral and longitudinal MLPs, the class heads of
-each embedding, and the decoder's K trajectory heads each run as one batched
-matmul per layer, and each head keeps its own checkpoint names
+Sibling heads over one input run stacked (an ``nn.MLP`` or ``nn.Linear``
+given the heads' ``names``): the lateral and longitudinal MLPs, the class
+heads of each embedding, and the decoder's K trajectory heads each run as one
+batched matmul per layer, and each head keeps its own checkpoint names
 (``int.lat.0.W``, ``emb.lon.2.b``, ``dec.k3.1.W``).
 """
 
@@ -51,9 +51,8 @@ class IntentionHead(nn.Module):
 
     def __init__(self, dim: int, rng: np.random.Generator,
                  name: str = "int"):
-        self.mlps = nn.StackedMLP([dim, dim, len(LATERAL_CLASSES)],
-                                  [f"{name}.lat", f"{name}.lon"], rng,
-                                  name=name)
+        self.mlps = nn.MLP([dim, dim, len(LATERAL_CLASSES)], rng, name=name,
+                           names=[f"{name}.lat", f"{name}.lon"])
 
     def parts(self):
         return [self.mlps]
@@ -81,8 +80,8 @@ class ClassEmbeddings(nn.Module):
     def __init__(self, dim: int, n_classes: int, rng: np.random.Generator,
                  name: str = "emb"):
         [W] = nn.stacked_glorot(rng, n_classes, [(dim, dim)])
-        self.heads = nn.StackedLinear(
-            W, [f"{name}.{c}" for c in range(n_classes)], name=name)
+        self.heads = nn.Linear(
+            W, name, names=[f"{name}.{c}" for c in range(n_classes)])
 
     def parts(self):
         return [self.heads]
@@ -133,8 +132,8 @@ class IntentionFuser(nn.Module):
 class JointDecoder(nn.Module):
     """K trajectory heads emitting per-step offsets that are integrated from
     each agent's current position, plus a max-pooled scene feature that is
-    decoded into mode probabilities. The K heads are one StackedMLP, whose
-    two layers are [K, 2D, 2D] and [K, 2D, 2T] weights.
+    decoded into mode probabilities. The K heads are one MLP with K members,
+    whose two layers are [K, 2D, 2D] and [K, 2D, 2T] weights.
 
     The rows hold one or more scenes: ``slices[b]`` are scene b's rows, and
     its max-pool runs over those rows only, so the mode probabilities come
@@ -146,9 +145,9 @@ class JointDecoder(nn.Module):
         in_dim = 2 * dim
         self.n_modes = n_modes
         self.horizon = horizon
-        self.heads = nn.StackedMLP([in_dim, in_dim, horizon * 2],
-                                   [f"{name}.k{k}" for k in range(n_modes)],
-                                   rng, name=f"{name}.heads")
+        self.heads = nn.MLP([in_dim, in_dim, horizon * 2], rng,
+                            name=f"{name}.heads",
+                            names=[f"{name}.k{k}" for k in range(n_modes)])
         self.pool_mlp = nn.MLP([in_dim, dim], rng, name=f"{name}.pool")
         self.prob_mlp = nn.MLP([dim, dim, n_modes], rng, name=f"{name}.prob")
 

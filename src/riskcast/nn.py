@@ -13,13 +13,15 @@ handled; gradients accumulate into the parameters.
 
 Sibling layers of one shape that read the same input are stacked: their
 weights are one ``Parameter`` with a leading member axis, and they run as
-one batched matmul (``StackedLinear``, ``StackedMLP``, the query/key/value
-projections of ``MultiHeadAttention``). A batched matmul rounds each member
-exactly as that member's own matmul would, so every output and gradient is
+one batched matmul. ``Linear`` and ``MLP`` take such a member axis when
+given the members' ``names``, and ``MultiHeadAttention`` stacks its
+query/key/value projections. A batched matmul rounds each member exactly as
+that member's own matmul would, so every output and gradient is
 bit-identical to the separate layers'. Each member keeps its own checkpoint
 name: ``Module.members`` lists them in the order the separate layers'
-parameters would be listed. Likewise ``LSTM`` projects the input of every
-step in one matmul and hands each ``LSTMCell.step`` its projected slice.
+parameters would be listed. ``LSTM`` runs its own steps: it projects the
+input of every step in one matmul and hands each ``step`` its projected
+slice.
 """
 
 from __future__ import annotations
@@ -91,13 +93,11 @@ class Parameter:
     def params(self) -> list["Parameter"]:
         return [self]
 
-    def member(self, k: int) -> Member:
-        return self.names[k], self.value[k], self.grad[k]
-
     def members(self) -> list[Member]:
         if self.names is None:
             return [(self.name, self.value, self.grad)]
-        return [self.member(k) for k in range(len(self.names))]
+        return [(n, self.value[k], self.grad[k])
+                for k, n in enumerate(self.names)]
 
 
 class Module:
@@ -119,55 +119,85 @@ class Module:
             p.grad[...] = 0.0
 
 
+def _by_member(layers: Sequence["Linear"]) -> list[Member]:
+    """The members of Linears stacked alike, member by member, and within
+    a member layer by layer, each layer's W before its b."""
+    pairs = [zip(layer.W.members(), layer.b.members()) for layer in layers]
+    return [m for member in zip(*pairs) for pair in member for m in pair]
+
+
 class Linear(Module):
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 name: str = "linear"):
+    """x W + b, for a weight W of shape [in, out].
+
+    With ``names``, W is [M, in, out]: M same-shape layers (the members)
+    run as one batched matmul, member m at index m of W and of b and
+    checkpointed as a Linear named ``names[m]`` would be. The input is then
+    [N, in], shared by every member, or [M, N, in], one per member, and the
+    output is [M, N, out].
+    """
+
+    def __init__(self, W: np.ndarray, name: str = "linear",
+                 names: Sequence[str] | None = None):
         self.name = name
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.W = Parameter(f"{name}.W", glorot_uniform(rng, in_dim, out_dim))
-        self.b = Parameter(f"{name}.b", np.zeros(out_dim))
+        self.in_dim, self.out_dim = W.shape[-2:]
+        W_names = b_names = None
+        if names is not None:
+            W_names, b_names = ([f"{n}.{p}" for n in names] for p in "Wb")
+        self.W = Parameter(f"{name}.W", W, W_names)
+        self.b = Parameter(f"{name}.b", np.zeros(W.shape[:-2] + W.shape[-1:]),
+                           b_names)
 
     def parts(self) -> list[Parameter]:
         return [self.W, self.b]
 
+    def members(self) -> list[Member]:
+        return _by_member([self])
+
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(x W + b, ctx); the context is the input."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
+        if x.ndim not in (2, self.W.value.ndim) or x.shape[-1] != self.in_dim:
             raise DimensionError(
                 f"{self.name}: expected input [*, {self.in_dim}], got {x.shape}")
-        return x @ self.W.value + self.b.value, x
+        return x @ self.W.value + self.b.value[..., None, :], x
 
     def backward(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        self.W.grad += x.T @ g
-        self.b.grad += g.sum(axis=0)
-        return g @ self.W.value.T
+        """The input gradient; a stacked layer's is [M, N, in] (a shared
+        input's is the sum over the members, which the caller takes in the
+        order it needs)."""
+        self.W.grad += np.swapaxes(x, -1, -2) @ g
+        self.b.grad += g.sum(axis=-2)
+        return g @ np.swapaxes(self.W.value, -1, -2)
 
 
 class MLP(Module):
-    """Fully connected stack with ReLU between layers and a linear output."""
+    """Fully connected stack with ReLU between layers and a linear output.
+
+    With ``names``, it is M same-shape MLPs (the members) over one shared
+    input [N, in], run layer by layer as stacked Linears into [M, N, out].
+    Member m is initialized and checkpointed as an MLP named ``names[m]``
+    would be: the members draw their weights from `rng` one after another,
+    as M separate MLPs created in member order do.
+    """
 
     def __init__(self, sizes: Sequence[int], rng: np.random.Generator,
-                 name: str = "mlp"):
+                 name: str = "mlp", names: Sequence[str] | None = None):
         if len(sizes) < 2:
             raise ValueError("MLP needs at least an input and an output size")
         self.name = name
+        weights = stacked_glorot(rng, 1 if names is None else len(names),
+                                 list(zip(sizes[:-1], sizes[1:])))
         self.layers = [
-            Linear(sizes[i], sizes[i + 1], rng, name=f"{name}.{i}")
-            for i in range(len(sizes) - 1)
+            Linear(W[0], f"{name}.{i}") if names is None else
+            Linear(W, f"{name}.{i}", [f"{n}.{i}" for n in names])
+            for i, W in enumerate(weights)
         ]
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
 
     def parts(self) -> list:
         return self.layers
+
+    def members(self) -> list[Member]:
+        return _by_member(self.layers)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         """(output, ctx); the context lists each layer's context and the
@@ -188,74 +218,6 @@ class MLP(Module):
                 g = g * mask
             g = layer.backward(lctx, g)
         return g
-
-
-class StackedLinear(Module):
-    """M same-shape Linear layers (the members) run as one batched matmul.
-
-    W is one [M, in, out] parameter and b one [M, out] parameter, member m
-    at index m, checkpointed as a Linear named ``names[m]`` would be. The
-    input is [N, in], shared by every member, or [M, N, in], one per
-    member; the output is [M, N, out].
-    """
-
-    def __init__(self, W: np.ndarray, names: Sequence[str], name: str):
-        self.name = name
-        self.in_dim, self.out_dim = W.shape[1:]
-        self.W = Parameter(f"{name}.W", W, [f"{n}.W" for n in names])
-        self.b = Parameter(f"{name}.b", np.zeros((len(names), self.out_dim)),
-                           [f"{n}.b" for n in names])
-
-    def parts(self) -> list[Parameter]:
-        return [self.W, self.b]
-
-    def member(self, k: int) -> list[Member]:
-        return [self.W.member(k), self.b.member(k)]
-
-    def members(self) -> list[Member]:
-        return [m for k in range(len(self.W.value)) for m in self.member(k)]
-
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(x W[m] + b[m] for every member m, ctx); the context is the
-        input."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (2, 3) or x.shape[-1] != self.in_dim:
-            raise DimensionError(
-                f"{self.name}: expected input [*, {self.in_dim}], got {x.shape}")
-        return x @ self.W.value + self.b.value[:, None, :], x
-
-    def backward(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The input gradient, [M, N, in] (a shared input's is the sum over
-        the members, which the caller takes in the order it needs)."""
-        self.W.grad += np.swapaxes(x, -1, -2) @ g
-        self.b.grad += g.sum(axis=1)
-        return g @ np.swapaxes(self.W.value, -1, -2)
-
-
-class StackedMLP(MLP):
-    """M same-shape MLPs (the members) over one shared input [N, in], run
-    layer by layer as StackedLinears into [M, N, out].
-
-    Member m is initialized and checkpointed as an MLP named ``names[m]``
-    would be: the members draw their weights from `rng` one after another,
-    as M separate MLPs created in member order do.
-    """
-
-    def __init__(self, sizes: Sequence[int], names: Sequence[str],
-                 rng: np.random.Generator, name: str):
-        if len(sizes) < 2:
-            raise ValueError("MLP needs at least an input and an output size")
-        weights = stacked_glorot(rng, len(names),
-                                 list(zip(sizes[:-1], sizes[1:])))
-        self.name = name
-        self.layers = [
-            StackedLinear(W, [f"{n}.{i}" for n in names], name=f"{name}.{i}")
-            for i, W in enumerate(weights)
-        ]
-
-    def members(self) -> list[Member]:
-        return [m for k in range(len(self.layers[0].W.value))
-                for layer in self.layers for m in layer.member(k)]
 
 
 class LayerNorm(Module):
@@ -289,13 +251,17 @@ class LayerNorm(Module):
         return inv * (gx - m1 - xhat * m2)
 
 
-class LSTMCell(Module):
-    """Single-step LSTM with sigmoid input/forget/output gates and a tanh
-    candidate. Gate blocks are stored in i, f, g, o order.
+class LSTM(Module):
+    """LSTM over a [batch, time, features] sequence, returning the final
+    hidden state; backward runs full BPTT, truncated nowhere. The gates are
+    sigmoid input/forget/output gates and a tanh candidate, their blocks
+    stored in i, f, g, o order.
 
-    A step takes its input already projected, ``x @ Wx``: ``LSTM`` projects
-    every step of a sequence in one matmul, and takes Wx's gradient and the
-    input's from the gradients of those projections.
+    The input projection of every step is one matmul over the time-major
+    sequence, so step t's slice is exactly ``seq[:, t] @ Wx``, and ``step``
+    takes its input so projected; backward likewise projects every step's
+    gradient back to the input in one matmul, and accumulates Wx's gradient
+    step by step, last step first.
     """
 
     def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator,
@@ -353,43 +319,21 @@ class LSTMCell(Module):
         dh_prev = dpre @ self.Wh.value.T
         return dpre, dh_prev, dc_prev
 
-
-class LSTM(Module):
-    """Unrolls an LSTMCell over a [batch, time, features] sequence and returns
-    the final hidden state. Backward runs truncated nowhere: full BPTT.
-
-    The input projection of every step is one matmul over the time-major
-    sequence, so step t's slice is exactly ``seq[:, t] @ Wx``; backward
-    likewise projects every step's gradient back to the input in one
-    matmul, and accumulates Wx's gradient step by step, last step first.
-    """
-
-    def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator,
-                 name: str = "lstm"):
-        self.cell = LSTMCell(in_dim, hidden_dim, rng, name=name)
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.cell.hidden_dim
-
-    def parts(self) -> list[Module]:
-        return [self.cell]
-
     def forward(self, seq: np.ndarray) -> tuple[np.ndarray, tuple]:
         """(final hidden state, ctx); the context is the input and the
         step contexts."""
         seq = np.asarray(seq, dtype=np.float64)
-        if seq.ndim != 3 or seq.shape[2] != self.cell.in_dim:
+        if seq.ndim != 3 or seq.shape[2] != self.in_dim:
             raise DimensionError(
-                f"{self.cell.name}: expected input [n, t, {self.cell.in_dim}]"
-                f", got {seq.shape}")
+                f"{self.name}: expected input [n, t, {self.in_dim}], "
+                f"got {seq.shape}")
         n, t, _ = seq.shape
-        xw = seq.transpose(1, 0, 2) @ self.cell.Wx.value     # [t, n, 4H]
-        h = np.zeros((n, self.cell.hidden_dim))
-        c = np.zeros((n, self.cell.hidden_dim))
+        xw = seq.transpose(1, 0, 2) @ self.Wx.value     # [t, n, 4H]
+        h = np.zeros((n, self.hidden_dim))
+        c = np.zeros((n, self.hidden_dim))
         steps = []
         for step in range(t):
-            (h, c), sctx = self.cell.step(xw[step], h, c)
+            (h, c), sctx = self.step(xw[step], h, c)
             steps.append(sctx)
         return h, (seq, steps)
 
@@ -398,11 +342,11 @@ class LSTM(Module):
         n, t, _ = seq.shape
         dh = dh_last
         dc = np.zeros_like(dh_last)
-        dpre = np.empty((t, n, 4 * self.cell.hidden_dim))
+        dpre = np.empty((t, n, 4 * self.hidden_dim))
         for step in reversed(range(t)):
-            dpre[step], dh, dc = self.cell.backward_step(steps[step], dh, dc)
-            self.cell.Wx.grad += seq[:, step, :].T @ dpre[step]
-        return (dpre @ self.cell.Wx.value.T).transpose(1, 0, 2)
+            dpre[step], dh, dc = self.backward_step(steps[step], dh, dc)
+            self.Wx.grad += seq[:, step, :].T @ dpre[step]
+        return (dpre @ self.Wx.value.T).transpose(1, 0, 2)
 
 
 class MultiHeadAttention(Module):
@@ -433,7 +377,8 @@ class MultiHeadAttention(Module):
         # a key-projection bias cancels in the softmax, so it is omitted
         self.bq = Parameter(f"{name}.q.b", np.zeros(embed_dim))
         self.bv = Parameter(f"{name}.v.b", np.zeros(embed_dim))
-        self.Wo = Linear(embed_dim, embed_dim, rng, name=f"{name}.o")
+        self.Wo = Linear(glorot_uniform(rng, embed_dim, embed_dim),
+                         name=f"{name}.o")
 
     def parts(self) -> list:
         return [self.Wqkv, self.bq, self.bv, self.Wo]
@@ -497,10 +442,9 @@ class MultiHeadAttention(Module):
         datt = datt_flat.reshape(nq, heads, hd).transpose(1, 0, 2)
         dV = np.einsum("hij,hid->hjd", weights, datt)
         dweights = np.einsum("hid,hjd->hij", datt, V)
-        # softmax backward per (head, query) row; masked weights are 0 so
-        # their score gradient vanishes automatically
-        row_dot = (dweights * weights).sum(axis=2, keepdims=True)
-        dscores = weights * (dweights - row_dot)
+        # per (head, query) row; masked weights are 0 so their score
+        # gradient vanishes automatically
+        dscores = softmax_backward(weights, dweights)
         dscores /= np.sqrt(hd)
         dQ = np.einsum("hij,hjd->hid", dscores, K)
         dK = np.einsum("hij,hid->hjd", dscores, Q)

@@ -334,10 +334,14 @@ def test_out_naming_a_file_exits_1(tmp_path, capsys, tiny_data, command):
     out = tmp_path / "out.txt"
     out.write_text("kept")
     capsys.readouterr()
-    code = main([command, "--out", str(out)] + inputs[command] + TINY)
-    assert code == 1
-    assert capsys.readouterr().err == \
-        f"error: output directory is a file: {out}\n"
+    under = out / "sub"
+    for target, message in (
+            (out, f"output directory is a file: {out}"),
+            (under, f"cannot create output directory {under}: Not a "
+                    f"directory")):
+        code = main([command, "--out", str(target)] + inputs[command] + TINY)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert out.read_text() == "kept"
 
 
@@ -688,15 +692,17 @@ class TestMalformedPredictions:
         assert code == 1
         assert "exceeds trajectory length" in capsys.readouterr().err
 
-    # points 1e200 m off overflow the squared errors to inf, and numpy warns
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # points 1e200 m off overflow the squared errors to inf, without a
+    # numpy warning
     def test_eval_infinite_error_exits_1(self, tmp_path, capsys, scene):
         doc = _truth_prediction(scene[0])
         for agent in doc["modes"][0]["agents"]:
             agent["points"] = [[x + 1e200, y] for x, y in agent["points"]]
         code, _ = self._eval(tmp_path, scene[0], json.dumps(doc))
         assert code == 1
-        assert "metrics.json: Out of range float" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot evaluate {tmp_path / 'preds'}: scenario "
+            f"{scene[0].scenario_id!r}: an error is not finite")
         assert not (tmp_path / "eval" / "metrics.json").exists()
         assert not (tmp_path / "eval" / "metrics.csv").exists()
 

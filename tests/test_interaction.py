@@ -53,8 +53,7 @@ class TestHistoryEncoder:
         h = np.zeros((feats.shape[0], CFG.embed_dim))
         c = np.zeros_like(h)
         for t in range(feats.shape[1]):
-            (h, c), _ = enc.cell.step(feats[:, t, :] @ enc.cell.Wx.value, h,
-                                      c)
+            (h, c), _ = enc.step(feats[:, t, :] @ enc.Wx.value, h, c)
         assert np.allclose(out, h, atol=1e-10)
 
 

@@ -114,7 +114,7 @@ class TestForward:
 
         walk(model, "model")
         assert {"SelfAttentionBlock", "LayerNorm", "MultiHeadAttention",
-                "MLP", "Linear", "HistoryEncoder", "LSTMCell"} <= seen
+                "MLP", "Linear", "HistoryEncoder"} <= seen
         assert left == []
 
     def test_forward_leaves_only_parameters_and_config(self, tiny_setup):

@@ -122,7 +122,7 @@ class TestStacked:
         # the same draws, outputs and gradients, bit for bit, as one MLP
         # per member created in member order
         names = ["a", "b", "c"]
-        stack = nn.StackedMLP(sizes, names, nn.seeded_rng(21), name="s")
+        stack = nn.MLP(sizes, nn.seeded_rng(21), name="s", names=names)
         rng = nn.seeded_rng(21)
         mlps = [nn.MLP(sizes, rng, name=n) for n in names]
         assert [n for n, _, _ in stack.members()] == \
@@ -144,7 +144,7 @@ class TestStacked:
 
     def test_stacked_linear_takes_one_input_per_member(self):
         rng = nn.seeded_rng(23)
-        lin = nn.StackedLinear(rng.normal(size=(2, 4, 3)), ["p", "q"], "s")
+        lin = nn.Linear(rng.normal(size=(2, 4, 3)), "s", names=["p", "q"])
         lin.b.value[...] = rng.normal(size=(2, 3))
         x = rng.normal(size=(2, 5, 4))
         g = rng.normal(size=(2, 5, 3))
@@ -158,7 +158,7 @@ class TestStacked:
             assert np.array_equal(lin.b.grad[k], g[k].sum(axis=0))
 
     def test_stacked_linear_shape_mismatch(self):
-        lin = nn.StackedLinear(np.zeros((2, 4, 3)), ["p", "q"], "s")
+        lin = nn.Linear(np.zeros((2, 4, 3)), "s", names=["p", "q"])
         with pytest.raises(nn.DimensionError, match="s"):
             lin.forward(np.zeros((5, 3)))
 
@@ -185,7 +185,7 @@ class TestLayerNorm:
 
 class TestLSTM:
     def test_zero_params_zero_cell(self):
-        cell = nn.LSTMCell(3, 2, nn.seeded_rng(0))
+        cell = nn.LSTM(3, 2, nn.seeded_rng(0))
         zero_params(cell)
         (h, c), _ = cell.step(np.ones((1, 3)) @ cell.Wx.value,
                               np.zeros((1, 2)), np.zeros((1, 2)))
@@ -195,7 +195,7 @@ class TestLSTM:
     def test_zero_params_unit_cell(self):
         # gates sigmoid(0)=0.5, candidate tanh(0)=0:
         # c' = 0.5*1, h = 0.5*tanh(0.5)
-        cell = nn.LSTMCell(2, 1, nn.seeded_rng(0))
+        cell = nn.LSTM(2, 1, nn.seeded_rng(0))
         zero_params(cell)
         (h, c), _ = cell.step(np.ones((1, 2)) @ cell.Wx.value,
                               np.zeros((1, 1)), np.ones((1, 1)))
@@ -205,7 +205,7 @@ class TestLSTM:
 
     def test_matches_naive_oracle(self):
         rng = nn.seeded_rng(7)
-        cell = nn.LSTMCell(4, 3, rng)
+        cell = nn.LSTM(4, 3, rng)
         x = rng.normal(size=(2, 4))
         h0 = rng.normal(size=(2, 3))
         c0 = rng.normal(size=(2, 3))
@@ -215,7 +215,7 @@ class TestLSTM:
         assert np.allclose(c, c_ref, atol=1e-10)
 
     def test_shape_mismatch(self):
-        cell = nn.LSTMCell(4, 3, nn.seeded_rng(0))
+        cell = nn.LSTM(4, 3, nn.seeded_rng(0))
         with pytest.raises(nn.DimensionError):
             cell.step(np.zeros((1, 5)), np.zeros((1, 3)), np.zeros((1, 3)))
 
@@ -237,7 +237,6 @@ class TestLSTM:
     def test_equals_a_step_loop_over_the_unprojected_input(self):
         rng = nn.seeded_rng(24)
         lstm = nn.LSTM(5, 3, rng)
-        cell = lstm.cell
         seq = rng.normal(size=(4, 6, 5))
         dh_last = rng.normal(size=(4, 3))
         out, ctx = lstm.forward(seq)
@@ -248,15 +247,15 @@ class TestLSTM:
         h = c = np.zeros((4, 3))
         steps = []
         for t in range(6):
-            (h, c), sctx = cell.step(seq[:, t] @ cell.Wx.value, h, c)
+            (h, c), sctx = lstm.step(seq[:, t] @ lstm.Wx.value, h, c)
             steps.append(sctx)
         assert np.array_equal(out, h)
         dh, dc = dh_last, np.zeros((4, 3))
         dx = [None] * 6
         for t in reversed(range(6)):
-            dpre, dh, dc = cell.backward_step(steps[t], dh, dc)
-            cell.Wx.grad += seq[:, t].T @ dpre
-            dx[t] = dpre @ cell.Wx.value.T
+            dpre, dh, dc = lstm.backward_step(steps[t], dh, dc)
+            lstm.Wx.grad += seq[:, t].T @ dpre
+            dx[t] = dpre @ lstm.Wx.value.T
         assert np.array_equal(dseq, np.stack(dx, axis=1))
         for p, want in zip(lstm.params(), lstm_grads):
             assert np.array_equal(p.grad, want), p.name
@@ -563,7 +562,7 @@ class TestAdam:
 class TestGradCheck:
     def test_detects_broken_gradient(self):
         rng = nn.seeded_rng(11)
-        lin = nn.Linear(3, 2, rng)
+        lin = nn.Linear(nn.glorot_uniform(rng, 3, 2))
         x = rng.normal(size=(4, 3))
         r = rng.normal(size=(4, 2))
 
