@@ -1,7 +1,10 @@
 """Per-layer benchmarks of the model: the history LSTM, the agent-agent
 encoder and the decoder (each forward and backward), the agent-map
 attention (forward), on one fixed `merge` scene per N in {3, 8, 16} with a
-seeded, untrained model, and checkpoint save and load.
+seeded, untrained model, and checkpoint save and load. The union cases time
+one 32-scene training minibatch, the five templates with N from 3 to 8,
+through `training._union_losses` (forward, losses and backward) in stage 1
+and in stage 2.
 
     python -m pytest benchmarks --benchmark-enable \
         --benchmark-json=BENCH_<n>.json
@@ -12,6 +15,7 @@ As with the risk cases, the test suite runs each case once and
 all-ones output gradient.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,9 +24,11 @@ import pytest
 from riskcast.interaction import (history_feature_matrix, map_feature_matrix,
                                   map_visibility, neighbor_mask)
 from riskcast.model import JointPredictor, ModelConfig
-from riskcast.scene import generate_scenario
+from riskcast.scene import TEMPLATES, generate_scenario
+from riskcast.training import TrainConfig, _TrainScene, _union_losses
 
 N_AGENTS = (3, 8, 16)
+UNION_SCENES = 32
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +99,25 @@ def test_checkpoint_load(benchmark, model, tmp_path):
     loaded = benchmark(JointPredictor.load, path)
     assert [n for n, _, _ in loaded.members()] == \
         [n for n, _, _ in model.members()]
+
+
+@pytest.fixture(scope="module")
+def minibatch(model):
+    """A training minibatch of the five templates in turn, N from 3 to 8."""
+    return [_TrainScene.of(model.prepare(generate_scenario(
+        TEMPLATES[i % len(TEMPLATES)], 3 + i % 6, seed=i)))
+        for i in range(UNION_SCENES)]
+
+
+@pytest.mark.parametrize("epoch", (1, 2), ids=("stage1", "stage2"))
+def test_minibatch_union(benchmark, model, minibatch, epoch):
+    cfg = TrainConfig(epochs=2, stage1_epochs=1)
+
+    def run():
+        model.zero_grad()
+        return _union_losses(model, minibatch, epoch, cfg)
+
+    losses = benchmark(run)
+    assert len(losses) == UNION_SCENES
+    assert all(math.isfinite(v) for row in losses for v in row)
+    assert any(l_risk > 0 for _, _, l_risk in losses) == (epoch == 2)

@@ -54,5 +54,5 @@ def test_risk_loss_and_grad(benchmark, planned):
     _, jp, predicted = planned
     trajs = jp.trajectories[select_mode(jp)]
     loss, grad = benchmark(risk_loss_and_grad, trajs, predicted,
-                           predicted.ego_index, RiskConfig())
+                           RiskConfig())
     assert grad.shape == trajs.shape

@@ -16,7 +16,7 @@ from .evaluation import evaluate
 from .model import (JointPredictor, prediction_from_json, prediction_to_csv_rows,
                     prediction_to_json)
 from .risk import rank_trajectories
-from .scene import dump_scenario, load_scenario
+from .scene import TEMPLATES, dump_scenario, load_scenario
 from .training import train
 
 
@@ -256,9 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate synthetic scenarios")
     common(p)
-    p.add_argument("--template", choices=("straight", "left_turn",
-                                          "right_turn", "merge",
-                                          "crossing_conflict"))
+    p.add_argument("--template", choices=TEMPLATES)
     p.add_argument("--count", type=int)
     p.add_argument("--n-agents", type=int, dest="n_agents")
     p.set_defaults(func=cmd_gen)

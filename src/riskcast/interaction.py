@@ -10,9 +10,9 @@ own runs would. In a scene where every agent sees every other it runs once.
 The history features are built for all agents and steps from the scene's
 ``past`` [N, H+1, 5], and the map features and visibility for all
 polylines, as array operations; the history features round as the scalar
-``relative_encoding`` does. The agent-map attention replaces a row by its
-attended map context (no internal residual); rows with no visible polyline,
-or an entirely empty map, pass through unchanged.
+``relative_encoding`` does. The agent-map attention adds its attended map
+context to a row as a residual; rows with no visible polyline, or an
+entirely empty map, pass through unchanged.
 
 Every layer takes the disjoint union of one or more scenes' rows (see
 ``riskcast.model``). The agent-agent encoder and the agent-map attention
@@ -249,8 +249,9 @@ def _context_sets(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 class AgentMapAttention(nn.Module):
     """Cross attention from agent features (queries) to polyline embeddings
-    (keys and values). Output rows are the attended map context; rows with
-    nothing visible, or an empty map, pass through unchanged.
+    (keys and values), added to the features as a residual: an output row
+    is its input plus its attended map context, and rows with nothing
+    visible, or an empty map, pass through unchanged.
 
     Each scene of a union is its own [N_b, P_b] visibility block, and the
     attention runs once per scene, so that its cost grows with the scenes'
@@ -282,7 +283,7 @@ class AgentMapAttention(nn.Module):
                 kv = map_embeds[keys]
                 att, mha_ctx = self.mha.forward(features[rows], kv, kv,
                                                 v[attending])
-                out[rows] = att
+                out[rows] += att
             runs.append((rows, keys, mha_ctx))
             row0, key0 = row0 + v.shape[0], keys.stop
         return out, (len(map_embeds), runs)
@@ -295,6 +296,6 @@ class AgentMapAttention(nn.Module):
         for rows, keys, mha_ctx in runs:
             if rows.size:
                 dq, dk, dv = self.mha.backward(mha_ctx, g[rows])
-                dfeat[rows] = dq
+                dfeat[rows] += dq
                 dmap[keys] = dk + dv
         return dfeat, dmap

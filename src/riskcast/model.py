@@ -11,15 +11,16 @@ one disjoint union, the way graph libraries batch small graphs into one
 disconnected graph: the per-scene arrays the stages read from each scene's
 ``past`` [N, H+1, 5] and map are concatenated into one set of rows
 ([sum N, ...]) and one set of keys, and each scene's rows are one slice of
-them (``ForwardResult.slices``). Row-wise layers (the LSTM, the MLPs and
-heads) run once over all rows. The agent-agent encoder and the agent-map
+them (``ForwardResult.slices``). Row-wise layers (the MLPs and heads) run
+once over all rows. The LSTM, the only layer that reads the history length,
+runs once per length over the rows of that length, so scenes of different
+lengths share one union. The agent-agent encoder and the agent-map
 attention take each scene's own neighbor mask [N_b, N_b] and map
 visibility [N_b, P_b], never a matrix over the whole union, so a row only
 ever sees its own scene's agents and polylines; a scene without a map is a
 visibility block with no columns. The decoder max-pools each scene's slice
 to one row of mode probabilities ([B, K]). Training runs one forward and
-one backward per minibatch this way; ``predict`` is the batch of one. The
-scenes of one batch must share their history length.
+one backward per minibatch this way; ``predict`` is the batch of one.
 
 Checkpoints (format version 2) are uncompressed ``.npz`` archives written to
 exactly the path given: one float64 array per member name plus a
@@ -93,7 +94,6 @@ class ForwardResult:
     lon_probs: np.ndarray         # [N, 3]
     intention_feature: np.ndarray  # [N, D]
     features: np.ndarray          # [N, D] fused interaction features
-    att_rows: np.ndarray          # [N] rows given map context
     slices: list[slice]           # [B] each scene's rows
     ctx: tuple                    # the layer contexts, in forward order
 
@@ -126,27 +126,27 @@ class JointPredictor(nn.Module):
     # -- forward / backward over a local-frame scenario -------------------
 
     def forward(self, locals_: list[Scenario]) -> ForwardResult:
-        """One pass over local-frame scenes of one history length, run as
-        one disjoint union (see the module docstring)."""
+        """One pass over local-frame scenes, run as one disjoint union (see
+        the module docstring)."""
         cfg = self.cfg
         feats = [history_feature_matrix(local) for local in locals_]
-        steps = sorted({f.shape[1] for f in feats})
-        if len(steps) > 1:
-            raise nn.DimensionError(
-                f"forward: the scenes' history lengths differ: {steps} steps")
         slices = _slices([len(f) for f in feats])
-        h, hist_ctx = self.history.forward(np.concatenate(feats))
+        steps = np.concatenate([np.full(len(f), f.shape[1]) for f in feats])
+        h = np.empty((len(steps), cfg.embed_dim))
+        hist_runs = []
+        for t in np.unique(steps):
+            rows = np.flatnonzero(steps == t)
+            h[rows], ctx = self.history.forward(
+                np.concatenate([f for f in feats if f.shape[1] == t]))
+            hist_runs.append((rows, ctx))
         base, aa_ctx = self.agent_agent.forward(
             h, [neighbor_mask(local, cfg.context_radius_m)
                 for local in locals_])
         membeds, menc_ctx = self.map_enc.forward(np.concatenate(
             [map_feature_matrix(local.map, cfg.map_pad) for local in locals_]))
-        vis = [map_visibility(local, cfg.context_radius_m)
-               for local in locals_]
-        fused, amap_ctx = self.agent_map.forward(base, membeds, vis)
-        att_rows = np.concatenate([v.any(axis=1) for v in vis])
-        features = base.copy()
-        features[att_rows] += fused[att_rows]
+        features, amap_ctx = self.agent_map.forward(
+            base, membeds, [map_visibility(local, cfg.context_radius_m)
+                            for local in locals_])
 
         (lat, lon), head_ctx = self.intention_head.forward(features)
         e_lat, elat_ctx = self.lat_embeddings.forward(features, lat)
@@ -156,9 +156,8 @@ class JointPredictor(nn.Module):
         pos0 = np.concatenate([local.past[:, -1, :2] for local in locals_])
         (trajs, probs), dec_ctx = self.decoder.forward(dec_in, pos0, slices)
         nn.ensure_finite(trajs, "decoded trajectories")
-        return ForwardResult(trajs, probs, lat, lon, z, features, att_rows,
-                             slices,
-                             (hist_ctx, aa_ctx, menc_ctx, amap_ctx, head_ctx,
+        return ForwardResult(trajs, probs, lat, lon, z, features, slices,
+                             (hist_runs, aa_ctx, menc_ctx, amap_ctx, head_ctx,
                               elat_ctx, elon_ctx, fuse_ctx, dec_ctx))
 
     def backward(self, res: ForwardResult, dtrajs: np.ndarray,
@@ -167,7 +166,7 @@ class JointPredictor(nn.Module):
         """Accumulate the parameter gradients of the losses' gradients with
         respect to the forward's outputs, laid out as they are: dtrajs
         [K, N, T, 2], dprobs [B, K], dlat and dlon [N, 3]."""
-        (hist_ctx, aa_ctx, menc_ctx, amap_ctx, head_ctx, elat_ctx, elon_ctx,
+        (hist_runs, aa_ctx, menc_ctx, amap_ctx, head_ctx, elat_ctx, elon_ctx,
          fuse_ctx, dec_ctx) = res.ctx
         d = self.cfg.embed_dim
         ddec_in = self.decoder.backward(dec_ctx, dtrajs, dprobs)
@@ -180,13 +179,11 @@ class JointPredictor(nn.Module):
         dfeat += df
         dfeat += self.intention_head.backward(head_ctx, dlat + dlat_emb,
                                               dlon + dlon_emb)
-
-        g_op = np.zeros_like(dfeat)
-        g_op[res.att_rows] = dfeat[res.att_rows]
-        dbase, dmap = self.agent_map.backward(amap_ctx, g_op)
+        dbase, dmap = self.agent_map.backward(amap_ctx, dfeat)
         self.map_enc.backward(menc_ctx, dmap)
-        dh = self.agent_agent.backward(aa_ctx, dfeat + dbase)
-        self.history.backward(hist_ctx, dh)
+        dh = self.agent_agent.backward(aa_ctx, dbase)
+        for rows, ctx in hist_runs:
+            self.history.backward(ctx, dh[rows])
 
     # -- inference ---------------------------------------------------------
 

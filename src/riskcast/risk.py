@@ -469,8 +469,10 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
     vx, vy = batch.velocities[..., 0], batch.velocities[..., 1]
     speeds = np.sqrt(vx * vx + vy * vy)
     cos_yaw, sin_yaw = np.cos(batch.yaws), np.sin(batch.yaws)
-    # unit motion direction, the yaw direction when (nearly) stopped; as in
-    # AgentState.direction, by hypot, which rounds unlike the speeds above
+    # unit motion direction, the yaw direction when (nearly) stopped, as
+    # AgentState.direction defines it. np.hypot rounds unlike the speeds
+    # above, and unlike that reference's math.hypot by an ulp on about 0.6%
+    # of velocities, so the heading matches it to rounding, not bit for bit
     hyp = np.hypot(vx, vy)
     with np.errstate(divide="ignore", invalid="ignore"):
         moving = batch.velocities / hyp[..., None]
@@ -658,11 +660,11 @@ def rank_trajectories(jp: JointPrediction, scn: Scenario,
 # Differentiable risk for training
 # --------------------------------------------------------------------------
 
-def risk_loss_and_grad(trajs: np.ndarray, scn: Scenario, ego_index: int,
-                       cfg: RiskConfig
+def risk_loss_and_grad(trajs: np.ndarray, scn: Scenario, cfg: RiskConfig
                        ) -> tuple[float, np.ndarray]:
     """Total risk cost of one decoded joint mode [N, T, 2] of the scene's
-    agents and its gradient with respect to the decoded positions.
+    agents, the ego at ``scn.ego_index``, and its gradient with respect to
+    the decoded positions.
 
     Harm factors, struck regions and the argmax steps are treated as
     constants; the gradient flows through the collision probabilities at
@@ -670,6 +672,7 @@ def risk_loss_and_grad(trajs: np.ndarray, scn: Scenario, ego_index: int,
     through the boundary clearance at its argmax step. A loss or gradient
     that is not finite raises ValueError naming the scenario.
     """
+    ego_index = scn.ego_index
     batch = batch_from_prediction(scn, trajs[None])
     terms = risk_kernel(batch, ego_index, _road_boundaries(scn), cfg)
     l_risk = mode_risk_report(terms, 0, 1.0, cfg).l_risk

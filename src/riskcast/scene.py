@@ -150,12 +150,20 @@ class Scenario:
     future: np.ndarray         # [N, T, 5], rows without has_future ignored
     has_future: np.ndarray     # [N] bool
     map: RoadMap
-    horizon_past: int
-    horizon_future: int
     dt: float
     ego_index: int = 0
     scenario_id: str = ""
     template: str = ""
+
+    @property
+    def horizon_past(self) -> int:
+        """H, the past steps before the current one."""
+        return self.past.shape[1] - 1
+
+    @property
+    def horizon_future(self) -> int:
+        """T, the future steps."""
+        return self.future.shape[1]
 
     @property
     def ego_id(self) -> str:
@@ -417,9 +425,8 @@ def load_scenario(text: str) -> Scenario:
         raise ScenarioError(f"ego_index {ego_index} out of range")
     road = RoadMap.padded([m["waypoints"] for m in doc["map"]],
                           [m["kind"] for m in doc["map"]])
-    return Scenario(*_agent_arrays(agents, T), road, H, T, doc["dt"],
-                    ego_index, doc.get("scenario_id", ""),
-                    doc.get("template", ""))
+    return Scenario(*_agent_arrays(agents, T), road, doc["dt"], ego_index,
+                    doc.get("scenario_id", ""), doc.get("template", ""))
 
 
 def _rows_to_json(rows: list) -> list[dict]:
@@ -751,7 +758,7 @@ def generate_scenario(template: str, n_agents: int, seed: int,
 
     agents = [_roll_agent(spec, H, T, dt, rng, jitter) for spec in specs]
     scn = Scenario(*_agent_arrays(agents, T), RoadMap.padded(*zip(*polys)),
-                   H, T, dt, ego_index=0, scenario_id=f"{template}-{seed}",
+                   dt, ego_index=0, scenario_id=f"{template}-{seed}",
                    template=template)
     angle = rng.uniform(0.0, 2 * math.pi)
     origin = rng.uniform(-30.0, 30.0, size=2)

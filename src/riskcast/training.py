@@ -8,13 +8,13 @@ probabilities are informative; it is reported separately from the staged
 total.
 
 A minibatch runs as one forward and one backward: its scenes go through
-``JointPredictor.forward`` together, as one disjoint union of their agents
-(scenes of different history lengths as one union per length). Each scene's
-losses read its own slice of the union's rows, and their gradients are
-written back into that slice of one upstream gradient per output. Every
-scene's loss is checked for divergence, and the reported losses add up in
-minibatch order. The truth matrices and intention labels are computed once
-per scene, before the first epoch.
+``JointPredictor.forward`` together, as one disjoint union of their agents,
+whatever their history lengths. Each scene's losses read its own slice
+of the union's rows, and their gradients are written back into that slice
+of one upstream gradient per output. Every scene's loss is checked for
+divergence, and the reported losses add up in minibatch order. The truth
+matrices and intention labels are computed once per scene, before the
+first epoch.
 """
 
 from __future__ import annotations
@@ -178,9 +178,9 @@ class _TrainScene:
 def _union_losses(model: JointPredictor, scenes: list[_TrainScene],
                   epoch: int, cfg: TrainConfig
                   ) -> list[tuple[float, float, float]]:
-    """One forward and one backward over scenes of one history length, run
-    as one union; gradients accumulate into the model parameters. Returns
-    each scene's (l_pre, l_man, l_risk), in the given order."""
+    """One forward and one backward over the scenes, run as one union;
+    gradients accumulate into the model parameters. Returns each scene's
+    (l_pre, l_man, l_risk), in the given order."""
     res: ForwardResult = model.forward([s.local for s in scenes])
     dtrajs = np.zeros_like(res.trajectories)
     dprobs = np.zeros_like(res.mode_probs)
@@ -198,28 +198,12 @@ def _union_losses(model: JointPredictor, scenes: list[_TrainScene],
         l_risk = 0.0
         if epoch > cfg.stage1_epochs:
             k_sel = int(np.argmax(res.mode_probs[b]))
-            l_risk, drisk = risk_loss_and_grad(
-                trajs[k_sel], scene.local, scene.local.ego_index, cfg.risk)
+            l_risk, drisk = risk_loss_and_grad(trajs[k_sel], scene.local,
+                                               cfg.risk)
             dtrajs[k_sel, rows] += (1.0 - cfg.tau) * drisk
         losses.append((l_pre, l_man, l_risk))
 
     model.backward(res, dtrajs, dprobs, cfg.tau * dlat, cfg.tau * dlon)
-    return losses
-
-
-def _minibatch_losses(model: JointPredictor, scenes: list[_TrainScene],
-                      epoch: int, cfg: TrainConfig
-                      ) -> list[tuple[float, float, float]]:
-    """Losses and gradients of a minibatch, one union per history length;
-    each scene's (l_pre, l_man, l_risk), in minibatch order."""
-    groups: dict[int, list[int]] = {}
-    for j, scene in enumerate(scenes):
-        groups.setdefault(scene.local.past.shape[1], []).append(j)
-    losses = [None] * len(scenes)
-    for group in groups.values():
-        for j, scene_losses in zip(group, _union_losses(
-                model, [scenes[j] for j in group], epoch, cfg)):
-            losses[j] = scene_losses
     return losses
 
 
@@ -270,7 +254,7 @@ def train(scenarios: list[Scenario], model_cfg: ModelConfig,
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
             model.zero_grad()
-            for l_pre, l_man, l_risk in _minibatch_losses(
+            for l_pre, l_man, l_risk in _union_losses(
                     model, [scenes_train[int(i)] for i in batch], epoch, cfg):
                 l_tot = total_loss(l_pre, l_man, l_risk, epoch, cfg)
                 if not math.isfinite(l_tot):

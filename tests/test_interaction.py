@@ -174,7 +174,7 @@ class TestAgentMapAttention:
         x = nn.seeded_rng(15).normal(size=(3, CFG.embed_dim))
         value = nn.seeded_rng(16).normal(size=(1, CFG.embed_dim))
         out, _ = att.forward(x, value, [np.ones((3, 1), dtype=bool)])
-        assert np.allclose(out, np.repeat(value, 3, axis=0), atol=1e-12)
+        assert np.allclose(out, x + value, atol=1e-12)
 
     def test_polyline_permutation_invariance(self):
         rng = nn.seeded_rng(17)

@@ -10,6 +10,7 @@ import pytest
 
 from riskcast import nn
 from riskcast.intention import label_indices
+from riskcast.interaction import history_feature_matrix, neighbor_mask
 from riskcast.model import (JointPredictor, ModelConfig, prediction_from_json,
                             prediction_to_csv_rows, prediction_to_json)
 from riskcast.scene import RoadMap, generate_scenario
@@ -221,6 +222,17 @@ def assert_scenes_match_alone(model, locals_, res):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+def agent_agent_output(model, locals_):
+    """The agent-agent encoder's output over the scenes' history LSTM
+    states, the features a union without map context has."""
+    h, _ = model.history.forward(
+        np.concatenate([history_feature_matrix(local) for local in locals_]))
+    out, _ = model.agent_agent.forward(
+        h, [neighbor_mask(local, model.cfg.context_radius_m)
+            for local in locals_])
+    return out
+
+
 class TestUnion:
     """A batch of scenes runs as one disjoint union of their agents."""
 
@@ -231,7 +243,10 @@ class TestUnion:
         assert [(s.start, s.stop) for s in res.slices] == \
             [(0, 3), (3, 8), (8, 16)]
         assert res.mode_probs.shape == (3, TINY.n_modes)
-        assert not res.att_rows[res.slices[1]].any()
+        # the scene without a map gets no map context
+        np.testing.assert_allclose(res.features[res.slices[1]],
+                                   agent_agent_output(model, locals_[1:2]),
+                                   rtol=1e-12, atol=0)
         assert_scenes_match_alone(model, locals_, res)
 
     def test_a_union_without_maps(self):
@@ -245,7 +260,8 @@ class TestUnion:
                                 ("straight", 8, 23))]
         locals_ = [model.prepare(scn) for scn in scns]
         res = model.forward(locals_)
-        assert not res.att_rows.any()
+        assert np.array_equal(res.features,
+                              agent_agent_output(model, locals_))
         assert_scenes_match_alone(model, locals_, res)
 
         model.zero_grad()
@@ -284,12 +300,19 @@ class TestUnion:
         assert nn.grad_check(lambda: batch_loss(model, locals_),
                              biases) < 1e-5
 
-    def test_history_lengths_must_agree(self):
+    def test_a_union_of_two_history_lengths(self):
+        # the LSTM runs once per history length, the rest once per union
         model = JointPredictor(TINY)
-        locals_ = [model.prepare(generate_scenario("merge", 3, seed=1, H=h,
-                                                   T=5)) for h in (3, 4)]
-        with pytest.raises(nn.DimensionError, match="history lengths"):
-            model.forward(locals_)
+        locals_ = [model.prepare(generate_scenario(t, n, seed=s, H=h, T=5))
+                   for t, n, s, h in (("crossing_conflict", 3, 11, 5),
+                                      ("merge", 4, 2, 3),
+                                      ("straight", 2, 3, 5))]
+        res = model.forward(locals_)
+        assert len(res.ctx[0]) == 2
+        assert_scenes_match_alone(model, locals_, res)
+        biases = [p for p in model.params() if p.name.endswith(".b")]
+        assert nn.grad_check(lambda: batch_loss(model, locals_),
+                             biases) < 1e-5
 
 
 class TestConfig:

@@ -471,7 +471,7 @@ class TestRiskGradient:
         for i in range(trajs.shape[0]):
             if i != scn.ego_index:
                 trajs[i] += np.array([3.0, 2.5])
-        base, grad = risk_loss_and_grad(trajs, scn, scn.ego_index, cfg)
+        base, grad = risk_loss_and_grad(trajs, scn, cfg)
         assert base > 0
         active = np.argwhere(np.abs(grad) > 1e-8)
         assert len(active) >= 4
@@ -485,9 +485,9 @@ class TestRiskGradient:
         for idx in ego_probes:
             orig = trajs[idx]
             trajs[idx] = orig + h
-            lp, _ = risk_loss_and_grad(trajs, scn, scn.ego_index, cfg)
+            lp, _ = risk_loss_and_grad(trajs, scn, cfg)
             trajs[idx] = orig - h
-            lm, _ = risk_loss_and_grad(trajs, scn, scn.ego_index, cfg)
+            lm, _ = risk_loss_and_grad(trajs, scn, cfg)
             trajs[idx] = orig
             num = (lp - lm) / (2 * h)
             assert grad[idx] == pytest.approx(num, rel=1e-3, abs=1e-10)
@@ -500,9 +500,9 @@ class TestRiskGradient:
                 continue
             for axis in (0, 1):
                 trajs[i, :, axis] += h
-                lp, _ = risk_loss_and_grad(trajs, scn, scn.ego_index, cfg)
+                lp, _ = risk_loss_and_grad(trajs, scn, cfg)
                 trajs[i, :, axis] -= 2 * h
-                lm, _ = risk_loss_and_grad(trajs, scn, scn.ego_index, cfg)
+                lm, _ = risk_loss_and_grad(trajs, scn, cfg)
                 trajs[i, :, axis] += h
                 num = (lp - lm) / (2 * h)
                 assert grad[i, :, axis].sum() == \

@@ -115,8 +115,7 @@ def test_kernel_matches_per_step_reference(model, template, n, seed):
 
     k = select_mode(jp)
     predicted = scn.take(scn.prediction_rows(jp.agent_ids))
-    loss, _ = risk_loss_and_grad(jp.trajectories[k], predicted,
-                                 predicted.ego_index, cfg)
+    loss, _ = risk_loss_and_grad(jp.trajectories[k], predicted, cfg)
     assert loss == pytest.approx(reports[k].l_risk, rel=1e-12, abs=0)
 
 
