@@ -4,7 +4,8 @@ attention (forward), on one fixed `merge` scene per N in {3, 8, 16} with a
 seeded, untrained model, and checkpoint save and load. The union cases time
 one 32-scene training minibatch, the five templates with N from 3 to 8,
 through `training._union_losses` (forward, losses and backward) in stage 1
-and in stage 2.
+and in stage 2, and one inference forward (no backward) over 24 eval scenes,
+the four normal templates with N = 16.
 
     python -m pytest benchmarks --benchmark-enable \
         --benchmark-json=BENCH_<n>.json
@@ -29,6 +30,8 @@ from riskcast.training import TrainConfig, _TrainScene, _union_losses
 
 N_AGENTS = (3, 8, 16)
 UNION_SCENES = 32
+EVAL_TEMPLATES = ("straight", "left_turn", "right_turn", "merge")
+EVAL_SCENES = 24
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +100,8 @@ def test_checkpoint_load(benchmark, model, tmp_path):
     path = str(tmp_path / "model.npz")
     model.save(path)
     loaded = benchmark(JointPredictor.load, path)
-    assert [n for n, _, _ in loaded.members()] == \
-        [n for n, _, _ in model.members()]
+    assert [p.name for p in loaded.params()] == \
+        [p.name for p in model.params()]
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +124,17 @@ def test_minibatch_union(benchmark, model, minibatch, epoch):
     assert len(losses) == UNION_SCENES
     assert all(math.isfinite(v) for row in losses for v in row)
     assert any(l_risk > 0 for _, _, l_risk in losses) == (epoch == 2)
+
+
+@pytest.fixture(scope="module")
+def eval_scenes(model):
+    """Eval scenes of the four normal templates in turn, N = 16."""
+    return [model.prepare(generate_scenario(
+        EVAL_TEMPLATES[i % len(EVAL_TEMPLATES)], 16, seed=i))
+        for i in range(EVAL_SCENES)]
+
+
+def test_eval_union(benchmark, model, eval_scenes):
+    res = benchmark(model.forward, eval_scenes)
+    assert res.mode_probs.shape == (EVAL_SCENES, model.cfg.n_modes)
+    assert np.isfinite(res.trajectories).all()

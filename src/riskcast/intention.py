@@ -7,11 +7,13 @@ linear head per class, mixed by the predicted class probabilities; the fused
 intention feature is a feature-axis softmax of an MLP over the concatenated
 lateral and longitudinal embeddings.
 
-Sibling heads over one input run stacked (an ``nn.MLP`` or ``nn.Linear``
-given the heads' ``names``): the lateral and longitudinal MLPs, the class
-heads of each embedding, and the decoder's K trajectory heads each run as one
-batched matmul per layer, and each head keeps its own checkpoint names
-(``int.lat.0.W``, ``emb.lon.2.b``, ``dec.k3.1.W``).
+Sibling heads over one input run stacked, as an ``nn.MLP`` with
+``members`` or an ``nn.Linear`` with a stacked weight: the lateral and
+longitudinal MLPs, the class heads of each embedding, and the decoder's K
+trajectory heads each run as one batched matmul per layer. Each stack is one
+parameter per weight and bias, its heads along the leading axis: ``int.0.W``
+is [2, D, D] (lateral, longitudinal), ``emb.lon.W`` is [3, D, D] and
+``dec.heads.1.W`` is [K, 2D, 2T].
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class IntentionHead(nn.Module):
     def __init__(self, dim: int, rng: np.random.Generator,
                  name: str = "int"):
         self.mlps = nn.MLP([dim, dim, len(LATERAL_CLASSES)], rng, name=name,
-                           names=[f"{name}.lat", f"{name}.lon"])
+                           members=2)
 
     def parts(self):
         return [self.mlps]
@@ -80,8 +82,7 @@ class ClassEmbeddings(nn.Module):
     def __init__(self, dim: int, n_classes: int, rng: np.random.Generator,
                  name: str = "emb"):
         [W] = nn.stacked_glorot(rng, n_classes, [(dim, dim)])
-        self.heads = nn.Linear(
-            W, name, names=[f"{name}.{c}" for c in range(n_classes)])
+        self.heads = nn.Linear(W, name)
 
     def parts(self):
         return [self.heads]
@@ -146,8 +147,7 @@ class JointDecoder(nn.Module):
         self.n_modes = n_modes
         self.horizon = horizon
         self.heads = nn.MLP([in_dim, in_dim, horizon * 2], rng,
-                            name=f"{name}.heads",
-                            names=[f"{name}.k{k}" for k in range(n_modes)])
+                            name=f"{name}.heads", members=n_modes)
         self.pool_mlp = nn.MLP([in_dim, dim], rng, name=f"{name}.pool")
         self.prob_mlp = nn.MLP([dim, dim, n_modes], rng, name=f"{name}.prob")
 

@@ -22,15 +22,14 @@ visibility block with no columns. The decoder max-pools each scene's slice
 to one row of mode probabilities ([B, K]). Training runs one forward and
 one backward per minibatch this way; ``predict`` is the batch of one.
 
-Checkpoints (format version 2) are uncompressed ``.npz`` archives written to
-exactly the path given: one float64 array per member name plus a
-``__meta__`` JSON string holding the format name, the version and the model
-config. A member is a parameter, or one slice of a stacked parameter
-(``nn.Parameter.names``): the decoder's ``dec.k3.0.W`` is slice 3 of the
-stacked first-layer weight of its K heads. The members come in
-``Module.members`` order, so the bytes depend only on the parameters and
-the config, and a round trip is bit-exact. Every malformed checkpoint,
-a file that is not a zip archive among them, raises ``ValueError``.
+Checkpoints (format version 3) are uncompressed ``.npz`` archives written to
+exactly the path given: one float64 array per parameter, named and ordered as
+``Module.params`` lists them, plus a ``__meta__`` JSON string holding the
+format name, the version and the model config. A stacked parameter is one
+entry: the decoder's ``dec.heads.0.W`` is the [K, 2D, 2D] first-layer weight
+of its K heads. So the bytes depend only on the parameters and the config,
+and a round trip is bit-exact. Every malformed checkpoint, a file that is not
+a zip archive among them, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .interaction import (AgentAgentEncoder, AgentMapAttention,
 from .scene import Scenario, local_frame, pose_frame
 
 CHECKPOINT_FORMAT = "riskcast-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _META_KEY = "__meta__"
 _ZIP_MAGIC = b"PK\x03\x04"
 
@@ -211,10 +210,10 @@ class JointPredictor(nn.Module):
     # -- checkpointing -----------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write a version-2 checkpoint to exactly `path`."""
+        """Write a version-3 checkpoint to exactly `path`."""
         meta = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
                 "config": asdict(self.cfg)}
-        arrays = {name: value for name, value, _ in self.members()}
+        arrays = {p.name: p.value for p in self.params()}
         arrays[_META_KEY] = np.array(
             json.dumps(meta, sort_keys=True, allow_nan=False))
         # through a handle: given a name, np.savez would append ".npz"
@@ -223,28 +222,28 @@ class JointPredictor(nn.Module):
 
     @classmethod
     def load(cls, path: str) -> "JointPredictor":
-        """Read a version-2 checkpoint, filling each member by its name."""
+        """Read a version-3 checkpoint, filling each parameter by its name."""
         with open(path, "rb") as f:
             if f.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
                 raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
             f.seek(0)
             config, tensors = _read_npz(f, path)
         model = cls(_config_from_json(config))
-        for name, value, _ in model.members():
-            saved = tensors.get(name)
+        for p in model.params():
+            saved = tensors.get(p.name)
             if saved is None:
-                raise ValueError(f"checkpoint missing tensor {name!r}")
-            if saved.shape != value.shape:
+                raise ValueError(f"checkpoint missing tensor {p.name!r}")
+            if saved.shape != p.shape:
                 raise ValueError(
-                    f"tensor {name!r}: checkpoint shape "
+                    f"tensor {p.name!r}: checkpoint shape "
                     f"{list(saved.shape)} does not match model shape "
-                    f"{list(value.shape)}")
+                    f"{list(p.shape)}")
             if saved.dtype != np.float64:
-                raise ValueError(f"tensor {name!r}: dtype {saved.dtype}, "
+                raise ValueError(f"tensor {p.name!r}: dtype {saved.dtype}, "
                                  f"expected float64")
             if not np.isfinite(saved).all():
-                raise ValueError(f"tensor {name!r}: non-finite values")
-            value[...] = saved
+                raise ValueError(f"tensor {p.name!r}: non-finite values")
+            p.value[...] = saved
         return model
 
 
@@ -255,7 +254,7 @@ def _slices(sizes: list[int]) -> list[slice]:
 
 
 def _read_npz(f, path: str) -> tuple[object, dict[str, np.ndarray]]:
-    """Config and tensors of a version-2 checkpoint."""
+    """Config and tensors of a version-3 checkpoint."""
     try:
         with np.load(f, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}

@@ -13,15 +13,14 @@ handled; gradients accumulate into the parameters.
 
 Sibling layers of one shape that read the same input are stacked: their
 weights are one ``Parameter`` with a leading member axis, and they run as
-one batched matmul. ``Linear`` and ``MLP`` take such a member axis when
-given the members' ``names``, and ``MultiHeadAttention`` stacks its
-query/key/value projections. A batched matmul rounds each member exactly as
-that member's own matmul would, so every output and gradient is
-bit-identical to the separate layers'. Each member keeps its own checkpoint
-name: ``Module.members`` lists them in the order the separate layers'
-parameters would be listed. ``LSTM`` runs its own steps: it projects the
-input of every step in one matmul and hands each ``step`` its projected
-slice.
+one batched matmul. ``Linear`` stacks when its weight is [M, in, out],
+``MLP`` when given its number of ``members``, and ``MultiHeadAttention``
+stacks its query/key/value projections. A batched matmul rounds each member
+exactly as that member's own matmul would, so every output and gradient is
+bit-identical to the separate layers'. A stacked parameter is one parameter:
+``Module.params`` lists it once, under one name. ``LSTM`` runs its own
+steps: it projects the input of every step in one matmul and hands each
+``step`` its projected slice.
 """
 
 from __future__ import annotations
@@ -64,27 +63,15 @@ def stacked_glorot(rng: np.random.Generator, members: int,
     return weights
 
 
-# a checkpoint member: (name, value, gradient); for a stacked parameter the
-# two arrays are views of one member's slice
-Member = tuple[str, np.ndarray, np.ndarray]
-
-
 class Parameter:
-    """A learnable tensor together with its gradient accumulator.
+    """A learnable tensor together with its gradient accumulator."""
 
-    A stacked parameter holds several same-shape members along its leading
-    axis, and ``names`` gives each member's checkpoint name. A parameter
-    without ``names`` is one member, named ``name``.
-    """
+    __slots__ = ("name", "value", "grad")
 
-    __slots__ = ("name", "value", "grad", "names")
-
-    def __init__(self, name: str, value: np.ndarray,
-                 names: Sequence[str] | None = None):
+    def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
-        self.names = None if names is None else tuple(names)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -93,17 +80,10 @@ class Parameter:
     def params(self) -> list["Parameter"]:
         return [self]
 
-    def members(self) -> list[Member]:
-        if self.names is None:
-            return [(self.name, self.value, self.grad)]
-        return [(n, self.value[k], self.grad[k])
-                for k, n in enumerate(self.names)]
-
 
 class Module:
     """Base class. A module lists its sub-modules and parameters in
-    ``parts``, in checkpoint order; ``params`` and ``members`` (one entry
-    per checkpoint member) follow from it."""
+    ``parts``, in checkpoint order; ``params`` follows from it."""
 
     def parts(self) -> list:
         raise NotImplementedError
@@ -111,47 +91,28 @@ class Module:
     def params(self) -> list[Parameter]:
         return [p for part in self.parts() for p in part.params()]
 
-    def members(self) -> list[Member]:
-        return [m for part in self.parts() for m in part.members()]
-
     def zero_grad(self) -> None:
         for p in self.params():
             p.grad[...] = 0.0
 
 
-def _by_member(layers: Sequence["Linear"]) -> list[Member]:
-    """The members of Linears stacked alike, member by member, and within
-    a member layer by layer, each layer's W before its b."""
-    pairs = [zip(layer.W.members(), layer.b.members()) for layer in layers]
-    return [m for member in zip(*pairs) for pair in member for m in pair]
-
-
 class Linear(Module):
     """x W + b, for a weight W of shape [in, out].
 
-    With ``names``, W is [M, in, out]: M same-shape layers (the members)
-    run as one batched matmul, member m at index m of W and of b and
-    checkpointed as a Linear named ``names[m]`` would be. The input is then
-    [N, in], shared by every member, or [M, N, in], one per member, and the
-    output is [M, N, out].
+    A W of shape [M, in, out] stacks M same-shape layers (the members), run
+    as one batched matmul, member m at index m of W and of b. The input is
+    then [N, in], shared by every member, or [M, N, in], one per member, and
+    the output is [M, N, out].
     """
 
-    def __init__(self, W: np.ndarray, name: str = "linear",
-                 names: Sequence[str] | None = None):
+    def __init__(self, W: np.ndarray, name: str = "linear"):
         self.name = name
         self.in_dim, self.out_dim = W.shape[-2:]
-        W_names = b_names = None
-        if names is not None:
-            W_names, b_names = ([f"{n}.{p}" for n in names] for p in "Wb")
-        self.W = Parameter(f"{name}.W", W, W_names)
-        self.b = Parameter(f"{name}.b", np.zeros(W.shape[:-2] + W.shape[-1:]),
-                           b_names)
+        self.W = Parameter(f"{name}.W", W)
+        self.b = Parameter(f"{name}.b", np.zeros(W.shape[:-2] + W.shape[-1:]))
 
     def parts(self) -> list[Parameter]:
         return [self.W, self.b]
-
-    def members(self) -> list[Member]:
-        return _by_member([self])
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(x W + b, ctx); the context is the input."""
@@ -173,31 +134,24 @@ class Linear(Module):
 class MLP(Module):
     """Fully connected stack with ReLU between layers and a linear output.
 
-    With ``names``, it is M same-shape MLPs (the members) over one shared
-    input [N, in], run layer by layer as stacked Linears into [M, N, out].
-    Member m is initialized and checkpointed as an MLP named ``names[m]``
-    would be: the members draw their weights from `rng` one after another,
-    as M separate MLPs created in member order do.
+    With ``members``, it is that many same-shape MLPs over one shared input
+    [N, in], run layer by layer as stacked Linears into [M, N, out]. The
+    members draw their weights from `rng` one after another, as M separate
+    MLPs created in member order do.
     """
 
     def __init__(self, sizes: Sequence[int], rng: np.random.Generator,
-                 name: str = "mlp", names: Sequence[str] | None = None):
+                 name: str = "mlp", members: int | None = None):
         if len(sizes) < 2:
             raise ValueError("MLP needs at least an input and an output size")
         self.name = name
-        weights = stacked_glorot(rng, 1 if names is None else len(names),
+        weights = stacked_glorot(rng, 1 if members is None else members,
                                  list(zip(sizes[:-1], sizes[1:])))
-        self.layers = [
-            Linear(W[0], f"{name}.{i}") if names is None else
-            Linear(W, f"{name}.{i}", [f"{n}.{i}" for n in names])
-            for i, W in enumerate(weights)
-        ]
+        self.layers = [Linear(W[0] if members is None else W, f"{name}.{i}")
+                       for i, W in enumerate(weights)]
 
     def parts(self) -> list:
         return self.layers
-
-    def members(self) -> list[Member]:
-        return _by_member(self.layers)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         """(output, ctx); the context lists each layer's context and the
@@ -357,9 +311,8 @@ class MultiHeadAttention(Module):
     with every key masked has no context to attend over and raises.
 
     The query, key and value projections are one [3, D, D] parameter,
-    checkpointed as ``q.W``, ``k.W`` and ``v.W``. Inputs that are one array
-    are projected in one batched matmul: a self-attention's q, k and v, a
-    cross attention's k and v.
+    ``qkv.W``. Inputs that are one array are projected in one batched
+    matmul: a self-attention's q, k and v, a cross attention's k and v.
     """
 
     def __init__(self, embed_dim: int, heads: int, rng: np.random.Generator,
@@ -372,8 +325,7 @@ class MultiHeadAttention(Module):
         self.heads = heads
         self.head_dim = embed_dim // heads
         [W] = stacked_glorot(rng, 3, [(embed_dim, embed_dim)])
-        self.Wqkv = Parameter(f"{name}.qkv.W", W,
-                              [f"{name}.{x}.W" for x in "qkv"])
+        self.Wqkv = Parameter(f"{name}.qkv.W", W)
         # a key-projection bias cancels in the softmax, so it is omitted
         self.bq = Parameter(f"{name}.q.b", np.zeros(embed_dim))
         self.bv = Parameter(f"{name}.v.b", np.zeros(embed_dim))
@@ -382,11 +334,6 @@ class MultiHeadAttention(Module):
 
     def parts(self) -> list:
         return [self.Wqkv, self.bq, self.bv, self.Wo]
-
-    def members(self) -> list[Member]:
-        q, k, v = self.Wqkv.members()
-        return [q, *self.bq.members(), k, v, *self.bv.members(),
-                *self.Wo.members()]
 
     def forward(self, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                 mask: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
@@ -535,11 +482,16 @@ def cross_entropy_grad(pred_probs: np.ndarray,
     return g
 
 
+# elements per Adam update slice: its temporaries stay within 128 KB
+ADAM_CHUNK = 16384
+
+
 class Adam:
     """Bias-corrected Adam with decoupled weight decay over a fixed
-    parameter list. It steps member by member (``Parameter.members``): the
-    update is elementwise, so that is exact, and its temporaries stay the
-    size of one member, not of a whole stacked parameter."""
+    parameter list. It steps each parameter's flat view in slices of
+    ``ADAM_CHUNK`` elements: the update is elementwise, so that is exact,
+    and its temporaries stay the size of one slice, not of a whole stacked
+    parameter."""
 
     def __init__(self, params: Sequence[Parameter], lr: float = 2e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
@@ -550,23 +502,28 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.members = [m for p in params for m in p.members()]
-        self.m = [np.zeros_like(value) for _, value, _ in self.members]
-        self.v = [np.zeros_like(value) for _, value, _ in self.members]
+        self.params = list(params)
+        self.m = [np.zeros(p.value.size) for p in self.params]
+        self.v = [np.zeros(p.value.size) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for (_, value, g), m, v in zip(self.members, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * value
-            value -= self.lr * update
+        for p, m_flat, v_flat in zip(self.params, self.m, self.v):
+            value_flat, g_flat = p.value.reshape(-1), p.grad.reshape(-1)
+            for lo in range(0, value_flat.size, ADAM_CHUNK):
+                s = slice(lo, lo + ADAM_CHUNK)
+                value, g, m, v = (value_flat[s], g_flat[s], m_flat[s],
+                                  v_flat[s])
+                m *= self.beta1
+                m += (1.0 - self.beta1) * g
+                v *= self.beta2
+                v += (1.0 - self.beta2) * (g * g)
+                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                if self.weight_decay:
+                    update = update + self.weight_decay * value
+                value -= self.lr * update
 
 
 def grad_check(loss_fn: Callable[[], float], params: Sequence[Parameter],

@@ -638,8 +638,13 @@ def rank_trajectories(jp: JointPrediction, scn: Scenario,
                       ) -> tuple[list[int], list[RiskReport]]:
     """Score every candidate mode and return (order, reports), where order
     lists mode indices from best (lowest risk-adjusted score) to worst.
-    Only the predicted agents are ranked. A mode whose score is not finite
+    Only the predicted agents are ranked. A prediction of another scenario
+    (both ids non-empty and different) or a mode whose score is not finite
     cannot be ranked and raises ValueError."""
+    if (jp.scenario_id and scn.scenario_id
+            and jp.scenario_id != scn.scenario_id):
+        raise ValueError(f"the prediction is of scenario {jp.scenario_id!r}, "
+                         f"not of {scn.scenario_id!r}")
     cfg = cfg or RiskConfig()
     predicted = scn.take(scn.prediction_rows(jp.agent_ids))
     terms = risk_kernel(batch_from_prediction(predicted, jp.trajectories),

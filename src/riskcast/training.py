@@ -265,9 +265,8 @@ def train(scenarios: list[Scenario], model_cfg: ModelConfig,
                 count += 1
             for p in model.params():
                 p.grad /= len(batch)
-            # summed member by member, as the checkpoint lists them
-            total = math.sqrt(sum(float((g * g).sum())
-                                  for _, _, g in model.members()))
+            total = math.sqrt(sum(float((p.grad * p.grad).sum())
+                                  for p in model.params()))
             if total > CLIP_NORM:
                 scale = CLIP_NORM / total
                 for p in model.params():

@@ -134,12 +134,12 @@ class TestErrors:
         assert "exactly one" in capsys.readouterr().err
 
 
-def _with_config(path, config):
-    """Rewrite a saved checkpoint's header to carry `config`."""
+def _with_meta(path, key, value):
+    """Rewrite a saved checkpoint's header to carry `value` at `key`."""
     with np.load(path) as npz:
         arrays = {k: npz[k] for k in npz.files}
     meta = json.loads(str(arrays["__meta__"]))
-    meta["config"] = config
+    meta[key] = value
     arrays["__meta__"] = np.array(json.dumps(meta))
     with open(path, "wb") as f:
         np.savez(f, **arrays)
@@ -163,14 +163,15 @@ def _object_tensor(path):
 
 # each edit turns a saved tiny checkpoint into a malformed one
 BAD_CHECKPOINTS = {
-    "unknown_config_key": lambda p, cfg: _with_config(p, {**cfg, "bogus": 1}),
-    "missing_config_key": lambda p, cfg: _with_config(
-        p, {k: v for k, v in cfg.items() if k != "n_modes"}),
+    "unknown_config_key": lambda p, cfg: _with_meta(
+        p, "config", {**cfg, "bogus": 1}),
+    "missing_config_key": lambda p, cfg: _with_meta(
+        p, "config", {k: v for k, v in cfg.items() if k != "n_modes"}),
     "non_object_document": lambda p, cfg: p.write_text("[1, 2, 3]"),
-    "config_value_wrong_type": lambda p, cfg: _with_config(
-        p, {**cfg, "embed_dim": "8"}),
-    "config_value_out_of_range": lambda p, cfg: _with_config(
-        p, {**cfg, "n_modes": 0}),
+    "config_value_wrong_type": lambda p, cfg: _with_meta(
+        p, "config", {**cfg, "embed_dim": "8"}),
+    "config_value_out_of_range": lambda p, cfg: _with_meta(
+        p, "config", {**cfg, "n_modes": 0}),
     "truncated_zip": lambda p, cfg: p.write_bytes(
         p.read_bytes()[:p.stat().st_size // 2]),
     "corrupt_zip": lambda p, cfg: _flip_middle(p),
@@ -199,6 +200,24 @@ class TestBadInputs:
                      str(scenario), "--out", str(tmp_path / "o")] + TINY)
         assert code == 1
         assert "invalid checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", [2, 4])
+    def test_other_checkpoint_version_exits_1(self, tmp_path, capsys,
+                                              version):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(dump_scenario(
+            generate_scenario("straight", 3, seed=0, H=4, T=10)))
+        ckpt = tmp_path / "model.ckpt"
+        _tiny_checkpoint(ckpt)
+        _with_meta(ckpt, "version", version)
+        code = main(["predict", "--model", str(ckpt), "--scenario",
+                     str(scenario), "--out", str(tmp_path / "o")] + TINY)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid checkpoint {ckpt}: "
+                              f"unsupported checkpoint version {version}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_non_finite_checkpoint_exits_1(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -528,6 +547,22 @@ class TestRisk:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite risk score" in err
         assert repr(scn.scenario_id) in err
+        assert not (risk_dir / "risk_report.json").exists()
+
+    def test_prediction_of_another_scene_exits_1(self, tmp_path, capsys):
+        # the two merge scenes have the same agent ids
+        _, pred_path = self._predict(tmp_path,
+                                     generate_scenario("merge", 3, seed=0))
+        other = tmp_path / "other.json"
+        other.write_text(dump_scenario(generate_scenario("merge", 3, seed=1)))
+        risk_dir = tmp_path / "risk"
+        capsys.readouterr()
+        assert main(["risk", "--scenario", str(other), "--prediction",
+                     str(pred_path), "--out", str(risk_dir)] + TINY) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot rank {pred_path}: ")
+        assert "'merge-0'" in err and "'merge-1'" in err
+        assert "Traceback" not in err
         assert not (risk_dir / "risk_report.json").exists()
 
     def test_prediction_without_ego_exits_1(self, tmp_path, capsys):

@@ -391,55 +391,53 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="not a riskcast-checkpoint"):
             JointPredictor.load(str(path))
 
-    @pytest.mark.parametrize("name", ["dec.k1.0.W", "emb.lon.2.b",
-                                      "int.lat.1.W", "aa.1.mha.k.W"])
-    def test_checks_each_stacked_member(self, tmp_path, tiny_setup, name):
+    @pytest.mark.parametrize("version", [2, 4])
+    def test_rejects_another_version(self, tmp_path, tiny_setup, version):
         model, _, _ = tiny_setup
         path = tmp_path / "ckpt.npz"
         model.save(str(path))
-        rewrite_npz(path, lambda arrays: arrays.update({name: np.zeros(1)}))
+        # version 2 in its own layout, one entry per stacked member
+        rewrite_npz(path, split_members if version == 2 else None,
+                    version=version)
+        with pytest.raises(ValueError,
+                           match=f"unsupported checkpoint version {version}"):
+            JointPredictor.load(str(path))
+
+    @pytest.mark.parametrize("name", ["dec.heads.0.W", "emb.lon.b",
+                                      "int.1.W", "aa.1.mha.qkv.W"])
+    def test_checks_each_stacked_parameter(self, tmp_path, tiny_setup, name):
+        # one member's slice is not the stacked parameter
+        model, _, _ = tiny_setup
+        path = tmp_path / "ckpt.npz"
+        model.save(str(path))
+        rewrite_npz(path, lambda arrays: arrays.update(
+            {name: arrays[name][0]}))
         with pytest.raises(ValueError, match=f"{name}.*shape"):
             JointPredictor.load(str(path))
         rewrite_npz(path, lambda arrays: arrays.pop(name))
         with pytest.raises(ValueError, match=f"missing tensor '{name}'"):
             JointPredictor.load(str(path))
 
-    def test_members_keep_per_head_names_and_order(self, tmp_path):
-        # each stacked member is saved under the name, with the shape and
-        # at the place, its own layer's parameter had before stacking
+    def test_entries_are_the_parameters_in_order(self, tmp_path):
+        # version 3: one entry per parameter, named, shaped and ordered as
+        # params() lists them, then the meta; a stack is one entry
         model = JointPredictor(TINY)
         path = tmp_path / "ckpt.npz"
         model.save(str(path))
         with np.load(path) as npz:
-            shapes = {n: npz[n].shape for n in npz.files if n != "__meta__"}
-        d, t = TINY.embed_dim, TINY.future_steps
-        want = {}
-        for k in range(TINY.n_modes):
-            want.update({f"dec.k{k}.0.W": (2 * d, 2 * d),
-                         f"dec.k{k}.0.b": (2 * d,),
-                         f"dec.k{k}.1.W": (2 * d, 2 * t),
-                         f"dec.k{k}.1.b": (2 * t,)})
-        for side in ("lat", "lon"):
-            for c in range(3):
-                want.update({f"emb.{side}.{c}.W": (d, d),
-                             f"emb.{side}.{c}.b": (d,)})
-            want.update({f"int.{side}.0.W": (d, d), f"int.{side}.0.b": (d,),
-                         f"int.{side}.1.W": (d, 3), f"int.{side}.1.b": (3,)})
-        mhas = [f"aa.{i}.mha" for i in range(TINY.transformer_layers)]
-        for mha in mhas + ["amap"]:
-            want.update({f"{mha}.{x}.W": (d, d) for x in "qkv"})
-        assert {n: shapes.get(n) for n in want} == want
-        plain = {p.name: p.shape for p in model.params() if p.names is None}
-        assert set(shapes) == set(want) | set(plain)
-
-        names = list(shapes)
-        for group in (["dec.k0.1.b", "dec.k1.0.W"],
-                      ["emb.lat.0.W", "emb.lat.0.b", "emb.lat.1.W"],
-                      ["int.lat.1.b", "int.lon.0.W"],
-                      ["amap.q.W", "amap.q.b", "amap.k.W", "amap.v.W",
-                       "amap.v.b", "amap.o.W", "amap.o.b"]):
-            i = names.index(group[0])
-            assert names[i:i + len(group)] == group
+            entries = [(n, npz[n].shape) for n in npz.files]
+        assert entries == [(p.name, p.shape) for p in model.params()] + \
+            [("__meta__", ())]
+        assert len(set(n for n, _ in entries)) == len(entries)
+        d, k, t = TINY.embed_dim, TINY.n_modes, TINY.future_steps
+        shapes = dict(entries)
+        assert {n: shapes[n] for n in [
+            "dec.heads.0.W", "dec.heads.1.b", "emb.lat.W", "emb.lon.b",
+            "int.0.W", "int.1.b", "aa.0.mha.qkv.W", "amap.qkv.W"]} == {
+            "dec.heads.0.W": (k, 2 * d, 2 * d), "dec.heads.1.b": (k, 2 * t),
+            "emb.lat.W": (3, d, d), "emb.lon.b": (3, d),
+            "int.0.W": (2, d, d), "int.1.b": (2, 3),
+            "aa.0.mha.qkv.W": (3, d, d), "amap.qkv.W": (3, d, d)}
 
     def test_saves_to_exactly_the_path_deterministically(self, tmp_path,
                                                          tiny_setup):
@@ -454,13 +452,31 @@ class TestCheckpoint:
                    for p, q in zip(model.params(), again.params()))
 
 
-def rewrite_npz(path, edit):
-    """Apply `edit` to the arrays of a saved checkpoint and write them back."""
+def rewrite_npz(path, edit=None, version=None):
+    """Apply `edit` to the arrays of a saved checkpoint and write them back,
+    with `version` in the meta if given."""
     with np.load(path, allow_pickle=False) as npz:
         arrays = {k: npz[k] for k in npz.files}
-    edit(arrays)
+    if edit is not None:
+        edit(arrays)
+    if version is not None:
+        meta = json.loads(str(arrays["__meta__"]))
+        meta["version"] = version
+        arrays["__meta__"] = np.array(json.dumps(meta))
     with open(path, "wb") as f:
         np.savez(f, **arrays)
+
+
+def split_members(arrays):
+    """The version-2 layout: a stacked parameter (a [M, in, out] weight and
+    its [M, out] bias) is one entry per member, here named by its index."""
+    for name in list(arrays):
+        value = arrays[name]
+        if value.ndim == 3 or (name.endswith(".b") and value.ndim == 2):
+            del arrays[name]
+            stem, kind = name.rsplit(".", 1)
+            arrays.update({f"{stem}.m{m}.{kind}": value[m]
+                           for m in range(len(value))})
 
 
 class TestExport:

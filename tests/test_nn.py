@@ -121,30 +121,31 @@ class TestStacked:
     def test_stacked_mlp_equals_its_members(self, sizes):
         # the same draws, outputs and gradients, bit for bit, as one MLP
         # per member created in member order
-        names = ["a", "b", "c"]
-        stack = nn.MLP(sizes, nn.seeded_rng(21), name="s", names=names)
+        members = 3
+        stack = nn.MLP(sizes, nn.seeded_rng(21), name="s", members=members)
         rng = nn.seeded_rng(21)
-        mlps = [nn.MLP(sizes, rng, name=n) for n in names]
-        assert [n for n, _, _ in stack.members()] == \
-            [p.name for m in mlps for p in m.params()]
+        mlps = [nn.MLP(sizes, rng) for _ in range(members)]
+        assert [(p.name, p.shape) for p in stack.params()] == \
+            [(f"s.{i}.{x}", (members,) + p.shape)
+             for i, layer in enumerate(mlps[0].layers)
+             for x, p in zip("Wb", layer.params())]
 
         rng = nn.seeded_rng(22)
         x = rng.normal(size=(9, sizes[0]))
-        g = rng.normal(size=(len(names), 9, sizes[-1]))
+        g = rng.normal(size=(members, 9, sizes[-1]))
         out, ctx = stack.forward(x)
         dx = stack.backward(ctx, g)
         for k, mlp in enumerate(mlps):
             out_k, ctx_k = mlp.forward(x)
             assert np.array_equal(out[k], out_k)
             assert np.array_equal(dx[k], mlp.backward(ctx_k, g[k]))
-        want = {p.name: (p.value, p.grad) for m in mlps for p in m.params()}
-        for name, value, grad in stack.members():
-            assert np.array_equal(value, want[name][0]), name
-            assert np.array_equal(grad, want[name][1]), name
+            for stacked, own in zip(stack.params(), mlp.params()):
+                assert np.array_equal(stacked.value[k], own.value), own.name
+                assert np.array_equal(stacked.grad[k], own.grad), own.name
 
     def test_stacked_linear_takes_one_input_per_member(self):
         rng = nn.seeded_rng(23)
-        lin = nn.Linear(rng.normal(size=(2, 4, 3)), "s", names=["p", "q"])
+        lin = nn.Linear(rng.normal(size=(2, 4, 3)), "s")
         lin.b.value[...] = rng.normal(size=(2, 3))
         x = rng.normal(size=(2, 5, 4))
         g = rng.normal(size=(2, 5, 3))
@@ -158,7 +159,7 @@ class TestStacked:
             assert np.array_equal(lin.b.grad[k], g[k].sum(axis=0))
 
     def test_stacked_linear_shape_mismatch(self):
-        lin = nn.Linear(np.zeros((2, 4, 3)), "s", names=["p", "q"])
+        lin = nn.Linear(np.zeros((2, 4, 3)), "s")
         with pytest.raises(nn.DimensionError, match="s"):
             lin.forward(np.zeros((5, 3)))
 
@@ -557,6 +558,29 @@ class TestAdam:
         expected = adam_scalar_oracle(0.05, 0.9, 0.999, 1e-8, 0.01, 0.7,
                                       grads)
         assert p.value[0] == pytest.approx(expected, abs=1e-12)
+
+
+    @pytest.mark.parametrize("shape", [(3, 128, 128), (3, 129, 131)])
+    def test_chunked_step_equals_the_whole_array_update(self, shape):
+        # a parameter of several chunks, the last one whole or partial,
+        # steps bit for bit as the update over the whole array
+        rng = nn.seeded_rng(32)
+        p = nn.Parameter("w", rng.normal(size=shape))
+        assert p.value.size > 2 * nn.ADAM_CHUNK
+        lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.02
+        opt = nn.Adam([p], lr=lr, beta1=b1, beta2=b2, eps=eps,
+                      weight_decay=wd)
+        value, m, v = p.value.copy(), np.zeros(shape), np.zeros(shape)
+        for t in range(1, 4):
+            g = rng.normal(size=shape)
+            p.grad[...] = g
+            opt.step()
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            update = (m / (1.0 - b1 ** t)) / (
+                np.sqrt(v / (1.0 - b2 ** t)) + eps)
+            value = value - lr * (update + wd * value)
+            assert np.array_equal(p.value, value)
 
 
 class TestGradCheck:

@@ -3,6 +3,7 @@ delta-v and harm identities, cost-term enumeration oracles, trajectory
 ranking, and the differentiable risk path."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -430,6 +431,23 @@ class TestRanking:
         order, reports = rank_trajectories(jp, scn)
         assert order == [1, 2, 0]
         assert all(r.l_risk == 0.0 for r in reports)
+
+    def test_prediction_of_another_scene_rejected(self):
+        scn, jp, _ = synthetic_conflict_prediction(seed=1)
+        other = replace(jp, scenario_id="other-7")
+        with pytest.raises(ValueError,
+                           match=f"'other-7'.*{scn.scenario_id!r}"):
+            rank_trajectories(other, scn)
+
+    @pytest.mark.parametrize("side", ["prediction", "scene"])
+    def test_an_empty_scenario_id_is_accepted(self, side):
+        scn, jp, _ = synthetic_conflict_prediction(seed=1)
+        want = rank_trajectories(jp, scn)[0]
+        if side == "prediction":
+            jp = replace(jp, scenario_id="")
+        else:
+            scn = replace(scn, scenario_id="")
+        assert rank_trajectories(jp, scn)[0] == want
 
     def test_matches_brute_force_scores(self):
         scn, jp, _ = synthetic_conflict_prediction(seed=3)
