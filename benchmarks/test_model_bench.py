@@ -5,7 +5,10 @@ seeded, untrained model, and checkpoint save and load. The union cases time
 one 32-scene training minibatch, the five templates with N from 3 to 8,
 through `training._union_losses` (forward, losses and backward) in stage 1
 and in stage 2, and one inference forward (no backward) over 24 eval scenes,
-the four normal templates with N = 16.
+the four normal templates with N = 16. The train-call cases time one whole
+`train()` call sized as perfbench's train stage: six scenes of the five
+templates with N from 3 to 8, one epoch in stage 1 or in stage 2, with its
+validation and its checkpoint save.
 
     python -m pytest benchmarks --benchmark-enable \
         --benchmark-json=BENCH_<n>.json
@@ -26,12 +29,13 @@ from riskcast.interaction import (history_feature_matrix, map_feature_matrix,
                                   map_visibility, neighbor_mask)
 from riskcast.model import JointPredictor, ModelConfig
 from riskcast.scene import TEMPLATES, generate_scenario
-from riskcast.training import TrainConfig, _TrainScene, _union_losses
+from riskcast.training import TrainConfig, _TrainScene, _union_losses, train
 
 N_AGENTS = (3, 8, 16)
 UNION_SCENES = 32
 EVAL_TEMPLATES = ("straight", "left_turn", "right_turn", "merge")
 EVAL_SCENES = 24
+TRAIN_CALL_SCENES = 6
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +142,20 @@ def test_eval_union(benchmark, model, eval_scenes):
     res = benchmark(model.forward, eval_scenes)
     assert res.mode_probs.shape == (EVAL_SCENES, model.cfg.n_modes)
     assert np.isfinite(res.trajectories).all()
+
+
+@pytest.fixture(scope="module")
+def train_call_scenes():
+    """perfbench's train-stage mix: the five templates in turn, N 3 to 8."""
+    return [generate_scenario(TEMPLATES[i % len(TEMPLATES)], 3 + i % 6,
+                              seed=i) for i in range(TRAIN_CALL_SCENES)]
+
+
+@pytest.mark.parametrize("stage1_epochs", (1, 0), ids=("stage1", "stage2"))
+def test_train_call(benchmark, train_call_scenes, stage1_epochs, tmp_path):
+    cfg = TrainConfig(epochs=1, stage1_epochs=stage1_epochs, seed=0)
+    _, report = benchmark(train, train_call_scenes, ModelConfig(), cfg,
+                          out_dir=str(tmp_path))
+    assert all(math.isfinite(v) for v in report.l_total)
+    assert (report.l_risk[0] > 0) == (stage1_epochs == 0)
+    assert (tmp_path / "model_final.npz").exists()

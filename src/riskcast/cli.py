@@ -87,7 +87,7 @@ def _resolve(args) -> dict:
             overrides[key] = getattr(args, flag)
     try:
         return cfgmod.resolve_config(args.config, overrides)
-    except (KeyError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         raise CliError(str(e)) from e
 
 

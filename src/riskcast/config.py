@@ -118,11 +118,11 @@ def resolve_config(config_file: str | None = None,
                              f"object of config keys")
         for key, value in file_cfg.items():
             if key not in DEFAULTS:
-                raise KeyError(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             cfg[key] = _coerce(key, value)
     for key, value in (overrides or {}).items():
         if key not in DEFAULTS:
-            raise KeyError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         cfg[key] = _coerce(key, value)
     return cfg
 

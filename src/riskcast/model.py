@@ -22,14 +22,17 @@ visibility block with no columns. The decoder max-pools each scene's slice
 to one row of mode probabilities ([B, K]). Training runs one forward and
 one backward per minibatch this way; ``predict`` is the batch of one.
 
-Checkpoints (format version 3) are uncompressed ``.npz`` archives written to
-exactly the path given: one float64 array per parameter, named and ordered as
-``Module.params`` lists them, plus a ``__meta__`` JSON string holding the
-format name, the version and the model config. A stacked parameter is one
-entry: the decoder's ``dec.heads.0.W`` is the [K, 2D, 2D] first-layer weight
-of its K heads. So the bytes depend only on the parameters and the config,
-and a round trip is bit-exact. Every malformed checkpoint, a file that is not
-a zip archive among them, raises ``ValueError``.
+Checkpoints (format version 4) are uncompressed ``.npz`` archives written to
+exactly the path given, with two entries. ``__meta__`` is a JSON string
+holding the format name, the version, the model config and the index: each
+parameter's ``[name, shape]``, in ``Module.params`` order. ``params`` is one
+float64 vector holding every parameter in that order. A stacked parameter is
+one index entry: the decoder's ``dec.heads.0.W`` is the [K, 2D, 2D]
+first-layer weight of its K heads. ``save`` writes each parameter's memory
+straight into the zip entry and ``load`` reads it straight back, so neither
+copies the whole vector. The bytes depend only on the parameters and the
+config, and a round trip is bit-exact. Every malformed checkpoint, a file
+that is not a zip archive among them, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ from .interaction import (AgentAgentEncoder, AgentMapAttention,
 from .scene import Scenario, local_frame, pose_frame
 
 CHECKPOINT_FORMAT = "riskcast-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 _META_KEY = "__meta__"
+_PARAMS_KEY = "params"
 _ZIP_MAGIC = b"PK\x03\x04"
 
 
@@ -210,40 +214,41 @@ class JointPredictor(nn.Module):
     # -- checkpointing -----------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write a version-3 checkpoint to exactly `path`."""
+        """Write a version-4 checkpoint to exactly `path`. Each parameter's
+        memory goes straight into the params entry, so saving copies no
+        whole-model vector."""
+        params = self.params()
         meta = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
-                "config": asdict(self.cfg)}
-        arrays = {p.name: p.value for p in self.params()}
-        arrays[_META_KEY] = np.array(
-            json.dumps(meta, sort_keys=True, allow_nan=False))
-        # through a handle: given a name, np.savez would append ".npz"
-        with open(path, "wb") as f:
-            np.savez(f, **arrays)
+                "config": asdict(self.cfg),
+                "index": [[p.name, list(p.shape)] for p in params]}
+        header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+                  "fortran_order": False,
+                  "shape": (sum(p.value.size for p in params),)}
+        with zipfile.ZipFile(path, "w") as zf:
+            with zf.open(f"{_META_KEY}.npy", "w") as f:
+                np.lib.format.write_array(f, np.array(json.dumps(
+                    meta, sort_keys=True, allow_nan=False)),
+                    allow_pickle=False)
+            with zf.open(f"{_PARAMS_KEY}.npy", "w") as f:
+                np.lib.format.write_array_header_1_0(f, header)
+                for p in params:
+                    f.write(p.value.data)
 
     @classmethod
     def load(cls, path: str) -> "JointPredictor":
-        """Read a version-3 checkpoint, filling each parameter by its name."""
+        """Read a version-4 checkpoint, streaming the params vector into the
+        parameters in index order."""
         with open(path, "rb") as f:
             if f.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
                 raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
             f.seek(0)
-            config, tensors = _read_npz(f, path)
-        model = cls(_config_from_json(config))
-        for p in model.params():
-            saved = tensors.get(p.name)
-            if saved is None:
-                raise ValueError(f"checkpoint missing tensor {p.name!r}")
-            if saved.shape != p.shape:
-                raise ValueError(
-                    f"tensor {p.name!r}: checkpoint shape "
-                    f"{list(saved.shape)} does not match model shape "
-                    f"{list(p.shape)}")
-            if saved.dtype != np.float64:
-                raise ValueError(f"tensor {p.name!r}: dtype {saved.dtype}, "
-                                 f"expected float64")
-            if not np.isfinite(saved).all():
-                raise ValueError(f"tensor {p.name!r}: non-finite values")
-            p.value[...] = saved
+            try:
+                with zipfile.ZipFile(f) as zf:
+                    meta = _read_meta(zf, path)
+                    model = cls(_config_from_json(meta.get("config")))
+                    _read_params(zf, model.params(), meta.get("index"), path)
+            except (zipfile.BadZipFile, EOFError, OSError) as e:
+                raise ValueError(f"corrupt checkpoint {path}: {e}") from e
         return model
 
 
@@ -253,15 +258,16 @@ def _slices(sizes: list[int]) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _read_npz(f, path: str) -> tuple[object, dict[str, np.ndarray]]:
-    """Config and tensors of a version-3 checkpoint."""
+def _read_meta(zf: zipfile.ZipFile, path: str) -> dict:
+    """The meta of a version-4 checkpoint."""
+    if f"{_META_KEY}.npy" not in zf.namelist():
+        raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     try:
-        with np.load(f, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-    except (zipfile.BadZipFile, EOFError, OSError, ValueError) as e:
+        with zf.open(f"{_META_KEY}.npy") as f:
+            meta = np.lib.format.read_array(f, allow_pickle=False)
+    except ValueError as e:
         raise ValueError(f"corrupt checkpoint {path}: {e}") from e
-    meta = arrays.pop(_META_KEY, None)
-    if meta is None or meta.shape != () or meta.dtype.kind != "U":
+    if meta.shape != () or meta.dtype.kind != "U":
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     meta = json.loads(str(meta))
     if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
@@ -269,7 +275,66 @@ def _read_npz(f, path: str) -> tuple[object, dict[str, np.ndarray]]:
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version "
                          f"{meta.get('version')!r}: {path}")
-    return meta.get("config"), arrays
+    return meta
+
+
+def _read_params(zf: zipfile.ZipFile, params: list[nn.Parameter], index,
+                 path: str) -> None:
+    """Check the index against `params`, then read the params vector into
+    them, one parameter's bytes at a time."""
+    try:
+        shapes = {name: tuple(shape) for name, shape in index}
+    except (TypeError, ValueError):
+        raise ValueError(f"checkpoint index is not a list of [name, shape] "
+                         f"pairs: {path}") from None
+    for p in params:
+        if p.name not in shapes:
+            raise ValueError(f"checkpoint missing tensor {p.name!r}")
+        if shapes[p.name] != p.shape:
+            raise ValueError(
+                f"tensor {p.name!r}: checkpoint shape "
+                f"{list(shapes[p.name])} does not match model shape "
+                f"{list(p.shape)}")
+    if list(shapes) != [p.name for p in params]:
+        raise ValueError(f"checkpoint index does not list the model's "
+                         f"tensors in order: {path}")
+    if f"{_PARAMS_KEY}.npy" not in zf.namelist():
+        raise ValueError(f"checkpoint missing tensor {_PARAMS_KEY!r}")
+    total = sum(p.value.size for p in params)
+    with zf.open(f"{_PARAMS_KEY}.npy") as f:
+        shape, dtype = _npy_header(f, path)
+        if dtype != np.float64:
+            raise ValueError(f"tensor {_PARAMS_KEY!r}: dtype {dtype}, "
+                             f"expected float64")
+        if shape != (total,):
+            raise ValueError(
+                f"tensor {_PARAMS_KEY!r}: checkpoint shape {list(shape)} "
+                f"does not match the index's [{total}]")
+        for p in params:
+            view = memoryview(p.value).cast("B")
+            if f.readinto(view) != len(view):
+                raise ValueError(f"corrupt checkpoint {path}: "
+                                 f"{_PARAMS_KEY} ends early")
+        if f.read(1):   # reading to the end checks the CRC as well
+            raise ValueError(f"corrupt checkpoint {path}: {_PARAMS_KEY} "
+                             f"runs past its header's shape")
+    for p in params:
+        if not np.isfinite(p.value).all():
+            raise ValueError(f"tensor {p.name!r}: non-finite values")
+
+
+def _npy_header(f, path: str) -> tuple[tuple[int, ...], np.dtype]:
+    """Shape and dtype from the header of an npy stream."""
+    fmt = np.lib.format
+    try:
+        read = {(1, 0): fmt.read_array_header_1_0,
+                (2, 0): fmt.read_array_header_2_0}.get(fmt.read_magic(f))
+        if read is None:
+            raise ValueError("unsupported npy format version")
+        shape, _, dtype = read(f)
+    except ValueError as e:
+        raise ValueError(f"corrupt checkpoint {path}: {e}") from e
+    return shape, dtype
 
 
 def _config_from_json(obj) -> ModelConfig:

@@ -9,7 +9,11 @@ that ``ctx`` as its first argument. Composite layers keep their sub-layers'
 contexts inside their own. Inference drops the context. Backward passes may
 run in any order, and a layer may be called several times inside one forward
 pass (each call has its own context), which is how shared parameters are
-handled; gradients accumulate into the parameters.
+handled; gradients accumulate into the parameters. A parameter allocates
+its gradient on first use, as PyTorch leaves ``.grad`` unset until a
+backward writes it: a model that only predicts holds its weights and no
+gradients, and ``Module.zero_grad`` zeroes only the gradients that exist.
+``Adam`` steps in place, through two slice-sized scratch buffers.
 
 Sibling layers of one shape that read the same input are stacked: their
 weights are one ``Parameter`` with a leading member axis, and they run as
@@ -64,14 +68,31 @@ def stacked_glorot(rng: np.random.Generator, members: int,
 
 
 class Parameter:
-    """A learnable tensor together with its gradient accumulator."""
+    """A learnable tensor together with its gradient accumulator. The
+    gradient is allocated, zeroed, the first time it is read, so a model
+    that only runs forward passes holds none."""
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("name", "value", "_grad")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self._grad = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray) -> None:
+        # ``p.grad += x`` reads the array, adds in place and assigns it back
+        self._grad = g
+
+    @property
+    def has_grad(self) -> bool:
+        return self._grad is not None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -92,8 +113,10 @@ class Module:
         return [p for part in self.parts() for p in part.params()]
 
     def zero_grad(self) -> None:
+        """Zero every gradient allocated so far; allocates none."""
         for p in self.params():
-            p.grad[...] = 0.0
+            if p.has_grad:
+                p.grad[...] = 0.0
 
 
 class Linear(Module):
@@ -482,16 +505,17 @@ def cross_entropy_grad(pred_probs: np.ndarray,
     return g
 
 
-# elements per Adam update slice: its temporaries stay within 128 KB
+# elements per Adam update slice: each of its two scratch buffers is 128 KB
 ADAM_CHUNK = 16384
 
 
 class Adam:
     """Bias-corrected Adam with decoupled weight decay over a fixed
     parameter list. It steps each parameter's flat view in slices of
-    ``ADAM_CHUNK`` elements: the update is elementwise, so that is exact,
-    and its temporaries stay the size of one slice, not of a whole stacked
-    parameter."""
+    ``ADAM_CHUNK`` elements: the update is elementwise, so that is exact.
+    Every operation writes into one of two persistent slice-sized scratch
+    buffers, in the order of the textbook expression, so a step allocates
+    no array data and rounds as that expression does."""
 
     def __init__(self, params: Sequence[Parameter], lr: float = 2e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
@@ -505,6 +529,7 @@ class Adam:
         self.params = list(params)
         self.m = [np.zeros(p.value.size) for p in self.params]
         self.v = [np.zeros(p.value.size) for p in self.params]
+        self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
 
     def step(self) -> None:
         self.t += 1
@@ -516,14 +541,21 @@ class Adam:
                 s = slice(lo, lo + ADAM_CHUNK)
                 value, g, m, v = (value_flat[s], g_flat[s], m_flat[s],
                                   v_flat[s])
+                a, b = (buf[:value.size] for buf in self._scratch)
+                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g)
                 m *= self.beta1
-                m += (1.0 - self.beta1) * g
+                m += np.multiply(1.0 - self.beta1, g, out=a)
                 v *= self.beta2
-                v += (1.0 - self.beta2) * (g * g)
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                np.multiply(g, g, out=a)
+                v += np.multiply(1.0 - self.beta2, a, out=a)
+                # update = (m / bc1) / (sqrt(v / bc2) + eps) + wd value
+                np.divide(m, bc1, out=a)
+                np.sqrt(np.divide(v, bc2, out=b), out=b)
+                b += self.eps
+                a /= b
                 if self.weight_decay:
-                    update = update + self.weight_decay * value
-                value -= self.lr * update
+                    a += np.multiply(self.weight_decay, value, out=b)
+                value -= np.multiply(self.lr, a, out=a)
 
 
 def grad_check(loss_fn: Callable[[], float], params: Sequence[Parameter],

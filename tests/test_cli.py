@@ -125,6 +125,20 @@ class TestErrors:
         assert code == 1
         assert "nonsense.key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_unknown_config_key_prints_plainly(self, tmp_path, capsys,
+                                               source):
+        extra = ["--set", "train.split=[1,0,0]"]
+        if source == "config":
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text('{"train.split": [1, 0, 0]}')
+            extra = ["--config", str(cfg_path)]
+        code = main(["train", "--data", str(tmp_path / "d"),
+                     "--out", str(tmp_path / "o")] + extra)
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: unknown config key 'train.split'\n"
+
     def test_eval_needs_exactly_one_source(self, tmp_path, capsys):
         data = tmp_path / "d"
         main(["gen", "--count", "1", "--out", str(data)] + TINY)
@@ -134,15 +148,21 @@ class TestErrors:
         assert "exactly one" in capsys.readouterr().err
 
 
-def _with_meta(path, key, value):
-    """Rewrite a saved checkpoint's header to carry `value` at `key`."""
+def _rewrite(path, edit):
+    """Rewrite a saved checkpoint with `edit` applied to its meta and its
+    arrays."""
     with np.load(path) as npz:
         arrays = {k: npz[k] for k in npz.files}
     meta = json.loads(str(arrays["__meta__"]))
-    meta[key] = value
+    edit(meta, arrays)
     arrays["__meta__"] = np.array(json.dumps(meta))
     with open(path, "wb") as f:
         np.savez(f, **arrays)
+
+
+def _with_meta(path, key, value):
+    """Rewrite a saved checkpoint's header to carry `value` at `key`."""
+    _rewrite(path, lambda meta, arrays: meta.update({key: value}))
 
 
 def _flip_middle(path):
@@ -153,12 +173,19 @@ def _flip_middle(path):
 
 
 def _object_tensor(path):
-    with np.load(path) as npz:
-        arrays = {k: npz[k] for k in npz.files}
-    name = next(k for k in arrays if k != "__meta__")
-    arrays[name] = np.array([{"not": "a float"}], dtype=object)
-    with open(path, "wb") as f:
-        np.savez(f, **arrays)
+    _rewrite(path, lambda meta, arrays: arrays.update(
+        params=np.array([{"not": "a float"}], dtype=object)))
+
+
+def _version_3(meta, arrays):
+    """The version-3 layout: one entry per parameter, named as it is."""
+    vector = arrays.pop("params")
+    lo = 0
+    for name, shape in meta.pop("index"):
+        size = int(np.prod(shape))
+        arrays[name] = vector[lo:lo + size].reshape(shape)
+        lo += size
+    meta["version"] = 3
 
 
 # each edit turns a saved tiny checkpoint into a malformed one
@@ -176,6 +203,8 @@ BAD_CHECKPOINTS = {
         p.read_bytes()[:p.stat().st_size // 2]),
     "corrupt_zip": lambda p, cfg: _flip_middle(p),
     "object_array": lambda p, cfg: _object_tensor(p),
+    "truncated_params_vector": lambda p, cfg: _rewrite(
+        p, lambda meta, arrays: arrays.update(params=arrays["params"][:-1])),
 }
 
 
@@ -201,7 +230,7 @@ class TestBadInputs:
         assert code == 1
         assert "invalid checkpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("version", [2, 4])
+    @pytest.mark.parametrize("version", [2, 3, 5])
     def test_other_checkpoint_version_exits_1(self, tmp_path, capsys,
                                               version):
         scenario = tmp_path / "scenario.json"
@@ -209,7 +238,11 @@ class TestBadInputs:
             generate_scenario("straight", 3, seed=0, H=4, T=10)))
         ckpt = tmp_path / "model.ckpt"
         _tiny_checkpoint(ckpt)
-        _with_meta(ckpt, "version", version)
+        # version 3 in its own layout
+        if version == 3:
+            _rewrite(ckpt, _version_3)
+        else:
+            _with_meta(ckpt, "version", version)
         code = main(["predict", "--model", str(ckpt), "--scenario",
                      str(scenario), "--out", str(tmp_path / "o")] + TINY)
         assert code == 1

@@ -3,16 +3,19 @@ round-trips, prediction determinism, and export formats."""
 
 import json
 import os
+import zipfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from riskcast import nn
+from riskcast.evaluation import evaluate
 from riskcast.intention import label_indices
 from riskcast.interaction import history_feature_matrix, neighbor_mask
 from riskcast.model import (JointPredictor, ModelConfig, prediction_from_json,
                             prediction_to_csv_rows, prediction_to_json)
+from riskcast.risk import rank_trajectories
 from riskcast.scene import RoadMap, generate_scenario
 from riskcast.training import (TrainConfig, _TrainScene, _truth_matrix,
                                _union_losses, intention_loss, prediction_loss)
@@ -356,8 +359,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.npz"
         model.save(str(path))
         name = model.params()[0].name
-        rewrite_npz(path, lambda arrays: arrays.update({name: np.zeros(
-            (1, 1))}))
+        rewrite_npz(path, lambda meta, arrays: set_shape(meta, name, [1, 1]))
         with pytest.raises(ValueError, match="shape"):
             JointPredictor.load(str(path))
 
@@ -366,7 +368,8 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.npz"
         model.save(str(path))
         name = model.params()[0].name
-        rewrite_npz(path, lambda arrays: arrays.pop(name))
+        rewrite_npz(path, lambda meta, arrays: drop_tensor(meta, arrays,
+                                                           name))
         with pytest.raises(ValueError, match="missing tensor"):
             JointPredictor.load(str(path))
 
@@ -374,9 +377,8 @@ class TestCheckpoint:
         model, _, _ = tiny_setup
         path = tmp_path / "ckpt.npz"
         model.save(str(path))
-        p = model.params()[0]
-        rewrite_npz(path, lambda arrays: arrays.update(
-            {p.name: p.value.astype(np.float32)}))
+        rewrite_npz(path, lambda meta, arrays: arrays.update(
+            params=arrays["params"].astype(np.float32)))
         with pytest.raises(ValueError, match="float64"):
             JointPredictor.load(str(path))
 
@@ -391,13 +393,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="not a riskcast-checkpoint"):
             JointPredictor.load(str(path))
 
-    @pytest.mark.parametrize("version", [2, 4])
+    @pytest.mark.parametrize("version", [2, 3, 5])
     def test_rejects_another_version(self, tmp_path, tiny_setup, version):
         model, _, _ = tiny_setup
         path = tmp_path / "ckpt.npz"
         model.save(str(path))
-        # version 2 in its own layout, one entry per stacked member
-        rewrite_npz(path, split_members if version == 2 else None,
+        # version 3 in its own layout, one entry per parameter
+        rewrite_npz(path, split_params if version == 3 else None,
                     version=version)
         with pytest.raises(ValueError,
                            match=f"unsupported checkpoint version {version}"):
@@ -406,31 +408,39 @@ class TestCheckpoint:
     @pytest.mark.parametrize("name", ["dec.heads.0.W", "emb.lon.b",
                                       "int.1.W", "aa.1.mha.qkv.W"])
     def test_checks_each_stacked_parameter(self, tmp_path, tiny_setup, name):
-        # one member's slice is not the stacked parameter
+        # one member's shape is not the stacked parameter's
         model, _, _ = tiny_setup
         path = tmp_path / "ckpt.npz"
         model.save(str(path))
-        rewrite_npz(path, lambda arrays: arrays.update(
-            {name: arrays[name][0]}))
+        shape = {p.name: p.shape for p in model.params()}[name]
+        rewrite_npz(path, lambda meta, arrays: set_shape(meta, name,
+                                                         list(shape[1:])))
         with pytest.raises(ValueError, match=f"{name}.*shape"):
             JointPredictor.load(str(path))
-        rewrite_npz(path, lambda arrays: arrays.pop(name))
+        model.save(str(path))
+        rewrite_npz(path, lambda meta, arrays: drop_tensor(meta, arrays,
+                                                           name))
         with pytest.raises(ValueError, match=f"missing tensor '{name}'"):
             JointPredictor.load(str(path))
 
     def test_entries_are_the_parameters_in_order(self, tmp_path):
-        # version 3: one entry per parameter, named, shaped and ordered as
-        # params() lists them, then the meta; a stack is one entry
+        # version 4: the meta's index names and shapes every parameter as
+        # params() lists them, and one vector holds them in that order; a
+        # stack is one index entry
         model = JointPredictor(TINY)
         path = tmp_path / "ckpt.npz"
         model.save(str(path))
         with np.load(path) as npz:
-            entries = [(n, npz[n].shape) for n in npz.files]
-        assert entries == [(p.name, p.shape) for p in model.params()] + \
-            [("__meta__", ())]
-        assert len(set(n for n, _ in entries)) == len(entries)
+            assert npz.files == ["__meta__", "params"]
+            index = json.loads(str(npz["__meta__"]))["index"]
+            vector = npz["params"]
+        assert index == [[p.name, list(p.shape)] for p in model.params()]
+        assert len(set(n for n, _ in index)) == len(index)
+        assert vector.dtype == np.float64
+        assert np.array_equal(vector, np.concatenate(
+            [p.value.reshape(-1) for p in model.params()]))
         d, k, t = TINY.embed_dim, TINY.n_modes, TINY.future_steps
-        shapes = dict(entries)
+        shapes = {n: tuple(shape) for n, shape in index}
         assert {n: shapes[n] for n in [
             "dec.heads.0.W", "dec.heads.1.b", "emb.lat.W", "emb.lon.b",
             "int.0.W", "int.1.b", "aa.0.mha.qkv.W", "amap.qkv.W"]} == {
@@ -438,6 +448,51 @@ class TestCheckpoint:
             "emb.lat.W": (3, d, d), "emb.lon.b": (3, d),
             "int.0.W": (2, d, d), "int.1.b": (2, 3),
             "aa.0.mha.qkv.W": (3, d, d), "amap.qkv.W": (3, d, d)}
+
+    def test_rejects_a_truncated_vector(self, tmp_path, tiny_setup):
+        model, _, _ = tiny_setup
+        path = tmp_path / "ckpt.npz"
+        model.save(str(path))
+        rewrite_npz(path, lambda meta, arrays: arrays.update(
+            params=arrays["params"][:-1]))
+        with pytest.raises(ValueError, match="'params'.*shape"):
+            JointPredictor.load(str(path))
+
+    @pytest.mark.parametrize("extra, match", [(-8, "ends early"),
+                                              (8, "runs past")])
+    def test_rejects_a_vector_unlike_its_header(self, tmp_path, tiny_setup,
+                                                extra, match):
+        # the npy header says the index's size; the bytes after it differ
+        model, _, _ = tiny_setup
+        path = tmp_path / "ckpt.npz"
+        model.save(str(path))
+        with zipfile.ZipFile(path) as zf:
+            meta = zf.read("__meta__.npy")
+            data = zf.read("params.npy")
+        data = data[:extra] if extra < 0 else data + bytes(extra)
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("__meta__.npy", meta)
+            zf.writestr("params.npy", data)
+        with pytest.raises(ValueError, match=match):
+            JointPredictor.load(str(path))
+
+    def test_rejects_an_index_out_of_order(self, tmp_path, tiny_setup):
+        model, _, _ = tiny_setup
+        path = tmp_path / "ckpt.npz"
+        model.save(str(path))
+        rewrite_npz(path, lambda meta, arrays: meta["index"].reverse())
+        with pytest.raises(ValueError, match="in order"):
+            JointPredictor.load(str(path))
+
+    @pytest.mark.parametrize("index", [None, "dec", [["a"]], [["a", 2]],
+                                       [[["a"], [2]]]])
+    def test_rejects_a_malformed_index(self, tmp_path, tiny_setup, index):
+        model, _, _ = tiny_setup
+        path = tmp_path / "ckpt.npz"
+        model.save(str(path))
+        rewrite_npz(path, lambda meta, arrays: meta.update(index=index))
+        with pytest.raises(ValueError, match="index is not a list"):
+            JointPredictor.load(str(path))
 
     def test_saves_to_exactly_the_path_deterministically(self, tmp_path,
                                                          tiny_setup):
@@ -453,30 +508,62 @@ class TestCheckpoint:
 
 
 def rewrite_npz(path, edit=None, version=None):
-    """Apply `edit` to the arrays of a saved checkpoint and write them back,
-    with `version` in the meta if given."""
+    """Apply `edit` to the meta and the arrays of a saved checkpoint and
+    write them back, with `version` in the meta if given."""
     with np.load(path, allow_pickle=False) as npz:
         arrays = {k: npz[k] for k in npz.files}
+    meta = json.loads(str(arrays["__meta__"]))
     if edit is not None:
-        edit(arrays)
+        edit(meta, arrays)
     if version is not None:
-        meta = json.loads(str(arrays["__meta__"]))
         meta["version"] = version
-        arrays["__meta__"] = np.array(json.dumps(meta))
+    arrays["__meta__"] = np.array(json.dumps(meta))
     with open(path, "wb") as f:
         np.savez(f, **arrays)
 
 
-def split_members(arrays):
-    """The version-2 layout: a stacked parameter (a [M, in, out] weight and
-    its [M, out] bias) is one entry per member, here named by its index."""
-    for name in list(arrays):
-        value = arrays[name]
-        if value.ndim == 3 or (name.endswith(".b") and value.ndim == 2):
-            del arrays[name]
-            stem, kind = name.rsplit(".", 1)
-            arrays.update({f"{stem}.m{m}.{kind}": value[m]
-                           for m in range(len(value))})
+def _index_slices(meta):
+    """Each index entry's name, shape and slice of the params vector."""
+    bounds = np.cumsum([0] + [int(np.prod(shape)) for _, shape
+                              in meta["index"]]).tolist()
+    return [(name, shape, slice(lo, hi)) for (name, shape), lo, hi
+            in zip(meta["index"], bounds[:-1], bounds[1:])]
+
+
+def set_shape(meta, name, shape):
+    """Give `name` another shape in the index."""
+    for entry in meta["index"]:
+        if entry[0] == name:
+            entry[1] = shape
+
+
+def drop_tensor(meta, arrays, name):
+    """Take `name` out of the index and its values out of the vector."""
+    [(_, _, s)] = [e for e in _index_slices(meta) if e[0] == name]
+    arrays["params"] = np.delete(arrays["params"], s)
+    meta["index"] = [e for e in meta["index"] if e[0] != name]
+
+
+def split_params(meta, arrays):
+    """The version-3 layout: one entry per parameter, named as it is."""
+    vector = arrays.pop("params")
+    arrays.update({name: vector[s].reshape(shape)
+                   for name, shape, s in _index_slices(meta)})
+    del meta["index"]
+
+
+class TestGradientsOnFirstUse:
+    def test_a_loaded_model_that_predicts_holds_no_gradient(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        JointPredictor(TINY).save(str(path))
+        model = JointPredictor.load(str(path))
+        scn = generate_scenario("crossing_conflict", 3, seed=11, H=3, T=5)
+        jp, _ = model.predict(scn)
+        rank_trajectories(jp, scn)
+        evaluate(lambda s: model.predict(s)[0], [scn])
+        assert not any(p.has_grad for p in model.params())
+        model.zero_grad()
+        assert not any(p.has_grad for p in model.params())
 
 
 class TestExport:

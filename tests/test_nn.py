@@ -533,6 +533,23 @@ class TestCrossEntropy:
             nn.cross_entropy(np.array([0.5, 0.5]), 2)
 
 
+class TestGradientOnFirstUse:
+    def test_allocated_zeroed_on_first_read(self):
+        p = nn.Parameter("w", np.ones((2, 3)))
+        assert not p.has_grad
+        g = p.grad
+        assert p.has_grad and g.shape == (2, 3) and not g.any()
+        p.grad += 1.0   # in place, then assigned back
+        assert p.grad is g and (g == 1.0).all()
+
+    def test_zero_grad_zeroes_only_what_exists(self):
+        lin = nn.Linear(np.ones((2, 2)))
+        lin.W.grad += 1.0
+        lin.zero_grad()
+        assert not lin.W.grad.any()
+        assert not lin.b.has_grad
+
+
 class TestAdam:
     def test_zero_grad_zero_decay_unchanged(self):
         p = nn.Parameter("w", np.array([1.0, -2.0]))

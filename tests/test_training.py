@@ -267,6 +267,13 @@ class TestTrainLoop:
                        for p, q in zip(model.params(), loaded.params()))
 
 
+    def test_one_minibatch_allocates_every_gradient(self):
+        cfg = TrainConfig(batch_size=3, epochs=1, stage1_epochs=1, seed=0,
+                          split=(1.0, 0.0, 0.0))
+        model, _ = train(tiny_dataset(3), tiny_model_cfg(), cfg)
+        assert all(p.has_grad for p in model.params())
+
+
 def record_unions(monkeypatch) -> list[int]:
     """The scene count of every union that JointPredictor.backward runs."""
     unions = []
