@@ -8,7 +8,10 @@ and in stage 2, and one inference forward (no backward) over 24 eval scenes,
 the four normal templates with N = 16. The train-call cases time one whole
 `train()` call sized as perfbench's train stage: six scenes of the five
 templates with N from 3 to 8, one epoch in stage 1 or in stage 2, with its
-validation and its checkpoint save.
+validation and its checkpoint save. The union and train-call cases then
+run one more call, untimed, under tracemalloc, and store its traced peak
+in MB (2**20 bytes) as ``extra_info["traced_peak_mb"]``, so the JSON
+carries a memory reading next to each time.
 
     python -m pytest benchmarks --benchmark-enable \
         --benchmark-json=BENCH_<n>.json
@@ -20,6 +23,7 @@ all-ones output gradient.
 """
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +40,18 @@ UNION_SCENES = 32
 EVAL_TEMPLATES = ("straight", "left_turn", "right_turn", "merge")
 EVAL_SCENES = 24
 TRAIN_CALL_SCENES = 6
+
+
+def record_traced_peak(benchmark, run):
+    """Runs `run` once, untimed, under tracemalloc, and stores the peak of
+    what it allocated in the benchmark's extra_info."""
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["traced_peak_mb"] = peak / 2 ** 20
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +141,7 @@ def test_minibatch_union(benchmark, model, minibatch, epoch):
         return _union_losses(model, minibatch, epoch, cfg)
 
     losses = benchmark(run)
+    record_traced_peak(benchmark, run)
     assert len(losses) == UNION_SCENES
     assert all(math.isfinite(v) for row in losses for v in row)
     assert any(l_risk > 0 for _, _, l_risk in losses) == (epoch == 2)
@@ -154,8 +171,13 @@ def train_call_scenes():
 @pytest.mark.parametrize("stage1_epochs", (1, 0), ids=("stage1", "stage2"))
 def test_train_call(benchmark, train_call_scenes, stage1_epochs, tmp_path):
     cfg = TrainConfig(epochs=1, stage1_epochs=stage1_epochs, seed=0)
-    _, report = benchmark(train, train_call_scenes, ModelConfig(), cfg,
-                          out_dir=str(tmp_path))
+
+    def run():
+        return train(train_call_scenes, ModelConfig(), cfg,
+                     out_dir=str(tmp_path))
+
+    _, report = benchmark(run)
+    record_traced_peak(benchmark, run)
     assert all(math.isfinite(v) for v in report.l_total)
     assert (report.l_risk[0] > 0) == (stage1_epochs == 0)
     assert (tmp_path / "model_final.npz").exists()

@@ -13,7 +13,9 @@ handled; gradients accumulate into the parameters. A parameter allocates
 its gradient on first use, as PyTorch leaves ``.grad`` unset until a
 backward writes it: a model that only predicts holds its weights and no
 gradients, and ``Module.zero_grad`` zeroes only the gradients that exist.
-``Adam`` steps in place, through two slice-sized scratch buffers.
+``Adam`` likewise allocates its moments and its two slice-sized scratch
+buffers at its first step, as PyTorch creates optimizer state, and then
+steps in place through those buffers.
 
 Sibling layers of one shape that read the same input are stacked: their
 weights are one ``Parameter`` with a leading member axis, and they run as
@@ -24,7 +26,8 @@ exactly as that member's own matmul would, so every output and gradient is
 bit-identical to the separate layers'. A stacked parameter is one parameter:
 ``Module.params`` lists it once, under one name. ``LSTM`` runs its own
 steps: it projects the input of every step in one matmul and hands each
-``step`` its projected slice.
+``step`` its projected slice; its backward projects each step's gradient
+back to the input as it goes.
 """
 
 from __future__ import annotations
@@ -236,9 +239,11 @@ class LSTM(Module):
 
     The input projection of every step is one matmul over the time-major
     sequence, so step t's slice is exactly ``seq[:, t] @ Wx``, and ``step``
-    takes its input so projected; backward likewise projects every step's
-    gradient back to the input in one matmul, and accumulates Wx's gradient
-    step by step, last step first.
+    takes its input so projected. Backward runs the steps last first and
+    holds one step's pre-activation gradient [n, 4 * hidden] at a time: it
+    adds that step's share to Wx's gradient and projects it back into the
+    step's slice of the input gradient, ``dpre @ Wx.T``, which rounds as
+    the slice of one matmul over every step would.
     """
 
     def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator,
@@ -316,14 +321,14 @@ class LSTM(Module):
 
     def backward(self, ctx: tuple, dh_last: np.ndarray) -> np.ndarray:
         seq, steps = ctx
-        n, t, _ = seq.shape
         dh = dh_last
         dc = np.zeros_like(dh_last)
-        dpre = np.empty((t, n, 4 * self.hidden_dim))
-        for step in reversed(range(t)):
-            dpre[step], dh, dc = self.backward_step(steps[step], dh, dc)
-            self.Wx.grad += seq[:, step, :].T @ dpre[step]
-        return (dpre @ self.Wx.value.T).transpose(1, 0, 2)
+        dx = np.empty_like(seq)
+        for step in reversed(range(seq.shape[1])):
+            dpre, dh, dc = self.backward_step(steps[step], dh, dc)
+            self.Wx.grad += seq[:, step, :].T @ dpre
+            dx[:, step] = dpre @ self.Wx.value.T
+        return dx
 
 
 class MultiHeadAttention(Module):
@@ -515,7 +520,9 @@ class Adam:
     ``ADAM_CHUNK`` elements: the update is elementwise, so that is exact.
     Every operation writes into one of two persistent slice-sized scratch
     buffers, in the order of the textbook expression, so a step allocates
-    no array data and rounds as that expression does."""
+    no array data and rounds as that expression does. The moments m and v,
+    zeroed, and the scratch buffers are allocated at the first step, so
+    they do not sit beside the first forward and backward's contexts."""
 
     def __init__(self, params: Sequence[Parameter], lr: float = 2e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
@@ -527,11 +534,15 @@ class Adam:
         self.weight_decay = weight_decay
         self.t = 0
         self.params = list(params)
-        self.m = [np.zeros(p.value.size) for p in self.params]
-        self.v = [np.zeros(p.value.size) for p in self.params]
-        self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
+        self.m: list[np.ndarray] | None = None
+        self.v: list[np.ndarray] | None = None
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     def step(self) -> None:
+        if self.m is None:
+            self.m = [np.zeros(p.value.size) for p in self.params]
+            self.v = [np.zeros(p.value.size) for p in self.params]
+            self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t

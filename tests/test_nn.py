@@ -1,6 +1,8 @@
 """Core kernel tests: layer forwards against naive-loop oracles, gradient
 checks, optimizer recurrences, and numerical-stability properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,17 @@ from riskcast import nn
 def zero_params(module):
     for p in module.params():
         p.value[...] = 0.0
+
+
+def traced_peak_bytes(fn):
+    """fn's result and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 # --------------------------------------------------------------------------
@@ -260,6 +273,33 @@ class TestLSTM:
         assert np.array_equal(dseq, np.stack(dx, axis=1))
         for p, want in zip(lstm.params(), lstm_grads):
             assert np.array_equal(p.grad, want), p.name
+
+    def test_backward_holds_one_step(self):
+        # the history LSTM over the 168 rows of a 32-scene minibatch
+        n, t, in_dim, H = 168, 11, 14, 64
+        rng = nn.seeded_rng(25)
+        lstm = nn.LSTM(in_dim, H, rng)
+        seq = rng.normal(size=(n, t, in_dim))
+        dh_last = rng.normal(size=(n, H))
+        _, ctx = lstm.forward(seq)
+
+        # the reference keeps every step's gradient and projects them back
+        # to the input in one batched matmul
+        _, steps = ctx
+        dh, dc = dh_last, np.zeros((n, H))
+        dpre = np.empty((t, n, 4 * H))
+        for step in reversed(range(t)):
+            dpre[step], dh, dc = lstm.backward_step(steps[step], dh, dc)
+            lstm.Wx.grad += seq[:, step].T @ dpre[step]
+        want_dx = (dpre @ lstm.Wx.value.T).transpose(1, 0, 2)
+        want = [p.grad.copy() for p in lstm.params()]
+
+        lstm.zero_grad()
+        dx, peak = traced_peak_bytes(lambda: lstm.backward(ctx, dh_last))
+        assert np.array_equal(dx, want_dx)
+        for p, g in zip(lstm.params(), want):
+            assert np.array_equal(p.grad, g), p.name
+        assert peak < t * n * 4 * H * 8
 
     def test_sequence_shape_mismatch(self):
         lstm = nn.LSTM(4, 3, nn.seeded_rng(0), name="hist")
@@ -548,6 +588,21 @@ class TestGradientOnFirstUse:
         lin.zero_grad()
         assert not lin.W.grad.any()
         assert not lin.b.has_grad
+
+
+class TestAdamStateOnFirstStep:
+    def test_moments_appear_at_the_first_step(self):
+        p = nn.Parameter("w", np.zeros(10 ** 6))
+        b1, b2 = 0.9, 0.999
+        opt, peak = traced_peak_bytes(
+            lambda: nn.Adam([p], beta1=b1, beta2=b2))
+        assert peak < 1 << 20
+
+        g = nn.seeded_rng(25).normal(size=p.shape)
+        p.grad[...] = g
+        opt.step()
+        assert np.array_equal(opt.m[0], (1.0 - b1) * g)
+        assert np.array_equal(opt.v[0], (1.0 - b2) * (g * g))
 
 
 class TestAdam:
