@@ -5,13 +5,16 @@ seeded, untrained model, and checkpoint save and load. The union cases time
 one 32-scene training minibatch, the five templates with N from 3 to 8,
 through `training._union_losses` (forward, losses and backward) in stage 1
 and in stage 2, and one inference forward (no backward) over 24 eval scenes,
-the four normal templates with N = 16. The train-call cases time one whole
-`train()` call sized as perfbench's train stage: six scenes of the five
-templates with N from 3 to 8, one epoch in stage 1 or in stage 2, with its
-validation and its checkpoint save. The union and train-call cases then
-run one more call, untimed, under tracemalloc, and store its traced peak
-in MB (2**20 bytes) as ``extra_info["traced_peak_mb"]``, so the JSON
-carries a memory reading next to each time.
+the four normal templates with N = 16. The evaluate case times `evaluate`
+alone on those 24 scenes, their predictions made beforehand, so a change
+to the evaluation has a reading that `predict` does not swamp. The
+train-call cases time one whole `train()` call sized as perfbench's train
+stage: six scenes of the five templates with N from 3 to 8, one epoch in
+stage 1 or in stage 2, with its validation and its checkpoint save. The
+union and train-call cases then run one more call, untimed, under
+tracemalloc, and store its traced peak in MB (2**20 bytes) as
+``extra_info["traced_peak_mb"]``, so the JSON carries a memory reading next
+to each time.
 
     python -m pytest benchmarks --benchmark-enable \
         --benchmark-json=BENCH_<n>.json
@@ -29,6 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from riskcast.evaluation import evaluate
 from riskcast.interaction import (history_feature_matrix, map_feature_matrix,
                                   map_visibility, neighbor_mask)
 from riskcast.model import JointPredictor, ModelConfig
@@ -148,17 +152,30 @@ def test_minibatch_union(benchmark, model, minibatch, epoch):
 
 
 @pytest.fixture(scope="module")
-def eval_scenes(model):
+def eval_scenes():
     """Eval scenes of the four normal templates in turn, N = 16."""
-    return [model.prepare(generate_scenario(
-        EVAL_TEMPLATES[i % len(EVAL_TEMPLATES)], 16, seed=i))
-        for i in range(EVAL_SCENES)]
+    return [generate_scenario(EVAL_TEMPLATES[i % len(EVAL_TEMPLATES)], 16,
+                              seed=i) for i in range(EVAL_SCENES)]
 
 
 def test_eval_union(benchmark, model, eval_scenes):
-    res = benchmark(model.forward, eval_scenes)
+    res = benchmark(model.forward, [model.prepare(s) for s in eval_scenes])
     assert res.mode_probs.shape == (EVAL_SCENES, model.cfg.n_modes)
     assert np.isfinite(res.trajectories).all()
+
+
+@pytest.fixture(scope="module")
+def eval_predictions(model, eval_scenes):
+    """The model's prediction of each eval scene, by scenario id."""
+    return {s.scenario_id: model.predict(s)[0] for s in eval_scenes}
+
+
+def test_evaluate(benchmark, eval_scenes, eval_predictions):
+    report = benchmark(evaluate, lambda s: eval_predictions[s.scenario_id],
+                       eval_scenes)
+    assert report.count("normal") == EVAL_SCENES
+    assert np.isfinite(report.mean("all", "model_selected", "ego",
+                                   "ade")).all()
 
 
 @pytest.fixture(scope="module")

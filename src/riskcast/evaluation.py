@@ -4,12 +4,16 @@ evaluation reports (normal vs conflict scenes, and by ego lateral intention).
 ADE at horizon h is the mean Euclidean error over the first h steps; FDE is
 the error at step h. Reports carry the mode-selected metric (primary), the
 best-over-modes metric, and the constant-velocity baseline, for the ego
-alone and averaged over all predicted agents.
+alone and averaged over all predicted agents. A report keeps each scene's
+subsets and one error array [estimator, scope, metric, horizon], ordered as
+``ESTIMATORS``, ``SCOPES`` and ``METRICS``; a subset's figures are the mean
+of its scenes' arrays.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,17 +27,23 @@ from .scene import Scenario
 
 SUBSETS = ("all", "normal", "conflict", "LT", "ST", "RT")
 ESTIMATORS = ("model_selected", "model_best", "cv")
+SCOPES = ("ego", "all")
+METRICS = ("ade", "fde")
+
+
+def _check_horizon(horizon_steps: int, length: int) -> None:
+    if horizon_steps < 1:
+        raise ValueError("horizon must be at least one step")
+    if horizon_steps > length:
+        raise ValueError(f"horizon {horizon_steps} exceeds trajectory "
+                         f"length {length}")
 
 
 def ade(pred: np.ndarray, truth: np.ndarray, horizon_steps: int) -> float:
     """Mean L2 distance over the first horizon_steps steps."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    if horizon_steps < 1:
-        raise ValueError("horizon must be at least one step")
-    if horizon_steps > min(len(pred), len(truth)):
-        raise ValueError(f"horizon {horizon_steps} exceeds trajectory "
-                         f"length {min(len(pred), len(truth))}")
+    _check_horizon(horizon_steps, min(len(pred), len(truth)))
     err = np.linalg.norm(pred[:horizon_steps] - truth[:horizon_steps],
                          axis=-1)
     return float(err.mean())
@@ -41,11 +51,7 @@ def ade(pred: np.ndarray, truth: np.ndarray, horizon_steps: int) -> float:
 
 def fde(pred: np.ndarray, truth: np.ndarray, horizon_steps: int) -> float:
     """L2 distance at exactly step horizon_steps."""
-    if horizon_steps < 1:
-        raise ValueError("horizon must be at least one step")
-    if horizon_steps > min(len(pred), len(truth)):
-        raise ValueError(f"horizon {horizon_steps} exceeds trajectory "
-                         f"length {min(len(pred), len(truth))}")
+    _check_horizon(horizon_steps, min(len(pred), len(truth)))
     d = np.asarray(pred)[horizon_steps - 1] - np.asarray(truth)[
         horizon_steps - 1]
     return float(np.linalg.norm(d))
@@ -75,48 +81,33 @@ def constant_velocity_baselines(past: np.ndarray, horizon: int,
 @dataclass
 class MetricsReport:
     horizons_s: list[int]
-    # (subset, estimator, scope) -> {"ade": [per horizon], "fde": [...],
-    #                                "count": scenarios}
-    entries: dict = field(default_factory=dict)
-
-    def key(self, subset: str, estimator: str, scope: str):
-        return (subset, estimator, scope)
-
-    def add(self, subset: str, estimator: str, scope: str,
-            ade_vals: np.ndarray, fde_vals: np.ndarray) -> None:
-        e = self.entries.setdefault(
-            self.key(subset, estimator, scope),
-            {"ade": [], "fde": []})
-        e["ade"].append(ade_vals)
-        e["fde"].append(fde_vals)
+    scenes: list[tuple[tuple, np.ndarray]] = field(default_factory=list)
 
     def mean(self, subset: str, estimator: str, scope: str,
              metric: str) -> np.ndarray:
-        e = self.entries.get(self.key(subset, estimator, scope))
-        if e is None or not e[metric]:
+        at = (ESTIMATORS.index(estimator), SCOPES.index(scope),
+              METRICS.index(metric))
+        errors = [e[at] for subsets, e in self.scenes if subset in subsets]
+        if not errors:
             return np.full(len(self.horizons_s), math.nan)
-        return np.mean(np.stack(e[metric]), axis=0)
+        return np.mean(np.stack(errors), axis=0)
 
     def count(self, subset: str) -> int:
-        e = self.entries.get(self.key(subset, "model_selected", "ego"))
-        return len(e["ade"]) if e else 0
+        return sum(subset in subsets for subsets, _ in self.scenes)
 
     def rows(self) -> list[dict]:
         out = []
-        for subset in SUBSETS:
-            for estimator in ESTIMATORS:
-                for scope in ("ego", "all"):
-                    for metric in ("ade", "fde"):
-                        vals = self.mean(subset, estimator, scope, metric)
-                        out.append({
-                            "subset": subset,
-                            "estimator": estimator,
-                            "scope": scope,
-                            "metric": metric,
-                            "count": self.count(subset),
-                            **{f"h{h}s": float(v)
-                               for h, v in zip(self.horizons_s, vals)},
-                        })
+        for subset, estimator, scope, metric in itertools.product(
+                SUBSETS, ESTIMATORS, SCOPES, METRICS):
+            vals = self.mean(subset, estimator, scope, metric)
+            out.append({
+                "subset": subset,
+                "estimator": estimator,
+                "scope": scope,
+                "metric": metric,
+                "count": self.count(subset),
+                **{f"h{h}s": float(v) for h, v in zip(self.horizons_s, vals)},
+            })
         return out
 
     def write_csv(self, path: str) -> None:
@@ -190,20 +181,15 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
                 f"scenario {scn.scenario_id!r} lacks ground-truth futures")
         jp = predict_fn(scn)
         k_sel = select_mode(jp)
-        try:
-            lateral, _ = label_intentions(scn.future[scn.ego_index])
-        except ValueError:
-            lateral = "ST"
-        subsets = ["all",
-                   "conflict" if scn.template == "crossing_conflict"
-                   else "normal",
-                   lateral]
+        lateral, _ = label_intentions(scn.future[scn.ego_index])
+        subsets = ("all", "conflict" if scn.template == "crossing_conflict"
+                   else "normal", lateral)
 
         predicted = scn.prediction_rows(jp.agent_ids)
         span = min(jp.trajectories.shape[2], scn.future.shape[1])
         if h_max > span:
-            raise ValueError(f"horizon {h_max} exceeds trajectory "
-                             f"length {span}")
+            raise ValueError(f"scenario {scn.scenario_id!r}: horizon "
+                             f"{h_max} exceeds trajectory length {span}")
         truth = scn.future[predicted, :h_max, :2]
         # an error that overflows is reported by the finiteness check
         # below, not by numpy's warnings on the way
@@ -220,18 +206,12 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
                              f"not finite")
         rows = np.arange(len(predicted))
         best = np.argmin(model_a[:, :, -1], axis=0)
-        estimates = {
-            "model_selected": (model_a[k_sel], model_f[k_sel]),
-            "model_best": (model_a[best, rows], model_f[best, rows]),
-            "cv": (cv_a, cv_f),
-        }
         ego = jp.agent_ids.index(scn.ego_id)
         ego_first = [ego] + [i for i in rows if i != ego]
-        for est in ESTIMATORS:
-            a_vals, f_vals = estimates[est]
-            all_a = np.mean(a_vals[ego_first], axis=0)
-            all_f = np.mean(f_vals[ego_first], axis=0)
-            for subset in subsets:
-                report.add(subset, est, "ego", a_vals[ego], f_vals[ego])
-                report.add(subset, est, "all", all_a, all_f)
+        report.scenes.append((subsets, np.array([
+            [[vals[ego] for vals in pair],
+             [np.mean(vals[ego_first], axis=0) for vals in pair]]
+            for pair in ((model_a[k_sel], model_f[k_sel]),
+                         (model_a[best, rows], model_f[best, rows]),
+                         (cv_a, cv_f))])))
     return report

@@ -52,10 +52,10 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape: tuple[int, ...] | None = None) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int
+                   ) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def stacked_glorot(rng: np.random.Generator, members: int,

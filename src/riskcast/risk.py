@@ -633,6 +633,8 @@ def _road_boundaries(scn: Scenario) -> RoadMap:
     return scn.map.of_kind("road_boundary")
 
 
+# overflowing kinematics fail the finiteness check, not numpy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def rank_trajectories(jp: JointPrediction, scn: Scenario,
                       cfg: RiskConfig | None = None
                       ) -> tuple[list[int], list[RiskReport]]:
@@ -665,6 +667,8 @@ def rank_trajectories(jp: JointPrediction, scn: Scenario,
 # Differentiable risk for training
 # --------------------------------------------------------------------------
 
+# overflowing kinematics fail the finiteness check, not numpy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def risk_loss_and_grad(trajs: np.ndarray, scn: Scenario, cfg: RiskConfig
                        ) -> tuple[float, np.ndarray]:
     """Total risk cost of one decoded joint mode [N, T, 2] of the scene's

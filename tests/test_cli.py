@@ -467,10 +467,7 @@ class TestTrainData:
         assert not (out / "checkpoint.npz").exists()
 
     # a step of 1e-300 s overflows the generated velocities, so every risk
-    # is NaN; numpy warns of the overflow and of the invalid values
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:"
-                                "RuntimeWarning")
+    # is NaN; the error says so, and numpy warns of nothing on the way
     def test_non_finite_risk_loss_exits_1(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert main(["gen", "--count", "3", "--set", "gen.dt=1e-300",
@@ -562,11 +559,8 @@ class TestRisk:
         assert predicted.isdisjoint(dropped)
         assert predicted | set(dropped) == set(scn.agent_ids)
 
-    # a step of 1e-300 s overflows the generated velocities; numpy warns of
-    # the overflow and of the invalid values it leads to, the NaN risks
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:"
-                                "RuntimeWarning")
+    # a step of 1e-300 s overflows the generated velocities, so every risk
+    # is NaN; the error says so, and numpy warns of nothing on the way
     def test_non_finite_ranking_exits_1(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert main(["gen", "--count", "1", "--set", "gen.dt=1e-300",
@@ -759,6 +753,24 @@ class TestMalformedPredictions:
         code, _ = self._eval(tmp_path, scene[0], json.dumps(doc))
         assert code == 1
         assert "exceeds trajectory length" in capsys.readouterr().err
+
+    def test_eval_scene_shorter_than_horizon_names_it(self, tmp_path,
+                                                       capsys):
+        # the first scene sets a 5 s horizon, 50 steps; the second has 30
+        data, preds = tmp_path / "data", tmp_path / "preds"
+        data.mkdir()
+        preds.mkdir()
+        for i, scn in enumerate([generate_scenario("straight", 2, 0, T=50),
+                                 generate_scenario("merge", 2, 2, T=30)]):
+            (data / f"scenario_{i:04d}.json").write_text(dump_scenario(scn))
+            (preds / f"p{i}.json").write_text(
+                json.dumps(_truth_prediction(scn)))
+        code = main(["eval", "--data", str(data), "--predictions",
+                     str(preds), "--out", str(tmp_path / "eval")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot evaluate {preds}: scenario 'merge-2': horizon "
+            f"50 exceeds trajectory length 30\n")
 
     # points 1e200 m off overflow the squared errors to inf, without a
     # numpy warning

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from riskcast.evaluation import (ESTIMATORS, MetricsReport, ade,
+from riskcast.evaluation import (MetricsReport, ade,
                                  constant_velocity_baseline,
                                  constant_velocity_baselines, evaluate, fde)
 from riskcast.geometry import rotation
@@ -147,16 +147,33 @@ class TestEvaluate:
     def test_aggregation_is_mean_of_per_scenario(self):
         scns = [generate_scenario("straight", 1, s) for s in range(4)]
         report = evaluate(lambda s: oracle_predict(s), scns)
-        entry = report.entries[("all", "cv", "ego")]
-        stacked = np.stack(entry["ade"])
-        assert np.allclose(report.mean("all", "cv", "ego", "ade"),
-                           stacked.mean(axis=0), atol=1e-12)
+        assert len(report.scenes) == 4
+        # errors [estimator, scope, metric, horizon]: cv, ego, ade
+        by_hand = sum(errors[2, 0, 0] for _, errors in report.scenes) / 4
+        assert np.allclose(report.mean("all", "cv", "ego", "ade"), by_hand,
+                           atol=1e-12)
 
     def test_missing_future_rejected(self):
         scn = generate_scenario("straight", 1, 0)
         scn.has_future[0] = False
         with pytest.raises(ValueError, match="futures"):
             evaluate(oracle_predict, [scn])
+
+    def test_horizon_beyond_a_scene_names_it(self):
+        # the first scene sets a 5 s horizon, 50 steps; the second has 30
+        long = generate_scenario("straight", 2, 0, T=50)
+        short = generate_scenario("merge", 2, 2, T=30)
+        with pytest.raises(ValueError, match=(
+                "^scenario 'merge-2': horizon 50 exceeds trajectory length "
+                "30$")):
+            evaluate(oracle_predict, [long, short])
+        # a prediction of 20 steps, as a model with future_steps=20 makes
+        jp = oracle_predict(long)
+        jp.trajectories = jp.trajectories[:, :, :20]
+        with pytest.raises(ValueError, match=(
+                "^scenario 'straight-0': horizon 50 exceeds trajectory "
+                "length 20$")):
+            evaluate(lambda s: jp, [long])
 
     def test_mixed_time_steps_rejected(self):
         scns = [generate_scenario("straight", 2, 0),
@@ -187,7 +204,8 @@ class TestEvaluate:
 
 def reference_evaluate(predict_fn, scenarios):
     """evaluate's former per-agent, per-mode, per-horizon loop over the
-    public ade/fde."""
+    public ade/fde, each scene's errors [estimator, scope, metric, horizon]
+    gathered from it."""
     steps_per_s = max(int(round(1.0 / scenarios[0].dt)), 1)
     t_total = scenarios[0].horizon_future
     horizons_s = [s for s in (1, 2, 3, 4, 5) if s * steps_per_s <= t_total]
@@ -201,13 +219,10 @@ def reference_evaluate(predict_fn, scenarios):
     for scn in scenarios:
         jp = predict_fn(scn)
         k_sel = select_mode(jp)
-        try:
-            lateral, _ = label_intentions(scn.future[scn.ego_index])
-        except ValueError:
-            lateral = "ST"
-        subsets = ["all", "conflict" if scn.template == "crossing_conflict"
-                   else "normal", lateral]
-        per_est = {est: {"ego": [], "others": []} for est in ESTIMATORS}
+        lateral, _ = label_intentions(scn.future[scn.ego_index])
+        subsets = ("all", "conflict" if scn.template == "crossing_conflict"
+                   else "normal", lateral)
+        per_est = [{"ego": [], "others": []} for _ in range(3)]
         for i, aid in enumerate(jp.agent_ids):
             row = scn.row(aid)
             truth = scn.future[row, :, :2]
@@ -219,18 +234,16 @@ def reference_evaluate(predict_fn, scenarios):
             cv = constant_velocity_baseline(scn.past[row], truth.shape[0],
                                             scn.dt)
             bucket = "ego" if aid == scn.ego_id else "others"
-            for est, vals in zip(ESTIMATORS, [
+            for est, vals in zip(per_est, [
                     metrics(jp.trajectories[k_sel, i], truth), best,
                     metrics(cv, truth)]):
-                per_est[est][bucket].append(vals)
-        for est in ESTIMATORS:
-            ego_vals = per_est[est]["ego"]
-            all_vals = ego_vals + per_est[est]["others"]
-            for subset in subsets:
-                for scope, vals in (("ego", ego_vals), ("all", all_vals)):
-                    report.add(subset, est, scope,
-                               np.mean([v[0] for v in vals], axis=0),
-                               np.mean([v[1] for v in vals], axis=0))
+                est[bucket].append(vals)
+        errors = np.empty((3, 2, 2, len(horizon_steps)))
+        for e, est in enumerate(per_est):
+            for s, vals in enumerate((est["ego"], est["ego"] + est["others"])):
+                for m in range(2):
+                    errors[e, s, m] = np.mean([v[m] for v in vals], axis=0)
+        report.scenes.append((subsets, errors))
     return report
 
 

@@ -475,8 +475,28 @@ class TestRanking:
         _, reports = rank_trajectories(jp, scn)
         assert all(r.boundary == 0.0 for r in reports)
 
+    # velocities of about 1e299 m/s overflow their squares: the check of
+    # the scores reports it, not a numpy warning (an error in this suite)
+    @pytest.mark.parametrize("dt", [1e-300, 1e-200, 1e-160])
+    def test_overflowing_kinematics_raise_value_error(self, dt):
+        scn = generate_scenario("straight", 3, seed=0, dt=dt)
+        jp = JointPrediction(scn.future[None, :, :, :2], np.array([1.0]),
+                             scn.agent_ids.tolist(), scn.scenario_id)
+        with pytest.raises(ValueError, match=(
+                "^scenario 'straight-0': mode 0 has a non-finite risk "
+                "score nan$")):
+            rank_trajectories(jp, scn)
+
 
 class TestRiskGradient:
+    @pytest.mark.parametrize("dt", [1e-300, 1e-200, 1e-160])
+    def test_overflowing_kinematics_raise_value_error(self, dt):
+        scn = generate_scenario("straight", 3, seed=0, dt=dt)
+        with pytest.raises(ValueError, match=(
+                "^scenario 'straight-0': the risk loss nan or its gradient "
+                "is not finite$")):
+            risk_loss_and_grad(scn.future[:, :, :2], scn, RiskConfig())
+
     def test_gradient_matches_finite_difference(self):
         # the implemented gradient flows through the collision probabilities
         # only (harm factors are treated as constants), so validate against
