@@ -157,7 +157,8 @@ def cmd_predict(args) -> int:
     scn = _read_scenario(args.scenario)
     model = _load_model(args.model)
     out = _prepare_out(args, cfg)
-    jp, dists = model.predict(scn)
+    jp, dists = _checked(f"cannot predict {args.scenario}", model.predict,
+                         scn)
     doc = prediction_to_json(jp, dists)
     doc["unpredicted"] = _unpredicted(scn, jp)
     _write_json(os.path.join(out, "prediction.json"), doc, sort_keys=True)

@@ -56,14 +56,11 @@ class IntentionHead(nn.Module):
         self.mlps = nn.MLP([dim, dim, len(LATERAL_CLASSES)], rng, name=name,
                            members=2)
 
-    def parts(self):
-        return [self.mlps]
-
     def forward(self, features: np.ndarray
                 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple]:
         logits, mlp_ctx = self.mlps.forward(features)
-        lat = nn.softmax(logits[0], axis=-1)
-        lon = nn.softmax(logits[1], axis=-1)
+        lat = nn.softmax(logits[0])
+        lon = nn.softmax(logits[1])
         return (lat, lon), (mlp_ctx, lat, lon)
 
     def backward(self, ctx: tuple, dlat: np.ndarray,
@@ -83,9 +80,6 @@ class ClassEmbeddings(nn.Module):
                  name: str = "emb"):
         [W] = nn.stacked_glorot(rng, n_classes, [(dim, dim)])
         self.heads = nn.Linear(W, name)
-
-    def parts(self):
-        return [self.heads]
 
     def forward(self, features: np.ndarray, probs: np.ndarray
                 ) -> tuple[np.ndarray, tuple]:
@@ -113,14 +107,11 @@ class IntentionFuser(nn.Module):
         self.mlp = nn.MLP([2 * dim, dim], rng, name=name)
         self.dim = dim
 
-    def parts(self):
-        return [self.mlp]
-
     def forward(self, e_lat: np.ndarray, e_lon: np.ndarray
                 ) -> tuple[np.ndarray, tuple]:
         logits, mlp_ctx = self.mlp.forward(
             np.concatenate([e_lat, e_lon], axis=1))
-        z = nn.softmax(logits, axis=-1)
+        z = nn.softmax(logits)
         return z, (mlp_ctx, z)
 
     def backward(self, ctx: tuple, dz: np.ndarray
@@ -151,9 +142,6 @@ class JointDecoder(nn.Module):
         self.pool_mlp = nn.MLP([in_dim, dim], rng, name=f"{name}.pool")
         self.prob_mlp = nn.MLP([dim, dim, n_modes], rng, name=f"{name}.prob")
 
-    def parts(self):
-        return [self.heads, self.pool_mlp, self.prob_mlp]
-
     def forward(self, dec_in: np.ndarray, pos0: np.ndarray,
                 slices: list[slice]
                 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple]:
@@ -167,7 +155,7 @@ class JointDecoder(nn.Module):
         arg = np.stack([feat[s].argmax(axis=0) + s.start for s in slices])
         pooled = feat[arg, np.arange(feat.shape[1])]
         logits, prob_ctx = self.prob_mlp.forward(pooled)
-        probs = nn.softmax(logits, axis=-1)
+        probs = nn.softmax(logits)
         return (trajs, probs), (heads_ctx, pool_ctx, prob_ctx, arg,
                                 feat.shape, probs)
 
@@ -196,10 +184,7 @@ def select_mode(jp: JointPrediction) -> int:
     return int(np.argmax(jp.mode_probs))
 
 
-def label_intentions(future: np.ndarray,
-                     yaw_threshold: float = YAW_CHANGE_THRESHOLD,
-                     speed_threshold: float = SPEED_CHANGE_THRESHOLD
-                     ) -> tuple[str, str]:
+def label_intentions(future: np.ndarray) -> tuple[str, str]:
     """Derive (lateral, longitudinal) labels from a ground-truth future
     [T, 5] of (x, y, yaw, vx, vy) rows.
 
@@ -214,17 +199,17 @@ def label_intentions(future: np.ndarray,
     yaws = future[:, 2].tolist()
     speeds = [math.hypot(vx, vy) for vx, vy in future[:, 3:].tolist()]
     net_yaw = sum(wrap_angle(b - a) for a, b in zip(yaws[:-1], yaws[1:]))
-    if net_yaw > yaw_threshold:
+    if net_yaw > YAW_CHANGE_THRESHOLD:
         lateral = "LT"
-    elif net_yaw < -yaw_threshold:
+    elif net_yaw < -YAW_CHANGE_THRESHOLD:
         lateral = "RT"
     else:
         lateral = "ST"
     w = max(len(future) // 5, 1)
     dv = sum(speeds[-w:]) / w - sum(speeds[:w]) / w
-    if dv > speed_threshold:
+    if dv > SPEED_CHANGE_THRESHOLD:
         longitudinal = "ACC"
-    elif dv < -speed_threshold:
+    elif dv < -SPEED_CHANGE_THRESHOLD:
         longitudinal = "DEC"
     else:
         longitudinal = "CON"

@@ -144,9 +144,6 @@ class SelfAttentionBlock(nn.Module):
         self.ln2 = nn.LayerNorm(dim, name=f"{name}.ln2")
         self.ff = nn.MLP([dim, ff_mult * dim, dim], rng, name=f"{name}.ff")
 
-    def parts(self):
-        return [self.ln1, self.mha, self.ln2, self.ff]
-
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         h, ln1_ctx = self.ln1.forward(x)
         att, mha_ctx = self.mha.forward(h, h, h)
@@ -186,9 +183,6 @@ class AgentAgentEncoder(nn.Module):
             SelfAttentionBlock(dim, heads, ff_mult, rng, name=f"{name}.{i}")
             for i in range(layers)
         ]
-
-    def parts(self):
-        return self.blocks
 
     def forward(self, embeds: np.ndarray, masks: list[np.ndarray]
                 ) -> tuple[np.ndarray, list]:
@@ -261,9 +255,6 @@ class AgentMapAttention(nn.Module):
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
                  name: str = "amap"):
         self.mha = nn.MultiHeadAttention(dim, heads, rng, name=name)
-
-    def parts(self):
-        return [self.mha]
 
     def forward(self, features: np.ndarray, map_embeds: np.ndarray,
                 vis: list[np.ndarray]) -> tuple[np.ndarray, tuple]:

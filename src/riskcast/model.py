@@ -121,16 +121,13 @@ class JointPredictor(nn.Module):
         self.decoder = JointDecoder(d, cfg.n_modes, cfg.future_steps, rng,
                                     name="dec")
 
-    def parts(self) -> list[nn.Module]:
-        return [self.history, self.map_enc, self.agent_agent, self.agent_map,
-                self.intention_head, self.lat_embeddings, self.lon_embeddings,
-                self.fuser, self.decoder]
-
     # -- forward / backward over a local-frame scenario -------------------
 
+    @np.errstate(over="ignore", invalid="ignore")
     def forward(self, locals_: list[Scenario]) -> ForwardResult:
         """One pass over local-frame scenes, run as one disjoint union (see
-        the module docstring)."""
+        the module docstring). Weights that overflow the pass raise
+        ValueError."""
         cfg = self.cfg
         feats = [history_feature_matrix(local) for local in locals_]
         slices = _slices([len(f) for f in feats])
@@ -158,7 +155,9 @@ class JointPredictor(nn.Module):
         dec_in = np.concatenate([features, z], axis=1)
         pos0 = np.concatenate([local.past[:, -1, :2] for local in locals_])
         (trajs, probs), dec_ctx = self.decoder.forward(dec_in, pos0, slices)
-        nn.ensure_finite(trajs, "decoded trajectories")
+        if not (np.isfinite(trajs).all() and np.isfinite(probs).all()):
+            raise ValueError("non-finite decoded trajectories or mode "
+                             "probabilities")
         return ForwardResult(trajs, probs, lat, lon, z, features, slices,
                              (hist_runs, aa_ctx, menc_ctx, amap_ctx, head_ctx,
                               elat_ctx, elon_ctx, fuse_ctx, dec_ctx))

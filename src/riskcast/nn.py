@@ -28,6 +28,12 @@ bit-identical to the separate layers'. A stacked parameter is one parameter:
 steps: it projects the input of every step in one matmul and hands each
 ``step`` its projected slice; its backward projects each step's gradient
 back to the input as it goes.
+
+A module's parameters are the attributes its ``__init__`` assigns, in
+assignment order, as in PyTorch: ``Module.params`` reads them from the
+instance, and there is no second list to keep in step. Each layer is built
+and then assigned, so that order is also the order in which the layers
+draw their weights, and it is the order a checkpoint stores them in.
 """
 
 from __future__ import annotations
@@ -39,12 +45,6 @@ import numpy as np
 
 class DimensionError(ValueError):
     """Shape mismatch between an input and a layer's parameters."""
-
-
-def ensure_finite(x: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError(f"non-finite values in {what}")
-    return x
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -101,19 +101,24 @@ class Parameter:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def params(self) -> list["Parameter"]:
-        return [self]
-
 
 class Module:
-    """Base class. A module lists its sub-modules and parameters in
-    ``parts``, in checkpoint order; ``params`` follows from it."""
-
-    def parts(self) -> list:
-        raise NotImplementedError
+    """Base class. A module holds parameters, sub-modules (alone or in
+    lists) and config values as its attributes. Its parameters come in the
+    order ``__init__`` assigns them, which is the order they are drawn in
+    and the checkpoint order: a ``Parameter`` attribute is itself, a
+    ``Module`` attribute its own ``params()``, a list each of its items in
+    turn, and any other attribute nothing."""
 
     def params(self) -> list[Parameter]:
-        return [p for part in self.parts() for p in part.params()]
+        out = []
+        for attr in vars(self).values():
+            for part in attr if isinstance(attr, list) else [attr]:
+                if isinstance(part, Parameter):
+                    out.append(part)
+                elif isinstance(part, Module):
+                    out.extend(part.params())
+        return out
 
     def zero_grad(self) -> None:
         """Zero every gradient allocated so far; allocates none."""
@@ -136,9 +141,6 @@ class Linear(Module):
         self.in_dim, self.out_dim = W.shape[-2:]
         self.W = Parameter(f"{name}.W", W)
         self.b = Parameter(f"{name}.b", np.zeros(W.shape[:-2] + W.shape[-1:]))
-
-    def parts(self) -> list[Parameter]:
-        return [self.W, self.b]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(x W + b, ctx); the context is the input."""
@@ -176,9 +178,6 @@ class MLP(Module):
         self.layers = [Linear(W[0] if members is None else W, f"{name}.{i}")
                        for i, W in enumerate(weights)]
 
-    def parts(self) -> list:
-        return self.layers
-
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         """(output, ctx); the context lists each layer's context and the
         ReLU mask after it (None after the last layer)."""
@@ -201,15 +200,13 @@ class MLP(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, name: str = "ln", eps: float = 1e-5):
+    eps = 1e-5
+
+    def __init__(self, dim: int, name: str = "ln"):
         self.name = name
         self.dim = dim
-        self.eps = eps
         self.gamma = Parameter(f"{name}.gamma", np.ones(dim))
         self.beta = Parameter(f"{name}.beta", np.zeros(dim))
-
-    def parts(self) -> list[Parameter]:
-        return [self.gamma, self.beta]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         if x.shape[-1] != self.dim:
@@ -256,9 +253,6 @@ class LSTM(Module):
         self.Wh = Parameter(f"{name}.Wh",
                             glorot_uniform(rng, hidden_dim, 4 * hidden_dim))
         self.b = Parameter(f"{name}.b", np.zeros(4 * hidden_dim))
-
-    def parts(self) -> list[Parameter]:
-        return [self.Wx, self.Wh, self.b]
 
     def step(self, xw: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
              ) -> tuple[tuple[np.ndarray, np.ndarray], tuple]:
@@ -360,9 +354,6 @@ class MultiHeadAttention(Module):
         self.Wo = Linear(glorot_uniform(rng, embed_dim, embed_dim),
                          name=f"{name}.o")
 
-    def parts(self) -> list:
-        return [self.Wqkv, self.bq, self.bv, self.Wo]
-
     def forward(self, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                 mask: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
         inputs = (q, k, v)
@@ -447,26 +438,26 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax (max subtraction before exponentiation)."""
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax over the last axis (max subtraction
+    before exponentiation)."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("softmax of an empty tensor")
-    m = np.max(x, axis=axis, keepdims=True)
+    m = np.max(x, axis=-1, keepdims=True)
     e = np.exp(x - m)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_backward(y: np.ndarray, dy: np.ndarray,
-                     axis: int = -1) -> np.ndarray:
-    """Gradient through softmax given its output y and upstream dy."""
-    dot = (dy * y).sum(axis=axis, keepdims=True)
+def softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Gradient through the last-axis softmax given its output y and
+    upstream dy."""
+    dot = (dy * y).sum(axis=-1, keepdims=True)
     return y * (dy - dot)
 
 
-def smooth_l1(pred: np.ndarray, target: np.ndarray,
-              beta: float = 1.0) -> float:
-    """Mean smooth-L1: quadratic within |d| < beta, linear outside."""
+def smooth_l1(pred: np.ndarray, target: np.ndarray) -> float:
+    """Mean smooth-L1 (beta 1): quadratic within |d| < 1, linear outside."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
@@ -474,17 +465,15 @@ def smooth_l1(pred: np.ndarray, target: np.ndarray,
             f"smooth_l1: shapes {pred.shape} and {target.shape} differ")
     d = pred - target
     ad = np.abs(d)
-    per = np.where(ad < beta, 0.5 * d * d / beta, ad - 0.5 * beta)
+    per = np.where(ad < 1.0, 0.5 * d * d, ad - 0.5)
     return float(per.mean())
 
 
-def smooth_l1_grad(pred: np.ndarray, target: np.ndarray,
-                   beta: float = 1.0) -> np.ndarray:
+def smooth_l1_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """d(mean smooth-L1)/d(pred)."""
     d = np.asarray(pred, dtype=np.float64) - np.asarray(target,
                                                         dtype=np.float64)
-    g = np.clip(d / beta, -1.0, 1.0)
-    return g / d.size
+    return np.clip(d, -1.0, 1.0) / d.size
 
 
 PROB_FLOOR = 1e-12

@@ -586,12 +586,12 @@ def _roll_agent(spec: _AgentSpec, H: int, T: int, dt: float,
 
 
 def _sample_polyline(path: _Path, s_lo: float, s_hi: float, kind: str,
-                     offset: float = 0.0, spacing: float = 3.0
-                     ) -> list[tuple[np.ndarray, str]]:
-    """(waypoints, kind) pairs along the path from s_lo to s_hi, chunks of
-    at most MAX_POLYLINE_POINTS waypoints that share their end points; each
-    chunk starts before the last point, so it has at least two."""
-    n = max(int(math.ceil((s_hi - s_lo) / spacing)) + 1, 2)
+                     offset: float = 0.0) -> list[tuple[np.ndarray, str]]:
+    """(waypoints, kind) pairs along the path from s_lo to s_hi, at most
+    3 m apart, in chunks of at most MAX_POLYLINE_POINTS waypoints that share
+    their end points; each chunk starts before the last point, so it has at
+    least two."""
+    n = max(int(math.ceil((s_hi - s_lo) / 3.0)) + 1, 2)
     ss = np.linspace(s_lo, s_hi, n)
     pts = np.array([path.pos(s) + offset * path.normal(s) for s in ss])
     return [(pts[lo:lo + MAX_POLYLINE_POINTS], kind)

@@ -224,18 +224,28 @@ def _validate(model: JointPredictor, scenarios: list[Scenario]
     return float(np.mean(ades)), float(np.mean(fdes))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(scenarios: list[Scenario], model_cfg: ModelConfig,
           cfg: TrainConfig, out_dir: str | None = None
           ) -> tuple[JointPredictor, TrainReport]:
-    """Train a fresh model; deterministic given the configs and data."""
+    """Train a fresh model; deterministic given the configs and data. A
+    training scene whose future is not future_steps long, a validation
+    scene whose future is longer, and a diverging loss raise ValueError."""
     if not scenarios:
         raise ValueError("training dataset is empty")
     model = JointPredictor(replace(model_cfg, init_seed=cfg.seed))
-    opt = nn.Adam(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    params = model.params()
+    opt = nn.Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     train_idx, val_idx, _ = split_dataset(scenarios, cfg)
     if not train_idx:
         raise ValueError(f"split: a training fraction of {cfg.split[0]!r} "
                          f"leaves none of {len(scenarios)} scenes")
+    steps = model_cfg.future_steps
+    for scn in [scenarios[i] for i in train_idx]:
+        if scn.horizon_future != steps:
+            raise ValueError(f"scenario {scn.scenario_id!r}: a training "
+                             f"future of {scn.horizon_future} steps, not "
+                             f"future_steps ({steps})")
     scenes_train = {i: _TrainScene.of(model.prepare(scenarios[i]))
                     for i in train_idx}
     val_scns = [scenarios[i] for i in val_idx] or \
@@ -244,6 +254,10 @@ def train(scenarios: list[Scenario], model_cfg: ModelConfig,
         if not scn.has_future[scn.ego_index]:
             raise ValueError(f"scenario {scn.scenario_id!r}: the ego "
                              f"{scn.ego_id!r} has no ground-truth future")
+        if scn.horizon_future > steps:
+            raise ValueError(f"scenario {scn.scenario_id!r}: a validation "
+                             f"future of {scn.horizon_future} steps, more "
+                             f"than future_steps ({steps})")
 
     rng = nn.seeded_rng(cfg.seed + 1)
     report = TrainReport()
@@ -258,18 +272,18 @@ def train(scenarios: list[Scenario], model_cfg: ModelConfig,
                     model, [scenes_train[int(i)] for i in batch], epoch, cfg):
                 l_tot = total_loss(l_pre, l_man, l_risk, epoch, cfg)
                 if not math.isfinite(l_tot):
-                    raise RuntimeError(
+                    raise ValueError(
                         f"training diverged at epoch {epoch}, "
                         f"batch {lo // cfg.batch_size}: loss {l_tot}")
                 sums += (l_pre, l_man, l_risk)
                 count += 1
-            for p in model.params():
+            for p in params:
                 p.grad /= len(batch)
             total = math.sqrt(sum(float((p.grad * p.grad).sum())
-                                  for p in model.params()))
+                                  for p in params))
             if total > CLIP_NORM:
                 scale = CLIP_NORM / total
-                for p in model.params():
+                for p in params:
                     p.grad *= scale
             opt.step()
         mean_pre, mean_man, mean_risk = sums / count

@@ -4,6 +4,7 @@ gen -> train -> predict -> risk -> eval pipeline."""
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict
@@ -271,6 +272,29 @@ class TestBadInputs:
         assert "non-finite values" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    # weights of 1e200 are finite, so the checkpoint loads, but the forward
+    # overflows; the error says so, and numpy warns of nothing on the way
+    @pytest.mark.parametrize("command,verb", [("predict", "predict"),
+                                              ("eval", "evaluate")])
+    def test_overflowing_checkpoint_exits_1(self, tmp_path, capsys,
+                                            tiny_data, command, verb):
+        ckpt = tmp_path / "model.ckpt"
+        model = _tiny_checkpoint(ckpt)
+        for p in model.params():
+            p.value[...] = 1e200
+        model.save(str(ckpt))
+        source = (["--scenario", str(tiny_data / "scenario_0000.json")]
+                  if command == "predict" else ["--data", str(tiny_data)])
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = main([command, "--model", str(ckpt), "--out", str(out)]
+                    + source + TINY)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot {verb} ")
+        assert "non-finite" in err and "Traceback" not in err
+        assert sorted(os.listdir(out)) == ["resolved_config.json"]
+
     def test_repeated_agent_id_exits_1(self, tmp_path, capsys):
         doc = json.loads(dump_scenario(
             generate_scenario("straight", 3, seed=1, H=4, T=10)))
@@ -481,6 +505,44 @@ class TestTrainData:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot train on ")
         assert "scenario 'straight-" in err and "risk loss nan" in err
+        assert not (out / "checkpoint.npz").exists()
+
+
+    # a step of 1e300 blows the weights up after one step, so the
+    # validation forward overflows
+    def test_overflowing_forward_exits_1(self, tmp_path, capsys, tiny_data):
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = main(["train", "--data", str(tiny_data), "--out", str(out),
+                     "--epochs", "1", "--set", "train.stage1_epochs=1",
+                     "--set", "train.lr=1e300"] + TINY)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot train on ")
+        assert "non-finite" in err and "Traceback" not in err
+        assert not (out / "checkpoint.npz").exists()
+
+    def test_scene_of_another_horizon_exits_1_naming_it(self, tmp_path,
+                                                        capsys, tiny_data):
+        data, longer = tmp_path / "data", tmp_path / "longer"
+        shutil.copytree(tiny_data, data)
+        assert main(["gen", "--count", "2", "--seed", "100", "--out",
+                     str(longer)] + TINY + ["--set", "gen.T=20"]) == 0
+        for i in range(2):
+            shutil.copy(longer / f"scenario_{i:04d}.json",
+                        data / f"scenario_long_{i}.json")
+        ids = [json.loads((longer / f"scenario_{i:04d}.json").read_text())[
+            "scenario_id"] for i in range(2)]
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = main(["train", "--data", str(data), "--out", str(out),
+                     "--epochs", "1", "--set", "train.stage1_epochs=1"]
+                    + TINY)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot train on {data}: scenario ")
+        assert any(repr(i) in err for i in ids)
+        assert "future of 20 steps" in err and "future_steps (10)" in err
         assert not (out / "checkpoint.npz").exists()
 
 

@@ -67,15 +67,14 @@ class TestFusion:
         e_lon = rng.normal(size=(3, DIM))
         z, _ = fuser.forward(e_lat, e_lon)
         expected = nn.softmax(
-            fuser.mlp.forward(np.concatenate([e_lat, e_lon], axis=1))[0],
-            axis=-1)
+            fuser.mlp.forward(np.concatenate([e_lat, e_lon], axis=1))[0])
         assert np.allclose(z, expected, atol=1e-12)
 
     def test_class_embedding_mixture(self):
         emb = ClassEmbeddings(DIM, 3, nn.seeded_rng(9))
         rng = nn.seeded_rng(10)
         feats = rng.normal(size=(2, DIM))
-        probs = nn.softmax(rng.normal(size=(2, 3)), axis=-1)
+        probs = nn.softmax(rng.normal(size=(2, 3)))
         out, _ = emb.forward(feats, probs)
         W, b = emb.heads.W.value, emb.heads.b.value
         expected = sum(probs[:, c:c + 1] * (feats @ W[c] + b[c])

@@ -449,6 +449,37 @@ class TestCheckpoint:
             "int.0.W": (2, d, d), "int.1.b": (2, 3),
             "aa.0.mha.qkv.W": (3, d, d), "amap.qkv.W": (3, d, d)}
 
+    def test_default_index_is_pinned(self):
+        # the checkpoint order is the order __init__ assigns the parameters;
+        # this literal pins it, so a reordered __init__ fails here
+        d, d2 = 64, 128
+        block = [("ln1.gamma", (d,)), ("ln1.beta", (d,)),
+                 ("mha.qkv.W", (3, d, d)), ("mha.q.b", (d,)),
+                 ("mha.v.b", (d,)), ("mha.o.W", (d, d)), ("mha.o.b", (d,)),
+                 ("ln2.gamma", (d,)), ("ln2.beta", (d,)),
+                 ("ff.0.W", (d, d2)), ("ff.0.b", (d2,)),
+                 ("ff.1.W", (d2, d)), ("ff.1.b", (d,))]
+        assert [(p.name, p.shape)
+                for p in JointPredictor(ModelConfig()).params()] == [
+            ("hist.Wx", (14, 4 * d)), ("hist.Wh", (d, 4 * d)),
+            ("hist.b", (4 * d,)),
+            ("map.0.W", (63, d)), ("map.0.b", (d,)),
+            ("map.1.W", (d, d)), ("map.1.b", (d,)),
+            *[(f"aa.{i}.{name}", shape) for i in range(2)
+              for name, shape in block],
+            ("amap.qkv.W", (3, d, d)), ("amap.q.b", (d,)),
+            ("amap.v.b", (d,)), ("amap.o.W", (d, d)), ("amap.o.b", (d,)),
+            ("int.0.W", (2, d, d)), ("int.0.b", (2, d)),
+            ("int.1.W", (2, d, 3)), ("int.1.b", (2, 3)),
+            ("emb.lat.W", (3, d, d)), ("emb.lat.b", (3, d)),
+            ("emb.lon.W", (3, d, d)), ("emb.lon.b", (3, d)),
+            ("fuse.0.W", (d2, d)), ("fuse.0.b", (d,)),
+            ("dec.heads.0.W", (6, d2, d2)), ("dec.heads.0.b", (6, d2)),
+            ("dec.heads.1.W", (6, d2, 100)), ("dec.heads.1.b", (6, 100)),
+            ("dec.pool.0.W", (d2, d)), ("dec.pool.0.b", (d,)),
+            ("dec.prob.0.W", (d, d)), ("dec.prob.0.b", (d,)),
+            ("dec.prob.1.W", (d, 6)), ("dec.prob.1.b", (6,))]
+
     def test_rejects_a_truncated_vector(self, tmp_path, tiny_setup):
         model, _, _ = tiny_setup
         path = tmp_path / "ckpt.npz"

@@ -573,6 +573,23 @@ class TestCrossEntropy:
             nn.cross_entropy(np.array([0.5, 0.5]), 2)
 
 
+class TestParamsInAssignmentOrder:
+    def test_attributes_in_order_lists_item_by_item(self):
+        rng = nn.seeded_rng(0)
+
+        class Mixed(nn.Module):
+            def __init__(self):
+                self.scale = nn.Parameter("scale", np.ones(2))
+                self.width = 3
+                self.heads = [nn.Linear(np.ones((2, 2)), "head.0"),
+                              nn.Linear(np.ones((2, 2)), "head.1")]
+                self.mlp = nn.MLP([2, 4, 2], rng, name="mlp")
+
+        assert [p.name for p in Mixed().params()] == [
+            "scale", "head.0.W", "head.0.b", "head.1.W", "head.1.b",
+            "mlp.0.W", "mlp.0.b", "mlp.1.W", "mlp.1.b"]
+
+
 class TestGradientOnFirstUse:
     def test_allocated_zeroed_on_first_read(self):
         p = nn.Parameter("w", np.ones((2, 3)))

@@ -29,8 +29,8 @@ class TestIntentionLoss:
 
     def test_matches_cross_entropy_composition(self):
         rng = nn.seeded_rng(0)
-        lat = nn.softmax(rng.normal(size=(3, 3)), axis=-1)
-        lon = nn.softmax(rng.normal(size=(3, 3)), axis=-1)
+        lat = nn.softmax(rng.normal(size=(3, 3)))
+        lon = nn.softmax(rng.normal(size=(3, 3)))
         labels = [(0, 2), (1, 1), (2, 0)]
         loss, _, _ = intention_loss(lat, lon, labels)
         expected = np.mean([
@@ -266,6 +266,30 @@ class TestTrainLoop:
             assert all(np.array_equal(p.value, q.value)
                        for p, q in zip(model.params(), loaded.params()))
 
+
+    def test_scene_of_another_horizon_is_named_before_training(
+            self, monkeypatch):
+        unions = record_unions(monkeypatch)
+        cfg = TrainConfig(batch_size=3, epochs=1, stage1_epochs=1, seed=0,
+                          split=(0.5, 0.5, 0.0))
+        train_idx, val_idx, _ = split_dataset([None] * 4, cfg)
+        # a validation future shorter than future_steps is accepted
+        data = tiny_dataset(4)
+        data[val_idx[0]] = generate_scenario("merge", 2, 20, H=4, T=5)
+        train(data, tiny_model_cfg(), cfg)
+        data[val_idx[0]] = generate_scenario("merge", 2, 21, H=4, T=10)
+        with pytest.raises(ValueError, match=r"scenario 'merge-21': a "
+                           r"validation future of 10 steps, more than "
+                           r"future_steps \(8\)"):
+            train(data, tiny_model_cfg(), cfg)
+        for i in train_idx:
+            data[i] = generate_scenario("merge", 2, 30 + i, H=4, T=6)
+        with pytest.raises(ValueError, match=rf"scenario 'merge-"
+                           rf"{30 + train_idx[0]}': a training future of 6 "
+                           rf"steps, not future_steps \(8\)"):
+            train(data, tiny_model_cfg(), cfg)
+        # only the first call trained
+        assert len(unions) == 1
 
     def test_one_minibatch_allocates_every_gradient(self):
         cfg = TrainConfig(batch_size=3, epochs=1, stage1_epochs=1, seed=0,
