@@ -156,9 +156,9 @@ def cmd_predict(args) -> int:
     cfg = _resolve(args)
     scn = _read_scenario(args.scenario)
     model = _load_model(args.model)
-    out = _prepare_out(args, cfg)
     jp, dists = _checked(f"cannot predict {args.scenario}", model.predict,
                          scn)
+    out = _prepare_out(args, cfg)
     doc = prediction_to_json(jp, dists)
     doc["unpredicted"] = _unpredicted(scn, jp)
     _write_json(os.path.join(out, "prediction.json"), doc, sort_keys=True)
@@ -178,9 +178,9 @@ def cmd_risk(args) -> int:
     jp = _checked(f"invalid prediction {args.prediction}",
                   prediction_from_json, _prediction_doc(args.prediction))
     risk_cfg = _checked("invalid config", cfgmod.risk_config, cfg)
-    out = _prepare_out(args, cfg)
     order, reports = _checked(f"cannot rank {args.prediction}",
                               rank_trajectories, jp, scn, risk_cfg)
+    out = _prepare_out(args, cfg)
     doc = {
         "scenario_id": scn.scenario_id,
         "order": order,
@@ -229,9 +229,9 @@ def cmd_eval(args) -> int:
                     f"no prediction found for scenario {scn.scenario_id!r}")
             return jp
 
-    out = _prepare_out(args, cfg)
     report = _checked(f"cannot evaluate {args.model or args.predictions}",
                       evaluate, predict_fn, scenarios)
+    out = _prepare_out(args, cfg)
     path = os.path.join(out, "metrics.json")
     _checked(f"cannot write {path}", report.write_json, path)
     report.write_csv(os.path.join(out, "metrics.csv"))

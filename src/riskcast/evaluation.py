@@ -44,8 +44,7 @@ def ade(pred: np.ndarray, truth: np.ndarray, horizon_steps: int) -> float:
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     _check_horizon(horizon_steps, min(len(pred), len(truth)))
-    err = np.linalg.norm(pred[:horizon_steps] - truth[:horizon_steps],
-                         axis=-1)
+    err = norm2(pred[:horizon_steps] - truth[:horizon_steps])
     return float(err.mean())
 
 
@@ -54,7 +53,7 @@ def fde(pred: np.ndarray, truth: np.ndarray, horizon_steps: int) -> float:
     _check_horizon(horizon_steps, min(len(pred), len(truth)))
     d = np.asarray(pred)[horizon_steps - 1] - np.asarray(truth)[
         horizon_steps - 1]
-    return float(np.linalg.norm(d))
+    return float(norm2(d))
 
 
 def constant_velocity_baseline(past: np.ndarray, horizon: int,
@@ -134,14 +133,9 @@ def _horizon_metrics(pred: np.ndarray, truth: np.ndarray,
     """ADE and FDE of pred [..., T, 2] against truth [N, T, 2] at every
     horizon, as ``ade``/``fde`` compute them: two arrays [..., N, horizons].
     """
-    diff = pred - truth
-    err = norm2(diff)
+    err = norm2(pred - truth)
     a = np.stack([err[..., :h].mean(axis=-1) for h in horizons], axis=-1)
-    # fde's norm of one 2-vector is sqrt(d @ d); a batched matmul rounds
-    # as that dot product does
-    d = diff[..., np.asarray(horizons) - 1, :]
-    f = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
-    return a, f
+    return a, err[..., np.asarray(horizons) - 1]
 
 
 def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
@@ -207,10 +201,9 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
         rows = np.arange(len(predicted))
         best = np.argmin(model_a[:, :, -1], axis=0)
         ego = jp.agent_ids.index(scn.ego_id)
-        ego_first = [ego] + [i for i in rows if i != ego]
         report.scenes.append((subsets, np.array([
             [[vals[ego] for vals in pair],
-             [np.mean(vals[ego_first], axis=0) for vals in pair]]
+             [vals.mean(axis=0) for vals in pair]]
             for pair in ((model_a[k_sel], model_f[k_sel]),
                          (model_a[best, rows], model_f[best, rows]),
                          (cv_a, cv_f))])))

@@ -3,6 +3,9 @@
 All functions are pure. Angles are radians, positions meters, velocities m/s.
 Degenerate inputs (stopped agents, coincident positions) fall back to the yaw
 direction / a fixed bearing instead of producing NaN.
+
+The package's 2-vector lengths, dot and cross products are ``norm2``,
+``dot2`` and ``cross2``, so array code and per-state references round alike.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class AgentState:
 
     @property
     def speed(self) -> float:
-        return math.hypot(self.vx, self.vy)
+        return float(norm2(self.velocity))
 
     @property
     def protected_flag(self) -> bool:
@@ -81,27 +84,23 @@ class RelEncoding:
                          self.sin_bearing, self.cos_bearing, self.distance])
 
 
-def _cross2(a: np.ndarray, b: np.ndarray) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
-
-
 def relative_encoding(i: AgentState, j: AgentState) -> RelEncoding:
     """Five-number relative pose of j as seen against i: sine/cosine of the
     heading difference, sine/cosine of the bearing of the displacement against
     j's direction, and the center distance."""
     ui = i.direction()
     uj = j.direction()
-    sin_a = _cross2(ui, uj)
-    cos_a = float(ui @ uj)
+    sin_a = float(cross2(ui, uj))
+    cos_a = float(dot2(ui, uj))
 
     d = j.position - i.position
-    dist = float(np.hypot(d[0], d[1]))
+    dist = float(norm2(d))
     if dist < DIST_EPS:
         sin_b, cos_b = 0.0, 1.0
     else:
         dn = d / dist
-        sin_b = _cross2(dn, uj)
-        cos_b = float(dn @ uj)
+        sin_b = float(cross2(dn, uj))
+        cos_b = float(dot2(dn, uj))
     return RelEncoding(sin_a, cos_a, sin_b, cos_b, dist)
 
 
@@ -117,14 +116,14 @@ def collision_angle(i: AgentState, j: AgentState) -> float:
     """Angle between the two motion directions, folded to [0, pi]."""
     ui = i.direction()
     uj = j.direction()
-    return math.acos(float(np.clip(ui @ uj, -1.0, 1.0)))
+    return math.acos(float(np.clip(dot2(ui, uj), -1.0, 1.0)))
 
 
 def collision_region(victim: AgentState, other: AgentState) -> CollisionRegion:
     """Which part of the victim is struck, from the bearing of the other
     agent in the victim's frame, folded symmetrically about the axis."""
     d = other.position - victim.position
-    if np.hypot(d[0], d[1]) < DIST_EPS:
+    if norm2(d) < DIST_EPS:
         return CollisionRegion.FRONT
     bearing = abs(wrap_angle(math.atan2(d[1], d[0]) - victim.yaw))
     if bearing <= math.pi / 4:
@@ -151,10 +150,19 @@ def transform_state(a: AgentState, origin: np.ndarray,
 
 
 def norm2(d: np.ndarray) -> np.ndarray:
-    """Length of each 2-vector along the last axis. Rounds as
-    ``np.linalg.norm(d, axis=-1)`` does (no scaling against overflow), in
-    two array ops instead of its reduction."""
-    return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
+    """Length of each 2-vector along the last axis, sqrt(x*x + y*y), with no
+    scaling against overflow: a component of 1.3e154 or more gives inf."""
+    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+
+
+def dot2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x*x' + y*y' of the 2-vectors along the last axis."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x*y' - y*x' of the 2-vectors along the last axis."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def wrap_angle(angle: float) -> float:

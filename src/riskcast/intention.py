@@ -18,13 +18,12 @@ is [2, D, D] (lateral, longitudinal), ``emb.lon.W`` is [3, D, D] and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .geometry import wrap_angle
+from .geometry import norm2, wrap_angle
 
 LATERAL_CLASSES = ("LT", "ST", "RT")
 LONGITUDINAL_CLASSES = ("ACC", "CON", "DEC")
@@ -68,7 +67,7 @@ class IntentionHead(nn.Module):
         mlp_ctx, lat, lon = ctx
         dfeat = self.mlps.backward(mlp_ctx, np.stack([
             nn.softmax_backward(lat, dlat), nn.softmax_backward(lon, dlon)]))
-        return dfeat[0] + dfeat[1]
+        return dfeat.sum(axis=0)
 
 
 class ClassEmbeddings(nn.Module):
@@ -84,7 +83,7 @@ class ClassEmbeddings(nn.Module):
     def forward(self, features: np.ndarray, probs: np.ndarray
                 ) -> tuple[np.ndarray, tuple]:
         outs, heads_ctx = self.heads.forward(features)      # [C, N, D]
-        mixed = sum(probs[:, c:c + 1] * outs[c] for c in range(len(outs)))
+        mixed = (probs.T[:, :, None] * outs).sum(axis=0)
         return mixed, (probs, outs, heads_ctx)
 
     def backward(self, ctx: tuple, g: np.ndarray
@@ -92,10 +91,7 @@ class ClassEmbeddings(nn.Module):
         probs, outs, heads_ctx = ctx
         dprobs = (g * outs).sum(axis=2).T
         dheads = self.heads.backward(heads_ctx, probs.T[:, :, None] * g)
-        dfeat = np.zeros_like(g)
-        for c in reversed(range(len(outs))):
-            dfeat += dheads[c]
-        return dfeat, dprobs
+        return dheads.sum(axis=0), dprobs
 
 
 class IntentionFuser(nn.Module):
@@ -172,9 +168,7 @@ class JointDecoder(nn.Module):
         dofs = np.cumsum(dtrajs[:, :, ::-1, :], axis=2)[:, :, ::-1, :]
         dheads = self.heads.backward(
             heads_ctx, np.ascontiguousarray(dofs).reshape(self.n_modes, n, -1))
-        for k in reversed(range(self.n_modes)):
-            ddec += dheads[k]
-        return ddec
+        return ddec + dheads.sum(axis=0)
 
 
 def select_mode(jp: JointPrediction) -> int:
@@ -191,13 +185,14 @@ def label_intentions(future: np.ndarray) -> tuple[str, str]:
     Lateral uses the net yaw change accumulated over the horizon;
     longitudinal uses the speed change between the start and the end,
     each averaged over a fifth of the horizon to suppress jitter. Both are
-    scalar sums, in step order, of ``wrap_angle`` and ``math.hypot``.
+    scalar sums, in step order, of ``wrap_angle`` and ``norm2``.
     """
     future = np.asarray(future, dtype=np.float64)
     if len(future) == 0:
         raise ValueError("cannot label an empty future")
     yaws = future[:, 2].tolist()
-    speeds = [math.hypot(vx, vy) for vx, vy in future[:, 3:].tolist()]
+    with np.errstate(over="ignore"):   # a speed past 1.3e154 m/s is inf
+        speeds = norm2(future[:, 3:5]).tolist()
     net_yaw = sum(wrap_angle(b - a) for a, b in zip(yaws[:-1], yaws[1:]))
     if net_yaw > YAW_CHANGE_THRESHOLD:
         lateral = "LT"

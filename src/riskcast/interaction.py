@@ -23,12 +23,11 @@ agents or polylines.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import nn
-from .geometry import AGENT_CLASSES, DIST_EPS, SPEED_EPS, norm2
+from .geometry import (AGENT_CLASSES, DIST_EPS, SPEED_EPS, cross2, dot2,
+                       norm2)
 from .scene import POLYLINE_KINDS, RoadMap, Scenario
 
 POS_SCALE = 50.0
@@ -38,15 +37,6 @@ KINEMATIC_SCALE = np.array([POS_SCALE, POS_SCALE, YAW_SCALE, VEL_SCALE,
                             VEL_SCALE])  # x, y, yaw, vx, vy
 
 HISTORY_FEATURES = 10 + len(AGENT_CLASSES)  # kinematics + rel encoding + class
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a batched matmul rounds as relative_encoding's 2-vector `a @ b` does
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def history_feature_matrix(scn: Scenario) -> np.ndarray:
@@ -60,10 +50,7 @@ def history_feature_matrix(scn: Scenario) -> np.ndarray:
     """
     kin = scn.past
     n, steps = kin.shape[:2]
-    # AgentState.speed is math.hypot, which np.hypot does not always match
-    speed = np.array([math.hypot(vx, vy) for vx, vy
-                      in kin[..., 3:].reshape(-1, 2).tolist()]
-                     ).reshape(n, steps)
+    speed = norm2(kin[..., 3:5])
     stopped = speed < SPEED_EPS
     # AgentState.direction of every state
     u = np.where(stopped[..., None],
@@ -71,12 +58,12 @@ def history_feature_matrix(scn: Scenario) -> np.ndarray:
                  kin[..., 3:5] / np.where(stopped, 1.0, speed)[..., None])
     u_ego = u[scn.ego_index]
     d = kin[..., :2] - kin[scn.ego_index, :, :2]
-    dist = np.hypot(d[..., 0], d[..., 1])
+    dist = norm2(d)
     near = dist < DIST_EPS
     dn = d / np.where(near, 1.0, dist)[..., None]
-    rel = np.stack([_cross(u_ego, u), _dot(u_ego, u),
-                    np.where(near, 0.0, _cross(dn, u)),
-                    np.where(near, 1.0, _dot(dn, u)),
+    rel = np.stack([cross2(u_ego, u), dot2(u_ego, u),
+                    np.where(near, 0.0, cross2(dn, u)),
+                    np.where(near, 1.0, dot2(dn, u)),
                     dist / POS_SCALE], axis=-1)
     classes = [AGENT_CLASSES.index(c) for c in scn.agent_classes]
     onehot = np.broadcast_to(np.eye(len(AGENT_CLASSES))[classes][:, None],

@@ -152,8 +152,7 @@ class Linear(Module):
 
     def backward(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The input gradient; a stacked layer's is [M, N, in] (a shared
-        input's is the sum over the members, which the caller takes in the
-        order it needs)."""
+        input's is its sum over the members, which the caller takes)."""
         self.W.grad += np.swapaxes(x, -1, -2) @ g
         self.b.grad += g.sum(axis=-2)
         return g @ np.swapaxes(self.W.value, -1, -2)
@@ -560,7 +559,11 @@ class Adam:
 
 def grad_check(loss_fn: Callable[[], float], params: Sequence[Parameter],
                h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between analytic and central-difference gradients,
+    net of the probes' rounding: an element reads (|analytic - numeric| -
+    16 eps max(|L+|, |L-|) / h) / max(|analytic|, |numeric|, 1e-8), clamped
+    at 0, since probe losses L+ and L- off by ulps move the difference that
+    much whatever the backward.
 
     loss_fn must run a forward+backward pass, accumulating gradients into the
     given parameters, and return the scalar loss. Gradients are zeroed first,
@@ -586,8 +589,9 @@ def grad_check(loss_fn: Callable[[], float], params: Sequence[Parameter],
             lm = loss_fn()
             flat[i] = orig
             numeric = (lp - lm) / (2.0 * h)
+            noise = 16.0 * np.finfo(float).eps * max(abs(lp), abs(lm)) / h
             denom = max(abs(aflat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(aflat[i] - numeric) / denom)
+            worst = max(worst, (abs(aflat[i] - numeric) - noise) / denom)
     for p in params:
         p.grad[...] = 0.0
     return worst

@@ -75,7 +75,7 @@ from scipy.special import chdtr, chndtr, i1e
 from . import nn
 from .geometry import (DIST_EPS, PROTECTED_CLASSES, SPEED_EPS, AgentState,
                        CollisionRegion, body_points, collision_angle,
-                       collision_region, norm2)
+                       collision_region, dot2, norm2)
 from .intention import JointPrediction
 from .scene import RoadMap, Scenario
 
@@ -195,8 +195,7 @@ def collision_probability(victim: AgentState, other: AgentState,
     points against the other's center, summed and clamped to [0, 1]."""
     pair_sigma = math.sqrt(2.0) * sigma  # both positions uncertain
     radius = 0.5 * (victim.width + other.width)
-    dists = np.linalg.norm(np.stack(body_points(victim)) - other.position,
-                           axis=1)
+    dists = norm2(np.stack(body_points(victim)) - other.position)
     return float(min(disc_probability(dists, radius, pair_sigma).sum(), 1.0))
 
 
@@ -224,12 +223,7 @@ def harm(dv: float, region: CollisionRegion,
 def pair_harm(victim: AgentState, other: AgentState,
               coeffs: HarmCoefficients, harm_scale: float = 1.0) -> float:
     """Harm borne by the victim in a collision with the other."""
-    # sqrt(vx*vx + vy*vy) rounds as the kernel's speeds do; hypot
-    # (AgentState.speed) does not, which moves the harm where the two
-    # speeds nearly cancel in delta-v
-    v_victim = math.sqrt(victim.vx * victim.vx + victim.vy * victim.vy)
-    v_other = math.sqrt(other.vx * other.vx + other.vy * other.vy)
-    dv = delta_v(victim.mass, other.mass, v_victim, v_other,
+    dv = delta_v(victim.mass, other.mass, victim.speed, other.speed,
                  collision_angle(victim, other))
     return harm(dv, collision_region(victim, other), coeffs) * harm_scale
 
@@ -330,8 +324,8 @@ def _clearance(points: np.ndarray, polylines: RoadMap
                ) -> tuple[np.ndarray, np.ndarray]:
     """Distance from each point [..., 2] to the nearest segment of the
     polylines, and the nearest point on that segment (the first in segment
-    order on a tie). Works on x and y separately: for two components
-    x*x + y*y rounds as a norm or sum over a trailing axis of length 2."""
+    order on a tie). Works on x and y separately, and writes the rules of
+    `norm2` and `dot2` inline, in place."""
     a, b = polylines.segments()                                 # [S, 2]
     ax, ay = a[:, 0], a[:, 1]
     abx, aby = b[:, 0] - ax, b[:, 1] - ay
@@ -454,7 +448,8 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
                 cfg: RiskConfig) -> RiskTerms:
     """Victim and boundary risks of every mode in one pass; see the module
     docstring for the layout. Positions and offsets are handled as separate
-    x and y arrays, which round as the [..., 2] forms do."""
+    x and y arrays; the speeds and distances write `norm2`'s rule on them
+    inline."""
     k_count, n, t_count = batch.yaws.shape
     if t_count < 1:
         raise ValueError("risk needs at least one future step")
@@ -470,13 +465,10 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
     speeds = np.sqrt(vx * vx + vy * vy)
     cos_yaw, sin_yaw = np.cos(batch.yaws), np.sin(batch.yaws)
     # unit motion direction, the yaw direction when (nearly) stopped, as
-    # AgentState.direction defines it. np.hypot rounds unlike the speeds
-    # above, and unlike that reference's math.hypot by an ulp on about 0.6%
-    # of velocities, so the heading matches it to rounding, not bit for bit
-    hyp = np.hypot(vx, vy)
+    # AgentState.direction defines it
     with np.errstate(divide="ignore", invalid="ignore"):
-        moving = batch.velocities / hyp[..., None]
-    heading = np.where((hyp < SPEED_EPS)[..., None],
+        moving = batch.velocities / speeds[..., None]
+    heading = np.where((speeds < SPEED_EPS)[..., None],
                        np.stack([cos_yaw, sin_yaw], axis=-1), moving)
 
     # collision probability against the victims' body points
@@ -492,21 +484,19 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
     pair_sigma = math.sqrt(2.0) * sigma   # both positions uncertain
 
     # harm borne by the victims: delta-v and the struck region
-    # matmul rounds the dot product as `@` on two vectors does
-    cos_theta = np.clip((heading[:, victims, :, None, :]
-                         @ heading[:, ego, None, :, :, None])[..., 0, 0],
+    cos_theta = np.clip(dot2(heading[:, victims], heading[:, ego, None]),
                         -1.0, 1.0)
     v_vic, v_ego = speeds[:, victims], speeds[:, ego, None]
     m_vic, m_ego = batch.masses[victims, None], batch.masses[ego]
-    rel = np.sqrt(np.maximum(v_vic * v_vic + v_ego * v_ego - 2.0 * v_vic
-                             * v_ego * np.cos(np.arccos(cos_theta)), 0.0))
+    rel = np.sqrt(np.maximum(v_vic * v_vic + v_ego * v_ego
+                             - 2.0 * v_vic * v_ego * cos_theta, 0.0))
     dv = m_ego / (m_vic + m_ego) * rel
     dx, dy = ox[..., 1], oy[..., 1]        # ego center minus victim center
     bearing = np.arctan2(dy, dx) - batch.yaws[:, victims]
     bearing = np.abs(np.arctan2(np.sin(bearing), np.cos(bearing)))
     region = np.where(bearing <= math.pi / 4, _FRONT,
                       np.where(bearing >= 3 * math.pi / 4, _REAR, _SIDE))
-    region = np.where(np.hypot(dx, dy) < DIST_EPS, _FRONT, region)
+    region = np.where(dists[..., 1] < DIST_EPS, _FRONT, region)
     scale = np.array([cfg.harm_scale(batch.agent_classes[i]
                                      in PROTECTED_CLASSES) for i in victims])
     harms = nn.sigmoid(coeffs.mu0 + coeffs.mu1 * dv + mu_area[region]) \

@@ -805,9 +805,7 @@ def local_frame(scn: Scenario, agent_id: str,
     within `radius` of that agent."""
     frame = pose_frame(scn, agent_id)
 
-    d = scn.past[:, -1, :2] - frame.origin
-    # sqrt of a batched-matmul dot rounds as np.linalg.norm of one 2-vector
-    near = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) <= radius
+    near = norm2(scn.past[:, -1, :2] - frame.origin) <= radius
     # the agent whose frame this is becomes the ego
     kept = replace(scn, ego_index=scn.row(agent_id)).take(
         np.flatnonzero(near))

@@ -210,8 +210,6 @@ def _union_losses(model: JointPredictor, scenes: list[_TrainScene],
 def _validate(model: JointPredictor, scenarios: list[Scenario]
               ) -> tuple[float, float]:
     """Mode-selected, full-horizon ego ADE/FDE over the given scenarios."""
-    if not scenarios:
-        return math.nan, math.nan
     ades, fdes = [], []
     for scn in scenarios:
         jp, _ = model.predict(scn)

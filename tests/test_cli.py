@@ -293,7 +293,7 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot {verb} ")
         assert "non-finite" in err and "Traceback" not in err
-        assert sorted(os.listdir(out)) == ["resolved_config.json"]
+        assert not out.exists()
 
     def test_repeated_agent_id_exits_1(self, tmp_path, capsys):
         doc = json.loads(dump_scenario(
@@ -637,6 +637,7 @@ class TestRisk:
         assert err.startswith("error: ") and "non-finite risk score" in err
         assert repr(scn.scenario_id) in err
         assert not (risk_dir / "risk_report.json").exists()
+        assert not risk_dir.exists()
 
     def test_prediction_of_another_scene_exits_1(self, tmp_path, capsys):
         # the two merge scenes have the same agent ids

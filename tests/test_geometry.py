@@ -1,15 +1,17 @@
 """Relative-encoding, body-point, and collision-angle geometry tests."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskcast.geometry import (AgentState, CollisionRegion, body_points,
-                               collision_angle, collision_region, norm2,
-                               relative_encoding, transform_state)
+import riskcast
+from riskcast.geometry import (SPEED_EPS, AgentState, CollisionRegion,
+                               body_points, collision_angle, collision_region,
+                               dot2, norm2, relative_encoding, transform_state)
 
 
 def agent(x=0.0, y=0.0, yaw=0.0, vx=0.0, vy=0.0, cls="car"):
@@ -178,3 +180,47 @@ class TestNorm2:
                 want = np.linalg.norm(x, axis=-1)
                 got = norm2(x)
             assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestOneRule:
+    """norm2 and dot2 are the package's one 2-vector length and dot
+    product: the per-state references round as the array forms do."""
+
+    def test_states_round_as_norm2_and_dot2(self):
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=(10_000, 2)) * 10.0 ** rng.uniform(
+            -7, 3, size=(10_000, 1))
+        v[:50] = 0.0
+        v[50:100, 0] = 0.0
+        v[100:150, 1] = -0.0
+        yaws = rng.uniform(-math.pi, math.pi, size=len(v))
+        speeds = norm2(v)
+        stopped = speeds < SPEED_EPS
+        u = np.where(stopped[:, None],
+                     np.stack([np.cos(yaws), np.sin(yaws)], axis=-1),
+                     v / np.where(stopped, 1.0, speeds)[:, None])
+        states = [agent(yaw=yaw, vx=vx, vy=vy)
+                  for yaw, (vx, vy) in zip(yaws.tolist(), v.tolist())]
+        assert [s.speed for s in states] == speeds.tolist()
+        moving = ~stopped
+        assert moving.sum() > 8000
+        got = np.array([s.direction() for s in states])
+        assert np.array_equal(got[moving], u[moving])
+        # the yaw direction of a stopped state is math.cos/math.sin
+        assert np.allclose(got[stopped], u[stopped], rtol=0, atol=1e-15)
+        cos_a = dot2(got[:-1], got[1:]).tolist()
+        for a, b, c in zip(states[:-1], states[1:], cos_a):
+            assert relative_encoding(a, b).cos_heading_diff == c
+            assert collision_angle(a, b) == math.acos(min(max(c, -1.0), 1.0))
+
+    def test_dot2(self):
+        a = np.array([[3.0, 4.0], [1e200, 1.0], [0.0, -0.0]])
+        b = np.array([[-4.0, 3.0], [1e200, 0.0], [2.0, 5.0]])
+        with np.errstate(over="ignore"):
+            assert dot2(a, b).tolist() == [0.0, math.inf, 0.0]
+
+    def test_no_other_length_or_dot_formula_in_the_package(self):
+        for path in sorted(Path(riskcast.__file__).parent.glob("*.py")):
+            text = path.read_text()
+            for formula in ("hypot(", "linalg.norm(", "cos(np.arccos("):
+                assert formula not in text, (path.name, formula)

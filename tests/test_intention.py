@@ -1,6 +1,7 @@
 """Intention head, fusion, decoder, labeling, and mode-selection tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,3 +202,10 @@ class TestLabeling:
     def test_deterministic(self):
         fut = make_future(yaw_total=0.5, v0=4, v1=8)
         assert label_intentions(fut) == label_intentions(fut)
+
+    def test_overflowing_speed_labels_without_a_warning(self):
+        # a scene of time step 1e-300 has velocities near 1e300 m/s
+        fut = make_future(yaw_total=math.radians(30.0), v0=1e300, v1=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert label_intentions(fut)[0] == "LT"
