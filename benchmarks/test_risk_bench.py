@@ -1,6 +1,8 @@
 """Per-layer benchmarks of the risk layer: `rank_trajectories`,
 `risk_kernel` and `risk_loss_and_grad` on one fixed `merge` scene per
-N in {3, 8, 16}, with the predictions of a seeded, untrained model.
+N in {3, 8, 16}, with the predictions of a seeded, untrained model, and
+`disc_probability` alone on the inputs of the two calls that the CDF gate
+makes in an N = 8 and an N = 16 rank (each mode's top step, then the rest).
 
     python -m pytest benchmarks --benchmark-enable \
         --benchmark-json=BENCH_<n>.json
@@ -13,11 +15,13 @@ compare per-case medians.
 
 import pytest
 
+from riskcast import risk
 from riskcast.intention import select_mode
 from riskcast.model import JointPredictor, ModelConfig
 from riskcast.risk import (RiskConfig, _road_boundaries,
-                           batch_from_prediction, rank_trajectories,
-                           risk_kernel, risk_loss_and_grad)
+                           batch_from_prediction, disc_probability,
+                           rank_trajectories, risk_kernel,
+                           risk_loss_and_grad)
 from riskcast.scene import generate_scenario
 
 N_AGENTS = (3, 8, 16)
@@ -56,3 +60,25 @@ def test_risk_loss_and_grad(benchmark, planned):
     loss, grad = benchmark(risk_loss_and_grad, trajs, predicted,
                            RiskConfig())
     assert grad.shape == trajs.shape
+
+
+@pytest.mark.parametrize("n", (8, 16), ids=lambda n: f"N{n}")
+def test_disc_probability(benchmark, model, monkeypatch, n):
+    scn = generate_scenario("merge", n, seed=3)
+    jp, _ = model.predict(scn)
+    calls = []
+
+    def recorded(dist, radius, sigma):
+        calls.append((dist, radius, sigma))
+        return disc_probability(dist, radius, sigma)
+
+    monkeypatch.setattr(risk, "disc_probability", recorded)
+    rank_trajectories(jp, scn, RiskConfig())
+    monkeypatch.undo()
+    assert len(calls) == 2
+
+    def run():
+        return [disc_probability(*call) for call in calls]
+
+    for p, (dist, _, _) in zip(benchmark(run), calls):
+        assert p.shape == dist.shape

@@ -12,38 +12,45 @@ the victim's three body points (front, center, rear) to the ego's center,
 the chance that an isotropic Gaussian (the position uncertainty of both
 agents combined, sqrt(2) sigma_t) lands within (width_victim +
 width_ego)/2 of a body point. The disc integral is the noncentral
-chi-square CDF, set to 0 where a Rayleigh tail bound proves it below
-6.2e-14, with a closed-form derivative in the distance. The three
-probabilities are summed and clamped to [0, 1], giving the collision
-probability [K, M, T]. Harm [K, M, T] maps the victim's post-collision
-speed change (delta-v from the masses, speeds and collision angle) and the
-struck region (front, side or rear, from the bearing of the ego in the
-victim's frame) through the numerically stable logistic `nn.sigmoid`,
-times the victim's harm scale; the kernel keeps delta-v and the region too.
+chi-square CDF (1 - Marcum Q_1), set to 0 where a Rayleigh tail bound
+proves it below 6.2e-14. With y = beta^2 / 2 and mu = alpha^2 / 2 it is
+P(N_y > N_mu) for independent Poisson counts, a numpy series of positive
+terms; its derivative in the distance is a second sum of the same
+recurrence. scipy.special takes over only for discs wider than 8 sigma
+(y > WIDE_Y), which no default scene has, so ranking and training do not
+import it. The three probabilities are summed and clamped to [0, 1],
+giving the collision probability [K, M, T]. Harm [K, M, T] maps the
+victim's post-collision speed change (delta-v from the masses, speeds and
+collision angle) and the struck region (front, side or rear, from the
+bearing of the ego in the victim's frame) through the numerically stable
+logistic `nn.sigmoid`, times the victim's harm scale; the kernel keeps
+delta-v and the region too.
 A victim's risk is the maximum over T of harm x probability; the kernel
 keeps the argmax step and the summed probabilities there.
 
 The CDF gate. The CDF is most of the kernel's cost, and most steps cannot
-set a victim's risk. With alpha = dist / sigma and beta = radius / sigma,
-each disc probability is at most min(1, beta^2 / 2) exp(-max(alpha - beta,
-0)^2 / 2): the disc area times the peak Gaussian density on the disc,
-capped by the Rayleigh tail. Harm times the clamped sum of the three bounds,
+set a risk. With alpha = dist / sigma and beta = radius / sigma, each disc
+probability is at most min(1, beta^2 / 2) exp(-max(alpha - beta, 0)^2 / 2):
+the disc area times the peak Gaussian density on the disc, capped by the
+Rayleigh tail. Harm times the clamped sum of the three bounds,
 times (1 + BOUND_SLACK), bounds harm x probability at a step (`pair_bound`).
-The kernel evaluates `disc_probability` at each (mode, victim)'s
-largest-bound step, which gives a lower bound L on its risk, and then only
-at the steps whose bound is not below L; a step whose body points all lie
-beyond the tail cut has probability exactly 0 and needs no call. Every
-skipped step lies strictly below the maximum, so `risks`, `steps`, the
-boundary, the loss and the gradient are those of the full evaluation, bit
-for bit. `RiskTerms.prob_sums` and `probs`, at every step, are computed on
-first read by the full `disc_probability` call; ranking and training do not
-read them.
+The gate's rows are the M victims and the road boundary. The kernel
+evaluates `disc_probability` at each (mode, row)'s largest-bound step,
+which gives a lower bound L on its risk, and then only at the steps whose
+bound is not below L; a step whose body points all lie beyond the tail cut
+has probability exactly 0 and needs no call. Every skipped step lies
+strictly below the maximum, and the series gives an element the value it
+has in a call of its own, so `risks`, `steps`, the boundary, the loss and
+the gradient are those of the full evaluation, bit for bit.
+`RiskTerms.prob_sums` and `probs`, at every step, are computed on first read
+by the full `disc_probability` call; ranking and training do not read them.
 
 Boundary risk. The ego's clearance to the nearest road-boundary segment,
 [K, T] from one point-to-all-segments op over [K, T, S] (the segments of the
-scene's `RoadMap` of boundaries, in polyline order), goes through a
-`disc_probability` call of its own (radius half the ego width, sigma_t); harm
-takes the ego speed as delta-v with a side impact.
+scene's `RoadMap` of boundaries, in polyline order), is one more row of the
+gate: one disc at the clearance (radius half the ego width, sigma_t) and
+none at the other two body points; harm takes the ego speed as delta-v with
+a side impact.
 
 The safety, care and responsiveness costs then aggregate each mode's victim
 risks and boundary risk. `rank_trajectories` runs the kernel once for all K
@@ -51,8 +58,8 @@ modes and reads each mode through `mode_risk_report`. `risk_loss_and_grad`
 runs it on the selected mode and differentiates through the collision
 probabilities and the boundary clearance only: harm factors, struck regions
 and argmax steps are constants, so the gradient reuses the forward's argmax
-and evaluates `disc_probability_ddist` only at the argmax step of each
-victim and of the boundary.
+and evaluates `disc_probability_ddist` once, at the argmax step of each
+live victim and of the boundary.
 
 The scalar functions (`collision_probability`, `pair_harm`, `delta_v`,
 `harm`) take one pair of `AgentState`s at one step and are the per-step
@@ -70,7 +77,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import chdtr, chndtr, i1e
 
 from . import nn
 from .geometry import (DIST_EPS, PROTECTED_CLASSES, SPEED_EPS, AgentState,
@@ -138,50 +144,150 @@ class RiskConfig:
 # alpha - beta past which `disc_probability` returns 0; the probabilities it
 # drops are at most exp(-TAIL_CUT**2 / 2) = 6.2e-14
 TAIL_CUT = 7.8
+# y = beta^2 / 2 past which the disc functions take scipy.special instead of
+# their series: a disc wider than 8 sigma, where the series would need more
+# than ~120 terms. The widest pair of the default config, two trucks at the
+# first step, has y ~ 5.2
+WIDE_Y = 32.0
+# an element's series stops once the terms left are below this share of each
+# of its sums, a quarter of the unit roundoff
+_SERIES_RTOL = 2.0 ** -55
+# alpha - beta past which exp(-(alpha - beta)^2 / 2) underflows to 0
+_DDIST_CUT = 38.7
+# terms between two stopping tests, the first after term _FIRST_TEST. The
+# schedule is fixed, so an element's sums do not depend on the other
+# elements of the call. On the kernel's inputs few elements (~1%) would pass
+# a test before term 13
+_TEST_EVERY = 4
+_FIRST_TEST = 13
+# row n - 1: the factors 1 / (n + 1), 1 / (n (n + 1)) and 1 / (n + 1) of the
+# step from term n to n + 1 in `_poisson_sums`. For y <= WIDE_Y the stopping
+# test passes by n = 460, where y t_n / _SERIES_RTOL underflows to 0
+_STEPS = np.array([[[1.0 / (n + 1)], [1.0 / (n * (n + 1))], [1.0 / (n + 1)]]
+                   for n in range(1, 513)])                       # [512, 3, 1]
+
+
+def _poisson_sums(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """[2, E] sums p = sum_{n >= 1} Pois(n; y) P(N_mu <= n - 1) and
+    s = sum_{n >= 1} Pois(n; y) Pois(n - 1; mu), N_mu a Poisson count of
+    mean mu; NaN where y > WIDE_Y or y or mu is NaN.
+
+    With t_n = Pois(n; y), q_k = Pois(k; mu) and C_k = q_0 + ... + q_k,
+    term n of the sums is t_n C_{n-1} and t_n q_{n-1}. From n to n + 1 the
+    second is multiplied by y mu / (n (n + 1)), and the first by y / (n + 1)
+    and then increased by the second. Every term is positive, so nothing
+    cancels. As C, q <= 1, the terms after n of either sum add up to at most
+    P(N_y > n) <= t_n y / (n + 1 - y) (for n + 1 > y). An element is done
+    at the first test where that bound is at most _SERIES_RTOL times its s,
+    the smaller sum (C >= q), and the call ends when all are. A done
+    element's later terms are each below half an ulp of its sums, so they
+    leave them as they are: its value does not depend on how long the
+    other elements run. Where the first term y exp(-(y + mu)) is 0 (y = 0,
+    or it underflows), so is every term."""
+    ok = y <= WIDE_Y                            # False for a NaN y
+    y = np.where(ok, y, 0.0)
+    first = y * np.exp(-(y + mu))               # t_1 C_0 = t_1 q_0
+    nan_mu = first * 0.0                        # 0, or NaN from a NaN mu
+    # an element whose terms are all 0 runs as y = 0: zero terms and tail,
+    # done at the first test
+    live = first > 0.0
+    y, mu, first = (np.where(live, v, 0.0) for v in (y, mu, first))
+    # rows: term n of p and of s, y t_n / _SERIES_RTOL; the partial sums
+    state = np.empty((5, y.size))
+    terms, pair, partial = state[0:3], state[0:2], state[3:5]
+    p_term, s_term, tail = state[0], state[1], state[2]
+    p_term[:] = s_term[:] = first
+    tail[:] = y * y * np.exp(-y) / _SERIES_RTOL
+    partial[:] = pair
+    factors = np.stack([y, y * mu, y])
+    steps = np.empty((_TEST_EVERY,) + terms.shape)
+    each_step = list(steps)
+    n = 1
+    while True:
+        np.multiply(_STEPS[n - 1:n - 1 + _TEST_EVERY], factors, out=steps)
+        for step in each_step:
+            np.multiply(terms, step, out=terms)
+            np.add(p_term, s_term, out=p_term)
+            np.add(partial, pair, out=partial)
+        n += _TEST_EVERY
+        if n >= _FIRST_TEST:
+            bound = (n + 1) - y
+            bound *= partial[1]
+            if (tail <= bound).all():
+                return np.where(ok, partial + nan_mu, np.nan)
+
+
+def _scaled(dist, radius, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """alpha = dist / sigma and beta = radius / sigma, of one shape."""
+    alpha = np.asarray(dist, dtype=np.float64) / sigma
+    beta = np.asarray(radius, dtype=np.float64) / sigma
+    if alpha.shape != beta.shape:
+        alpha, beta = np.broadcast_arrays(alpha, beta)
+    return alpha, beta
 
 
 def disc_probability(dist: float | np.ndarray, radius: float | np.ndarray,
                      sigma: float | np.ndarray) -> np.ndarray:
     """P(|X - b| < radius) for X ~ N(c, sigma^2 I) in the plane, with
     dist = |c - b|: the noncentral chi-square CDF with 2 degrees of freedom
-    at (radius / sigma)^2 with noncentrality (dist / sigma)^2, by
-    `scipy.special.chndtr` (`chdtr`, the central CDF, where dist = 0).
+    at beta^2 with noncentrality alpha^2, where alpha = dist / sigma and
+    beta = radius / sigma, clipped to [0, 1].
 
-    Tail gate. Let alpha = dist / sigma and beta = radius / sigma. When
-    alpha > beta, every point X of the disc has
+    The CDF is a Poisson mixture of central ones: with y = beta^2 / 2 and
+    mu = alpha^2 / 2 it is P(N_y > N_mu) for independent Poisson counts
+    N_y and N_mu of means y and mu, the sum p of `_poisson_sums`. (It is
+    1 - Q_1(alpha, beta), Q_1 the Marcum Q function; Gil, Segura and
+    Temme, ACM TOMS 2014.) An element's value does not depend on the other
+    elements of the call. Where y > WIDE_Y, `scipy.special.chndtr`
+    (`chdtr` where dist = 0) computes it instead.
+
+    Tail gate. When alpha > beta, every point X of the disc has
     |X - c| >= |c - b| - |X - b| > dist - radius, so the disc lies outside
     the circle of radius dist - radius around c. |X - c| / sigma is Rayleigh
     distributed, hence
         P <= P(|X - c| > dist - radius) = exp(-(alpha - beta)^2 / 2).
     Elements with alpha - beta > TAIL_CUT = 7.8 are returned as exactly 0,
     off by at most exp(-7.8^2 / 2) = 6.2e-14 each, without evaluating the
-    CDF series, whose cost grows with the noncentrality. A NaN distance
-    stays NaN.
+    series, whose length grows with mu. A NaN distance stays NaN.
     """
-    alpha = np.asarray(dist, dtype=np.float64) / sigma
-    beta = np.asarray(radius, dtype=np.float64) / sigma
-    if alpha.shape != beta.shape:
-        alpha, beta = np.broadcast_arrays(alpha, beta)
+    alpha, beta = _scaled(dist, radius, sigma)
     near = ~(alpha - beta > TAIL_CUT)
     x, nc = beta[near] ** 2, alpha[near] ** 2
-    p_near = chndtr(x, 2.0, nc)
-    central = nc == 0.0
-    if central.any():
-        p_near[central] = chdtr(2.0, x[central])
+    p_near = _poisson_sums(0.5 * x, 0.5 * nc)[0]
+    wide = x > 2.0 * WIDE_Y
+    if wide.any():
+        from scipy.special import chdtr, chndtr
+        x, nc = x[wide], nc[wide]
+        p_near[wide] = np.where(nc == 0.0, chdtr(2.0, x), chndtr(x, 2.0, nc))
     p = np.zeros(alpha.shape)
     p[near] = np.clip(p_near, 0.0, 1.0)
     return p
 
 
-def disc_probability_ddist(dist: float | np.ndarray, radius: float,
+def disc_probability_ddist(dist: float | np.ndarray,
+                           radius: float | np.ndarray,
                            sigma: float | np.ndarray) -> np.ndarray:
-    """d disc_probability / d dist (closed form via the Marcum Q identity:
-    dQ1(a,b)/da = b * exp(-(a^2+b^2)/2) * I1(ab))."""
-    dist = np.asarray(dist, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    a = dist / sigma
-    b = radius / sigma
-    return -(b / sigma) * np.exp(-0.5 * (a - b) ** 2) * i1e(a * b)
+    """d disc_probability / d dist, of the CDF without its tail gate:
+    -(alpha / sigma) times the sum s of `_poisson_sums`, which equals
+    -(beta / sigma) exp(-(alpha^2 + beta^2) / 2) I_1(alpha beta), as
+    dQ_1(a, b) / da = b exp(-(a^2 + b^2) / 2) I_1(a b); by
+    `scipy.special.i1e` where y > WIDE_Y. Its size is below
+    (beta / sigma) exp(-(alpha - beta)^2 / 2), so it is 0 past
+    alpha - beta = _DDIST_CUT, where that exponential underflows. A NaN
+    distance gives NaN."""
+    alpha, beta = _scaled(dist, radius, sigma)
+    sigma = np.broadcast_to(sigma, alpha.shape)
+    reach = ~(alpha - beta > _DDIST_CUT)
+    a, b, s = alpha[reach], beta[reach], sigma[reach]
+    d_reach = -(a / s) * _poisson_sums(0.5 * b * b, 0.5 * a * a)[1]
+    wide = b * b > 2.0 * WIDE_Y
+    if wide.any():
+        from scipy.special import i1e
+        a, b, s = a[wide], b[wide], s[wide]
+        d_reach[wide] = -(b / s) * np.exp(-0.5 * (a - b) ** 2) * i1e(a * b)
+    d = np.zeros(alpha.shape)
+    d[reach] = d_reach
+    return d
 
 
 # --------------------------------------------------------------------------
@@ -365,10 +471,11 @@ def _clearance(points: np.ndarray, polylines: RoadMap
 BOUND_SLACK = 1e-9
 
 
-def pair_bound(dists: np.ndarray, radii: np.ndarray, pair_sigma: np.ndarray
+def pair_bound(dists: np.ndarray, radii: np.ndarray, sigma: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-    """[K, M, T] upper bound on the summed body-point probabilities, clamped
-    to 1, and [K, M, T] whether all three body points lie beyond TAIL_CUT.
+    """[K, R, T] upper bound on the summed body-point probabilities of
+    dists [K, R, T, 3] with radii [R] and sigma [R, T], clamped to 1, and
+    [K, R, T] whether all three body points lie beyond TAIL_CUT.
 
     With alpha = dist / sigma and beta = radius / sigma, each disc
     probability is at most its area times the largest Gaussian density on
@@ -379,8 +486,8 @@ def pair_bound(dists: np.ndarray, radii: np.ndarray, pair_sigma: np.ndarray
     rounds it, that function returns exactly 0, and so does the bound. A
     NaN distance gives a NaN bound."""
     with np.errstate(over="ignore", invalid="ignore"):
-        beta = radii[:, None] / pair_sigma                          # [M, T]
-        gap = dists / pair_sigma[:, None]
+        beta = radii[:, None] / sigma                               # [R, T]
+        gap = dists / sigma[..., None]
         gap -= beta[..., None]
         beyond = gap > TAIL_CUT
         np.maximum(gap, 0.0, out=gap)
@@ -396,46 +503,50 @@ def pair_bound(dists: np.ndarray, radii: np.ndarray, pair_sigma: np.ndarray
                 beyond[..., 0] & beyond[..., 1] & beyond[..., 2])
 
 
-def _gated_risks(dists: np.ndarray, radii: np.ndarray,
-                 pair_sigma: np.ndarray, harms: np.ndarray
+def _gated_risks(dists: np.ndarray, radii: np.ndarray, sigma: np.ndarray,
+                 harms: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """[K, M] max over T of harm * probability, its first argmax step and
-    the summed probabilities there, evaluating `disc_probability` only
+    """[K, R] max over T of harm * probability, its first argmax step and
+    the summed probabilities there, for dists [K, R, T, 3], radii [R],
+    sigma [R, T] and harms [K, R, T], evaluating `disc_probability` only
     where it can set the maximum.
 
     A step whose body points all lie beyond TAIL_CUT has a probability sum
     of exactly 0, so its harm * probability is harm * 0.0 without the CDF.
     At every other step, U = max(harm, 0) * pair_bound * (1 + BOUND_SLACK)
     is at least harm * probability. The first call evaluates each
-    (mode, victim) at its largest-U step, which gives a lower bound L on
-    its risk; the second evaluates the other steps whose U is not below L
-    (a NaN U is evaluated). Every skipped step lies strictly below the
-    maximum, so the maximum and its first argmax are those of the full
-    [K, M, T] array, bit for bit."""
-    bound, beyond = pair_bound(dists, radii, pair_sigma)
+    (mode, row) at its largest-U step, which gives a lower bound L on its
+    risk; the second evaluates the other steps whose U is not below L (a
+    NaN U is evaluated). Every skipped step lies strictly below the
+    maximum, and `disc_probability` gives each element the value it has
+    in a call of its own, so the maximum and its first argmax are those of
+    the full [K, R, T] array, bit for bit."""
+    bound, beyond = pair_bound(dists, radii, sigma)
     upper = np.maximum(harms, 0.0) * bound
     upper *= 1.0 + BOUND_SLACK
-    k_count, m_count, t_count = upper.shape
-    # flat C-order (mode, victim, step) rows of the [K, M, T] arrays
+    k_count, r_count, t_count = upper.shape
+    # flat C-order (mode, row, step) cells of the [K, R, T] arrays
     flat_dists, flat_harms = dists.reshape(-1, 3), harms.reshape(-1)
+    flat_sigma = sigma.reshape(-1)
     weighted = np.full(upper.size, -np.inf)
     np.copyto(weighted, flat_harms * 0.0, where=beyond.reshape(-1))
     sums = np.zeros(upper.size)
 
-    def evaluate(rows):
+    def evaluate(cells):
         # one flat element per body point, so that no operand broadcasts
         p = disc_probability(
-            flat_dists[rows].ravel(),
-            np.repeat(radii[rows // t_count % m_count], 3),
-            np.repeat(pair_sigma[rows % t_count], 3)).reshape(-1, 3)
+            flat_dists[cells].ravel(),
+            np.repeat(radii[cells // t_count % r_count], 3),
+            np.repeat(flat_sigma[cells % (r_count * t_count)], 3)
+        ).reshape(-1, 3)
         p = p[:, 0] + p[:, 1] + p[:, 2]   # as sum(axis=-1) adds them
-        sums[rows] = p
-        weighted[rows] = flat_harms[rows] * np.minimum(p, 1.0)
+        sums[cells] = p
+        weighted[cells] = flat_harms[cells] * np.minimum(p, 1.0)
 
     starts = np.arange(0, upper.size, t_count)     # step 0 of each row
     top = starts + upper.argmax(axis=-1).ravel()
     evaluate(top)
-    rest = np.flatnonzero(~(upper < weighted[top].reshape(k_count, m_count, 1))
+    rest = np.flatnonzero(~(upper < weighted[top].reshape(k_count, r_count, 1))
                           & ~beyond)
     evaluate(rest[rest != top[rest // t_count]])
     weighted = weighted.reshape(upper.shape)
@@ -501,24 +612,32 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
                                      in PROTECTED_CLASSES) for i in victims])
     harms = nn.sigmoid(coeffs.mu0 + coeffs.mu1 * dv + mu_area[region]) \
         * scale[:, None]
-    risks, steps, step_sums = _gated_risks(dists, radii, pair_sigma, harms)
 
     # boundary: an immovable partner, delta-v the ego speed, side impact
     clearance = np.full((k_count, t_count), np.inf)
     nearest = np.zeros((k_count, t_count, 2))
-    boundary_harm = nn.sigmoid(coeffs.mu0 + coeffs.mu1 * speeds[:, ego]
-                               + mu_area[_SIDE])
-    b_weighted = np.zeros((k_count, t_count))
     if len(boundaries):
         clearance, nearest = _clearance(batch.positions[:, ego], boundaries)
-        b_weighted = boundary_harm * disc_probability(
-            clearance, 0.5 * batch.widths[ego], sigma)
+    boundary_harm = nn.sigmoid(coeffs.mu0 + coeffs.mu1 * speeds[:, ego]
+                               + mu_area[_SIDE])
+
+    # the gate's rows: the M victims, then the boundary, whose one disc is
+    # at the clearance (its other two body points are out of reach)
+    m = len(victims)
+    row_dists = np.full((k_count, m + 1, t_count, 3), np.inf)
+    row_dists[:, :m] = dists
+    row_dists[:, m, :, 0] = clearance
+    row_sigma = np.empty((m + 1, t_count))
+    row_sigma[:m], row_sigma[m] = pair_sigma, sigma
+    risks, steps, step_sums = _gated_risks(
+        row_dists, np.append(radii, 0.5 * batch.widths[ego]), row_sigma,
+        np.concatenate([harms, boundary_harm[:, None]], axis=1))
 
     return RiskTerms(
         [batch.agent_ids[i] for i in victims], victims,
         np.stack([ox, oy], axis=-1), dists, radii, pair_sigma, dv, region,
-        harms, risks, steps, step_sums, clearance, nearest, boundary_harm,
-        b_weighted.max(axis=-1), b_weighted.argmax(axis=-1))
+        harms, risks[:, :m], steps[:, :m], step_sums[:, :m], clearance,
+        nearest, boundary_harm, risks[:, m], steps[:, m])
 
 
 def boundary_risk(batch: MotionBatch, ego: int, boundaries: RoadMap,
@@ -679,37 +798,38 @@ def risk_loss_and_grad(trajs: np.ndarray, scn: Scenario, cfg: RiskConfig
     w_s, w_c, w_r = cfg.weights
     risks = terms.risks[0]
     m = risks.size
+    rows = np.flatnonzero((risks > 0.0) & (terms.step_sums[0] < 1.0))
+    t = terms.steps[0, rows]
+    dists = terms.dists[0, rows, t]                               # [L, 3]
+    b_t = terms.boundary_step[0]
+    # a clearance of inf, where the boundary has no risk, costs no series
+    b_dist = terms.clearance[0, b_t] if terms.boundary[0] > 0.0 else math.inf
+    # one call for the live victims' body points and the boundary
+    dp = disc_probability_ddist(
+        np.append(dists, b_dist),
+        np.append(np.repeat(terms.radii[rows], 3),
+                  0.5 * batch.widths[ego_index]),
+        np.append(np.repeat(terms.pair_sigma[t], 3),
+                  cfg.uncertainty.sigma(b_t + 1)))
 
-    if m > 0:
+    if rows.size:
         sign_sum = np.sign(risks[:, None] - risks[None, :]).sum(axis=1)
         dl_drisk = (w_s / (2.0 * m) + w_c * 2.0 * sign_sum / m
                     + w_r * cfg.responsiveness_scale)
-        rows, t = np.arange(m), terms.steps[0]
-        live = (risks > 0.0) & (terms.step_sums[0] < 1.0)
-        rows, t = rows[live], t[live]
-        dists = terms.dists[0, rows, t]                           # [L, 3]
-        dp = disc_probability_ddist(dists, terms.radii[rows, None],
-                                    terms.pair_sigma[t, None])
         coincident = dists < 1e-9   # no direction to move along
-        coef = dl_drisk[rows, None] * terms.harms[0, rows, t, None] * dp \
-            / np.where(coincident, 1.0, dists)
+        coef = dl_drisk[rows, None] * terms.harms[0, rows, t, None] \
+            * dp[:-1].reshape(-1, 3) / np.where(coincident, 1.0, dists)
         g = (np.where(coincident, 0.0, coef)[..., None]
              * terms.offsets[0, rows, t]).sum(axis=1)             # [L, 2]
         np.add.at(grad, (ego_index, t), g)
         np.add.at(grad, (terms.victims[rows], t), -g)
 
-    if terms.boundary[0] > 0.0:
+    if terms.boundary[0] > 0.0 and b_dist > 1e-9:
         # d c_s / d R_b = w_s / (2m), or w_s / 2 without victims
         dl_drb = w_s * (0.5 if m == 0 else 1.0 / (2.0 * m))
-        t = terms.boundary_step[0]
-        d = terms.clearance[0, t]
-        if d > 1e-9:
-            direction = (trajs[ego_index, t] - terms.nearest[0, t]) / d
-            dp = float(disc_probability_ddist(
-                d, 0.5 * batch.widths[ego_index],
-                cfg.uncertainty.sigma(t + 1)))
-            grad[ego_index, t] += \
-                dl_drb * terms.boundary_harm[0, t] * dp * direction
+        direction = (trajs[ego_index, b_t] - terms.nearest[0, b_t]) / b_dist
+        grad[ego_index, b_t] += \
+            dl_drb * terms.boundary_harm[0, b_t] * dp[-1] * direction
 
     if not (math.isfinite(l_risk) and np.isfinite(grad).all()):
         raise ValueError(f"scenario {scn.scenario_id!r}: the risk loss "

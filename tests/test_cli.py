@@ -988,3 +988,28 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         capture_output=True, text=True, timeout=120, check=True,
         env=dict(os.environ, PYTHONPATH=path))
     assert out.stdout.strip() == "False"
+
+
+def test_ranking_and_training_leave_scipy_special_unloaded():
+    # importing scipy.special takes ~0.3 s and ~23 MB of memory; the disc
+    # probability's series stands in for it below risk.WIDE_Y, which no
+    # default scene reaches
+    src = os.path.dirname(os.path.dirname(os.path.abspath(riskcast.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = "\n".join([
+        "import sys, riskcast.cli",
+        "from riskcast.model import JointPredictor, ModelConfig",
+        "from riskcast.risk import rank_trajectories",
+        "from riskcast.scene import generate_scenario",
+        "from riskcast.training import TrainConfig, train",
+        "scn = generate_scenario('crossing_conflict', 16, 0)",
+        "rank_trajectories(JointPredictor(ModelConfig()).predict(scn)[0], "
+        "scn)",
+        "train([generate_scenario('merge', 3, s) for s in range(4)], "
+        "ModelConfig(), TrainConfig(batch_size=4, epochs=1, "
+        "stage1_epochs=0, split=(1.0, 0.0, 0.0)))",
+        "print('scipy.special' in sys.modules)"])
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "False"

@@ -1,16 +1,18 @@
 """The batched risk kernel against the scalar per-step reference on model
 predictions (risks, boundary risk, costs, order, training loss, delta-v and
-struck region, and every step's collision probability and harm), the tail
-gate of the disc probability, the bound that gates the kernel's pair
-probabilities, the join of predictions to scenes by agent id, and
-invariances of predict -> rank_trajectories."""
+struck region, and every step's collision probability and harm), the disc
+probability's series and its derivative against scipy, the tail gate of the
+disc probability, the bound that gates the kernel's rows, the join of
+predictions to scenes by agent id, and invariances of predict ->
+rank_trajectories."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import chndtr
+from scipy.special import chdtr, chndtr, i1e
 from scipy.stats import ncx2
 
 from riskcast import risk
@@ -18,12 +20,14 @@ from riskcast.geometry import (CollisionRegion, collision_angle,
                                collision_region)
 from riskcast.intention import select_mode
 from riskcast.model import JointPredictor, ModelConfig
-from riskcast.risk import (BOUND_SLACK, REGIONS, TAIL_CUT, RiskConfig,
-                           _road_boundaries, batch_from_prediction, care_cost,
+from riskcast.risk import (BOUND_SLACK, REGIONS, TAIL_CUT, WIDE_Y,
+                           RiskConfig, _road_boundaries,
+                           batch_from_prediction, care_cost,
                            collision_probability, delta_v, disc_probability,
-                           harm, pair_bound, pair_harm, rank_trajectories,
-                           responsiveness_cost, risk_kernel,
-                           risk_loss_and_grad, safety_cost, total_risk_cost)
+                           disc_probability_ddist, harm, pair_bound,
+                           pair_harm, rank_trajectories, responsiveness_cost,
+                           risk_kernel, risk_loss_and_grad, safety_cost,
+                           total_risk_cost)
 from riskcast.scene import _apply_rigid, generate_scenario
 
 # (template, N, seed); the 50 m context radius drops the pedestrian of the
@@ -151,6 +155,64 @@ def test_tail_bound_holds_past_the_cut():
     assert (gated[alpha - beta > TAIL_CUT] == 0.0).all()
 
 
+def series_grid():
+    """(alpha, beta) [41, 73]: beta from 1e-8 to past WIDE_Y's beta of 8,
+    alpha from 0 to beta + TAIL_CUT."""
+    beta = np.concatenate([[1e-8, 1e-4, 1e-2], np.linspace(0.05, 8.5, 70)])
+    beta, frac = np.meshgrid(beta, np.linspace(0.0, 1.0, 41))
+    return frac * (beta + TAIL_CUT), beta
+
+
+def test_disc_series_matches_scipy():
+    """The series against chndtr (chdtr at alpha = 0) and the i1e form of
+    the derivative. Tolerance from the dtype: up to ~120 terms of ~4
+    roundings of 2.2e-16 each. Past WIDE_Y both equal scipy's bits."""
+    alpha, beta = series_grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = disc_probability(alpha, beta, 1.0)
+        dp = disc_probability_ddist(alpha, beta, 1.0)
+    x, nc = beta ** 2, alpha ** 2
+    p_ref = np.clip(np.where(nc == 0.0, chdtr(2.0, x), chndtr(x, 2.0, nc)),
+                    0.0, 1.0)
+    dp_ref = -beta * np.exp(-0.5 * (alpha - beta) ** 2) * i1e(alpha * beta)
+    cut = alpha - beta > TAIL_CUT     # rounding puts a few on the far side
+    assert (p[cut] == 0.0).all()
+    np.testing.assert_allclose(p[~cut], p_ref[~cut], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(dp, dp_ref, rtol=1e-13, atol=0)
+    wide = 0.5 * x > WIDE_Y
+    assert wide.any() and not wide.all()
+    assert np.array_equal(p[wide & ~cut], p_ref[wide & ~cut])
+    assert np.array_equal(dp[wide], dp_ref[wide])
+
+
+def test_disc_series_is_elementwise():
+    """An element's value is the same in a call of its own, as the gate's
+    bit-for-bit maximum needs; NaN in gives NaN out; and at y = WIDE_Y the
+    series stops within its table of steps, also where its first term is
+    subnormal (mu = 709)."""
+    alpha, beta = series_grid()
+    alpha, beta = alpha.ravel(), beta.ravel()
+    for f in (disc_probability, disc_probability_ddist):
+        one = [f(a, b, 1.0) for a, b in zip(alpha, beta)]
+        assert np.array_equal(f(alpha, beta, 1.0), np.array(one))
+        out = f(np.array([np.nan, 1.0]), 1.5, 0.8)
+        assert np.isnan(out[0]) and np.isfinite(out[1])
+    y = np.full(3, WIDE_Y)
+    sums = risk._poisson_sums(y, np.array([0.0, 700.0, 709.0]))
+    assert np.isfinite(sums).all() and (sums > 0.0).all()
+
+
+def ungated_disc_probability(dist, radius, sigma):
+    """The series of disc_probability at every element, past TAIL_CUT
+    too."""
+    alpha, beta = np.broadcast_arrays(np.asarray(dist) / sigma,
+                                      np.asarray(radius) / sigma)
+    p = risk._poisson_sums(0.5 * beta.ravel() ** 2,
+                           0.5 * alpha.ravel() ** 2)[0]
+    return np.clip(p, 0.0, 1.0).reshape(alpha.shape)
+
+
 @pytest.mark.parametrize("template,n,seed", PARITY_SCENES)
 def test_gated_disc_probability_matches_ncx2(model, template, n, seed):
     scn = generate_scenario(template, n, seed)
@@ -168,7 +230,10 @@ def test_gated_disc_probability_matches_ncx2(model, template, n, seed):
         skipped = np.broadcast_to(dist / s - radius / s > TAIL_CUT,
                                   gated.shape)
         assert (gated[skipped] == 0.0).all()
-        assert np.array_equal(gated[~skipped], oracle[~skipped])
+        assert np.array_equal(gated[~skipped], ungated_disc_probability(
+            dist, radius, s)[~skipped])
+        np.testing.assert_allclose(gated[~skipped], oracle[~skipped],
+                                   rtol=1e-13, atol=0)
     # the gate and the exact CDF both take part on the pair elements
     assert 0.0 < (terms.dists / terms.pair_sigma[:, None]
                   - terms.radii[:, None, None] / terms.pair_sigma[:, None]
@@ -216,23 +281,32 @@ def test_gated_risks_are_the_full_maximum(model, template, n, seed):
                           weighted.max(axis=-1).view(np.int64))
     assert np.array_equal(terms.step_sums, np.take_along_axis(
         terms.prob_sums, terms.steps[..., None], axis=-1)[..., 0])
+    # the boundary is a row of the gate: its maximum over all K x T steps
+    b_weighted = terms.boundary_harm * disc_probability(
+        terms.clearance, 0.5 * scn.dims[scn.ego_index, 1],
+        RiskConfig().uncertainty.sigma_array(terms.clearance.shape[1]))
+    assert np.array_equal(terms.boundary.view(np.int64),
+                          b_weighted.max(axis=-1).view(np.int64))
+    assert np.array_equal(terms.boundary_step, b_weighted.argmax(axis=-1))
 
 
 def test_gate_skips_pair_probabilities(model, monkeypatch):
     scn = generate_scenario("merge", 8, seed=1)
     jp, _ = model.predict(scn)
-    sizes = []
+    sizes, infs = [], []
 
     def counted(dist, radius, sigma):
         sizes.append(np.size(dist))
+        infs.append(np.isinf(dist).sum())
         return disc_probability(dist, radius, sigma)
 
     monkeypatch.setattr(risk, "disc_probability", counted)
     rank_trajectories(jp, scn)
     k, n, t, _ = jp.trajectories.shape
-    # two pair calls and the boundary call, which is not gated
-    assert len(sizes) == 3 and sizes[2] == k * t
-    assert 0 < sizes[0] + sizes[1] < 0.5 * k * (n - 1) * t * 3
+    # two calls over the rows of the n - 1 victims and of the boundary; the
+    # first takes each mode's boundary row once, [clearance, inf, inf]
+    assert len(sizes) == 2 and infs[0] == 2 * k
+    assert 0 < sizes[0] + sizes[1] < 0.5 * k * n * t * 3
 
 
 @pytest.mark.parametrize("template,n,seed", PARITY_SCENES)
