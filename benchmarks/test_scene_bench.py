@@ -1,6 +1,6 @@
-"""Per-layer benchmarks of the scene layer: `load_scenario`, `local_frame`
-and `history_feature_matrix` on one fixed `merge` scene per N in
-{3, 8, 16}.
+"""Per-layer benchmarks of the scene layer: `load_scenario`, `local_frame`,
+`history_feature_matrix` and the intention labels (`label_indices`) on one
+fixed `merge` scene per N in {3, 8, 16}.
 
     python -m pytest benchmarks --benchmark-enable \
         --benchmark-json=BENCH_<n>.json
@@ -12,6 +12,7 @@ As with the risk cases, the test suite runs each case once and
 import numpy as np
 import pytest
 
+from riskcast.intention import label_indices
 from riskcast.interaction import history_feature_matrix
 from riskcast.scene import (dump_scenario, generate_scenario, load_scenario,
                             local_frame)
@@ -39,3 +40,10 @@ def test_history_feature_matrix(benchmark, scene):
     feats = benchmark(history_feature_matrix, local)
     assert feats.shape[:2] == local.past.shape[:2]
     assert np.isfinite(feats).all()
+
+
+def test_label_indices(benchmark, scene):
+    # every agent future of the local frame, as a training scene labels it
+    local = local_frame(scene, scene.ego_id)
+    labels = benchmark(lambda: [label_indices(f) for f in local.future])
+    assert len(labels) == len(local.agent_ids)

@@ -50,6 +50,7 @@ def _read_dataset(data_dir: str):
 
 
 def _prediction_doc(path: str):
+    _require_file(path, "prediction file")
     with open(path) as f:   # JSONDecodeError, UnicodeDecodeError
         return _checked(f"invalid prediction {path}", json.load, f)
 
@@ -174,7 +175,6 @@ def cmd_predict(args) -> int:
 def cmd_risk(args) -> int:
     cfg = _resolve(args)
     scn = _read_scenario(args.scenario)
-    _require_file(args.prediction, "prediction file")
     jp = _checked(f"invalid prediction {args.prediction}",
                   prediction_from_json, _prediction_doc(args.prediction))
     risk_cfg = _checked("invalid config", cfgmod.risk_config, cfg)

@@ -4,8 +4,9 @@ All functions are pure. Angles are radians, positions meters, velocities m/s.
 Degenerate inputs (stopped agents, coincident positions) fall back to the yaw
 direction / a fixed bearing instead of producing NaN.
 
-The package's 2-vector lengths, dot and cross products are ``norm2``,
-``dot2`` and ``cross2``, so array code and per-state references round alike.
+The package's 2-vector lengths, dot and cross products, rotations and angle
+wraps are ``norm2``, ``dot2``, ``cross2``, ``rotate2`` and ``wrap_angle``,
+so array code and per-state references round alike.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def collision_region(victim: AgentState, other: AgentState) -> CollisionRegion:
     d = other.position - victim.position
     if norm2(d) < DIST_EPS:
         return CollisionRegion.FRONT
-    bearing = abs(wrap_angle(math.atan2(d[1], d[0]) - victim.yaw))
+    bearing = abs(wrap_angle(np.arctan2(d[1], d[0]) - victim.yaw))
     if bearing <= math.pi / 4:
         return CollisionRegion.FRONT
     if bearing >= 3 * math.pi / 4:
@@ -133,18 +134,12 @@ def collision_region(victim: AgentState, other: AgentState) -> CollisionRegion:
     return CollisionRegion.SIDE
 
 
-def rotation(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
 def transform_state(a: AgentState, origin: np.ndarray,
                     angle: float) -> AgentState:
     """Express a state in the frame anchored at origin with heading angle
     (rigid transform: rotate by -angle after translating)."""
-    R = rotation(-angle)
-    p = R @ (a.position - origin)
-    v = R @ a.velocity
+    p = rotate2(a.position - origin, -angle)
+    v = rotate2(a.velocity, -angle)
     return AgentState(p[0], p[1], wrap_angle(a.yaw - angle), v[0], v[1],
                       a.length, a.width, a.mass, a.agent_class)
 
@@ -165,5 +160,14 @@ def cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def wrap_angle(angle: float) -> float:
-    return math.atan2(math.sin(angle), math.cos(angle))
+def rotate2(v: np.ndarray, angle: float) -> np.ndarray:
+    """The 2-vectors along the last axis rotated by the scalar angle,
+    (x c - y s, x s + y c) with c = cos(angle) and s = sin(angle)."""
+    c, s = math.cos(angle), math.sin(angle)
+    x, y = v[..., 0], v[..., 1]
+    return np.stack([x * c - y * s, x * s + y * c], axis=-1)
+
+
+def wrap_angle(angle: np.ndarray) -> np.ndarray:
+    """Each angle wrapped to [-pi, pi] as atan2(sin a, cos a)."""
+    return np.arctan2(np.sin(angle), np.cos(angle))

@@ -185,15 +185,15 @@ def label_intentions(future: np.ndarray) -> tuple[str, str]:
     Lateral uses the net yaw change accumulated over the horizon;
     longitudinal uses the speed change between the start and the end,
     each averaged over a fifth of the horizon to suppress jitter. Both are
-    scalar sums, in step order, of ``wrap_angle`` and ``norm2``.
+    sums in step order.
     """
     future = np.asarray(future, dtype=np.float64)
     if len(future) == 0:
         raise ValueError("cannot label an empty future")
-    yaws = future[:, 2].tolist()
     with np.errstate(over="ignore"):   # a speed past 1.3e154 m/s is inf
         speeds = norm2(future[:, 3:5]).tolist()
-    net_yaw = sum(wrap_angle(b - a) for a, b in zip(yaws[:-1], yaws[1:]))
+    turns = np.cumsum(wrap_angle(np.diff(future[:, 2])))
+    net_yaw = turns[-1] if len(turns) else 0.0
     if net_yaw > YAW_CHANGE_THRESHOLD:
         lateral = "LT"
     elif net_yaw < -YAW_CHANGE_THRESHOLD:

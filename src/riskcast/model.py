@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import zipfile
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -215,7 +216,9 @@ class JointPredictor(nn.Module):
     def save(self, path: str) -> None:
         """Write a version-4 checkpoint to exactly `path`. Each parameter's
         memory goes straight into the params entry, so saving copies no
-        whole-model vector."""
+        whole-model vector. The checkpoint is written to a temporary file
+        beside `path` and renamed onto it, so a save that fails or is
+        killed part-way leaves any earlier file at `path` whole."""
         params = self.params()
         meta = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
                 "config": asdict(self.cfg),
@@ -223,15 +226,22 @@ class JointPredictor(nn.Module):
         header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
                   "fortran_order": False,
                   "shape": (sum(p.value.size for p in params),)}
-        with zipfile.ZipFile(path, "w") as zf:
-            with zf.open(f"{_META_KEY}.npy", "w") as f:
-                np.lib.format.write_array(f, np.array(json.dumps(
-                    meta, sort_keys=True, allow_nan=False)),
-                    allow_pickle=False)
-            with zf.open(f"{_PARAMS_KEY}.npy", "w") as f:
-                np.lib.format.write_array_header_1_0(f, header)
-                for p in params:
-                    f.write(p.value.data)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with zipfile.ZipFile(tmp, "w") as zf:
+                with zf.open(f"{_META_KEY}.npy", "w") as f:
+                    np.lib.format.write_array(f, np.array(json.dumps(
+                        meta, sort_keys=True, allow_nan=False)),
+                        allow_pickle=False)
+                with zf.open(f"{_PARAMS_KEY}.npy", "w") as f:
+                    np.lib.format.write_array_header_1_0(f, header)
+                    for p in params:
+                        f.write(p.value.data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str) -> "JointPredictor":
@@ -391,13 +401,21 @@ def prediction_to_json(jp: JointPrediction,
             "intentions": intentions}
 
 
+def _numbers(value) -> bool:
+    """Whether value is a JSON number, or an array of them at any depth; a
+    JSON number loads as an int or a float, never a bool or a string."""
+    if type(value) is list:
+        return all(map(_numbers, value))
+    return type(value) in (int, float)
+
+
 def prediction_from_json(doc) -> JointPrediction:
     """The prediction of a ``prediction_to_json`` document, modes in k
     order. Raises ValueError on a malformed document: modes missing or
     empty, a mode without an integer k, a p or a non-empty agents array,
     repeated k, agent ids that repeat or differ between modes, points that
-    do not form one [K, N, T, 2] array of finite numbers with T >= 1, or a
-    non-finite p."""
+    do not form one [K, N, T, 2] array of finite JSON numbers with T >= 1,
+    or a p that is not a finite JSON number."""
     if not isinstance(doc, dict):
         raise ValueError("a prediction must be a JSON object")
     if not isinstance(doc.get("scenario_id", ""), str):
@@ -426,11 +444,14 @@ def prediction_from_json(doc) -> JointPrediction:
             raise ValueError(f"mode k={m['k']} lists agents "
                              f"{[a['id'] for a in m['agents']]}, mode "
                              f"k={ks[0]} lists {agent_ids}")
+    points = [[a["points"] for a in m["agents"]] for m in modes]
+    mode_ps = [m["p"] for m in modes]
+    if not _numbers([points, mode_ps]):
+        raise ValueError("points and p must be numbers")
     try:
-        trajs = np.array([[a["points"] for a in m["agents"]] for m in modes],
-                         dtype=np.float64)
-        probs = np.array([m["p"] for m in modes], dtype=np.float64)
-    except (TypeError, ValueError) as e:
+        trajs = np.array(points, dtype=np.float64)
+        probs = np.array(mode_ps, dtype=np.float64)
+    except (ValueError, OverflowError) as e:
         raise ValueError(f"points and p must be numbers: {e}") from e
     if trajs.ndim != 4 or trajs.shape[2] < 1 or trajs.shape[3] != 2:
         raise ValueError(f"points must form one [K, N, T, 2] array with "
@@ -439,7 +460,7 @@ def prediction_from_json(doc) -> JointPrediction:
         raise ValueError("non-finite trajectory point")
     if probs.ndim != 1 or not np.isfinite(probs).all():
         raise ValueError(f"every p must be a finite number, got "
-                         f"{[m['p'] for m in modes]}")
+                         f"{mode_ps}")
     return JointPrediction(trajs, probs, agent_ids,
                            doc.get("scenario_id", ""))
 

@@ -81,7 +81,7 @@ import numpy as np
 from . import nn
 from .geometry import (DIST_EPS, PROTECTED_CLASSES, SPEED_EPS, AgentState,
                        CollisionRegion, body_points, collision_angle,
-                       collision_region, dot2, norm2)
+                       collision_region, dot2, norm2, wrap_angle)
 from .intention import JointPrediction
 from .scene import RoadMap, Scenario
 
@@ -603,8 +603,7 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
                              - 2.0 * v_vic * v_ego * cos_theta, 0.0))
     dv = m_ego / (m_vic + m_ego) * rel
     dx, dy = ox[..., 1], oy[..., 1]        # ego center minus victim center
-    bearing = np.arctan2(dy, dx) - batch.yaws[:, victims]
-    bearing = np.abs(np.arctan2(np.sin(bearing), np.cos(bearing)))
+    bearing = np.abs(wrap_angle(np.arctan2(dy, dx) - batch.yaws[:, victims]))
     region = np.where(bearing <= math.pi / 4, _FRONT,
                       np.where(bearing >= 3 * math.pi / 4, _REAR, _SIDE))
     region = np.where(dists[..., 1] < DIST_EPS, _FRONT, region)

@@ -19,8 +19,9 @@ These arrays are the scene's only form. Every stage reads slices of them:
 ``Scenario.take`` selects and reorders agents, ``Scenario.prediction_rows``
 joins a prediction to rows by agent id, and clearing ``has_future`` drops
 the futures. A map is built from (waypoints, kind) pairs by
-``RoadMap.padded``. Every stage transforms scenes as array operations that
-round as the per-state code they replaced did; ``Scenario.state`` is the
+``RoadMap.padded``. Every stage transforms scenes as array operations built
+from the geometry rules the per-state code uses (``rotate2``,
+``wrap_angle``, ``norm2``), so both round alike; ``Scenario.state`` is the
 bridge to that code, one agent's state as a scalar ``AgentState`` for the
 per-state references kept as test oracles.
 
@@ -54,7 +55,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .geometry import AGENT_CLASSES, AgentState, norm2, rotation, wrap_angle
+from .geometry import AGENT_CLASSES, AgentState, norm2, rotate2, wrap_angle
 
 POLYLINE_KINDS = ("lane_center", "road_boundary", "crosswalk")
 TEMPLATES = ("straight", "left_turn", "right_turn", "merge",
@@ -599,15 +600,10 @@ def _sample_polyline(path: _Path, s_lo: float, s_hi: float, kind: str,
 
 
 def _rotated_rows(kin: np.ndarray, angle: float) -> np.ndarray:
-    """Rows [S, 5] rotated by angle about the origin. Positions and
-    velocities go through a batched 2x2 matmul, which rounds as ``R @ p``
-    on one vector does, and yaws through the scalar ``wrap_angle``."""
-    R = rotation(angle)
-    out = np.empty_like(kin)
-    out[:, :2] = (R @ kin[:, :2, None])[:, :, 0]
-    out[:, 3:] = (R @ kin[:, 3:, None])[:, :, 0]
-    out[:, 2] = [wrap_angle(yaw + angle) for yaw in kin[:, 2].tolist()]
-    return out
+    """Rows [S, 5] rotated by angle about the origin."""
+    return np.concatenate([rotate2(kin[:, :2], angle),
+                           wrap_angle(kin[:, 2:3] + angle),
+                           rotate2(kin[:, 3:], angle)], axis=1)
 
 
 def _moved_rows(scn: Scenario, move) -> Scenario:
@@ -631,7 +627,7 @@ def _apply_rigid(scn: Scenario, origin: np.ndarray, angle: float) -> Scenario:
         kin[:, :2] += origin
         return kin
 
-    waypoints = scn.map.waypoints @ rotation(angle).T + origin
+    waypoints = rotate2(scn.map.waypoints, angle) + origin
     return replace(_moved_rows(scn, move), map=scn.map.moved(waypoints))
 
 
@@ -787,10 +783,10 @@ class Frame:
     angle: float
 
     def to_local(self, pts: np.ndarray) -> np.ndarray:
-        return (np.asarray(pts) - self.origin) @ rotation(-self.angle).T
+        return rotate2(np.asarray(pts) - self.origin, -self.angle)
 
     def to_global(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(pts) @ rotation(self.angle).T + self.origin
+        return rotate2(np.asarray(pts), self.angle) + self.origin
 
 
 def pose_frame(scn: Scenario, agent_id: str) -> Frame:
@@ -810,13 +806,12 @@ def local_frame(scn: Scenario, agent_id: str,
     kept = replace(scn, ego_index=scn.row(agent_id)).take(
         np.flatnonzero(near))
 
-    # every kept row, past and future, in one array op, rounding as
-    # transform_state does (subtracting 0 from yaw and velocity is exact)
+    # every kept row, past and future, in one array op (subtracting 0 from
+    # yaw and velocity is exact)
     shift = np.concatenate([frame.origin, np.zeros(3)])
     moved = _moved_rows(kept, lambda kin: _rotated_rows(kin - shift,
                                                         -frame.angle))
 
-    # waypoints as one matmul, which rounds as per-polyline to_local does
     dists = norm2(scn.map.waypoints - frame.origin)
     reach = np.where(scn.map.valid, dists, np.inf).min(axis=1,
                                                         initial=np.inf)

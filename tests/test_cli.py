@@ -712,12 +712,22 @@ def _string_point(doc):
     doc["modes"][0]["agents"][0]["points"][0][0] = "x"
 
 
+# numpy would parse both as numbers
+def _numeric_string_p(doc):
+    doc["modes"][0]["p"] = "0.6"
+
+
+def _bool_point(doc):
+    doc["modes"][1]["agents"][1]["points"][2][0] = True
+
+
 MALFORMED_PREDICTIONS = {
     "without_modes": _without_modes, "empty_modes": _empty_modes,
     "modes_not_array": _modes_not_array, "ids_differ": _ids_differ,
     "ragged_points": _ragged_points, "point_not_pair": _point_not_pair,
     "nan_point": _nan_point, "infinite_p": _infinite_p,
-    "string_point": _string_point,
+    "string_point": _string_point, "numeric_string_p": _numeric_string_p,
+    "bool_point": _bool_point,
 }
 
 
@@ -853,6 +863,23 @@ class TestMalformedPredictions:
         code, _ = self._eval(tmp_path, scene[0],
                              json.dumps(_truth_prediction(scene[0])))
         assert code == 0
+
+    def test_eval_directory_among_predictions_exits_1(self, tmp_path,
+                                                       capsys, scene):
+        data, preds = tmp_path / "data", tmp_path / "preds"
+        data.mkdir()
+        (data / "scenario_0000.json").write_text(dump_scenario(scene[0]))
+        (preds / "odd.json").mkdir(parents=True)
+        (preds / "p0.json").write_text(
+            json.dumps(_truth_prediction(scene[0])))
+        out = tmp_path / "eval"
+        code = main(["eval", "--data", str(data), "--predictions",
+                     str(preds), "--out", str(out)] + TINY)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: prediction file is a directory, not a file: "
+            f"{preds / 'odd.json'}\n")
+        assert not out.exists()
 
     def test_eval_repeated_scenario_id_exits_1(self, tmp_path, capsys,
                                                scene):

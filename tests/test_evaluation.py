@@ -8,7 +8,7 @@ import pytest
 from riskcast.evaluation import (MetricsReport, ade,
                                  constant_velocity_baseline,
                                  constant_velocity_baselines, evaluate, fde)
-from riskcast.geometry import rotation
+from riskcast.geometry import rotate2
 from riskcast.intention import JointPrediction, label_intentions, select_mode
 from riskcast.model import JointPredictor, ModelConfig
 from riskcast.scene import generate_scenario
@@ -70,10 +70,9 @@ class TestRigidInvariance:
         rng = np.random.default_rng(1)
         pred = rng.normal(size=(12, 2)) * 10
         truth = rng.normal(size=(12, 2)) * 10
-        R = rotation(0.83)
         shift = np.array([42.0, -7.0])
-        pred2 = pred @ R.T + shift
-        truth2 = truth @ R.T + shift
+        pred2 = rotate2(pred, 0.83) + shift
+        truth2 = rotate2(truth, 0.83) + shift
         for h in (1, 6, 12):
             assert ade(pred2, truth2, h) == pytest.approx(
                 ade(pred, truth, h), abs=1e-9)

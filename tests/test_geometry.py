@@ -1,5 +1,6 @@
 """Relative-encoding, body-point, and collision-angle geometry tests."""
 
+import inspect
 import math
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 import riskcast
 from riskcast.geometry import (SPEED_EPS, AgentState, CollisionRegion,
                                body_points, collision_angle, collision_region,
-                               dot2, norm2, relative_encoding, transform_state)
+                               dot2, norm2, relative_encoding, rotate2,
+                               transform_state, wrap_angle)
 
 
 def agent(x=0.0, y=0.0, yaw=0.0, vx=0.0, vy=0.0, cls="car"):
@@ -224,3 +226,44 @@ class TestOneRule:
             text = path.read_text()
             for formula in ("hypot(", "linalg.norm(", "cos(np.arccos("):
                 assert formula not in text, (path.name, formula)
+
+
+class TestOneRotation:
+    """rotate2 and wrap_angle are the package's one rotation and angle wrap:
+    a row or an element alone rounds as it does within an array."""
+
+    def test_rows_round_as_the_array(self):
+        rng = np.random.default_rng(1)
+        v = rng.normal(size=(10_000, 2)) * 10.0 ** rng.uniform(
+            -3, 4, size=(10_000, 1))
+        v[:20] = 0.0
+        angles = rng.uniform(-4 * math.pi, 4 * math.pi, size=100)
+        for angle, block in zip(angles.tolist(), np.split(v, 100)):
+            got = rotate2(block, angle)
+            assert np.array_equal(got, [rotate2(row, angle) for row in block])
+            assert np.array_equal(rotate2(block[None], angle)[0], got)
+
+    def test_elements_wrap_as_the_array(self):
+        rng = np.random.default_rng(2)
+        a = rng.uniform(-50.0, 50.0, size=10_000)
+        a[:8] = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 1e-300, 7e5, -1e9]
+        wrapped = wrap_angle(a)
+        assert np.array_equal(wrapped, [wrap_angle(x) for x in a.tolist()])
+        assert np.all(np.abs(wrapped) <= math.pi)
+        assert np.allclose(np.cos(wrapped), np.cos(a), rtol=0, atol=1e-9)
+        assert np.allclose(np.sin(wrapped), np.sin(a), rtol=0, atol=1e-9)
+
+    def test_rotate2_turns_counterclockwise(self):
+        got = rotate2(np.array([[1.0, 0.0], [0.0, 2.0]]), math.pi / 2)
+        assert np.allclose(got, [[0.0, 1.0], [-2.0, 0.0]], rtol=0,
+                           atol=1e-15)
+
+    def test_no_other_rotation_or_wrap_formula_in_the_package(self):
+        wraps = 0
+        for path in sorted(Path(riskcast.__file__).parent.glob("*.py")):
+            text = path.read_text()
+            for formula in ("def rotation", "rotation(", "math.atan2("):
+                assert formula not in text, (path.name, formula)
+            wraps += text.count("np.arctan2(np.sin(")
+        assert wraps == 1
+        assert "np.arctan2(np.sin(" in inspect.getsource(wrap_angle)

@@ -537,6 +537,26 @@ class TestCheckpoint:
         assert all(np.array_equal(p.value, q.value)
                    for p, q in zip(model.params(), again.params()))
 
+    def test_a_failed_save_keeps_the_previous_checkpoint(
+            self, tmp_path, tiny_setup, monkeypatch):
+        model, _, _ = tiny_setup
+        path = tmp_path / "ckpt.npz"
+        model.save(str(path))
+        before = path.read_bytes()
+        other = JointPredictor(replace(model.cfg, init_seed=5))
+
+        def fail(f, header):   # after the meta entry, before the params
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(np.lib.format, "write_array_header_1_0", fail)
+        with pytest.raises(OSError, match="disk gone"):
+            other.save(str(path))
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
+        assert path.read_bytes() == before
+        again = JointPredictor.load(str(path))
+        assert all(np.array_equal(p.value, q.value)
+                   for p, q in zip(model.params(), again.params()))
+
 
 def rewrite_npz(path, edit=None, version=None):
     """Apply `edit` to the meta and the arrays of a saved checkpoint and
@@ -611,6 +631,20 @@ class TestExport:
         assert np.array_equal(again.trajectories, jp.trajectories)
         assert np.array_equal(again.mode_probs, jp.mode_probs)
         assert again.agent_ids == jp.agent_ids
+
+    @pytest.mark.parametrize("p, points", [
+        ("1", [["1.5", True], [2, "3e0"]]),
+        (1, [[1.5, 2.0], ["2", 3.0]]),
+        (1, [[1.5, 2.0], [2.0, False]]),
+        (True, [[1.5, 2.0], [2.0, 3.0]]),
+        (1, [[1.5, 2.0], [2.0, 10 ** 400]]),
+    ], ids=["strings_and_bool", "string_point", "bool_point", "bool_p",
+            "int_beyond_float"])
+    def test_prediction_needs_json_numbers(self, p, points):
+        doc = {"modes": [{"k": 0, "p": p,
+                          "agents": [{"id": "a", "points": points}]}]}
+        with pytest.raises(ValueError, match="points and p must be numbers"):
+            prediction_from_json(doc)
 
     def test_csv_rows(self, tiny_setup):
         model, scn, _ = tiny_setup

@@ -8,9 +8,10 @@ import pytest
 
 from riskcast import nn
 from riskcast.model import JointPredictor, ModelConfig
-from riskcast.scene import generate_scenario
-from riskcast.training import (TrainConfig, intention_loss, prediction_loss,
-                               split_dataset, total_loss, train)
+from riskcast.scene import _apply_rigid, generate_scenario
+from riskcast.training import (TrainConfig, _TrainScene, _union_losses,
+                               intention_loss, prediction_loss, split_dataset,
+                               total_loss, train)
 
 
 class TestIntentionLoss:
@@ -331,3 +332,56 @@ class TestMinibatchUnion:
         assert all(math.isfinite(v)
                    for row in (rep.l_pre, rep.l_man, rep.l_risk, rep.l_total,
                                rep.val_ade) for v in row)
+
+
+# a few scenes at N <= 8, one of each template, and the tolerance fixed
+# before measuring: 1e-12 relative, per parameter by gradient norm and per
+# loss against max(1, |loss|)
+UNION_SCENES = [("straight", 3, 0), ("left_turn", 4, 1), ("right_turn", 2, 2),
+                ("merge", 8, 3), ("crossing_conflict", 5, 4)]
+RTOL = 1e-12
+
+
+def union_run(model, scenarios, epoch):
+    """Each scene's (l_pre, l_man, l_risk) and every parameter gradient of
+    one _union_losses call over the scenes, stage 2 from epoch 2."""
+    cfg = TrainConfig(epochs=2, stage1_epochs=1)
+    model.zero_grad()
+    losses = _union_losses(
+        model, [_TrainScene.of(model.prepare(s)) for s in scenarios], epoch,
+        cfg)
+    return np.array(losses), [p.grad.copy() for p in model.params()]
+
+
+def assert_same_run(got, want):
+    (got_losses, got_grads), (want_losses, want_grads) = got, want
+    assert np.all(np.abs(got_losses - want_losses)
+                  <= RTOL * np.maximum(1.0, np.abs(want_losses)))
+    for g, w in zip(got_grads, want_grads):
+        assert np.linalg.norm(g - w) <= RTOL * np.linalg.norm(w)
+
+
+class TestUnionInvariance:
+    @pytest.fixture(scope="class")
+    def scenes(self):
+        return [generate_scenario(t, n, s, H=4, T=8)
+                for t, n, s in UNION_SCENES]
+
+    @pytest.mark.parametrize("epoch", [1, 2], ids=["stage1", "stage2"])
+    def test_union_is_the_sum_of_one_scene_unions(self, scenes, epoch):
+        model = JointPredictor(tiny_model_cfg())
+        losses, grads = union_run(model, scenes, epoch)
+        singles = [union_run(model, [s], epoch) for s in scenes]
+        if epoch == 2:
+            assert np.all(losses[:, 2] > 0.0)
+        assert_same_run((losses, grads), (
+            np.concatenate([l for l, _ in singles]),
+            [sum(g) for g in zip(*[g for _, g in singles])]))
+
+    @pytest.mark.parametrize("epoch", [1, 2], ids=["stage1", "stage2"])
+    def test_rigid_move_of_every_scene_changes_nothing(self, scenes, epoch):
+        model = JointPredictor(tiny_model_cfg())
+        moved = [_apply_rigid(s, np.array([37.0, -61.0]), 2.3)
+                 for s in scenes]
+        assert_same_run(union_run(model, moved, epoch),
+                        union_run(model, scenes, epoch))
