@@ -51,7 +51,8 @@ def test_risk_kernel(benchmark, planned):
     batch = batch_from_prediction(predicted, jp.trajectories)
     terms = benchmark(risk_kernel, batch, predicted.ego_index,
                       _road_boundaries(scn), RiskConfig())
-    assert terms.risks.shape == (len(jp.mode_probs), len(jp.agent_ids) - 1)
+    # a row per victim and one for the road boundary
+    assert terms.risks.shape == (len(jp.mode_probs), len(jp.agent_ids))
 
 
 def test_risk_loss_and_grad(benchmark, planned):

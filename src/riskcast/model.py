@@ -409,6 +409,21 @@ def _numbers(value) -> bool:
     return type(value) in (int, float)
 
 
+def _ragged(modes) -> tuple[int, str]:
+    """(k, agent id) of the first agent, mode by mode, whose points do not
+    form an array or form one of another shape than the first agent's."""
+    shapes = []
+    for m in modes:
+        for a in m["agents"]:
+            try:
+                shapes.append(np.shape(a["points"]))
+            except ValueError:
+                return m["k"], a["id"]
+            if shapes[-1] != shapes[0]:
+                return m["k"], a["id"]
+    raise AssertionError("the points form one array")
+
+
 def prediction_from_json(doc) -> JointPrediction:
     """The prediction of a ``prediction_to_json`` document, modes in k
     order. Raises ValueError on a malformed document: modes missing or
@@ -448,17 +463,25 @@ def prediction_from_json(doc) -> JointPrediction:
     mode_ps = [m["p"] for m in modes]
     if not _numbers([points, mode_ps]):
         raise ValueError("points and p must be numbers")
+    if any(type(p) is list for p in mode_ps):
+        raise ValueError(f"every p must be a finite number, got {mode_ps}")
     try:
         trajs = np.array(points, dtype=np.float64)
         probs = np.array(mode_ps, dtype=np.float64)
-    except (ValueError, OverflowError) as e:
+    except OverflowError as e:
         raise ValueError(f"points and p must be numbers: {e}") from e
+    except ValueError:              # every entry is a number: ragged points
+        k, aid = _ragged(modes)
+        raise ValueError(f"points must form one [K, N, T, 2] array with "
+                         f"T >= 1, but the points of agent {aid!r} in mode "
+                         f"k={k} are ragged or differ in shape from the "
+                         f"first agent's") from None
     if trajs.ndim != 4 or trajs.shape[2] < 1 or trajs.shape[3] != 2:
         raise ValueError(f"points must form one [K, N, T, 2] array with "
                          f"T >= 1, got shape {list(trajs.shape)}")
     if not np.isfinite(trajs).all():
         raise ValueError("non-finite trajectory point")
-    if probs.ndim != 1 or not np.isfinite(probs).all():
+    if not np.isfinite(probs).all():
         raise ValueError(f"every p must be a finite number, got "
                          f"{mode_ps}")
     return JointPrediction(trajs, probs, agent_ids,

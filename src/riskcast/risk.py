@@ -6,27 +6,36 @@ of K candidate modes x N agents x T future steps. Every agent other than the
 ego is a potential victim of the ego; the M = N - 1 victims keep their batch
 order.
 
-Pair risk. For each (mode, victim, step) the kernel takes the offsets from
-the victim's three body points (front, center, rear) to the ego's center,
-[K, M, T, 3, 2], and their lengths [K, M, T, 3]. `disc_probability` gives
-the chance that an isotropic Gaussian (the position uncertainty of both
-agents combined, sqrt(2) sigma_t) lands within (width_victim +
-width_ego)/2 of a body point. The disc integral is the noncentral
-chi-square CDF (1 - Marcum Q_1), set to 0 where a Rayleigh tail bound
-proves it below 6.2e-14. With y = beta^2 / 2 and mu = alpha^2 / 2 it is
-P(N_y > N_mu) for independent Poisson counts, a numpy series of positive
-terms; its derivative in the distance is a second sum of the same
-recurrence. scipy.special takes over only for discs wider than 8 sigma
-(y > WIDE_Y), which no default scene has, so ranking and training do not
-import it. The three probabilities are summed and clamped to [0, 1],
-giving the collision probability [K, M, T]. Harm [K, M, T] maps the
-victim's post-collision speed change (delta-v from the masses, speeds and
-collision angle) and the struck region (front, side or rear, from the
-bearing of the ego in the victim's frame) through the numerically stable
-logistic `nn.sigmoid`, times the victim's harm scale; the kernel keeps
-delta-v and the region too.
-A victim's risk is the maximum over T of harm x probability; the kernel
-keeps the argmax step and the summed probabilities there.
+Rows. For each mode the kernel scores R = M + 1 rows over the T steps: the
+M victims, then the road boundary, an immovable partner. Each row has
+three body points: a victim's front, center and rear; for the boundary,
+the point nearest the ego's center on the scene's road boundaries (one
+point-to-all-segments op over [K, T, S], the segments of the scene's
+`RoadMap` of boundaries in polyline order) and two points out of reach
+(distance inf, offset 0). The kernel keeps the offsets from the body points
+to the ego's center, [K, R, T, 3, 2], and their lengths [K, R, T, 3]. A
+row's disc radius [R] is (width_victim + width_ego)/2, or half the ego
+width for the boundary, and its position uncertainty [R, T] is sqrt(2)
+sigma_t, both positions being uncertain, or sigma_t for the boundary.
+`disc_probability` gives the chance that an isotropic Gaussian of that
+uncertainty lands within the radius of a body point. The disc integral is
+the noncentral chi-square CDF (1 - Marcum Q_1), set to 0 where a Rayleigh
+tail bound proves it below 6.2e-14. With y = beta^2 / 2 and
+mu = alpha^2 / 2 it is P(N_y > N_mu) for independent Poisson counts, a
+numpy series of positive terms; its derivative in the distance is a second
+sum of the same recurrence. scipy.special takes over only for discs wider
+than 8 sigma (y > WIDE_Y), which no default scene has, so ranking and
+training do not import it. The three probabilities are summed and clamped
+to [0, 1], giving the collision probability [K, R, T]. Harm [K, R, T] maps
+the delta-v, the partner's post-collision speed change, and the struck
+region through the numerically stable logistic `nn.sigmoid`, times the
+row's harm scale. For a victim, delta-v comes from the masses, speeds and
+collision angle, the region (front, side or rear) from the bearing of the
+ego in the victim's frame, and the scale from its class; the boundary
+takes the ego speed, a side impact and a scale of 1. The kernel keeps
+delta-v and the region too. A row's risk is the maximum over T of
+harm x probability; the kernel keeps the argmax step and the summed
+probabilities there.
 
 The CDF gate. The CDF is most of the kernel's cost, and most steps cannot
 set a risk. With alpha = dist / sigma and beta = radius / sigma, each disc
@@ -34,32 +43,24 @@ probability is at most min(1, beta^2 / 2) exp(-max(alpha - beta, 0)^2 / 2):
 the disc area times the peak Gaussian density on the disc, capped by the
 Rayleigh tail. Harm times the clamped sum of the three bounds,
 times (1 + BOUND_SLACK), bounds harm x probability at a step (`pair_bound`).
-The gate's rows are the M victims and the road boundary. The kernel
-evaluates `disc_probability` at each (mode, row)'s largest-bound step,
-which gives a lower bound L on its risk, and then only at the steps whose
-bound is not below L; a step whose body points all lie beyond the tail cut
-has probability exactly 0 and needs no call. Every skipped step lies
-strictly below the maximum, and the series gives an element the value it
-has in a call of its own, so `risks`, `steps`, the boundary, the loss and
-the gradient are those of the full evaluation, bit for bit.
+The kernel evaluates `disc_probability` at each (mode, row)'s
+largest-bound step, which gives a lower bound L on its risk, and then only
+at the steps whose bound is not below L; a step whose body points all lie
+beyond the tail cut has probability exactly 0 and needs no call. Every
+skipped step lies strictly below the maximum, and the series gives an
+element the value it has in a call of its own, so `risks`, `steps`, the
+loss and the gradient are those of the full evaluation, bit for bit.
 `RiskTerms.prob_sums` and `probs`, at every step, are computed on first read
 by the full `disc_probability` call; ranking and training do not read them.
 
-Boundary risk. The ego's clearance to the nearest road-boundary segment,
-[K, T] from one point-to-all-segments op over [K, T, S] (the segments of the
-scene's `RoadMap` of boundaries, in polyline order), is one more row of the
-gate: one disc at the clearance (radius half the ego width, sigma_t) and
-none at the other two body points; harm takes the ego speed as delta-v with
-a side impact.
-
 The safety, care and responsiveness costs then aggregate each mode's victim
-risks and boundary risk. `rank_trajectories` runs the kernel once for all K
-modes and reads each mode through `mode_risk_report`. `risk_loss_and_grad`
-runs it on the selected mode and differentiates through the collision
-probabilities and the boundary clearance only: harm factors, struck regions
-and argmax steps are constants, so the gradient reuses the forward's argmax
-and evaluates `disc_probability_ddist` once, at the argmax step of each
-live victim and of the boundary.
+risks and boundary risk, the last row. `rank_trajectories` runs the kernel
+once for all K modes and reads each mode through `mode_risk_report`.
+`risk_loss_and_grad` runs it on the selected mode and differentiates
+through the collision probabilities only: harm factors, struck regions and
+argmax steps are constants, so the gradient reuses the forward's argmax and
+evaluates `disc_probability_ddist` once, at the argmax step of each live
+row, by one rule for the victims and the boundary.
 
 The scalar functions (`collision_probability`, `pair_harm`, `delta_v`,
 `harm`) take one pair of `AgentState`s at one step and are the per-step
@@ -385,37 +386,33 @@ def batch_from_prediction(scn: Scenario, positions: np.ndarray
 
 @dataclass
 class RiskTerms:
-    """What `risk_kernel` computes for K modes. The M victims are the
-    agents other than the ego, in batch order. `prob_sums` and `probs`, at
-    every step, are computed on first read; the kernel itself evaluates
+    """What `risk_kernel` computes for K modes, by row: the R = M + 1 rows
+    are the M victims, the agents other than the ego in batch order, then
+    the road boundary (see the module docstring). `prob_sums` and `probs`,
+    at every step, are computed on first read; the kernel itself evaluates
     the probabilities only where they can set a risk."""
-    victim_ids: list[str]
+    victim_ids: list[str]      # [M]
     victims: np.ndarray        # [M] batch indices
-    offsets: np.ndarray        # [K, M, T, 3, 2] ego center minus body point
-    dists: np.ndarray          # [K, M, T, 3] their lengths
-    radii: np.ndarray          # [M] disc radius of each pair
-    pair_sigma: np.ndarray     # [T] uncertainty of the pair
-    delta_v: np.ndarray        # [K, M, T] victim's speed change in a collision
-    region: np.ndarray         # [K, M, T] struck region, list(CollisionRegion)
-    harms: np.ndarray          # [K, M, T] scaled harm borne by the victim
-    risks: np.ndarray          # [K, M] max over T of harm * probability
-    steps: np.ndarray          # [K, M] the step of that maximum
-    step_sums: np.ndarray      # [K, M] the summed probabilities at that step
-    clearance: np.ndarray      # [K, T] ego distance to the nearest boundary
-    nearest: np.ndarray        # [K, T, 2] nearest boundary point
-    boundary_harm: np.ndarray  # [K, T]
-    boundary: np.ndarray       # [K] boundary risk
-    boundary_step: np.ndarray  # [K] the step of that maximum
+    offsets: np.ndarray        # [K, R, T, 3, 2] ego center minus body point
+    dists: np.ndarray          # [K, R, T, 3] their lengths
+    radii: np.ndarray          # [R] disc radius of each row
+    sigma: np.ndarray          # [R, T] position uncertainty of each row
+    delta_v: np.ndarray        # [K, R, T] partner's speed change in a crash
+    region: np.ndarray         # [K, R, T] struck region, list(CollisionRegion)
+    harms: np.ndarray          # [K, R, T] scaled harm borne by the partner
+    risks: np.ndarray          # [K, R] max over T of harm * probability
+    steps: np.ndarray          # [K, R] the step of that maximum
+    step_sums: np.ndarray      # [K, R] the summed probabilities at that step
 
     @cached_property
     def prob_sums(self) -> np.ndarray:
-        """[K, M, T] summed body-point probabilities."""
+        """[K, R, T] summed body-point probabilities."""
         return disc_probability(self.dists, self.radii[:, None, None],
-                                self.pair_sigma[:, None]).sum(axis=-1)
+                                self.sigma[..., None]).sum(axis=-1)
 
     @cached_property
     def probs(self) -> np.ndarray:
-        """[K, M, T] the sums clamped to [0, 1]."""
+        """[K, R, T] the sums clamped to [0, 1]."""
         return np.minimum(self.prob_sums, 1.0)
 
 
@@ -557,10 +554,10 @@ def _gated_risks(dists: np.ndarray, radii: np.ndarray, sigma: np.ndarray,
 
 def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
                 cfg: RiskConfig) -> RiskTerms:
-    """Victim and boundary risks of every mode in one pass; see the module
-    docstring for the layout. Positions and offsets are handled as separate
-    x and y arrays; the speeds and distances write `norm2`'s rule on them
-    inline."""
+    """The risks of every mode's rows, the victims and the boundary, in one
+    pass; see the module docstring for the layout. Positions and offsets are
+    handled as separate x and y arrays; the speeds and distances write
+    `norm2`'s rule on them inline."""
     k_count, n, t_count = batch.yaws.shape
     if t_count < 1:
         raise ValueError("risk needs at least one future step")
@@ -570,6 +567,8 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
     coeffs = cfg.harm
     mu_area = np.array([coeffs.mu_area[r] for r in REGIONS])
     victims = np.delete(np.arange(n), ego)
+    m = len(victims)
+    shape = (k_count, m + 1, t_count)
 
     px, py = batch.positions[..., 0], batch.positions[..., 1]   # [K, N, T]
     vx, vy = batch.velocities[..., 0], batch.velocities[..., 1]
@@ -582,70 +581,64 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
     heading = np.where((speeds < SPEED_EPS)[..., None],
                        np.stack([cos_yaw, sin_yaw], axis=-1), moving)
 
-    # collision probability against the victims' body points
+    # the rows' body points: the victims', then the nearest boundary point
+    # and two out of reach
+    offsets = np.zeros(shape + (3, 2))
+    dists = np.full(shape + (3,), np.inf)
+    ox, oy = offsets[:, :m, ..., 0], offsets[:, :m, ..., 1]  # [K, M, T, 3]
     cx, cy = px[:, victims], py[:, victims]                     # [K, M, T]
     half = 0.5 * batch.lengths[victims, None]
     hx, hy = half * cos_yaw[:, victims], half * sin_yaw[:, victims]
-    ox = px[:, ego, None, :, None] - np.stack([cx + hx, cx, cx - hx],
-                                              axis=-1)        # [K, M, T, 3]
-    oy = py[:, ego, None, :, None] - np.stack([cy + hy, cy, cy - hy],
-                                              axis=-1)
-    dists = np.sqrt(ox * ox + oy * oy)
-    radii = 0.5 * (batch.widths[victims] + batch.widths[ego])
-    pair_sigma = math.sqrt(2.0) * sigma   # both positions uncertain
+    np.subtract(px[:, ego, None, :, None],
+                np.stack([cx + hx, cx, cx - hx], axis=-1), out=ox)
+    np.subtract(py[:, ego, None, :, None],
+                np.stack([cy + hy, cy, cy - hy], axis=-1), out=oy)
+    np.sqrt(ox * ox + oy * oy, out=dists[:, :m])
+    if len(boundaries):
+        dists[:, m, :, 0], nearest = _clearance(batch.positions[:, ego],
+                                                boundaries)
+        offsets[:, m, :, 0] = batch.positions[:, ego] - nearest
+    radii = np.append(0.5 * (batch.widths[victims] + batch.widths[ego]),
+                      0.5 * batch.widths[ego])
+    row_sigma = np.empty((m + 1, t_count))
+    row_sigma[:m] = math.sqrt(2.0) * sigma   # both positions uncertain
+    row_sigma[m] = sigma
 
-    # harm borne by the victims: delta-v and the struck region
+    # delta-v and the struck region: the victims' from the pair, the
+    # boundary's the ego speed and a side impact
+    dv, region = np.empty(shape), np.full(shape, _SIDE)
     cos_theta = np.clip(dot2(heading[:, victims], heading[:, ego, None]),
                         -1.0, 1.0)
     v_vic, v_ego = speeds[:, victims], speeds[:, ego, None]
     m_vic, m_ego = batch.masses[victims, None], batch.masses[ego]
     rel = np.sqrt(np.maximum(v_vic * v_vic + v_ego * v_ego
                              - 2.0 * v_vic * v_ego * cos_theta, 0.0))
-    dv = m_ego / (m_vic + m_ego) * rel
+    np.multiply(m_ego / (m_vic + m_ego), rel, out=dv[:, :m])
+    dv[:, m] = speeds[:, ego]
     dx, dy = ox[..., 1], oy[..., 1]        # ego center minus victim center
     bearing = np.abs(wrap_angle(np.arctan2(dy, dx) - batch.yaws[:, victims]))
-    region = np.where(bearing <= math.pi / 4, _FRONT,
-                      np.where(bearing >= 3 * math.pi / 4, _REAR, _SIDE))
-    region = np.where(dists[..., 1] < DIST_EPS, _FRONT, region)
+    region[:, :m] = np.where(
+        dists[:, :m, :, 1] < DIST_EPS, _FRONT,
+        np.where(bearing <= math.pi / 4, _FRONT,
+                 np.where(bearing >= 3 * math.pi / 4, _REAR, _SIDE)))
     scale = np.array([cfg.harm_scale(batch.agent_classes[i]
-                                     in PROTECTED_CLASSES) for i in victims])
+                                     in PROTECTED_CLASSES) for i in victims]
+                     + [1.0])
     harms = nn.sigmoid(coeffs.mu0 + coeffs.mu1 * dv + mu_area[region]) \
         * scale[:, None]
 
-    # boundary: an immovable partner, delta-v the ego speed, side impact
-    clearance = np.full((k_count, t_count), np.inf)
-    nearest = np.zeros((k_count, t_count, 2))
-    if len(boundaries):
-        clearance, nearest = _clearance(batch.positions[:, ego], boundaries)
-    boundary_harm = nn.sigmoid(coeffs.mu0 + coeffs.mu1 * speeds[:, ego]
-                               + mu_area[_SIDE])
-
-    # the gate's rows: the M victims, then the boundary, whose one disc is
-    # at the clearance (its other two body points are out of reach)
-    m = len(victims)
-    row_dists = np.full((k_count, m + 1, t_count, 3), np.inf)
-    row_dists[:, :m] = dists
-    row_dists[:, m, :, 0] = clearance
-    row_sigma = np.empty((m + 1, t_count))
-    row_sigma[:m], row_sigma[m] = pair_sigma, sigma
-    risks, steps, step_sums = _gated_risks(
-        row_dists, np.append(radii, 0.5 * batch.widths[ego]), row_sigma,
-        np.concatenate([harms, boundary_harm[:, None]], axis=1))
-
-    return RiskTerms(
-        [batch.agent_ids[i] for i in victims], victims,
-        np.stack([ox, oy], axis=-1), dists, radii, pair_sigma, dv, region,
-        harms, risks[:, :m], steps[:, :m], step_sums[:, :m], clearance,
-        nearest, boundary_harm, risks[:, m], steps[:, m])
+    return RiskTerms([batch.agent_ids[i] for i in victims], victims, offsets,
+                     dists, radii, row_sigma, dv, region, harms,
+                     *_gated_risks(dists, radii, row_sigma, harms))
 
 
 def boundary_risk(batch: MotionBatch, ego: int, boundaries: RoadMap,
                   cfg: RiskConfig) -> np.ndarray:
-    """[K] risk of the ego leaving the road in each mode: clearance to the
-    nearest boundary mapped through the collision-probability and harm
-    machinery with an immovable partner (delta-v equals the ego speed, side
-    impact)."""
-    return risk_kernel(batch, ego, boundaries, cfg).boundary
+    """[K] risk of the ego leaving the road in each mode, the kernel's
+    boundary row: clearance to the nearest boundary mapped through the
+    collision-probability and harm machinery with an immovable partner
+    (delta-v equals the ego speed, side impact)."""
+    return risk_kernel(batch, ego, boundaries, cfg).risks[:, -1]
 
 
 # --------------------------------------------------------------------------
@@ -726,8 +719,8 @@ def mode_risk_report(terms: RiskTerms, mode: int, mode_prob: float,
     """One mode of the kernel's output: the risks of the ego's potential
     collisions with every victim, the boundary risk, and the three cost
     terms."""
-    risks = terms.risks[mode]
-    r_b = float(terms.boundary[mode])
+    risks = terms.risks[mode, :-1]
+    r_b = float(terms.risks[mode, -1])
     c_s = safety_cost(risks, r_b)
     c_c = care_cost(risks)
     c_r = responsiveness_cost(risks, cfg.responsiveness_scale)
@@ -785,50 +778,37 @@ def risk_loss_and_grad(trajs: np.ndarray, scn: Scenario, cfg: RiskConfig
 
     Harm factors, struck regions and the argmax steps are treated as
     constants; the gradient flows through the collision probabilities at
-    each victim's argmax step (where the probability sum is unclamped) and
-    through the boundary clearance at its argmax step. A loss or gradient
+    the argmax step of each row, victim or boundary, whose risk is positive
+    and whose probability sum there is unclamped. A loss or gradient
     that is not finite raises ValueError naming the scenario.
     """
     ego_index = scn.ego_index
-    batch = batch_from_prediction(scn, trajs[None])
-    terms = risk_kernel(batch, ego_index, _road_boundaries(scn), cfg)
+    terms = risk_kernel(batch_from_prediction(scn, trajs[None]), ego_index,
+                        _road_boundaries(scn), cfg)
     l_risk = mode_risk_report(terms, 0, 1.0, cfg).l_risk
     grad = np.zeros_like(trajs)
     w_s, w_c, w_r = cfg.weights
-    risks = terms.risks[0]
-    m = risks.size
+    risks = terms.risks[0]                                        # [R]
+    m = risks.size - 1
+    # d l_risk / d risk: each row's share of c_s, w_s / (2m) or w_s / 2
+    # without victims, and the victims' shares of c_c and c_r
+    dl = np.full(m + 1, w_s / (2.0 * max(m, 1)))
+    sign_sum = np.sign(risks[:m, None] - risks[None, :m]).sum(axis=1)
+    dl[:m] = dl[:m] + w_c * 2.0 * sign_sum / max(m, 1) \
+        + w_r * cfg.responsiveness_scale
     rows = np.flatnonzero((risks > 0.0) & (terms.step_sums[0] < 1.0))
     t = terms.steps[0, rows]
     dists = terms.dists[0, rows, t]                               # [L, 3]
-    b_t = terms.boundary_step[0]
-    # a clearance of inf, where the boundary has no risk, costs no series
-    b_dist = terms.clearance[0, b_t] if terms.boundary[0] > 0.0 else math.inf
-    # one call for the live victims' body points and the boundary
-    dp = disc_probability_ddist(
-        np.append(dists, b_dist),
-        np.append(np.repeat(terms.radii[rows], 3),
-                  0.5 * batch.widths[ego_index]),
-        np.append(np.repeat(terms.pair_sigma[t], 3),
-                  cfg.uncertainty.sigma(b_t + 1)))
-
-    if rows.size:
-        sign_sum = np.sign(risks[:, None] - risks[None, :]).sum(axis=1)
-        dl_drisk = (w_s / (2.0 * m) + w_c * 2.0 * sign_sum / m
-                    + w_r * cfg.responsiveness_scale)
-        coincident = dists < 1e-9   # no direction to move along
-        coef = dl_drisk[rows, None] * terms.harms[0, rows, t, None] \
-            * dp[:-1].reshape(-1, 3) / np.where(coincident, 1.0, dists)
-        g = (np.where(coincident, 0.0, coef)[..., None]
-             * terms.offsets[0, rows, t]).sum(axis=1)             # [L, 2]
-        np.add.at(grad, (ego_index, t), g)
-        np.add.at(grad, (terms.victims[rows], t), -g)
-
-    if terms.boundary[0] > 0.0 and b_dist > 1e-9:
-        # d c_s / d R_b = w_s / (2m), or w_s / 2 without victims
-        dl_drb = w_s * (0.5 if m == 0 else 1.0 / (2.0 * m))
-        direction = (trajs[ego_index, b_t] - terms.nearest[0, b_t]) / b_dist
-        grad[ego_index, b_t] += \
-            dl_drb * terms.boundary_harm[0, b_t] * dp[-1] * direction
+    dp = disc_probability_ddist(dists, terms.radii[rows, None],
+                                terms.sigma[rows, t, None])
+    coincident = dists < 1e-9   # no direction to move along
+    coef = dl[rows, None] * terms.harms[0, rows, t, None] * dp \
+        / np.where(coincident, 1.0, dists)
+    g = (np.where(coincident, 0.0, coef)[..., None]
+         * terms.offsets[0, rows, t]).sum(axis=1)                 # [L, 2]
+    np.add.at(grad, (ego_index, t), g)
+    victim = rows < m
+    np.add.at(grad, (terms.victims[rows[victim]], t[victim]), -g[victim])
 
     if not (math.isfinite(l_risk) and np.isfinite(grad).all()):
         raise ValueError(f"scenario {scn.scenario_id!r}: the risk loss "

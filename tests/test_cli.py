@@ -696,6 +696,15 @@ def _ragged_points(doc):
     doc["modes"][1]["agents"][2]["points"].pop()
 
 
+def _short_point(doc):
+    doc["modes"][0]["agents"][1]["points"][3] = [1.0]
+
+
+def _short_mode(doc):
+    for agent in doc["modes"][1]["agents"]:
+        agent["points"].pop()
+
+
 def _point_not_pair(doc):
     doc["modes"][0]["agents"][1]["points"][3] = [1.0, 2.0, 3.0]
 
@@ -724,7 +733,8 @@ def _bool_point(doc):
 MALFORMED_PREDICTIONS = {
     "without_modes": _without_modes, "empty_modes": _empty_modes,
     "modes_not_array": _modes_not_array, "ids_differ": _ids_differ,
-    "ragged_points": _ragged_points, "point_not_pair": _point_not_pair,
+    "ragged_points": _ragged_points, "short_point": _short_point,
+    "short_mode": _short_mode, "point_not_pair": _point_not_pair,
     "nan_point": _nan_point, "infinite_p": _infinite_p,
     "string_point": _string_point, "numeric_string_p": _numeric_string_p,
     "bool_point": _bool_point,

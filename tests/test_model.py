@@ -646,6 +646,20 @@ class TestExport:
         with pytest.raises(ValueError, match="points and p must be numbers"):
             prediction_from_json(doc)
 
+    # one agent "a"; its points in each mode
+    @pytest.mark.parametrize("mode_points, k", [
+        ([[[1.5, 1], [2]]], 0),
+        ([[[1.5, 1], [2, 3]], [[1.5, 1]]], 1),
+    ], ids=["short_point", "modes_differ_in_T"])
+    def test_ragged_points_are_a_shape_fault(self, mode_points, k):
+        doc = {"modes": [{"k": i, "p": 1.0 / len(mode_points),
+                          "agents": [{"id": "a", "points": points}]}
+                         for i, points in enumerate(mode_points)]}
+        with pytest.raises(ValueError, match=(
+                rf"points must form one \[K, N, T, 2\] array.*agent 'a' in "
+                rf"mode k={k}")):
+            prediction_from_json(doc)
+
     def test_csv_rows(self, tiny_setup):
         model, scn, _ = tiny_setup
         jp, _ = model.predict(scn)

@@ -2,7 +2,8 @@
 predictions (risks, boundary risk, costs, order, training loss, delta-v and
 struck region, and every step's collision probability and harm), the disc
 probability's series and its derivative against scipy, the tail gate of the
-disc probability, the bound that gates the kernel's rows, the join of
+disc probability, the bound that gates the kernel's rows, the boundary
+row's share of the risk gradient against central differences, the join of
 predictions to scenes by agent id, and invariances of predict ->
 rank_trajectories."""
 
@@ -21,7 +22,7 @@ from riskcast.geometry import (CollisionRegion, collision_angle,
 from riskcast.intention import select_mode
 from riskcast.model import JointPredictor, ModelConfig
 from riskcast.risk import (BOUND_SLACK, REGIONS, TAIL_CUT, WIDE_Y,
-                           RiskConfig, _road_boundaries,
+                           HarmCoefficients, RiskConfig, _road_boundaries,
                            batch_from_prediction, care_cost,
                            collision_probability, delta_v, disc_probability,
                            disc_probability_ddist, harm, pair_bound,
@@ -219,24 +220,24 @@ def test_gated_disc_probability_matches_ncx2(model, template, n, seed):
     jp = with_truth_mode(model.predict(scn)[0], scn)
     cfg = RiskConfig()
     _, terms = kernel_terms(jp, scn, cfg)
-    sigma = cfg.uncertainty.sigma_array(jp.trajectories.shape[2])
-    calls = [(terms.dists, terms.radii[:, None, None],
-              terms.pair_sigma[:, None]),
-             (terms.clearance, 0.5 * scn.dims[scn.ego_index, 1], sigma)]
-    for dist, radius, s in calls:
-        gated = disc_probability(dist, radius, s)
-        oracle = ncx2_disc_probability(dist, radius, s)
-        np.testing.assert_allclose(gated, oracle, rtol=0, atol=1e-12)
-        skipped = np.broadcast_to(dist / s - radius / s > TAIL_CUT,
-                                  gated.shape)
-        assert (gated[skipped] == 0.0).all()
-        assert np.array_equal(gated[~skipped], ungated_disc_probability(
-            dist, radius, s)[~skipped])
-        np.testing.assert_allclose(gated[~skipped], oracle[~skipped],
-                                   rtol=1e-13, atol=0)
-    # the gate and the exact CDF both take part on the pair elements
-    assert 0.0 < (terms.dists / terms.pair_sigma[:, None]
-                  - terms.radii[:, None, None] / terms.pair_sigma[:, None]
+    dist, radius, s = np.broadcast_arrays(
+        terms.dists, terms.radii[:, None, None], terms.sigma[..., None])
+    gated = disc_probability(dist, radius, s)
+    # the boundary row's two body points out of reach have no ncx2 value
+    reach = np.isfinite(dist)
+    assert (gated[~reach] == 0.0).all()
+    dist, radius, s, gated = (v[reach] for v in (dist, radius, s, gated))
+    oracle = ncx2_disc_probability(dist, radius, s)
+    np.testing.assert_allclose(gated, oracle, rtol=0, atol=1e-12)
+    skipped = dist / s - radius / s > TAIL_CUT
+    assert (gated[skipped] == 0.0).all()
+    assert np.array_equal(gated[~skipped], ungated_disc_probability(
+        dist, radius, s)[~skipped])
+    np.testing.assert_allclose(gated[~skipped], oracle[~skipped],
+                               rtol=1e-13, atol=0)
+    # the gate and the exact CDF both take part on the victims' elements
+    assert 0.0 < (terms.dists[:, :-1] / terms.sigma[:-1, :, None]
+                  - terms.radii[:-1, None, None] / terms.sigma[:-1, :, None]
                   > TAIL_CUT).mean() < 1.0
 
 
@@ -281,13 +282,8 @@ def test_gated_risks_are_the_full_maximum(model, template, n, seed):
                           weighted.max(axis=-1).view(np.int64))
     assert np.array_equal(terms.step_sums, np.take_along_axis(
         terms.prob_sums, terms.steps[..., None], axis=-1)[..., 0])
-    # the boundary is a row of the gate: its maximum over all K x T steps
-    b_weighted = terms.boundary_harm * disc_probability(
-        terms.clearance, 0.5 * scn.dims[scn.ego_index, 1],
-        RiskConfig().uncertainty.sigma_array(terms.clearance.shape[1]))
-    assert np.array_equal(terms.boundary.view(np.int64),
-                          b_weighted.max(axis=-1).view(np.int64))
-    assert np.array_equal(terms.boundary_step, b_weighted.argmax(axis=-1))
+    # the boundary row is exercised
+    assert terms.risks[:, -1].max() > 0.0
 
 
 def test_gate_skips_pair_probabilities(model, monkeypatch):
@@ -328,6 +324,10 @@ def test_kernel_keeps_delta_v_and_struck_region(model, template, n, seed):
                 collision_angle(victim, ego)), rel=1e-12, abs=1e-12)
             assert REGIONS[terms.region[k, m, t]] == collision_region(
                 victim, ego)
+    # the boundary row: the ego speed and a side impact at every step
+    np.testing.assert_allclose(terms.delta_v[:, -1], speeds[:, e],
+                               rtol=1e-12, atol=1e-12)
+    assert (terms.region[:, -1] == REGIONS.index(CollisionRegion.SIDE)).all()
 
 
 @pytest.mark.parametrize("template,n,seed", PARITY_SCENES)
@@ -338,11 +338,72 @@ def test_every_step_matches_per_step_reference(model, template, n, seed):
     batch, terms = kernel_terms(jp, scn, cfg)
     e = batch.agent_ids.index(scn.ego_id)
     probs, harms = np.empty_like(terms.probs), np.empty_like(terms.harms)
-    for k, m, t in np.ndindex(terms.probs.shape):
+    for k, m, t in np.ndindex(probs[:, :-1].shape):
         probs[k, m, t], harms[k, m, t] = reference_pair(
             batch, k, terms.victims[m], e, t, cfg)
-    assert np.array_equal(probs, terms.probs)
-    np.testing.assert_allclose(harms, terms.harms, rtol=1e-12, atol=0)
+    assert np.array_equal(probs[:, :-1], terms.probs[:, :-1])
+    np.testing.assert_allclose(harms[:, :-1], terms.harms[:, :-1],
+                               rtol=1e-12, atol=0)
+    # the boundary row, as reference_mode computes R_b
+    road = scn.map.of_kind("road_boundary")
+    boundaries = [w[:n] for w, n in zip(road.waypoints, road.counts)]
+    for k, t in np.ndindex(probs.shape[0], probs.shape[2]):
+        probs[k, -1, t] = disc_probability(
+            loop_clearance(batch.positions[k, e, t], boundaries),
+            0.5 * batch.widths[e], cfg.uncertainty.sigma(t + 1))
+        harms[k, -1, t] = harm(np.linalg.norm(batch.velocities[k, e, t]),
+                               CollisionRegion.SIDE, cfg.harm)
+    np.testing.assert_allclose(probs[:, -1], terms.probs[:, -1], rtol=1e-12,
+                               atol=0)
+    np.testing.assert_allclose(harms[:, -1], terms.harms[:, -1], rtol=1e-12,
+                               atol=0)
+    assert terms.probs[:, -1].max() > 1e-3
+
+
+def beside_the_wall(n):
+    """A straight scene of n agents and a future [n, T, 2] whose ego is
+    moved until its point nearest a road boundary lies 1.5 m from it, and
+    whose other agents, if any, are moved 1 km away: the boundary is the
+    only row with a risk."""
+    scn = generate_scenario("straight", n, seed=2)
+    trajs = scn.future[:, :, :2].copy()
+    e = scn.ego_index
+    dist, nearest = risk._clearance(trajs[e], _road_boundaries(scn))
+    t = dist.argmin()
+    trajs[e] += (nearest[t] - trajs[e, t]) * (1.0 - 1.5 / dist[t])
+    trajs[np.arange(n) != e] += 1000.0
+    return scn, trajs
+
+
+@pytest.mark.parametrize("n", [1, 3], ids=["ego_only", "victims_away"])
+def test_boundary_gradient_matches_finite_difference(n):
+    """The boundary row's share of the gradient alone, with m = 0 victims
+    (d l_risk / d R_b = w_s / 2) and with m = 2 out of reach (w_s / 4).
+    Harm factors are constants of the gradient, so the harm slope is
+    near-flat, as in test_gradient_matches_finite_difference, and the
+    absolute tolerance is the differences' rounding, ~1e-15 / h."""
+    scn, trajs = beside_the_wall(n)
+    cfg = RiskConfig(harm=HarmCoefficients(mu0=0.5, mu1=1e-12))
+    terms = risk_kernel(batch_from_prediction(scn, trajs[None]),
+                        scn.ego_index, _road_boundaries(scn), cfg)
+    assert (terms.risks[0, :-1] == 0.0).all() and terms.risks[0, -1] > 1e-3
+    loss, grad = risk_loss_and_grad(trajs, scn, cfg)
+    assert loss == pytest.approx(cfg.weights[0] * terms.risks[0, -1]
+                                 / (2 * max(n - 1, 1)), rel=1e-12)
+    live = np.argwhere(grad != 0.0)
+    assert (live[:, 0] == scn.ego_index).all()
+    assert (live[:, 1] == terms.steps[0, -1]).all() and len(live) == 2
+    h = 1e-6
+    for idx in np.ndindex(grad[scn.ego_index].shape):
+        idx = (scn.ego_index,) + idx
+        orig = trajs[idx]
+        trajs[idx] = orig + h
+        lp, _ = risk_loss_and_grad(trajs, scn, cfg)
+        trajs[idx] = orig - h
+        lm, _ = risk_loss_and_grad(trajs, scn, cfg)
+        trajs[idx] = orig
+        assert grad[idx] == pytest.approx((lp - lm) / (2 * h), rel=1e-3,
+                                          abs=1e-9)
 
 
 def test_ranks_scene_with_agent_dropped_by_context_radius(model):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from riskcast import nn
+from riskcast.interaction import neighbor_mask
 from riskcast.model import JointPredictor, ModelConfig
 from riskcast.scene import _apply_rigid, generate_scenario
 from riskcast.training import (TrainConfig, _TrainScene, _union_losses,
@@ -385,3 +386,42 @@ class TestUnionInvariance:
                  for s in scenes]
         assert_same_run(union_run(model, moved, epoch),
                         union_run(model, scenes, epoch))
+
+    @pytest.mark.parametrize("epoch", [1, 2], ids=["stage1", "stage2"])
+    def test_permuting_each_scenes_agents_changes_nothing(self, scenes,
+                                                          epoch):
+        model = JointPredictor(tiny_model_cfg())
+        rng = np.random.default_rng(0)
+        permuted = []
+        for s in scenes:
+            rows = np.arange(len(s.agent_ids))
+            others = rows != s.ego_index
+            rows[others] = rng.permutation(rows[others])
+            permuted.append(s.take(rows))
+        assert any(list(p.agent_ids) != list(s.agent_ids)
+                   for p, s in zip(permuted, scenes))
+        assert_same_run(union_run(model, permuted, epoch),
+                        union_run(model, scenes, epoch))
+
+    @pytest.mark.parametrize("epoch", [1, 2], ids=["stage1", "stage2"])
+    def test_permuting_the_scenes_permutes_their_losses(self, scenes,
+                                                        epoch):
+        model = JointPredictor(tiny_model_cfg())
+        order = [3, 0, 4, 2, 1]
+        losses, grads = union_run(model, scenes, epoch)
+        assert_same_run(union_run(model, [scenes[i] for i in order], epoch),
+                        (losses[order], grads))
+
+    @pytest.mark.parametrize("epoch", [1, 2], ids=["stage1", "stage2"])
+    def test_union_keeps_each_scenes_neighbor_mask(self, scenes, epoch):
+        # at the default 50 m every mask of these scenes is all True; at
+        # 30 m some agents of a scene do not see each other
+        model = JointPredictor(replace(tiny_model_cfg(),
+                                       context_radius_m=30.0))
+        assert not all(neighbor_mask(model.prepare(s), 30.0).all()
+                       for s in scenes)
+        losses, grads = union_run(model, scenes, epoch)
+        singles = [union_run(model, [s], epoch) for s in scenes]
+        assert_same_run((losses, grads), (
+            np.concatenate([l for l, _ in singles]),
+            [sum(g) for g in zip(*[g for _, g in singles])]))
