@@ -43,14 +43,18 @@ RTOL = 1e-12
 
 
 def load_tree(src: str, name: str):
-    """The riskcast package under src, imported as the package `name`."""
+    """The riskcast package under src, imported as the package `name`,
+    afresh: a package loaded earlier under that name is dropped first."""
+    for key in [k for k in sys.modules
+                if k == name or k.startswith(f"{name}.")]:
+        del sys.modules[key]
     init = Path(src, "riskcast", "__init__.py")
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for module in ("scene", "model", "risk", "training"):
+    for module in ("scene", "model", "risk", "training", "evaluation"):
         importlib.import_module(f"{name}.{module}")
     return package
 

@@ -1,4 +1,5 @@
-"""Per-layer benchmarks of the model: the history LSTM, the agent-agent
+"""Per-layer benchmarks of the model: `JointPredictor.predict` (the call
+perfbench's plan and eval stages repeat), the history LSTM, the agent-agent
 encoder and the decoder (each forward and backward), the agent-map
 attention (forward), on one fixed `merge` scene per N in {3, 8, 16} with a
 seeded, untrained model, and checkpoint save and load. The union cases time
@@ -64,10 +65,16 @@ def model():
 
 
 @pytest.fixture(scope="module", params=N_AGENTS, ids=lambda n: f"N{n}")
-def inputs(request, model):
+def scene(request):
+    """The fixed scene of the per-N cases."""
+    return generate_scenario("merge", request.param, seed=3)
+
+
+@pytest.fixture(scope="module")
+def inputs(model, scene):
     """The local scene's inputs to each layer, from one forward."""
     cfg = model.cfg
-    local = model.prepare(generate_scenario("merge", request.param, seed=3))
+    local = model.prepare(scene)
     res = model.forward([local])
     feats = history_feature_matrix(local)
     hist, _ = model.history.forward(feats)
@@ -80,6 +87,12 @@ def inputs(request, model):
         masks=masks, vis=[map_visibility(local, cfg.context_radius_m)],
         dec_in=np.concatenate([res.features, res.intention_feature], axis=1),
         pos0=local.past[:, -1, :2], slices=res.slices)
+
+
+def test_predict(benchmark, model, scene):
+    jp, _ = benchmark(model.predict, scene)
+    assert jp.trajectories.shape[:2] == (model.cfg.n_modes,
+                                         len(scene.agent_ids))
 
 
 def test_history_lstm(benchmark, model, inputs):

@@ -134,7 +134,7 @@ def _horizon_metrics(pred: np.ndarray, truth: np.ndarray,
     horizon, as ``ade``/``fde`` compute them: two arrays [..., N, horizons].
     """
     err = norm2(pred - truth)
-    a = np.stack([err[..., :h].mean(axis=-1) for h in horizons], axis=-1)
+    a = np.stack([err[..., :h].sum(axis=-1) / h for h in horizons], axis=-1)
     return a, err[..., np.asarray(horizons) - 1]
 
 
@@ -188,23 +188,23 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
         # an error that overflows is reported by the finiteness check
         # below, not by numpy's warnings on the way
         with np.errstate(over="ignore", invalid="ignore"):
-            model_a, model_f = _horizon_metrics(
+            # the K modes and, as mode K, the constant-velocity baseline
+            a, f = _horizon_metrics(np.concatenate([
                 np.asarray(jp.trajectories, dtype=np.float64)[:, :, :h_max],
+                constant_velocity_baselines(scn.past[predicted], h_max,
+                                            scn.dt)[None]]),
                 truth, horizon_steps)
-            cv = constant_velocity_baselines(scn.past[predicted], h_max,
-                                             scn.dt)
-            cv_a, cv_f = _horizon_metrics(cv, truth, horizon_steps)
-        if not all(np.isfinite(e).all()
-                   for e in (model_a, model_f, cv_a, cv_f)):
+        if not (np.isfinite(a).all() and np.isfinite(f).all()):
             raise ValueError(f"scenario {scn.scenario_id!r}: an error is "
                              f"not finite")
-        rows = np.arange(len(predicted))
-        best = np.argmin(model_a[:, :, -1], axis=0)
+        n = len(predicted)
+        rows = np.arange(n)
+        best = np.argmin(a[:-1, :, -1], axis=0)
+        best_errors = np.stack([a[best, rows], f[best, rows]])
+        a_mean, f_mean = a.sum(axis=1) / n, f.sum(axis=1) / n
         ego = jp.agent_ids.index(scn.ego_id)
         report.scenes.append((subsets, np.array([
-            [[vals[ego] for vals in pair],
-             [vals.mean(axis=0) for vals in pair]]
-            for pair in ((model_a[k_sel], model_f[k_sel]),
-                         (model_a[best, rows], model_f[best, rows]),
-                         (cv_a, cv_f))])))
+            [[a[k_sel, ego], f[k_sel, ego]], [a_mean[k_sel], f_mean[k_sel]]],
+            [best_errors[:, ego], best_errors.sum(axis=1) / n],
+            [[a[-1, ego], f[-1, ego]], [a_mean[-1], f_mean[-1]]]])))
     return report

@@ -144,8 +144,9 @@ class JointDecoder(nn.Module):
         """((trajectories [K, N, T, 2], mode probabilities [B, K]), ctx)."""
         n = dec_in.shape[0]
         offsets, heads_ctx = self.heads.forward(dec_in)     # [K, N, 2T]
-        trajs = pos0[:, None, :] + np.cumsum(
-            offsets.reshape(self.n_modes, n, self.horizon, 2), axis=2)
+        trajs = np.cumsum(offsets.reshape(self.n_modes, n, self.horizon, 2),
+                          axis=2)
+        trajs += pos0[:, None, :]
         feat, pool_ctx = self.pool_mlp.forward(dec_in)
         # arg[b, j]: the row holding scene b's largest feature j
         arg = np.stack([feat[s].argmax(axis=0) + s.start for s in slices])

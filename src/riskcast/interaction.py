@@ -133,11 +133,12 @@ class SelfAttentionBlock(nn.Module):
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         h, ln1_ctx = self.ln1.forward(x)
-        att, mha_ctx = self.mha.forward(h, h, h)
-        y = x + att
+        y, mha_ctx = self.mha.forward(h, h, h)
+        y += x
         hy, ln2_ctx = self.ln2.forward(y)
         ff, ff_ctx = self.ff.forward(hy)
-        return y + ff, (ln1_ctx, mha_ctx, ln2_ctx, ff_ctx)
+        ff += y
+        return ff, (ln1_ctx, mha_ctx, ln2_ctx, ff_ctx)
 
     def backward(self, ctx: tuple, g: np.ndarray) -> np.ndarray:
         ln1_ctx, mha_ctx, ln2_ctx, ff_ctx = ctx

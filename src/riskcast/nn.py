@@ -17,6 +17,15 @@ gradients, and ``Module.zero_grad`` zeroes only the gradients that exist.
 buffers at its first step, as PyTorch creates optimizer state, and then
 steps in place through those buffers.
 
+A forward makes as few numpy passes as it can, in place where it can: a
+bias, a ReLU, a residual, a softmax's exponent and division and a mask
+write into the array just computed. The rule that keeps this safe: no
+in-place operation writes an array that a context holds. So an ``MLP``
+keeps only its layers' inputs, each written by the ReLU before the next
+layer keeps it, and its backward finds the ReLU's pass-through where that
+kept input is positive, which is where the pre-activation was. There is one
+forward per layer, for training and inference alike.
+
 Sibling layers of one shape that read the same input are stacked: their
 weights are one ``Parameter`` with a leading member axis, and they run as
 one batched matmul. ``Linear`` stacks when its weight is [M, in, out],
@@ -38,6 +47,7 @@ draw their weights, and it is the order a checkpoint stores them in.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -148,7 +158,9 @@ class Linear(Module):
         if x.ndim not in (2, self.W.value.ndim) or x.shape[-1] != self.in_dim:
             raise DimensionError(
                 f"{self.name}: expected input [*, {self.in_dim}], got {x.shape}")
-        return x @ self.W.value + self.b.value[..., None, :], x
+        y = x @ self.W.value
+        y += self.b.value[..., None, :]
+        return y, x
 
     def backward(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The input gradient; a stacked layer's is [M, N, in] (a shared
@@ -178,23 +190,25 @@ class MLP(Module):
                        for i, W in enumerate(weights)]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        """(output, ctx); the context lists each layer's context and the
-        ReLU mask after it (None after the last layer)."""
+        """(output, ctx); the context lists each layer's input. The ReLU
+        runs in place on a layer's output, before the next layer keeps it
+        as its input."""
         ctx = []
+        last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             x, lctx = layer.forward(x)
-            mask = None
-            if i < len(self.layers) - 1:
-                mask = x > 0.0
-                x = x * mask
-            ctx.append((lctx, mask))
+            ctx.append(lctx)
+            if i < last:
+                np.maximum(x, 0.0, out=x)
         return x, ctx
 
     def backward(self, ctx: list, g: np.ndarray) -> np.ndarray:
-        for layer, (lctx, mask) in zip(reversed(self.layers), reversed(ctx)):
-            if mask is not None:
-                g = g * mask
-            g = layer.backward(lctx, g)
+        """The ReLU after layer i passed where layer i + 1's input is
+        positive, which is where the pre-activation was."""
+        for i in reversed(range(len(self.layers))):
+            if i < len(self.layers) - 1:
+                g = g * (ctx[i + 1] > 0.0)
+            g = self.layers[i].backward(ctx[i], g)
         return g
 
 
@@ -211,11 +225,15 @@ class LayerNorm(Module):
         if x.shape[-1] != self.dim:
             raise DimensionError(
                 f"{self.name}: expected trailing dim {self.dim}, got {x.shape}")
-        xc = x - x.mean(axis=-1, keepdims=True)
+        n = x.shape[-1]
+        xhat = x - x.sum(axis=-1, keepdims=True) / n
         # the mean of the squared centered input is what x.var computes
-        inv = 1.0 / np.sqrt((xc ** 2).mean(axis=-1, keepdims=True) + self.eps)
-        xhat = xc * inv
-        return xhat * self.gamma.value + self.beta.value, (xhat, inv)
+        inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=-1, keepdims=True) / n
+                            + self.eps)
+        xhat *= inv
+        y = xhat * self.gamma.value
+        y += self.beta.value
+        return y, (xhat, inv)
 
     def backward(self, ctx: tuple, g: np.ndarray) -> np.ndarray:
         xhat, inv = ctx
@@ -231,7 +249,8 @@ class LSTM(Module):
     """LSTM over a [batch, time, features] sequence, returning the final
     hidden state; backward runs full BPTT, truncated nowhere. The gates are
     sigmoid input/forget/output gates and a tanh candidate, their blocks
-    stored in i, f, g, o order.
+    stored in i, f, g, o order. A step computes all four with one tanh, as
+    sigmoid(z) = 0.5 tanh(z / 2) + 0.5, within eps of ``sigmoid``.
 
     The input projection of every step is one matmul over the time-major
     sequence, so step t's slice is exactly ``seq[:, t] @ Wx``, and ``step``
@@ -262,12 +281,17 @@ class LSTM(Module):
             raise DimensionError(
                 f"{self.name}: got projected x {xw.shape}, h {h_prev.shape} "
                 f"for hidden={H}")
-        pre = xw + h_prev @ self.Wh.value + self.b.value
-        # one sigmoid over every block; the g block then takes its tanh
-        gates = sigmoid(pre)
-        np.tanh(pre[..., 2 * H:3 * H], out=gates[..., 2 * H:3 * H])
+        scale, shift = _gate_affine(H)
+        gates = h_prev @ self.Wh.value
+        gates += xw
+        gates += self.b.value
+        gates *= scale
+        np.tanh(gates, out=gates)
+        gates *= scale
+        gates += shift
         i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
-        c = f * c_prev + i * g
+        c = f * c_prev
+        c += i * g
         tc = np.tanh(c)
         h = o * tc
         return (h, c), (h_prev, c_prev, i, f, g, o, tc)
@@ -324,6 +348,17 @@ class LSTM(Module):
         return dx
 
 
+@functools.cache
+def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, shift) [4 * hidden] that turn one tanh into the LSTM's gates:
+    sigmoid(z) = 0.5 tanh(z / 2) + 0.5 on the i, f and o blocks, tanh(z)
+    itself on g. Read-only, since every LSTM of that size shares them."""
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden)
+    shift = np.repeat([0.5, 0.5, 0.0, 0.5], hidden)
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
+
+
 class MultiHeadAttention(Module):
     """Scaled dot-product attention with multiple heads and key masking.
 
@@ -334,6 +369,8 @@ class MultiHeadAttention(Module):
     The query, key and value projections are one [3, D, D] parameter,
     ``qkv.W``. Inputs that are one array are projected in one batched
     matmul: a self-attention's q, k and v, a cross attention's k and v.
+    The scores and the attended values are batched matmuls over the heads.
+    A mask that is None or all True builds no mask matrix.
     """
 
     def __init__(self, embed_dim: int, heads: int, rng: np.random.Generator,
@@ -362,9 +399,7 @@ class MultiHeadAttention(Module):
                     f"{self.name}: expected input [*, {self.embed_dim}], "
                     f"got {x.shape}")
         nq, nk = q.shape[0], k.shape[0]
-        if mask is None:
-            mask = np.ones((nq, nk), dtype=bool)
-        else:
+        if mask is not None:
             mask = np.asarray(mask, dtype=bool)
             if mask.ndim == 1:
                 mask = np.broadcast_to(mask, (nq, nk))
@@ -372,7 +407,11 @@ class MultiHeadAttention(Module):
                 raise DimensionError(
                     f"{self.name}: mask shape {mask.shape} does not match "
                     f"({nq}, {nk})")
-        if not mask.any(axis=1).all():
+            if mask.all():
+                mask = None
+            elif not mask.any(axis=1).all():
+                raise ValueError("empty attention context")
+        if nq and not nk:
             raise ValueError("empty attention context")
 
         # [lo, hi) ranges of q, k, v that share one input array
@@ -389,10 +428,12 @@ class MultiHeadAttention(Module):
         K = K.reshape(nk, heads, hd).transpose(1, 0, 2)
         V = (V + self.bv.value).reshape(nk, heads, hd).transpose(1, 0, 2)
 
-        scores = np.einsum("hid,hjd->hij", Q, K) / np.sqrt(hd)
-        scores = np.where(mask[None, :, :], scores, -np.inf)
+        scores = Q @ K.transpose(0, 2, 1)                  # [heads, nq, nk]
+        scores /= np.sqrt(hd)
+        if mask is not None:
+            scores[:, ~mask] = -np.inf
         weights = softmax(scores)
-        att = np.einsum("hij,hjd->hid", weights, V)
+        att = weights @ V                                  # [heads, nq, hd]
         att_flat = att.transpose(1, 0, 2).reshape(nq, self.embed_dim)
         out, o_ctx = self.Wo.forward(att_flat)
         return out, (inputs, spans, o_ctx, Q, K, V, weights)
@@ -405,14 +446,14 @@ class MultiHeadAttention(Module):
 
         datt_flat = self.Wo.backward(o_ctx, g)
         datt = datt_flat.reshape(nq, heads, hd).transpose(1, 0, 2)
-        dV = np.einsum("hij,hid->hjd", weights, datt)
-        dweights = np.einsum("hid,hjd->hij", datt, V)
+        dV = weights.transpose(0, 2, 1) @ datt
+        dweights = datt @ V.transpose(0, 2, 1)
         # per (head, query) row; masked weights are 0 so their score
         # gradient vanishes automatically
         dscores = softmax_backward(weights, dweights)
         dscores /= np.sqrt(hd)
-        dQ = np.einsum("hij,hjd->hid", dscores, K)
-        dK = np.einsum("hij,hid->hjd", dscores, Q)
+        dQ = dscores @ K
+        dK = dscores.transpose(0, 2, 1) @ Q
 
         dproj = (dQ.transpose(1, 0, 2).reshape(nq, -1),
                  dK.transpose(1, 0, 2).reshape(nk, -1),
@@ -443,9 +484,10 @@ def softmax(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("softmax of an empty tensor")
-    m = np.max(x, axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:

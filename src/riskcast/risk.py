@@ -13,10 +13,11 @@ the point nearest the ego's center on the scene's road boundaries (one
 point-to-all-segments op over [K, T, S], the segments of the scene's
 `RoadMap` of boundaries in polyline order) and two points out of reach
 (distance inf, offset 0). The kernel keeps the offsets from the body points
-to the ego's center, [K, R, T, 3, 2], and their lengths [K, R, T, 3]. A
-row's disc radius [R] is (width_victim + width_ego)/2, or half the ego
-width for the boundary, and its position uncertainty [R, T] is sqrt(2)
-sigma_t, both positions being uncertain, or sigma_t for the boundary.
+to the ego's center as x and y planes, [2, K, R, T, 3], and their lengths
+[K, R, T, 3]. A row's disc radius [R] is (width_victim + width_ego)/2, or
+half the ego width for the boundary, and its position uncertainty [R, T] is
+sqrt(2) sigma_t, both positions being uncertain, or sigma_t for the
+boundary.
 `disc_probability` gives the chance that an isotropic Gaussian of that
 uncertainty lands within the radius of a body point. The disc integral is
 the noncentral chi-square CDF (1 - Marcum Q_1), set to 0 where a Rayleigh
@@ -393,7 +394,7 @@ class RiskTerms:
     the probabilities only where they can set a risk."""
     victim_ids: list[str]      # [M]
     victims: np.ndarray        # [M] batch indices
-    offsets: np.ndarray        # [K, R, T, 3, 2] ego center minus body point
+    offsets: np.ndarray        # [2, K, R, T, 3] ego center minus body point
     dists: np.ndarray          # [K, R, T, 3] their lengths
     radii: np.ndarray          # [R] disc radius of each row
     sigma: np.ndarray          # [R, T] position uncertainty of each row
@@ -583,9 +584,9 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
 
     # the rows' body points: the victims', then the nearest boundary point
     # and two out of reach
-    offsets = np.zeros(shape + (3, 2))
+    offsets = np.zeros((2,) + shape + (3,))
     dists = np.full(shape + (3,), np.inf)
-    ox, oy = offsets[:, :m, ..., 0], offsets[:, :m, ..., 1]  # [K, M, T, 3]
+    ox, oy = offsets[:, :, :m]                                # [K, M, T, 3]
     cx, cy = px[:, victims], py[:, victims]                     # [K, M, T]
     half = 0.5 * batch.lengths[victims, None]
     hx, hy = half * cos_yaw[:, victims], half * sin_yaw[:, victims]
@@ -597,7 +598,8 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
     if len(boundaries):
         dists[:, m, :, 0], nearest = _clearance(batch.positions[:, ego],
                                                 boundaries)
-        offsets[:, m, :, 0] = batch.positions[:, ego] - nearest
+        offsets[:, :, m, :, 0] = np.moveaxis(batch.positions[:, ego]
+                                             - nearest, -1, 0)
     radii = np.append(0.5 * (batch.widths[victims] + batch.widths[ego]),
                       0.5 * batch.widths[ego])
     row_sigma = np.empty((m + 1, t_count))
@@ -804,8 +806,8 @@ def risk_loss_and_grad(trajs: np.ndarray, scn: Scenario, cfg: RiskConfig
     coincident = dists < 1e-9   # no direction to move along
     coef = dl[rows, None] * terms.harms[0, rows, t, None] * dp \
         / np.where(coincident, 1.0, dists)
-    g = (np.where(coincident, 0.0, coef)[..., None]
-         * terms.offsets[0, rows, t]).sum(axis=1)                 # [L, 2]
+    g = (np.where(coincident, 0.0, coef)
+         * terms.offsets[:, 0, rows, t]).sum(axis=-1).T            # [L, 2]
     np.add.at(grad, (ego_index, t), g)
     victim = rows < m
     np.add.at(grad, (terms.victims[rows[victim]], t[victim]), -g[victim])

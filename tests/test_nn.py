@@ -177,6 +177,41 @@ class TestStacked:
             lin.forward(np.zeros((5, 3)))
 
 
+class TestReLUAtZero:
+    """The ReLU passes no gradient where its pre-activation is exactly 0.0
+    or -0.0, as a mask of pre-activation > 0 does."""
+
+    @pytest.mark.parametrize("members", [None, 2],
+                             ids=["unstacked", "stacked"])
+    def test_no_gradient_through_a_zero_pre_activation(self, members):
+        rng = nn.seeded_rng(33)
+        mlp = nn.MLP([2, 4, 3], rng, members=members)
+        first = mlp.layers[0]
+        # proportional rows: units 0 and 1 cancel to exactly 0.0 on both
+        x = np.array([[1.0, 2.0], [3.0, 6.0]])
+        first.W.value[..., 0] = [2.0, -1.0]
+        first.W.value[..., 1] = [-4.0, 2.0]
+        first.b.value[...] = rng.normal(size=first.b.shape)
+        first.b.value[..., :2] = 0.0
+        g = rng.normal(size=((2,) if members else ()) + (2, 3))
+        out, ctx = mlp.forward(x)
+        pre = x @ first.W.value + first.b.value[..., None, :]
+        assert (pre[..., :2] == 0.0).all() and (pre[..., 2:] != 0.0).all()
+        # a -0.0 pre-activation leaves a signed zero in the kept input
+        ctx[1][..., 1] = -0.0
+        dx = mlp.backward(ctx, g)
+
+        second = mlp.layers[1]
+        dhidden = (g @ np.swapaxes(second.W.value, -1, -2)) * (pre > 0.0)
+        assert (dhidden[..., :2] == 0.0).all()
+        assert np.array_equal(dx, dhidden
+                              @ np.swapaxes(first.W.value, -1, -2))
+        assert np.array_equal(first.W.grad, np.swapaxes(x, -1, -2)
+                              @ dhidden)
+        assert (first.W.grad[..., :2] == 0.0).all()
+        assert (first.b.grad[..., :2] == 0.0).all()
+
+
 class TestLayerNorm:
     def test_rounds_as_the_var_formula(self):
         # the variance is the mean of the squared centered input, which is
@@ -300,6 +335,27 @@ class TestLSTM:
         for p, g in zip(lstm.params(), want):
             assert np.array_equal(p.grad, g), p.name
         assert peak < t * n * 4 * H * 8
+
+    def test_gates_are_the_sigmoid_of_their_pre_activations(self):
+        # the i, f and o gates come from one tanh over all four blocks,
+        # 0.5 tanh(z / 2) + 0.5, which is nn.sigmoid(z) to within eps
+        H = 64
+        lstm = nn.LSTM(3, H, nn.seeded_rng(0))
+        zero_params(lstm)
+        rng = nn.seeded_rng(34)
+        special = [800.0, -800.0, np.inf, -np.inf, 0.0, -0.0, np.nan]
+        z = np.concatenate([
+            rng.normal(scale=scale, size=H * 4 * 256)
+            for scale in (0.1, 1.0, 4.0, 40.0)]
+            + [np.repeat(special, 4 * H)]).reshape(-1, 4 * H)
+        zeros = np.zeros((len(z), H))
+        _, (_, _, i, f, g, o, _) = lstm.step(z, zeros, zeros)
+        for k, gate in ((0, i), (1, f), (3, o)):
+            want = nn.sigmoid(z[:, k * H:(k + 1) * H])
+            assert np.array_equal(np.isnan(gate), np.isnan(want))
+            finite = ~np.isnan(want)
+            assert np.abs(gate - want)[finite].max() <= np.finfo(float).eps
+        assert np.array_equal(g, np.tanh(z[:, 2 * H:3 * H]), equal_nan=True)
 
     def test_sequence_shape_mismatch(self):
         lstm = nn.LSTM(4, 3, nn.seeded_rng(0), name="hist")
@@ -428,6 +484,77 @@ class TestAttention:
             lm = float((mha.forward(q, k, v)[0] * r).sum())
             arr[idx] = orig
             assert grad[idx] == pytest.approx((lp - lm) / (2 * h), rel=1e-4)
+
+
+def einsum_mha(mha, q, k, v, mask, g):
+    """Output, input gradients and parameter gradients of `mha` written with
+    np.einsum products and an np.where mask over the [heads, nq, nk]
+    scores, the mask None meaning every key is visible."""
+    heads, hd = mha.heads, mha.head_dim
+    nq, nk = len(q), len(k)
+    W = mha.Wqkv.value
+    mask = np.ones((nq, nk), bool) if mask is None else \
+        np.broadcast_to(mask, (nq, nk))
+
+    def split(x):
+        return x.reshape(len(x), heads, hd).transpose(1, 0, 2)
+
+    def merge(x):
+        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+    Q, K, V = split(q @ W[0] + mha.bq.value), split(k @ W[1]), \
+        split(v @ W[2] + mha.bv.value)
+    scores = np.einsum("hid,hjd->hij", Q, K) / np.sqrt(hd)
+    weights = nn.softmax(np.where(mask, scores, -np.inf))
+    att = merge(np.einsum("hij,hjd->hid", weights, V))
+    out = att @ mha.Wo.W.value + mha.Wo.b.value
+
+    datt = split(g @ mha.Wo.W.value.T)
+    dV = np.einsum("hij,hid->hjd", weights, datt)
+    dweights = np.einsum("hid,hjd->hij", datt, V)
+    dscores = nn.softmax_backward(weights, dweights) / np.sqrt(hd)
+    dQ = merge(np.einsum("hij,hjd->hid", dscores, K))
+    dK = merge(np.einsum("hij,hid->hjd", dscores, Q))
+    dV = merge(dV)
+    grads = {"qkv.W": np.stack([q.T @ dQ, k.T @ dK, v.T @ dV]),
+             "q.b": dQ.sum(axis=0), "v.b": dV.sum(axis=0),
+             "o.W": att.T @ g, "o.b": g.sum(axis=0)}
+    return out, (dQ @ W[0].T, dK @ W[1].T, dV @ W[2].T), grads
+
+
+class TestAttentionProducts:
+    @pytest.mark.parametrize("kind", ["none", "all_true", "partial",
+                                      "flat"])
+    def test_matches_an_einsum_reference(self, kind):
+        rng = nn.seeded_rng(35)
+        mha = nn.MultiHeadAttention(8, 2, rng)
+        for p in mha.params():
+            p.value[...] = rng.normal(scale=0.5, size=p.shape)
+        q = rng.normal(size=(5, 8))
+        k = rng.normal(size=(6, 8))
+        v = rng.normal(size=(6, 8))
+        g = rng.normal(size=(5, 8))
+        mask = {"none": None, "all_true": np.ones((5, 6), bool),
+                "partial": rng.random((5, 6)) < 0.6,
+                "flat": np.array([True, False, True, True, False, True])
+                }[kind]
+        if kind == "partial":
+            mask[:, 0] = True
+        mha.zero_grad()
+        out, ctx = mha.forward(q, k, v, mask)
+        dx = mha.backward(ctx, g)
+        want_out, want_dx, want_grads = einsum_mha(mha, q, k, v, mask, g)
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-15 * max(
+                1.0, np.abs(want).max())
+
+        assert close(out, want_out)
+        for got, want in zip(dx, want_dx):
+            assert close(got, want)
+        for p in mha.params():
+            assert close(p.grad, want_grads[p.name.split(".", 1)[1]]), \
+                p.name
 
 
 # --------------------------------------------------------------------------
