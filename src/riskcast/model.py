@@ -132,20 +132,13 @@ class JointPredictor(nn.Module):
         cfg = self.cfg
         feats = [history_feature_matrix(local) for local in locals_]
         slices = _slices([len(f) for f in feats])
-        lengths = [f.shape[1] for f in feats]
-        h = np.empty((sum(len(f) for f in feats), cfg.embed_dim))
+        steps = np.concatenate([np.full(len(f), f.shape[1]) for f in feats])
+        h = np.empty((len(steps), cfg.embed_dim))
         hist_runs = []
-        for t in sorted(set(lengths)):
-            group = [b for b, n in enumerate(lengths) if n == t]
-            if len(group) == len(feats):    # one length: every row at once
-                rows = slice(None)
-            else:
-                rows = np.concatenate([np.arange(slices[b].start,
-                                                 slices[b].stop)
-                                       for b in group])
+        for t in np.unique(steps):
+            rows = np.flatnonzero(steps == t)
             h[rows], ctx = self.history.forward(
-                feats[group[0]] if len(group) == 1
-                else np.concatenate([feats[b] for b in group]))
+                np.concatenate([f for f in feats if f.shape[1] == t]))
             hist_runs.append((rows, ctx))
         base, aa_ctx = self.agent_agent.forward(
             h, [neighbor_mask(local, cfg.context_radius_m)

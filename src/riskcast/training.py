@@ -222,22 +222,6 @@ def _validate(model: JointPredictor, scenarios: list[Scenario]
     return float(np.mean(ades)), float(np.mean(fdes))
 
 
-def _link_final(out_dir: str) -> None:
-    """Make model_final.npz the last epoch's checkpoint.npz, byte for byte:
-    a hard link, or a copy where the filesystem has no links. A save
-    replaces checkpoint.npz with a new file and never rewrites it, so a
-    later run into `out_dir` leaves this run's final model as it is until
-    its own final link replaces it."""
-    last = os.path.join(out_dir, "checkpoint.npz")
-    final = os.path.join(out_dir, "model_final.npz")
-    if os.path.lexists(final):
-        os.remove(final)
-    try:
-        os.link(last, final)
-    except OSError:
-        shutil.copyfile(last, final)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def train(scenarios: list[Scenario], model_cfg: ModelConfig,
           cfg: TrainConfig, out_dir: str | None = None
@@ -320,6 +304,8 @@ def train(scenarios: list[Scenario], model_cfg: ModelConfig,
     report.final_val_ade = report.val_ade[-1]
     report.final_val_fde = report.val_fde[-1]
     if out_dir is not None:
-        _link_final(out_dir)
+        # the last epoch's checkpoint is the final model, byte for byte
+        shutil.copyfile(os.path.join(out_dir, "checkpoint.npz"),
+                        os.path.join(out_dir, "model_final.npz"))
         report.write_csv(os.path.join(out_dir, "train_log.csv"))
     return model, report

@@ -270,8 +270,8 @@ class TestTrainLoop:
 
     def test_a_second_run_keeps_the_first_final_model_until_its_own(
             self, tmp_path, monkeypatch):
-        # the final model is a link to the last checkpoint; the second
-        # run's saves replace checkpoint.npz and must not reach it
+        # the second run's checkpoint saves must not reach the first run's
+        # final model; only its own final copy replaces it
         data = tiny_dataset(3)
         cfg = TrainConfig(batch_size=3, epochs=2, stage1_epochs=1, seed=0,
                           split=(1.0, 0.0, 0.0))
@@ -293,21 +293,6 @@ class TestTrainLoop:
         assert final.read_bytes() == last != first
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "checkpoint.npz", "model_final.npz", "train_log.csv"]
-
-    def test_final_model_is_copied_where_links_fail(self, tmp_path,
-                                                    monkeypatch):
-        def no_link(src, dst):
-            raise OSError("links not supported")
-
-        monkeypatch.setattr("riskcast.training.os.link", no_link)
-        data = tiny_dataset(3)
-        cfg = TrainConfig(batch_size=3, epochs=1, stage1_epochs=1, seed=0,
-                          split=(1.0, 0.0, 0.0))
-        train(data, tiny_model_cfg(), cfg, out_dir=str(tmp_path))
-        final = tmp_path / "model_final.npz"
-        last = tmp_path / "checkpoint.npz"
-        assert final.read_bytes() == last.read_bytes()
-        assert not final.samefile(last)
 
 
     def test_scene_of_another_horizon_is_named_before_training(
