@@ -15,6 +15,8 @@ the same mode order, and the worst relative gap over the scenes, by norm
 (0 where the values are bit-identical), of
 
 - each tree's own model prediction,
+- the prediction each tree's `prediction_from_json` parses from the same
+  document: its trajectories, mode_probs, agent_ids and scenario_id,
 - every `RiskReport` field of every mode,
 - `risk_loss_and_grad` of every mode: its loss and its gradient,
 - a 3-epoch `train()` on the scenes, stage 2 from epoch 2: the
@@ -108,6 +110,10 @@ def compare(parent_src: str, change_src: str, agents=(3, 8, 16),
             with_truth_mode(jp, scn_a), []))
         jp_a, jp_b = (t.model.prediction_from_json(json.loads(doc))
                       for t in (a, b))
+        for name in ("trajectories", "mode_probs", "agent_ids",
+                     "scenario_id"):
+            note("parsed prediction", getattr(jp_b, name),
+                 getattr(jp_a, name))
         order_a, reports_a = a.risk.rank_trajectories(jp_a, scn_a)
         order_b, reports_b = b.risk.rank_trajectories(jp_b, scn_b)
         same_order += order_a == order_b

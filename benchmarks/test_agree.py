@@ -11,7 +11,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 def test_a_tree_agrees_with_itself_bit_for_bit():
     same, count, gaps = compare(SRC, SRC, agents=(3,), seeds=(0,))
     assert same == count == 5
-    assert {"prediction", "RiskReport.risks", "RiskReport.boundary",
-            "risk loss", "risk gradient", "train l_risk",
-            "train weights"} <= gaps.keys()
+    assert {"prediction", "parsed prediction", "RiskReport.risks",
+            "RiskReport.boundary", "risk loss", "risk gradient",
+            "train l_risk", "train weights"} <= gaps.keys()
     assert gaps == dict.fromkeys(gaps, 0.0)

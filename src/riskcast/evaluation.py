@@ -198,13 +198,14 @@ def evaluate(predict_fn: Callable[[Scenario], JointPrediction],
             raise ValueError(f"scenario {scn.scenario_id!r}: an error is "
                              f"not finite")
         n = len(predicted)
+        # each estimator's mode of each agent; one reduction of the errors
+        # [estimator, metric, agent, horizon] they pick gives every
+        # all-agent mean, so equal picks give equal means
+        modes = np.stack([np.full(n, k_sel), np.argmin(a[:-1, :, -1], axis=0),
+                          np.full(n, len(a) - 1)])
         rows = np.arange(n)
-        best = np.argmin(a[:-1, :, -1], axis=0)
-        best_errors = np.stack([a[best, rows], f[best, rows]])
-        a_mean, f_mean = a.sum(axis=1) / n, f.sum(axis=1) / n
+        per_agent = np.stack([a[modes, rows], f[modes, rows]], axis=1)
         ego = jp.agent_ids.index(scn.ego_id)
-        report.scenes.append((subsets, np.array([
-            [[a[k_sel, ego], f[k_sel, ego]], [a_mean[k_sel], f_mean[k_sel]]],
-            [best_errors[:, ego], best_errors.sum(axis=1) / n],
-            [[a[-1, ego], f[-1, ego]], [a_mean[-1], f_mean[-1]]]])))
+        report.scenes.append((subsets, np.stack(
+            [per_agent[:, :, ego], per_agent.sum(axis=2) / n], axis=1)))
     return report

@@ -53,7 +53,8 @@ from .interaction import (AgentAgentEncoder, AgentMapAttention,
                           HistoryEncoder, MapEncoder,
                           history_feature_matrix, map_feature_matrix,
                           map_visibility, neighbor_mask)
-from .scene import Scenario, local_frame, pose_frame
+from .scene import (_WAYPOINT_SCHEMA, Scenario, local_frame, pose_frame,
+                    walk)
 
 CHECKPOINT_FORMAT = "riskcast-checkpoint"
 CHECKPOINT_VERSION = 4
@@ -401,53 +402,53 @@ def prediction_to_json(jp: JointPrediction,
             "intentions": intentions}
 
 
-def _numbers(value) -> bool:
-    """Whether value is a JSON number, or an array of them at any depth; a
-    JSON number loads as an int or a float, never a bool or a string."""
-    if type(value) is list:
-        return all(map(_numbers, value))
-    return type(value) in (int, float)
-
-
-def _ragged(modes) -> tuple[int, str]:
-    """(k, agent id) of the first agent, mode by mode, whose points do not
-    form an array or form one of another shape than the first agent's."""
-    shapes = []
-    for m in modes:
-        for a in m["agents"]:
-            try:
-                shapes.append(np.shape(a["points"]))
-            except ValueError:
-                return m["k"], a["id"]
-            if shapes[-1] != shapes[0]:
-                return m["k"], a["id"]
-    raise AssertionError("the points form one array")
+# The prediction file format, as prediction_to_json writes it; other keys
+# (intentions, unpredicted) are ignored. prediction_from_json enforces it
+# by walking it.
+PREDICTION_SCHEMA = {
+    "type": "object",
+    "required": ["modes"],
+    "properties": {
+        "scenario_id": {"type": "string"},
+        "modes": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "required": ["k", "p", "agents"],
+                "properties": {
+                    "k": {"type": "integer"},
+                    "p": {"type": "number"},
+                    "agents": {
+                        "type": "array",
+                        "minItems": 1,
+                        "items": {
+                            "type": "object",
+                            "required": ["id", "points"],
+                            "properties": {
+                                "id": {"type": "string"},
+                                "points": {"type": "array", "minItems": 1,
+                                           "items": _WAYPOINT_SCHEMA},
+                            },
+                        },
+                    },
+                },
+            },
+        },
+    },
+}
 
 
 def prediction_from_json(doc) -> JointPrediction:
     """The prediction of a ``prediction_to_json`` document, modes in k
-    order. Raises ValueError on a malformed document: modes missing or
-    empty, a mode without an integer k, a p or a non-empty agents array,
-    repeated k, agent ids that repeat or differ between modes, points that
-    do not form one [K, N, T, 2] array of finite JSON numbers with T >= 1,
-    or a p that is not a finite JSON number."""
-    if not isinstance(doc, dict):
-        raise ValueError("a prediction must be a JSON object")
-    if not isinstance(doc.get("scenario_id", ""), str):
-        raise ValueError("scenario_id must be a string")
-    modes = doc.get("modes")
-    if not isinstance(modes, list) or not modes:
-        raise ValueError("'modes' must be a non-empty array")
-    for i, m in enumerate(modes):
-        if not (isinstance(m, dict) and type(m.get("k")) is int
-                and "p" in m and isinstance(m.get("agents"), list)
-                and m["agents"]
-                and all(isinstance(a, dict) and isinstance(a.get("id"), str)
-                        and "points" in a for a in m["agents"])):
-            raise ValueError(
-                f"modes[{i}] needs an integer k, a p and a non-empty agents "
-                f"array of objects with a string id and points")
-    modes = sorted(modes, key=lambda m: m["k"])
+    order. Raises ValueError on a malformed document: one that violates
+    ``PREDICTION_SCHEMA``, which ``scene.walk`` checks as it checks scene
+    files (the first violation at its JSON path, every number finite and
+    every k a JSON integer), repeated k, agent ids that repeat or differ
+    between modes, or points whose shape differs between agents or
+    modes."""
+    doc = walk(doc, PREDICTION_SCHEMA, "$")
+    modes = sorted(doc["modes"], key=lambda m: m["k"])
     ks = [m["k"] for m in modes]
     if len(set(ks)) != len(ks):
         raise ValueError(f"mode indices k repeat: {ks}")
@@ -459,31 +460,16 @@ def prediction_from_json(doc) -> JointPrediction:
             raise ValueError(f"mode k={m['k']} lists agents "
                              f"{[a['id'] for a in m['agents']]}, mode "
                              f"k={ks[0]} lists {agent_ids}")
-    points = [[a["points"] for a in m["agents"]] for m in modes]
-    mode_ps = [m["p"] for m in modes]
-    if not _numbers([points, mode_ps]):
-        raise ValueError("points and p must be numbers")
-    if any(type(p) is list for p in mode_ps):
-        raise ValueError(f"every p must be a finite number, got {mode_ps}")
-    try:
-        trajs = np.array(points, dtype=np.float64)
-        probs = np.array(mode_ps, dtype=np.float64)
-    except OverflowError as e:
-        raise ValueError(f"points and p must be numbers: {e}") from e
-    except ValueError:              # every entry is a number: ragged points
-        k, aid = _ragged(modes)
-        raise ValueError(f"points must form one [K, N, T, 2] array with "
-                         f"T >= 1, but the points of agent {aid!r} in mode "
-                         f"k={k} are ragged or differ in shape from the "
-                         f"first agent's") from None
-    if trajs.ndim != 4 or trajs.shape[2] < 1 or trajs.shape[3] != 2:
-        raise ValueError(f"points must form one [K, N, T, 2] array with "
-                         f"T >= 1, got shape {list(trajs.shape)}")
-    if not np.isfinite(trajs).all():
-        raise ValueError("non-finite trajectory point")
-    if not np.isfinite(probs).all():
-        raise ValueError(f"every p must be a finite number, got "
-                         f"{mode_ps}")
+    shape = modes[0]["agents"][0]["points"].shape
+    for m in modes:
+        for a in m["agents"]:
+            if a["points"].shape != shape:
+                raise ValueError(
+                    f"points must form one [K, N, T, 2] array, but the "
+                    f"points of agent {a['id']!r} in mode k={m['k']} "
+                    f"differ in shape from the first agent's")
+    trajs = np.array([[a["points"] for a in m["agents"]] for m in modes])
+    probs = np.array([m["p"] for m in modes], dtype=np.float64)
     return JointPrediction(trajs, probs, agent_ids,
                            doc.get("scenario_id", ""))
 

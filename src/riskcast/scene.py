@@ -42,6 +42,11 @@ come out of the walk as float64 arrays, from which the scene's arrays and
 ``RoadMap`` are built, and ``dump_scenario`` writes straight from those
 arrays. Kinematics and dimensions are stored as float64, so a load and dump
 writes an integral value such as ``3`` as ``3.0``.
+
+The same walker, ``walk``, checks prediction files:
+``model.prediction_from_json`` walks ``model.PREDICTION_SCHEMA``, whose
+points are arrays of waypoints, so both formats follow one rule for
+numbers, finiteness and error paths.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ import itertools
 import json
 import math
 import operator
-import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -84,7 +88,8 @@ AGENT_DIMS = {
 
 
 class ScenarioError(ValueError):
-    """Raised when a scenario document violates the schema or invariants."""
+    """Raised when a scenario document violates the schema or invariants;
+    ``walk`` raises it for a prediction document's schema violations too."""
 
 
 @dataclass
@@ -295,7 +300,15 @@ SCENARIO_SCHEMA = {
 _TYPES = {"object": ((dict,), "an object"), "array": ((list,), "an array"),
           "string": ((str,), "a string"), "integer": ((int,), "an integer"),
           "number": ((int, float), "a number")}
-_FLOAT_MAX = sys.float_info.max
+
+
+def _finite(number) -> bool:
+    """Whether a JSON number converts to a finite float, as numpy converts
+    it: an integer beyond the float range does not."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
 
 
 def _pair(waypoint) -> list:
@@ -323,7 +336,7 @@ def _describe(value) -> str:
     return repr(value)
 
 
-def _walk(value, schema: dict, path: str):
+def walk(value, schema: dict, path: str):
     """`value` checked against `schema` as a JSON Schema validator checks
     it, keyword by keyword in the schema's order; the first violation
     raises ScenarioError at its JSON path. Two rules are stricter than JSON
@@ -335,7 +348,7 @@ def _walk(value, schema: dict, path: str):
             types, what = _TYPES[arg]
             if type(value) not in types:
                 _fail(path, f"expected {what}, got {_describe(value)}")
-            if arg == "number" and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            if arg == "number" and not _finite(value):
                 beyond = " (beyond the float range)" \
                     if type(value) is int else ""
                 _fail(path, f"non-finite number {value!r}{beyond}")
@@ -344,7 +357,7 @@ def _walk(value, schema: dict, path: str):
                 if key not in value:
                     _fail(path, f"missing required property {key!r}")
         elif keyword == "properties":
-            value = value | {key: _walk(value[key], sub, f"{path}.{key}")
+            value = value | {key: walk(value[key], sub, f"{path}.{key}")
                              for key, sub in arg.items() if key in value}
         elif keyword == "items":
             value = _items(value, arg, path)
@@ -384,7 +397,7 @@ def _items(value: list, items: dict, path: str):
             kin = np.array(rows, dtype=np.float64)
             if np.isfinite(kin).all():
                 return kin
-    walked = [_walk(item, items, f"{path}[{i}]")
+    walked = [walk(item, items, f"{path}[{i}]")
               for i, item in enumerate(value)]
     if read is None:
         return walked
@@ -401,7 +414,7 @@ def load_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"invalid JSON: {e}") from e
-    doc = _walk(doc, SCENARIO_SCHEMA, "$")
+    doc = walk(doc, SCENARIO_SCHEMA, "$")
     H, T, ego_index = doc["H"], doc["T"], doc["ego_index"]
     agents = []
     for a in doc["agents"]:

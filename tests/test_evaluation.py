@@ -1,5 +1,6 @@
 """Displacement metric, baseline, and report-aggregation tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -294,3 +295,23 @@ class TestEvaluateMatchesPerCallLoop:
         best = report.mean("all", "model_best", "ego", "ade")
         assert best[0] == pytest.approx(0.0, abs=1e-12)
         assert best[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_selected_and_best_all_agent_errors_agree_when_one_mode_is_both():
+    # mode 0 is the selected mode (p 0.6) and, with mode 1 moved 5 m along
+    # x and y, every agent's best mode; both estimators must then report
+    # the same all-agent means, to the bit
+    templates = ("straight", "left_turn", "right_turn", "merge",
+                 "crossing_conflict")
+    for template, n, seed in itertools.product(templates, (3, 8, 16),
+                                               range(3)):
+        scn = generate_scenario(template, n, seed)
+        noise = np.random.default_rng(seed).normal(
+            scale=0.3, size=scn.future[:, :, :2].shape)
+        mode0 = scn.future[:, :, :2] + noise
+        jp = JointPrediction(np.stack([mode0, mode0 + 5.0]),
+                             np.array([0.6, 0.4]), scn.agent_ids.tolist(),
+                             scn.scenario_id)
+        errors = evaluate(lambda s: jp, [scn]).scenes[0][1]
+        # errors [estimator, scope, metric, horizon]
+        assert np.array_equal(errors[0, 1], errors[1, 1]), scn.scenario_id

@@ -632,32 +632,43 @@ class TestExport:
         assert np.array_equal(again.mode_probs, jp.mode_probs)
         assert again.agent_ids == jp.agent_ids
 
-    @pytest.mark.parametrize("p, points", [
-        ("1", [["1.5", True], [2, "3e0"]]),
-        (1, [[1.5, 2.0], ["2", 3.0]]),
-        (1, [[1.5, 2.0], [2.0, False]]),
-        (True, [[1.5, 2.0], [2.0, 3.0]]),
-        (1, [[1.5, 2.0], [2.0, 10 ** 400]]),
+    # the first fault of each document, at its JSON path
+    @pytest.mark.parametrize("p, points, fault", [
+        ("1", [["1.5", True], [2, "3e0"]],
+         r"\$\.modes\[0\]\.p: expected a number, got '1'"),
+        (1, [[1.5, 2.0], ["2", 3.0]],
+         r"\$\.modes\[0\]\.agents\[0\]\.points\[1\]\[0\]: expected a "
+         r"number, got '2'"),
+        (1, [[1.5, 2.0], [2.0, False]],
+         r"\$\.modes\[0\]\.agents\[0\]\.points\[1\]\[1\]: expected a "
+         r"number, got False"),
+        (True, [[1.5, 2.0], [2.0, 3.0]],
+         r"\$\.modes\[0\]\.p: expected a number, got True"),
+        (1, [[1.5, 2.0], [2.0, 10 ** 400]],
+         r"\$\.modes\[0\]\.agents\[0\]\.points\[1\]\[1\]: non-finite "
+         r"number .* \(beyond the float range\)"),
     ], ids=["strings_and_bool", "string_point", "bool_point", "bool_p",
             "int_beyond_float"])
-    def test_prediction_needs_json_numbers(self, p, points):
+    def test_prediction_needs_json_numbers(self, p, points, fault):
         doc = {"modes": [{"k": 0, "p": p,
                           "agents": [{"id": "a", "points": points}]}]}
-        with pytest.raises(ValueError, match="points and p must be numbers"):
+        with pytest.raises(ValueError, match=fault):
             prediction_from_json(doc)
 
     # one agent "a"; its points in each mode
-    @pytest.mark.parametrize("mode_points, k", [
-        ([[[1.5, 1], [2]]], 0),
-        ([[[1.5, 1], [2, 3]], [[1.5, 1]]], 1),
+    @pytest.mark.parametrize("mode_points, fault", [
+        ([[[1.5, 1], [2]]],
+         r"\$\.modes\[0\]\.agents\[0\]\.points\[1\]: needs at least 2 "
+         r"items, got 1"),
+        ([[[1.5, 1], [2, 3]], [[1.5, 1]]],
+         r"points must form one \[K, N, T, 2\] array.*agent 'a' in mode "
+         r"k=1"),
     ], ids=["short_point", "modes_differ_in_T"])
-    def test_ragged_points_are_a_shape_fault(self, mode_points, k):
+    def test_ragged_points_are_a_shape_fault(self, mode_points, fault):
         doc = {"modes": [{"k": i, "p": 1.0 / len(mode_points),
                           "agents": [{"id": "a", "points": points}]}
                          for i, points in enumerate(mode_points)]}
-        with pytest.raises(ValueError, match=(
-                rf"points must form one \[K, N, T, 2\] array.*agent 'a' in "
-                rf"mode k={k}")):
+        with pytest.raises(ValueError, match=fault):
             prediction_from_json(doc)
 
     def test_csv_rows(self, tiny_setup):

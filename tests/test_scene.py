@@ -98,7 +98,7 @@ class TestSerialization:
 
     def test_unhandled_schema_keyword_raises(self):
         with pytest.raises(NotImplementedError, match="maximum"):
-            scene._walk(3, {"type": "integer", "maximum": 2}, "$")
+            scene.walk(3, {"type": "integer", "maximum": 2}, "$")
 
 
 class TestGenerator:

@@ -27,8 +27,9 @@ REPLACEMENTS = [None, True, False, "hovercraft", 2, 2.0, 2.5, 0, -1, [], {},
                 math.nan, math.inf]
 
 
-def oracle_path(doc) -> str | None:
-    error = next(ORACLE.iter_errors(doc), None)
+def oracle_path(doc, oracle=ORACLE) -> str | None:
+    """The JSON path of the first error the oracle finds, or None."""
+    error = next(oracle.iter_errors(doc), None)
     if error is None:
         return None
     return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
@@ -52,23 +53,18 @@ def value_at(doc, path):
     return doc
 
 
-@st.composite
-def mutated_documents(draw):
-    """A generated scene with one mutation: a dropped key or item, a value
-    replaced, or an array one item short or long."""
-    scn = generate_scenario(draw(st.sampled_from(TEMPLATES)),
-                            draw(st.integers(1, 4)),
-                            draw(st.integers(0, 50)), H=2, T=3)
-    doc = json.loads(dump_scenario(scn))
-    # pick a schema position first, so that the many waypoints and states
-    # do not crowd out the top-level fields
+def mutate(draw, doc, replacements):
+    """doc with one mutation: a dropped key or item, a value replaced by a
+    copy of one of replacements, or an array one item short or long."""
+    # pick a schema position first, so that the many waypoints, states or
+    # points do not crowd out the top-level fields
     groups = defaultdict(list)
     for place in [("$", None, None)] + list(locations(doc)):
         groups[re.sub(r"\[\d+\]", "[]", place[0])].append(place)
     path, parent, key = draw(st.sampled_from(
         groups[draw(st.sampled_from(sorted(groups)))]))
     if parent is None:
-        return draw(st.sampled_from(REPLACEMENTS))
+        return draw(st.sampled_from(replacements))
     value = parent[key]
     ops = ["drop", "replace"] + (["short", "long"] if isinstance(value, list)
                                  and value else [])
@@ -76,12 +72,21 @@ def mutated_documents(draw):
     if op == "drop":
         del parent[key]
     elif op == "replace":
-        parent[key] = draw(st.sampled_from(REPLACEMENTS))
+        parent[key] = copy.deepcopy(draw(st.sampled_from(replacements)))
     elif op == "short":
         value.pop()
     else:
         value.append(copy.deepcopy(value[-1]))
     return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    """A generated scene with one mutation (`mutate`)."""
+    scn = generate_scenario(draw(st.sampled_from(TEMPLATES)),
+                            draw(st.integers(1, 4)),
+                            draw(st.integers(0, 50)), H=2, T=3)
+    return mutate(draw, json.loads(dump_scenario(scn)), REPLACEMENTS)
 
 
 def walk_error(doc) -> str | None:
