@@ -21,7 +21,9 @@ the same mode order, and the worst relative gap over the scenes, by norm
 - `risk_loss_and_grad` of every mode: its loss and its gradient,
 - a 3-epoch `train()` on the scenes, stage 2 from epoch 2: the
   reported per-epoch losses and ADE/FDE, and the final weights, per
-  parameter.
+  parameter,
+- the checkpoint the parent saves of its trained model, loaded by each
+  tree: the weights, per parameter, and the config.
 
 It exits 1 when an order differs or a gap exceeds RTOL.
 """
@@ -34,7 +36,9 @@ import importlib.util
 import itertools
 import json
 import math
+import os
 import sys
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -146,6 +150,15 @@ def compare(parent_src: str, change_src: str, agents=(3, 8, 16),
     for pa, pb in zip(model_a.params(), model_b.params(), strict=True):
         note("train weights", pb.value, pa.value)
         note("train weight names", pb.name, pa.name)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.npz")
+        model_a.save(path)
+        loaded_a, loaded_b = (t.model.JointPredictor.load(path)
+                              for t in (a, b))
+    for pa, pb in zip(loaded_a.params(), loaded_b.params(), strict=True):
+        note("loaded checkpoint", pb.value, pa.value)
+        note("loaded checkpoint", pb.name, pa.name)
+    note("loaded checkpoint", repr(loaded_b.cfg), repr(loaded_a.cfg))
     return same_order, len(texts), gaps
 
 

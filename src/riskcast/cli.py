@@ -117,7 +117,8 @@ def _prepare_out(args, cfg: dict) -> str:
     except OSError as e:           # a file on the way, a denied parent
         raise CliError(f"cannot create output directory {args.out}: "
                        f"{e.strerror}") from e
-    cfgmod.write_resolved(cfg, args.out)
+    _write_json(os.path.join(args.out, "resolved_config.json"), cfg,
+                indent=1, sort_keys=True)
     return args.out
 
 
@@ -232,8 +233,8 @@ def cmd_eval(args) -> int:
     report = _checked(f"cannot evaluate {args.model or args.predictions}",
                       evaluate, predict_fn, scenarios)
     out = _prepare_out(args, cfg)
-    path = os.path.join(out, "metrics.json")
-    _checked(f"cannot write {path}", report.write_json, path)
+    _write_json(os.path.join(out, "metrics.json"), report.to_json(),
+                indent=1, sort_keys=True)
     report.write_csv(os.path.join(out, "metrics.csv"))
     sel = report.mean("all", "model_selected", "ego", "ade")
     print(f"evaluated {len(scenarios)} scenarios; "

@@ -127,12 +127,6 @@ def resolve_config(config_file: str | None = None,
     return cfg
 
 
-def write_resolved(cfg: dict[str, object], out_dir: str) -> None:
-    path = os.path.join(out_dir, "resolved_config.json")
-    with open(path, "w") as f:
-        json.dump(cfg, f, indent=1, sort_keys=True, allow_nan=False)
-
-
 @contextmanager
 def keyed(keys: dict[str, str]):
     """Raise a ValueError whose message starts with "<field>:", for a field

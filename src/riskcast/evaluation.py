@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -116,16 +115,13 @@ class MetricsReport:
             w.writeheader()
             w.writerows(rows)
 
-    def write_json(self, path: str) -> None:
-        """The rows as strict JSON: a subset without a scene has null where
-        `rows()` has NaN, and any other NaN raises ValueError before the
-        file is opened."""
+    def to_json(self) -> dict:
+        """The rows as a JSON document; a subset without a scene has null
+        where `rows()` has NaN."""
         empty = dict.fromkeys((f"h{h}s" for h in self.horizons_s), None)
-        rows = [row if row["count"] else row | empty for row in self.rows()]
-        text = json.dumps({"horizons_s": self.horizons_s, "rows": rows},
-                          indent=1, sort_keys=True, allow_nan=False)
-        with open(path, "w") as f:
-            f.write(text)
+        return {"horizons_s": self.horizons_s,
+                "rows": [row if row["count"] else row | empty
+                         for row in self.rows()]}
 
 
 def _horizon_metrics(pred: np.ndarray, truth: np.ndarray,

@@ -31,14 +31,15 @@ one index entry: the decoder's ``dec.heads.0.W`` is the [K, 2D, 2D]
 first-layer weight of its K heads. ``save`` writes each parameter's memory
 straight into the zip entry and ``load`` reads it straight back, so neither
 copies the whole vector. The bytes depend only on the parameters and the
-config, and a round trip is bit-exact. Every malformed checkpoint, a file
-that is not a zip archive among them, raises ``ValueError``.
+config, and a round trip is bit-exact. ``load`` checks the format and the
+version, then walks the meta against ``CHECKPOINT_META_SCHEMA`` with
+``scene.walk`` before it builds the model. Every malformed checkpoint, a
+file that is not a zip archive among them, raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import zipfile
 from dataclasses import asdict, dataclass, fields, replace
@@ -53,14 +54,15 @@ from .interaction import (AgentAgentEncoder, AgentMapAttention,
                           HistoryEncoder, MapEncoder,
                           history_feature_matrix, map_feature_matrix,
                           map_visibility, neighbor_mask)
-from .scene import (_WAYPOINT_SCHEMA, Scenario, local_frame, pose_frame,
-                    walk)
+from .scene import (_WAYPOINT_SCHEMA, Scenario, _finite, local_frame,
+                    pose_frame, walk)
 
 CHECKPOINT_FORMAT = "riskcast-checkpoint"
 CHECKPOINT_VERSION = 4
 _META_KEY = "__meta__"
 _PARAMS_KEY = "params"
 _ZIP_MAGIC = b"PK\x03\x04"
+_JSON_TYPES = {int: "integer", float: "number"}
 
 
 @dataclass
@@ -81,7 +83,7 @@ class ModelConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             in_range = value >= 0 if f.name == "init_seed" else value > 0
-            if not (in_range and math.isfinite(value)):
+            if not (in_range and _finite(value)):
                 raise ValueError(f"{f.name}: {value!r} is out of range")
         if self.embed_dim % self.attention_heads:
             raise ValueError(f"embed_dim: {self.embed_dim} is not a multiple "
@@ -203,13 +205,11 @@ class JointPredictor(nn.Module):
             scn, has_future=np.zeros_like(scn.has_future)))
         frame = pose_frame(scn, scn.ego_id)
         res = self.forward([local])
-        k, n, t, _ = res.trajectories.shape
-        flat = res.trajectories.reshape(-1, 2)
-        global_trajs = frame.to_global(flat).reshape(k, n, t, 2)
-        jp = JointPrediction(global_trajs, res.mode_probs[0],
-                             local.agent_ids.tolist(), scn.scenario_id)
-        dists = [IntentionDistribution(res.lat_probs[i], res.lon_probs[i])
-                 for i in range(n)]
+        jp = JointPrediction(frame.to_global(res.trajectories),
+                             res.mode_probs[0], local.agent_ids.tolist(),
+                             scn.scenario_id)
+        dists = [IntentionDistribution(lat, lon)
+                 for lat, lon in zip(res.lat_probs, res.lon_probs)]
         return jp, dists
 
     # -- checkpointing -----------------------------------------------------
@@ -255,11 +255,35 @@ class JointPredictor(nn.Module):
             try:
                 with zipfile.ZipFile(f) as zf:
                     meta = _read_meta(zf, path)
-                    model = cls(_config_from_json(meta.get("config")))
-                    _read_params(zf, model.params(), meta.get("index"), path)
+                    model = cls(_config_from_json(meta["config"]))
+                    _read_params(zf, model.params(), meta["index"], path)
             except (zipfile.BadZipFile, EOFError, OSError) as e:
                 raise ValueError(f"corrupt checkpoint {path}: {e}") from e
         return model
+
+
+# The checkpoint meta as save writes it, bar the format and the version,
+# which _read_meta checks before it walks the rest.
+CHECKPOINT_META_SCHEMA = {
+    "type": "object",
+    "required": ["config", "index"],
+    "properties": {
+        "config": {
+            "type": "object",
+            "required": [f.name for f in fields(ModelConfig)],
+            "additionalProperties": False,
+            "properties": {f.name: {"type": _JSON_TYPES[type(f.default)]}
+                           for f in fields(ModelConfig)},
+        },
+        "index": {"type": "array", "items": {
+            "type": "array",
+            "prefixItems": [{"type": "string"},
+                            {"type": "array", "items": {"type": "integer"}}],
+            "minItems": 2,
+            "maxItems": 2,
+        }},
+    },
+}
 
 
 def _slices(sizes: list[int]) -> list[slice]:
@@ -269,7 +293,9 @@ def _slices(sizes: list[int]) -> list[slice]:
 
 
 def _read_meta(zf: zipfile.ZipFile, path: str) -> dict:
-    """The meta of a version-4 checkpoint."""
+    """The meta of a version-4 checkpoint, walked against
+    CHECKPOINT_META_SCHEMA; a violation raises ScenarioError at its JSON
+    path."""
     if f"{_META_KEY}.npy" not in zf.namelist():
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     try:
@@ -285,18 +311,14 @@ def _read_meta(zf: zipfile.ZipFile, path: str) -> dict:
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version "
                          f"{meta.get('version')!r}: {path}")
-    return meta
+    return walk(meta, CHECKPOINT_META_SCHEMA, "$")
 
 
 def _read_params(zf: zipfile.ZipFile, params: list[nn.Parameter], index,
                  path: str) -> None:
-    """Check the index against `params`, then read the params vector into
-    them, one parameter's bytes at a time."""
-    try:
-        shapes = {name: tuple(shape) for name, shape in index}
-    except (TypeError, ValueError):
-        raise ValueError(f"checkpoint index is not a list of [name, shape] "
-                         f"pairs: {path}") from None
+    """Check the walked index against `params`, then read the params
+    vector into them, one parameter's bytes at a time."""
+    shapes = {name: tuple(shape) for name, shape in index}
     for p in params:
         if p.name not in shapes:
             raise ValueError(f"checkpoint missing tensor {p.name!r}")
@@ -312,7 +334,12 @@ def _read_params(zf: zipfile.ZipFile, params: list[nn.Parameter], index,
         raise ValueError(f"checkpoint missing tensor {_PARAMS_KEY!r}")
     total = sum(p.value.size for p in params)
     with zf.open(f"{_PARAMS_KEY}.npy") as f:
-        shape, dtype = _npy_header(f, path)
+        try:   # save writes npy 1.0
+            if np.lib.format.read_magic(f) != (1, 0):
+                raise ValueError("unsupported npy format version")
+            shape, _, dtype = np.lib.format.read_array_header_1_0(f)
+        except ValueError as e:
+            raise ValueError(f"corrupt checkpoint {path}: {e}") from e
         if dtype != np.float64:
             raise ValueError(f"tensor {_PARAMS_KEY!r}: dtype {dtype}, "
                              f"expected float64")
@@ -333,42 +360,12 @@ def _read_params(zf: zipfile.ZipFile, params: list[nn.Parameter], index,
             raise ValueError(f"tensor {p.name!r}: non-finite values")
 
 
-def _npy_header(f, path: str) -> tuple[tuple[int, ...], np.dtype]:
-    """Shape and dtype from the header of an npy stream."""
-    fmt = np.lib.format
+def _config_from_json(obj: dict) -> ModelConfig:
+    """The ModelConfig of a walked checkpoint config, an integer in a float
+    field made a float."""
     try:
-        read = {(1, 0): fmt.read_array_header_1_0,
-                (2, 0): fmt.read_array_header_2_0}.get(fmt.read_magic(f))
-        if read is None:
-            raise ValueError("unsupported npy format version")
-        shape, _, dtype = read(f)
-    except ValueError as e:
-        raise ValueError(f"corrupt checkpoint {path}: {e}") from e
-    return shape, dtype
-
-
-def _config_from_json(obj) -> ModelConfig:
-    """A ModelConfig from a checkpoint's config object: every field and no
-    other, integer fields as JSON integers, float fields finite, and the
-    values in the ranges ModelConfig checks."""
-    if not isinstance(obj, dict):
-        raise ValueError("checkpoint config is not an object")
-    names = {f.name: type(f.default) for f in fields(ModelConfig)}
-    missing = sorted(set(names) - set(obj))
-    unknown = sorted(set(obj) - set(names))
-    if missing or unknown:
-        raise ValueError(f"checkpoint config: missing keys {missing}, "
-                         f"unknown keys {unknown}")
-    values = {}
-    for name, value in obj.items():
-        want = names[name]
-        if not (type(value) is int or (want is float and type(value) is float
-                                       and math.isfinite(value))):
-            raise ValueError(f"checkpoint config {name}: {value!r} is not "
-                             f"a finite {want.__name__}")
-        values[name] = want(value)
-    try:
-        return ModelConfig(**values)
+        return ModelConfig(**{f.name: type(f.default)(obj[f.name])
+                              for f in fields(ModelConfig)})
     except ValueError as e:
         raise ValueError(f"checkpoint config {e}") from e
 

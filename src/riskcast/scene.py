@@ -43,9 +43,10 @@ come out of the walk as float64 arrays, from which the scene's arrays and
 arrays. Kinematics and dimensions are stored as float64, so a load and dump
 writes an integral value such as ``3`` as ``3.0``.
 
-The same walker, ``walk``, checks prediction files:
+The same walker, ``walk``, checks prediction files and checkpoint metas:
 ``model.prediction_from_json`` walks ``model.PREDICTION_SCHEMA``, whose
-points are arrays of waypoints, so both formats follow one rule for
+points are arrays of waypoints, and ``JointPredictor.load`` walks
+``model.CHECKPOINT_META_SCHEMA``, so the three formats follow one rule for
 numbers, finiteness and error paths.
 """
 
@@ -89,7 +90,8 @@ AGENT_DIMS = {
 
 class ScenarioError(ValueError):
     """Raised when a scenario document violates the schema or invariants;
-    ``walk`` raises it for a prediction document's schema violations too."""
+    ``walk`` raises it for the schema violations of a prediction document
+    and of a checkpoint meta too."""
 
 
 @dataclass
@@ -340,9 +342,10 @@ def walk(value, schema: dict, path: str):
     """`value` checked against `schema` as a JSON Schema validator checks
     it, keyword by keyword in the schema's order; the first violation
     raises ScenarioError at its JSON path. Two rules are stricter than JSON
-    Schema: a number must be finite, and an integer a JSON integer. Returns
-    the value with every array of rows (states, waypoints) as a float64
-    array."""
+    Schema: a number must be finite, and an integer a JSON integer.
+    additionalProperties may only be false, and items applies to every item,
+    so no schema pairs it with prefixItems. Returns the value with every
+    array of rows (states, waypoints) as a float64 array."""
     for keyword, arg in schema.items():
         if keyword == "type":
             types, what = _TYPES[arg]
@@ -359,6 +362,13 @@ def walk(value, schema: dict, path: str):
         elif keyword == "properties":
             value = value | {key: walk(value[key], sub, f"{path}.{key}")
                              for key, sub in arg.items() if key in value}
+        elif keyword == "additionalProperties" and arg is False:
+            extra = set(value) - set(schema.get("properties", ()))
+            if extra:
+                _fail(path, f"unexpected properties {sorted(extra)}")
+        elif keyword == "prefixItems":
+            value = [walk(item, sub, f"{path}[{i}]") for i, (item, sub)
+                     in enumerate(zip(value, arg))] + value[len(arg):]
         elif keyword == "items":
             value = _items(value, arg, path)
         elif keyword == "minItems":
@@ -716,11 +726,6 @@ def generate_scenario(template: str, n_agents: int, seed: int,
         for k in range(1, n_agents):
             specs.append(lane_neighbor(k))
         s_end = v0 * (H + T) * dt + 0.5 * abs(accel) * total_time ** 2
-        polys += _sample_polyline(ego_path, -5.0, s_end + 8.0, "lane_center")
-        for side in (-1.0, 1.0):
-            polys += _sample_polyline(ego_path, -5.0, s_end + 8.0,
-                                      "road_boundary",
-                                      offset=side * ROAD_HALF_WIDTH)
         for spec in specs[1:]:
             if spec.agent_class in ("car", "truck"):
                 polys += _sample_polyline(
@@ -754,17 +759,19 @@ def generate_scenario(template: str, n_agents: int, seed: int,
             specs.append(lane_neighbor(k))
 
         s_end = v_e * (t_star + 2.0 + H * dt)
-        polys += _sample_polyline(ego_path, -5.0, s_end + 8.0, "lane_center")
-        for side in (-1.0, 1.0):
-            polys += _sample_polyline(ego_path, -5.0, s_end + 8.0,
-                                      "road_boundary",
-                                      offset=side * ROAD_HALF_WIDTH)
         polys += _sample_polyline(cross_path, -5.0,
                                   v_c * (t_star + 2.0 + H * dt) + 8.0,
                                   "lane_center")
         polys.append((np.array([[x_ped, -4.5], [x_ped, 0.0], [x_ped, 4.5]]),
                       "crosswalk"))
 
+    # the ego's lane centre and the road boundaries come first in the map
+    ego_polys = _sample_polyline(ego_path, -5.0, s_end + 8.0, "lane_center")
+    for side in (-1.0, 1.0):
+        ego_polys += _sample_polyline(ego_path, -5.0, s_end + 8.0,
+                                      "road_boundary",
+                                      offset=side * ROAD_HALF_WIDTH)
+    polys = ego_polys + polys
     agents = [_roll_agent(spec, H, T, dt, rng, jitter) for spec in specs]
     scn = Scenario(*_agent_arrays(agents, T), RoadMap.padded(*zip(*polys)),
                    dt, ego_index=0, scenario_id=f"{template}-{seed}",

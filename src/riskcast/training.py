@@ -4,8 +4,9 @@ Stage 1 (the first stage1_epochs epochs) optimizes the trajectory loss plus
 the weighted intention loss; stage 2 adds the risk cost with weight (1 - tau).
 A winner-take-all cross-entropy on the mode probabilities (toward the mode
 closest to the ground truth) is optimized alongside so that the mode
-probabilities are informative; it is reported separately from the staged
-total.
+probabilities are informative. Only its gradient, weighted by
+mode_loss_weight, enters the backward pass: the staged total leaves it out
+and no report field holds it.
 
 A minibatch runs as one forward and one backward: its scenes go through
 ``JointPredictor.forward`` together, as one disjoint union of their agents,

@@ -365,6 +365,19 @@ class TestBadConfigValues:
         assert code == 1
         assert key in capsys.readouterr().err
 
+    def test_an_integer_beyond_the_float_range_exits_1(self, tmp_path,
+                                                       capsys, tiny_data):
+        # no float holds 400 nines, and the range check says so
+        out = tmp_path / "o"
+        code = main(["train", "--data", str(tiny_data), "--out", str(out),
+                     "--set", f"model.embed_dim={'9' * 400}"])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: invalid config: model.embed_dim: "
+                                   "999")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["2.7", "true", "NaN", "Infinity",
                                        '"3"'])
     def test_config_file_values_are_strict(self, tmp_path, capsys, value):

@@ -1,6 +1,7 @@
 """Displacement metric, baseline, and report-aggregation tests."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -193,7 +194,12 @@ class TestEvaluate:
         report.write_csv(str(path))
         header = path.read_text().splitlines()[0]
         assert header.startswith("subset,estimator,scope,metric,count,h1s")
-        report.write_json(str(tmp_path / "metrics.json"))
+        doc = report.to_json()
+        assert doc["horizons_s"] == report.horizons_s
+        # the subsets without a scene are null, so the document is strict
+        assert json.loads(json.dumps(doc, allow_nan=False))["rows"] == [
+            row if row["count"] else row | dict.fromkeys(
+                [f"h{h}s" for h in report.horizons_s]) for row in rows]
 
     def test_cv_baseline_reported(self):
         scns = [generate_scenario("left_turn", 1, s) for s in range(2)]

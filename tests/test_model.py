@@ -1,6 +1,7 @@
 """End-to-end model tests: full-network gradient check, checkpoint
 round-trips, prediction determinism, and export formats."""
 
+import io
 import json
 import os
 import zipfile
@@ -16,7 +17,7 @@ from riskcast.interaction import history_feature_matrix, neighbor_mask
 from riskcast.model import (JointPredictor, ModelConfig, prediction_from_json,
                             prediction_to_csv_rows, prediction_to_json)
 from riskcast.risk import rank_trajectories
-from riskcast.scene import RoadMap, generate_scenario
+from riskcast.scene import RoadMap, ScenarioError, generate_scenario
 from riskcast.training import (TrainConfig, _TrainScene, _truth_matrix,
                                _union_losses, intention_loss, prediction_loss)
 
@@ -331,6 +332,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="^embed_dim:"):
             ModelConfig(embed_dim=30, attention_heads=4)
 
+    @pytest.mark.parametrize("field", ["embed_dim", "context_radius_m"])
+    def test_an_integer_beyond_the_float_range_is_out_of_range(self, field):
+        with pytest.raises(ValueError, match=f"^{field}: 1000"):
+            ModelConfig(**{field: 10 ** 400})
+
     def test_seed_zero_accepted(self):
         assert ModelConfig(init_seed=0).init_seed == 0
 
@@ -522,7 +528,53 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.npz"
         model.save(str(path))
         rewrite_npz(path, lambda meta, arrays: meta.update(index=index))
-        with pytest.raises(ValueError, match="index is not a list"):
+        with pytest.raises(ScenarioError,
+                           match=r"^schema violation at \$\.index"):
+            JointPredictor.load(str(path))
+
+    # the integer field passes the walk and fails ModelConfig's range; the
+    # float field fails the walk, as a number no float holds
+    @pytest.mark.parametrize("field, fault", [
+        ("embed_dim", "^checkpoint config embed_dim: 1000"),
+        ("context_radius_m", r"^schema violation at \$\.config\."
+                             r"context_radius_m: non-finite number")])
+    def test_rejects_a_config_integer_beyond_the_float_range(
+            self, tmp_path, tiny_setup, field, fault):
+        model, _, _ = tiny_setup
+        path = tmp_path / "ckpt.npz"
+        model.save(str(path))
+        rewrite_npz(path, lambda meta, arrays: meta["config"].update(
+            {field: 10 ** 400}))
+        with pytest.raises(ValueError, match=fault):
+            JointPredictor.load(str(path))
+
+    def test_rejects_an_index_dimension_given_as_a_float(self, tmp_path,
+                                                         tiny_setup):
+        model, _, _ = tiny_setup
+        path = tmp_path / "ckpt.npz"
+        model.save(str(path))
+        first = model.params()[0]
+        rewrite_npz(path, lambda meta, arrays: set_shape(
+            meta, first.name, [float(d) for d in first.shape]))
+        with pytest.raises(ScenarioError, match=(
+                r"^schema violation at \$\.index\[0\]\[1\]\[0\]: "
+                r"expected an integer, got 14\.0")):
+            JointPredictor.load(str(path))
+
+    def test_rejects_an_npy_2_params_entry(self, tmp_path, tiny_setup):
+        # save writes npy 1.0; the same vector under a 2.0 header is refused
+        model, _, _ = tiny_setup
+        path = tmp_path / "ckpt.npz"
+        model.save(str(path))
+        with zipfile.ZipFile(path) as zf:
+            meta = zf.read("__meta__.npy")
+            vector = np.load(io.BytesIO(zf.read("params.npy")))
+        data = io.BytesIO()
+        np.lib.format.write_array(data, vector, version=(2, 0))
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("__meta__.npy", meta)
+            zf.writestr("params.npy", data.getvalue())
+        with pytest.raises(ValueError, match="unsupported npy format version"):
             JointPredictor.load(str(path))
 
     def test_saves_to_exactly_the_path_deterministically(self, tmp_path,

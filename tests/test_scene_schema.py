@@ -64,7 +64,7 @@ def mutate(draw, doc, replacements):
     path, parent, key = draw(st.sampled_from(
         groups[draw(st.sampled_from(sorted(groups)))]))
     if parent is None:
-        return draw(st.sampled_from(replacements))
+        return copy.deepcopy(draw(st.sampled_from(replacements)))
     value = parent[key]
     ops = ["drop", "replace"] + (["short", "long"] if isinstance(value, list)
                                  and value else [])
