@@ -18,6 +18,10 @@ each side making the case's fixed number of calls. The cases are
 - ``train stage1|stage2``: a perfbench-sized `train()` call, six scenes of
   the five templates with N from 3 to 8, one epoch in that stage, with its
   checkpoint writes;
+- ``minibatch stage1|stage2``: one `training._union_losses` call (forward,
+  losses and backward) over the 32-scene minibatch of
+  ``test_model_bench.test_minibatch_union``, the five templates in turn
+  with N from 3 to 8, in that stage;
 - ``speed``: `perfbench.speed.reading`, which uses nothing from riskcast,
   so its ratio shows the machine's own swing between the sides.
 
@@ -66,6 +70,15 @@ def cases(tree, texts: dict, out_dir: str) -> dict:
                                         seed=0)
         out[f"train {name}"] = (3, lambda cfg=cfg: tree.training.train(
             trains, tree.model.ModelConfig(), cfg, out_dir=out_dir))
+    union = [tree.training._TrainScene.of(model.prepare(load(t)))
+             for t in texts["minibatch"]]
+    for name, epoch in (("stage1", 1), ("stage2", 2)):
+        cfg = tree.training.TrainConfig(epochs=2, stage1_epochs=1)
+
+        def step(epoch=epoch, cfg=cfg):
+            model.zero_grad()
+            return tree.training._union_losses(model, union, epoch, cfg)
+        out[f"minibatch {name}"] = (2, step)
     out["speed"] = (16, speed.reading)
     return out
 
@@ -80,6 +93,8 @@ def scene_texts(tree) -> dict:
         "plan": {n: dump(gen("merge", n, seed=3)) for n in (3, 8, 16)},
         "train": [dump(gen(templates[i % len(templates)], 3 + i % 6,
                            seed=i)) for i in range(6)],
+        "minibatch": [dump(gen(templates[i % len(templates)], 3 + i % 6,
+                               seed=i)) for i in range(32)],
     }
 
 

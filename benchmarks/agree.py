@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import inspect
 import itertools
 import json
 import math
@@ -89,6 +90,16 @@ def with_truth_mode(jp, scn):
             jp.mode_probs, 0.5) / 1.5)
 
 
+def risk_loss(tree, trajs, k, scn):
+    """`risk_loss_and_grad` of mode k of the scene, by the tree's
+    signature: one mode of one scene, or a union's modes and scenes."""
+    fn, cfg = tree.risk.risk_loss_and_grad, tree.risk.RiskConfig()
+    if "modes" not in inspect.signature(fn).parameters:
+        return fn(trajs[k], scn, cfg)
+    losses, grad = fn(trajs, [scn], np.array([k]), cfg)
+    return losses[0], grad
+
+
 def compare(parent_src: str, change_src: str, agents=(3, 8, 16),
             seeds=(0, 1, 2)) -> tuple[int, int, dict[str, float]]:
     """(scenes ranked in the same order, scenes, worst gap by quantity) of
@@ -128,10 +139,8 @@ def compare(parent_src: str, change_src: str, agents=(3, 8, 16),
         pred_a, pred_b = (s.take(s.prediction_rows(jp_a.agent_ids))
                           for s in (scn_a, scn_b))
         for k in range(len(jp_a.mode_probs)):
-            loss_a, grad_a = a.risk.risk_loss_and_grad(
-                jp_a.trajectories[k], pred_a, a.risk.RiskConfig())
-            loss_b, grad_b = b.risk.risk_loss_and_grad(
-                jp_b.trajectories[k], pred_b, b.risk.RiskConfig())
+            loss_a, grad_a = risk_loss(a, jp_a.trajectories, k, pred_a)
+            loss_b, grad_b = risk_loss(b, jp_b.trajectories, k, pred_b)
             note("risk loss", loss_b, loss_a)
             note("risk gradient", grad_b, grad_a)
 

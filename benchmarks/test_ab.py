@@ -13,7 +13,7 @@ def test_a_tree_against_itself_reports_every_case():
     rows = compare(SRC, SRC, rounds=1)
     assert set(rows) == {"evaluate", "predict+rank N3", "predict+rank N8",
                          "predict+rank N16", "train stage1", "train stage2",
-                         "speed"}
+                         "minibatch stage1", "minibatch stage2", "speed"}
     for row in rows.values():
         assert math.isfinite(row["ratio"]) and row["ratio"] > 0.0
         assert row["q1"] <= row["ratio"] <= row["q3"]

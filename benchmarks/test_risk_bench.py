@@ -13,6 +13,7 @@ on. Run the parent and the change in alternation on the same machine and
 compare per-case medians.
 """
 
+import numpy as np
 import pytest
 
 from riskcast import risk
@@ -48,19 +49,19 @@ def test_rank_trajectories(benchmark, planned):
 
 def test_risk_kernel(benchmark, planned):
     scn, jp, predicted = planned
-    batch = batch_from_prediction(predicted, jp.trajectories)
-    terms = benchmark(risk_kernel, batch, predicted.ego_index,
-                      _road_boundaries(scn), RiskConfig())
+    batch = batch_from_prediction([predicted], jp.trajectories)
+    terms = benchmark(risk_kernel, batch, [predicted.ego_index],
+                      [_road_boundaries(scn)], RiskConfig())
     # a row per victim and one for the road boundary
     assert terms.risks.shape == (len(jp.mode_probs), len(jp.agent_ids))
 
 
 def test_risk_loss_and_grad(benchmark, planned):
     _, jp, predicted = planned
-    trajs = jp.trajectories[select_mode(jp)]
-    loss, grad = benchmark(risk_loss_and_grad, trajs, predicted,
-                           RiskConfig())
-    assert grad.shape == trajs.shape
+    modes = np.array([select_mode(jp)])
+    losses, grad = benchmark(risk_loss_and_grad, jp.trajectories,
+                             [predicted], modes, RiskConfig())
+    assert grad.shape == jp.trajectories.shape[1:]
 
 
 @pytest.mark.parametrize("n", (8, 16), ids=lambda n: f"N{n}")

@@ -45,5 +45,5 @@ def test_history_feature_matrix(benchmark, scene):
 def test_label_indices(benchmark, scene):
     # every agent future of the local frame, as a training scene labels it
     local = local_frame(scene, scene.ego_id)
-    labels = benchmark(lambda: [label_indices(f) for f in local.future])
-    assert len(labels) == len(local.agent_ids)
+    labels = benchmark(label_indices, local.future)
+    assert labels.shape == (len(local.agent_ids), 2)

@@ -30,6 +30,7 @@ LONGITUDINAL_CLASSES = ("ACC", "CON", "DEC")
 
 YAW_CHANGE_THRESHOLD = 0.26   # rad over the future horizon (about 15 deg)
 SPEED_CHANGE_THRESHOLD = 1.0  # m/s over the future horizon
+_THRESHOLDS = np.array([YAW_CHANGE_THRESHOLD, SPEED_CHANGE_THRESHOLD])
 
 
 @dataclass
@@ -180,38 +181,43 @@ def select_mode(jp: JointPrediction) -> int:
 
 
 def label_intentions(future: np.ndarray) -> tuple[str, str]:
-    """Derive (lateral, longitudinal) labels from a ground-truth future
-    [T, 5] of (x, y, yaw, vx, vy) rows.
+    """(lateral, longitudinal) labels of one ground-truth future [T, 5] of
+    (x, y, yaw, vx, vy) rows, by the rule of `label_indices`."""
+    future = np.asarray(future, dtype=np.float64)
+    if len(future) == 0:
+        raise ValueError("cannot label an empty future")
+    lateral, longitudinal = label_indices(future[None])[0]
+    return LATERAL_CLASSES[lateral], LONGITUDINAL_CLASSES[longitudinal]
+
+
+def label_indices(futures: np.ndarray) -> np.ndarray:
+    """[N, 2] (lateral, longitudinal) class indices of N ground-truth
+    futures [N, T, 5], in one pass over the agents.
 
     Lateral uses the net yaw change accumulated over the horizon;
     longitudinal uses the speed change between the start and the end,
     each averaged over a fifth of the horizon to suppress jitter. Both are
-    sums in step order.
+    sums in step order, the last elements of cumsums.
     """
-    future = np.asarray(future, dtype=np.float64)
-    if len(future) == 0:
+    futures = np.asarray(futures, dtype=np.float64)
+    n, steps = futures.shape[:2]
+    if steps == 0:
         raise ValueError("cannot label an empty future")
-    with np.errstate(over="ignore"):   # a speed past 1.3e154 m/s is inf
-        speeds = norm2(future[:, 3:5]).tolist()
-    turns = np.cumsum(wrap_angle(np.diff(future[:, 2])))
-    net_yaw = turns[-1] if len(turns) else 0.0
-    if net_yaw > YAW_CHANGE_THRESHOLD:
-        lateral = "LT"
-    elif net_yaw < -YAW_CHANGE_THRESHOLD:
-        lateral = "RT"
-    else:
-        lateral = "ST"
-    w = max(len(future) // 5, 1)
-    dv = sum(speeds[-w:]) / w - sum(speeds[:w]) / w
-    if dv > SPEED_CHANGE_THRESHOLD:
-        longitudinal = "ACC"
-    elif dv < -SPEED_CHANGE_THRESHOLD:
-        longitudinal = "DEC"
-    else:
-        longitudinal = "CON"
-    return lateral, longitudinal
-
-
-def label_indices(future: np.ndarray) -> tuple[int, int]:
-    la, lo = label_intentions(future)
-    return LATERAL_CLASSES.index(la), LONGITUDINAL_CLASSES.index(lo)
+    change = np.zeros((n, 2))             # net yaw change, speed change
+    if steps > 1:
+        yaw = futures[..., 2]
+        change[:, 0] = wrap_angle(yaw[:, 1:] - yaw[:, :-1]).cumsum(
+            axis=1)[:, -1]
+    w = max(steps // 5, 1)
+    # a speed past 1.3e154 m/s is inf, and a change of inf speeds NaN, as
+    # Python floats have them, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        speeds = norm2(futures[..., 3:5])                      # [N, T]
+        change[:, 1] = speeds[:, -w:].cumsum(axis=1)[:, -1] / w \
+            - speeds[:, :w].cumsum(axis=1)[:, -1] / w
+    # index 0 above the threshold, 2 below minus it and 1 between, in
+    # both class orders: LT, ST, RT and ACC, CON, DEC
+    labels = np.ones((n, 2), dtype=np.intp)
+    labels[change > _THRESHOLDS] = 0
+    labels[change < -_THRESHOLDS] = 2
+    return labels

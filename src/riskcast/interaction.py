@@ -4,9 +4,12 @@ agent-agent self-attention, and agent-map cross attention.
 Locality is taken literally: each agent's interaction features are computed
 on the subgraph of agents within its context radius, so agents outside the
 radius cannot influence a row even through intermediate hops. The subgraph
-transformer runs once per distinct context set, not once per agent: agents
+transformer runs over each distinct context set, not once per agent: agents
 with the same set share that run, which computes exactly what each of their
-own runs would. In a scene where every agent sees every other it runs once.
+own runs would. The distinct sets of every scene of a union are stacked,
+padded to the largest with masked keys, and run as one padded stack; in a
+single scene where every agent sees every other, the stack is that one set,
+unpadded, and computes its bits.
 The history features are built for all agents and steps from the scene's
 ``past`` [N, H+1, 5], and the map features and visibility for all
 polylines, as array operations; the history features round as the scalar
@@ -18,10 +21,13 @@ Every layer takes the disjoint union of one or more scenes' rows (see
 ``riskcast.model``). The agent-agent encoder and the agent-map attention
 take one mask or visibility block per scene, and a scene's rows (and
 polylines) follow the previous scene's, so no row sees another scene's
-agents or polylines.
+agents or polylines. The agent-map attention, too, runs its scenes as one
+padded stack, each scene's attending rows against its own polylines.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -122,7 +128,12 @@ class MapEncoder(nn.MLP):
 
 
 class SelfAttentionBlock(nn.Module):
-    """Pre-norm residual block: x + MHA(LN(x)) followed by x + FF(LN(x))."""
+    """Pre-norm residual block: x + MHA(LN(x)) followed by x + FF(LN(x)).
+
+    x is one set [n, D] or a stack of sets [S, n, D], attended set by set
+    under the per-set key mask [S, n, n] (None: every key visible). The
+    layer norms and the feed-forward run on the rows of every set at
+    once."""
 
     def __init__(self, dim: int, heads: int, ff_mult: int,
                  rng: np.random.Generator, name: str):
@@ -131,20 +142,27 @@ class SelfAttentionBlock(nn.Module):
         self.ln2 = nn.LayerNorm(dim, name=f"{name}.ln2")
         self.ff = nn.MLP([dim, ff_mult * dim, dim], rng, name=f"{name}.ff")
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        h, ln1_ctx = self.ln1.forward(x)
-        y, mha_ctx = self.mha.forward(h, h, h)
-        y += x
+    def forward(self, x: np.ndarray, mask: np.ndarray | None = None
+                ) -> tuple[np.ndarray, tuple]:
+        rows = x.reshape(-1, x.shape[-1])
+        h, ln1_ctx = self.ln1.forward(rows)
+        h = h.reshape(x.shape)
+        y, mha_ctx = self.mha.forward(h, h, h, mask)
+        y = y.reshape(rows.shape)
+        y += rows
         hy, ln2_ctx = self.ln2.forward(y)
         ff, ff_ctx = self.ff.forward(hy)
         ff += y
-        return ff, (ln1_ctx, mha_ctx, ln2_ctx, ff_ctx)
+        return ff.reshape(x.shape), (ln1_ctx, mha_ctx, ln2_ctx, ff_ctx)
 
     def backward(self, ctx: tuple, g: np.ndarray) -> np.ndarray:
         ln1_ctx, mha_ctx, ln2_ctx, ff_ctx = ctx
-        dy = g + self.ln2.backward(ln2_ctx, self.ff.backward(ff_ctx, g))
-        dq, dk, dv = self.mha.backward(mha_ctx, dy)
-        return dy + self.ln1.backward(ln1_ctx, dq + dk + dv)
+        g_rows = g.reshape(-1, g.shape[-1])
+        dy = g_rows + self.ln2.backward(ln2_ctx,
+                                        self.ff.backward(ff_ctx, g_rows))
+        dq, dk, dv = self.mha.backward(mha_ctx, dy.reshape(g.shape))
+        dh = (dq + dk + dv).reshape(dy.shape)
+        return (dy + self.ln1.backward(ln1_ctx, dh)).reshape(g.shape)
 
 
 class AgentAgentEncoder(nn.Module):
@@ -153,12 +171,17 @@ class AgentAgentEncoder(nn.Module):
     Row i of the output is computed by running the blocks over the agents
     inside agent i's context set only, so out-of-radius agents cannot leak
     in through multi-hop attention. Agents whose context sets are equal
-    (equal mask rows) share one run of the blocks over that set, and each
-    takes the output row at its own position. This is exact, not an
-    approximation: a run depends only on the set, so the shared run is the
-    very computation each member's own run would be. The blocks run once
-    per distinct context set, once per scene when every agent sees every
-    other.
+    (equal mask rows) share the run over that set, and each takes the
+    output row at its own position. This is exact, not an approximation: a
+    run depends only on the set, so the shared run is the very computation
+    each member's own run would be.
+
+    The distinct context sets of every scene are stacked, padded to the
+    largest, [S, n, D], and the blocks run once over the stack. Padded
+    keys are masked, so a set's rows see only its own agents; padded query
+    rows are dropped, and their gradient is zero. A stack of one unpadded
+    set, a scene where every agent sees every other, computes what the
+    blocks compute on its rows alone, bit for bit.
 
     Each scene of a union is its own square mask, whose context sets are
     found on their own, since none crosses a scene; a mask that is all True
@@ -173,60 +196,86 @@ class AgentAgentEncoder(nn.Module):
         ]
 
     def forward(self, embeds: np.ndarray, masks: list[np.ndarray]
-                ) -> tuple[np.ndarray, list]:
+                ) -> tuple[np.ndarray, tuple]:
         """(output, ctx). masks[b] is scene b's square mask, whose rows
-        follow scene b-1's. The context lists, per context set, its agents,
-        their members and positions, and the block contexts."""
-        starts = np.cumsum([0] + [len(mask) for mask in masks]).tolist()
-        out = np.empty_like(embeds)
-        runs = []
+        follow scene b-1's. The context is the stack's agents [S, n] (an
+        agent's row, 0 in a padded slot) and whether each slot holds one,
+        the members and their flat slots in the stack, and the block
+        contexts."""
+        starts = list(accumulate(map(len, masks), initial=0))
+        sets, members, positions = [], [], []
         # the last scene first: the order np.unique gives the sets of the
-        # whole union, which the gradient sums of the backward keep
+        # whole union
         for start, mask in reversed(list(zip(starts, masks))):
             mask = np.asarray(mask, dtype=bool)
-            empty = np.flatnonzero(~mask.any(axis=1))
-            if empty.size:
-                raise ValueError(
-                    f"agent {start + empty[0]} has an empty context set")
-            outside = np.flatnonzero(~np.diagonal(mask))
-            if outside.size:
-                raise ValueError(f"agent {start + outside[0]} is not in its "
-                                 f"own context set")
-            for idx, members in _context_sets(mask):
-                idx, members = idx + start, members + start
-                x = embeds[idx]
-                block_ctxs = []
-                for block in self.blocks:
-                    x, bctx = block.forward(x)
-                    block_ctxs.append(bctx)
-                pos = np.searchsorted(idx, members)
-                out[members] = x[pos]
-                runs.append((idx, members, pos, block_ctxs))
-        return out, runs
+            for idx, group, pos in _context_sets(mask, start):
+                sets.append(idx + start)
+                members.append(group + start)
+                positions.append(pos)
+        agents, filled = _stack(sets)                          # [S, n]
+        members = np.concatenate(members)
+        # each member's flat slot in the stack
+        slots = np.concatenate([s * agents.shape[1] + pos
+                                for s, pos in enumerate(positions)])
+        # a padded key is masked; a padded query row is dropped
+        key_mask = None if filled.all() else np.repeat(
+            filled[:, None, :], filled.shape[1], axis=1)
+        x = embeds[agents]
+        block_ctxs = []
+        for block in self.blocks:
+            x, bctx = block.forward(x, key_mask)
+            block_ctxs.append(bctx)
+        out = np.empty_like(embeds)
+        out[members] = x.reshape(-1, x.shape[-1])[slots]
+        return out, (agents, filled, members, slots, block_ctxs)
 
-    def backward(self, runs: list, g: np.ndarray) -> np.ndarray:
+    def backward(self, ctx: tuple, g: np.ndarray) -> np.ndarray:
+        agents, filled, members, slots, block_ctxs = ctx
+        gx = np.zeros((agents.size, g.shape[1]))
+        gx[slots] = g[members]
+        gx = gx.reshape(agents.shape + (g.shape[1],))
+        for block, bctx in zip(reversed(self.blocks), reversed(block_ctxs)):
+            gx = block.backward(bctx, gx)
         dembeds = np.zeros_like(g)
-        for idx, members, pos, block_ctxs in reversed(runs):
-            gx = np.zeros((idx.size, g.shape[1]))
-            gx[pos] = g[members]
-            for block, bctx in zip(reversed(self.blocks),
-                                   reversed(block_ctxs)):
-                gx = block.backward(bctx, gx)
-            dembeds[idx] += gx
+        np.add.at(dembeds, agents[filled], gx[filled])
         return dembeds
 
 
-def _context_sets(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(agents, members) of each distinct row of a square mask, in the
-    order np.unique sorts the rows: the agents the row marks, and the rows
-    equal to it."""
+def _stack(groups: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The index arrays of the groups as the rows of one [S, n] array,
+    padded with 0 to the longest, and whether each slot holds an index."""
+    index = np.zeros((len(groups), max(map(len, groups))), dtype=np.intp)
+    filled = np.zeros(index.shape, dtype=bool)
+    for s, group in enumerate(groups):
+        index[s, :len(group)] = group
+        filled[s, :len(group)] = True
+    return index, filled
+
+
+def _context_sets(mask: np.ndarray, start: int
+                  ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(agents, members, positions) of each distinct row of a square mask,
+    in the order np.unique sorts the rows: the agents the row marks, the
+    rows equal to it, and the members' positions among the agents. Raises
+    ValueError, naming the agent by its row plus start, where a row is
+    empty or leaves out its own agent."""
     if mask.all():
         everyone = np.arange(len(mask))
-        return [(everyone, everyone)]
+        return [(everyone, everyone, everyone)]
+    empty = np.flatnonzero(~mask.any(axis=1))
+    if empty.size:
+        raise ValueError(f"agent {start + empty[0]} has an empty context set")
+    outside = np.flatnonzero(~np.diagonal(mask))
+    if outside.size:
+        raise ValueError(f"agent {start + outside[0]} is not in its own "
+                         f"context set")
     sets, which = np.unique(mask, axis=0, return_inverse=True)
     which = which.reshape(-1)
-    return [(np.flatnonzero(row), np.flatnonzero(which == s))
-            for s, row in enumerate(sets)]
+    out = []
+    for s, row in enumerate(sets):
+        agents, members = np.flatnonzero(row), np.flatnonzero(which == s)
+        out.append((agents, members, np.searchsorted(agents, members)))
+    return out
 
 
 class AgentMapAttention(nn.Module):
@@ -235,9 +284,13 @@ class AgentMapAttention(nn.Module):
     is its input plus its attended map context, and rows with nothing
     visible, or an empty map, pass through unchanged.
 
-    Each scene of a union is its own [N_b, P_b] visibility block, and the
-    attention runs once per scene, so that its cost grows with the scenes'
-    own sizes, not with the square of the union's.
+    Each scene of a union is its own [N_b, P_b] visibility block. The
+    scenes with an attending row are stacked, their attending rows and
+    their polylines each padded to the largest, and the attention runs
+    once over the stack: a padded key is masked, a padded query row sees
+    its scene's keys and is dropped. So a row sees only its own scene's
+    polylines, and the cost grows with the scenes' own sizes, not with the
+    square of the union's.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
@@ -248,33 +301,44 @@ class AgentMapAttention(nn.Module):
                 vis: list[np.ndarray]) -> tuple[np.ndarray, tuple]:
         """(output, ctx). vis[b] is scene b's visibility, whose rows and
         polylines follow scene b-1's. The context is the polyline count
-        and, per scene, its attending rows, its keys and the attention
-        context (None when no row attends)."""
+        and, when some row attends, the attending rows, the stack's query
+        rows and keys (0 in a padded slot), whether each slot holds one,
+        and the attention context."""
         out = features.copy()
-        runs = []
+        rows, keys, blocks = [], [], []
         row0 = key0 = 0
         for v in vis:
-            keys = slice(key0, key0 + v.shape[1])
             attending = np.flatnonzero(v.any(axis=1))
-            rows = row0 + attending
-            mha_ctx = None
-            if rows.size:
-                kv = map_embeds[keys]
-                att, mha_ctx = self.mha.forward(features[rows], kv, kv,
-                                                v[attending])
-                out[rows] += att
-            runs.append((rows, keys, mha_ctx))
-            row0, key0 = row0 + v.shape[0], keys.stop
-        return out, (len(map_embeds), runs)
+            if attending.size:
+                rows.append(row0 + attending)
+                keys.append(np.arange(key0, key0 + v.shape[1]))
+                blocks.append(v[attending])
+            row0, key0 = row0 + v.shape[0], key0 + v.shape[1]
+        if not rows:
+            return out, (len(map_embeds), None)
+        queries, row_filled = _stack(rows)
+        keys, key_filled = _stack(keys)
+        # a padded query row sees its scene's keys
+        mask = np.repeat(key_filled[:, None, :], queries.shape[1], axis=1)
+        for s, block in enumerate(blocks):
+            mask[s, :block.shape[0], :block.shape[1]] = block
+        kv = map_embeds[keys]
+        att, mha_ctx = self.mha.forward(features[queries], kv, kv, mask)
+        rows = queries[row_filled]
+        out[rows] += att[row_filled]
+        return out, (len(map_embeds),
+                     (rows, row_filled, keys, key_filled, mha_ctx))
 
     def backward(self, ctx: tuple, g: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-        m, runs = ctx
+        m, run = ctx
         dfeat = g.copy()
         dmap = np.zeros((m, g.shape[1]))
-        for rows, keys, mha_ctx in runs:
-            if rows.size:
-                dq, dk, dv = self.mha.backward(mha_ctx, g[rows])
-                dfeat[rows] += dq
-                dmap[keys] = dk + dv
+        if run is not None:
+            rows, row_filled, keys, key_filled, mha_ctx = run
+            gq = np.zeros(row_filled.shape + g.shape[1:])
+            gq[row_filled] = g[rows]
+            dq, dk, dv = self.mha.backward(mha_ctx, gq)
+            dfeat[rows] += dq[row_filled]
+            dmap[keys[key_filled]] = (dk + dv)[key_filled]
         return dfeat, dmap

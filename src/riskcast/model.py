@@ -319,6 +319,11 @@ def _read_params(zf: zipfile.ZipFile, params: list[nn.Parameter], index,
     """Check the walked index against `params`, then read the params
     vector into them, one parameter's bytes at a time."""
     shapes = {name: tuple(shape) for name, shape in index}
+    if len(shapes) != len(index):
+        names = [name for name, _ in index]
+        twice = next(name for name in names if names.count(name) > 1)
+        raise ValueError(f"checkpoint index lists tensor {twice!r} twice: "
+                         f"{path}")
     for p in params:
         if p.name not in shapes:
             raise ValueError(f"checkpoint missing tensor {p.name!r}")

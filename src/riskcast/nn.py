@@ -48,6 +48,7 @@ draw their weights, and it is the order a checkpoint stores them in.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,7 +96,9 @@ class Parameter:
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = np.zeros_like(self.value)
+            # written before it is read, so each fresh page faults once
+            self._grad = np.empty_like(self.value)
+            self._grad.fill(0.0)
         return self._grad
 
     @grad.setter
@@ -362,15 +365,22 @@ def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
 class MultiHeadAttention(Module):
     """Scaled dot-product attention with multiple heads and key masking.
 
-    mask is boolean, True meaning the key is visible; it may be a flat
-    [n_keys] vector or a per-query [n_queries, n_keys] matrix. A query row
-    with every key masked has no context to attend over and raises.
+    The inputs may carry a leading set axis: queries [S, nq, D] attend,
+    set by set, over keys and values [S, nk, D]; without it, q [nq, D] and
+    k, v [nk, D] are one set. mask is boolean, True meaning the key is
+    visible; it may be a flat [nk] vector, a per-query [nq, nk] matrix or
+    a per-set [S, nq, nk] stack. A query row with every key masked has no
+    context to attend over and raises. Callers stack sets of different
+    sizes by padding them to the largest and masking the padded keys; a
+    padded query row must see some key, and its output is theirs to drop.
 
     The query, key and value projections are one [3, D, D] parameter,
-    ``qkv.W``. Inputs that are one array are projected in one batched
-    matmul: a self-attention's q, k and v, a cross attention's k and v.
-    The scores and the attended values are batched matmuls over the heads.
-    A mask that is None or all True builds no mask matrix.
+    ``qkv.W``. They and the output projection run on the rows of every set
+    at once, [S * n, D]. Inputs that are one array are projected in one
+    batched matmul: a self-attention's q, k and v, a cross attention's k
+    and v. The scores and the attended values are batched matmuls over the
+    sets and heads. A mask that is None or all True builds no mask matrix,
+    so a stack of one set computes what the set alone does, bit for bit.
     """
 
     def __init__(self, embed_dim: int, heads: int, rng: np.random.Generator,
@@ -392,24 +402,25 @@ class MultiHeadAttention(Module):
 
     def forward(self, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                 mask: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
+        """(output shaped as q, ctx)."""
         inputs = (q, k, v)
         for x in inputs:
-            if x.ndim != 2 or x.shape[1] != self.embed_dim:
+            if x.ndim not in (2, 3) or x.shape[-1] != self.embed_dim \
+                    or x.shape[:-2] != q.shape[:-2]:
                 raise DimensionError(
-                    f"{self.name}: expected input [*, {self.embed_dim}], "
-                    f"got {x.shape}")
-        nq, nk = q.shape[0], k.shape[0]
+                    f"{self.name}: expected inputs [*, {self.embed_dim}] "
+                    f"or [S, *, {self.embed_dim}] of one S, got {x.shape}")
+        sets = q.shape[0] if q.ndim == 3 else 1
+        nq, nk = q.shape[-2], k.shape[-2]
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
-            if mask.ndim == 1:
-                mask = np.broadcast_to(mask, (nq, nk))
-            if mask.shape != (nq, nk):
+            if mask.shape not in ((nk,), (nq, nk), q.shape[:-2] + (nq, nk)):
                 raise DimensionError(
                     f"{self.name}: mask shape {mask.shape} does not match "
                     f"({nq}, {nk})")
             if mask.all():
                 mask = None
-            elif not mask.any(axis=1).all():
+            elif not mask.any(axis=-1).all():
                 raise ValueError("empty attention context")
         if nq and not nk:
             raise ValueError("empty attention context")
@@ -421,53 +432,61 @@ class MultiHeadAttention(Module):
             spans = ((0, 1), (1, 3))
         else:
             spans = ((0, 1), (1, 2), (2, 3))
+        rows = [inputs[lo].reshape(-1, self.embed_dim) for lo, _ in spans]
         W = self.Wqkv.value
-        Q, K, V = [y for lo, hi in spans for y in inputs[lo] @ W[lo:hi]]
+        Q, K, V = [y for (lo, hi), x in zip(spans, rows) for y in x @ W[lo:hi]]
         hd, heads = self.head_dim, self.heads
-        Q = (Q + self.bq.value).reshape(nq, heads, hd).transpose(1, 0, 2)
-        K = K.reshape(nk, heads, hd).transpose(1, 0, 2)
-        V = (V + self.bv.value).reshape(nk, heads, hd).transpose(1, 0, 2)
+        # the projections are fresh arrays, so the biases add in place
+        Q += self.bq.value
+        V += self.bv.value
+        Q = Q.reshape(sets, nq, heads, hd).transpose(0, 2, 1, 3)
+        K = K.reshape(sets, nk, heads, hd).transpose(0, 2, 1, 3)
+        V = V.reshape(sets, nk, heads, hd).transpose(0, 2, 1, 3)
 
-        scores = Q @ K.transpose(0, 2, 1)                  # [heads, nq, nk]
-        scores /= np.sqrt(hd)
+        scores = Q @ K.transpose(0, 1, 3, 2)           # [S, heads, nq, nk]
+        scores /= math.sqrt(hd)
         if mask is not None:
-            scores[:, ~mask] = -np.inf
+            np.copyto(scores, -np.inf,
+                      where=~(mask[:, None] if mask.ndim == 3 else mask))
         weights = softmax(scores)
-        att = weights @ V                                  # [heads, nq, hd]
-        att_flat = att.transpose(1, 0, 2).reshape(nq, self.embed_dim)
-        out, o_ctx = self.Wo.forward(att_flat)
-        return out, (inputs, spans, o_ctx, Q, K, V, weights)
+        att = weights @ V                              # [S, heads, nq, hd]
+        att_rows = att.transpose(0, 2, 1, 3).reshape(sets * nq,
+                                                     self.embed_dim)
+        out, o_ctx = self.Wo.forward(att_rows)
+        return out.reshape(q.shape), (q.shape, k.shape, rows, spans, o_ctx,
+                                      Q, K, V, weights)
 
     def backward(self, ctx: tuple, g: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        inputs, spans, o_ctx, Q, K, V, weights = ctx
-        heads, hd = self.heads, self.head_dim
-        nq, nk = Q.shape[1], K.shape[1]
+        """(dq, dk, dv), each shaped as its input."""
+        q_shape, k_shape, rows, spans, o_ctx, Q, K, V, weights = ctx
+        sets, heads, nq, hd = Q.shape
+        nk = K.shape[2]
 
-        datt_flat = self.Wo.backward(o_ctx, g)
-        datt = datt_flat.reshape(nq, heads, hd).transpose(1, 0, 2)
-        dV = weights.transpose(0, 2, 1) @ datt
-        dweights = datt @ V.transpose(0, 2, 1)
-        # per (head, query) row; masked weights are 0 so their score
+        datt_rows = self.Wo.backward(o_ctx, g.reshape(-1, self.embed_dim))
+        datt = datt_rows.reshape(sets, nq, heads, hd).transpose(0, 2, 1, 3)
+        dV = weights.transpose(0, 1, 3, 2) @ datt
+        dweights = datt @ V.transpose(0, 1, 3, 2)
+        # per (set, head, query) row; masked weights are 0 so their score
         # gradient vanishes automatically
         dscores = softmax_backward(weights, dweights)
-        dscores /= np.sqrt(hd)
+        dscores /= math.sqrt(hd)
         dQ = dscores @ K
-        dK = dscores.transpose(0, 2, 1) @ Q
+        dK = dscores.transpose(0, 1, 3, 2) @ Q
 
-        dproj = (dQ.transpose(1, 0, 2).reshape(nq, -1),
-                 dK.transpose(1, 0, 2).reshape(nk, -1),
-                 dV.transpose(1, 0, 2).reshape(nk, -1))
+        dproj = (dQ.transpose(0, 2, 1, 3).reshape(sets * nq, -1),
+                 dK.transpose(0, 2, 1, 3).reshape(sets * nk, -1),
+                 dV.transpose(0, 2, 1, 3).reshape(sets * nk, -1))
         self.bq.grad += dproj[0].sum(axis=0)
         self.bv.grad += dproj[2].sum(axis=0)
         W = self.Wqkv.value
         dx = []
-        for lo, hi in spans:
+        for (lo, hi), x in zip(spans, rows):
             gp = np.stack(dproj[lo:hi])
-            self.Wqkv.grad[lo:hi] += inputs[lo].T @ gp
+            self.Wqkv.grad[lo:hi] += x.T @ gp
             dx.extend(gp @ np.swapaxes(W[lo:hi], 1, 2))
         dq, dk, dv = dx
-        return dq, dk, dv
+        return dq.reshape(q_shape), dk.reshape(k_shape), dv.reshape(k_shape)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -484,7 +503,7 @@ def softmax(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("softmax of an empty tensor")
-    e = x - np.max(x, axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -520,23 +539,29 @@ def smooth_l1_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 PROB_FLOOR = 1e-12
 
 
-def cross_entropy(pred_probs: np.ndarray, target_index: int) -> float:
-    """-log probability of the target class, clamped at PROB_FLOOR."""
+def cross_entropy(pred_probs: np.ndarray, target_index) -> np.ndarray:
+    """-log probability of the target class, clamped at PROB_FLOOR, of
+    each probability vector [..., C] and its target index [...]."""
     pred_probs = np.asarray(pred_probs, dtype=np.float64)
-    if not 0 <= target_index < pred_probs.shape[-1]:
+    target = np.asarray(target_index)
+    if not ((0 <= target) & (target < pred_probs.shape[-1])).all():
         raise IndexError(
             f"target index {target_index} out of range for "
             f"{pred_probs.shape[-1]} classes")
-    return float(-np.log(max(pred_probs[target_index], PROB_FLOOR)))
+    p = np.take_along_axis(pred_probs, target[..., None], axis=-1)[..., 0]
+    return -np.log(np.maximum(p, PROB_FLOOR))
 
 
 def cross_entropy_grad(pred_probs: np.ndarray,
-                       target_index: int) -> np.ndarray:
-    """Gradient w.r.t. the probability vector (zero where clamped)."""
-    g = np.zeros_like(np.asarray(pred_probs, dtype=np.float64))
-    p = pred_probs[target_index]
-    if p > PROB_FLOOR:
-        g[target_index] = -1.0 / p
+                       target_index) -> np.ndarray:
+    """Gradient w.r.t. each probability vector [..., C] of its target
+    index [...]: -1 / p at the target, zero elsewhere and where clamped."""
+    pred_probs = np.asarray(pred_probs, dtype=np.float64)
+    target = np.asarray(target_index)[..., None]
+    p = np.take_along_axis(pred_probs, target, axis=-1)
+    g = np.zeros_like(pred_probs)
+    np.put_along_axis(g, target, np.where(
+        p > PROB_FLOOR, -1.0 / np.maximum(p, PROB_FLOOR), 0.0), axis=-1)
     return g
 
 
@@ -550,9 +575,13 @@ class Adam:
     ``ADAM_CHUNK`` elements: the update is elementwise, so that is exact.
     Every operation writes into one of two persistent slice-sized scratch
     buffers, in the order of the textbook expression, so a step allocates
-    no array data and rounds as that expression does. The moments m and v,
-    zeroed, and the scratch buffers are allocated at the first step, so
-    they do not sit beside the first forward and backward's contexts."""
+    no array data and rounds as that expression does. The moments m and v
+    and the scratch buffers are allocated at the first step, so they do not
+    sit beside the first forward and backward's contexts. That step writes
+    the moments of zero, m = (1 - b1) g and v = (1 - b2) (g g), before it
+    reads them, so each fresh page faults once; it differs from the
+    textbook's 0 b1 + (1 - b1) g only in the sign of a zero moment where g
+    is -0.0, which leaves the update's value unchanged."""
 
     def __init__(self, params: Sequence[Parameter], lr: float = 2e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
@@ -569,9 +598,10 @@ class Adam:
         self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     def step(self) -> None:
-        if self.m is None:
-            self.m = [np.zeros(p.value.size) for p in self.params]
-            self.v = [np.zeros(p.value.size) for p in self.params]
+        first = self.m is None
+        if first:
+            self.m = [np.empty(p.value.size) for p in self.params]
+            self.v = [np.empty(p.value.size) for p in self.params]
             self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
@@ -584,11 +614,16 @@ class Adam:
                                   v_flat[s])
                 a, b = (buf[:value.size] for buf in self._scratch)
                 # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g)
-                m *= self.beta1
-                m += np.multiply(1.0 - self.beta1, g, out=a)
-                v *= self.beta2
-                np.multiply(g, g, out=a)
-                v += np.multiply(1.0 - self.beta2, a, out=a)
+                if first:
+                    np.multiply(1.0 - self.beta1, g, out=m)
+                    np.multiply(g, g, out=v)
+                    v *= 1.0 - self.beta2
+                else:
+                    m *= self.beta1
+                    m += np.multiply(1.0 - self.beta1, g, out=a)
+                    v *= self.beta2
+                    np.multiply(g, g, out=a)
+                    v += np.multiply(1.0 - self.beta2, a, out=a)
                 # update = (m / bc1) / (sqrt(v / bc2) + eps) + wd value
                 np.divide(m, bc1, out=a)
                 np.sqrt(np.divide(v, bc2, out=b), out=b)

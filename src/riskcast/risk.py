@@ -2,22 +2,28 @@
 of candidate joint trajectories.
 
 The production path is one array kernel, `risk_kernel`, over a `MotionBatch`
-of K candidate modes x N agents x T future steps. Every agent other than the
-ego is a potential victim of the ego; the M = N - 1 victims keep their batch
-order.
+of K mode rows x N agents x T future steps. The agents may be those of
+several scenes, each a consecutive run of them; every agent of a scene
+other than its ego is a potential victim of that ego. Ranking runs the
+kernel on one scene with its K modes as the mode rows; training runs it
+once per minibatch, on every scene with its selected mode as the one mode
+row.
 
-Rows. For each mode the kernel scores R = M + 1 rows over the T steps: the
-M victims, then the road boundary, an immovable partner. Each row has
-three body points: a victim's front, center and rear; for the boundary,
-the point nearest the ego's center on the scene's road boundaries (one
-point-to-all-segments op over [K, T, S], the segments of the scene's
-`RoadMap` of boundaries in polyline order) and two points out of reach
-(distance inf, offset 0). The kernel keeps the offsets from the body points
-to the ego's center as x and y planes, [2, K, R, T, 3], and their lengths
-[K, R, T, 3]. A row's disc radius [R] is (width_victim + width_ego)/2, or
-half the ego width for the boundary, and its position uncertainty [R, T] is
-sqrt(2) sigma_t, both positions being uncertain, or sigma_t for the
-boundary.
+Rows. For each mode row the kernel scores R = M + B flat rows over the T
+steps: the M victims of every scene, scene after scene and each in batch
+order, then one road boundary row per scene, an immovable partner (for one
+scene, its M victims and then its boundary). Each row has three body
+points: a victim's front, center and rear; for a boundary, the point
+nearest the ego's center on its scene's road boundaries (one
+point-to-all-segments op over [K, B, T, S], each scene's segments of its
+`RoadMap` of boundaries in polyline order, padded to the most with
+segments far from every point) and two points out of reach (distance inf).
+The kernel keeps the lengths of the offsets from the body points to the
+ego's center, [K, R, T, 3], and each scene's nearest boundary point; the
+offsets themselves it does not keep. A row's disc radius [R] is
+(width_victim + width_ego)/2, or half the ego width for a boundary, and
+its position uncertainty [R, T] is sqrt(2) sigma_t, both positions being
+uncertain, or sigma_t for a boundary.
 `disc_probability` gives the chance that an isotropic Gaussian of that
 uncertainty lands within the radius of a body point. The disc integral is
 the noncentral chi-square CDF (1 - Marcum Q_1), set to 0 where a Rayleigh
@@ -55,13 +61,15 @@ loss and the gradient are those of the full evaluation, bit for bit.
 by the full `disc_probability` call; ranking and training do not read them.
 
 The safety, care and responsiveness costs then aggregate each mode's victim
-risks and boundary risk, the last row. `rank_trajectories` runs the kernel
-once for all K modes and reads each mode through `mode_risk_report`.
-`risk_loss_and_grad` runs it on the selected mode and differentiates
-through the collision probabilities only: harm factors, struck regions and
-argmax steps are constants, so the gradient reuses the forward's argmax and
-evaluates `disc_probability_ddist` once, at the argmax step of each live
-row, by one rule for the victims and the boundary.
+risks and boundary risk. `rank_trajectories` runs the kernel once for all
+K modes of a scene and reads each mode through `mode_risk_report`.
+`risk_loss_and_grad` runs it once over a minibatch's scenes, each at its
+selected mode, and differentiates through the collision probabilities
+only: harm factors, struck regions and argmax steps are constants, so the
+gradient reuses the forward's argmax and evaluates `disc_probability_ddist`
+once, at the argmax step of each live row, by one rule for the victims and
+the boundaries. It recomputes the body-point offsets at those live
+(row, step) pairs alone and scatters them into the [N, T, 2] gradient.
 
 The scalar functions (`collision_probability`, `pair_harm`, `delta_v`,
 `harm`) take one pair of `AgentState`s at one step and are the per-step
@@ -77,6 +85,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -342,7 +351,8 @@ def pair_harm(victim: AgentState, other: AgentState,
 
 @dataclass
 class MotionBatch:
-    """K candidate futures of N agents: the input of `risk_kernel`."""
+    """K candidate futures of the N agents of one or more scenes: the input
+    of `risk_kernel`. Scene b's agents are the rows slices[b]."""
     agent_ids: list[str]
     positions: np.ndarray    # [K, N, T, 2]
     velocities: np.ndarray   # [K, N, T, 2]
@@ -351,6 +361,7 @@ class MotionBatch:
     widths: np.ndarray       # [N]
     masses: np.ndarray       # [N]
     agent_classes: list[str]  # [N]
+    slices: list[slice]       # [B] each scene's agents
 
     def state(self, k: int, i: int, t: int) -> AgentState:
         """Agent i at step t of mode k, as the per-step references take
@@ -361,41 +372,53 @@ class MotionBatch:
                           self.agent_classes[i])
 
 
-def batch_from_prediction(scn: Scenario, positions: np.ndarray
+def batch_from_prediction(scenes: list[Scenario], positions: np.ndarray
                           ) -> MotionBatch:
-    """Decoded positions [K, N, T, 2] of the scene's agents, in row order.
-    Velocities are finite differences anchored at each agent's current
-    position; yaws follow the velocity (the current yaw while stopped)."""
+    """Decoded positions [K, N, T, 2] of the scenes' agents, scene after
+    scene, each in row order. Velocities are finite differences anchored
+    at each agent's current position; yaws follow the velocity (the
+    current yaw while stopped)."""
     positions = np.asarray(positions, dtype=np.float64)
-    n = len(scn.agent_ids)
+    sizes = [len(scn.agent_ids) for scn in scenes]
+    n = sum(sizes)
     if positions.ndim != 4 or positions.shape[1] != n \
             or positions.shape[3] != 2:
         raise ValueError(f"positions {positions.shape} do not match "
                          f"[K, {n}, T, 2]")
-    cur = scn.past[:, -1]                                   # [N, 5]
+    cur = np.concatenate([scn.past[:, -1] for scn in scenes])     # [N, 5]
+    dt = np.array([scn.dt for scn in scenes]).repeat(sizes)[:, None, None]
     start = cur[None, :, None, :2]
     anchored = np.concatenate([
         np.broadcast_to(start, positions.shape[:2] + (1, 2)), positions],
         axis=2)
-    vel = np.diff(anchored, axis=2) / scn.dt
+    vel = np.diff(anchored, axis=2) / dt
     speeds = norm2(vel)
     yaws = np.where(speeds > SPEED_EPS, np.arctan2(vel[..., 1], vel[..., 0]),
                     cur[None, :, None, 2])
-    return MotionBatch(scn.agent_ids.tolist(), positions, vel, yaws,
-                       *scn.dims.T, scn.agent_classes.tolist())
+    bounds = list(accumulate(sizes, initial=0))
+    return MotionBatch(
+        [aid for scn in scenes for aid in scn.agent_ids.tolist()], positions,
+        vel, yaws, *np.concatenate([scn.dims for scn in scenes]).T,
+        [c for scn in scenes for c in scn.agent_classes.tolist()],
+        [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
 @dataclass
 class RiskTerms:
-    """What `risk_kernel` computes for K modes, by row: the R = M + 1 rows
-    are the M victims, the agents other than the ego in batch order, then
-    the road boundary (see the module docstring). `prob_sums` and `probs`,
-    at every step, are computed on first read; the kernel itself evaluates
-    the probabilities only where they can set a risk."""
-    victim_ids: list[str]      # [M]
-    victims: np.ndarray        # [M] batch indices
-    offsets: np.ndarray        # [2, K, R, T, 3] ego center minus body point
-    dists: np.ndarray          # [K, R, T, 3] their lengths
+    """What `risk_kernel` computes for K mode rows, by row. The R = M + B
+    rows are flat: the M victims of every scene, the agents other than
+    its ego, scene after scene in batch order, then the road boundary of
+    each of the B scenes (see the module docstring). The offsets from the
+    body points to the ego center are not kept: the gradient recomputes
+    them at its live rows. `prob_sums` and `probs`, at every step, are
+    computed on first read; the kernel itself evaluates the probabilities
+    only where they can set a risk."""
+    victim_ids: list[str]      # [M] the victims, the first M rows
+    victims: np.ndarray        # [M] their batch indices
+    egos: np.ndarray           # [R] the ego of each row, a batch index
+    nearest: np.ndarray        # [K, B, T, 2] each scene's boundary point
+    #                            nearest its ego, of boundary row M + b
+    dists: np.ndarray          # [K, R, T, 3] body point to ego center
     radii: np.ndarray          # [R] disc radius of each row
     sigma: np.ndarray          # [R, T] position uncertainty of each row
     delta_v: np.ndarray        # [K, R, T] partner's speed change in a crash
@@ -422,17 +445,20 @@ REGIONS = list(CollisionRegion)
 _FRONT, _SIDE, _REAR = (REGIONS.index(r) for r in
                         (CollisionRegion.FRONT, CollisionRegion.SIDE,
                          CollisionRegion.REAR))
+# a coordinate of the segments that pad a scene's road boundaries to the
+# batch's most: farther from any point than a real segment
+_FAR = 1e30
 
 
-def _clearance(points: np.ndarray, polylines: RoadMap
+def _clearance(points: np.ndarray, a: np.ndarray, b: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Distance from each point [..., 2] to the nearest segment of the
-    polylines, and the nearest point on that segment (the first in segment
+    """Distance from each point [..., 2] to the nearest of the segments
+    from a to b [..., S, 2], whose leading axes broadcast against the
+    points', and the nearest point on that segment (the first in segment
     order on a tie). Works on x and y separately, and writes the rules of
     `norm2` and `dot2` inline, in place."""
-    a, b = polylines.segments()                                 # [S, 2]
-    ax, ay = a[:, 0], a[:, 1]
-    abx, aby = b[:, 0] - ax, b[:, 1] - ay
+    ax, ay = a[..., 0], a[..., 1]
+    abx, aby = b[..., 0] - ax, b[..., 1] - ay
     denom = abx * abx + aby * aby
     proper = denom > 0.0
     px, py = points[..., 0, None], points[..., 1, None]
@@ -445,21 +471,29 @@ def _clearance(points: np.ndarray, polylines: RoadMap
         s /= denom
         np.clip(s, 0.0, 1.0, out=s)
     if not proper.all():
-        s[..., ~proper] = 0.0
-    # dx = px - (ax + s * abx), and dy alike, into rx and ry
-    dx = np.subtract(px, np.add(ax, np.multiply(s, abx, out=rx), out=rx),
-                     out=rx)
-    dy = np.subtract(py, np.add(ay, np.multiply(s, aby, out=ry), out=ry),
-                     out=ry)
+        np.copyto(s, 0.0, where=~proper)
+    # each segment's nearest point, (ax + s * abx, ay + s * aby), into rx
+    # and ry, and its distance, sqrt(dx * dx + dy * dy) of its offset
+    nx = np.add(ax, np.multiply(s, abx, out=rx), out=rx)
+    ny = np.add(ay, np.multiply(s, aby, out=ry), out=ry)
+    dx, dy = px - nx, py - ny
     dist = np.multiply(dx, dx, out=dx)
     dist += np.multiply(dy, dy, out=dy)
     np.sqrt(dist, out=dist)
-    j = dist.argmin(axis=-1)
-    d_j, s_j = (np.take_along_axis(v, j[..., None], axis=-1)[..., 0]
-                for v in (dist, s))
-    # the nearest point, computed at the picked segment alone
-    return d_j, np.stack([ax[j] + s_j * abx[j], ay[j] + s_j * aby[j]],
-                         axis=-1)
+    j = dist.argmin(axis=-1)[..., None]
+    d_j, nx_j, ny_j = (np.take_along_axis(v, j, axis=-1)[..., 0]
+                       for v in (dist, nx, ny))
+    return d_j, np.stack([nx_j, ny_j], axis=-1)
+
+
+def _body_offsets(ego_x: np.ndarray, ego_y: np.ndarray, x: np.ndarray,
+                  y: np.ndarray, half_cos: np.ndarray, half_sin: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """x and y offsets [..., 3] from a victim's front, center and rear to
+    the ego center: the victim's center (x, y) plus, minus and not its half
+    length along its yaw, (half_cos, half_sin)."""
+    return (ego_x[..., None] - np.stack([x + half_cos, x, x - half_cos], -1),
+            ego_y[..., None] - np.stack([y + half_sin, y, y - half_sin], -1))
 
 
 # relative slack on the pair probability bound of `_gated_risks`, far above
@@ -467,8 +501,6 @@ def _clearance(points: np.ndarray, polylines: RoadMap
 # (where the bound is tight, beta -> 0 with alpha <= beta, the CDF exceeds
 # it by a few 1e-15)
 BOUND_SLACK = 1e-9
-
-
 def pair_bound(dists: np.ndarray, radii: np.ndarray, sigma: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """[K, R, T] upper bound on the summed body-point probabilities of
@@ -553,12 +585,14 @@ def _gated_risks(dists: np.ndarray, radii: np.ndarray, sigma: np.ndarray,
             sums[starts + steps.ravel()].reshape(steps.shape))
 
 
-def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
-                cfg: RiskConfig) -> RiskTerms:
-    """The risks of every mode's rows, the victims and the boundary, in one
-    pass; see the module docstring for the layout. Positions and offsets are
-    handled as separate x and y arrays; the speeds and distances write
-    `norm2`'s rule on them inline."""
+def risk_kernel(batch: MotionBatch, egos: list[int],
+                boundaries: list[RoadMap], cfg: RiskConfig) -> RiskTerms:
+    """The risks of every mode row's rows, the victims and the boundaries
+    of every scene of the batch, in one pass; scene b's ego is the batch
+    index egos[b] and its road boundaries are boundaries[b]. See the
+    module docstring for the layout. Positions and offsets are handled as
+    separate x and y arrays; the speeds and distances write `norm2`'s rule
+    on them inline."""
     k_count, n, t_count = batch.yaws.shape
     if t_count < 1:
         raise ValueError("risk needs at least one future step")
@@ -567,9 +601,13 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
     sigma = cfg.uncertainty.sigma_array(t_count)
     coeffs = cfg.harm
     mu_area = np.array([coeffs.mu_area[r] for r in REGIONS])
-    victims = np.delete(np.arange(n), ego)
+    scene_egos = np.asarray(egos, dtype=np.intp)                  # [B]
+    of_scene = np.repeat(scene_egos, [rows.stop - rows.start
+                                      for rows in batch.slices])
+    victims = np.flatnonzero(np.arange(n) != of_scene)
+    ego = of_scene[victims]                       # each victim's ego
     m = len(victims)
-    shape = (k_count, m + 1, t_count)
+    shape = (k_count, m + len(scene_egos), t_count)
 
     px, py = batch.positions[..., 0], batch.positions[..., 1]   # [K, N, T]
     vx, vy = batch.velocities[..., 0], batch.velocities[..., 1]
@@ -582,41 +620,48 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
     heading = np.where((speeds < SPEED_EPS)[..., None],
                        np.stack([cos_yaw, sin_yaw], axis=-1), moving)
 
-    # the rows' body points: the victims', then the nearest boundary point
-    # and two out of reach
-    offsets = np.zeros((2,) + shape + (3,))
+    # the rows' body points: the victims', then each boundary's point
+    # nearest the ego and two out of reach
     dists = np.full(shape + (3,), np.inf)
-    ox, oy = offsets[:, :, :m]                                # [K, M, T, 3]
-    cx, cy = px[:, victims], py[:, victims]                     # [K, M, T]
     half = 0.5 * batch.lengths[victims, None]
-    hx, hy = half * cos_yaw[:, victims], half * sin_yaw[:, victims]
-    np.subtract(px[:, ego, None, :, None],
-                np.stack([cx + hx, cx, cx - hx], axis=-1), out=ox)
-    np.subtract(py[:, ego, None, :, None],
-                np.stack([cy + hy, cy, cy - hy], axis=-1), out=oy)
+    ox, oy = _body_offsets(px[:, ego], py[:, ego], px[:, victims],
+                           py[:, victims], half * cos_yaw[:, victims],
+                           half * sin_yaw[:, victims])      # [K, M, T, 3]
     np.sqrt(ox * ox + oy * oy, out=dists[:, :m])
-    if len(boundaries):
-        dists[:, m, :, 0], nearest = _clearance(batch.positions[:, ego],
-                                                boundaries)
-        offsets[:, :, m, :, 0] = np.moveaxis(batch.positions[:, ego]
-                                             - nearest, -1, 0)
+    # each scene's boundary segments, padded to the most with segments
+    # far from every point
+    segments = [road.segments() for road in boundaries]
+    width = max(len(a) for a, _ in segments)
+    if not width:
+        nearest = np.zeros((k_count, len(segments), t_count, 2))
+    else:
+        a = np.full((len(segments), width, 2), _FAR)
+        b = a.copy()
+        b[..., 0] = 2.0 * _FAR
+        for s, (sa, sb) in enumerate(segments):
+            a[s, :len(sa)], b[s, :len(sb)] = sa, sb
+        dists[:, m:, :, 0], nearest = _clearance(
+            batch.positions[:, scene_egos], a[:, None], b[:, None])
+        roadless = [not len(sa) for sa, _ in segments]
+        if any(roadless):
+            dists[:, m:, :, 0][:, roadless] = np.inf
     radii = np.append(0.5 * (batch.widths[victims] + batch.widths[ego]),
-                      0.5 * batch.widths[ego])
-    row_sigma = np.empty((m + 1, t_count))
+                      0.5 * batch.widths[scene_egos])
+    row_sigma = np.empty(shape[1:])
     row_sigma[:m] = math.sqrt(2.0) * sigma   # both positions uncertain
-    row_sigma[m] = sigma
+    row_sigma[m:] = sigma
 
     # delta-v and the struck region: the victims' from the pair, the
-    # boundary's the ego speed and a side impact
+    # boundaries' the ego speed and a side impact
     dv, region = np.empty(shape), np.full(shape, _SIDE)
-    cos_theta = np.clip(dot2(heading[:, victims], heading[:, ego, None]),
+    cos_theta = np.clip(dot2(heading[:, victims], heading[:, ego]),
                         -1.0, 1.0)
-    v_vic, v_ego = speeds[:, victims], speeds[:, ego, None]
-    m_vic, m_ego = batch.masses[victims, None], batch.masses[ego]
+    v_vic, v_ego = speeds[:, victims], speeds[:, ego]
+    m_vic, m_ego = batch.masses[victims, None], batch.masses[ego, None]
     rel = np.sqrt(np.maximum(v_vic * v_vic + v_ego * v_ego
                              - 2.0 * v_vic * v_ego * cos_theta, 0.0))
     np.multiply(m_ego / (m_vic + m_ego), rel, out=dv[:, :m])
-    dv[:, m] = speeds[:, ego]
+    dv[:, m:] = speeds[:, scene_egos]
     dx, dy = ox[..., 1], oy[..., 1]        # ego center minus victim center
     bearing = np.abs(wrap_angle(np.arctan2(dy, dx) - batch.yaws[:, victims]))
     region[:, :m] = np.where(
@@ -625,22 +670,24 @@ def risk_kernel(batch: MotionBatch, ego: int, boundaries: RoadMap,
                  np.where(bearing >= 3 * math.pi / 4, _REAR, _SIDE)))
     scale = np.array([cfg.harm_scale(batch.agent_classes[i]
                                      in PROTECTED_CLASSES) for i in victims]
-                     + [1.0])
+                     + [1.0] * len(scene_egos))
     harms = nn.sigmoid(coeffs.mu0 + coeffs.mu1 * dv + mu_area[region]) \
         * scale[:, None]
 
-    return RiskTerms([batch.agent_ids[i] for i in victims], victims, offsets,
-                     dists, radii, row_sigma, dv, region, harms,
+    return RiskTerms([batch.agent_ids[i] for i in victims], victims,
+                     np.append(ego, scene_egos), nearest, dists, radii,
+                     row_sigma, dv, region, harms,
                      *_gated_risks(dists, radii, row_sigma, harms))
 
 
 def boundary_risk(batch: MotionBatch, ego: int, boundaries: RoadMap,
                   cfg: RiskConfig) -> np.ndarray:
     """[K] risk of the ego leaving the road in each mode, the kernel's
-    boundary row: clearance to the nearest boundary mapped through the
-    collision-probability and harm machinery with an immovable partner
-    (delta-v equals the ego speed, side impact)."""
-    return risk_kernel(batch, ego, boundaries, cfg).risks[:, -1]
+    boundary row for a batch of one scene: clearance to the nearest
+    boundary mapped through the collision-probability and harm machinery
+    with an immovable partner (delta-v equals the ego speed, side
+    impact)."""
+    return risk_kernel(batch, [ego], [boundaries], cfg).risks[:, -1]
 
 
 # --------------------------------------------------------------------------
@@ -752,8 +799,8 @@ def rank_trajectories(jp: JointPrediction, scn: Scenario,
                          f"not of {scn.scenario_id!r}")
     cfg = cfg or RiskConfig()
     predicted = scn.take(scn.prediction_rows(jp.agent_ids))
-    terms = risk_kernel(batch_from_prediction(predicted, jp.trajectories),
-                        predicted.ego_index, _road_boundaries(scn), cfg)
+    terms = risk_kernel(batch_from_prediction([predicted], jp.trajectories),
+                        [predicted.ego_index], [_road_boundaries(scn)], cfg)
     reports = [mode_risk_report(terms, k, float(jp.mode_probs[k]), cfg)
                for k in range(jp.trajectories.shape[0])]
     for r in reports:
@@ -772,31 +819,58 @@ def rank_trajectories(jp: JointPrediction, scn: Scenario,
 
 # overflowing kinematics fail the finiteness check, not numpy's warnings
 @np.errstate(over="ignore", invalid="ignore")
-def risk_loss_and_grad(trajs: np.ndarray, scn: Scenario, cfg: RiskConfig
-                       ) -> tuple[float, np.ndarray]:
-    """Total risk cost of one decoded joint mode [N, T, 2] of the scene's
-    agents, the ego at ``scn.ego_index``, and its gradient with respect to
-    the decoded positions.
+def risk_loss_and_grad(trajs: np.ndarray, scenes: list[Scenario],
+                       modes: np.ndarray, cfg: RiskConfig
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Total risk cost of one decoded joint mode of each scene of a union,
+    and its gradient with respect to those decoded positions. trajs
+    [K, N, T, 2] holds the K modes of the scenes' agents, scene after
+    scene, each scene's ego at its ``ego_index``; modes [B] is each
+    scene's mode. Returns the [B] losses and the [N, T, 2] gradient, each
+    row's of its scene's mode. One `risk_kernel` call scores every scene.
 
     Harm factors, struck regions and the argmax steps are treated as
     constants; the gradient flows through the collision probabilities at
     the argmax step of each row, victim or boundary, whose risk is positive
-    and whose probability sum there is unclamped. A loss or gradient
-    that is not finite raises ValueError naming the scenario.
+    and whose probability sum there is unclamped. Each scene's costs are
+    `safety_cost`, `care_cost` and `responsiveness_cost` with their sums
+    taken in row order. A loss or gradient that is not finite raises
+    ValueError naming the first such scenario.
     """
-    ego_index = scn.ego_index
-    terms = risk_kernel(batch_from_prediction(scn, trajs[None]), ego_index,
-                        _road_boundaries(scn), cfg)
-    l_risk = mode_risk_report(terms, 0, 1.0, cfg).l_risk
-    grad = np.zeros_like(trajs)
+    sizes = np.array([len(scn.agent_ids) for scn in scenes])
+    starts = np.cumsum(sizes) - sizes
+    selected = trajs[np.repeat(modes, sizes), np.arange(sizes.sum())]
+    batch = batch_from_prediction(scenes, selected[None])
+    terms = risk_kernel(batch, starts + [scn.ego_index for scn in scenes],
+                        [_road_boundaries(scn) for scn in scenes], cfg)
     w_s, w_c, w_r = cfg.weights
     risks = terms.risks[0]                                        # [R]
-    m = risks.size - 1
-    # d l_risk / d risk: each row's share of c_s, w_s / (2m) or w_s / 2
+    # each scene's victim risks [B, max(M_b, 1)], padded with zeros, and
+    # their differences, zero at a padded pair
+    m = sizes - 1
+    filled = np.arange(max(m.max(), 1)) < m[:, None]
+    victim_risks = np.zeros(filled.shape)
+    victim_risks[filled] = risks[:-len(m)]
+    pairs = victim_risks[:, :, None] - victim_risks[:, None, :]
+    pairs *= filled[:, :, None] & filled[:, None, :]
+    # the costs, each sum in row order (zeros past a scene's rows add
+    # nothing)
+    risk_sum = np.cumsum(victim_risks, axis=1)[:, -1]
+    spread = np.cumsum(np.abs(pairs).reshape(len(m), -1), axis=1)[:, -1]
+    boundary = risks[-len(m):]
+    per = np.maximum(m, 1)
+    c_s = np.where(m > 0, (risk_sum + boundary) / (2.0 * per),
+                   0.5 * boundary)
+    losses = total_risk_cost(c_s, spread / per,
+                             cfg.responsiveness_scale * risk_sum,
+                             cfg.weights)
+
+    # d l_risk / d risk: each row's share of c_s, w_s / (2 M_b) or w_s / 2
     # without victims, and the victims' shares of c_c and c_r
-    dl = np.full(m + 1, w_s / (2.0 * max(m, 1)))
-    sign_sum = np.sign(risks[:m, None] - risks[None, :m]).sum(axis=1)
-    dl[:m] = dl[:m] + w_c * 2.0 * sign_sum / max(m, 1) \
+    share = w_s / (2.0 * per)
+    dl = np.append(np.repeat(share, m), share)
+    sign_sum = np.sign(pairs).sum(axis=2)[filled]
+    dl[:-len(m)] = dl[:-len(m)] + w_c * 2.0 * sign_sum / np.repeat(per, m) \
         + w_r * cfg.responsiveness_scale
     rows = np.flatnonzero((risks > 0.0) & (terms.step_sums[0] < 1.0))
     t = terms.steps[0, rows]
@@ -806,13 +880,30 @@ def risk_loss_and_grad(trajs: np.ndarray, scn: Scenario, cfg: RiskConfig
     coincident = dists < 1e-9   # no direction to move along
     coef = dl[rows, None] * terms.harms[0, rows, t, None] * dp \
         / np.where(coincident, 1.0, dists)
-    g = (np.where(coincident, 0.0, coef)
-         * terms.offsets[:, 0, rows, t]).sum(axis=-1).T            # [L, 2]
-    np.add.at(grad, (ego_index, t), g)
-    victim = rows < m
-    np.add.at(grad, (terms.victims[rows[victim]], t[victim]), -g[victim])
+    # the ego center minus each body point, at the live (row, step) pairs:
+    # a victim's three, or a boundary's nearest point and two out of reach
+    ego = terms.egos[rows]
+    pos = selected[ego, t]                                        # [L, 2]
+    offsets = np.zeros((2, len(rows), 3))
+    victim = rows < len(terms.victims)
+    v, tv = terms.victims[rows[victim]], t[victim]
+    half, yaw = 0.5 * batch.lengths[v], batch.yaws[0, v, tv]
+    offsets[:, victim] = _body_offsets(
+        pos[victim, 0], pos[victim, 1], selected[v, tv, 0],
+        selected[v, tv, 1], half * np.cos(yaw), half * np.sin(yaw))
+    edge = ~victim
+    offsets[:, edge, 0] = (pos[edge] - terms.nearest[
+        0, rows[edge] - len(terms.victims), t[edge]]).T
+    g = (np.where(coincident, 0.0, coef) * offsets).sum(axis=-1).T  # [L, 2]
+    grad = np.zeros_like(selected)
+    np.add.at(grad, (ego, t), g)
+    np.add.at(grad, (v, tv), -g[victim])
 
-    if not (math.isfinite(l_risk) and np.isfinite(grad).all()):
-        raise ValueError(f"scenario {scn.scenario_id!r}: the risk loss "
-                         f"{l_risk!r} or its gradient is not finite")
-    return l_risk, grad
+    bad = ~np.isfinite(losses) | ~np.logical_and.reduceat(
+        np.isfinite(grad).all(axis=(1, 2)), starts)
+    if bad.any():
+        b = int(np.argmax(bad))
+        raise ValueError(f"scenario {scenes[b].scenario_id!r}: the risk "
+                         f"loss {float(losses[b])!r} or its gradient is not "
+                         f"finite")
+    return losses, grad

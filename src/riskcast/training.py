@@ -10,12 +10,19 @@ and no report field holds it.
 
 A minibatch runs as one forward and one backward: its scenes go through
 ``JointPredictor.forward`` together, as one disjoint union of their agents,
-whatever their history lengths. Each scene's losses read its own slice
-of the union's rows, and their gradients are written back into that slice
-of one upstream gradient per output. Every scene's loss is checked for
-divergence, and the reported losses add up in minibatch order. The truth
-matrices and intention labels are computed once per scene, before the
-first epoch.
+whatever their history lengths. Every loss then runs once over the whole
+union, with no loop over its scenes: the intention cross-entropies as one
+indexed pass over its [sum N, 3] rows, the smooth-L1 loss as one pass over
+[K, sum N, T, 2] with each scene's winning mode, the mode cross-entropy as
+one pass over [B, K], and the risk term as one `risk_loss_and_grad` call,
+one risk kernel run, over every scene at its selected mode. Each scene's
+loss is the sum over its own slice of the union's rows, in agent order as
+a per-scene loop adds it (the last element of a cumsum over the slice),
+and its gradients land in that slice of one upstream gradient per output.
+Every scene's loss is checked for divergence, and the reported losses add
+up in minibatch order. The truth matrices and intention labels are
+computed once per scene, before the first epoch, the labels in one pass
+over the scene's agents.
 """
 
 from __future__ import annotations
@@ -93,43 +100,64 @@ class TrainReport:
                             repr(self.val_ade[i]), repr(self.val_fde[i])])
 
 
+def _ordered_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """[..., B] sums of the consecutive runs of the given sizes along the
+    last axis of values, each added in order, as a loop adds them: the
+    last element of a cumsum over each run."""
+    filled = np.arange(sizes.max()) < sizes[:, None]
+    runs = np.zeros(values.shape[:-1] + filled.shape)
+    runs[..., filled] = values
+    return np.cumsum(runs, axis=-1)[..., np.arange(len(sizes)), sizes - 1]
+
+
+def _sizes(slices: list[slice]) -> np.ndarray:
+    return np.array([rows.stop - rows.start for rows in slices])
+
+
 def intention_loss(lat_probs: np.ndarray, lon_probs: np.ndarray,
-                   labels: list[tuple[int, int]]
-                   ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean over agents of the lateral plus longitudinal cross-entropies."""
-    n = len(labels)
-    loss = 0.0
-    dlat = np.zeros_like(lat_probs)
-    dlon = np.zeros_like(lon_probs)
-    for i, (la, lo) in enumerate(labels):
-        loss += nn.cross_entropy(lat_probs[i], la)
-        loss += nn.cross_entropy(lon_probs[i], lo)
-        dlat[i] = nn.cross_entropy_grad(lat_probs[i], la) / n
-        dlon[i] = nn.cross_entropy_grad(lon_probs[i], lo) / n
-    return loss / n, dlat, dlon
+                   labels: np.ndarray, slices: list[slice]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each scene's mean over its agents of the lateral plus longitudinal
+    cross-entropies, for the (lateral, longitudinal) label indices [N, 2]
+    of the union's rows, scene b's rows being slices[b]; and the
+    gradients. Returns ([B] losses, dlat, dlon). A scene adds its agents'
+    terms in agent order, lateral before longitudinal."""
+    labels = np.asarray(labels)
+    sizes = _sizes(slices)
+    count = np.repeat(sizes, sizes)[:, None]
+    losses = _ordered_sums(np.stack([
+        nn.cross_entropy(lat_probs, labels[:, 0]),
+        nn.cross_entropy(lon_probs, labels[:, 1])], axis=1).reshape(-1),
+        2 * sizes) / sizes
+    return (losses, nn.cross_entropy_grad(lat_probs, labels[:, 0]) / count,
+            nn.cross_entropy_grad(lon_probs, labels[:, 1]) / count)
 
 
-def prediction_loss(trajs: np.ndarray, truth: np.ndarray
-                    ) -> tuple[float, int, np.ndarray]:
-    """Scene-level winner-take-all: the best mode's summed per-agent
-    smooth-L1 against the ground truth, with the gradient flowing into the
-    winning mode only. Returns (loss, winner index, d loss / d trajs)."""
+def prediction_loss(trajs: np.ndarray, truth: np.ndarray,
+                    slices: list[slice]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scene-level winner-take-all over a union of scenes, scene b's rows
+    being slices[b]: each scene's best mode's summed per-agent smooth-L1
+    against the ground truth, with the gradient flowing into that mode
+    only. Returns ([B] losses, [B] winner indices, d loss / d trajs)."""
     if trajs.shape[1:] != truth.shape:
         raise nn.DimensionError(
             f"prediction_loss: trajectories {trajs.shape} vs truth "
             f"{truth.shape}")
     k_count, n = trajs.shape[0], trajs.shape[1]
+    sizes = _sizes(slices)
     # nn.smooth_l1 and nn.smooth_l1_grad (beta 1) for every (mode, agent)
-    # pair at once, the agents summed in agent order as the scalar form does
+    # pair at once; a scene adds its agents in agent order
     d = trajs - truth
     ad = np.abs(d)
     per = np.where(ad < 1.0, 0.5 * d * d, ad - 0.5)
-    means = per.reshape(k_count, n, -1).mean(axis=-1)
-    losses = sum(means[:, i] for i in range(n))
-    k_star = int(np.argmin(losses))
+    losses = _ordered_sums(per.reshape(k_count, n, -1).mean(axis=-1), sizes)
+    winners = losses.argmin(axis=0)
+    rows, row_winners = np.arange(n), np.repeat(winners, sizes)
     grad = np.zeros_like(trajs)
-    grad[k_star] = np.clip(d[k_star], -1.0, 1.0) / truth[0].size
-    return float(losses[k_star]), k_star, grad
+    grad[row_winners, rows] = np.clip(d[row_winners, rows], -1.0, 1.0) \
+        / truth[0].size
+    return losses[winners, np.arange(len(sizes))], winners, grad
 
 
 def total_loss(l_pre: float, l_man: float, l_risk: float, epoch: int,
@@ -168,44 +196,41 @@ class _TrainScene:
     """A training scene in the model's local frame with its targets."""
     local: Scenario
     truth: np.ndarray                # [N, T, 2]
-    labels: list[tuple[int, int]]    # [N] (lateral, longitudinal) indices
+    labels: np.ndarray               # [N, 2] (lateral, longitudinal) indices
 
     @classmethod
     def of(cls, local: Scenario) -> "_TrainScene":
-        return cls(local, _truth_matrix(local),
-                   [label_indices(future) for future in local.future])
+        return cls(local, _truth_matrix(local), label_indices(local.future))
 
 
 def _union_losses(model: JointPredictor, scenes: list[_TrainScene],
                   epoch: int, cfg: TrainConfig
                   ) -> list[tuple[float, float, float]]:
     """One forward and one backward over the scenes, run as one union;
-    gradients accumulate into the model parameters. Returns each scene's
-    (l_pre, l_man, l_risk), in the given order."""
-    res: ForwardResult = model.forward([s.local for s in scenes])
-    dtrajs = np.zeros_like(res.trajectories)
-    dprobs = np.zeros_like(res.mode_probs)
-    dlat = np.zeros_like(res.lat_probs)
-    dlon = np.zeros_like(res.lon_probs)
-    losses = []
-    for b, (scene, rows) in enumerate(zip(scenes, res.slices)):
-        trajs = res.trajectories[:, rows]
-        l_pre, k_star, dtrajs[:, rows] = prediction_loss(trajs, scene.truth)
-        l_man, dlat[rows], dlon[rows] = intention_loss(
-            res.lat_probs[rows], res.lon_probs[rows], scene.labels)
-        dprobs[b] = cfg.mode_loss_weight * nn.cross_entropy_grad(
-            res.mode_probs[b], k_star)
-
-        l_risk = 0.0
-        if epoch > cfg.stage1_epochs:
-            k_sel = int(np.argmax(res.mode_probs[b]))
-            l_risk, drisk = risk_loss_and_grad(trajs[k_sel], scene.local,
-                                               cfg.risk)
-            dtrajs[k_sel, rows] += (1.0 - cfg.tau) * drisk
-        losses.append((l_pre, l_man, l_risk))
+    gradients accumulate into the model parameters. Every loss runs once
+    over the union. Returns each scene's (l_pre, l_man, l_risk), in the
+    given order."""
+    locals_ = [s.local for s in scenes]
+    res: ForwardResult = model.forward(locals_)
+    l_pre, winners, dtrajs = prediction_loss(
+        res.trajectories, np.concatenate([s.truth for s in scenes]),
+        res.slices)
+    l_man, dlat, dlon = intention_loss(
+        res.lat_probs, res.lon_probs,
+        np.concatenate([s.labels for s in scenes]), res.slices)
+    dprobs = cfg.mode_loss_weight * nn.cross_entropy_grad(res.mode_probs,
+                                                         winners)
+    l_risk = np.zeros(len(scenes))
+    if epoch > cfg.stage1_epochs:
+        selected = res.mode_probs.argmax(axis=1)
+        l_risk, drisk = risk_loss_and_grad(res.trajectories, locals_,
+                                           selected, cfg.risk)
+        rows = np.arange(len(drisk))
+        dtrajs[np.repeat(selected, _sizes(res.slices)), rows] += \
+            (1.0 - cfg.tau) * drisk
 
     model.backward(res, dtrajs, dprobs, cfg.tau * dlat, cfg.tau * dlon)
-    return losses
+    return list(zip(l_pre.tolist(), l_man.tolist(), l_risk.tolist()))
 
 
 def _validate(model: JointPredictor, scenarios: list[Scenario]

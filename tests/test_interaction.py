@@ -370,8 +370,10 @@ class TestGroupedSubgraphAttention:
                                 CFG.ff_mult, CFG.transformer_layers,
                                 nn.seeded_rng(31))
         x = nn.seeded_rng(32).normal(size=(len(mask), CFG.embed_dim))
-        enc.forward(x, [mask])
-        assert len(calls) == CFG.transformer_layers * _distinct_sets(mask)
+        _, (agents, _, _, _, _) = enc.forward(x, [mask])
+        # each block runs once, over a stack of one slot per distinct set
+        assert len(calls) == CFG.transformer_layers
+        assert len(agents) == _distinct_sets(mask)
 
     def test_grad_check_with_several_sets(self):
         small = ModelConfig(embed_dim=4, attention_heads=2)
@@ -407,11 +409,11 @@ class TestGroupedSubgraphAttention:
         results = []
         for blocks in ([union], masks):
             enc.zero_grad()
-            out, runs = enc.forward(x, blocks)
-            dx = enc.backward(runs, g)
+            out, ctx = enc.forward(x, blocks)
+            dx = enc.backward(ctx, g)
+            agents, filled, members, slots, _ = ctx
             results.append([out, dx] + [p.grad.copy() for p in enc.params()]
-                           + [a for idx, members, _, _ in runs
-                              for a in (idx, members)])
+                           + [agents, filled, members, slots])
         whole, per_block = results
         assert len(whole) == len(per_block)
         for a, b in zip(whole, per_block):
@@ -426,8 +428,8 @@ class TestGroupedSubgraphAttention:
                                 CFG.ff_mult, CFG.transformer_layers,
                                 nn.seeded_rng(36))
         x = nn.seeded_rng(37).normal(size=(5, CFG.embed_dim))
-        _, runs = enc.forward(x, [MASKS["one_set"]])
-        assert len(runs) == 1
+        _, (agents, filled, _, _, _) = enc.forward(x, [MASKS["one_set"]])
+        assert agents.shape == (1, 5) and filled.all()
 
     def test_agent_outside_its_own_set_raises(self):
         enc = AgentAgentEncoder(CFG.embed_dim, CFG.attention_heads,

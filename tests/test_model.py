@@ -55,13 +55,14 @@ class TestForward:
     def test_full_model_gradient_check(self, tiny_setup):
         model, _, local = tiny_setup
         truth = _truth_matrix(local)
-        labels = [label_indices(f) for f in local.future]
+        labels = label_indices(local.future)
 
         def loss_fn():
             res = model.forward([local])
-            l_pre, k_star, dtrajs = prediction_loss(res.trajectories, truth)
-            l_man, dlat, dlon = intention_loss(res.lat_probs, res.lon_probs,
-                                               labels)
+            [l_pre], [k_star], dtrajs = prediction_loss(
+                res.trajectories, truth, res.slices)
+            [l_man], dlat, dlon = intention_loss(
+                res.lat_probs, res.lon_probs, labels, res.slices)
             l_mode = nn.cross_entropy(res.mode_probs[0], k_star)
             dp = nn.cross_entropy_grad(res.mode_probs[0], k_star)
             model.backward(res, dtrajs, dp, 0.5 * dlat, 0.5 * dlon)
@@ -149,11 +150,11 @@ class TestForward:
                                    ("merge", 4, 2))]
 
         def backward(res, local):
-            _, k_star, dtrajs = prediction_loss(res.trajectories,
-                                                _truth_matrix(local))
-            labels = [label_indices(f) for f in local.future]
+            _, [k_star], dtrajs = prediction_loss(
+                res.trajectories, _truth_matrix(local), res.slices)
             _, dlat, dlon = intention_loss(res.lat_probs, res.lon_probs,
-                                           labels)
+                                           label_indices(local.future),
+                                           res.slices)
             model.backward(res, dtrajs,
                            nn.cross_entropy_grad(res.mode_probs[0], k_star),
                            dlat, dlon)
@@ -201,11 +202,12 @@ def batch_loss(model, locals_):
     dlon = np.zeros_like(res.lon_probs)
     loss = 0.0
     for b, (local, rows) in enumerate(zip(locals_, res.slices)):
-        l_pre, k_star, dtrajs[:, rows] = prediction_loss(
-            res.trajectories[:, rows], _truth_matrix(local))
-        l_man, dlat[rows], dlon[rows] = intention_loss(
+        one = [slice(0, rows.stop - rows.start)]
+        [l_pre], [k_star], dtrajs[:, rows] = prediction_loss(
+            res.trajectories[:, rows], _truth_matrix(local), one)
+        [l_man], dlat[rows], dlon[rows] = intention_loss(
             res.lat_probs[rows], res.lon_probs[rows],
-            [label_indices(f) for f in local.future])
+            label_indices(local.future), one)
         dprobs[b] = nn.cross_entropy_grad(res.mode_probs[b], k_star)
         loss += l_pre + 0.5 * l_man + nn.cross_entropy(res.mode_probs[b],
                                                        k_star)
@@ -519,6 +521,19 @@ class TestCheckpoint:
         model.save(str(path))
         rewrite_npz(path, lambda meta, arrays: meta["index"].reverse())
         with pytest.raises(ValueError, match="in order"):
+            JointPredictor.load(str(path))
+
+    def test_rejects_an_index_that_repeats_a_name(self, tmp_path,
+                                                  tiny_setup):
+        # the last entry listed twice: as a dict, the index reads in order
+        model, _, _ = tiny_setup
+        path = tmp_path / "ckpt.npz"
+        model.save(str(path))
+        last = model.params()[-1].name
+        rewrite_npz(path, lambda meta, arrays: meta["index"].append(
+            meta["index"][-1]))
+        with pytest.raises(ValueError, match=(
+                f"^checkpoint index lists tensor '{last}' twice")):
             JointPredictor.load(str(path))
 
     @pytest.mark.parametrize("index", [None, "dec", [["a"]], [["a", 2]],

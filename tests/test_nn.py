@@ -776,6 +776,38 @@ class TestAdam:
         assert p.value[0] == pytest.approx(expected, abs=1e-12)
 
 
+    @pytest.mark.parametrize("wd", [0.0, 0.02])
+    def test_special_gradients_step_as_the_textbook_form(self, wd):
+        # the first step writes m = (1 - b1) g, not 0 b1 + (1 - b1) g: a
+        # -0.0 gradient leaves m at -0.0, and the values still match the
+        # textbook form bit for bit, infinities and NaNs included
+        rng = nn.seeded_rng(33)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        value0 = rng.normal(size=200)
+        value0[:20] = 0.0
+        p = nn.Parameter("w", value0.copy())
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        opt = nn.Adam([p], lr=lr, beta1=b1, beta2=b2, eps=eps,
+                      weight_decay=wd)
+        value, m, v = value0.copy(), np.zeros(200), np.zeros(200)
+        with np.errstate(invalid="ignore"):
+            for t in range(1, 4):
+                g = rng.normal(size=200)
+                g[rng.integers(0, 200, size=60)] = rng.choice(specials, 60)
+                p.grad[...] = g
+                opt.step()
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * (g * g)
+                update = (m / (1.0 - b1 ** t)) / (
+                    np.sqrt(v / (1.0 - b2 ** t)) + eps)
+                value = value - lr * (update + wd * value)
+                assert p.value.tobytes() == value.tobytes()
+
+    def test_a_gradient_is_allocated_zeroed(self):
+        p = nn.Parameter("w", np.ones((3, 4)))
+        assert not p.has_grad
+        assert p.grad.tobytes() == np.zeros((3, 4)).tobytes()
+
     @pytest.mark.parametrize("shape", [(3, 128, 128), (3, 129, 131)])
     def test_chunked_step_equals_the_whole_array_update(self, shape):
         # a parameter of several chunks, the last one whole or partial,

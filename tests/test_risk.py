@@ -36,7 +36,8 @@ def make_track(positions, width=1.8, length=4.5, mass=1500.0,
     yaws = np.arctan2(vel[:, 1], vel[:, 0])
     return MotionBatch([agent_id], positions[None, None], vel[None, None],
                        yaws[None, None], np.array([length]),
-                       np.array([width]), np.array([mass]), [agent_class])
+                       np.array([width]), np.array([mass]), [agent_class],
+                       [slice(0, 1)])
 
 
 def joined(*tracks):
@@ -48,7 +49,14 @@ def joined(*tracks):
                        cat("positions", 1), cat("velocities", 1),
                        cat("yaws", 1), cat("lengths", 0), cat("widths", 0),
                        cat("masses", 0),
-                       [tr.agent_classes[0] for tr in tracks])
+                       [tr.agent_classes[0] for tr in tracks],
+                       [slice(0, len(tracks))])
+
+
+def scene_risk_loss(trajs, scn, cfg):
+    """risk_loss_and_grad of one mode [N, T, 2] of one scene."""
+    losses, grad = risk_loss_and_grad(trajs[None], [scn], np.array([0]), cfg)
+    return losses[0], grad
 
 
 def at(track, t):
@@ -248,7 +256,7 @@ class TestTrajectoryRisk:
         cfg = RiskConfig(uncertainty=UncertaintyModel(sigma0=0.5, growth=0.0))
         a = straight_track([0, 0], [5, 0], 10)
         b = straight_track([0, 500], [5, 0], 10, agent_id="y")
-        assert risk_kernel(joined(a, b), 1, NO_BOUNDARIES,
+        assert risk_kernel(joined(a, b), [1], [NO_BOUNDARIES],
                            cfg).risks[0, 0] == 0.0
 
     def test_matches_exhaustive_scan(self):
@@ -256,7 +264,7 @@ class TestTrajectoryRisk:
         coeffs = HarmCoefficients()
         victim = straight_track([0, 6], [0, -1.5], 30, agent_id="v")
         ego = straight_track([-10, 0], [4, 0], 30, agent_id="e")
-        r = risk_kernel(joined(victim, ego), 1, NO_BOUNDARIES,
+        r = risk_kernel(joined(victim, ego), [1], [NO_BOUNDARIES],
                         RiskConfig(uncertainty=u, harm=coeffs)).risks[0, 0]
         brute = max(pair_harm(at(victim, t), at(ego, t), coeffs)
                     * collision_probability(at(victim, t), at(ego, t),
@@ -270,7 +278,7 @@ class TestTrajectoryRisk:
         # paths intersect at exactly one step
         victim = straight_track([5, -5], [0, 5], 10, agent_id="v")
         ego = straight_track([0, 0], [5, 0], 10, agent_id="e")
-        r = risk_kernel(joined(victim, ego), 1, NO_BOUNDARIES,
+        r = risk_kernel(joined(victim, ego), [1], [NO_BOUNDARIES],
                         cfg).risks[0, 0]
         assert r > 0
 
@@ -495,7 +503,7 @@ class TestRiskGradient:
         with pytest.raises(ValueError, match=(
                 "^scenario 'straight-0': the risk loss nan or its gradient "
                 "is not finite$")):
-            risk_loss_and_grad(scn.future[:, :, :2], scn, RiskConfig())
+            scene_risk_loss(scn.future[:, :, :2], scn, RiskConfig())
 
     def test_gradient_matches_finite_difference(self):
         # the implemented gradient flows through the collision probabilities
@@ -509,7 +517,7 @@ class TestRiskGradient:
         for i in range(trajs.shape[0]):
             if i != scn.ego_index:
                 trajs[i] += np.array([3.0, 2.5])
-        base, grad = risk_loss_and_grad(trajs, scn, cfg)
+        base, grad = scene_risk_loss(trajs, scn, cfg)
         assert base > 0
         active = np.argwhere(np.abs(grad) > 1e-8)
         assert len(active) >= 4
@@ -523,9 +531,9 @@ class TestRiskGradient:
         for idx in ego_probes:
             orig = trajs[idx]
             trajs[idx] = orig + h
-            lp, _ = risk_loss_and_grad(trajs, scn, cfg)
+            lp, _ = scene_risk_loss(trajs, scn, cfg)
             trajs[idx] = orig - h
-            lm, _ = risk_loss_and_grad(trajs, scn, cfg)
+            lm, _ = scene_risk_loss(trajs, scn, cfg)
             trajs[idx] = orig
             num = (lp - lm) / (2 * h)
             assert grad[idx] == pytest.approx(num, rel=1e-3, abs=1e-10)
@@ -538,9 +546,9 @@ class TestRiskGradient:
                 continue
             for axis in (0, 1):
                 trajs[i, :, axis] += h
-                lp, _ = risk_loss_and_grad(trajs, scn, cfg)
+                lp, _ = scene_risk_loss(trajs, scn, cfg)
                 trajs[i, :, axis] -= 2 * h
-                lm, _ = risk_loss_and_grad(trajs, scn, cfg)
+                lm, _ = scene_risk_loss(trajs, scn, cfg)
                 trajs[i, :, axis] += h
                 num = (lp - lm) / (2 * h)
                 assert grad[i, :, axis].sum() == \

@@ -120,22 +120,29 @@ def test_kernel_matches_per_step_reference(model, template, n, seed):
 
     k = select_mode(jp)
     predicted = scn.take(scn.prediction_rows(jp.agent_ids))
-    loss, _ = risk_loss_and_grad(jp.trajectories[k], predicted, cfg)
+    [loss], _ = risk_loss_and_grad(jp.trajectories, [predicted],
+                                   np.array([k]), cfg)
     assert loss == pytest.approx(reports[k].l_risk, rel=1e-12, abs=0)
+
+
+def scene_risk_loss(trajs, scn, cfg):
+    """risk_loss_and_grad of one mode [N, T, 2] of one scene."""
+    losses, grad = risk_loss_and_grad(trajs[None], [scn], np.array([0]), cfg)
+    return losses[0], grad
 
 
 def predicted_batch(jp, scn):
     """Every mode of the prediction, as rank_trajectories batches it."""
-    return batch_from_prediction(scn.take(scn.prediction_rows(jp.agent_ids)),
-                                 jp.trajectories)
+    return batch_from_prediction(
+        [scn.take(scn.prediction_rows(jp.agent_ids))], jp.trajectories)
 
 
 def kernel_terms(jp, scn, cfg):
     """The batch and the risk kernel's output for every mode, as
     rank_trajectories has them."""
     batch = predicted_batch(jp, scn)
-    return batch, risk_kernel(batch, batch.agent_ids.index(scn.ego_id),
-                              _road_boundaries(scn), cfg)
+    return batch, risk_kernel(batch, [batch.agent_ids.index(scn.ego_id)],
+                              [_road_boundaries(scn)], cfg)
 
 
 def ncx2_disc_probability(dist, radius, sigma):
@@ -368,7 +375,8 @@ def beside_the_wall(n):
     scn = generate_scenario("straight", n, seed=2)
     trajs = scn.future[:, :, :2].copy()
     e = scn.ego_index
-    dist, nearest = risk._clearance(trajs[e], _road_boundaries(scn))
+    dist, nearest = risk._clearance(trajs[e],
+                                    *_road_boundaries(scn).segments())
     t = dist.argmin()
     trajs[e] += (nearest[t] - trajs[e, t]) * (1.0 - 1.5 / dist[t])
     trajs[np.arange(n) != e] += 1000.0
@@ -384,10 +392,10 @@ def test_boundary_gradient_matches_finite_difference(n):
     absolute tolerance is the differences' rounding, ~1e-15 / h."""
     scn, trajs = beside_the_wall(n)
     cfg = RiskConfig(harm=HarmCoefficients(mu0=0.5, mu1=1e-12))
-    terms = risk_kernel(batch_from_prediction(scn, trajs[None]),
-                        scn.ego_index, _road_boundaries(scn), cfg)
+    terms = risk_kernel(batch_from_prediction([scn], trajs[None]),
+                        [scn.ego_index], [_road_boundaries(scn)], cfg)
     assert (terms.risks[0, :-1] == 0.0).all() and terms.risks[0, -1] > 1e-3
-    loss, grad = risk_loss_and_grad(trajs, scn, cfg)
+    loss, grad = scene_risk_loss(trajs, scn, cfg)
     assert loss == pytest.approx(cfg.weights[0] * terms.risks[0, -1]
                                  / (2 * max(n - 1, 1)), rel=1e-12)
     live = np.argwhere(grad != 0.0)
@@ -398,9 +406,9 @@ def test_boundary_gradient_matches_finite_difference(n):
         idx = (scn.ego_index,) + idx
         orig = trajs[idx]
         trajs[idx] = orig + h
-        lp, _ = risk_loss_and_grad(trajs, scn, cfg)
+        lp, _ = scene_risk_loss(trajs, scn, cfg)
         trajs[idx] = orig - h
-        lm, _ = risk_loss_and_grad(trajs, scn, cfg)
+        lm, _ = scene_risk_loss(trajs, scn, cfg)
         trajs[idx] = orig
         assert grad[idx] == pytest.approx((lp - lm) / (2 * h), rel=1e-3,
                                           abs=1e-9)

@@ -324,8 +324,9 @@ def test_map_stages_match_per_polyline_loops(scn, radius):
                   if POLYLINE_KINDS[k] == "road_boundary"]
     if boundaries:
         points = np.random.default_rng(1).normal(scale=40.0, size=(3, 7, 2))
-        for got, ref in zip(_clearance(points, scn.map.of_kind(
-                "road_boundary")), loop_clearance(points, boundaries)):
+        for got, ref in zip(_clearance(points, *scn.map.of_kind(
+                "road_boundary").segments()),
+                            loop_clearance(points, boundaries)):
             assert np.array_equal(got, ref)
 
 
@@ -334,10 +335,11 @@ def test_clearance_tie_takes_first_segment():
     walls = RoadMap.padded([np.array([[-5.0, 1.0], [5.0, 1.0]]),
                             np.array([[-5.0, -1.0], [0.0, -1.0], [5.0, -1.0]])],
                            ["road_boundary"] * 2)
-    dist, nearest = _clearance(np.array([[0.0, 0.0]]), walls)
+    point = np.array([[0.0, 0.0]])
+    dist, nearest = _clearance(point, *walls.segments())
     assert dist[0] == 1.0 and np.array_equal(nearest[0], [0.0, 1.0])
-    dist, nearest = _clearance(np.array([[0.0, 0.0]]), walls.select(
-        np.array([False, True])))
+    dist, nearest = _clearance(point, *walls.select(
+        np.array([False, True])).segments())
     assert np.array_equal(nearest[0], [0.0, -1.0])
 
 

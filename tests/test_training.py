@@ -15,17 +15,31 @@ from riskcast.training import (TrainConfig, _TrainScene, _union_losses,
                                total_loss, train)
 
 
+def scene_intention_loss(lat, lon, labels):
+    """intention_loss of one scene: a union of one."""
+    [loss], dlat, dlon = intention_loss(lat, lon, labels,
+                                        [slice(0, len(labels))])
+    return loss, dlat, dlon
+
+
+def scene_prediction_loss(trajs, truth):
+    """prediction_loss of one scene: a union of one."""
+    [loss], [k_star], grad = prediction_loss(trajs, truth,
+                                             [slice(0, trajs.shape[1])])
+    return loss, k_star, grad
+
+
 class TestIntentionLoss:
     def test_perfect_prediction_zero(self):
         lat = np.array([[1.0, 0.0, 0.0]])
         lon = np.array([[0.0, 1.0, 0.0]])
-        loss, dlat, dlon = intention_loss(lat, lon, [(0, 1)])
+        loss, dlat, dlon = scene_intention_loss(lat, lon, [(0, 1)])
         assert loss == 0.0
 
     def test_uniform_is_two_log_three(self):
         lat = np.full((2, 3), 1 / 3)
         lon = np.full((2, 3), 1 / 3)
-        loss, _, _ = intention_loss(lat, lon, [(0, 0), (2, 1)])
+        loss, _, _ = scene_intention_loss(lat, lon, [(0, 0), (2, 1)])
         assert loss == pytest.approx(2 * math.log(3.0), abs=1e-12)
         assert loss == pytest.approx(2.197, abs=1e-3)
 
@@ -34,7 +48,7 @@ class TestIntentionLoss:
         lat = nn.softmax(rng.normal(size=(3, 3)))
         lon = nn.softmax(rng.normal(size=(3, 3)))
         labels = [(0, 2), (1, 1), (2, 0)]
-        loss, _, _ = intention_loss(lat, lon, labels)
+        loss, _, _ = scene_intention_loss(lat, lon, labels)
         expected = np.mean([
             nn.cross_entropy(lat[i], la) + nn.cross_entropy(lon[i], lo)
             for i, (la, lo) in enumerate(labels)
@@ -66,7 +80,7 @@ class TestPredictionLoss:
             truth = rng.normal(scale=3.0, size=(n, t, 2))
             scale = rng.choice([0.1, 1.0, 5.0])
             trajs = truth + rng.normal(scale=scale, size=(k, n, t, 2))
-            loss, k_star, grad = prediction_loss(trajs, truth)
+            loss, k_star, grad = scene_prediction_loss(trajs, truth)
             want_loss, want_k, want_grad = reference_prediction_loss(trajs,
                                                                      truth)
             assert (loss, k_star) == (want_loss, want_k)
@@ -75,7 +89,7 @@ class TestPredictionLoss:
     def test_exact_mode_gives_zero(self):
         truth = nn.seeded_rng(1).normal(size=(2, 4, 2))
         trajs = np.stack([truth + 3.0, truth])
-        loss, k_star, grad = prediction_loss(trajs, truth)
+        loss, k_star, grad = scene_prediction_loss(trajs, truth)
         assert loss == 0.0
         assert k_star == 1
         assert np.array_equal(grad[1], np.zeros_like(truth))
@@ -83,7 +97,7 @@ class TestPredictionLoss:
     def test_half_meter_offset_single_mode(self):
         truth = np.zeros((1, 6, 2))
         trajs = np.full((1, 1, 6, 2), 0.5)
-        loss, _, _ = prediction_loss(trajs, truth)
+        loss, _, _ = scene_prediction_loss(trajs, truth)
         assert loss == pytest.approx(0.125, abs=1e-12)
 
     def test_adding_worse_mode_keeps_loss(self):
@@ -91,9 +105,9 @@ class TestPredictionLoss:
         truth = rng.normal(size=(2, 5, 2))
         good = truth + rng.normal(scale=0.1, size=truth.shape)
         base_trajs = good[None]
-        base_loss, _, _ = prediction_loss(base_trajs, truth)
+        base_loss, _, _ = scene_prediction_loss(base_trajs, truth)
         worse = np.concatenate([base_trajs, (truth + 50.0)[None]])
-        new_loss, k_star, _ = prediction_loss(worse, truth)
+        new_loss, k_star, _ = scene_prediction_loss(worse, truth)
         assert new_loss == pytest.approx(base_loss, abs=1e-12)
         assert k_star == 0
 
@@ -103,7 +117,7 @@ class TestPredictionLoss:
         losses = []
         trajs = rng.normal(size=(1, 2, 4, 2))
         for _ in range(6):
-            loss, _, _ = prediction_loss(trajs, truth)
+            loss, _, _ = scene_prediction_loss(trajs, truth)
             losses.append(loss)
             extra = rng.normal(size=(1, 2, 4, 2))
             trajs = np.concatenate([trajs, extra])
@@ -113,14 +127,15 @@ class TestPredictionLoss:
         rng = nn.seeded_rng(4)
         truth = rng.normal(size=(1, 3, 2))
         trajs = np.stack([truth + 0.2, truth + 5.0])
-        _, k_star, grad = prediction_loss(trajs, truth)
+        _, k_star, grad = scene_prediction_loss(trajs, truth)
         assert k_star == 0
         assert np.abs(grad[0]).max() > 0
         assert np.array_equal(grad[1], np.zeros_like(truth))
 
     def test_shape_mismatch(self):
         with pytest.raises(nn.DimensionError):
-            prediction_loss(np.zeros((2, 1, 4, 2)), np.zeros((1, 5, 2)))
+            scene_prediction_loss(np.zeros((2, 1, 4, 2)),
+                                  np.zeros((1, 5, 2)))
 
 
 class TestTotalLoss:
