@@ -14,7 +14,8 @@ each side making the case's fixed number of calls. The cases are
 - ``evaluate``: one perfbench eval call, `evaluate` with the model's
   `predict` over 4 N=16 scenes of the normal templates;
 - ``predict+rank N3|N8|N16``: `predict` then `rank_trajectories` of the
-  fixed `merge` scene (seed 3);
+  fixed `merge` scene (seed 3); ``predict N*`` and ``rank N*`` time each
+  half alone, the ranking of a prediction made once at set-up;
 - ``train stage1|stage2``: a perfbench-sized `train()` call, six scenes of
   the five templates with N from 3 to 8, one epoch in that stage, with its
   checkpoint writes;
@@ -27,8 +28,13 @@ each side making the case's fixed number of calls. The cases are
 
 Models are seeded and untrained (the default config). Each side reads the
 same scenes, handed over as scene JSON. For each case the script prints
-the median of the per-round change/parent time ratios, their quartiles,
-and in how many rounds the change was faster.
+the median of the per-round change/parent time ratios, their quartiles, a
+95% interval for that median, and in how many rounds the change was
+faster. The interval is the sign test's: the order statistics r_(k) and
+r_(n+1-k) of the n sorted ratios, for the largest k at which
+P(Binomial(n, 1/2) < k) <= 2.5%, so it holds the true median with a
+probability of at least 95% whatever the ratios' distribution. Below six
+rounds no k qualifies, and the interval is the ratios' whole range.
 """
 
 from __future__ import annotations
@@ -64,6 +70,9 @@ def cases(tree, texts: dict, out_dir: str) -> dict:
         def plan(scn=scn):
             return tree.risk.rank_trajectories(model.predict(scn)[0], scn)
         out[f"predict+rank N{n}"] = (16, plan)
+        out[f"predict N{n}"] = (16, lambda scn=scn: model.predict(scn))
+        out[f"rank N{n}"] = (16, lambda scn=scn, jp=model.predict(scn)[0]:
+                             tree.risk.rank_trajectories(jp, scn))
     trains = [load(t) for t in texts["train"]]
     for name, stage1 in (("stage1", 1), ("stage2", 0)):
         cfg = tree.training.TrainConfig(epochs=1, stage1_epochs=stage1,
@@ -105,12 +114,27 @@ def timed(calls: int, fn) -> float:
     return time.perf_counter() - t0
 
 
+def median_interval(values: np.ndarray) -> tuple[float, float]:
+    """The sign test's 95% interval for the median of the values (see the
+    module docstring); their whole range below six values."""
+    x = np.sort(values)
+    n = len(x)
+    # the largest k with P(Binomial(n, 1/2) < k) <= 2.5%, in whole numbers:
+    # 40 (C(n, 0) + ... + C(n, k - 1)) <= 2^n
+    k, count = 0, 0
+    while 40 * (count + math.comb(n, k)) <= 2 ** n:
+        count += math.comb(n, k)
+        k += 1
+    k = max(k, 1)
+    return float(x[k - 1]), float(x[n - k])
+
+
 def compare(parent_src: str, change_src: str, rounds: int
             ) -> dict[str, dict]:
-    """{case: {"ratio", "q1", "q3", "wins", "rounds", "parent_ms",
-    "change_ms"}}: the median change/parent ratio of the rounds and its
-    quartiles, the rounds the change won, and each side's median time of
-    one call in ms."""
+    """{case: {"ratio", "q1", "q3", "lo", "hi", "wins", "rounds",
+    "parent_ms", "change_ms"}}: the median change/parent ratio of the
+    rounds, its quartiles and its 95% interval, the rounds the change won,
+    and each side's median time of one call in ms."""
     a, b = load_tree(parent_src, "parent"), load_tree(change_src, "change")
     texts = scene_texts(a)
     with tempfile.TemporaryDirectory() as dir_a, \
@@ -130,8 +154,10 @@ def compare(parent_src: str, change_src: str, rounds: int
     for name, (ta, tb) in times.items():
         ta, tb = np.array(ta), np.array(tb)
         q1, ratio, q3 = np.percentile(tb / ta, [25, 50, 75])
+        lo, hi = median_interval(tb / ta)
         out[name] = {"ratio": float(ratio), "q1": float(q1),
-                     "q3": float(q3), "wins": int((tb < ta).sum()),
+                     "q3": float(q3), "lo": lo, "hi": hi,
+                     "wins": int((tb < ta).sum()),
                      "rounds": rounds,
                      "parent_ms": float(np.median(ta)) * 1e3,
                      "change_ms": float(np.median(tb)) * 1e3}
@@ -148,10 +174,11 @@ def main(argv=None) -> int:
         parser.error("--rounds must be at least 1")
     rows = compare(args.parent_src, args.change_src, args.rounds)
     print(f"{'case':20s} {'parent ms':>10s} {'change ms':>10s} "
-          f"{'ratio':>6s} {'IQR':>13s} {'wins':>7s}")
+          f"{'ratio':>6s} {'IQR':>13s} {'95% interval':>13s} {'wins':>7s}")
     for name, r in rows.items():
         print(f"{name:20s} {r['parent_ms']:10.3f} {r['change_ms']:10.3f} "
               f"{r['ratio']:6.3f} {r['q1']:6.3f}-{r['q3']:6.3f} "
+              f"{r['lo']:6.3f}-{r['hi']:6.3f} "
               f"{r['wins']:3d}/{r['rounds']:<3d}")
     return 0 if all(math.isfinite(r["ratio"]) for r in rows.values()) else 1
 

@@ -165,7 +165,11 @@ def rotate2(v: np.ndarray, angle: float) -> np.ndarray:
     (x c - y s, x s + y c) with c = cos(angle) and s = sin(angle)."""
     c, s = math.cos(angle), math.sin(angle)
     x, y = v[..., 0], v[..., 1]
-    return np.stack([x * c - y * s, x * s + y * c], axis=-1)
+    xc = x * c
+    out = np.empty(np.shape(xc) + (2,), xc.dtype)
+    np.subtract(xc, y * s, out=out[..., 0])
+    np.add(x * s, y * c, out=out[..., 1])
+    return out
 
 
 def wrap_angle(angle: np.ndarray) -> np.ndarray:

@@ -59,8 +59,7 @@ class IntentionHead(nn.Module):
     def forward(self, features: np.ndarray
                 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple]:
         logits, mlp_ctx = self.mlps.forward(features)
-        lat = nn.softmax(logits[0])
-        lon = nn.softmax(logits[1])
+        lat, lon = nn.softmax(logits)        # row by row, so both at once
         return (lat, lon), (mlp_ctx, lat, lon)
 
     def backward(self, ctx: tuple, dlat: np.ndarray,
@@ -150,7 +149,9 @@ class JointDecoder(nn.Module):
         trajs += pos0[:, None, :]
         feat, pool_ctx = self.pool_mlp.forward(dec_in)
         # arg[b, j]: the row holding scene b's largest feature j
-        arg = np.stack([feat[s].argmax(axis=0) + s.start for s in slices])
+        arg = np.empty((len(slices), feat.shape[1]), dtype=np.intp)
+        for b, s in enumerate(slices):
+            np.add(feat[s].argmax(axis=0), s.start, out=arg[b])
         pooled = feat[arg, np.arange(feat.shape[1])]
         logits, prob_ctx = self.prob_mlp.forward(pooled)
         probs = nn.softmax(logits)

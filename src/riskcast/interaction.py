@@ -13,7 +13,10 @@ unpadded, and computes its bits.
 The history features are built for all agents and steps from the scene's
 ``past`` [N, H+1, 5], and the map features and visibility for all
 polylines, as array operations; the history features round as the scalar
-``relative_encoding`` does. The agent-map attention adds its attended map
+``relative_encoding`` does. The history features and the visibility work
+on x and y arrays, in place where they can, writing the rules of
+``norm2``, ``dot2`` and ``cross2`` inline, and the history features fill
+one preallocated array. The agent-map attention adds its attended map
 context to a row as a residual; rows with no visible polyline, or an
 entirely empty map, pass through unchanged.
 
@@ -32,8 +35,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import nn
-from .geometry import (AGENT_CLASSES, DIST_EPS, SPEED_EPS, cross2, dot2,
-                       norm2)
+from .geometry import AGENT_CLASSES, DIST_EPS, SPEED_EPS, norm2
 from .scene import POLYLINE_KINDS, RoadMap, Scenario
 
 POS_SCALE = 50.0
@@ -52,30 +54,39 @@ def history_feature_matrix(scn: Scenario) -> np.ndarray:
     The relative encoding is ``relative_encoding(ego state, agent state)``
     for all agents and steps at once, with its fallbacks: a stopped agent
     moves along its yaw, and coincident positions have bearing
-    (sin, cos) = (0, 1).
+    (sin, cos) = (0, 1). It works on x and y arrays and writes the rules
+    of ``norm2``, ``dot2`` and ``cross2`` inline, straight into the
+    columns of the one output array.
     """
     kin = scn.past
     n, steps = kin.shape[:2]
-    speed = norm2(kin[..., 3:5])
-    stopped = speed < SPEED_EPS
-    # AgentState.direction of every state
-    u = np.where(stopped[..., None],
-                 np.stack([np.cos(kin[..., 2]), np.sin(kin[..., 2])], axis=-1),
-                 kin[..., 3:5] / np.where(stopped, 1.0, speed)[..., None])
-    u_ego = u[scn.ego_index]
-    d = kin[..., :2] - kin[scn.ego_index, :, :2]
-    dist = norm2(d)
-    near = dist < DIST_EPS
-    dn = d / np.where(near, 1.0, dist)[..., None]
-    rel = np.stack([cross2(u_ego, u), dot2(u_ego, u),
-                    np.where(near, 0.0, cross2(dn, u)),
-                    np.where(near, 1.0, dot2(dn, u)),
-                    dist / POS_SCALE], axis=-1)
+    out = np.empty((n, steps, HISTORY_FEATURES))
+    np.divide(kin[..., :5], KINEMATIC_SCALE, out=out[..., :5])
+    x, y, yaw, vx, vy = kin.transpose(2, 0, 1)
+    speed = np.sqrt(vx * vx + vy * vy)
+    # AgentState.direction of every state: the velocity over the speed,
+    # the yaw direction where stopped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux, uy = vx / speed, vy / speed
+        stopped = speed < SPEED_EPS
+        if stopped.any():
+            ux[stopped], uy[stopped] = (np.cos(yaw[stopped]),
+                                        np.sin(yaw[stopped]))
+        ex, ey = ux[scn.ego_index], uy[scn.ego_index]
+        np.subtract(ex * uy, ey * ux, out=out[..., 5])       # cross2(u_ego, u)
+        np.add(ex * ux, ey * uy, out=out[..., 6])            # dot2(u_ego, u)
+        dx, dy = x - x[scn.ego_index], y - y[scn.ego_index]
+        dist = np.sqrt(dx * dx + dy * dy)
+        dx /= dist
+        dy /= dist
+        np.subtract(dx * uy, dy * ux, out=out[..., 7])       # cross2(dn, u)
+        np.add(dx * ux, dy * uy, out=out[..., 8])            # dot2(dn, u)
+    near = dist < DIST_EPS                     # the ego's own row among them
+    out[..., 7][near], out[..., 8][near] = 0.0, 1.0
+    np.divide(dist, POS_SCALE, out=out[..., 9])
     classes = [AGENT_CLASSES.index(c) for c in scn.agent_classes]
-    onehot = np.broadcast_to(np.eye(len(AGENT_CLASSES))[classes][:, None],
-                             (n, steps, len(AGENT_CLASSES)))
-    return np.concatenate([kin[..., :5] / KINEMATIC_SCALE, rel, onehot],
-                          axis=-1)
+    out[..., 10:] = np.eye(len(AGENT_CLASSES))[classes][:, None]
+    return out
 
 
 def map_feature_matrix(road_map: RoadMap, pad: int = 20) -> np.ndarray:
@@ -83,12 +94,12 @@ def map_feature_matrix(road_map: RoadMap, pad: int = 20) -> np.ndarray:
     polyline-kind one-hot: [P, pad*3 + 3]. Waypoints beyond `pad` are
     dropped."""
     n = min(road_map.waypoints.shape[1], pad)
-    slots = np.zeros((len(road_map), pad, 3))
-    slots[:, :n, :2] = road_map.waypoints[:, :n] / POS_SCALE
+    out = np.zeros((len(road_map), pad * 3 + len(POLYLINE_KINDS)))
+    slots = out[:, :pad * 3].reshape(len(road_map), pad, 3)
+    np.divide(road_map.waypoints[:, :n], POS_SCALE, out=slots[:, :n, :2])
     slots[:, :n, 2] = road_map.valid[:, :n]
-    kinds = np.eye(len(POLYLINE_KINDS))[road_map.kinds]
-    return np.concatenate([slots.reshape(len(road_map), pad * 3), kinds],
-                          axis=1)
+    out[:, pad * 3:] = np.eye(len(POLYLINE_KINDS))[road_map.kinds]
+    return out
 
 
 def neighbor_mask(scn: Scenario, radius: float) -> np.ndarray:
@@ -102,10 +113,16 @@ def neighbor_mask(scn: Scenario, radius: float) -> np.ndarray:
 
 def map_visibility(scn: Scenario, radius: float) -> np.ndarray:
     """vis[i, m] is True when polyline m has a waypoint within agent i's
-    context radius."""
+    context radius. The distances [N, P, W] are computed on contiguous x
+    and y arrays, in place, by the rule of ``norm2``; a padding waypoint
+    lies at x = inf, beyond every radius."""
     pos = scn.past[:, -1, :2]
-    d = norm2(pos[:, None, None, :] - scn.map.waypoints[None])  # [N, P, W]
-    d = np.where(scn.map.valid, d, np.inf)
+    wx = np.where(scn.map.valid, scn.map.waypoints[..., 0], np.inf)
+    d = np.subtract(pos[:, 0, None, None], wx)                  # [N, P, W]
+    dy = np.subtract(pos[:, 1, None, None], scn.map.waypoints[..., 1])
+    np.multiply(d, d, out=d)
+    d += np.multiply(dy, dy, out=dy)
+    np.sqrt(d, out=d)
     return d.min(axis=-1, initial=np.inf) <= radius
 
 
@@ -308,7 +325,7 @@ class AgentMapAttention(nn.Module):
         rows, keys, blocks = [], [], []
         row0 = key0 = 0
         for v in vis:
-            attending = np.flatnonzero(v.any(axis=1))
+            attending = v.any(axis=1).nonzero()[0]
             if attending.size:
                 rows.append(row0 + attending)
                 keys.append(np.arange(key0, key0 + v.shape[1]))
@@ -318,14 +335,21 @@ class AgentMapAttention(nn.Module):
             return out, (len(map_embeds), None)
         queries, row_filled = _stack(rows)
         keys, key_filled = _stack(keys)
-        # a padded query row sees its scene's keys
-        mask = np.repeat(key_filled[:, None, :], queries.shape[1], axis=1)
+        # a padded key is masked; a padded query row sees its scene's keys
+        mask = np.zeros(row_filled.shape + key_filled.shape[1:], dtype=bool)
         for s, block in enumerate(blocks):
-            mask[s, :block.shape[0], :block.shape[1]] = block
+            n_rows, n_keys = block.shape
+            mask[s, :n_rows, :n_keys] = block
+            if n_rows < mask.shape[1]:
+                mask[s, n_rows:, :n_keys] = True
         kv = map_embeds[keys]
-        att, mha_ctx = self.mha.forward(features[queries], kv, kv, mask)
+        q = features[queries]
+        att, mha_ctx = self.mha.forward(q, kv, kv, mask)
+        # each query row plus its attended map context; the attention's
+        # output is its own, so the residual adds into it
+        att += q
         rows = queries[row_filled]
-        out[rows] += att[row_filled]
+        out[rows] = att[row_filled]
         return out, (len(map_embeds),
                      (rows, row_filled, keys, key_filled, mha_ctx))
 

@@ -43,6 +43,7 @@ import json
 import os
 import zipfile
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -135,11 +136,12 @@ class JointPredictor(nn.Module):
         cfg = self.cfg
         feats = [history_feature_matrix(local) for local in locals_]
         slices = _slices([len(f) for f in feats])
-        steps = np.concatenate([np.full(len(f), f.shape[1]) for f in feats])
+        lengths = [f.shape[1] for f in feats]
+        steps = np.repeat(lengths, [len(f) for f in feats])
         h = np.empty((len(steps), cfg.embed_dim))
         hist_runs = []
-        for t in np.unique(steps):
-            rows = np.flatnonzero(steps == t)
+        for t in sorted(set(lengths)):
+            rows = (steps == t).nonzero()[0]
             h[rows], ctx = self.history.forward(
                 np.concatenate([f for f in feats if f.shape[1] == t]))
             hist_runs.append((rows, ctx))
@@ -288,7 +290,7 @@ CHECKPOINT_META_SCHEMA = {
 
 def _slices(sizes: list[int]) -> list[slice]:
     """Consecutive slices of the given sizes, from 0."""
-    bounds = np.cumsum([0] + sizes).tolist()
+    bounds = list(accumulate(sizes, initial=0))
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 

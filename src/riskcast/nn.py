@@ -35,8 +35,9 @@ exactly as that member's own matmul would, so every output and gradient is
 bit-identical to the separate layers'. A stacked parameter is one parameter:
 ``Module.params`` lists it once, under one name. ``LSTM`` runs its own
 steps: it projects the input of every step in one matmul and hands each
-``step`` its projected slice; its backward projects each step's gradient
-back to the input as it goes.
+``step`` its projected slice, with the gate scale of its one-tanh form
+folded into its weights once per call; its backward projects each step's
+gradient back to the input as it goes.
 
 A module's parameters are the attributes its ``__init__`` assigns, in
 assignment order, as in PyTorch: ``Module.params`` reads them from the
@@ -255,13 +256,22 @@ class LSTM(Module):
     stored in i, f, g, o order. A step computes all four with one tanh, as
     sigmoid(z) = 0.5 tanh(z / 2) + 0.5, within eps of ``sigmoid``.
 
+    The pre-activation z = (h Wh + x Wx) + b is halved on the sigmoid
+    blocks before the tanh. ``forward`` folds that scale into the weights
+    once per call (``gate_weights``), so a step adds the scaled parts and
+    takes the tanh with no pass of its own for the scale. The scale is 0.5
+    or 1, a power of two: each scaled product, and each sum of them, is
+    the unscaled one times the scale exactly (short of the subnormal
+    range), so the gates are those of the textbook step, bit for bit.
+
     The input projection of every step is one matmul over the time-major
-    sequence, so step t's slice is exactly ``seq[:, t] @ Wx``, and ``step``
-    takes its input so projected. Backward runs the steps last first and
-    holds one step's pre-activation gradient [n, 4 * hidden] at a time: it
-    adds that step's share to Wx's gradient and projects it back into the
-    step's slice of the input gradient, ``dpre @ Wx.T``, which rounds as
-    the slice of one matmul over every step would.
+    sequence, so step t's slice is exactly ``seq[:, t] @ Wx`` of the
+    scaled Wx, and ``step`` takes its input so projected. Backward runs
+    the steps last first and holds one step's pre-activation gradient
+    [n, 4 * hidden] at a time, the gradient of the unscaled z: it adds that
+    step's share to Wx's gradient and projects it back into the step's
+    slice of the input gradient, ``dpre @ Wx.T``, which rounds as the slice
+    of one matmul over every step would.
     """
 
     def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator,
@@ -275,24 +285,33 @@ class LSTM(Module):
                             glorot_uniform(rng, hidden_dim, 4 * hidden_dim))
         self.b = Parameter(f"{name}.b", np.zeros(4 * hidden_dim))
 
-    def step(self, xw: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
+    def gate_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Wx, Wh and b with each gate block's columns times its scale in
+        the one-tanh form: 0.5 on i, f and o, 1 on g. ``step`` takes its
+        projected input and its weights so scaled."""
+        scale, _ = _gate_affine(self.hidden_dim)
+        return (self.Wx.value * scale, self.Wh.value * scale,
+                self.b.value * scale)
+
+    def step(self, xw: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
+             wh: np.ndarray, b: np.ndarray
              ) -> tuple[tuple[np.ndarray, np.ndarray], tuple]:
         """((h, c), ctx) of one step from the projected input xw = x @ Wx,
-        [n, 4 * hidden]."""
+        [n, 4 * hidden], where Wx, wh and b are ``gate_weights()``."""
         H = self.hidden_dim
         if xw.shape[-1] != 4 * H or h_prev.shape[-1] != H:
             raise DimensionError(
                 f"{self.name}: got projected x {xw.shape}, h {h_prev.shape} "
                 f"for hidden={H}")
         scale, shift = _gate_affine(H)
-        gates = h_prev @ self.Wh.value
+        gates = h_prev @ wh
         gates += xw
-        gates += self.b.value
-        gates *= scale
+        gates += b
         np.tanh(gates, out=gates)
         gates *= scale
         gates += shift
-        i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
+        i, f, g, o = (gates[..., :H], gates[..., H:2 * H],
+                      gates[..., 2 * H:3 * H], gates[..., 3 * H:])
         c = f * c_prev
         c += i * g
         tc = np.tanh(c)
@@ -330,12 +349,13 @@ class LSTM(Module):
                 f"{self.name}: expected input [n, t, {self.in_dim}], "
                 f"got {seq.shape}")
         n, t, _ = seq.shape
-        xw = seq.transpose(1, 0, 2) @ self.Wx.value     # [t, n, 4H]
+        wx, wh, b = self.gate_weights()
+        xw = seq.transpose(1, 0, 2) @ wx                # [t, n, 4H]
         h = np.zeros((n, self.hidden_dim))
         c = np.zeros((n, self.hidden_dim))
         steps = []
         for step in range(t):
-            (h, c), sctx = self.step(xw[step], h, c)
+            (h, c), sctx = self.step(xw[step], h, c, wh, b)
             steps.append(sctx)
         return h, (seq, steps)
 
@@ -503,7 +523,7 @@ def softmax(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("softmax of an empty tensor")
-    e = x - x.max(axis=-1, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

@@ -44,6 +44,18 @@ delta-v and the region too. A row's risk is the maximum over T of
 harm x probability; the kernel keeps the argmax step and the summed
 probabilities there.
 
+Passes. The kernel's cost is numpy calls and passes over small arrays, so
+it makes few of each. It works on positions, velocities, headings and
+body-point offsets coordinate first, [2, K, N, T], and body point first,
+[3, K, M, T], so that each operation runs over contiguous rows and x and y
+share one call; `RiskTerms` keeps the layouts listed on it. A heading is
+the velocity over the speed, with cos and sin of the yaw written only at
+the stopped cells. The struck region needs only which of three ranges the
+wrapped bearing lies in, so `_struck_region` folds the bearing by one turn
+and leaves sin, cos and `wrap_angle`, the dearest ufuncs here, to the few
+bearings near a range's edge. Every value is the one the per-step
+formulas give, bit for bit.
+
 The CDF gate. The CDF is most of the kernel's cost, and most steps cannot
 set a risk. With alpha = dist / sigma and beta = radius / sigma, each disc
 probability is at most min(1, beta^2 / 2) exp(-max(alpha - beta, 0)^2 / 2):
@@ -92,7 +104,7 @@ import numpy as np
 from . import nn
 from .geometry import (DIST_EPS, PROTECTED_CLASSES, SPEED_EPS, AgentState,
                        CollisionRegion, body_points, collision_angle,
-                       collision_region, dot2, norm2, wrap_angle)
+                       collision_region, norm2, wrap_angle)
 from .intention import JointPrediction
 from .scene import RoadMap, Scenario
 
@@ -167,14 +179,18 @@ _SERIES_RTOL = 2.0 ** -55
 _DDIST_CUT = 38.7
 # terms between two stopping tests, the first after term _FIRST_TEST. The
 # schedule is fixed, so an element's sums do not depend on the other
-# elements of the call. On the kernel's inputs few elements (~1%) would pass
-# a test before term 13
+# elements of the call, nor on the schedule: a done element's later terms
+# leave its sums as they are. On the kernel's inputs few elements (~1%)
+# would pass a test before term 13, and no call of ranking or training
+# ended before term 17 (the benchmark's plan scenes, both workloads, seeds
+# 1 to 5, and a stage-2 training run), so the first test comes there
 _TEST_EVERY = 4
-_FIRST_TEST = 13
-# row n - 1: the factors 1 / (n + 1), 1 / (n (n + 1)) and 1 / (n + 1) of the
-# step from term n to n + 1 in `_poisson_sums`. For y <= WIDE_Y the stopping
-# test passes by n = 460, where y t_n / _SERIES_RTOL underflows to 0
-_STEPS = np.array([[[1.0 / (n + 1)], [1.0 / (n * (n + 1))], [1.0 / (n + 1)]]
+_FIRST_TEST = 17
+# row n - 1: the factors 1 / (n + 1), 1 / (n + 1) and 1 / (n (n + 1)) of the
+# step from term n to n + 1 of the tail bound and the terms of p and s in
+# `_poisson_sums`. For y <= WIDE_Y the stopping test passes by n = 460, where
+# y t_n / _SERIES_RTOL underflows to 0
+_STEPS = np.array([[[1.0 / (n + 1)], [1.0 / (n + 1)], [1.0 / (n * (n + 1))]]
                    for n in range(1, 513)])                       # [512, 3, 1]
 
 
@@ -196,21 +212,26 @@ def _poisson_sums(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
     other elements run. Where the first term y exp(-(y + mu)) is 0 (y = 0,
     or it underflows), so is every term."""
     ok = y <= WIDE_Y                            # False for a NaN y
-    y = np.where(ok, y, 0.0)
+    if not ok.all():
+        y = np.where(ok, y, 0.0)
     first = y * np.exp(-(y + mu))               # t_1 C_0 = t_1 q_0
     nan_mu = first * 0.0                        # 0, or NaN from a NaN mu
     # an element whose terms are all 0 runs as y = 0: zero terms and tail,
     # done at the first test
     live = first > 0.0
-    y, mu, first = (np.where(live, v, 0.0) for v in (y, mu, first))
-    # rows: term n of p and of s, y t_n / _SERIES_RTOL; the partial sums
+    if not live.all():
+        y, mu, first = (np.where(live, v, 0.0) for v in (y, mu, first))
+    # rows: y t_n / _SERIES_RTOL, term n of p and of s; the partial sums
     state = np.empty((5, y.size))
-    terms, pair, partial = state[0:3], state[0:2], state[3:5]
-    p_term, s_term, tail = state[0], state[1], state[2]
-    p_term[:] = s_term[:] = first
-    tail[:] = y * y * np.exp(-y) / _SERIES_RTOL
-    partial[:] = pair
-    factors = np.stack([y, y * mu, y])
+    terms, pair, partial = state[0:3], state[1:3], state[3:5]
+    tail, p_term, s_term = state[0], state[1], state[2]
+    state[1:] = first
+    np.multiply(y, y, out=tail)
+    tail *= np.exp(-y)
+    tail /= _SERIES_RTOL
+    factors = np.empty(terms.shape)                           # y, y, y mu
+    factors[:2] = y
+    np.multiply(y, mu, out=factors[2])
     steps = np.empty((_TEST_EVERY,) + terms.shape)
     each_step = list(steps)
     n = 1
@@ -225,7 +246,10 @@ def _poisson_sums(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
             bound = (n + 1) - y
             bound *= partial[1]
             if (tail <= bound).all():
-                return np.where(ok, partial + nan_mu, np.nan)
+                partial += nan_mu
+                if not ok.all():
+                    partial[:, ~ok] = np.nan
+                return partial
 
 
 def _scaled(dist, radius, sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -270,8 +294,9 @@ def disc_probability(dist: float | np.ndarray, radius: float | np.ndarray,
         from scipy.special import chdtr, chndtr
         x, nc = x[wide], nc[wide]
         p_near[wide] = np.where(nc == 0.0, chdtr(2.0, x), chndtr(x, 2.0, nc))
+    np.maximum(p_near, 0.0, out=p_near)
     p = np.zeros(alpha.shape)
-    p[near] = np.clip(p_near, 0.0, 1.0)
+    p[near] = np.minimum(p_near, 1.0, out=p_near)
     return p
 
 
@@ -386,12 +411,12 @@ def batch_from_prediction(scenes: list[Scenario], positions: np.ndarray
         raise ValueError(f"positions {positions.shape} do not match "
                          f"[K, {n}, T, 2]")
     cur = np.concatenate([scn.past[:, -1] for scn in scenes])     # [N, 5]
-    dt = np.array([scn.dt for scn in scenes]).repeat(sizes)[:, None, None]
-    start = cur[None, :, None, :2]
-    anchored = np.concatenate([
-        np.broadcast_to(start, positions.shape[:2] + (1, 2)), positions],
-        axis=2)
-    vel = np.diff(anchored, axis=2) / dt
+    dt = np.repeat([scn.dt for scn in scenes], sizes)[:, None, None]
+    # the steps' differences, the first from the current position
+    vel = np.empty(positions.shape)
+    np.subtract(positions[:, :, :1], cur[:, None, :2], out=vel[:, :, :1])
+    np.subtract(positions[:, :, 1:], positions[:, :, :-1], out=vel[:, :, 1:])
+    vel /= dt
     speeds = norm2(vel)
     yaws = np.where(speeds > SPEED_EPS, np.arctan2(vel[..., 1], vel[..., 0]),
                     cur[None, :, None, 2])
@@ -456,13 +481,17 @@ def _clearance(points: np.ndarray, a: np.ndarray, b: np.ndarray
     from a to b [..., S, 2], whose leading axes broadcast against the
     points', and the nearest point on that segment (the first in segment
     order on a tie). Works on x and y separately, and writes the rules of
-    `norm2` and `dot2` inline, in place."""
+    `norm2` and `dot2` inline, in place. The distances and the nearest
+    points' x and y are the rows of one array, which one flat gather reads
+    at each point's nearest segment."""
     ax, ay = a[..., 0], a[..., 1]
     abx, aby = b[..., 0] - ax, b[..., 1] - ay
     denom = abx * abx + aby * aby
     proper = denom > 0.0
     px, py = points[..., 0, None], points[..., 1, None]
-    rx, ry = px - ax, py - ay                                   # [..., S]
+    found = np.empty((3,) + np.broadcast_shapes(px.shape, ax.shape))
+    dist, nx, ny = found                                        # [..., S]
+    rx, ry = np.subtract(px, ax, out=nx), np.subtract(py, ay, out=ny)
     # s = clip((rx * abx + ry * aby) / denom, 0, 1), 0 on a degenerate
     # segment; computed in place, each op rounding as the expression does
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -472,28 +501,71 @@ def _clearance(points: np.ndarray, a: np.ndarray, b: np.ndarray
         np.clip(s, 0.0, 1.0, out=s)
     if not proper.all():
         np.copyto(s, 0.0, where=~proper)
-    # each segment's nearest point, (ax + s * abx, ay + s * aby), into rx
-    # and ry, and its distance, sqrt(dx * dx + dy * dy) of its offset
-    nx = np.add(ax, np.multiply(s, abx, out=rx), out=rx)
-    ny = np.add(ay, np.multiply(s, aby, out=ry), out=ry)
-    dx, dy = px - nx, py - ny
-    dist = np.multiply(dx, dx, out=dx)
+    # each segment's nearest point, (ax + s * abx, ay + s * aby), and its
+    # distance, sqrt(dx * dx + dy * dy) of its offset
+    np.add(ax, np.multiply(s, abx, out=nx), out=nx)
+    np.add(ay, np.multiply(s, aby, out=ny), out=ny)
+    dx, dy = np.subtract(px, nx, out=dist), np.subtract(py, ny, out=s)
+    np.multiply(dx, dx, out=dist)
     dist += np.multiply(dy, dy, out=dy)
     np.sqrt(dist, out=dist)
-    j = dist.argmin(axis=-1)[..., None]
-    d_j, nx_j, ny_j = (np.take_along_axis(v, j, axis=-1)[..., 0]
-                       for v in (dist, nx, ny))
-    return d_j, np.stack([nx_j, ny_j], axis=-1)
+    j = dist.argmin(axis=-1)
+    seg = dist.shape[-1]
+    picked = found.reshape(3, -1)[:, np.arange(0, dist.size, seg)
+                                  + j.reshape(-1)]            # [3, points]
+    return picked[0].reshape(j.shape), picked[1:].T.reshape(j.shape + (2,))
 
 
-def _body_offsets(ego_x: np.ndarray, ego_y: np.ndarray, x: np.ndarray,
-                  y: np.ndarray, half_cos: np.ndarray, half_sin: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """x and y offsets [..., 3] from a victim's front, center and rear to
-    the ego center: the victim's center (x, y) plus, minus and not its half
-    length along its yaw, (half_cos, half_sin)."""
-    return (ego_x[..., None] - np.stack([x + half_cos, x, x - half_cos], -1),
-            ego_y[..., None] - np.stack([y + half_sin, y, y - half_sin], -1))
+# how far from a region's edge, pi/4 or 3 pi/4, a bearing folded into
+# [0, pi] by one turn must lie to be classed without `wrap_angle`: far
+# above the few 1e-16 by which the fold and wrap_angle's sin, cos and
+# arctan2 round on angles below 10
+_EDGE_MARGIN = 1e-9
+
+
+def _struck_region(bearing: np.ndarray, center_dist: np.ndarray
+                   ) -> np.ndarray:
+    """The struck region of each victim (indices into REGIONS), as
+    `collision_region` classes it, from the bearing of the other agent's
+    center minus the victim's yaw, unwrapped, and the centers' distance:
+    front where |wrap_angle(bearing)| <= pi/4 or the centers coincide,
+    rear where it is >= 3 pi/4, side between.
+
+    The class needs only where |wrap_angle(bearing)| lies against pi/4
+    and 3 pi/4. One turn folds |bearing| <= 3 pi into [0, pi] to within
+    a few 1e-16 of it, so the folded value decides the class wherever it
+    lies farther than _EDGE_MARGIN from both edges and not beyond
+    pi + _EDGE_MARGIN. Only the other bearings, none on most calls, go
+    through `wrap_angle`, whose sin and cos are the dearest ufuncs of the
+    kernel. A NaN bearing is side, as `collision_region` has it."""
+    folded = np.abs(bearing)
+    np.minimum(folded, 2.0 * math.pi - folded, out=folded)
+    np.abs(folded, out=folded)
+    edge = np.abs(folded - math.pi / 2)
+    edge -= math.pi / 4
+    unsure = np.abs(edge, out=edge) <= _EDGE_MARGIN
+    unsure |= folded > math.pi + _EDGE_MARGIN
+    if unsure.any():
+        folded[unsure] = np.abs(wrap_angle(bearing[unsure]))
+    region = np.where(folded >= 3 * math.pi / 4, _REAR, _SIDE)
+    front = folded <= math.pi / 4
+    front |= center_dist < DIST_EPS
+    np.putmask(region, front, _FRONT)
+    return region
+
+
+def _body_offsets(ego: np.ndarray, center: np.ndarray, along: np.ndarray
+                  ) -> np.ndarray:
+    """[2, 3, ...] x and y offsets from a victim's front, center and rear to
+    the ego center ego [2, ...]: the victim's center [2, ...] plus, minus
+    and not its half length along its yaw [2, ...]. Coordinate first and
+    body point second, so that every operation runs on contiguous runs."""
+    offsets = np.empty((2, 3) + center.shape[1:])
+    np.add(center, along, out=offsets[:, 0])
+    offsets[:, 1] = center
+    np.subtract(center, along, out=offsets[:, 2])
+    np.subtract(ego[:, None], offsets, out=offsets)
+    return offsets
 
 
 # relative slack on the pair probability bound of `_gated_risks`, far above
@@ -517,20 +589,21 @@ def pair_bound(dists: np.ndarray, radii: np.ndarray, sigma: np.ndarray
     NaN distance gives a NaN bound."""
     with np.errstate(over="ignore", invalid="ignore"):
         beta = radii[:, None] / sigma                               # [R, T]
-        gap = dists / sigma[..., None]
-        gap -= beta[..., None]
+        # body point first, [3, K, R, T], so that the sum over the three
+        # adds contiguous rows
+        gap = np.divide(dists.transpose(3, 0, 1, 2), sigma, order="C")
+        gap -= beta
         beyond = gap > TAIL_CUT
         np.maximum(gap, 0.0, out=gap)
-        np.copyto(gap, np.inf, where=beyond)
+        np.putmask(gap, beyond, np.inf)
         gap *= gap
         gap *= -0.5
         np.exp(gap, out=gap)
-        # by slices: reductions over a trailing axis of 3 are slow
-        bound = gap[..., 0] + gap[..., 1]
-        bound += gap[..., 2]
+        bound = gap[0] + gap[1]
+        bound += gap[2]
         bound *= np.minimum(0.5 * beta * beta, 1.0)
         return (np.minimum(bound, 1.0, out=bound),
-                beyond[..., 0] & beyond[..., 1] & beyond[..., 2])
+                beyond[0] & beyond[1] & beyond[2])
 
 
 def _gated_risks(dists: np.ndarray, radii: np.ndarray, sigma: np.ndarray,
@@ -559,7 +632,7 @@ def _gated_risks(dists: np.ndarray, radii: np.ndarray, sigma: np.ndarray,
     flat_dists, flat_harms = dists.reshape(-1, 3), harms.reshape(-1)
     flat_sigma = sigma.reshape(-1)
     weighted = np.full(upper.size, -np.inf)
-    np.copyto(weighted, flat_harms * 0.0, where=beyond.reshape(-1))
+    np.putmask(weighted, beyond.reshape(-1), flat_harms * 0.0)
     sums = np.zeros(upper.size)
 
     def evaluate(cells):
@@ -590,9 +663,9 @@ def risk_kernel(batch: MotionBatch, egos: list[int],
     """The risks of every mode row's rows, the victims and the boundaries
     of every scene of the batch, in one pass; scene b's ego is the batch
     index egos[b] and its road boundaries are boundaries[b]. See the
-    module docstring for the layout. Positions and offsets are handled as
-    separate x and y arrays; the speeds and distances write `norm2`'s rule
-    on them inline."""
+    module docstring for the layout. Positions, velocities, headings and
+    offsets are handled coordinate first, [2, ...]; the speeds and
+    distances write `norm2`'s rule on them inline."""
     k_count, n, t_count = batch.yaws.shape
     if t_count < 1:
         raise ValueError("risk needs at least one future step")
@@ -604,30 +677,44 @@ def risk_kernel(batch: MotionBatch, egos: list[int],
     scene_egos = np.asarray(egos, dtype=np.intp)                  # [B]
     of_scene = np.repeat(scene_egos, [rows.stop - rows.start
                                       for rows in batch.slices])
-    victims = np.flatnonzero(np.arange(n) != of_scene)
+    victims = (np.arange(n) != of_scene).nonzero()[0]
     ego = of_scene[victims]                       # each victim's ego
     m = len(victims)
     shape = (k_count, m + len(scene_egos), t_count)
 
-    px, py = batch.positions[..., 0], batch.positions[..., 1]   # [K, N, T]
-    vx, vy = batch.velocities[..., 0], batch.velocities[..., 1]
-    speeds = np.sqrt(vx * vx + vy * vy)
-    cos_yaw, sin_yaw = np.cos(batch.yaws), np.sin(batch.yaws)
+    # positions and velocities coordinate first, [2, K, N, T]
+    pos = batch.positions.transpose(3, 0, 1, 2)
+    vel = batch.velocities.transpose(3, 0, 1, 2)
+    speeds = np.square(vel, order="C")
+    speeds = np.add(speeds[0], speeds[1], out=speeds[0])
+    np.sqrt(speeds, out=speeds)
     # unit motion direction, the yaw direction when (nearly) stopped, as
     # AgentState.direction defines it
     with np.errstate(divide="ignore", invalid="ignore"):
-        moving = batch.velocities / speeds[..., None]
-    heading = np.where((speeds < SPEED_EPS)[..., None],
-                       np.stack([cos_yaw, sin_yaw], axis=-1), moving)
+        heading = np.divide(vel, speeds, order="C")
+    stopped = speeds < SPEED_EPS
+    if stopped.any():
+        yaw = batch.yaws[stopped]
+        heading[0][stopped], heading[1][stopped] = np.cos(yaw), np.sin(yaw)
 
     # the rows' body points: the victims', then each boundary's point
     # nearest the ego and two out of reach
     dists = np.full(shape + (3,), np.inf)
-    half = 0.5 * batch.lengths[victims, None]
-    ox, oy = _body_offsets(px[:, ego], py[:, ego], px[:, victims],
-                           py[:, victims], half * cos_yaw[:, victims],
-                           half * sin_yaw[:, victims])      # [K, M, T, 3]
-    np.sqrt(ox * ox + oy * oy, out=dists[:, :m])
+    yaw = batch.yaws[:, victims]                                  # [K, M, T]
+    along = np.empty((2,) + yaw.shape)         # half the length along the yaw
+    np.cos(yaw, out=along[0])
+    np.sin(yaw, out=along[1])
+    along *= 0.5 * batch.lengths[victims, None]
+    offsets = _body_offsets(pos[:, :, ego], pos[:, :, victims],
+                            along)                       # [2, 3, K, M, T]
+    # the bearing of the ego center from the victim center, against the
+    # victim's yaw, before the offsets are squared in place
+    bearing = np.arctan2(offsets[1, 1], offsets[0, 1])
+    bearing -= yaw
+    np.square(offsets, out=offsets)
+    body = np.add(offsets[0], offsets[1], out=offsets[0])    # [3, K, M, T]
+    np.sqrt(body, out=body)
+    dists[:, :m] = body.transpose(1, 2, 3, 0)
     # each scene's boundary segments, padded to the most with segments
     # far from every point
     segments = [road.segments() for road in boundaries]
@@ -635,13 +722,13 @@ def risk_kernel(batch: MotionBatch, egos: list[int],
     if not width:
         nearest = np.zeros((k_count, len(segments), t_count, 2))
     else:
-        a = np.full((len(segments), width, 2), _FAR)
-        b = a.copy()
-        b[..., 0] = 2.0 * _FAR
+        ends = np.full((2, len(segments), width, 2), _FAR)
+        ends[1, ..., 0] = 2.0 * _FAR
         for s, (sa, sb) in enumerate(segments):
-            a[s, :len(sa)], b[s, :len(sb)] = sa, sb
+            ends[0, s, :len(sa)], ends[1, s, :len(sb)] = sa, sb
         dists[:, m:, :, 0], nearest = _clearance(
-            batch.positions[:, scene_egos], a[:, None], b[:, None])
+            batch.positions[:, scene_egos], ends[0, :, None],
+            ends[1, :, None])
         roadless = [not len(sa) for sa, _ in segments]
         if any(roadless):
             dists[:, m:, :, 0][:, roadless] = np.inf
@@ -654,27 +741,27 @@ def risk_kernel(batch: MotionBatch, egos: list[int],
     # delta-v and the struck region: the victims' from the pair, the
     # boundaries' the ego speed and a side impact
     dv, region = np.empty(shape), np.full(shape, _SIDE)
-    cos_theta = np.clip(dot2(heading[:, victims], heading[:, ego]),
-                        -1.0, 1.0)
+    # the cosine of the collision angle, dot2 of the two headings, clamped
+    cos_theta = heading[:, :, victims] * heading[:, :, ego]
+    cos_theta = np.add(cos_theta[0], cos_theta[1], out=cos_theta[0])
+    np.maximum(cos_theta, -1.0, out=cos_theta)
+    np.minimum(cos_theta, 1.0, out=cos_theta)
     v_vic, v_ego = speeds[:, victims], speeds[:, ego]
     m_vic, m_ego = batch.masses[victims, None], batch.masses[ego, None]
     rel = np.sqrt(np.maximum(v_vic * v_vic + v_ego * v_ego
                              - 2.0 * v_vic * v_ego * cos_theta, 0.0))
     np.multiply(m_ego / (m_vic + m_ego), rel, out=dv[:, :m])
     dv[:, m:] = speeds[:, scene_egos]
-    dx, dy = ox[..., 1], oy[..., 1]        # ego center minus victim center
-    bearing = np.abs(wrap_angle(np.arctan2(dy, dx) - batch.yaws[:, victims]))
-    region[:, :m] = np.where(
-        dists[:, :m, :, 1] < DIST_EPS, _FRONT,
-        np.where(bearing <= math.pi / 4, _FRONT,
-                 np.where(bearing >= 3 * math.pi / 4, _REAR, _SIDE)))
-    scale = np.array([cfg.harm_scale(batch.agent_classes[i]
-                                     in PROTECTED_CLASSES) for i in victims]
-                     + [1.0] * len(scene_egos))
-    harms = nn.sigmoid(coeffs.mu0 + coeffs.mu1 * dv + mu_area[region]) \
-        * scale[:, None]
+    region[:, :m] = _struck_region(bearing, body[1])
+    # each row's harm scale, by the victim's class; 1 for a boundary
+    by_flag = (cfg.harm_scale(False), cfg.harm_scale(True))
+    scale = np.ones(shape[1])
+    scale[:m] = [by_flag[batch.agent_classes[i] in PROTECTED_CLASSES]
+                 for i in victims.tolist()]
+    harms = nn.sigmoid(coeffs.mu0 + coeffs.mu1 * dv + mu_area[region])
+    harms *= scale[:, None]
 
-    return RiskTerms([batch.agent_ids[i] for i in victims], victims,
+    return RiskTerms([batch.agent_ids[i] for i in victims.tolist()], victims,
                      np.append(ego, scene_egos), nearest, dists, radii,
                      row_sigma, dv, region, harms,
                      *_gated_risks(dists, radii, row_sigma, harms))
@@ -889,8 +976,8 @@ def risk_loss_and_grad(trajs: np.ndarray, scenes: list[Scenario],
     v, tv = terms.victims[rows[victim]], t[victim]
     half, yaw = 0.5 * batch.lengths[v], batch.yaws[0, v, tv]
     offsets[:, victim] = _body_offsets(
-        pos[victim, 0], pos[victim, 1], selected[v, tv, 0],
-        selected[v, tv, 1], half * np.cos(yaw), half * np.sin(yaw))
+        pos[victim].T, selected[v, tv].T,
+        half * np.array([np.cos(yaw), np.sin(yaw)])).transpose(0, 2, 1)
     edge = ~victim
     offsets[:, edge, 0] = (pos[edge] - terms.nearest[
         0, rows[edge] - len(terms.victims), t[edge]]).T

@@ -179,7 +179,7 @@ class Scenario:
 
     def row(self, agent_id: str) -> int:
         """The first row of the agent with this id; KeyError if none."""
-        hits = np.flatnonzero(self.agent_ids == agent_id)
+        hits = (self.agent_ids == agent_id).nonzero()[0]
         if not hits.size:
             raise KeyError(f"unknown agent_id {agent_id!r}")
         return int(hits[0])
@@ -207,7 +207,7 @@ class Scenario:
         """The agents of `rows`, in that order; the ego must be among them
         and stays the ego."""
         rows = np.asarray(rows, dtype=int)
-        ego = np.flatnonzero(rows == self.ego_index)
+        ego = (rows == self.ego_index).nonzero()[0]
         if not ego.size:
             raise ValueError(f"scenario {self.scenario_id!r}: the ego "
                              f"{self.ego_id!r} is not among the rows taken")
@@ -806,7 +806,9 @@ class Frame:
         return rotate2(np.asarray(pts) - self.origin, -self.angle)
 
     def to_global(self, pts: np.ndarray) -> np.ndarray:
-        return rotate2(np.asarray(pts), self.angle) + self.origin
+        out = rotate2(np.asarray(pts), self.angle)
+        out += self.origin
+        return out
 
 
 def pose_frame(scn: Scenario, agent_id: str) -> Frame:
@@ -824,7 +826,7 @@ def local_frame(scn: Scenario, agent_id: str,
     near = norm2(scn.past[:, -1, :2] - frame.origin) <= radius
     # the agent whose frame this is becomes the ego
     kept = replace(scn, ego_index=scn.row(agent_id)).take(
-        np.flatnonzero(near))
+        near.nonzero()[0])
 
     # every kept row, past and future, in one array op (subtracting 0 from
     # yaw and velocity is exact)
@@ -832,8 +834,14 @@ def local_frame(scn: Scenario, agent_id: str,
     moved = _moved_rows(kept, lambda kin: _rotated_rows(kin - shift,
                                                         -frame.angle))
 
-    dists = norm2(scn.map.waypoints - frame.origin)
-    reach = np.where(scn.map.valid, dists, np.inf).min(axis=1,
-                                                        initial=np.inf)
-    polys = scn.map.select(reach <= radius)
+    # each polyline's reach, the distance of its nearest waypoint, on x and
+    # y arrays in place by the rule of norm2
+    ox, oy = frame.origin.tolist()
+    dists = np.subtract(scn.map.waypoints[..., 0], ox)
+    dy = np.subtract(scn.map.waypoints[..., 1], oy)
+    np.multiply(dists, dists, out=dists)
+    dists += np.multiply(dy, dy, out=dy)
+    np.sqrt(dists, out=dists)
+    np.putmask(dists, ~scn.map.valid, np.inf)
+    polys = scn.map.select(dists.min(axis=1, initial=np.inf) <= radius)
     return replace(moved, map=polys.moved(frame.to_local(polys.waypoints)))

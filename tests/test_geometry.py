@@ -253,6 +253,19 @@ class TestOneRotation:
         assert np.allclose(np.cos(wrapped), np.cos(a), rtol=0, atol=1e-9)
         assert np.allclose(np.sin(wrapped), np.sin(a), rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("shape", [(2,), (5, 2), (3, 4, 2), (2, 3, 1, 2)])
+    def test_rotate2_is_its_formula_on_any_leading_axes(self, shape):
+        # (x c - y s, x s + y c) in Python floats, which round as float64
+        rng = np.random.default_rng(len(shape))
+        v = rng.normal(scale=30.0, size=shape)
+        angle = 2.1
+        c, s = math.cos(angle), math.sin(angle)
+        got = rotate2(v, angle)
+        assert got.shape == shape and got.dtype == np.float64
+        want = [[x * c - y * s, x * s + y * c]
+                for x, y in v.reshape(-1, 2).tolist()]
+        assert got.reshape(-1, 2).tolist() == want
+
     def test_rotate2_turns_counterclockwise(self):
         got = rotate2(np.array([[1.0, 0.0], [0.0, 2.0]]), math.pi / 2)
         assert np.allclose(got, [[0.0, 1.0], [-2.0, 0.0]], rtol=0,

@@ -9,17 +9,19 @@ import numpy as np
 import pytest
 
 from riskcast import nn
-from riskcast.geometry import (AGENT_CLASSES, AgentState,
+from riskcast.geometry import (AGENT_CLASSES, DIST_EPS, SPEED_EPS,
+                               AgentState, cross2, dot2, norm2,
                                relative_encoding, transform_state)
-from riskcast.interaction import (POS_SCALE, VEL_SCALE, YAW_SCALE,
+from riskcast.interaction import (KINEMATIC_SCALE, POS_SCALE, VEL_SCALE,
+                                  YAW_SCALE,
                                   AgentAgentEncoder, AgentMapAttention,
                                   HistoryEncoder, MapEncoder,
                                   SelfAttentionBlock,
                                   history_feature_matrix, map_feature_matrix,
                                   map_visibility, neighbor_mask)
 from riskcast.model import ModelConfig
-from riskcast.scene import (RoadMap, generate_scenario, local_frame,
-                            pose_frame)
+from riskcast.scene import (TEMPLATES, RoadMap, generate_scenario,
+                            local_frame, pose_frame)
 
 
 CFG = ModelConfig(embed_dim=16, attention_heads=2, map_pad=20)
@@ -52,8 +54,9 @@ class TestHistoryEncoder:
         out, _ = enc.forward(feats)
         h = np.zeros((feats.shape[0], CFG.embed_dim))
         c = np.zeros_like(h)
+        wx, wh, b = enc.gate_weights()
         for t in range(feats.shape[1]):
-            (h, c), _ = enc.step(feats[:, t, :] @ enc.Wx.value, h, c)
+            (h, c), _ = enc.step(feats[:, t, :] @ wx, h, c, wh, b)
         assert np.allclose(out, h, atol=1e-10)
 
 
@@ -501,3 +504,97 @@ class TestArrayFrameAndFeatures:
             assert np.max(np.abs(history_feature_matrix(local)
                                  - reference_history_features(local))
                           ) <= 1e-12
+
+
+# --------------------------------------------------------------------------
+# The rewritten array paths against the forms they replaced, bit for bit
+# --------------------------------------------------------------------------
+
+def stacked_history_features(scn):
+    """history_feature_matrix as it was before it filled one array: the
+    directions by np.where over np.stack, the encoding by np.stack and the
+    rows by np.concatenate."""
+    kin = scn.past
+    n, steps = kin.shape[:2]
+    speed = norm2(kin[..., 3:5])
+    stopped = speed < SPEED_EPS
+    u = np.where(stopped[..., None],
+                 np.stack([np.cos(kin[..., 2]), np.sin(kin[..., 2])], axis=-1),
+                 kin[..., 3:5] / np.where(stopped, 1.0, speed)[..., None])
+    u_ego = u[scn.ego_index]
+    d = kin[..., :2] - kin[scn.ego_index, :, :2]
+    dist = norm2(d)
+    near = dist < DIST_EPS
+    dn = d / np.where(near, 1.0, dist)[..., None]
+    rel = np.stack([cross2(u_ego, u), dot2(u_ego, u),
+                    np.where(near, 0.0, cross2(dn, u)),
+                    np.where(near, 1.0, dot2(dn, u)),
+                    dist / POS_SCALE], axis=-1)
+    classes = [AGENT_CLASSES.index(c) for c in scn.agent_classes]
+    onehot = np.broadcast_to(np.eye(len(AGENT_CLASSES))[classes][:, None],
+                             (n, steps, len(AGENT_CLASSES)))
+    return np.concatenate([kin[..., :5] / KINEMATIC_SCALE, rel, onehot],
+                          axis=-1)
+
+
+@pytest.mark.parametrize("ego_index", [0, 1])
+def test_history_features_of_a_stopped_ego_and_victim(ego_index):
+    # the ego stands still at steps 3 to 5 and crawls below SPEED_EPS at
+    # step 0; agent 1 stands still over its whole history; agent 2 sits on
+    # the ego at every other step
+    scn = _degenerate_scene(ego_index)
+    past = scn.past.copy()
+    past[0, 3:6, 3:] = 0.0
+    scn = replace(scn, past=past)
+    for s in (scn, local_frame(scn, scn.ego_id, radius=1e9)):
+        got = history_feature_matrix(s)
+        assert np.array_equal(got, stacked_history_features(s))
+        # a stopped state moves along its yaw, as AgentState.direction has
+        # it (math.cos against np.cos, so to within an ulp)
+        e = s.ego_index
+        for i in range(len(s.agent_ids)):
+            for t in range(s.past.shape[1]):
+                u_ego = s.state(e, t).direction()
+                u = s.state(i, t).direction()
+                np.testing.assert_allclose(
+                    got[i, t, 5:7], [cross2(u_ego, u), dot2(u_ego, u)],
+                    rtol=0, atol=4e-16)
+
+
+def norm2_visibility(scn, radius):
+    """map_visibility as it was before it worked on x and y arrays: norm2
+    over [N, P, W, 2] offsets, the padding set to inf by np.where."""
+    pos = scn.past[:, -1, :2]
+    d = norm2(pos[:, None, None, :] - scn.map.waypoints[None])
+    d = np.where(scn.map.valid, d, np.inf)
+    return d.min(axis=-1, initial=np.inf) <= radius
+
+
+@pytest.mark.parametrize("template", TEMPLATES)
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_map_visibility_equals_the_norm2_form(template, n):
+    scn = generate_scenario(template, n, seed=n)
+    for s in (scn, local_frame(scn, "ego")):
+        for radius in (5.0, 20.0, 50.0):
+            got = map_visibility(s, radius)
+            assert got.dtype == bool
+            assert np.array_equal(got, norm2_visibility(s, radius))
+
+
+def test_map_visibility_of_an_empty_map_and_at_the_radius():
+    scn = generate_scenario("merge", 3, seed=2)
+    empty = replace(scn, map=RoadMap.padded([], []))
+    assert map_visibility(empty, 50.0).shape == (3, 0)
+    # a waypoint exactly 50 m from agent 0 (a 3-4-5 triangle) is within the
+    # radius; one a little further is not
+    x, y = scn.past[0, -1, :2]
+    road = RoadMap.padded([np.array([[x + 30.0, y + 40.0], [x + 90.0, y]]),
+                           np.array([[x + 30.0, y + 40.000001],
+                                     [x + 99.0, y + 99.0]])],
+                          ["lane_center", "road_boundary"])
+    s = replace(scn, map=road)
+    offsets = s.map.waypoints[:, 0] - s.past[0, -1, :2]
+    assert norm2(offsets).tolist()[0] == 50.0 < norm2(offsets).tolist()[1]
+    got = map_visibility(s, 50.0)
+    assert got[0].tolist() == [True, False]
+    assert np.array_equal(got, norm2_visibility(s, 50.0))

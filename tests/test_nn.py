@@ -236,8 +236,9 @@ class TestLSTM:
     def test_zero_params_zero_cell(self):
         cell = nn.LSTM(3, 2, nn.seeded_rng(0))
         zero_params(cell)
-        (h, c), _ = cell.step(np.ones((1, 3)) @ cell.Wx.value,
-                              np.zeros((1, 2)), np.zeros((1, 2)))
+        wx, wh, b = cell.gate_weights()
+        (h, c), _ = cell.step(np.ones((1, 3)) @ wx, np.zeros((1, 2)),
+                              np.zeros((1, 2)), wh, b)
         assert np.array_equal(h, np.zeros((1, 2)))
         assert np.array_equal(c, np.zeros((1, 2)))
 
@@ -246,8 +247,9 @@ class TestLSTM:
         # c' = 0.5*1, h = 0.5*tanh(0.5)
         cell = nn.LSTM(2, 1, nn.seeded_rng(0))
         zero_params(cell)
-        (h, c), _ = cell.step(np.ones((1, 2)) @ cell.Wx.value,
-                              np.zeros((1, 1)), np.ones((1, 1)))
+        wx, wh, b = cell.gate_weights()
+        (h, c), _ = cell.step(np.ones((1, 2)) @ wx, np.zeros((1, 1)),
+                              np.ones((1, 1)), wh, b)
         assert c[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert h[0, 0] == pytest.approx(0.5 * np.tanh(0.5), abs=1e-12)
         assert h[0, 0] == pytest.approx(0.2311, abs=1e-4)
@@ -258,7 +260,8 @@ class TestLSTM:
         x = rng.normal(size=(2, 4))
         h0 = rng.normal(size=(2, 3))
         c0 = rng.normal(size=(2, 3))
-        (h, c), _ = cell.step(x @ cell.Wx.value, h0, c0)
+        wx, wh, b = cell.gate_weights()
+        (h, c), _ = cell.step(x @ wx, h0, c0, wh, b)
         h_ref, c_ref = naive_lstm_step(cell, x, h0, c0)
         assert np.allclose(h, h_ref, atol=1e-10)
         assert np.allclose(c, c_ref, atol=1e-10)
@@ -266,7 +269,8 @@ class TestLSTM:
     def test_shape_mismatch(self):
         cell = nn.LSTM(4, 3, nn.seeded_rng(0))
         with pytest.raises(nn.DimensionError):
-            cell.step(np.zeros((1, 5)), np.zeros((1, 3)), np.zeros((1, 3)))
+            cell.step(np.zeros((1, 5)), np.zeros((1, 3)), np.zeros((1, 3)),
+                      *cell.gate_weights()[1:])
 
     def test_sequence_grad_check(self):
         rng = nn.seeded_rng(2)
@@ -295,8 +299,9 @@ class TestLSTM:
         lstm.zero_grad()
         h = c = np.zeros((4, 3))
         steps = []
+        wx, wh, b = lstm.gate_weights()
         for t in range(6):
-            (h, c), sctx = lstm.step(seq[:, t] @ lstm.Wx.value, h, c)
+            (h, c), sctx = lstm.step(seq[:, t] @ wx, h, c, wh, b)
             steps.append(sctx)
         assert np.array_equal(out, h)
         dh, dc = dh_last, np.zeros((4, 3))
@@ -308,6 +313,32 @@ class TestLSTM:
         assert np.array_equal(dseq, np.stack(dx, axis=1))
         for p, want in zip(lstm.params(), lstm_grads):
             assert np.array_equal(p.grad, want), p.name
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_forward_equals_unscaled_textbook_steps(self, n):
+        # forward folds the gate scale into Wx, Wh and b once per call; the
+        # steps must round as z = (h Wh + x Wx) + b, scaled, then the tanh
+        H, in_dim, t = 64, 14, 11
+        rng = nn.seeded_rng(40 + n)
+        lstm = nn.LSTM(in_dim, H, rng)
+        lstm.b.value[:] = rng.normal(scale=0.3, size=4 * H)
+        seq = rng.normal(size=(n, t, in_dim))
+        scale = np.repeat([0.5, 0.5, 1.0, 0.5], H)
+        shift = np.repeat([0.5, 0.5, 0.0, 0.5], H)
+        h = c = np.zeros((n, H))
+        gates = []
+        for step in range(t):
+            z = h @ lstm.Wh.value + seq[:, step] @ lstm.Wx.value
+            z += lstm.b.value
+            a = np.tanh(z * scale) * scale + shift
+            i, f, g, o = np.split(a, 4, axis=1)
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            gates.append(a)
+        out, (_, steps) = lstm.forward(seq)
+        assert np.array_equal(out, h)
+        for want, (_, _, i, f, g, o, _) in zip(gates, steps):
+            assert np.array_equal(np.concatenate([i, f, g, o], axis=1), want)
 
     def test_backward_holds_one_step(self):
         # the history LSTM over the 168 rows of a 32-scene minibatch
@@ -349,7 +380,10 @@ class TestLSTM:
             for scale in (0.1, 1.0, 4.0, 40.0)]
             + [np.repeat(special, 4 * H)]).reshape(-1, 4 * H)
         zeros = np.zeros((len(z), H))
-        _, (_, _, i, f, g, o, _) = lstm.step(z, zeros, zeros)
+        # step takes its pre-activation halved on the sigmoid blocks
+        scale = np.repeat([0.5, 0.5, 1.0, 0.5], H)
+        _, (_, _, i, f, g, o, _) = lstm.step(z * scale, zeros, zeros,
+                                             *lstm.gate_weights()[1:])
         for k, gate in ((0, i), (1, f), (3, o)):
             want = nn.sigmoid(z[:, k * H:(k + 1) * H])
             assert np.array_equal(np.isnan(gate), np.isnan(want))

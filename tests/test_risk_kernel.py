@@ -17,8 +17,9 @@ from scipy.special import chdtr, chndtr, i1e
 from scipy.stats import ncx2
 
 from riskcast import risk
-from riskcast.geometry import (CollisionRegion, collision_angle,
-                               collision_region)
+from riskcast.geometry import (DIST_EPS, SPEED_EPS, CollisionRegion,
+                               collision_angle, collision_region, dot2, norm2,
+                               wrap_angle)
 from riskcast.intention import select_mode
 from riskcast.model import JointPredictor, ModelConfig
 from riskcast.risk import (BOUND_SLACK, REGIONS, TAIL_CUT, WIDE_Y,
@@ -29,7 +30,7 @@ from riskcast.risk import (BOUND_SLACK, REGIONS, TAIL_CUT, WIDE_Y,
                            pair_harm, rank_trajectories, responsiveness_cost,
                            risk_kernel, risk_loss_and_grad, safety_cost,
                            total_risk_cost)
-from riskcast.scene import _apply_rigid, generate_scenario
+from riskcast.scene import RoadMap, _apply_rigid, generate_scenario
 
 # (template, N, seed); the 50 m context radius drops the pedestrian of the
 # crossing_conflict scene
@@ -209,6 +210,18 @@ def test_disc_series_is_elementwise():
     y = np.full(3, WIDE_Y)
     sums = risk._poisson_sums(y, np.array([0.0, 700.0, 709.0]))
     assert np.isfinite(sums).all() and (sums > 0.0).all()
+    # the elements the series sets aside, alone and among live ones: y = 0
+    # and a first term that underflows (mu = 800) give 0, a NaN gives NaN,
+    # and y > WIDE_Y gives NaN for scipy to replace
+    y = np.array([0.0, 0.5, np.nan, 40.0, 1.0, 0.5])
+    mu = np.array([1.0, np.nan, 1.0, 2.0, 800.0, 3.0])
+    want = [0.0, np.nan, np.nan, np.nan, 0.0]
+    sums = risk._poisson_sums(y, mu)
+    for i, w in enumerate(want):
+        assert np.array_equal(sums[:, i], [w, w], equal_nan=True)
+        assert np.array_equal(risk._poisson_sums(y[i:i + 1], mu[i:i + 1]),
+                              sums[:, i:i + 1], equal_nan=True)
+    assert (sums[:, -1] > 0.0).all()
 
 
 def ungated_disc_probability(dist, radius, sigma):
@@ -475,3 +488,101 @@ def test_plan_invariant_under_non_ego_permutation(model, template, n, seed):
     rows.insert(2, scn.ego_index)
     shuffled = scn.take(rows)
     _assert_same_plan(_plan(model, scn), _plan(model, shuffled))
+
+
+# --------------------------------------------------------------------------
+# The rewritten kernel paths against the forms they replaced, bit for bit
+# --------------------------------------------------------------------------
+
+def test_kernel_heading_of_a_stopped_ego_and_victim():
+    # ego 0 stands still at step 2 and crawls below SPEED_EPS at step 3,
+    # victim 1 crawls at step 3 and stands still at step 4, victim 2 moves;
+    # every yaw points away from the velocity, so a crawl's heading shows in
+    # the bits of its delta-v
+    rng = np.random.default_rng(40)
+    k, n, t = 2, 3, 6
+    vel = rng.normal(scale=3.0, size=(k, n, t, 2))
+    vel[:, 0, 2] = 0.0
+    vel[:, 0, 3] = (4e-7, -3e-7)
+    vel[:, 1, 3] = (-2e-7, 5e-7)
+    vel[:, 1, 4] = 0.0
+    yaws = np.arctan2(vel[..., 1], vel[..., 0]) + 1.0
+    batch = risk.MotionBatch(["ego", "a", "b"],
+                             rng.normal(scale=4.0, size=(k, n, t, 2)), vel,
+                             yaws, np.array([4.5, 4.5, 0.5]),
+                             np.array([1.8, 1.8, 0.5]),
+                             np.array([1500.0, 1500.0, 75.0]),
+                             ["car", "car", "pedestrian"], [slice(0, n)])
+    terms = risk_kernel(batch, [0], [RoadMap.padded([], [])], RiskConfig())
+    # the heading as the kernel wrote it before: np.where over [K, N, T, 2]
+    speeds = norm2(vel)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        heading = np.where((speeds < SPEED_EPS)[..., None],
+                           np.stack([np.cos(yaws), np.sin(yaws)], axis=-1),
+                           vel / speeds[..., None])
+    cos_theta = np.clip(dot2(heading[:, [1, 2]], heading[:, [0, 0]]),
+                        -1.0, 1.0)
+    v_vic, v_ego = speeds[:, [1, 2]], speeds[:, [0, 0]]
+    m_vic, m_ego = batch.masses[[1, 2], None], batch.masses[[0, 0], None]
+    rel = np.sqrt(np.maximum(v_vic * v_vic + v_ego * v_ego
+                             - 2.0 * v_vic * v_ego * cos_theta, 0.0))
+    assert np.array_equal(terms.delta_v[:, :2], m_ego / (m_vic + m_ego) * rel)
+    # a stopped agent moves along its yaw, as AgentState.direction has it
+    # (math.cos against np.cos, so to within an ulp)
+    for kk in range(k):
+        for i in range(n):
+            for tt in range(t):
+                np.testing.assert_allclose(
+                    heading[kk, i, tt], batch.state(kk, i, tt).direction(),
+                    rtol=0, atol=2.3e-16)
+    assert (speeds[:, 0, 2:4] < SPEED_EPS).all()
+    assert (speeds[:, 1, 3:5] < SPEED_EPS).all()
+
+
+def test_clearance_takes_the_first_of_two_equidistant_segments():
+    # the origin lies 1 m from both segments; (0, 0.5) is nearer the first
+    points = np.array([[0.0, 0.0], [0.0, 0.5]])
+    upper = np.array([[-1.0, 1.0], [1.0, 1.0]])
+    lower = np.array([[-1.0, -1.0], [1.0, -1.0]])
+    for first, second in ((upper, lower), (lower, upper)):
+        a, b = np.array([first[0], second[0]]), np.array([first[1], second[1]])
+        dist, nearest = risk._clearance(points, a, b)
+        assert dist.tolist()[0] == 1.0
+        assert nearest[0].tolist() == [0.0, first[0, 1]]
+        assert nearest[1].tolist() == [0.0, 1.0]
+    # leading axes [K, B, T] against segments [B, 1, S], as the kernel asks
+    pts = np.broadcast_to(points[0], (3, 2, 4, 2))
+    a = np.broadcast_to(np.array([upper[0], lower[0]]), (2, 1, 2, 2))
+    b = np.broadcast_to(np.array([upper[1], lower[1]]), (2, 1, 2, 2))
+    dist, nearest = risk._clearance(pts, a, b)
+    assert dist.shape == (3, 2, 4) and nearest.shape == (3, 2, 4, 2)
+    assert (dist == 1.0).all() and (nearest == [0.0, 1.0]).all()
+
+
+def test_struck_region_equals_the_wrapped_bearing_classes():
+    # bearings at and about the region edges, a turn or more away, beyond
+    # three turns, and not finite, against |wrap_angle(bearing)| classed as
+    # the kernel classed it before
+    edges = np.array([math.pi / 4, 3 * math.pi / 4, math.pi, 0.0])
+    near_edges = np.concatenate([edges + d for d in
+                                 (0.0, 1e-15, -1e-15, 1e-10, -1e-10, 1e-8)])
+    turns = np.concatenate([near_edges + 2 * math.pi * j
+                            for j in range(-3, 4)])
+    bearing = np.concatenate([turns, -turns, np.nextafter(turns, 10.0),
+                              np.random.default_rng(41).uniform(-30, 30, 500),
+                              [np.nan, np.inf, -np.inf, 1e6]])
+    dist = np.where(np.arange(bearing.size) % 7 == 0, 0.0, 1.0)
+    with np.errstate(invalid="ignore"):      # sin and cos of inf
+        wrapped = np.abs(wrap_angle(bearing))
+        got = risk._struck_region(bearing, dist)
+    want = np.where(dist < DIST_EPS, REGIONS.index(CollisionRegion.FRONT),
+                    np.where(wrapped <= math.pi / 4,
+                             REGIONS.index(CollisionRegion.FRONT),
+                             np.where(wrapped >= 3 * math.pi / 4,
+                                      REGIONS.index(CollisionRegion.REAR),
+                                      REGIONS.index(CollisionRegion.SIDE))))
+    assert np.array_equal(got, want)
+    finite = np.isfinite(bearing)
+    assert np.array_equal(
+        risk._struck_region(bearing[finite][None], dist[finite][None]),
+        want[finite][None])

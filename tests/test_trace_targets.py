@@ -1,7 +1,9 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps riskcast functions and
 methods by name and refuses to run when one is gone. These tests make a
-rename fail here instead of at benchmark time, and check that a traced
-union run passes through every model layer."""
+rename fail here instead of at benchmark time, check that a traced union
+run passes through every model layer, and check that the benchmark's own
+kinds of operation still call every target, so that a change which stops
+calling one cannot make its per-layer metric read 0 unnoticed."""
 
 import importlib
 import os
@@ -9,6 +11,10 @@ import sys
 
 import numpy as np
 
+import riskcast.evaluation as evaluation
+import riskcast.risk as risk
+import riskcast.scene as scene
+import riskcast.training as training
 from riskcast.model import JointPredictor, ModelConfig
 from riskcast.scene import generate_scenario
 
@@ -54,4 +60,41 @@ def test_a_traced_union_run_reads_every_model_layer():
                   "interaction.agent_map", "intention.heads",
                   "intention.decoder", "model.forward", "model.backward"):
         assert layer in recorded, layer
+    assert tracing.installed_wrappers() == []
+
+
+# targets that production no longer calls: the boundary risk is a row of
+# risk_kernel, and collision_probability is a per-step reference
+DEAD_LAYERS = {"risk.boundary", "risk.collision_prob"}
+
+
+def test_the_benchmark_operations_call_every_live_target(tmp_path):
+    # one of each kind of operation perfbench times, called through the
+    # module attributes the tracer wraps, as perfbench calls them: set-up
+    # (load a scene file and a checkpoint), plan (predict, then rank), eval,
+    # and a stage-2 train() that writes its checkpoints
+    cfg = ModelConfig(embed_dim=8, attention_heads=2, transformer_layers=1,
+                      n_modes=2, future_steps=10)
+    scns = [generate_scenario(template, 4, seed=seed, H=3, T=10)
+            for seed, template in enumerate(("merge", "straight",
+                                             "left_turn"))]
+    path = str(tmp_path / "model.npz")
+    JointPredictor(cfg).save(path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        scn = scene.load_scenario(scene.dump_scenario(scns[0]))
+        model = JointPredictor.load(path)
+        risk.rank_trajectories(model.predict(scn)[0], scn)
+        evaluation.evaluate(lambda s: model.predict(s)[0], scns)
+        training.train(scns, cfg, training.TrainConfig(
+            epochs=1, stage1_epochs=0, seed=0), out_dir=str(tmp_path))
+    finally:
+        tracer.remove()
+    recorded = {span[0] for span in tracer.spans}
+    recorded |= {layer for (_, layer), n in tracer.counts.items() if n}
+    layers = {target[3]
+              for target in tracing.SPAN_TARGETS + tracing.COUNT_TARGETS}
+    assert DEAD_LAYERS <= layers
+    assert sorted(layers - DEAD_LAYERS - recorded) == []
     assert tracing.installed_wrappers() == []
