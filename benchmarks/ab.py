@@ -1,7 +1,7 @@
 """Paired timing of two riskcast source trees in one process: how much
 faster or slower a change is than its parent, case by case.
 
-    python benchmarks/ab.py PARENT_SRC CHANGE_SRC [--rounds R]
+    python benchmarks/ab.py PARENT_SRC CHANGE_SRC [--rounds R] [--json PATH]
 
 PARENT_SRC and CHANGE_SRC are directories that hold the ``riskcast``
 package (a checkout's ``src``). Both trees load in one process, under the
@@ -35,12 +35,23 @@ r_(n+1-k) of the n sorted ratios, for the largest k at which
 P(Binomial(n, 1/2) < k) <= 2.5%, so it holds the true median with a
 probability of at least 95% whatever the ratios' distribution. Below six
 rounds no k qualifies, and the interval is the ratios' whole range.
+
+Each case's calls per call are counted on each side, in one more untimed
+call: the Python-level and builtin calls it makes, as ``sys.setprofile``
+sees them ("call" and "c_call" events; a ufunc called through an operator
+is not counted). Most of a small case's time is such fixed costs, so the
+counts show where a change cut them. With ``--json PATH`` the script also
+writes the rows it prints, the call counts among them, with the rounds and
+the environment (Python, numpy, CPU count) to PATH.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import os
+import platform
 import sys
 import tempfile
 import time
@@ -114,6 +125,29 @@ def timed(calls: int, fn) -> float:
     return time.perf_counter() - t0
 
 
+def count_calls(fn) -> int:
+    """The Python-level and builtin calls that one call of fn makes, as
+    sys.setprofile's "call" and "c_call" events count them."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" or event == "c_call":
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def environment() -> str:
+    return (f"Python {platform.python_version()}, numpy {np.__version__}, "
+            f"{os.cpu_count()} CPUs")
+
+
 def median_interval(values: np.ndarray) -> tuple[float, float]:
     """The sign test's 95% interval for the median of the values (see the
     module docstring); their whole range below six values."""
@@ -132,9 +166,10 @@ def median_interval(values: np.ndarray) -> tuple[float, float]:
 def compare(parent_src: str, change_src: str, rounds: int
             ) -> dict[str, dict]:
     """{case: {"ratio", "q1", "q3", "lo", "hi", "wins", "rounds",
-    "parent_ms", "change_ms"}}: the median change/parent ratio of the
-    rounds, its quartiles and its 95% interval, the rounds the change won,
-    and each side's median time of one call in ms."""
+    "parent_ms", "change_ms", "parent_calls", "change_calls"}}: the median
+    change/parent ratio of the rounds, its quartiles and its 95% interval,
+    the rounds the change won, each side's median time of one call in ms
+    and the calls one call makes on each side (`count_calls`)."""
     a, b = load_tree(parent_src, "parent"), load_tree(change_src, "change")
     texts = scene_texts(a)
     with tempfile.TemporaryDirectory() as dir_a, \
@@ -143,6 +178,8 @@ def compare(parent_src: str, change_src: str, rounds: int
         for side in sides:               # warm-up, untimed
             for _, fn in side.values():
                 fn()
+        counts = {name: [count_calls(side[name][1]) for side in sides]
+                  for name in sides[0]}
         times = {name: ([], []) for name in sides[0]}
         for r in range(rounds):
             order = (0, 1) if r % 2 == 0 else (1, 0)
@@ -160,7 +197,9 @@ def compare(parent_src: str, change_src: str, rounds: int
                      "wins": int((tb < ta).sum()),
                      "rounds": rounds,
                      "parent_ms": float(np.median(ta)) * 1e3,
-                     "change_ms": float(np.median(tb)) * 1e3}
+                     "change_ms": float(np.median(tb)) * 1e3,
+                     "parent_calls": counts[name][0],
+                     "change_calls": counts[name][1]}
     return out
 
 
@@ -169,17 +208,27 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the rows and the environment here")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     rows = compare(args.parent_src, args.change_src, args.rounds)
+    print(environment())
     print(f"{'case':20s} {'parent ms':>10s} {'change ms':>10s} "
-          f"{'ratio':>6s} {'IQR':>13s} {'95% interval':>13s} {'wins':>7s}")
+          f"{'ratio':>6s} {'IQR':>13s} {'95% interval':>13s} {'wins':>7s} "
+          f"{'parent calls':>12s} {'change calls':>12s}")
     for name, r in rows.items():
         print(f"{name:20s} {r['parent_ms']:10.3f} {r['change_ms']:10.3f} "
               f"{r['ratio']:6.3f} {r['q1']:6.3f}-{r['q3']:6.3f} "
               f"{r['lo']:6.3f}-{r['hi']:6.3f} "
-              f"{r['wins']:3d}/{r['rounds']:<3d}")
+              f"{r['wins']:3d}/{r['rounds']:<3d} "
+              f"{r['parent_calls']:12d} {r['change_calls']:12d}")
+    if args.json:
+        with open(args.json, "w") as f:
+            json.dump({"environment": environment(), "rounds": args.rounds,
+                       "cases": rows}, f, indent=1)
+            f.write("\n")
     return 0 if all(math.isfinite(r["ratio"]) for r in rows.values()) else 1
 
 

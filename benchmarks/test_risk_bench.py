@@ -1,8 +1,8 @@
 """Per-layer benchmarks of the risk layer: `rank_trajectories`,
 `risk_kernel` and `risk_loss_and_grad` on one fixed `merge` scene per
 N in {3, 8, 16}, with the predictions of a seeded, untrained model, and
-`disc_probability` alone on the inputs of the two calls that the CDF gate
-makes in an N = 8 and an N = 16 rank (each mode's top step, then the rest).
+`disc_probability` alone on the inputs of the one call that the CDF gate
+makes in an N = 8 and an N = 16 rank.
 
     python -m pytest benchmarks --benchmark-enable \
         --benchmark-json=BENCH_<n>.json
@@ -77,7 +77,7 @@ def test_disc_probability(benchmark, model, monkeypatch, n):
     monkeypatch.setattr(risk, "disc_probability", recorded)
     rank_trajectories(jp, scn, RiskConfig())
     monkeypatch.undo()
-    assert len(calls) == 2
+    assert len(calls) == 1
 
     def run():
         return [disc_probability(*call) for call in calls]

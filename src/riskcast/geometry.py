@@ -166,7 +166,7 @@ def rotate2(v: np.ndarray, angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     x, y = v[..., 0], v[..., 1]
     xc = x * c
-    out = np.empty(np.shape(xc) + (2,), xc.dtype)
+    out = np.empty(xc.shape + (2,), xc.dtype)
     np.subtract(xc, y * s, out=out[..., 0])
     np.add(x * s, y * c, out=out[..., 1])
     return out

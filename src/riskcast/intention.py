@@ -83,7 +83,7 @@ class ClassEmbeddings(nn.Module):
     def forward(self, features: np.ndarray, probs: np.ndarray
                 ) -> tuple[np.ndarray, tuple]:
         outs, heads_ctx = self.heads.forward(features)      # [C, N, D]
-        mixed = (probs.T[:, :, None] * outs).sum(axis=0)
+        mixed = np.add.reduce(probs.T[:, :, None] * outs, axis=0)
         return mixed, (probs, outs, heads_ctx)
 
     def backward(self, ctx: tuple, g: np.ndarray

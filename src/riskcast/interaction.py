@@ -45,6 +45,10 @@ KINEMATIC_SCALE = np.array([POS_SCALE, POS_SCALE, YAW_SCALE, VEL_SCALE,
                             VEL_SCALE])  # x, y, yaw, vx, vy
 
 HISTORY_FEATURES = 10 + len(AGENT_CLASSES)  # kinematics + rel encoding + class
+# the one-hot rows of the agent classes and of the polyline kinds
+_CLASS_ONE_HOT = np.eye(len(AGENT_CLASSES))
+_KIND_ONE_HOT = np.eye(len(POLYLINE_KINDS))
+_CLASS_ONE_HOT.flags.writeable = _KIND_ONE_HOT.flags.writeable = False
 
 
 def history_feature_matrix(scn: Scenario) -> np.ndarray:
@@ -69,7 +73,7 @@ def history_feature_matrix(scn: Scenario) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         ux, uy = vx / speed, vy / speed
         stopped = speed < SPEED_EPS
-        if stopped.any():
+        if np.logical_or.reduce(stopped, axis=None):
             ux[stopped], uy[stopped] = (np.cos(yaw[stopped]),
                                         np.sin(yaw[stopped]))
         ex, ey = ux[scn.ego_index], uy[scn.ego_index]
@@ -85,7 +89,7 @@ def history_feature_matrix(scn: Scenario) -> np.ndarray:
     out[..., 7][near], out[..., 8][near] = 0.0, 1.0
     np.divide(dist, POS_SCALE, out=out[..., 9])
     classes = [AGENT_CLASSES.index(c) for c in scn.agent_classes]
-    out[..., 10:] = np.eye(len(AGENT_CLASSES))[classes][:, None]
+    out[..., 10:] = _CLASS_ONE_HOT[classes][:, None]
     return out
 
 
@@ -98,7 +102,7 @@ def map_feature_matrix(road_map: RoadMap, pad: int = 20) -> np.ndarray:
     slots = out[:, :pad * 3].reshape(len(road_map), pad, 3)
     np.divide(road_map.waypoints[:, :n], POS_SCALE, out=slots[:, :n, :2])
     slots[:, :n, 2] = road_map.valid[:, :n]
-    out[:, pad * 3:] = np.eye(len(POLYLINE_KINDS))[road_map.kinds]
+    out[:, pad * 3:] = _KIND_ONE_HOT[road_map.kinds]
     return out
 
 
@@ -123,7 +127,7 @@ def map_visibility(scn: Scenario, radius: float) -> np.ndarray:
     np.multiply(d, d, out=d)
     d += np.multiply(dy, dy, out=dy)
     np.sqrt(d, out=d)
-    return d.min(axis=-1, initial=np.inf) <= radius
+    return np.minimum.reduce(d, axis=-1, initial=np.inf) <= radius
 
 
 class HistoryEncoder(nn.LSTM):
@@ -235,8 +239,9 @@ class AgentAgentEncoder(nn.Module):
         slots = np.concatenate([s * agents.shape[1] + pos
                                 for s, pos in enumerate(positions)])
         # a padded key is masked; a padded query row is dropped
-        key_mask = None if filled.all() else np.repeat(
-            filled[:, None, :], filled.shape[1], axis=1)
+        key_mask = None
+        if not np.logical_and.reduce(filled, axis=None):
+            key_mask = np.repeat(filled[:, None, :], filled.shape[1], axis=1)
         x = embeds[agents]
         block_ctxs = []
         for block in self.blocks:
@@ -276,7 +281,7 @@ def _context_sets(mask: np.ndarray, start: int
     rows equal to it, and the members' positions among the agents. Raises
     ValueError, naming the agent by its row plus start, where a row is
     empty or leaves out its own agent."""
-    if mask.all():
+    if np.logical_and.reduce(mask, axis=None):
         everyone = np.arange(len(mask))
         return [(everyone, everyone, everyone)]
     empty = np.flatnonzero(~mask.any(axis=1))
@@ -325,7 +330,7 @@ class AgentMapAttention(nn.Module):
         rows, keys, blocks = [], [], []
         row0 = key0 = 0
         for v in vis:
-            attending = v.any(axis=1).nonzero()[0]
+            attending = np.logical_or.reduce(v, axis=1).nonzero()[0]
             if attending.size:
                 rows.append(row0 + attending)
                 keys.append(np.arange(key0, key0 + v.shape[1]))

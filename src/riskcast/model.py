@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
 
 import numpy as np
@@ -137,7 +137,7 @@ class JointPredictor(nn.Module):
         feats = [history_feature_matrix(local) for local in locals_]
         slices = _slices([len(f) for f in feats])
         lengths = [f.shape[1] for f in feats]
-        steps = np.repeat(lengths, [len(f) for f in feats])
+        steps = np.array(lengths).repeat([len(f) for f in feats])
         h = np.empty((len(steps), cfg.embed_dim))
         hist_runs = []
         for t in sorted(set(lengths)):
@@ -161,7 +161,8 @@ class JointPredictor(nn.Module):
         dec_in = np.concatenate([features, z], axis=1)
         pos0 = np.concatenate([local.past[:, -1, :2] for local in locals_])
         (trajs, probs), dec_ctx = self.decoder.forward(dec_in, pos0, slices)
-        if not (np.isfinite(trajs).all() and np.isfinite(probs).all()):
+        if not (np.logical_and.reduce(np.isfinite(trajs), axis=None)
+                and np.logical_and.reduce(np.isfinite(probs), axis=None)):
             raise ValueError("non-finite decoded trajectories or mode "
                              "probabilities")
         return ForwardResult(trajs, probs, lat, lon, z, features, slices,
@@ -203,8 +204,8 @@ class JointPredictor(nn.Module):
         """Run the model on a global-frame scenario; trajectories come back
         in global coordinates."""
         # the forward pass reads only the past, so the futures stay behind
-        local = self.prepare(replace(
-            scn, has_future=np.zeros_like(scn.has_future)))
+        local = self.prepare(scn.replaced(
+            has_future=np.zeros_like(scn.has_future)))
         frame = pose_frame(scn, scn.ego_id)
         res = self.forward([local])
         jp = JointPrediction(frame.to_global(res.trajectories),

@@ -23,8 +23,11 @@ write into the array just computed. The rule that keeps this safe: no
 in-place operation writes an array that a context holds. So an ``MLP``
 keeps only its layers' inputs, each written by the ReLU before the next
 layer keeps it, and its backward finds the ReLU's pass-through where that
-kept input is positive, which is where the pre-activation was. There is one
-forward per layer, for training and inference alike.
+kept input is positive, which is where the pre-activation was. A reduction
+calls the ufunc's own ``reduce`` (``np.add.reduce(x, axis=-1)`` for
+``x.sum(axis=-1)``): the same reduction, bit for bit, without the Python
+wrapper of the array method. There is one forward per layer, for training
+and inference alike.
 
 Sibling layers of one shape that read the same input are stacked: their
 weights are one ``Parameter`` with a leading member axis, and they run as
@@ -230,10 +233,10 @@ class LayerNorm(Module):
             raise DimensionError(
                 f"{self.name}: expected trailing dim {self.dim}, got {x.shape}")
         n = x.shape[-1]
-        xhat = x - x.sum(axis=-1, keepdims=True) / n
+        xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / n
         # the mean of the squared centered input is what x.var computes
-        inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=-1, keepdims=True) / n
-                            + self.eps)
+        inv = 1.0 / np.sqrt(np.add.reduce(np.square(xhat), axis=-1,
+                                          keepdims=True) / n + self.eps)
         xhat *= inv
         y = xhat * self.gamma.value
         y += self.beta.value
@@ -438,9 +441,10 @@ class MultiHeadAttention(Module):
                 raise DimensionError(
                     f"{self.name}: mask shape {mask.shape} does not match "
                     f"({nq}, {nk})")
-            if mask.all():
+            if np.logical_and.reduce(mask, axis=None):
                 mask = None
-            elif not mask.any(axis=-1).all():
+            elif not np.logical_and.reduce(
+                    np.logical_or.reduce(mask, axis=-1), axis=None):
                 raise ValueError("empty attention context")
         if nq and not nk:
             raise ValueError("empty attention context")
@@ -525,7 +529,7 @@ def softmax(x: np.ndarray) -> np.ndarray:
         raise ValueError("softmax of an empty tensor")
     e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 

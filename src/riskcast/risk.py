@@ -53,28 +53,35 @@ the velocity over the speed, with cos and sin of the yaw written only at
 the stopped cells. The struck region needs only which of three ranges the
 wrapped bearing lies in, so `_struck_region` folds the bearing by one turn
 and leaves sin, cos and `wrap_angle`, the dearest ufuncs here, to the few
-bearings near a range's edge. Every value is the one the per-step
-formulas give, bit for bit.
+bearings near a range's edge. Its reductions and tests call the ufuncs'
+own `reduce`, not the Python wrappers of `ndarray.all`, `any` and `sum`.
+Every value is the one the per-step formulas give, bit for bit.
 
 The CDF gate. The CDF is most of the kernel's cost, and most steps cannot
 set a risk. With alpha = dist / sigma and beta = radius / sigma, each disc
-probability is at most min(1, beta^2 / 2) exp(-max(alpha - beta, 0)^2 / 2):
-the disc area times the peak Gaussian density on the disc, capped by the
-Rayleigh tail. Harm times the clamped sum of the three bounds,
-times (1 + BOUND_SLACK), bounds harm x probability at a step (`pair_bound`).
-The kernel evaluates `disc_probability` at each (mode, row)'s
-largest-bound step, which gives a lower bound L on its risk, and then only
-at the steps whose bound is not below L; a step whose body points all lie
-beyond the tail cut has probability exactly 0 and needs no call. Every
-skipped step lies strictly below the maximum, and the series gives an
-element the value it has in a call of its own, so `risks`, `steps`, the
-loss and the gradient are those of the full evaluation, bit for bit.
+probability is at most min(1, beta^2 / 2) exp(-max(alpha - beta, 0)^2 / 2),
+the disc area times the peak Gaussian density on the disc capped by the
+Rayleigh tail, and, for beta^2 / 2 <= 1, at most
+(beta^2 / 2) exp(-(alpha^2 / 2) (1 - beta^2 / 4)), which is far tighter for
+a disc far from the Gaussian's center. Harm times the clamped sum of the
+three bounds, times (1 + BOUND_SLACK), bounds harm x probability at a step
+(`pair_bound`). A lower bound on the disc probability, from Jensen's
+inequality, at each (mode, row)'s largest-bound step gives a lower bound L
+on its risk without the CDF (`_risk_floor`), and the kernel evaluates
+`disc_probability` once, at the steps whose bound is not below L; a step
+whose body points all lie beyond the tail cut has probability exactly 0 and
+needs no call. Every skipped step lies strictly below the maximum, and the
+series gives an element the value it has in a call of its own, so `risks`,
+`steps`, the loss and the gradient are those of the full evaluation, bit
+for bit.
 `RiskTerms.prob_sums` and `probs`, at every step, are computed on first read
 by the full `disc_probability` call; ranking and training do not read them.
 
 The safety, care and responsiveness costs then aggregate each mode's victim
 risks and boundary risk. `rank_trajectories` runs the kernel once for all
-K modes of a scene and reads each mode through `mode_risk_report`.
+K modes of a scene, computes every mode's costs and score in one pass over
+the kernel's [K, R] risks (`mode_costs`, bit for bit the scalar cost
+functions of each mode) and reads each mode through `mode_risk_report`.
 `risk_loss_and_grad` runs it once over a minibatch's scenes, each at its
 selected mode, and differentiates through the collision probabilities
 only: harm factors, struck regions and argmax steps are constants, so the
@@ -124,7 +131,7 @@ class UncertaintyModel:
     def sigma_array(self, horizon: int) -> np.ndarray:
         """sigma(1), ..., sigma(horizon)."""
         s = self.sigma0 + self.growth * np.arange(1, horizon + 1)
-        if (s <= 0).any():
+        if np.logical_or.reduce(s <= 0):
             raise ValueError("uncertainty sigma must stay positive")
         return s
 
@@ -212,14 +219,14 @@ def _poisson_sums(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
     other elements run. Where the first term y exp(-(y + mu)) is 0 (y = 0,
     or it underflows), so is every term."""
     ok = y <= WIDE_Y                            # False for a NaN y
-    if not ok.all():
+    if not np.logical_and.reduce(ok):
         y = np.where(ok, y, 0.0)
     first = y * np.exp(-(y + mu))               # t_1 C_0 = t_1 q_0
     nan_mu = first * 0.0                        # 0, or NaN from a NaN mu
     # an element whose terms are all 0 runs as y = 0: zero terms and tail,
     # done at the first test
     live = first > 0.0
-    if not live.all():
+    if not np.logical_and.reduce(live):
         y, mu, first = (np.where(live, v, 0.0) for v in (y, mu, first))
     # rows: y t_n / _SERIES_RTOL, term n of p and of s; the partial sums
     state = np.empty((5, y.size))
@@ -245,9 +252,9 @@ def _poisson_sums(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
         if n >= _FIRST_TEST:
             bound = (n + 1) - y
             bound *= partial[1]
-            if (tail <= bound).all():
+            if np.logical_and.reduce(tail <= bound):
                 partial += nan_mu
-                if not ok.all():
+                if not np.logical_and.reduce(ok):
                     partial[:, ~ok] = np.nan
                 return partial
 
@@ -290,7 +297,7 @@ def disc_probability(dist: float | np.ndarray, radius: float | np.ndarray,
     x, nc = beta[near] ** 2, alpha[near] ** 2
     p_near = _poisson_sums(0.5 * x, 0.5 * nc)[0]
     wide = x > 2.0 * WIDE_Y
-    if wide.any():
+    if np.logical_or.reduce(wide):
         from scipy.special import chdtr, chndtr
         x, nc = x[wide], nc[wide]
         p_near[wide] = np.where(nc == 0.0, chdtr(2.0, x), chndtr(x, 2.0, nc))
@@ -411,15 +418,16 @@ def batch_from_prediction(scenes: list[Scenario], positions: np.ndarray
         raise ValueError(f"positions {positions.shape} do not match "
                          f"[K, {n}, T, 2]")
     cur = np.concatenate([scn.past[:, -1] for scn in scenes])     # [N, 5]
-    dt = np.repeat([scn.dt for scn in scenes], sizes)[:, None, None]
+    dt = np.array([scn.dt for scn in scenes]).repeat(sizes)[:, None, None]
     # the steps' differences, the first from the current position
     vel = np.empty(positions.shape)
     np.subtract(positions[:, :, :1], cur[:, None, :2], out=vel[:, :, :1])
     np.subtract(positions[:, :, 1:], positions[:, :, :-1], out=vel[:, :, 1:])
     vel /= dt
-    speeds = norm2(vel)
-    yaws = np.where(speeds > SPEED_EPS, np.arctan2(vel[..., 1], vel[..., 0]),
-                    cur[None, :, None, 2])
+    moving = norm2(vel) > SPEED_EPS
+    yaws = np.arctan2(vel[..., 1], vel[..., 0])
+    if not np.logical_and.reduce(moving, axis=None):
+        np.copyto(yaws, cur[None, :, None, 2], where=~moving)
     bounds = list(accumulate(sizes, initial=0))
     return MotionBatch(
         [aid for scn in scenes for aid in scn.agent_ids.tolist()], positions,
@@ -499,7 +507,7 @@ def _clearance(points: np.ndarray, a: np.ndarray, b: np.ndarray
         s += np.multiply(ry, aby, out=ry)
         s /= denom
         np.clip(s, 0.0, 1.0, out=s)
-    if not proper.all():
+    if not np.logical_and.reduce(proper, axis=None):
         np.copyto(s, 0.0, where=~proper)
     # each segment's nearest point, (ax + s * abx, ay + s * aby), and its
     # distance, sqrt(dx * dx + dy * dy) of its offset
@@ -545,7 +553,7 @@ def _struck_region(bearing: np.ndarray, center_dist: np.ndarray
     edge -= math.pi / 4
     unsure = np.abs(edge, out=edge) <= _EDGE_MARGIN
     unsure |= folded > math.pi + _EDGE_MARGIN
-    if unsure.any():
+    if np.logical_or.reduce(unsure, axis=None):
         folded[unsure] = np.abs(wrap_angle(bearing[unsure]))
     region = np.where(folded >= 3 * math.pi / 4, _REAR, _SIDE)
     front = folded <= math.pi / 4
@@ -584,26 +592,79 @@ def pair_bound(dists: np.ndarray, radii: np.ndarray, sigma: np.ndarray
     the disc, (beta^2 / 2) exp(-max(alpha - beta, 0)^2 / 2), and at most the
     Rayleigh tail exp(-max(alpha - beta, 0)^2 / 2) that `disc_probability`
     already uses; so at most min(1, beta^2 / 2) exp(-max(alpha - beta, 0)^2
-    / 2). Where alpha - beta > TAIL_CUT, rounded as `disc_probability`
-    rounds it, that function returns exactly 0, and so does the bound. A
-    NaN distance gives a NaN bound."""
+    / 2). In polar coordinates about the disc's center the probability is
+    exp(-alpha^2 / 2) times the integral over rho < beta of
+    exp(-rho^2 / 2) I_0(alpha rho) rho, and I_0(z) <= exp(z^2 / 4)
+    termwise, so it is also at most
+    (beta^2 / 2) exp(-(alpha^2 / 2) (1 - beta^2 / 4)); where beta^2 / 2
+    <= 1 the bound takes the smaller of the two exponentials, which for a
+    disc far from the center is the second, by about exp(alpha beta). Where
+    alpha - beta > TAIL_CUT, rounded as `disc_probability` rounds it, that
+    function returns exactly 0, and so does the bound. A NaN distance gives
+    a NaN bound."""
     with np.errstate(over="ignore", invalid="ignore"):
         beta = radii[:, None] / sigma                               # [R, T]
+        area = 0.5 * beta * beta
+        # alpha^2 times the second exponent's factor, 1 - beta^2 / 4 where
+        # the area is at most 1 and 0 (the first exponent) elsewhere
+        factor = 1.0 - 0.5 * area
+        np.putmask(factor, ~(area <= 1.0), 0.0)
         # body point first, [3, K, R, T], so that the sum over the three
         # adds contiguous rows
-        gap = np.divide(dists.transpose(3, 0, 1, 2), sigma, order="C")
-        gap -= beta
+        alpha = np.divide(dists.transpose(3, 0, 1, 2), sigma, order="C")
+        gap = alpha - beta
         beyond = gap > TAIL_CUT
         np.maximum(gap, 0.0, out=gap)
-        np.putmask(gap, beyond, np.inf)
         gap *= gap
+        alpha *= alpha
+        alpha *= factor
+        np.maximum(gap, alpha, out=gap)
+        np.putmask(gap, beyond, np.inf)
         gap *= -0.5
         np.exp(gap, out=gap)
         bound = gap[0] + gap[1]
         bound += gap[2]
-        bound *= np.minimum(0.5 * beta * beta, 1.0)
+        bound *= np.minimum(area, 1.0)
         return (np.minimum(bound, 1.0, out=bound),
                 beyond[0] & beyond[1] & beyond[2])
+
+
+def _risk_floor(dists: np.ndarray, radii: np.ndarray, sigma: np.ndarray,
+                harms: np.ndarray) -> np.ndarray:
+    """[E] a lower bound on harm x the clamped sum of the three disc
+    probabilities at E cells, dists [E, 3] with radii, sigma and harms [E],
+    without the CDF.
+
+    A disc probability is the disc's area times the Gaussian's density
+    averaged over the disc. exp is convex, so by Jensen's inequality that
+    average is at least the density at the mean squared distance from the
+    Gaussian's center over the disc, dist^2 + radius^2 / 2: with
+    alpha = dist / sigma and beta = radius / sigma, the probability is at
+    least (beta^2 / 2) exp(-(alpha^2 + beta^2 / 2) / 2). Where
+    alpha - beta > TAIL_CUT, rounded as `disc_probability` rounds it, that
+    function returns exactly 0, and so does the bound. Elsewhere, for
+    y = beta^2 / 2 <= WIDE_Y, alpha <= beta + TAIL_CUT keeps y + alpha^2 / 2
+    below 160, so the series' first term, and with it the computed
+    probability, is positive wherever the bound is. The clamped sum of the
+    three bounds times (1 - BOUND_SLACK) is below the computed clamped sum,
+    whose relative error is a few 1e-15; times a positive harm, it stays
+    below harm x probability. A harm h <= 0 gives h, as
+    h x min(p, 1) >= h. A NaN distance or harm gives NaN."""
+    alpha = dists / sigma[:, None]
+    beta = (radii / sigma)[:, None]
+    area = 0.5 * (beta * beta)                  # beta^2 / 2
+    low = alpha * alpha
+    low += area
+    low *= -0.5
+    np.exp(low, out=low)
+    low *= area
+    np.putmask(low, alpha - beta > TAIL_CUT, 0.0)
+    total = low[:, 0] + low[:, 1]
+    total += low[:, 2]
+    np.minimum(total, 1.0, out=total)
+    total *= 1.0 - BOUND_SLACK
+    total *= harms
+    return np.where(harms > 0.0, total, harms)
 
 
 def _gated_risks(dists: np.ndarray, radii: np.ndarray, sigma: np.ndarray,
@@ -612,18 +673,18 @@ def _gated_risks(dists: np.ndarray, radii: np.ndarray, sigma: np.ndarray,
     """[K, R] max over T of harm * probability, its first argmax step and
     the summed probabilities there, for dists [K, R, T, 3], radii [R],
     sigma [R, T] and harms [K, R, T], evaluating `disc_probability` only
-    where it can set the maximum.
+    where it can set the maximum, in one call.
 
     A step whose body points all lie beyond TAIL_CUT has a probability sum
     of exactly 0, so its harm * probability is harm * 0.0 without the CDF.
     At every other step, U = max(harm, 0) * pair_bound * (1 + BOUND_SLACK)
-    is at least harm * probability. The first call evaluates each
-    (mode, row) at its largest-U step, which gives a lower bound L on its
-    risk; the second evaluates the other steps whose U is not below L (a
-    NaN U is evaluated). Every skipped step lies strictly below the
-    maximum, and `disc_probability` gives each element the value it has
-    in a call of its own, so the maximum and its first argmax are those of
-    the full [K, R, T] array, bit for bit."""
+    is at least harm * probability. `_risk_floor` at each (mode, row)'s
+    largest-U step gives a lower bound L on its risk, and the call
+    evaluates the steps whose U is not below L (a NaN U is evaluated);
+    the largest-U step is among them. Every skipped step lies strictly
+    below the maximum, and `disc_probability` gives each element the value
+    it has in a call of its own, so the maximum and its first argmax are
+    those of the full [K, R, T] array, bit for bit."""
     bound, beyond = pair_bound(dists, radii, sigma)
     upper = np.maximum(harms, 0.0) * bound
     upper *= 1.0 + BOUND_SLACK
@@ -631,29 +692,26 @@ def _gated_risks(dists: np.ndarray, radii: np.ndarray, sigma: np.ndarray,
     # flat C-order (mode, row, step) cells of the [K, R, T] arrays
     flat_dists, flat_harms = dists.reshape(-1, 3), harms.reshape(-1)
     flat_sigma = sigma.reshape(-1)
+    starts = np.arange(0, upper.size, t_count)     # step 0 of each row
+    top = upper.argmax(axis=-1).ravel()
+    row_of = np.arange(k_count * r_count) % r_count
+    floor = _risk_floor(flat_dists[starts + top], radii[row_of],
+                        sigma[row_of, top], flat_harms[starts + top])
+    cells = np.flatnonzero(~(upper < floor.reshape(k_count, r_count, 1))
+                           & ~beyond)
+    # one flat element per body point, so that no operand broadcasts
+    rows = cells // t_count % r_count
+    p = disc_probability(flat_dists[cells].ravel(), radii[rows].repeat(3),
+                         flat_sigma[cells % (r_count * t_count)].repeat(3)
+                         ).reshape(-1, 3)
+    p = p[:, 0] + p[:, 1] + p[:, 2]   # as sum(axis=-1) adds them
     weighted = np.full(upper.size, -np.inf)
     np.putmask(weighted, beyond.reshape(-1), flat_harms * 0.0)
-    sums = np.zeros(upper.size)
-
-    def evaluate(cells):
-        # one flat element per body point, so that no operand broadcasts
-        p = disc_probability(
-            flat_dists[cells].ravel(),
-            np.repeat(radii[cells // t_count % r_count], 3),
-            np.repeat(flat_sigma[cells % (r_count * t_count)], 3)
-        ).reshape(-1, 3)
-        p = p[:, 0] + p[:, 1] + p[:, 2]   # as sum(axis=-1) adds them
-        sums[cells] = p
-        weighted[cells] = flat_harms[cells] * np.minimum(p, 1.0)
-
-    starts = np.arange(0, upper.size, t_count)     # step 0 of each row
-    top = starts + upper.argmax(axis=-1).ravel()
-    evaluate(top)
-    rest = np.flatnonzero(~(upper < weighted[top].reshape(k_count, r_count, 1))
-                          & ~beyond)
-    evaluate(rest[rest != top[rest // t_count]])
+    weighted[cells] = flat_harms[cells] * np.minimum(p, 1.0)
     weighted = weighted.reshape(upper.shape)
     steps = weighted.argmax(axis=-1)
+    sums = np.zeros(upper.size)
+    sums[cells] = p
     return (weighted.max(axis=-1), steps,
             sums[starts + steps.ravel()].reshape(steps.shape))
 
@@ -669,14 +727,14 @@ def risk_kernel(batch: MotionBatch, egos: list[int],
     k_count, n, t_count = batch.yaws.shape
     if t_count < 1:
         raise ValueError("risk needs at least one future step")
-    if (batch.masses <= 0).any():
+    if np.logical_or.reduce(batch.masses <= 0):
         raise ValueError("masses must be positive")
     sigma = cfg.uncertainty.sigma_array(t_count)
     coeffs = cfg.harm
     mu_area = np.array([coeffs.mu_area[r] for r in REGIONS])
     scene_egos = np.asarray(egos, dtype=np.intp)                  # [B]
-    of_scene = np.repeat(scene_egos, [rows.stop - rows.start
-                                      for rows in batch.slices])
+    of_scene = scene_egos.repeat([rows.stop - rows.start
+                                  for rows in batch.slices])
     victims = (np.arange(n) != of_scene).nonzero()[0]
     ego = of_scene[victims]                       # each victim's ego
     m = len(victims)
@@ -693,13 +751,14 @@ def risk_kernel(batch: MotionBatch, egos: list[int],
     with np.errstate(divide="ignore", invalid="ignore"):
         heading = np.divide(vel, speeds, order="C")
     stopped = speeds < SPEED_EPS
-    if stopped.any():
+    if np.logical_or.reduce(stopped, axis=None):
         yaw = batch.yaws[stopped]
         heading[0][stopped], heading[1][stopped] = np.cos(yaw), np.sin(yaw)
 
     # the rows' body points: the victims', then each boundary's point
     # nearest the ego and two out of reach
-    dists = np.full(shape + (3,), np.inf)
+    dists = np.empty(shape + (3,))
+    dists[:, m:] = np.inf
     yaw = batch.yaws[:, victims]                                  # [K, M, T]
     along = np.empty((2,) + yaw.shape)         # half the length along the yaw
     np.cos(yaw, out=along[0])
@@ -732,15 +791,18 @@ def risk_kernel(batch: MotionBatch, egos: list[int],
         roadless = [not len(sa) for sa, _ in segments]
         if any(roadless):
             dists[:, m:, :, 0][:, roadless] = np.inf
-    radii = np.append(0.5 * (batch.widths[victims] + batch.widths[ego]),
-                      0.5 * batch.widths[scene_egos])
+    radii = np.empty(shape[1])
+    np.add(batch.widths[victims], batch.widths[ego], out=radii[:m])
+    radii[:m] *= 0.5
+    np.multiply(0.5, batch.widths[scene_egos], out=radii[m:])
     row_sigma = np.empty(shape[1:])
     row_sigma[:m] = math.sqrt(2.0) * sigma   # both positions uncertain
     row_sigma[m:] = sigma
 
     # delta-v and the struck region: the victims' from the pair, the
     # boundaries' the ego speed and a side impact
-    dv, region = np.empty(shape), np.full(shape, _SIDE)
+    dv, region = np.empty(shape), np.empty(shape, dtype=int)
+    region[:, m:] = _SIDE
     # the cosine of the collision angle, dot2 of the two headings, clamped
     cos_theta = heading[:, :, victims] * heading[:, :, ego]
     cos_theta = np.add(cos_theta[0], cos_theta[1], out=cos_theta[0])
@@ -762,7 +824,7 @@ def risk_kernel(batch: MotionBatch, egos: list[int],
     harms *= scale[:, None]
 
     return RiskTerms([batch.agent_ids[i] for i in victims.tolist()], victims,
-                     np.append(ego, scene_egos), nearest, dists, radii,
+                     np.concatenate((ego, scene_egos)), nearest, dists, radii,
                      row_sigma, dv, region, harms,
                      *_gated_risks(dists, radii, row_sigma, harms))
 
@@ -850,20 +912,50 @@ class RiskReport:
         }
 
 
+def mode_costs(terms: RiskTerms, mode_probs: list[float], cfg: RiskConfig
+               ) -> np.ndarray:
+    """[K, 5] c_s, c_c, c_r, l_risk and score of every mode of the kernel's
+    output, in one pass over its [K, R] risks: the victims' risks are the
+    first M columns and the boundary's the last.
+
+    Each mode's values are those of `safety_cost`, `care_cost`,
+    `responsiveness_cost` and `total_risk_cost` of its row, bit for bit:
+    a sum runs over the last axis of a [K, M] or [K, M * M] array, so each
+    row is summed as that row alone is, pairwise from M = 8 on, and every
+    other operation is the same IEEE operation on each element. The
+    score's log is `math.log` of each mode's probability."""
+    risks, r_b = terms.risks[:, :-1], terms.risks[:, -1]
+    k_count, m = risks.shape
+    total = np.add.reduce(risks, axis=-1)
+    costs = np.empty((5, k_count))
+    c_s, c_c, c_r, l_risk, score = costs
+    if m:
+        np.add(total, r_b, out=c_s)
+        c_s /= 2.0 * m
+        spread = np.subtract(risks[:, :, None], risks[:, None, :])
+        np.abs(spread, out=spread)
+        np.add.reduce(spread.reshape(k_count, m * m), axis=-1, out=c_c)
+        c_c /= m
+    else:
+        np.multiply(0.5, r_b, out=c_s)
+        c_c.fill(0.0)
+    np.multiply(cfg.responsiveness_scale, total, out=c_r)
+    l_risk[:] = total_risk_cost(c_s, c_c, c_r, cfg.weights)
+    np.multiply(cfg.prob_tradeoff,
+                [math.log(max(p, 1e-12)) for p in mode_probs], out=score)
+    np.subtract(l_risk, score, out=score)
+    return costs.T
+
+
 def mode_risk_report(terms: RiskTerms, mode: int, mode_prob: float,
-                     cfg: RiskConfig) -> RiskReport:
+                     costs: list[float]) -> RiskReport:
     """One mode of the kernel's output: the risks of the ego's potential
-    collisions with every victim, the boundary risk, and the three cost
-    terms."""
-    risks = terms.risks[mode, :-1]
-    r_b = float(terms.risks[mode, -1])
-    c_s = safety_cost(risks, r_b)
-    c_c = care_cost(risks)
-    c_r = responsiveness_cost(risks, cfg.responsiveness_scale)
-    l_risk = total_risk_cost(c_s, c_c, c_r, cfg.weights)
-    score = l_risk - cfg.prob_tradeoff * math.log(max(mode_prob, 1e-12))
-    return RiskReport(mode, mode_prob, list(terms.victim_ids), risks, r_b,
-                      c_s, c_c, c_r, l_risk, score)
+    collisions with every victim and the boundary risk, with the mode's
+    row of `mode_costs` (c_s, c_c, c_r, l_risk and score), which
+    `rank_trajectories` computes for every mode in one pass."""
+    return RiskReport(mode, mode_prob, list(terms.victim_ids),
+                      terms.risks[mode, :-1], float(terms.risks[mode, -1]),
+                      *costs)
 
 
 def _road_boundaries(scn: Scenario) -> RoadMap:
@@ -876,10 +968,13 @@ def rank_trajectories(jp: JointPrediction, scn: Scenario,
                       cfg: RiskConfig | None = None
                       ) -> tuple[list[int], list[RiskReport]]:
     """Score every candidate mode and return (order, reports), where order
-    lists mode indices from best (lowest risk-adjusted score) to worst.
-    Only the predicted agents are ranked. A prediction of another scenario
-    (both ids non-empty and different) or a mode whose score is not finite
-    cannot be ranked and raises ValueError."""
+    lists mode indices from best (lowest risk-adjusted score) to worst; a
+    tie goes to the lower mode. Only the predicted agents are ranked. One
+    `risk_kernel` call scores every mode's rows, one `mode_costs` pass
+    gives every mode's costs and score, and `mode_risk_report` reads each
+    mode's report out of them. A prediction of another scenario (both ids
+    non-empty and different) or a mode whose score is not finite cannot be
+    ranked and raises ValueError, naming the first such mode."""
     if (jp.scenario_id and scn.scenario_id
             and jp.scenario_id != scn.scenario_id):
         raise ValueError(f"the prediction is of scenario {jp.scenario_id!r}, "
@@ -888,13 +983,17 @@ def rank_trajectories(jp: JointPrediction, scn: Scenario,
     predicted = scn.take(scn.prediction_rows(jp.agent_ids))
     terms = risk_kernel(batch_from_prediction([predicted], jp.trajectories),
                         [predicted.ego_index], [_road_boundaries(scn)], cfg)
-    reports = [mode_risk_report(terms, k, float(jp.mode_probs[k]), cfg)
-               for k in range(jp.trajectories.shape[0])]
-    for r in reports:
-        if not math.isfinite(r.score):
-            raise ValueError(f"scenario {scn.scenario_id!r}: mode {r.mode} "
-                             f"has a non-finite risk score {r.score!r}")
-    order = sorted(range(len(reports)), key=lambda k: reports[k].score)
+    probs = [float(jp.mode_probs[k]) for k in range(len(terms.risks))]
+    costs = mode_costs(terms, probs, cfg)
+    bad = np.flatnonzero(~np.isfinite(costs[:, -1]))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"scenario {scn.scenario_id!r}: mode {k} has a "
+                         f"non-finite risk score {float(costs[k, -1])!r}")
+    reports = [mode_risk_report(terms, k, p, row)
+               for k, (p, row) in enumerate(zip(probs, costs.tolist()))]
+    scores = costs[:, -1].tolist()
+    order = sorted(range(len(reports)), key=scores.__getitem__)
     for rank, k in enumerate(order):
         reports[k].rank = rank
     return order, reports

@@ -18,7 +18,8 @@ them as arrays whose row i is agent i (``AGENT_FIELDS``):
 These arrays are the scene's only form. Every stage reads slices of them:
 ``Scenario.take`` selects and reorders agents, ``Scenario.prediction_rows``
 joins a prediction to rows by agent id, and clearing ``has_future`` drops
-the futures. A map is built from (waypoints, kind) pairs by
+the futures. ``Scenario.replaced`` is the copy with fields changed that
+every stage makes, ``dataclasses.replace`` without its per-field walk. A map is built from (waypoints, kind) pairs by
 ``RoadMap.padded``. Every stage transforms scenes as array operations built
 from the geometry rules the per-state code uses (``rotate2``,
 ``wrap_angle``, ``norm2``), so both round alike; ``Scenario.state`` is the
@@ -56,7 +57,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -203,6 +204,18 @@ class Scenario:
                              f"for the ego {self.ego_id!r}")
         return np.array([rows[aid] for aid in agent_ids], dtype=int)
 
+    def replaced(self, **changes) -> "Scenario":
+        """A copy with the given fields changed, the scene
+        `dataclasses.replace` makes, without its walk over the fields and
+        its `__init__`: a Scenario has no `__post_init__`, so its fields
+        are its attributes and nothing more."""
+        if not changes.keys() <= _FIELD_NAMES:
+            raise TypeError(f"not Scenario fields: "
+                            f"{sorted(changes.keys() - _FIELD_NAMES)}")
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, **changes)
+        return new
+
     def take(self, rows) -> "Scenario":
         """The agents of `rows`, in that order; the ego must be among them
         and stays the ego."""
@@ -211,8 +224,9 @@ class Scenario:
         if not ego.size:
             raise ValueError(f"scenario {self.scenario_id!r}: the ego "
                              f"{self.ego_id!r} is not among the rows taken")
-        return replace(self, ego_index=int(ego[0]),
-                       **{f: getattr(self, f)[rows] for f in AGENT_FIELDS})
+        return self.replaced(ego_index=int(ego[0]),
+                             **{f: getattr(self, f)[rows]
+                                for f in AGENT_FIELDS})
 
     def __eq__(self, other):
         def same(name):
@@ -223,6 +237,9 @@ class Scenario:
 
         return isinstance(other, Scenario) and all(same(f.name)
                                                    for f in fields(self))
+
+
+_FIELD_NAMES = frozenset(f.name for f in fields(Scenario))
 
 
 def _agent_arrays(agents: list[tuple], horizon_future: int) -> tuple:
@@ -639,8 +656,8 @@ def _moved_rows(scn: Scenario, move) -> Scenario:
     future = np.zeros_like(scn.future)
     future[scn.has_future] = kin[len(past):].reshape(
         -1, *scn.future.shape[1:])
-    return replace(scn, past=kin[:len(past)].reshape(scn.past.shape),
-                   future=future)
+    return scn.replaced(past=kin[:len(past)].reshape(scn.past.shape),
+                        future=future)
 
 
 def _apply_rigid(scn: Scenario, origin: np.ndarray, angle: float) -> Scenario:
@@ -651,7 +668,7 @@ def _apply_rigid(scn: Scenario, origin: np.ndarray, angle: float) -> Scenario:
         return kin
 
     waypoints = rotate2(scn.map.waypoints, angle) + origin
-    return replace(_moved_rows(scn, move), map=scn.map.moved(waypoints))
+    return _moved_rows(scn, move).replaced(map=scn.map.moved(waypoints))
 
 
 # a time step small enough to overflow the kinematics is reported by the
@@ -812,7 +829,12 @@ class Frame:
 
 
 def pose_frame(scn: Scenario, agent_id: str) -> Frame:
-    x, y, yaw = scn.past[scn.row(agent_id), -1, :3].tolist()
+    return _row_frame(scn, scn.row(agent_id))
+
+
+def _row_frame(scn: Scenario, row: int) -> Frame:
+    """The current pose of the agent in `row`."""
+    x, y, yaw = scn.past[row, -1, :3].tolist()
     return Frame(np.array([x, y]), yaw)
 
 
@@ -821,12 +843,12 @@ def local_frame(scn: Scenario, agent_id: str,
     """Re-express the scenario in the given agent's current pose, keeping
     only agents (by current position) and polylines (by any waypoint)
     within `radius` of that agent."""
-    frame = pose_frame(scn, agent_id)
+    row = scn.row(agent_id)
+    frame = _row_frame(scn, row)
 
     near = norm2(scn.past[:, -1, :2] - frame.origin) <= radius
     # the agent whose frame this is becomes the ego
-    kept = replace(scn, ego_index=scn.row(agent_id)).take(
-        near.nonzero()[0])
+    kept = scn.replaced(ego_index=row).take(near.nonzero()[0])
 
     # every kept row, past and future, in one array op (subtracting 0 from
     # yaw and velocity is exact)
@@ -843,5 +865,6 @@ def local_frame(scn: Scenario, agent_id: str,
     dists += np.multiply(dy, dy, out=dy)
     np.sqrt(dists, out=dists)
     np.putmask(dists, ~scn.map.valid, np.inf)
-    polys = scn.map.select(dists.min(axis=1, initial=np.inf) <= radius)
-    return replace(moved, map=polys.moved(frame.to_local(polys.waypoints)))
+    polys = scn.map.select(
+        np.minimum.reduce(dists, axis=1, initial=np.inf) <= radius)
+    return moved.replaced(map=polys.moved(frame.to_local(polys.waypoints)))

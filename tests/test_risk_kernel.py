@@ -319,10 +319,10 @@ def test_gate_skips_pair_probabilities(model, monkeypatch):
     monkeypatch.setattr(risk, "disc_probability", counted)
     rank_trajectories(jp, scn)
     k, n, t, _ = jp.trajectories.shape
-    # two calls over the rows of the n - 1 victims and of the boundary; the
-    # first takes each mode's boundary row once, [clearance, inf, inf]
-    assert len(sizes) == 2 and infs[0] == 2 * k
-    assert 0 < sizes[0] + sizes[1] < 0.5 * k * n * t * 3
+    # one call over the rows of the n - 1 victims and of the boundary; it
+    # takes each mode's boundary row at least once, [clearance, inf, inf]
+    assert len(sizes) == 1 and infs[0] >= 2 * k and infs[0] % 2 == 0
+    assert 0 < sizes[0] < 0.1 * k * n * t * 3
 
 
 @pytest.mark.parametrize("template,n,seed", PARITY_SCENES)
